@@ -502,19 +502,23 @@ def test_tenancy_overhead(save_result):
     * ``tenancy_on`` — an *empty* ``TenancyConfig()`` on the identical
       closed loop, isolating the fixed machinery cost (TenantScheduler
       virtual clocks plus partition-gated dispatch) from any policy.  Gating
-      is the dominant term: dispatch order must be re-derived from the
-      weighted queues whenever a partition frees, and under a saturated
-      closed loop with partition skew most scan passes dispatch nothing
-      (the all-busy short-circuits in ``_drain`` bound the churn only once
-      every partition is occupied).  Reported, not asserted.
+      is the dominant term: the loop leaves the pass-through fast path for
+      the general event loop, every submission carries a preview estimate,
+      and blocked transactions park on per-partition wait lists that only
+      that partition's release looks at again.  Reported, not asserted,
+      with ``on_over_off`` as the host-independent reading.
+
+    Off and on rounds alternate, so host drift hits both sides alike.
     """
     from repro.tenancy import TenancyConfig
 
     baseline = json.loads(
         (BASELINES / "simulator_pre_tenancy.json").read_text(encoding="utf-8")
     )
-    off = _best_of(ROUNDS, lambda: _tenancy_round(None))
-    on = _best_of(ROUNDS, lambda: _tenancy_round(TenancyConfig()))
+    off = on = 0.0
+    for _ in range(ROUNDS):
+        off = max(off, _best_of(1, lambda: _tenancy_round(None)))
+        on = max(on, _best_of(1, lambda: _tenancy_round(TenancyConfig())))
     base_rate = baseline["tatp"]["wall_txns_per_sec"]
     section = {
         "protocol": baseline["protocol"]
@@ -528,12 +532,16 @@ def test_tenancy_overhead(save_result):
             "wall_txns_per_sec": round(on, 1),
             "ratio_vs_pre_change": round(on / base_rate, 3),
         },
+        "on_over_off": round(on / off, 3),
         "note": "Ratios vs the committed baseline are only commensurable "
         "when measured interleaved in one session (the baseline file "
         "records 0.98x for tenancy_off in its recording session); "
-        "cross-session drift on the bench container is 15-25%. The "
+        "cross-session drift on the bench container is 15-25%. off and on "
+        "rounds alternate here, so on_over_off is the reading to track. The "
         "tenancy_on figure is the cost of partition-gated weighted-fair "
-        "dispatch under a saturated closed loop, the gate's worst case.",
+        "dispatch under a saturated closed loop, the gate's worst case: "
+        "0.116x pre-change under the pop-all/requeue scan, measured before "
+        "the partition-indexed ready set.",
     }
     _merge_sections(tenancy_overhead=section)
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
@@ -542,5 +550,6 @@ def test_tenancy_overhead(save_result):
         "tenancy_overhead",
         f"Tenancy overhead (TATP, {PARTITIONS} partitions, closed loop)\n"
         f"  off: {off:.0f} txns/s ({off / base_rate:.2f}x pre-change)\n"
-        f"  on (empty config): {on:.0f} txns/s ({on / base_rate:.2f}x)",
+        f"  on (empty config): {on:.0f} txns/s ({on / base_rate:.2f}x, "
+        f"{on / off:.2f}x of off)",
     )

@@ -32,7 +32,7 @@ SPEC = ClusterSpec(benchmark="tpcc", num_partitions=4, strategy="houdini",
 
 def compare_policies(artifacts) -> None:
     print("== Queue discipline comparison (one session per policy, shared artifacts) ==")
-    print(f"  {'policy':28s} {'throughput':>12s} {'mean latency':>14s} {'reordered':>10s}")
+    print(f"  {'policy':28s} {'throughput':>12s} {'mean latency':>14s} {'queue jumps':>11s}")
     for policy in (None, "shortest-predicted", "single-partition-first"):
         session = Cluster.open(SPEC, artifacts=artifacts)
         if policy is not None:
@@ -42,7 +42,7 @@ def compare_policies(artifacts) -> None:
         name = policy or "fcfs"
         print(f"  {name:28s} {result.throughput_txn_per_sec:8.1f} txn/s "
               f"{result.average_latency_ms:11.2f} ms "
-              f"{result.scheduler_stats.reordered:10d}")
+              f"{result.scheduler_stats.reordered:11d}")
     print()
 
 

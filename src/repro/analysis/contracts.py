@@ -97,12 +97,15 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     "_models": ("GlobalModelProvider", "model_for()/models()/model_for_procedure()/install_model()"),
     "_windows": ("DriftDetector", "observe()/score()/check()/reset()"),
     "_states": ("SelfTuneManager", "observe()/snapshot()"),
-    # Multi-tenancy contract surfaces: queues and virtual clocks only move
-    # through the scheduler's push/pop/rekey/adopt surface, quota slots
-    # through would_admit()/admit()/release_if_admitted(), SLO counters
-    # through record(), and the in-flight work heap through
+    # Scheduler queues: the ready set and the per-partition wait lists move
+    # only through submit/pop, park (requeue(partition)), wake, and the
+    # rekey/adopt transplant; TenantScheduler reaches them as ``self``.
+    "_ready": ("TransactionScheduler", "submit()/pop()/requeue()/wake()/rekey()/adopt_from()"),
+    "_wait_lists": ("TransactionScheduler", "requeue(partition)/wake()/parked_partitions()/rekey()/adopt_from()"),
+    # Multi-tenancy contract surfaces: virtual clocks only move at dispatch,
+    # quota slots through would_admit()/admit()/release_if_admitted(), SLO
+    # counters through record(), and the in-flight work heap through
     # note_dispatch()/inflight_remaining_ms().
-    "_tenant_queues": ("TenantScheduler", "submit()/pop()/requeue()/rekey()/adopt_from()/set_tenancy()"),
     "_tenant_vtime": ("TenantScheduler", "note_dispatched()/fairness_snapshot()"),
     "_quota_held": ("TenantQuotaController", "would_admit()/admit()/release_if_admitted()"),
     "_slo_counts": ("SLOTracker", "record()/set_config()/snapshot()"),

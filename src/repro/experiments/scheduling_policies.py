@@ -18,6 +18,10 @@ Two traffic shapes are exercised:
   (``scheduler_stats.queue_wait_by_class``) makes visible as the
   "max wait" column.
 
+The "queue jumps" column is ``scheduler_stats.reordered``: dispatches that
+started while an older arrival was still queued, whether ready or parked on
+a busy partition.  Examinations that did not dispatch are not jumps.
+
 The same 2x overload is then rerun as a **two-tenant** stream (a
 premium tenant at 0.5x with a tight SLO plus a bulk tenant carrying the
 remaining 1.5x with a loose one), once through the shared scheduler and
@@ -58,7 +62,7 @@ class SchedulingPoliciesResult:
     def format(self) -> str:
         headers = [
             "configuration", "txn/s", "avg latency (ms)", "max wait (ms)",
-            "reordered", "deferred", "rejected",
+            "queue jumps", "deferred", "rejected",
         ]
         table_rows = []
         for name, metrics in self.rows.items():

@@ -39,7 +39,11 @@ class AdmissionLimits:
     #: Maximum total predicted service time (ms) of in-flight transactions.
     max_in_flight_ms: float | None = None
     #: Deferrals after which a transaction is rejected outright instead of
-    #: being requeued forever.
+    #: being requeued forever.  A deferral is one drain pass that examined
+    #: the transaction and found no capacity — it stays in the ready set and
+    #: every pass re-examines it, so the budget counts scheduling events
+    #: (submissions, completions, partition releases), not simulated time.
+    #: Time parked on a busy partition costs nothing.
     max_deferrals: int = 16
 
     def __post_init__(self) -> None:

@@ -15,15 +15,22 @@ Two caches keep the per-submission work constant:
   the policy (:meth:`SchedulingPolicy.class_key`), so dispatch never
   re-derives class properties.
 
-The ready queue itself is a binary heap, i.e. it stays incrementally sorted
-under submissions; dispatch is O(log n).
+The ready set is a binary heap, i.e. it stays incrementally sorted under
+submissions; dispatch is O(log n).  Beside it sit *wait lists*, one per
+busy partition: the partition-gated dispatcher parks a blocked transaction
+on the predicted partition that frees last (:meth:`TransactionScheduler.
+requeue`) and a release wakes only that partition's waiters
+(:meth:`TransactionScheduler.wake`).  Parked work is still queued work:
+every length, backlog and introspection view covers both.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, KeysView
 
 from ..houdini.estimate import PathEstimate
 from ..types import PartitionId, ProcedureRequest
@@ -31,6 +38,28 @@ from .policies import ArrivalOrderPolicy, SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cost_model import CostModel
+
+
+#: Dispatch order of queue entries: (policy key, FIFO sequence).
+ENTRY_ORDER = itemgetter(0, 1)
+
+
+def blocking_partition(
+    pending: "PendingTransaction", partition_free: list[float], now: float
+) -> PartitionId:
+    """The partition gate: the predicted partition of ``pending`` that frees
+    last after ``now``, or -1 when none is busy (ids beyond the cluster are
+    not gated).  ``partition_free`` only moves forward, so the verdict cannot
+    turn to "free" before that partition's release."""
+    wait_on = -1
+    num_partitions = len(partition_free)
+    for partition_id in pending.predicted_partitions:
+        if partition_id < num_partitions:
+            free_at = partition_free[partition_id]
+            if free_at > now:
+                now = free_at
+                wait_on = partition_id
+    return wait_on
 
 
 def _default_cost_model() -> "CostModel":
@@ -98,6 +127,9 @@ class PendingTransaction:
     tenant: str | None = None
     #: How many times admission control pushed this transaction back.
     deferrals: int = 0
+    #: Partition whose wait list the transaction last sat on (-1: none); if
+    #: examining it leaves that partition free, its successor is woken too.
+    parked_on: int = -1
     #: Simulated submission time, stamped by the event-driven simulator so
     #: latencies include queueing delay.
     submit_time_ms: float = 0.0
@@ -112,9 +144,12 @@ class SchedulerStats:
     """Counters describing one scheduler's activity.
 
     ``dispatched`` counts transactions that actually left the queue for
-    execution — a pop that is pushed back (admission deferral or a
-    partition-blocked requeue) is counted under ``requeued``, and a pop that
-    admission control rejected outright under ``rejected``.
+    execution.  ``requeued`` counts the times a transaction left the ready
+    set *without* dispatching: one per park on a busy partition, one per
+    quota or admission push-back.  ``rejected`` counts pops that admission
+    control refused outright.  ``reordered`` counts dispatches that started
+    while an older arrival was still queued, ready or parked (one the
+    running drain pass has already pushed back is between queues: unseen).
 
     ``queue_wait_by_class`` is the starvation picture: per transaction
     class (procedure name), summary statistics of the simulated time each
@@ -161,19 +196,27 @@ class TransactionScheduler:
         self._streaming_waits = streaming_waits
         self.stats = SchedulerStats()
         self._arrivals = 0
-        self._heap: list[tuple[tuple, int, PendingTransaction]] = []
+        #: Ready set: lane -> heap of (policy key, seq, pending), lanes with
+        #: ready work only.  A lane is one ordering domain: the whole queue
+        #: here, one tenant under :class:`~repro.tenancy.scheduler.TenantScheduler`.
+        self._ready: dict = {}
+        #: Wait lists: partition -> lane -> heap of parked entries, in the
+        #: ready set's order, so a release need only wake each lane's head.
+        self._wait_lists: dict[PartitionId, dict] = {}
+        #: Queued transactions, ready and parked.
+        self._queued = 0
         self._sequence = 0
         #: Predicted costs per transaction class (see :meth:`submit`).
         self._cost_cache: dict[tuple, PredictedCost] = {}
         #: Policy class-key components per transaction class.
         self._class_keys: dict[tuple, tuple] = {}
-        #: Arrival indexes still queued (lazy-deletion heap) plus the popped
-        #: multiset, for O(log n) queue-jump detection in :meth:`pop`.
+        #: Arrival indexes still queued, as a set plus a lazy-deletion heap
+        #: of them, for O(log n) queue-jump detection at dispatch.
         #: Skipped entirely for policies that provably dispatch in arrival
         #: order (FCFS): ``reordered`` is 0 by construction.
         self._track_reorder = not self.policy.preserves_arrival_order
         self._arrival_heap: list[int] = []
-        self._consumed: dict[int, int] = {}
+        self._waiting: set[int] = set()
         #: Queue-wait ages (ms) of dispatched transactions, per transaction
         #: class; recorded by the simulator at dispatch and summarized into
         #: :attr:`SchedulerStats.queue_wait_by_class` on snapshot.  Survives
@@ -187,10 +230,15 @@ class TransactionScheduler:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._queued
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return self._queued > 0
+
+    @property
+    def has_ready(self) -> bool:
+        """Whether :meth:`pop` has a candidate (parked work does not count)."""
+        return bool(self._ready)
 
     # ------------------------------------------------------------------
     def submit(
@@ -251,9 +299,10 @@ class TransactionScheduler:
     def rekey(self, policy: SchedulingPolicy | None) -> None:
         """Adopt a new policy mid-stream, re-keying every queued transaction.
 
-        The live-reconfiguration contract of the session API: the pending
-        heap is rebuilt under the new policy's keys, the per-class key cache
-        is dropped (it composed keys for the old policy), and the queue-jump
+        The live-reconfiguration contract of the session API: the queue —
+        parked transactions included, which all rejoin the ready set — is
+        rebuilt under the new policy's keys, the per-class key cache is
+        dropped (it composed keys for the old policy), and the queue-jump
         bookkeeping restarts from the still-queued arrivals.  Stats carry
         over — the scheduler keeps describing the same node queue.
         Transactions queued before the swap keep the prediction annotations
@@ -262,11 +311,10 @@ class TransactionScheduler:
         """
         self.policy = policy or ArrivalOrderPolicy()
         self._class_keys.clear()
-        queued = [entry[2] for entry in self._heap]
-        self._heap.clear()
+        queued = self._drain_queued()
         self._track_reorder = not self.policy.preserves_arrival_order
         self._arrival_heap.clear()
-        self._consumed.clear()
+        self._waiting.clear()
         for pending in queued:
             self._push(pending)
 
@@ -276,11 +324,9 @@ class TransactionScheduler:
         self._class_keys.clear()
 
     def resubmit(self, pending: PendingTransaction) -> None:
-        """Return a deferred transaction to the queue (admission control)."""
+        """Return a deferred transaction to the ready set (admission control)."""
         pending.deferrals += 1
-        self.stats.dispatched -= 1
-        self.stats.requeued += 1
-        self._push(pending)
+        self.requeue(pending)
 
     def note_rejected(self, pending: PendingTransaction) -> None:
         """Reclassify a popped transaction as rejected, not dispatched."""
@@ -290,21 +336,78 @@ class TransactionScheduler:
     def note_dispatched(self, pending: PendingTransaction) -> None:
         """The latest pop cleared every gate and is starting execution.
 
-        No-op here; :class:`~repro.tenancy.scheduler.TenantScheduler`
-        advances its global virtual-time watermark on this signal (and only
-        on it — blocked pops are refunded and must not move the clock).
+        Counts the dispatch as a queue jump if an older arrival is still
+        waiting.  :class:`~repro.tenancy.scheduler.TenantScheduler` also
+        advances its virtual clocks on this signal (and only on it — a
+        popped transaction that is parked or pushed back moves no clock).
         """
+        arrival_heap = self._arrival_heap
+        if arrival_heap and arrival_heap[0] < pending.arrival_index:
+            self.stats.reordered += 1
 
-    def requeue(self, pending: PendingTransaction) -> None:
-        """Return a transaction without counting a deferral.
+    def requeue(
+        self, pending: PendingTransaction, partition: PartitionId | None = None
+    ) -> None:
+        """Take back a popped transaction that did not dispatch.
 
-        Used by the event-driven simulator for partition-blocked dispatches:
-        waiting for a busy partition is not an admission push-back, so it
-        must not eat into the ``max_deferrals`` rejection budget.
+        With ``partition`` the transaction is *parked* on that partition's
+        wait list and stays out of the ready set until :meth:`wake`; without,
+        it rejoins the ready set (a quota or admission push-back).  Neither
+        counts a deferral: waiting for a busy partition must not eat into
+        the ``max_deferrals`` rejection budget.
         """
         self.stats.dispatched -= 1
         self.stats.requeued += 1
-        self._push(pending)
+        self._queued += 1
+        self._track_arrival(pending)
+        pending.parked_on = -1 if partition is None else partition
+        lanes = self._ready if partition is None else self._wait_lists.setdefault(partition, {})
+        heapq.heappush(lanes.setdefault(self._lane(pending), []), self._entry(pending))
+
+    def wake(
+        self,
+        partition: PartitionId,
+        partition_free: list[float],
+        now: float,
+        successor_of: PendingTransaction | None = None,
+    ) -> None:
+        """``partition`` is free at ``now`` (the caller checked): per lane, its
+        first waiter that clears the partition gate rejoins the ready set.
+
+        Waiters ahead of it that are blocked elsewhere move straight to that
+        partition's list.  Later ones stay: a lane dispatches in order, and
+        the woken one may take the partition again.  If examining it leaves
+        the partition free, the caller passes it back as ``successor_of``
+        and that one lane's next waiter follows — a release examines O(1)
+        transactions, not the whole list.
+        """
+        lanes = self._wait_lists.get(partition)
+        if not lanes:
+            return
+        woken = list(lanes) if successor_of is None else (self._lane(successor_of),)
+        for lane in woken:
+            heap = lanes.get(lane)
+            while heap:
+                entry = heapq.heappop(heap)
+                wait_on = blocking_partition(entry[2], partition_free, now)
+                if wait_on < 0:
+                    heapq.heappush(self._ready.setdefault(lane, []), entry)
+                    break
+                entry[2].parked_on = wait_on
+                others = self._wait_lists.setdefault(wait_on, {})
+                heapq.heappush(others.setdefault(lane, []), entry)
+            if heap is not None and not heap:
+                del lanes[lane]
+        if not lanes:
+            del self._wait_lists[partition]
+
+    def parked_partitions(self) -> KeysView[PartitionId]:
+        """Partitions that have transactions parked on them (a live view)."""
+        return self._wait_lists.keys()
+
+    def _lane(self, pending: PendingTransaction):
+        """The ordering domain ``pending`` dispatches in (one shared lane)."""
+        return None
 
     def _entry(self, pending: PendingTransaction) -> tuple[tuple, int, PendingTransaction]:
         """Compose one heap entry (policy key, FIFO sequence, transaction)."""
@@ -322,55 +425,69 @@ class TransactionScheduler:
         return (policy.compose_key(class_part, pending), self._sequence, pending)
 
     def _push(self, pending: PendingTransaction) -> None:
-        heapq.heappush(self._heap, self._entry(pending))
+        """First entry of a transaction into this queue (submit/rekey/adopt)."""
+        heapq.heappush(
+            self._ready.setdefault(self._lane(pending), []), self._entry(pending)
+        )
+        self._queued += 1
+        self._track_arrival(pending)
+
+    def _track_arrival(self, pending: PendingTransaction) -> None:
         if self._track_reorder:
+            self._waiting.add(pending.arrival_index)
             heapq.heappush(self._arrival_heap, pending.arrival_index)
 
     # ------------------------------------------------------------------
+    def _select(self):
+        """The lane whose ready head dispatches next (here: the only one)."""
+        if not self._ready:
+            raise IndexError(f"pop from an empty {type(self).__name__}")
+        return None
+
     def pop(self) -> PendingTransaction:
-        """Dispatch the highest-priority pending transaction."""
-        if not self._heap:
-            raise IndexError("pop from an empty TransactionScheduler")
-        _, __, pending = heapq.heappop(self._heap)
+        """Take the highest-priority *ready* transaction.
+
+        The pop counts as a dispatch until the caller says otherwise
+        (:meth:`requeue`, :meth:`resubmit`, :meth:`note_rejected`).
+        """
+        lane = self._select()
+        heap = self._ready[lane]
+        pending = heapq.heappop(heap)[2]
+        if not heap:
+            del self._ready[lane]
+        self._queued -= 1
         self._note_pop(pending)
         return pending
 
     def _note_pop(self, pending: PendingTransaction) -> None:
-        """Account one dispatch: stats plus queue-jump detection."""
+        """Account one pop: stats, and the arrival leaves the queued set."""
         self.stats.dispatched += 1
-        if not self._track_reorder:
-            return
-        arrival = pending.arrival_index
-        consumed = self._consumed
-        consumed[arrival] = consumed.get(arrival, 0) + 1
-        arrival_heap = self._arrival_heap
-        while arrival_heap:
-            top = arrival_heap[0]
-            count = consumed.get(top, 0)
-            if not count:
-                break
-            heapq.heappop(arrival_heap)
-            if count == 1:
-                del consumed[top]
-            else:
-                consumed[top] = count - 1
-        if arrival_heap and arrival_heap[0] < arrival:
-            # An older transaction is still waiting: the policy jumped the queue.
-            self.stats.reordered += 1
+        if self._track_reorder:
+            waiting = self._waiting
+            waiting.discard(pending.arrival_index)
+            arrival_heap = self._arrival_heap
+            while arrival_heap and arrival_heap[0] not in waiting:
+                heapq.heappop(arrival_heap)
 
     def peek(self) -> PendingTransaction | None:
         """The transaction that :meth:`pop` would return, without removing it."""
-        if not self._heap:
+        if not self._ready:
             return None
-        return self._heap[0][2]
+        return self._ready[self._select()][0][2]
+
+    def _queued_entries(self) -> Iterator[tuple]:
+        """Every queued entry, ready then parked, in no particular order."""
+        parked = (lanes.values() for lanes in self._wait_lists.values())
+        return chain.from_iterable(chain(self._ready.values(), *parked))
 
     def pending_transactions(self) -> list[PendingTransaction]:
-        """Every transaction still queued, in current dispatch order.
+        """Every transaction still queued — ready or parked — in the order
+        the policy would dispatch them.
 
         Introspection only (``ClusterSession.in_flight``): the queue is not
         disturbed.
         """
-        return [entry[2] for entry in sorted(self._heap, key=lambda e: (e[0], e[1]))]
+        return [entry[2] for entry in sorted(self._queued_entries(), key=ENTRY_ORDER)]
 
     # ------------------------------------------------------------------
     # Queue-wait (starvation) tracking
@@ -457,16 +574,14 @@ class TransactionScheduler:
 
     # ------------------------------------------------------------------
     def _drain_queued(self) -> list[PendingTransaction]:
-        """Remove and return every queued transaction, in dispatch order.
-
-        Unlike :meth:`rekey`'s heap-array walk this sorts by (key, seq), so
-        FIFO order among equal-priority siblings survives a transplant into
-        a differently shaped queue (:meth:`adopt_from`).
-        """
-        queued = [
-            entry[2] for entry in sorted(self._heap, key=lambda e: (e[0], e[1]))
-        ]
-        self._heap.clear()
+        """Remove and return every queued transaction, parked ones included,
+        in dispatch order — so FIFO order among equal-priority siblings
+        survives a re-key or a transplant into a differently shaped queue
+        (:meth:`adopt_from`)."""
+        queued = self.pending_transactions()
+        self._ready.clear()
+        self._wait_lists.clear()
+        self._queued = 0
         return queued
 
     def adopt_from(self, other: "TransactionScheduler") -> None:
@@ -474,10 +589,10 @@ class TransactionScheduler:
 
         Policy, cost model, caches, stats and wait records move across so
         the queue keeps describing the same node; still-queued transactions
-        are re-pushed through this scheduler's own (polymorphic) queue
-        structure in the other's dispatch order.  Queue-jump bookkeeping
-        restarts from the still-queued arrivals, exactly as in
-        :meth:`rekey`.
+        — parked ones too, which rejoin the ready set — are re-pushed
+        through this scheduler's own (polymorphic) queue structure in the
+        other's dispatch order.  Queue-jump bookkeeping restarts from the
+        still-queued arrivals, exactly as in :meth:`rekey`.
         """
         self.policy = other.policy
         self.cost_model = other.cost_model
@@ -491,14 +606,14 @@ class TransactionScheduler:
         self._zero_waits = other._zero_waits
         self._track_reorder = not self.policy.preserves_arrival_order
         self._arrival_heap = []
-        self._consumed = {}
+        self._waiting = set()
         for pending in other._drain_queued():
             self._push(pending)
 
     # ------------------------------------------------------------------
     def predicted_backlog_ms(self) -> float:
         """Total predicted service time of everything still queued."""
-        return sum(entry[2].predicted_cost_ms for entry in self._heap)
+        return sum(entry[2].predicted_cost_ms for entry in self._queued_entries())
 
     def describe(self) -> str:
         return (

@@ -43,8 +43,9 @@ so queue policies and admission control are exercised by throughput runs:
 * a prediction-aware policy annotates each request with its Houdini path
   estimate (:meth:`~repro.txn.strategy.ExecutionStrategy.preview_estimate`),
   dispatches by predicted cost/partition profile, and *partition-gates*
-  dispatch — a transaction whose predicted partitions are busy waits for a
-  ``PARTITION_RELEASE`` event while ready work behind it runs;
+  dispatch — a transaction whose predicted partitions are busy is parked
+  on the one that frees last and woken by its ``PARTITION_RELEASE`` event,
+  while ready work behind it runs;
 * admission limits defer or reject transactions whose predicted resource
   usage would overload the node, with capacity released on completion.
 
@@ -69,7 +70,7 @@ from ..catalog.schema import Catalog
 from ..errors import SimulationError
 from ..scheduling.admission import AdmissionController, AdmissionDecision, AdmissionLimits
 from ..scheduling.policies import SchedulingPolicy, policy_by_name
-from ..scheduling.scheduler import TransactionScheduler
+from ..scheduling.scheduler import TransactionScheduler, blocking_partition
 from ..storage.partition_store import Database
 from ..tenancy import TenancyConfig, TenancyManager, TenantScheduler
 from ..txn.coordinator import TransactionCoordinator
@@ -295,8 +296,10 @@ class ClusterSimulator:
         #: Per-tenant accumulators (populated only by tenant-labeled
         #: submissions; unlabeled traffic never touches them).
         self._tenant_acc: dict[str, dict] = {}
-        #: Earliest scheduled partition-release wakeup (deduplication).
-        self._next_wakeup = [_INF]
+        #: Partitions with a ``PARTITION_RELEASE`` wake-up in the event heap:
+        #: one per partition that has parked waiters.  If it fires early (the
+        #: partition was taken again) the drain it triggers re-arms it.
+        self._armed: set[int] = set()
         # The initial event list — every client ready at t=0, client-id
         # tie-break — is already heap-ordered.  Open-loop cores start with
         # no clients; activate_clients() can add them later.
@@ -311,11 +314,6 @@ class ClusterSimulator:
         #: Outstanding heap entries the FCFS fast path cannot interpret
         #: (TXN_COMPLETE / PARTITION_RELEASE / EXTERNAL_SUBMIT).
         self._general_events = 0
-        #: Queued transactions the partition gate cannot block (no in-range
-        #: predicted partitions).  When this is zero and every partition is
-        #: busy, a drain scan cannot dispatch anything — ``_drain`` skips
-        #: the pop/requeue pass entirely and just arms a release wake-up.
-        self._ungated_queued = 0
         self._now = 0.0
         #: Submission/pop time of the transaction currently executing: the
         #: deterministic clock self-tuning retrain jobs run against.  Unlike
@@ -653,7 +651,6 @@ class ClusterSimulator:
         admission = self.admission
         completions = self._completions
         parked = self._parked
-        next_wakeup = self._next_wakeup
         think = self.config.client_think_time_ms
         budget = self._budget
         submitted = self._submitted
@@ -699,11 +696,12 @@ class ClusterSimulator:
                     request, now, need_estimates, external=True, tenant=tenant
                 )
                 self._drain(now, gate_on_partitions)
-            else:  # PARTITION_RELEASE
+            else:  # PARTITION_RELEASE of partition ``tiebreak``
                 self._general_events -= 1
-                if next_wakeup[0] <= now:
-                    next_wakeup[0] = _INF
-                if scheduler:
+                self._armed.discard(tiebreak)
+                # No waiters left (an earlier release at this instant took
+                # them along): nothing changed since the last drain.
+                if tiebreak in scheduler.parked_partitions():
                     self._drain(now, gate_on_partitions)
         self._submitted = submitted
         self._now = now
@@ -748,8 +746,6 @@ class ClusterSimulator:
                 return None
         pending = self.scheduler.submit(request, estimate,
                                         base_partition=base_partition, tenant=tenant)
-        if not any(p < self._num_partitions for p in pending.predicted_partitions):
-            self._ungated_queued += 1
         pending.submit_time_ms = now
         pending.external = external
         if tenant is not None:
@@ -768,50 +764,42 @@ class ClusterSimulator:
         return acc
 
     def _drain(self, now: float, gate_on_partitions: bool) -> None:
-        """Dispatch every queued transaction that may start at ``now``."""
+        """Dispatch every queued transaction that may start at ``now``.
+
+        Only the scheduler's ready set is swept, in the scheduler's order.
+        A candidate whose predicted partitions are busy is parked on the one
+        that frees last (``partition_free`` only moves forward, so its
+        verdict cannot change sooner).  A release wakes the head of each
+        wait list; its successor joins the same pass only if the head left
+        the partition free.
+        """
         scheduler = self.scheduler
         admission = self.admission
         events = self._events
         partition_free = self._partition_free
-        num_partitions = self._num_partitions
         counters = self._counters
         latencies = self._latencies
         breakdown_acc = self._breakdown_acc
-        next_wakeup = self._next_wakeup
         redirect_ms = self.cost_model.redirect_ms
         execute = self._execute
         tenancy = self.tenancy
         quota = tenancy.quota if tenancy is not None else None
-        if gate_on_partitions and not self._ungated_queued:
-            # Saturation short-circuit: with every partition busy and no
-            # ungated work queued, the scan below would pop, block and
-            # requeue every entry without dispatching — O(queue) churn per
-            # event.  The partition gate precedes the quota and admission
-            # checks, so skipping the scan observes nothing they would
-            # have.  Waking at the first release is conservative (a drain
-            # there re-arms the precise wake-up if still nothing fits).
-            busy_until = min(partition_free)
-            if busy_until > now:
-                if busy_until < next_wakeup[0]:
-                    next_wakeup[0] = busy_until
-                    self._general_events += 1
-                    heappush(events, (busy_until, PARTITION_RELEASE, 0, None))
-                return
+        parked = scheduler.parked_partitions()
+        for partition_id in [p for p in parked if partition_free[p] <= now]:
+            scheduler.wake(partition_id, partition_free, now)
         blocked: list = []
-        blocked_until = _INF
-        while scheduler:
+        pending, woken_from = None, -1
+        while True:
+            if woken_from >= 0 and partition_free[woken_from] <= now:
+                scheduler.wake(woken_from, partition_free, now, pending)
+            if not scheduler.has_ready:
+                break
             pending = scheduler.pop()
-            if gate_on_partitions and pending.predicted_partitions:
-                ready_at = now
-                for partition_id in pending.predicted_partitions:
-                    if partition_id < num_partitions:
-                        free_at = partition_free[partition_id]
-                        if free_at > ready_at:
-                            ready_at = free_at
-                if ready_at > now:
-                    blocked.append(pending)
-                    if ready_at < blocked_until:
-                        blocked_until = ready_at
+            woken_from = pending.parked_on
+            if gate_on_partitions:
+                wait_on = blocking_partition(pending, partition_free, now)
+                if wait_on >= 0:
+                    scheduler.requeue(pending, wait_on)
                     continue
             if quota is not None and not quota.would_admit(pending):
                 # Quota push-back: not an admission deferral (no wake-up
@@ -828,10 +816,6 @@ class ClusterSimulator:
                     continue
                 if decision is AdmissionDecision.REJECT:
                     scheduler.note_rejected(pending)
-                    if not any(
-                        p < num_partitions for p in pending.predicted_partitions
-                    ):
-                        self._ungated_queued -= 1
                     counters["rejected"] += 1
                     if pending.tenant is not None:
                         self._tenant_account(pending.tenant)["rejected"] += 1
@@ -847,8 +831,6 @@ class ClusterSimulator:
                     continue
             if quota is not None:
                 quota.admit(pending)
-            if not any(p < num_partitions for p in pending.predicted_partitions):
-                self._ungated_queued -= 1
             scheduler.note_dispatched(pending)
             scheduler.record_wait(pending.request.procedure, now - pending.submit_time_ms)
             self._txn_clock = now
@@ -875,25 +857,15 @@ class ClusterSimulator:
                 (end, TXN_COMPLETE, self._complete_seq,
                  (pending.request.client_id, record.committed, pending, record)),
             )
-            if gate_on_partitions and not self._ungated_queued and scheduler:
-                # The dispatch may have re-saturated the cluster; once every
-                # partition is busy again (and nothing ungated is queued)
-                # no later entry can dispatch in this pass either, so stop
-                # scanning.  The wake-up below stays conservative: the
-                # earliest release bounds every unscanned entry's ready
-                # time from below, and a too-early drain is a no-op that
-                # re-arms precisely.
-                earliest_release = min(partition_free)
-                if earliest_release > now:
-                    if earliest_release < blocked_until:
-                        blocked_until = earliest_release
-                    break
         for pending in blocked:
             scheduler.requeue(pending)
-        if blocked_until != _INF and blocked_until < next_wakeup[0]:
-            next_wakeup[0] = blocked_until
-            self._general_events += 1
-            heappush(events, (blocked_until, PARTITION_RELEASE, 0, None))
+        armed = self._armed
+        for partition_id in parked:
+            if partition_id not in armed:
+                armed.add(partition_id)
+                self._general_events += 1
+                release_at = partition_free[partition_id]
+                heappush(events, (release_at, PARTITION_RELEASE, partition_id, None))
 
     # ------------------------------------------------------------------
     # Introspection
