@@ -36,9 +36,10 @@ def main() -> None:
             print(f"  single-partitioned: {table.single_partition:.2f}")
             print(f"  abort:              {table.abort:.2f}")
             for partition in range(table.num_partitions):
-                entry = table.partition(partition)
-                print(f"  partition {partition}: read={entry.read:.2f} "
-                      f"write={entry.write:.2f} finish={entry.finish:.2f}")
+                print(f"  partition {partition}: "
+                      f"read={table.read_probability(partition):.2f} "
+                      f"write={table.write_probability(partition):.2f} "
+                      f"finish={table.finish_probability(partition):.2f}")
             break
 
     output = Path(__file__).resolve().parent / "neworder_model.dot"

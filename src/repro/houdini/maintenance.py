@@ -66,14 +66,18 @@ class ModelMaintenance:
     # ------------------------------------------------------------------
     def record_transitions(self, transitions) -> None:
         """Record the (source, target) pairs one transaction visited."""
-        for source, target in transitions:
-            self._observed[source][target] += 1
-            self.stats.transitions_observed += 1
-            self._tail.append((source, target))
-            if self._window is not None:
-                self._window.append((source, target))
-                if len(self._window) > self.config.maintenance_window:
-                    self._evict(*self._window.popleft())
+        observed = self._observed
+        tail = self._tail
+        window = self._window
+        for pair in transitions:
+            source, target = pair
+            observed[source][target] += 1
+            tail.append(pair)
+            if window is not None:
+                window.append(pair)
+                if len(window) > self.config.maintenance_window:
+                    self._evict(*window.popleft())
+        self.stats.transitions_observed += len(transitions)
 
     def set_window(self, window: int | None) -> None:
         """Resize (or disable) the sliding window mid-run.
@@ -115,16 +119,14 @@ class ModelMaintenance:
         0.0 when they are disjoint.
         """
         observed = self._observed.get(source)
-        if not observed:
-            return 1.0
-        total = sum(observed.values())
-        if total == 0:
-            return 1.0
-        model_distribution = self.model.edge_distribution(source)
+        total = sum(observed.values()) if observed else 0
+        return self._overlap(source, observed, total) if total else 1.0
+
+    def _overlap(self, source: VertexKey, observed: dict[VertexKey, int], total: int) -> float:
+        edge_probability = self.model.edge_probability
         overlap = 0.0
         for target, count in observed.items():
-            observed_probability = count / total
-            overlap += min(observed_probability, model_distribution.get(target, 0.0))
+            overlap += min(count / total, edge_probability(source, target))
         return overlap
 
     def check(self) -> bool:
@@ -134,10 +136,11 @@ class ModelMaintenance:
         """
         self.stats.accuracy_checks += 1
         worst = 1.0
+        min_observations = self.config.maintenance_min_observations
         for source, observed in self._observed.items():
-            if sum(observed.values()) < self.config.maintenance_min_observations:
-                continue
-            worst = min(worst, self.vertex_accuracy(source))
+            total = sum(observed.values())
+            if total and total >= min_observations:
+                worst = min(worst, self._overlap(source, observed, total))
         self.stats.last_accuracy = worst
         if worst < self.config.maintenance_accuracy_threshold:
             self.recompute()

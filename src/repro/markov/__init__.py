@@ -19,7 +19,7 @@ from .serialization import (
     models_to_dict,
     save_models,
 )
-from .probability_table import PartitionProbabilities, ProbabilityTable
+from .probability_table import ProbabilityTable
 from .vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, Edge, Vertex, VertexKey, VertexKind
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "steps_from_queries",
     "steps_from_invocations",
     "ProbabilityTable",
-    "PartitionProbabilities",
     "Vertex",
     "VertexKey",
     "VertexKind",

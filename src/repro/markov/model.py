@@ -67,9 +67,8 @@ class MarkovModel:
         #: Cached ``(version, chain_shaped)`` pair (see :meth:`chain_shaped`).
         self._chain_shape: tuple[int, bool] | None = None
         #: Probability-sorted successor arrays, rebuilt by :meth:`process`.
-        #: A vertex's entry is dropped the moment one of its outgoing edges
-        #: changes, so stale orderings are never served (the estimator falls
-        #: back to an on-the-fly rebuild for such vertices).
+        #: A vertex's entry is dropped the moment it gains an outgoing edge
+        #: (see :meth:`_drop_successor_caches`) and re-read through on demand.
         self._sorted_successors: dict[VertexKey, list[tuple[VertexKey, float]]] = {}
         #: Denormalized companions of ``_sorted_successors`` (see
         #: :meth:`successor_records`); maintained under the same contract.
@@ -156,8 +155,12 @@ class MarkovModel:
 
         After :meth:`process` the answer comes from a precomputed array (the
         estimator calls this for every step of every walk, so the per-call
-        rebuild-and-sort used to dominate estimation time).  Vertices whose
-        edges changed since the last processing pass are rebuilt on the fly.
+        rebuild-and-sort used to dominate estimation time).  The array is a
+        function of the vertex's edge set and edge probabilities: a new edge
+        drops it (rebuilt here, read-through, on the next call), a processing
+        pass overwrites it for every dirty vertex, and counting a visit to an
+        existing edge leaves it alone — run-time learning keeps serving the
+        same list object until the structure or the probabilities move.
         The returned list is shared — callers must not mutate it.
         """
         cached = self._sorted_successors.get(key)
@@ -165,11 +168,6 @@ class MarkovModel:
             return cached
         pairs = self._build_successors(key)
         if key in self._vertices:
-            # Read-through: safe under the pop-on-mutation contract (any
-            # later edge change pops the entry again, and an incremental
-            # process() overwrites dirty entries).  Without this, run-time
-            # learning — which pops the executed vertex on every observed
-            # transition — would leave hot vertices permanently uncached.
             self._sorted_successors[key] = pairs
         return pairs
 
@@ -312,7 +310,7 @@ class MarkovModel:
     def _build_successors(self, key: VertexKey) -> list[tuple[VertexKey, float]]:
         edges = self._edges.get(key, {})
         pairs = [(edge.target, edge.probability) for edge in edges.values()]
-        pairs.sort(key=lambda pair: (-pair[1], str(pair[0])))
+        pairs.sort(key=lambda pair: (-pair[1], pair[0].sort_token))
         return pairs
 
     @staticmethod
@@ -394,31 +392,37 @@ class MarkovModel:
         return vertex
 
     def _add_edge_visit(self, source: VertexKey, target: VertexKey, count: int = 1) -> Edge:
+        """The one edge mutation: every path that counts a transition
+        (construction, run-time learning, merging, deserialization) lands here.
+
+        A *new* edge changes the successor structure (its probability stays
+        0.0 until the next processing pass, but it already participates in
+        candidate pools), so the source's successor structures are dropped and
+        memoized walks must go.  A visit to an existing edge changes neither
+        the edge set nor any ``edge.probability``: it only marks the source
+        dirty, and the next :meth:`process` refreshes exactly the dirty set.
+        """
         targets = self._edges.setdefault(source, {})
         edge = targets.get(target)
         if edge is None:
             edge = Edge(source=source, target=target)
             targets[target] = edge
             self._reverse.setdefault(target, set()).add(source)
-            # A new edge changes the successor *structure* (its probability
-            # stays 0.0 until the next processing pass, but it already
-            # participates in candidate pools), so memoized walks must go.
             self.version += 1
-        edge.record_visit(count)
-        # The source's outgoing distribution changed: drop its precomputed
-        # successor arrays and remember it for the next (incremental)
-        # probability recomputation.
-        self._drop_successor_caches(source)
+            self._drop_successor_caches(source)
+        edge.hits += count
         if self._dirty is not None:
             self._dirty.add(source)
         return edge
 
     def _drop_successor_caches(self, source: VertexKey) -> None:
-        """Invalidate every precomputed successor structure of one vertex.
+        """Forget every memoized successor structure of one vertex.
 
-        The single place that knows the full structure list — any new
-        precomputed successor cache must be popped here so the per-call and
-        batched mutation paths cannot drift apart.
+        The structures are a function of the vertex's edge *set* and each
+        ``edge.probability``, so they are dropped when an edge is added and
+        rebuilt when :meth:`process` recomputes probabilities — never on a
+        hit count.  The single place that knows the full structure list: a
+        new memoized successor structure must be popped here too.
         """
         self._sorted_successors.pop(source, None)
         self._successor_records.pop(source, None)
@@ -475,43 +479,10 @@ class MarkovModel:
     def record_transitions(
         self, transitions: Sequence[tuple[VertexKey, VertexKey]]
     ) -> None:
-        """Record one attempt's (source, target) pairs in a single batch.
-
-        Semantically identical to calling :meth:`record_transition` once per
-        pair, but the run-time monitor flushes its whole per-attempt buffer
-        through here, so the per-transition overheads are batched: the
-        successor-cache invalidation and dirty-set bookkeeping happen once
-        per *distinct source vertex* instead of once per transition, and the
-        vertex/edge dictionaries are probed without the per-call function
-        dispatch.
-        """
-        if not transitions:
-            return
-        vertices = self._vertices
-        edges = self._edges
-        reverse = self._reverse
-        touched_sources: set[VertexKey] = set()
+        """Record one attempt's (source, target) pairs (the run-time
+        monitor flushes its whole per-attempt buffer through here)."""
         for source, target in transitions:
-            if source not in vertices:
-                self.add_placeholder(source)
-            if target not in vertices:
-                self.add_placeholder(target)
-            vertices[target].hits += 1
-            targets = edges.setdefault(source, {})
-            edge = targets.get(target)
-            if edge is None:
-                edge = Edge(source=source, target=target)
-                targets[target] = edge
-                reverse.setdefault(target, set()).add(source)
-                self.version += 1
-            edge.hits += 1
-            touched_sources.add(source)
-        dirty = self._dirty
-        for source in touched_sources:
-            self._drop_successor_caches(source)
-            if dirty is not None:
-                dirty.add(source)
-        self._stale = True
+            self.record_transition(source, target)
 
     # ------------------------------------------------------------------
     # Processing phase
@@ -720,13 +691,10 @@ class MarkovModel:
             accessed = key.accessed_partitions()
             if len(accessed) > 1:
                 table.single_partition = 0.0
+            column = table.write if vertex.query_type is QueryType.WRITE else table.read
             for partition_id in key.partitions:
-                entry = table.partition(partition_id)
-                if vertex.query_type is QueryType.WRITE:
-                    entry.write = 1.0
-                else:
-                    entry.read = 1.0
-                entry.finish = 0.0
+                column[partition_id] = 1.0
+                table.finish[partition_id] = 0.0
         return table
 
     def _compute_remaining_queries(

@@ -24,26 +24,19 @@ from ..errors import ModelError
 
 
 @dataclass(slots=True)
-class PartitionProbabilities:
-    """Future read/write/finish probabilities for one partition."""
-
-    read: float = 0.0
-    write: float = 0.0
-    finish: float = 1.0
-
-    def access(self) -> float:
-        """Probability of any future access (read or write)."""
-        return max(self.read, self.write)
-
-
-@dataclass(slots=True)
 class ProbabilityTable:
-    """The full probability table of one vertex."""
+    """The full probability table of one vertex.
+
+    The per-partition estimates are three flat columns indexed by partition
+    id; read them through the ``*_probability`` accessors.
+    """
 
     num_partitions: int
     single_partition: float = 0.0
     abort: float = 0.0
-    partitions: list[PartitionProbabilities] = field(default_factory=list)
+    read: list[float] = field(default_factory=list)
+    write: list[float] = field(default_factory=list)
+    finish: list[float] = field(default_factory=list)
     #: Lazily cached output of :meth:`positive_access`.
     _positive_access: tuple[tuple[int, float], ...] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -52,30 +45,36 @@ class ProbabilityTable:
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
             raise ModelError("probability table needs at least one partition")
-        if not self.partitions:
-            self.partitions = [PartitionProbabilities() for _ in range(self.num_partitions)]
-        elif len(self.partitions) != self.num_partitions:
-            raise ModelError("partition probability list has the wrong length")
+        if not self.read and not self.write and not self.finish:
+            self.read = [0.0] * self.num_partitions
+            self.write = [0.0] * self.num_partitions
+            self.finish = [1.0] * self.num_partitions
+        elif not (
+            len(self.read) == len(self.write) == len(self.finish) == self.num_partitions
+        ):
+            raise ModelError("partition probability columns have the wrong length")
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    def partition(self, partition_id: int) -> PartitionProbabilities:
+    def _checked(self, partition_id: int) -> int:
         if not 0 <= partition_id < self.num_partitions:
             raise ModelError(f"partition {partition_id} out of range")
-        return self.partitions[partition_id]
+        return partition_id
 
     def read_probability(self, partition_id: int) -> float:
-        return self.partition(partition_id).read
+        return self.read[self._checked(partition_id)]
 
     def write_probability(self, partition_id: int) -> float:
-        return self.partition(partition_id).write
+        return self.write[self._checked(partition_id)]
 
     def finish_probability(self, partition_id: int) -> float:
-        return self.partition(partition_id).finish
+        return self.finish[self._checked(partition_id)]
 
     def access_probability(self, partition_id: int) -> float:
-        return self.partition(partition_id).access()
+        """Probability of any future access (read or write)."""
+        partition_id = self._checked(partition_id)
+        return max(self.read[partition_id], self.write[partition_id])
 
     def positive_access(self) -> tuple[tuple[int, float], ...]:
         """Cached ``(partition, access probability)`` pairs with access > 0.
@@ -88,9 +87,9 @@ class ProbabilityTable:
         cached = self._positive_access
         if cached is None:
             cached = tuple(
-                (partition_id, entry.read if entry.read >= entry.write else entry.write)
-                for partition_id, entry in enumerate(self.partitions)
-                if entry.read > 0.0 or entry.write > 0.0
+                (partition_id, read if read >= write else write)
+                for partition_id, (read, write) in enumerate(zip(self.read, self.write))
+                if read > 0.0 or write > 0.0
             )
             self._positive_access = cached
         return cached
@@ -98,16 +97,13 @@ class ProbabilityTable:
     def accessed_partitions(self, threshold: float) -> list[int]:
         """Partitions whose future access probability meets ``threshold``."""
         return [
-            p for p in range(self.num_partitions)
-            if self.partitions[p].access() >= threshold
+            p for p, (read, write) in enumerate(zip(self.read, self.write))
+            if max(read, write) >= threshold
         ]
 
     def finished_partitions(self, threshold: float) -> list[int]:
         """Partitions whose finish probability meets ``threshold``."""
-        return [
-            p for p in range(self.num_partitions)
-            if self.partitions[p].finish >= threshold
-        ]
+        return [p for p, finish in enumerate(self.finish) if finish >= threshold]
 
     # ------------------------------------------------------------------
     # Construction helpers used by the processing phase
@@ -115,22 +111,12 @@ class ProbabilityTable:
     @staticmethod
     def for_commit(num_partitions: int) -> "ProbabilityTable":
         """Terminal table for the commit state: finished with everything."""
-        table = ProbabilityTable(num_partitions, single_partition=1.0, abort=0.0)
-        for entry in table.partitions:
-            entry.read = 0.0
-            entry.write = 0.0
-            entry.finish = 1.0
-        return table
+        return ProbabilityTable(num_partitions, single_partition=1.0, abort=0.0)
 
     @staticmethod
     def for_abort(num_partitions: int) -> "ProbabilityTable":
         """Terminal table for the abort state: abort probability one."""
-        table = ProbabilityTable(num_partitions, single_partition=1.0, abort=1.0)
-        for entry in table.partitions:
-            entry.read = 0.0
-            entry.write = 0.0
-            entry.finish = 1.0
-        return table
+        return ProbabilityTable(num_partitions, single_partition=1.0, abort=1.0)
 
     @staticmethod
     def weighted_sum(
@@ -138,28 +124,34 @@ class ProbabilityTable:
         children: list[tuple[float, "ProbabilityTable"]],
     ) -> "ProbabilityTable":
         """Combine children tables weighted by their edge probabilities."""
-        table = ProbabilityTable(num_partitions)
-        if not children:
-            return table
         total_weight = sum(weight for weight, _ in children)
         if total_weight <= 0:
-            return table
-        table.single_partition = sum(w * t.single_partition for w, t in children) / total_weight
-        table.abort = sum(w * t.abort for w, t in children) / total_weight
-        for partition_id in range(num_partitions):
-            entry = table.partitions[partition_id]
-            entry.read = sum(w * t.partitions[partition_id].read for w, t in children) / total_weight
-            entry.write = sum(w * t.partitions[partition_id].write for w, t in children) / total_weight
-            entry.finish = sum(w * t.partitions[partition_id].finish for w, t in children) / total_weight
-        return table
+            return ProbabilityTable(num_partitions)
+        if len(children) == 1 and total_weight == 1.0:
+            # A lone certain edge (most query states): x * 1.0 / 1.0 == x.
+            return children[0][1].copy()
+        weights = [weight for weight, _ in children]
+
+        def mix(columns: list) -> list[float]:
+            # ((w0*x0 + w1*x1) + ...) / total per cell, left to right.
+            mixed = [weights[0] * value for value in columns[0]]
+            for weight, column in zip(weights[1:], columns[1:]):
+                mixed = [acc + weight * value for acc, value in zip(mixed, column)]
+            return [value / total_weight for value in mixed]
+
+        single_partition, abort = mix([(t.single_partition, t.abort) for _, t in children])
+        return ProbabilityTable(
+            num_partitions, single_partition, abort,
+            mix([t.read for _, t in children]),
+            mix([t.write for _, t in children]),
+            mix([t.finish for _, t in children]),
+        )
 
     def copy(self) -> "ProbabilityTable":
-        clone = ProbabilityTable(self.num_partitions, self.single_partition, self.abort)
-        for mine, theirs in zip(clone.partitions, self.partitions):
-            mine.read = theirs.read
-            mine.write = theirs.write
-            mine.finish = theirs.finish
-        return clone
+        return ProbabilityTable(
+            self.num_partitions, self.single_partition, self.abort,
+            list(self.read), list(self.write), list(self.finish),
+        )
 
     def approx_equal(self, other: "ProbabilityTable", tolerance: float = 1e-9) -> bool:
         """Structural comparison used by convergence checks and tests."""
@@ -169,11 +161,9 @@ class ProbabilityTable:
             return False
         if abs(self.abort - other.abort) > tolerance:
             return False
-        for mine, theirs in zip(self.partitions, other.partitions):
-            if (
-                abs(mine.read - theirs.read) > tolerance
-                or abs(mine.write - theirs.write) > tolerance
-                or abs(mine.finish - theirs.finish) > tolerance
-            ):
+        for mine, theirs in (
+            (self.read, other.read), (self.write, other.write), (self.finish, other.finish)
+        ):
+            if any(abs(a - b) > tolerance for a, b in zip(mine, theirs)):
                 return False
         return True

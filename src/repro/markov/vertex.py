@@ -72,6 +72,17 @@ class VertexKey:
         )
         object.__setattr__(self, "is_query", self.kind is VertexKind.QUERY)
         object.__setattr__(self, "is_terminal", self.kind.is_terminal)
+        # Tie-break among equal-probability successors
+        # (``MarkovModel._build_successors``).  It decides successor order and
+        # so result bytes: the format is frozen here, spelled out down to the
+        # partition lists, and independent of every ``__str__``/``label``.
+        if self.kind is VertexKind.QUERY:
+            partitions = ", ".join(map(str, self.partitions.partitions))
+            previous = ", ".join(map(str, self.previous.partitions))
+            token = f"{self.name}#{self.counter}@{{{partitions}}}|prev={{{previous}}}"
+        else:
+            token = self.kind.value
+        object.__setattr__(self, "sort_token", token)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -168,6 +179,3 @@ class Edge:
     target: VertexKey
     hits: int = 0
     probability: float = 0.0
-
-    def record_visit(self, count: int = 1) -> None:
-        self.hits += count

@@ -8,6 +8,7 @@ tests that need pristine state build their own instances.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import pipeline
 from repro.benchmarks import get_benchmark
@@ -25,7 +26,30 @@ from repro.catalog import (
     string,
 )
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
+from repro.markov import PathStep
 from repro.storage import Database
+from repro.types import PartitionSet, QueryType
+
+# Long Hypothesis budget for CI jobs (``--hypothesis-profile=long``); applies
+# to property tests that leave ``max_examples`` to the profile.
+settings.register_profile("long", max_examples=2000, deadline=None)
+
+
+def to_steps(raw_path) -> list[PathStep]:
+    """Turn ``(statement, partition, is_write)`` triples into an execution
+    path with per-statement counters and the accumulated previous set."""
+    steps, counters, previous = [], {}, PartitionSet.of([])
+    for name, partition, is_write in raw_path:
+        partitions = PartitionSet.of([partition])
+        steps.append(PathStep(
+            statement=name,
+            query_type=QueryType.WRITE if is_write else QueryType.READ,
+            partitions=partitions, previous=previous,
+            counter=counters.get(name, 0),
+        ))
+        counters[name] = counters.get(name, 0) + 1
+        previous = previous.union(partitions)
+    return steps
 
 
 # ----------------------------------------------------------------------

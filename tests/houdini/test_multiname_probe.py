@@ -136,15 +136,19 @@ class TestSuccessorGroups:
     def test_invalidated_on_runtime_learning(self, setup):
         _, _, model, _ = setup
         begin = model.begin
-        assert model.successor_groups(begin)
+        cached = model.successor_groups(begin)
         target = model.successors(begin)[0][0]
         model.record_transition(begin, target)
-        # The cached entry must be gone; the read-through rebuild reflects
-        # the new counts after reprocessing.
-        assert begin not in model._successor_groups
+        # A counted visit changes no probability: the entry is kept until
+        # reprocessing replaces it with one that reflects the new counts.
+        assert model.successor_groups(begin) is cached
         model.process()
         groups, names, _ = model.successor_groups(begin)
+        assert (groups, names) != cached[:2]
         assert set(names) == {"ReadA", "ReadB", "ReadC", "ReadD"}
+        # A new outgoing edge changes the structure: the entry goes at once.
+        model.record_transition(begin, model.abort)
+        assert begin not in model._successor_groups
 
 
 class TestGroupedChoiceEquivalence:

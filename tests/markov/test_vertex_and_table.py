@@ -1,5 +1,7 @@
 """Tests for Markov vertices and probability tables."""
 
+import random
+
 import pytest
 
 from repro.errors import ModelError
@@ -7,7 +9,6 @@ from repro.markov import (
     ABORT_KEY,
     BEGIN_KEY,
     COMMIT_KEY,
-    PartitionProbabilities,
     ProbabilityTable,
     VertexKey,
     VertexKind,
@@ -43,6 +44,15 @@ class TestVertexKey:
         label = key.label()
         assert "CheckStock" in label and "counter: 1" in label
 
+    def test_sort_token_format_is_pinned(self):
+        """The token breaks probability ties between successors, so its
+        format decides result bytes; ``__str__``/``label`` may change, this
+        may not."""
+        key = VertexKey.query("CheckStock", 1, PartitionSet.of([10, 2]), PartitionSet.of([]))
+        assert key.sort_token == "CheckStock#1@{2, 10}|prev={}"
+        assert [k.sort_token for k in (BEGIN_KEY, COMMIT_KEY, ABORT_KEY)] == \
+            ["begin", "commit", "abort"]
+
 
 class TestProbabilityTable:
     def test_commit_table_is_finished_everywhere(self):
@@ -69,9 +79,9 @@ class TestProbabilityTable:
 
     def test_accessed_and_finished_partition_queries(self):
         table = ProbabilityTable(2)
-        table.partition(0).read = 0.9
-        table.partition(0).finish = 0.1
-        table.partition(1).write = 0.2
+        table.read[0] = 0.9
+        table.finish[0] = 0.1
+        table.write[1] = 0.2
         assert table.accessed_partitions(0.5) == [0]
         assert table.finished_partitions(0.5) == [1]
 
@@ -79,16 +89,55 @@ class TestProbabilityTable:
         with pytest.raises(ModelError):
             ProbabilityTable(0)
         with pytest.raises(ModelError):
-            ProbabilityTable(2).partition(5)
+            ProbabilityTable(2).read_probability(5)
+        with pytest.raises(ModelError):
+            ProbabilityTable(2).finish_probability(-1)
+        with pytest.raises(ModelError):
+            ProbabilityTable(2, read=[0.0, 0.0])
 
     def test_copy_and_approx_equal(self):
         table = ProbabilityTable(2, single_partition=0.5, abort=0.1)
-        table.partition(1).write = 0.3
+        table.write[1] = 0.3
         clone = table.copy()
         assert table.approx_equal(clone)
-        clone.partition(1).write = 0.4
+        clone.write[1] = 0.4
         assert not table.approx_equal(clone)
+        assert table.write_probability(1) == 0.3
 
-    def test_partition_probabilities_access(self):
-        entry = PartitionProbabilities(read=0.2, write=0.6, finish=0.4)
-        assert entry.access() == 0.6
+    def test_access_is_the_larger_of_read_and_write(self):
+        table = ProbabilityTable(2, read=[0.2, 0.0], write=[0.6, 0.0], finish=[0.4, 1.0])
+        assert table.access_probability(0) == 0.6
+        assert table.positive_access() == ((0, 0.6),)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_weighted_sum_is_bitwise_the_per_cell_sum(self, count):
+        """The column-wise accumulation must produce the very floats of the
+        per-cell ``sum(w * x) / total`` it replaced (left to right from 0)."""
+        rng = random.Random(count)
+        children = []
+        for _ in range(count):
+            table = ProbabilityTable(
+                4, rng.random(), rng.random(),
+                [rng.random() for _ in range(4)],
+                [rng.choice([0.0, 1.0, rng.random()]) for _ in range(4)],
+                [rng.random() for _ in range(4)],
+            )
+            children.append((rng.random() if count > 1 else 1.0, table))
+        total = sum(w for w, _ in children)
+
+        def cell(read):
+            acc = 0
+            for w, t in children:
+                acc = acc + w * read(t)
+            return acc / total
+
+        mixed = ProbabilityTable.weighted_sum(4, children)
+        assert mixed.single_partition == cell(lambda t: t.single_partition)
+        assert mixed.abort == cell(lambda t: t.abort)
+        for p in range(4):
+            assert mixed.read_probability(p) == cell(lambda t: t.read[p])
+            assert mixed.write_probability(p) == cell(lambda t: t.write[p])
+            assert mixed.finish_probability(p) == cell(lambda t: t.finish[p])
+        # The result never aliases a child's columns.
+        mixed.read[0] = 2.0
+        assert all(t.read[0] != 2.0 for _, t in children)

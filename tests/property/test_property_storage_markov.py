@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Schema, Table, integer
-from repro.markov import MarkovModel, PathStep
+from repro.markov import MarkovModel
 from repro.storage import Database, UndoLog
-from repro.types import PartitionSet, QueryType
+from tests.conftest import to_steps
 
 # ----------------------------------------------------------------------
 # Storage: applying a random batch of operations and rolling back always
@@ -78,25 +78,6 @@ path_strategy = st.lists(
 )
 
 
-def to_steps(raw_path):
-    steps = []
-    counters = {}
-    previous = PartitionSet.of([])
-    for name, partition, is_write in raw_path:
-        counter = counters.get(name, 0)
-        counters[name] = counter + 1
-        partitions = PartitionSet.of([partition])
-        steps.append(PathStep(
-            statement=name,
-            query_type=QueryType.WRITE if is_write else QueryType.READ,
-            partitions=partitions,
-            previous=previous,
-            counter=counter,
-        ))
-        previous = previous.union(partitions)
-    return steps
-
-
 class TestMarkovProperties:
     @given(st.lists(st.tuples(path_strategy, st.booleans()), min_size=1, max_size=15))
     @settings(max_examples=40, deadline=None)
@@ -116,8 +97,11 @@ class TestMarkovProperties:
                 assert 0.0 <= vertex.table.abort <= 1.0 + 1e-9
                 assert 0.0 <= vertex.table.single_partition <= 1.0 + 1e-9
                 for partition in range(4):
-                    entry = vertex.table.partition(partition)
-                    for value in (entry.read, entry.write, entry.finish):
+                    for value in (
+                        vertex.table.read_probability(partition),
+                        vertex.table.write_probability(partition),
+                        vertex.table.finish_probability(partition),
+                    ):
                         assert -1e-9 <= value <= 1.0 + 1e-9
 
     @given(st.lists(st.tuples(path_strategy, st.booleans()), min_size=1, max_size=10))
