@@ -5,16 +5,16 @@ large share of their time inside Houdini (46.5% for AuctionMark's
 ``NewComment``) and that caching the estimates of non-abortable,
 always-single-partition procedures would remove that overhead entirely.
 
-Cached/compiled planning is the *default operating mode* now, so this
-benchmark checks three things on TATP (whose workload is dominated by
-exactly such procedures):
+The plan memo is the *default operating mode* now, so this benchmark checks
+three things on TATP (whose workload is dominated by exactly such
+procedures):
 
-* **decision equivalence** — all three planning modes (stepwise walks,
-  chain-compiled walks, compiled walks + §6.3 cache) must produce
-  byte-identical optimization decisions and identical charged (simulated)
-  estimation costs; this is what the CI smoke job asserts on every PR;
-* **overhead** — wall-clock planning latency drops versus stepwise
-  per-request walks;
+* **decision equivalence** — planning with the memo and planning without it
+  (a model walk per request) must produce byte-identical optimization
+  decisions and identical charged (simulated) estimation costs; this is
+  what the CI smoke job asserts on every PR;
+* **overhead** — wall-clock planning latency drops versus per-request
+  walks;
 * **§6.3 what-if** — the ``estimate_cache_simulated_savings`` mode
   reproduces the paper's simulated estimation-cost reduction.
 """
@@ -64,21 +64,18 @@ def test_estimate_cache_reduces_planning_overhead(benchmark, scale, save_result)
 
     def plan_all(houdini: Houdini):
         for request in requests[: len(requests) // 3]:
-            houdini.plan(request)  # warm caches and intern tables
+            houdini.plan(request)  # warm the memo and intern tables
         started = time.perf_counter()
         plans = [houdini.plan(request) for request in requests]
         wall_ms = (time.perf_counter() - started) * 1000.0
         charged = sum(plan.plan.estimation_ms for plan in plans)
         return plans, charged / len(requests), wall_ms / len(requests)
 
-    default_houdini = _houdini(artifacts)  # compiled walks + estimate cache
+    default_houdini = _houdini(artifacts)  # plan memo on
     (default_plans, default_cost, default_wall) = benchmark.pedantic(
         plan_all, args=(default_houdini,), rounds=1, iterations=1
     )
-    stepwise_plans, stepwise_cost, stepwise_wall = plan_all(
-        _houdini(artifacts, enable_estimate_caching=False, compiled_walks=False)
-    )
-    walks_plans, walks_cost, walks_wall = plan_all(
+    walk_plans, walk_cost, walk_wall = plan_all(
         _houdini(artifacts, enable_estimate_caching=False)
     )
     _, savings_cost, _ = plan_all(
@@ -87,33 +84,29 @@ def test_estimate_cache_reduces_planning_overhead(benchmark, scale, save_result)
     cache = default_houdini.estimate_cache
     assert cache is not None
 
-    # Decision equivalence: every planning mode must agree on every single
+    # Decision equivalence: both planning modes must agree on every single
     # decision and on the charged estimation cost (default neutral charging
     # keeps simulated metrics byte-identical however a plan was produced).
-    for default_plan, stepwise_plan, walks_plan in zip(
-        default_plans, stepwise_plans, walks_plans
-    ):
-        fields = _decision_fields(default_plan.decision)
-        assert fields == _decision_fields(stepwise_plan.decision)
-        assert fields == _decision_fields(walks_plan.decision)
-        assert default_plan.plan.estimation_ms == stepwise_plan.plan.estimation_ms
-        assert default_plan.plan.estimation_ms == walks_plan.plan.estimation_ms
-    assert default_cost == stepwise_cost == walks_cost
+    for default_plan, walk_plan in zip(default_plans, walk_plans):
+        assert _decision_fields(default_plan.decision) == _decision_fields(
+            walk_plan.decision
+        )
+        assert default_plan.plan.estimation_ms == walk_plan.plan.estimation_ms
+    assert default_cost == walk_cost
 
     stats = cache.stats
     save_result(
         "ablation_estimate_cache",
-        "Cached/compiled planning (TATP; default mode charges hits neutrally)\n"
-        f"  wall-clock planning:  {stepwise_wall:.4f} ms/txn stepwise walks, "
-        f"{walks_wall:.4f} ms/txn compiled walks, "
-        f"{default_wall:.4f} ms/txn default (walks + cache) — "
-        f"{100.0 * (1 - default_wall / stepwise_wall):.1f}% less than stepwise\n"
-        f"  simulated (neutral):  {default_cost:.4f} ms/txn — identical in all "
+        "Memoized planning (TATP; default mode charges hits neutrally)\n"
+        f"  wall-clock planning:  {walk_wall:.4f} ms/txn walking every request, "
+        f"{default_wall:.4f} ms/txn default (memo) — "
+        f"{100.0 * (1 - default_wall / walk_wall):.1f}% less\n"
+        f"  simulated (neutral):  {default_cost:.4f} ms/txn — identical in both "
         f"modes (decision equivalence holds for all {len(requests)} requests)\n"
         f"  simulated (§6.3 what-if): {savings_cost:.4f} ms/txn vs "
-        f"{stepwise_cost:.4f} ms/txn uncached "
-        f"({100.0 * (1 - savings_cost / stepwise_cost):.1f}% less)\n"
-        f"  cache: hit rate {stats.hit_rate:.1%} over {stats.lookups} lookups "
+        f"{walk_cost:.4f} ms/txn uncached "
+        f"({100.0 * (1 - savings_cost / walk_cost):.1f}% less)\n"
+        f"  memo: hit rate {stats.hit_rate:.1%} over {stats.lookups} lookups "
         f"({stats.hits} hits, {stats.misses} misses, "
         f"{stats.uncacheable} uncacheable), {len(cache)} entries",
     )
@@ -124,6 +117,6 @@ def test_estimate_cache_reduces_planning_overhead(benchmark, scale, save_result)
     # asserted on hosts opted in via REPRO_BENCH_STRICT=1 — shared CI
     # runners are too noisy for a hard timing gate.
     assert cache.stats.hits > 0
-    assert savings_cost < stepwise_cost
+    assert savings_cost < walk_cost
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        assert default_wall < stepwise_wall
+        assert default_wall < walk_wall

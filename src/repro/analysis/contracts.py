@@ -11,7 +11,7 @@ contracts that previously lived only in docstrings and reviewers' heads:
   byte-equivalence suites rely on it);
 * the prediction-version contract (mutating a Markov model's structure
   must advance :attr:`~repro.markov.model.MarkovModel.version`, the token
-  the §6.3 estimate cache and compiled walks validate against);
+  the plan memo validates against);
 * the cache-invalidation contract (derived caches are cleared through
   their named contract methods, never by reaching into private dicts);
 * the cross-process contract (worker processes of the sharded backend are
@@ -90,7 +90,6 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # attribute -> (owner class, contract methods to use instead)
     "_entries": ("EstimateCache", "lookup()/peek()/store()/invalidate()/invalidate_procedure()"),
     "_schedule_cache": ("CostModel", "assign the *_ms field or call clear_schedule_cache()"),
-    "_walk_tables": ("PathEstimator", "walk_record()/clear_walk_records()/drop_walk_records()"),
     # Self-tuning (hot model swap) contract surfaces: the provider's model
     # table only changes through install_model() — the atomic swap point —
     # and the detector/manager state only moves through their observe loop.

@@ -13,6 +13,7 @@ from .determinism import DeterminismRule
 from .invalidation import CachePokeRule
 from .process_hygiene import ProcessHygieneRule
 from .serialization import SerializationRule
+from .stale_contract import StaleContractRule
 from .versioning import VersionBumpRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
@@ -21,6 +22,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     CachePokeRule,
     ProcessHygieneRule,
     SerializationRule,
+    StaleContractRule,
 )
 
 
@@ -53,4 +55,5 @@ __all__ = [
     "CachePokeRule",
     "ProcessHygieneRule",
     "SerializationRule",
+    "StaleContractRule",
 ]

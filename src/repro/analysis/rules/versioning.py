@@ -1,7 +1,7 @@
 """``version-bump``: structural mutation must advance the version token.
 
-The §6.3 estimate cache and the compiled-walk tables validate memoized
-decisions against ``(id(model), model.version)`` — the whole default-on
+The plan memo (:mod:`repro.houdini.cache`) validates memoized walks and
+decisions against ``model.version`` — the whole default-on
 caching mode is sound *only if* every prediction-relevant mutation of a
 :class:`~repro.markov.model.MarkovModel` advances that counter.  This rule
 makes the contract mechanical for every class registered in

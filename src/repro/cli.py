@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = subparsers.add_parser(
         "analyze",
         help="run the AST-based invariant analyzer (determinism, version-"
-        "bump, cache-invalidation, cross-process, serialization rules)",
+        "bump, cache-invalidation, cross-process, serialization, stale-"
+        "contract rules)",
     )
     analyze.add_argument(
         "paths", nargs="*",

@@ -1,16 +1,19 @@
 """Houdini: the on-line predictive framework (paper Section 4).
 
-Path estimation runs on the critical path of every transaction, so this
-package keeps a **compiled fast path** alongside the paper-literal
-interpreted one:
+Path estimation runs on the critical path of every transaction, so
+planning is two layers behind one switch — **memo probe → compiled stepwise
+walk**:
 
+* :mod:`repro.houdini.cache` memoizes every finished walk (and the decision
+  derived from it) per ``(procedure, model, binding signature)``, validated
+  by the model's version; ``HoudiniConfig.enable_estimate_caching`` is the
+  single switch, and the test suite asserts cached ≡ fresh.
 * :mod:`repro.houdini.compiled` resolves each statement's catalog and
   mapping metadata (replicated flag, partition column, literal binding,
   partitioning-parameter index) exactly once per procedure; per candidate
-  state the estimator then performs a dict lookup plus at most one
-  ``mapping.resolve`` call.  Predictions are identical to the interpreted
-  path (``HoudiniConfig.compiled_estimation`` toggles it, and the test suite
-  asserts the equivalence).
+  state the walk then performs a dict lookup plus a couple of tuple
+  indexings.  The paper-literal resolver survives as the reference the test
+  suite compares against (``tests/houdini/reference.py``).
 * :class:`~repro.markov.model.MarkovModel` precomputes probability-sorted
   successor arrays during ``process()``.  **Cache-invalidation contract:**
   any change to a vertex's outgoing edges (``add_path``,
@@ -26,7 +29,7 @@ interpreted one:
 """
 
 from .cache import CachedEstimate, CacheStats, EstimateCache
-from .compiled import CompiledProcedure, CompiledStatement, CompiledWalk, CompiledWalkTable
+from .compiled import CompiledProcedure, CompiledStatement
 from .config import HoudiniConfig
 from .estimate import PartitionPrediction, PathEstimate
 from .estimator import PathEstimator
@@ -42,8 +45,6 @@ __all__ = [
     "Houdini",
     "CompiledProcedure",
     "CompiledStatement",
-    "CompiledWalk",
-    "CompiledWalkTable",
     "EstimateCache",
     "CacheStats",
     "CachedEstimate",

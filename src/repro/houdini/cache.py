@@ -1,48 +1,49 @@
-"""Estimate caching for always-single-partition procedures (paper §6.3).
+"""The plan memo: finished walks reused per binding signature (paper §6.3).
 
 The paper observes that short single-partition transactions can spend a
 large share of their total time inside Houdini (46.5% for AuctionMark's
 ``NewComment``) and notes that "Houdini can completely avoid this if it
 caches the estimations for any non-abortable, always single-partition
-transactions."  This module implements that cache — and since
-:attr:`~repro.houdini.config.HoudiniConfig.enable_estimate_caching`
-defaults to ``True``, it is the framework's **default operating mode**, not
-an opt-in ablation.
+transactions."  This module is that cache, generalised to the one fact that
+makes reuse safe for *any* model shape: a walk reads the request parameters
+only through the procedure's partition-binding signature
+(:meth:`~repro.houdini.compiled.CompiledProcedure.binding_signature`), so a
+finished walk is valid for every later request with the same signature for
+as long as the model it walked is unchanged.
 
-A cached entry is keyed by the stored-procedure name and the partition
-footprint that the parameter mappings resolve from the request's input
-parameters.  Two requests of the same procedure whose parameters map to the
-same single partition traverse exactly the same states in the Markov model,
-so the expensive path walk can be reused; the cache only ever admits
-estimates that are safe to reuse (single-partition, terminal, effectively
-non-abortable — and, while the model is still learning, not
-:attr:`support-limited
-<repro.houdini.optimizations.OptimizationDecision.support_limited>`, since a
-decision that could flip as observation counts grow must not be reused).
+An entry is keyed ``(procedure, id(model), signature)`` and holds
 
-Invalidation contract
----------------------
+* the :class:`~repro.houdini.estimate.PathEstimate` (shared, read-only);
+* the :class:`~repro.houdini.optimizations.OptimizationDecision` derived
+  from it, or ``None`` while the decision has to be re-derived per request:
+  nothing has planned the walk yet, or the model is learning and the
+  decision is :attr:`support-limited
+  <repro.houdini.optimizations.OptimizationDecision.support_limited>` — it
+  can flip as observation counts grow without the model version moving;
+* ``eligible`` — the §6.3 rule itself (:meth:`EstimateCache.eligible`):
+  non-abortable, always single-partition, decision memoized.  Only eligible
+  hits take the ``estimate_cache_simulated_savings`` what-if charge and only
+  eligible entries back the sharded backend's speculation.
 
-Default-on caching must never change what Houdini decides, so entries are
-invalidated on *every* event that could change a freshly-planned decision:
+What invalidates an entry
+-------------------------
 
-* each entry records the identity and :attr:`~repro.markov.model.MarkovModel.version`
-  of the model it was derived from; a lookup whose model token no longer
-  matches evicts the entry and counts as a miss (this covers run-time
-  learning adding placeholder vertices or edges, probability recomputation,
-  and partitioned providers routing the same (procedure, footprint) to a
-  different cluster model);
-* when model maintenance (§4.5) recomputes one procedure's probabilities,
-  the facade calls :meth:`EstimateCache.invalidate_procedure` for exactly
-  that procedure — a per-procedure eviction, not a global flush;
-* each entry also records the request's full partition-binding signature:
-  a single-partition footprint does not pin the walk for branchy models
-  (TPC-C ``payment`` by name vs. by id share a footprint but execute
-  different statements), so a lookup with a different signature misses and
-  re-plans instead of replaying the wrong path.
+The memo must never change what Houdini decides, so one token covers every
+event that could change a freshly-planned result:
+
+* each entry records the :attr:`~repro.markov.model.MarkovModel.version` of
+  the model it walked (and pins the model, so its identity cannot be
+  recycled); a lookup under a different version evicts the entry and is a
+  miss.  That covers run-time learning adding vertices or edges and every
+  probability recomputation; partitioned providers routing a procedure to a
+  different cluster model land on a different key;
+* :meth:`EstimateCache.invalidate_procedure` drops one procedure's entries
+  (model maintenance recomputed it, or a retrained model was hot-swapped
+  in) and :meth:`EstimateCache.invalidate` drops everything (a live
+  configuration change: decisions bake the confidence threshold in).
 
 ``stats.invalidations`` counts *entries evicted* on every invalidation path
-(full flush, per-procedure, stale-token) so the counter means one thing.
+(full flush, per-procedure, stale version) so the counter means one thing.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..types import PartitionId, ProcedureRequest
+from ..markov.model import MarkovModel
+from ..types import PartitionId
 from .config import HoudiniConfig
 from .estimate import PathEstimate
 from .optimizations import OptimizationDecision
 
-#: Cache key: (procedure name, resolved partition footprint).
-CacheKey = tuple[str, frozenset[PartitionId]]
+#: Memo key: (procedure name, ``id(model)``, binding signature).
+CacheKey = tuple[str, int, tuple]
 
 
 @dataclass
@@ -66,13 +68,12 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    rejected: int = 0
     #: Entries evicted by any invalidation path (flush, per-procedure,
-    #: stale model token).
+    #: stale model version).
     invalidations: int = 0
-    #: Requests that could not even be keyed (multi-partition or unknown
-    #: footprints).  Counted as lookups so the hit rate reflects how much of
-    #: the *workload* the cache absorbs, not just the cacheable slice.
+    #: Requests that could not even be keyed (no signature can vouch for the
+    #: walk, or no processed model exists).  Counted as lookups so the hit
+    #: rate reflects how much of the *workload* the memo absorbs.
     uncacheable: int = 0
 
     @property
@@ -86,27 +87,20 @@ class CacheStats:
         return self.hits / self.lookups
 
 
-@dataclass
+@dataclass(slots=True)
 class CachedEstimate:
-    """One reusable estimate plus the optimization decision derived from it."""
+    """One finished walk plus what was derived from it (see module docstring)."""
 
     estimate: PathEstimate
-    decision: OptimizationDecision
-    uses: int = 0
-    #: ``(id(model), model.version)`` of the model the walk was derived
-    #: from, or ``None`` when no model token was supplied at store time.
-    model_token: tuple[int, int] | None = None
-    #: The request's full partition-binding signature
-    #: (:meth:`~repro.houdini.compiled.CompiledProcedure.binding_signature`).
-    #: The footprint alone does not pin the walk for branchy models — e.g.
-    #: TPC-C ``payment`` by customer name and by customer id share a
-    #: footprint but execute different statements — so a lookup whose
-    #: signature differs must re-plan.
-    signature: tuple | None = None
+    #: The walked model (pinned) and its version at walk time.
+    model: MarkovModel
+    version: int
+    decision: OptimizationDecision | None = None
+    eligible: bool = False
 
 
 class EstimateCache:
-    """LRU cache of path estimates for cache-eligible procedures."""
+    """LRU memo of path estimates and decisions, one entry per signature."""
 
     def __init__(self, config: HoudiniConfig | None = None, *, max_entries: int | None = None) -> None:
         self.config = config or HoudiniConfig()
@@ -118,37 +112,12 @@ class EstimateCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def key_for(
-        request: ProcedureRequest, footprint: frozenset[PartitionId] | None
-    ) -> CacheKey | None:
-        """Cache key for a request, or ``None`` when it cannot be cached.
+    def lookup(self, key: CacheKey | None, model: MarkovModel | None) -> CachedEstimate | None:
+        """Return the entry for ``key`` (LRU-refreshing it), if still valid.
 
-        Only requests whose parameter mappings resolve to exactly one
-        partition are cacheable: the footprint then fully determines which
-        Markov-model states the transaction can reach, so the cached walk is
-        guaranteed to match.
-        """
-        if footprint is None or len(footprint) != 1:
-            return None
-        return (request.procedure, frozenset(footprint))
-
-    # ------------------------------------------------------------------
-    def lookup(
-        self,
-        key: CacheKey | None,
-        token: tuple[int, int] | None = None,
-        signature: tuple | None = None,
-    ) -> CachedEstimate | None:
-        """Return the cached entry for ``key`` (LRU-refreshing it), if any.
-
-        ``token`` is the caller's current model token; an entry stored under
-        a different token is stale (the model changed, or a different
-        cluster model now serves the procedure) and is evicted on the spot.
-        ``signature`` is the request's partition-binding signature; an entry
-        stored for a different signature stays (it is still valid for its
-        own signature class) but cannot serve this request — the lookup is
-        a miss and the fresh walk overwrites it.
+        ``model`` is the model the key names; an entry walked under another
+        version of it is stale and is evicted on the spot.  ``key`` is
+        ``None`` for a request that cannot be memoized at all.
         """
         if key is None:
             self.stats.uncacheable += 1
@@ -157,93 +126,64 @@ class EstimateCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        if entry.model_token != token:
+        if entry.version != model.version:
             del self._entries[key]
             self.stats.invalidations += 1
             self.stats.misses += 1
             return None
-        if entry.signature != signature:
-            self.stats.misses += 1
-            return None
         self._entries.move_to_end(key)
-        entry.uses += 1
         self.stats.hits += 1
         return entry
 
-    def peek(
-        self,
-        key: CacheKey | None,
-        token: tuple[int, int] | None = None,
-        signature: tuple | None = None,
-    ) -> CachedEstimate | None:
+    def peek(self, key: CacheKey | None, model: MarkovModel | None) -> CachedEstimate | None:
         """Side-effect-free :meth:`lookup`: no stats, no LRU refresh, no
         eviction.
 
         The sharded backend uses this to *speculate* whether a request would
-        be served from the cache without perturbing any counter the real
+        be served from the memo without perturbing any counter the real
         (authoritative) ``lookup`` at fold time will advance — the peek must
         leave the cache byte-identical to a run that never peeked.
         """
-        if key is None:
-            return None
         entry = self._entries.get(key)
-        if (
-            entry is None
-            or entry.model_token != token
-            or entry.signature != signature
-        ):
+        if entry is None or entry.version != model.version:
             return None
         return entry
 
-    def store(
-        self,
-        key: CacheKey | None,
-        estimate: PathEstimate,
-        decision: OptimizationDecision,
-        token: tuple[int, int] | None = None,
-        signature: tuple | None = None,
-        *,
-        support_may_grow: bool = False,
-    ) -> bool:
-        """Admit an estimate if it is safe to reuse; returns True if stored.
+    def store(self, key: CacheKey, model: MarkovModel, estimate: PathEstimate) -> CachedEstimate:
+        """Memoize a finished walk of ``model`` at its current version.
 
-        ``support_may_grow`` says the model is still learning (observation
-        counts keep rising without the model version moving); a
-        support-limited decision is then rejected because more observations
-        alone could flip it.  With learning off the counts are frozen, so
-        such decisions are stable and reusable.
+        The entry starts without a decision; the facade fills ``decision``
+        and ``eligible`` in once a reusable decision has been derived.
         """
-        if key is None or not self._eligible(estimate, decision):
-            self.stats.rejected += 1
-            return False
-        if support_may_grow and decision.support_limited:
-            self.stats.rejected += 1
-            return False
-        self._entries[key] = CachedEstimate(
-            estimate=estimate, decision=decision, model_token=token,
-            signature=signature,
-        )
-        self._entries.move_to_end(key)
+        entry = self._entries[key] = CachedEstimate(estimate, model, model.version)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
         self.stats.stores += 1
-        return True
+        return entry
 
-    def _eligible(self, estimate: PathEstimate, decision: OptimizationDecision) -> bool:
-        """Only non-abortable, always-single-partition estimates are reusable."""
-        if estimate.degenerate or not estimate.reached_terminal:
-            return False
-        if estimate.predicted_abort:
-            return False
-        if not decision.predicted_single_partition:
-            return False
-        if estimate.abort_probability > self.config.abort_tolerance:
-            return False
-        return True
+    def eligible(
+        self,
+        estimate: PathEstimate,
+        decision: OptimizationDecision,
+        footprint: frozenset[PartitionId] | None,
+    ) -> bool:
+        """The §6.3 rule: non-abortable and always single-partition.
+
+        The footprint condition is the "always": the parameter mappings
+        alone must pin the request to one partition, whatever path it takes.
+        """
+        return (
+            footprint is not None
+            and len(footprint) == 1
+            and estimate.reached_terminal
+            and not estimate.predicted_abort
+            and decision.predicted_single_partition
+            and estimate.abort_probability <= self.config.abort_tolerance
+        )
 
     # ------------------------------------------------------------------
     def invalidate(self) -> int:
-        """Drop every entry (e.g. when every model is recomputed).
+        """Drop every entry (a live configuration change).
 
         Returns the number of entries evicted; ``stats.invalidations``
         advances by the same amount.

@@ -1,13 +1,14 @@
-"""Compiled per-procedure statement resolvers (the estimation fast path).
+"""Compiled per-procedure statement resolvers.
 
 Houdini's path estimation runs on the critical path of every transaction
 (§6.3 measures 46.5% of a short transaction's run time spent estimating), so
-every piece of per-step work matters.  The interpreted estimator resolves,
-for every candidate state of every walk, the same catalog facts over and
-over: whether the statement's table is replicated, which column it is
-partitioned on, whether the partitioning column is bound to a literal or to
-a parameter, and which parameter index that is.  None of that depends on the
-request — it is fixed by the catalog and the parameter mapping.
+every piece of per-step work matters.  Resolved the paper-literal way (the
+reference kept in ``tests/houdini/reference.py``), every candidate state of
+every walk re-derives the same catalog facts: whether the statement's table
+is replicated, which column it is partitioned on, whether the partitioning
+column is bound to a literal or to a parameter, and which parameter index
+that is.  None of that depends on the request — it is fixed by the catalog
+and the parameter mapping.
 
 A :class:`CompiledProcedure` therefore resolves each statement exactly once,
 at model-load time, down to one of four resolver kinds:
@@ -26,23 +27,16 @@ monitor's early-prepare guard) is compiled the same way: its static part is
 a precomputed set and only mapped, array-aligned slots are resolved per
 request.
 
-Chain-compiled walks
---------------------
+Binding signatures
+------------------
 
-For *chain-shaped* models (:meth:`repro.markov.model.MarkovModel.chain_shaped`
-— every non-terminal vertex has one dominant successor statement) the
-per-step choice disappears entirely: the whole walk is a deterministic
-function of the request's **partition-binding signature** — what
-``partition_for_value`` resolves for each mapped parameter slot, which is
-all the estimator ever reads from the parameters.  A
-:class:`CompiledWalk` therefore memoizes one finished walk — vertex
-sequence, footprints, finish points, and (once the facade fills it in) the
-resulting :class:`~repro.houdini.optimizations.OptimizationDecision` — per
-(procedure, footprint/signature), turning estimation into a dict probe plus
-one binding check.  :class:`CompiledWalkTable` holds those records for one
-model and self-invalidates when the model's
-:attr:`~repro.markov.model.MarkovModel.version` moves (a new vertex/edge or
-a probability recomputation can change the walk).
+The walk consults the request parameters *only* through the ``MAPPED``
+resolvers, i.e. through ``partition_for_value`` of each mapped slot.
+:meth:`CompiledProcedure.binding_signature` returns exactly those values, so
+two requests with equal signatures walk the same path through any model of
+the procedure — which is what lets the facade's plan memo
+(:class:`~repro.houdini.cache.EstimateCache`) key a finished walk by
+``(procedure, model, signature)``.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ UNKNOWN = 2
 MAPPED = 3
 
 #: Upper bound on the invocation counters scanned by the footprint
-#: computation (matches the interpreted implementation).
+#: computation.
 MAX_FOOTPRINT_COUNTER = 128
 
 
@@ -200,9 +194,8 @@ class CompiledProcedure:
 
         Returns ``None`` when the prediction cannot be made (the candidate is
         then treated as "uncertain" and only structural checks apply).
-        Behaviourally identical to the interpreted
-        :meth:`PathEstimator._predict_partitions`, minus the per-call catalog
-        walk.
+        Behaviourally identical to the paper-literal reference resolver
+        (``tests/houdini/reference.py``), minus the per-call catalog walk.
         """
         compiled = self.statements.get(statement_name)
         if compiled is None:
@@ -292,21 +285,19 @@ class CompiledProcedure:
         mapped slot's value (element-wise for array-aligned slots, whose
         length also matters because an exhausted array predicts ``None``).
         The returned tuple captures exactly that, so two requests with equal
-        signatures walk an identical path through a chain-shaped model.
+        signatures walk an identical path through the same model.
 
         Returns ``None`` when no signature can vouch for the request (an
         array longer than the compiled counter bound, or a mapping that
-        references a missing parameter) — callers must then fall back to the
-        stepwise walk.
+        references a missing parameter) — such a walk is never memoized.
         """
         if not self._footprint_dynamic:
             return ()
         try:
             return self._resolve_slots(parameters)[1]
         except EstimationError:
-            # A missing parameter is a stepwise-walk concern (the walk only
-            # fails if it actually reaches the affected statement), not a
-            # signature concern.
+            # A missing parameter is the walk's concern (it only fails if it
+            # actually reaches the affected statement), not the signature's.
             return None
 
     def footprint_and_signature(
@@ -340,43 +331,3 @@ class CompiledProcedure:
         """
         return self.footprint_and_signature(parameters)[0]
 
-
-class CompiledWalk:
-    """One memoized whole-walk record of a chain-shaped model.
-
-    ``estimate`` is the finished stepwise walk for this binding signature
-    (shared across requests — read-only apart from the wall-clock
-    ``estimation_ms``, which each probe refreshes).  ``decision`` starts out
-    ``None``; the Houdini facade fills it in the first time the record is
-    planned, *unless* the decision is support-limited (it could legitimately
-    change as the model's observation counts grow — see
-    :attr:`~repro.houdini.optimizations.OptimizationDecision.support_limited`),
-    in which case it is re-derived per request.
-    """
-
-    __slots__ = ("estimate", "decision", "uses")
-
-    def __init__(self, estimate) -> None:
-        self.estimate = estimate
-        self.decision = None
-        self.uses = 0
-
-
-class CompiledWalkTable:
-    """Per-model store of :class:`CompiledWalk` records.
-
-    The table snapshots the model's :attr:`~repro.markov.model.MarkovModel.version`
-    and whether it is chain-shaped when built; the estimator rebuilds it
-    whenever the version moves (run-time learning added a vertex/edge, or a
-    maintenance pass recomputed probabilities).  It keeps a strong reference
-    to the model so identity-keyed lookups stay unambiguous for the
-    estimator's lifetime.
-    """
-
-    __slots__ = ("model", "version", "chain", "records")
-
-    def __init__(self, model) -> None:
-        self.model = model
-        self.version = model.version
-        self.chain = model.chain_shaped()
-        self.records: dict[tuple, CompiledWalk] = {}

@@ -52,26 +52,6 @@ class HoudiniConfig:
     #: in on-line computation time).
     precompute_tables: bool = True
 
-    #: Whether the estimator uses per-procedure compiled statement resolvers
-    #: (:mod:`repro.houdini.compiled`) instead of re-resolving catalog and
-    #: mapping metadata on every candidate state.  Predictions are identical
-    #: either way; the flag exists for the ablation benchmark and as an
-    #: escape hatch.
-    compiled_estimation: bool = True
-
-    #: Whether whole walks of chain-shaped models are compiled into
-    #: per-(procedure, footprint) records keyed by the request's
-    #: partition-binding signature, turning repeat estimations into a dict
-    #: probe plus a binding check (with a stepwise-walk fallback on any
-    #: deviation).  Estimates are identical either way; requires
-    #: :attr:`compiled_estimation`.
-    compiled_walks: bool = True
-
-    #: Maximum number of memoized whole-walk records kept per model (a
-    #: chain-shaped model's signature space is bounded by the partition
-    #: combinations of its mapped slots, but run-away growth is capped).
-    compiled_walk_max_records: int = 4096
-
     #: Run-time model maintenance: when the observed transition distribution
     #: of a vertex matches the model with less than this accuracy, the edge
     #: and vertex probabilities are recomputed from the counters (§4.5).
@@ -100,25 +80,26 @@ class HoudiniConfig:
     #: coordinator gives up).
     conservative_restarts: bool = True
 
-    #: Whether path estimates for non-abortable, always-single-partition
-    #: requests are cached and reused (the §6.3 remedy for short transactions
-    #: whose estimation overhead dominates their run time).  Default **on**:
-    #: caching is the normal operating mode after the experiment-output
-    #: review showed identical optimization decisions and simulated metrics
-    #: with it enabled (cache entries are invalidated whenever the model
-    #: they were derived from changes, and decisions that could still flip
-    #: as observation counts grow are never admitted).
+    #: The one planning switch: whether finished walks (and the decisions
+    #: derived from them) are memoized per binding signature and reused
+    #: (:mod:`repro.houdini.cache`, the §6.3 remedy for short transactions
+    #: whose estimation overhead dominates their run time).  Default **on**;
+    #: off, every request pays a model walk.  Decisions and simulated
+    #: metrics are identical either way — an entry is dropped whenever the
+    #: model it was derived from changes, and a decision that could still
+    #: flip as observation counts grow is never reused.
     enable_estimate_caching: bool = True
 
-    #: Maximum number of entries kept by the estimate cache (LRU eviction).
+    #: Maximum number of entries kept by the plan memo (LRU eviction).
     estimate_cache_max_entries: int = 4096
 
-    #: When True, a cache hit charges :attr:`estimation_cache_hit_ms` of
+    #: When True, a hit on a §6.3-eligible entry (non-abortable, always
+    #: single-partition) charges :attr:`estimation_cache_hit_ms` of
     #: *simulated* time instead of the modelled estimation cost of the reused
     #: walk — the §6.3 what-if mode the ablation benchmark uses to reproduce
     #: the paper's estimation-overhead savings.  Off by default so that the
-    #: default-on cache is a pure wall-clock optimization: simulated metrics
-    #: stay byte-identical with the cache on or off.
+    #: memo is a pure wall-clock optimization: simulated metrics stay
+    #: byte-identical with it on or off.
     estimate_cache_simulated_savings: bool = False
 
     #: Simulated cost charged for a cache hit (a dictionary lookup instead of

@@ -54,8 +54,6 @@ class PathEstimate:
     #: Number of candidate-state evaluations the estimator performed
     #: (proxy for the estimation cost charged by the simulator).
     work_units: int = 0
-    #: Wall-clock milliseconds spent computing the estimate.
-    estimation_ms: float = 0.0
     #: True when the estimate was produced by a degenerate/disabled path
     #: (e.g. Houdini disabled for the procedure or no model available).
     degenerate: bool = False

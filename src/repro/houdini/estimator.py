@@ -20,17 +20,14 @@ length.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Sequence
 
-from ..catalog.procedure import StoredProcedure
 from ..catalog.schema import Catalog
-from ..catalog.statement import Operation, Statement
-from ..mapping.parameter_mapping import ParameterMapping, ParameterMappingSet
+from ..mapping.parameter_mapping import ParameterMappingSet
 from ..markov.model import MarkovModel
 from ..markov.vertex import VertexKey, VertexKind
 from ..types import EMPTY_PARTITION_SET, PartitionId, PartitionSet, ProcedureRequest
-from .compiled import CompiledProcedure, CompiledWalk, CompiledWalkTable
+from .compiled import CompiledProcedure
 from .config import HoudiniConfig
 from .estimate import PartitionPrediction, PathEstimate
 from .providers import ModelProvider
@@ -54,7 +51,12 @@ _GROUPED_CHOICE_MIN_FANOUT = 8
 
 
 class PathEstimator:
-    """Builds initial path estimates from Markov models + parameter mappings."""
+    """Stateless walker: Markov model + compiled resolvers -> path estimate.
+
+    The only state kept is the per-procedure compiled resolver table; reuse
+    of finished walks is the facade's business
+    (:class:`~repro.houdini.cache.EstimateCache`).
+    """
 
     def __init__(
         self,
@@ -71,12 +73,6 @@ class PathEstimator:
         #: use.  Safe to cache for the estimator's lifetime: they depend only
         #: on the catalog and the mappings, both fixed at construction.
         self._compiled: dict[str, CompiledProcedure] = {}
-        #: Per-(procedure, model) compiled-walk tables (chain-shaped models
-        #: only).  Keyed by model identity because partitioned providers
-        #: serve several models per procedure; each table pins its model so
-        #: the identity cannot be recycled, and self-invalidates when the
-        #: model's version moves.
-        self._walk_tables: dict[tuple[str, int], CompiledWalkTable] = {}
 
     def _compiled_for(self, procedure_name: str) -> CompiledProcedure:
         compiled = self._compiled.get(procedure_name)
@@ -90,216 +86,60 @@ class PathEstimator:
         return compiled
 
     # ------------------------------------------------------------------
-    def estimate(self, request: ProcedureRequest) -> PathEstimate:
-        """Produce the initial path estimate for one request.
+    def estimate(
+        self, request: ProcedureRequest, model: MarkovModel | None = None
+    ) -> PathEstimate:
+        """Walk the model once and return the initial path estimate.
 
-        For chain-shaped models this is a compiled-walk probe (the estimate
-        of an earlier request with the same partition-binding signature is
-        reused — see :meth:`walk_record`); everything else takes the
-        stepwise walk.  The two paths produce identical estimates.
+        ``model`` is the caller's already-resolved model for the request
+        (the facade resolves it for the memo key); by default the provider
+        is asked.  The estimate is *degenerate* when prediction is disabled
+        for the procedure or no processed model exists.
         """
-        record = self.walk_record(request)
-        if record is not None:
-            return record.estimate
-        return self.estimate_fresh(request)
-
-    def walk_record(
-        self,
-        request: ProcedureRequest,
-        model: MarkovModel | None = None,
-        signature: tuple | None = None,
-    ) -> CompiledWalk | None:
-        """Compiled-walk record for a request, or ``None`` off the fast path.
-
-        Returns a memoized (or freshly admitted) :class:`CompiledWalk` when
-        the procedure's model is chain-shaped and the request's parameters
-        yield a usable binding signature; the record's estimate is valid for
-        this request (its wall-clock ``estimation_ms`` is refreshed to the
-        probe cost).  Returns ``None`` when the fast path does not apply —
-        the caller must then use :meth:`estimate_fresh`.  Callers that
-        already computed the request's binding signature (the facade does,
-        for the estimate cache) pass it to avoid re-resolving the slots.
-        """
-        started = time.perf_counter()
-        config = self.config
-        if not (config.compiled_estimation and config.compiled_walks):
-            return None
-        if request.procedure in config.disabled_procedures:
-            return None
+        estimate = PathEstimate(procedure=request.procedure)
+        if request.procedure in self.config.disabled_procedures:
+            estimate.degenerate = True
+            return estimate
         if model is None:
             model = self.provider.model_for(request)
         if model is None or not model.processed:
-            return None
-        table_key = (request.procedure, id(model))
-        table = self._walk_tables.get(table_key)
-        if table is None or table.version != model.version:
-            table = CompiledWalkTable(model)
-            self._walk_tables[table_key] = table
-        if not table.chain:
-            return None
-        if signature is None:
-            signature = self._compiled_for(request.procedure).binding_signature(
-                request.parameters
-            )
-            if signature is None:
-                return None
-        record = table.records.get(signature)
-        if record is None:
-            record = CompiledWalk(self.estimate_fresh(request))
-            if len(table.records) < config.compiled_walk_max_records:
-                table.records[signature] = record
-            return record
-        record.uses += 1
-        record.estimate.estimation_ms = (time.perf_counter() - started) * 1000.0
-        return record
-
-    def clear_walk_records(self) -> None:
-        """Drop every memoized whole-walk record.
-
-        Walk records memoize the optimization *decision* alongside the
-        estimate, and decisions bake the configuration (confidence
-        threshold, OP3 tolerances) in — a live configuration change must
-        call this so stale decisions are never replayed.
-        """
-        self._walk_tables.clear()
-
-    def drop_walk_records(self, procedure: str) -> None:
-        """Drop the compiled-walk tables of one procedure only.
-
-        The hot-swap contract: installing a retrained model for procedure P
-        must evict P's compiled walks without touching any other procedure's
-        memoized state (the version token would catch stale tables anyway,
-        but dropping them releases the retired model immediately).
-        """
-        for key in [key for key in self._walk_tables if key[0] == procedure]:
-            del self._walk_tables[key]
-
-    def binding_signature(self, request: ProcedureRequest) -> tuple | None:
-        """The request's partition-binding signature (everything a walk reads
-        from its parameters), or ``None`` when no signature can vouch for it.
-        Used by the §6.3 estimate cache to refuse serving a cached walk to a
-        request that would have walked a different path."""
-        return self._compiled_for(request.procedure).binding_signature(
-            request.parameters
+            estimate.degenerate = True
+            return estimate
+        self._walk(
+            estimate, model, request.parameters, self._compiled_for(request.procedure)
         )
+        return estimate
 
     def footprint_and_signature(
         self, request: ProcedureRequest
     ) -> tuple[frozenset[PartitionId] | None, tuple | None]:
-        """One-pass ``(predicted footprint, binding signature)``.
+        """``(predicted footprint, binding signature)`` of a request.
 
-        Matches :meth:`predicted_footprint` + :meth:`binding_signature` but
-        resolves the mapped parameter slots once; ``Houdini.plan`` calls
-        this on every request.
+        The footprint is what the parameter mappings alone say the request
+        may touch (the run-time monitor's early-prepare guard; ``None``
+        without a mapping); the signature is everything a walk reads from
+        the parameters (the memo key; ``None`` when nothing can vouch for
+        the walk).  See :class:`~repro.houdini.compiled.CompiledProcedure`.
         """
+        # No mapping means no answer, decided before the catalog is
+        # consulted (an unmapped, uncataloged procedure must not raise).
         if self.mappings.get(request.procedure) is None:
             return None, None
-        if self.config.compiled_estimation:
-            return self._compiled_for(request.procedure).footprint_and_signature(
-                request.parameters
-            )
-        # Interpreted ablation mode: footprint the paper-literal way; the
-        # signature (used only for cache validity) still comes compiled.
-        return (
-            self.predicted_footprint(request),
-            self._compiled_for(request.procedure).binding_signature(request.parameters),
+        return self._compiled_for(request.procedure).footprint_and_signature(
+            request.parameters
         )
 
-    def estimate_fresh(self, request: ProcedureRequest) -> PathEstimate:
-        """Stepwise path estimate (no whole-walk memoization)."""
-        started = time.perf_counter()
-        estimate = PathEstimate(procedure=request.procedure)
-        if request.procedure in self.config.disabled_procedures:
-            estimate.degenerate = True
-            estimate.estimation_ms = (time.perf_counter() - started) * 1000.0
-            return estimate
-        model = self.provider.model_for(request)
-        if model is None or not model.processed:
-            estimate.degenerate = True
-            estimate.estimation_ms = (time.perf_counter() - started) * 1000.0
-            return estimate
-        if self.config.compiled_estimation:
-            # The compiled resolvers replace every per-walk catalog/mapping
-            # lookup, so the interpreted inputs are not even fetched.
-            compiled = self._compiled_for(request.procedure)
-            procedure = None
-            mapping = None
-        else:
-            compiled = None
-            procedure = self.catalog.procedure(request.procedure)
-            mapping = self.mappings.get(request.procedure)
-        self._walk(estimate, model, procedure, mapping, request.parameters, compiled)
-        estimate.estimation_ms = (time.perf_counter() - started) * 1000.0
-        return estimate
-
-    # ------------------------------------------------------------------
     def predicted_footprint(self, request: ProcedureRequest) -> frozenset[PartitionId] | None:
-        """Partitions the parameter mappings alone say the request may touch.
-
-        This ignores the Markov model entirely: for every statement of the
-        procedure and every plausible invocation counter (bounded by the
-        longest array parameter), the partitioning parameter is resolved
-        through the mapping.  Statements whose partitioning parameter cannot
-        be resolved, and broadcast statements, contribute *every* partition.
-
-        Houdini's run-time monitor uses this as a guard for the early-prepare
-        optimization: a partition that the mappings say may still be needed
-        is never declared finished prematurely.
-        Returns ``None`` when no mapping exists for the procedure.
-        """
-        if self.config.compiled_estimation:
-            # Parity with the interpreted path below: no mapping means no
-            # answer, decided before the catalog is consulted (a request for
-            # an unmapped, uncataloged procedure must not raise here).
-            if self.mappings.get(request.procedure) is None:
-                return None
-            return self._compiled_for(request.procedure).footprint(request.parameters)
-        mapping = self.mappings.get(request.procedure)
-        if mapping is None:
-            return None
-        procedure = self.catalog.procedure(request.procedure)
-        scheme = self.catalog.scheme
-        max_counter = 1
-        for value in request.parameters:
-            if isinstance(value, (list, tuple)):
-                max_counter = max(max_counter, len(value))
-        max_counter = min(max_counter, 128)
-        footprint: set[PartitionId] = set()
-        for statement in procedure.statements.values():
-            table = self.catalog.schema.table(statement.table)
-            if table.replicated:
-                if statement.operation is not Operation.SELECT:
-                    return frozenset(range(scheme.num_partitions))
-                continue
-            partition_column = table.partition_column
-            if partition_column is None:
-                footprint.add(0)
-                continue
-            literal = statement.partitioning_literal(partition_column)
-            if literal is not None:
-                footprint.add(scheme.partition_for_value(literal))
-                continue
-            index = statement.partitioning_parameter_index(partition_column)
-            if index is None:
-                return frozenset(range(scheme.num_partitions))
-            entry = mapping.entry_for(statement.name, index)
-            if entry is None:
-                return frozenset(range(scheme.num_partitions))
-            for counter in range(max_counter):
-                value = mapping.resolve(statement.name, index, counter, request.parameters)
-                if value is not None:
-                    footprint.add(scheme.partition_for_value(value))
-        return frozenset(footprint)
+        """Partitions the parameter mappings alone say the request may touch."""
+        return self.footprint_and_signature(request)[0]
 
     # ------------------------------------------------------------------
     def _walk(
         self,
         estimate: PathEstimate,
         model: MarkovModel,
-        procedure: StoredProcedure | None,
-        mapping: ParameterMapping | None,
         parameters: Sequence[Any],
-        compiled: CompiledProcedure | None,
+        compiled: CompiledProcedure,
     ) -> None:
         current = model.begin
         vertices = estimate.vertices
@@ -316,7 +156,7 @@ class PathEstimator:
             if not successors:
                 break
             chosen, probability = choose(
-                current, successors, model, procedure, mapping, parameters,
+                current, successors, model, parameters,
                 accumulated, counters, estimate, compiled,
             )
             if chosen is None:
@@ -342,13 +182,11 @@ class PathEstimator:
         current: VertexKey,
         successors: list[tuple[VertexKey, float, bool, str, int, PartitionSet, PartitionSet]],
         model: MarkovModel,
-        procedure: StoredProcedure | None,
-        mapping: ParameterMapping | None,
         parameters: Sequence[Any],
         accumulated: PartitionSet,
         counters: dict[str, int],
         estimate: PathEstimate,
-        compiled: CompiledProcedure | None,
+        compiled: CompiledProcedure,
     ) -> tuple[VertexKey | None, float]:
         """Pick the next state among a vertex's successor records.
 
@@ -372,36 +210,35 @@ class PathEstimator:
             record = successors[0]
             return record[0], 1.0 if record[1] > 0 else 0.0
         prediction_seed: tuple[tuple[str, int], PartitionSet | None] | None = None
-        if compiled is not None:
-            # When every non-terminal successor belongs to one statement, the
-            # prediction pins the partitions and history, so the next state
-            # is resolved with a single index probe: at most one successor
-            # can match, making it the whole valid pool (probability 1.0).
-            single_name, has_terminal = model.successor_hint(current)
-            if single_name is not None and not has_terminal:
-                expected_counter = counters.get(single_name, 0)
-                predicted = compiled.predict_partitions(
-                    single_name, expected_counter, parameters, accumulated
+        # When every non-terminal successor belongs to one statement, the
+        # prediction pins the partitions and history, so the next state is
+        # resolved with a single index probe: at most one successor can
+        # match, making it the whole valid pool (probability 1.0).
+        single_name, has_terminal = model.successor_hint(current)
+        if single_name is not None and not has_terminal:
+            expected_counter = counters.get(single_name, 0)
+            predicted = compiled.predict_partitions(
+                single_name, expected_counter, parameters, accumulated
+            )
+            if predicted is not None:
+                hit = model.probe_successor(
+                    current, single_name, expected_counter, accumulated, predicted
                 )
-                if predicted is not None:
-                    hit = model.probe_successor(
-                        current, single_name, expected_counter, accumulated, predicted
-                    )
-                    if hit is not None:
-                        return hit[0], 1.0 if hit[1] > 0 else 0.0
-                prediction_seed = ((single_name, expected_counter), predicted)
-            elif len(successors) >= _GROUPED_CHOICE_MIN_FANOUT:
-                # Multi-name (or terminal-bearing) vertex with a wide
-                # fan-out: resolve each candidate name with one probe of the
-                # per-name group index instead of scanning every successor
-                # record.  Pool membership and ordering are identical to the
-                # full scan below (positions restore the canonical record
-                # order); below the fan-out threshold the plain scan is
-                # cheaper than the group bookkeeping.
-                return self._choose_grouped(
-                    current, successors, model, parameters, accumulated,
-                    counters, compiled,
-                )
+                if hit is not None:
+                    return hit[0], 1.0 if hit[1] > 0 else 0.0
+            prediction_seed = ((single_name, expected_counter), predicted)
+        elif len(successors) >= _GROUPED_CHOICE_MIN_FANOUT:
+            # Multi-name (or terminal-bearing) vertex with a wide fan-out:
+            # resolve each candidate name with one probe of the per-name
+            # group index instead of scanning every successor record.  Pool
+            # membership and ordering are identical to the full scan below
+            # (positions restore the canonical record order); below the
+            # fan-out threshold the plain scan is cheaper than the group
+            # bookkeeping.
+            return self._choose_grouped(
+                current, successors, model, parameters, accumulated,
+                counters, compiled,
+            )
         valid: list[tuple[VertexKey, float]] = []
         consistent: list[tuple[VertexKey, float]] = []
         partition_cache: dict[tuple[str, int], PartitionSet | None] = {}
@@ -423,15 +260,9 @@ class PathEstimator:
             if cache_key in partition_cache:
                 predicted = partition_cache[cache_key]
             else:
-                if compiled is not None:
-                    predicted = compiled.predict_partitions(
-                        name, expected_counter, parameters, accumulated
-                    )
-                else:
-                    predicted = self._predict_partitions(
-                        procedure, mapping, name, expected_counter,
-                        parameters, accumulated,
-                    )
+                predicted = compiled.predict_partitions(
+                    name, expected_counter, parameters, accumulated
+                )
                 partition_cache[cache_key] = predicted
             if predicted is not None and (
                 partitions is predicted or partitions == predicted
@@ -465,7 +296,7 @@ class PathEstimator:
         valid pool is (terminals + per-name partition matches), the
         consistent pool is the counter/history-matching candidates, and both
         are kept in canonical record order so tie-breaking and probability
-        renormalization agree with the interpreted path bit-for-bit.
+        renormalization agree with the scan bit-for-bit.
         """
         groups, names, terminals = model.successor_groups(current)
         counters_get = counters.get
@@ -505,61 +336,6 @@ class PathEstimator:
         if total <= 0:
             return best[0], 0.0
         return best[0], best[1] / total
-
-    # ------------------------------------------------------------------
-    def _predict_partitions(
-        self,
-        procedure: StoredProcedure,
-        mapping: ParameterMapping | None,
-        statement_name: str,
-        counter: int,
-        parameters: Sequence[Any],
-        accumulated: PartitionSet,
-    ) -> PartitionSet | None:
-        """Predict the partitions a candidate query would touch.
-
-        Returns ``None`` when the prediction cannot be made — the candidate
-        is then treated as "uncertain" and only structural checks apply.
-        """
-        statement = procedure.statement(statement_name)
-        table = self.catalog.schema.table(statement.table)
-        scheme = self.catalog.scheme
-        if table.replicated:
-            if statement.operation is Operation.SELECT:
-                # Replicated reads are local to wherever the control code runs;
-                # the best guess before execution is the partition the
-                # transaction has used so far.
-                base = self._dominant_partition(accumulated)
-                if base is None:
-                    return None
-                return PartitionSet.of([base])
-            return scheme.all_partitions()
-        partition_column = table.partition_column
-        if partition_column is None:
-            return PartitionSet.of([0])
-        literal = statement.partitioning_literal(partition_column)
-        if literal is not None:
-            return PartitionSet.of([scheme.partition_for_value(literal)])
-        index = statement.partitioning_parameter_index(partition_column)
-        if index is None:
-            return scheme.all_partitions()
-        if mapping is None:
-            return None
-        value = mapping.resolve(statement_name, index, counter, parameters)
-        if value is None:
-            return None
-        return PartitionSet.of([scheme.partition_for_value(value)])
-
-    @staticmethod
-    def _dominant_partition(accumulated: PartitionSet) -> PartitionId | None:
-        """Partition the transaction's control code is assumed to run on.
-
-        The first touched partition is used deterministically (it matches how
-        the base partition is chosen); ``None`` when nothing was touched yet.
-        """
-        if accumulated.partitions:
-            return accumulated.partitions[0]
-        return None
 
     # ------------------------------------------------------------------
     @staticmethod

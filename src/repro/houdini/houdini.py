@@ -65,8 +65,8 @@ class Houdini:
             catalog.scheme.partitions_per_node,
         )
         self.maintenance = MaintenanceRegistry(self.config)
-        #: Optional estimate cache for always-single-partition procedures
-        #: (§6.3); ``None`` unless enabled in the configuration.
+        #: The plan memo (§6.3); ``None`` when switched off in the
+        #: configuration.
         self.estimate_cache: EstimateCache | None = (
             EstimateCache(self.config) if self.config.enable_estimate_caching else None
         )
@@ -86,142 +86,133 @@ class Houdini:
         self._selftune = observer
 
     # ------------------------------------------------------------------
+    def _memo_key(self, request: ProcedureRequest, model, signature):
+        """Memo key of a request, or ``None`` when its walk is not memoizable
+        (nothing vouches for the walk, or it would be degenerate)."""
+        if (
+            signature is None
+            or model is None
+            or not model.processed
+            or request.procedure in self.config.disabled_procedures
+        ):
+            return None
+        return (request.procedure, id(model), signature)
+
+    def _resolve(self, request: ProcedureRequest):
+        """One memo probe, then at most one model walk.
+
+        Returns ``(estimate, entry, hit, model, footprint)``; ``entry`` is
+        the memo entry that served or now holds the walk (``None`` when the
+        walk is not memoized) and ``hit`` says it was served from it.  The
+        wall-clock span goes to the procedure's measured estimation time
+        (Table 4) — on the statistics only: estimates are shared between
+        requests and stay deterministic.
+        """
+        started = time.perf_counter()
+        footprint, signature = self.estimator.footprint_and_signature(request)
+        model = self.provider.model_for(request)
+        memo = self.estimate_cache
+        key = entry = None
+        if memo is not None:
+            key = self._memo_key(request, model, signature)
+            entry = memo.lookup(key, model)
+        hit = entry is not None
+        if hit:
+            estimate = entry.estimate
+        else:
+            estimate = self.estimator.estimate(request, model)
+            if key is not None:
+                entry = memo.store(key, model, estimate)
+        self.stats.for_procedure(request.procedure).estimation_ms_total += (
+            time.perf_counter() - started
+        ) * 1000.0
+        return estimate, entry, hit, model, footprint
+
+    def _decide(self, request, estimate, model, footprint, entry) -> OptimizationDecision:
+        """Select the optimizations and memoize the decision with the walk.
+
+        While the model learns, a support-limited decision can flip as
+        observation counts grow without the version moving, so it is
+        re-derived per request until it no longer is.
+        """
+        decision = self.selector.decide(request, estimate, model)
+        if entry is not None and not (self.learning and decision.support_limited):
+            entry.decision = decision
+            entry.eligible = self.estimate_cache.eligible(estimate, decision, footprint)
+        return decision
+
+    def _charged_ms(self, estimate: PathEstimate, eligible_hit: bool = False) -> float:
+        """Simulated estimation cost of a plan (deterministic, modelled).
+
+        Neutral by default: a reused walk is charged exactly what computing
+        it would have cost, so the memo never changes simulated metrics.
+        """
+        config = self.config
+        if eligible_hit and config.estimate_cache_simulated_savings:
+            return config.estimation_cache_hit_ms
+        return config.estimation_cost_ms(estimate.work_units, estimate.query_count)
+
     def estimate(self, request: ProcedureRequest) -> PathEstimate:
         """Produce (only) the initial path estimate for a request."""
-        return self.estimator.estimate(request)
+        return self._resolve(request)[0]
 
     def plan(self, request: ProcedureRequest) -> HoudiniPlan:
         """Produce the execution plan and run-time monitor for a request.
 
-        The default operating mode is cached/compiled planning: the §6.3
-        estimate cache is probed first (single-partition footprints), then
-        the estimator's compiled whole-walk records (chain-shaped models);
-        only requests neither layer can serve pay for a stepwise model walk
-        plus optimization selection.  All three paths produce identical
-        decisions and charge the identical modelled estimation cost, so
-        simulated metrics do not depend on which one served a request.
+        Planning is two layers behind one switch
+        (:attr:`HoudiniConfig.enable_estimate_caching`): the plan memo is
+        probed with the request's binding signature, and only a miss pays
+        for a model walk plus optimization selection.  Both produce
+        identical decisions and charge the identical modelled estimation
+        cost, so simulated metrics do not depend on which one served a
+        request.
         """
-        started = time.perf_counter()
-        estimator = self.estimator
-        estimate_cache = self.estimate_cache
-        config = self.config
-        footprint, signature = estimator.footprint_and_signature(request)
-        model = self.provider.model_for(request)
-        token = (
-            (id(model), model.version)
-            if model is not None and model.processed
-            else None
+        estimate, entry, hit, model, footprint = self._resolve(request)
+        decision = entry.decision if entry is not None else None
+        eligible_hit = hit and entry.eligible
+        if decision is None:
+            decision = self._decide(request, estimate, model, footprint, entry)
+        plan = decision.as_plan(
+            self._charged_ms(estimate, eligible_hit),
+            source="houdini:cached" if eligible_hit else "houdini",
         )
-        cache_key = None
-        cached = None
-        if estimate_cache is not None:
-            cache_key = EstimateCache.key_for(request, footprint)
-            if cache_key is not None and signature is None:
-                # Nothing can vouch that an identical-footprint request
-                # walks the same path: treat it as uncacheable.
-                cache_key = None
-            cached = estimate_cache.lookup(cache_key, token, signature)
-        if cached is not None:
-            # §6.3: reuse the path walk of an earlier identical-footprint
-            # request; only a dictionary lookup is performed.
-            estimate = cached.estimate
-            decision = cached.decision
-            if config.estimate_cache_simulated_savings:
-                charged_ms = config.estimation_cache_hit_ms
-            else:
-                # Neutral charging: the reused walk is charged exactly what
-                # computing it would have cost, so enabling the cache never
-                # changes simulated metrics (only wall-clock time).
-                charged_ms = config.estimation_cost_ms(
-                    estimate.work_units, estimate.query_count
-                )
-            # The measured wall cost of this plan is the probe, not the
-            # original walk.
-            estimate.estimation_ms = (time.perf_counter() - started) * 1000.0
-            source = "houdini:cached"
-        else:
-            record = (
-                estimator.walk_record(request, model, signature)
-                if signature is not None
-                else None
-            )
-            if record is not None:
-                # Compiled whole-walk fast path (chain-shaped model).
-                estimate = record.estimate
-                decision = record.decision
-                if decision is None:
-                    decision = self.selector.decide(
-                        request, estimate, None if estimate.degenerate else model
-                    )
-                    if not (self.learning and decision.support_limited):
-                        record.decision = decision
-            else:
-                estimate = estimator.estimate_fresh(request)
-                decision = self.selector.decide(
-                    request, estimate, None if estimate.degenerate else model
-                )
-            # The simulator charges a modelled (deterministic) estimation
-            # cost; the measured wall-clock time stays on the estimate.
-            charged_ms = config.estimation_cost_ms(
-                estimate.work_units, estimate.query_count
-            )
-            source = "houdini"
-            if estimate_cache is not None:
-                estimate_cache.store(
-                    cache_key, estimate, decision, token, signature,
-                    support_may_grow=self.learning,
-                )
-        plan = decision.as_plan(charged_ms, source=source)
         runtime = HoudiniRuntime(
             None if estimate.degenerate else model,
             estimate,
-            config,
+            self.config,
             predicted_single_partition=decision.predicted_single_partition,
             undo_initially_disabled=decision.disable_undo,
             learn=self.learning,
             footprint=footprint,
         )
-        self._record_plan_stats(request, estimate, decision)
+        self._record_plan_stats(request, decision)
         return HoudiniPlan(plan=plan, runtime=runtime, estimate=estimate, decision=decision)
 
     def plan_speculative(self, request: ProcedureRequest) -> ExecutionPlan | None:
         """Predict — without side effects — the plan :meth:`plan` would return.
 
-        Serves the sharded backend's dispatch decision: a request whose §6.3
-        cache entry is valid *now* will (absent interleaved invalidations)
-        be planned from that same entry when the transaction is folded back,
-        so its plan arguments are known before the authoritative ``plan``
-        call runs.  Returns ``None`` whenever the cache cannot vouch for the
-        request; the caller then executes inline.  No statistic, LRU state,
-        estimate field or model is touched — a run that calls this between
-        ``plan`` calls stays byte-identical to one that never does.
+        Serves the sharded backend's dispatch decision: a request whose
+        §6.3-eligible memo entry is valid *now* will (absent interleaved
+        invalidations) be planned from that same entry when the transaction
+        is folded back, so its plan arguments are known before the
+        authoritative ``plan`` call runs.  Returns ``None`` whenever the
+        memo cannot vouch for the request; the caller then executes inline.
+        No statistic, LRU state, estimate field or model is touched — a run
+        that calls this between ``plan`` calls stays byte-identical to one
+        that never does.
         """
-        estimate_cache = self.estimate_cache
-        if estimate_cache is None:
+        memo = self.estimate_cache
+        if memo is None:
             return None
-        footprint, signature = self.estimator.footprint_and_signature(request)
-        if signature is None:
-            return None
-        cache_key = EstimateCache.key_for(request, footprint)
-        if cache_key is None:
-            return None
+        signature = self.estimator.footprint_and_signature(request)[1]
         model = self.provider.model_for(request)
-        token = (
-            (id(model), model.version)
-            if model is not None and model.processed
-            else None
-        )
-        cached = estimate_cache.peek(cache_key, token, signature)
-        if cached is None:
+        key = self._memo_key(request, model, signature)
+        entry = memo.peek(key, model)
+        if entry is None or not entry.eligible:
             return None
-        estimate = cached.estimate
-        if self.config.estimate_cache_simulated_savings:
-            charged_ms = self.config.estimation_cache_hit_ms
-        else:
-            charged_ms = self.config.estimation_cost_ms(
-                estimate.work_units, estimate.query_count
-            )
-        return cached.decision.as_plan(charged_ms, source="houdini:cached")
+        return entry.decision.as_plan(
+            self._charged_ms(entry.estimate, True), source="houdini:cached"
+        )
 
     def plan_restart(
         self,
@@ -245,29 +236,25 @@ class Houdini:
         early-prepare optimization is switched off entirely from the second
         restart onward.
         """
-        estimate = self.estimator.estimate(request)
-        model = None if estimate.degenerate else self.provider.model_for(request)
-        charged_ms = self.config.estimation_cost_ms(
-            estimate.work_units, estimate.query_count
-        )
+        estimate, _, _, model, footprint = self._resolve(request)
         plan = ExecutionPlan(
             base_partition=base_partition,
             locked_partitions=None,
             undo_logging=True,
-            estimation_ms=charged_ms,
+            estimation_ms=self._charged_ms(estimate),
             source="houdini:restart",
         )
         allow_early_prepare = True
         if self.config.conservative_restarts and attempt_number >= 2:
             allow_early_prepare = False
         runtime = HoudiniRuntime(
-            model,
+            None if estimate.degenerate else model,
             estimate,
             self.config,
             predicted_single_partition=False,
             undo_initially_disabled=False,
             learn=self.learning,
-            footprint=self.estimator.predicted_footprint(request),
+            footprint=footprint,
             allow_early_prepare=allow_early_prepare,
             never_finish=never_finish,
         )
@@ -319,15 +306,11 @@ class Houdini:
     # Statistics
     # ------------------------------------------------------------------
     def _record_plan_stats(
-        self,
-        request: ProcedureRequest,
-        estimate: PathEstimate,
-        decision: OptimizationDecision,
+        self, request: ProcedureRequest, decision: OptimizationDecision
     ) -> None:
         stats = self.stats.for_procedure(request.procedure)
         stats.transactions += 1
         stats.estimates += 1
-        stats.estimation_ms_total += estimate.estimation_ms
         if decision.op1_selected:
             stats.op1_enabled += 1
         if decision.op2_selected:
@@ -370,11 +353,10 @@ class Houdini:
         """Apply live configuration changes, routing through the invalidation
         contracts.
 
-        ``confidence_threshold`` changes drop every memoized decision — the
-        compiled whole-walk records and the §6.3 estimate cache both store
-        decisions that baked the old threshold in.  ``estimate_caching``
-        toggles the §6.3 cache: enabling installs a fresh (empty) cache,
-        disabling invalidates and removes it.  ``maintenance_window`` resizes
+        ``confidence_threshold`` changes flush the plan memo — its entries
+        store decisions that baked the old threshold in.  ``estimate_caching``
+        toggles the memo: enabling installs a fresh (empty) one, disabling
+        invalidates and removes it.  ``maintenance_window`` resizes
         the §4.5 sliding window; every tracked maintenance rebuilds its
         counters from the recent tail (``None`` disables the window).  Either
         way the next :meth:`plan` call operates entirely under the new
@@ -387,7 +369,6 @@ class Houdini:
             if not 0.0 <= confidence_threshold <= 1.0:
                 raise ValueError("confidence_threshold must be within [0, 1]")
             config.confidence_threshold = confidence_threshold
-            self.estimator.clear_walk_records()
             if self.estimate_cache is not None:
                 self.estimate_cache.invalidate()
         if estimate_caching is not None:

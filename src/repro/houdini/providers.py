@@ -59,8 +59,7 @@ class GlobalModelProvider(ModelProvider):
         This is the hot-swap entry point: the assignment is a single dict
         store, so every ``model_for`` call either sees the old model or the
         new one, never a mix.  Callers own the invalidation side — dropping
-        the retired model's compiled walks, estimate-cache entries and
-        maintenance state (see ``repro.selftune.swap``).
+        the retired model's plan-memo entries and maintenance state (see ``repro.selftune.swap``).
         """
         if model.procedure != procedure:
             raise ValueError(

@@ -4,7 +4,7 @@ A :class:`HoudiniRuntime` instance is attached to one execution attempt as a
 query listener.  After every query it:
 
 * advances the transaction's position in the Markov model (adding a
-  placeholder vertex when the state is unknown),
+  placeholder vertex when the state is unknown and the attempt is learning),
 * checks whether the transaction deviated from the initial path estimate,
 * uses the pre-computed probability tables to issue the two run-time updates
   the paper describes — disabling undo logging once the transaction can no
@@ -129,9 +129,12 @@ class HoudiniRuntime:
         # One model probe serves both the advance and the update decisions.
         vertex = model.find_vertex(key)
         if vertex is None:
-            vertex = model.add_placeholder(key, invocation.query_type)
-            stats.placeholders_added += 1
             stats.deviated_from_estimate = True
+            if self.learn:
+                # Only a learning attempt writes the model: a placeholder
+                # moves ``model.version`` and with it every memoized walk.
+                vertex = model.add_placeholder(key, invocation.query_type)
+                stats.placeholders_added += 1
         if self._current is not None:
             # Transitions are buffered per attempt and flushed into the
             # model in one batch by :meth:`finish`.
@@ -153,7 +156,9 @@ class HoudiniRuntime:
                 )
 
     def _issue_updates(self, context: TransactionContext, key: VertexKey, vertex) -> None:
-        table = vertex.table
+        # An unknown state (no vertex, or a placeholder without a table)
+        # says nothing until the model's probabilities are recomputed.
+        table = vertex.table if vertex is not None else None
         if table is None:
             return
         # OP3: disable undo logging once no path leads to the abort state.

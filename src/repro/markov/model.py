@@ -60,12 +60,10 @@ class MarkovModel:
         #: when a vertex or edge is created and when :meth:`process`
         #: recomputes probabilities/tables, but NOT on count-only edge visits
         #: (those leave every probability — and therefore every walk — intact
-        #: until the next processing pass).  Consumers (the compiled-walk
-        #: tables and the §6.3 estimate cache) compare it to decide whether a
+        #: until the next processing pass).  The plan memo
+        #: (:mod:`repro.houdini.cache`) compares it to decide whether a
         #: memoized walk or decision derived from this model is still valid.
         self.version = 0
-        #: Cached ``(version, chain_shaped)`` pair (see :meth:`chain_shaped`).
-        self._chain_shape: tuple[int, bool] | None = None
         #: Probability-sorted successor arrays, rebuilt by :meth:`process`.
         #: A vertex's entry is dropped the moment it gains an outgoing edge
         #: (see :meth:`_drop_successor_caches`) and re-read through on demand.
@@ -322,42 +320,6 @@ class MarkovModel:
              key.previous, key.partitions)
             for key, probability in pairs
         ]
-
-    def chain_shaped(self) -> bool:
-        """Whether the model is a *chain*: every non-terminal vertex has one
-        dominant successor statement.
-
-        Formally, for every vertex all non-terminal successors share a single
-        ``(statement name, counter)`` pair — the only branching left is the
-        partition binding, which the request parameters resolve.  For such
-        models the estimator's whole walk is a deterministic function of the
-        parameters' partition bindings, so it can be compiled into a
-        per-(procedure, footprint) record (:mod:`repro.houdini.compiled`).
-        TATP and SmallBank — the single-partition-heavy workloads of §6.3 —
-        are all chains; TPC-C's ``neworder``/``payment`` branch on data values
-        and are not.  The answer is cached per :attr:`version`.
-        """
-        cached = self._chain_shape
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        result = True
-        for key, targets in self._edges.items():
-            if key.is_terminal:
-                continue
-            group: tuple[str, int] | None = None
-            for target in targets:
-                if target.is_terminal:
-                    continue
-                identity = (target.name, target.counter)
-                if group is None:
-                    group = identity
-                elif identity != group:
-                    result = False
-                    break
-            if not result:
-                break
-        self._chain_shape = (self.version, result)
-        return result
 
     def edge(self, source: VertexKey, target: VertexKey) -> Edge | None:
         return self._edges.get(source, {}).get(target)

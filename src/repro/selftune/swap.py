@@ -8,17 +8,15 @@ procedure's state:
   :meth:`~repro.houdini.providers.GlobalModelProvider.install_model` (a
   single dict store — every later ``plan()`` sees either the old model or
   the new one, never a mix);
-* the estimator's compiled-walk tables for the procedure are dropped
-  (:meth:`~repro.houdini.estimator.PathEstimator.drop_walk_records`);
-* the §6.3 estimate cache's entries for the procedure are invalidated
-  (:meth:`~repro.houdini.cache.EstimateCache.invalidate_procedure`);
+* the plan memo's entries for the procedure are invalidated
+  (:meth:`~repro.houdini.cache.EstimateCache.invalidate_procedure`), which
+  also releases the retired model they pin;
 * maintenance stops tracking the retired model
   (:meth:`~repro.houdini.maintenance.MaintenanceRegistry.forget`);
 * the retired model's ``version`` is bumped while we still hold it, so any
-  ``(id(model), version)`` token captured against it can never validate
-  again even if its ``id`` is recycled.
+  version captured against it can never validate again.
 
-Nothing else is rekeyed: other procedures' cached walks and estimates stay
+Nothing else is rekeyed: other procedures' memoized walks stay
 exactly where they are (the swap-isolation tests pin this down).
 
 Sessions execute transactions one at a time on the coordinator — the sharded
@@ -47,7 +45,6 @@ class ModelSwapController:
         """
         houdini = self.houdini
         old_model = houdini.provider.install_model(procedure, new_model)
-        houdini.estimator.drop_walk_records(procedure)
         if houdini.estimate_cache is not None:
             houdini.estimate_cache.invalidate_procedure(procedure)
         if old_model is not None:

@@ -82,9 +82,8 @@ no stale derived state survives:
   underflows, and the new limits apply from the next dispatch on.
 * ``estimate_caching=`` / ``confidence_threshold=`` route through
   :meth:`~repro.houdini.houdini.Houdini.reconfigure`, which invalidates the
-  §6.3 :class:`~repro.houdini.cache.EstimateCache` and the compiled
-  whole-walk records (both memoize decisions that baked the old
-  configuration in).  Requires a Houdini-backed strategy.
+  plan memo (:class:`~repro.houdini.cache.EstimateCache` memoizes decisions
+  that baked the old configuration in).  Requires a Houdini-backed strategy.
 * ``generator=`` swaps the workload generator — the workload-shift scenario:
   the cluster, models and learned state survive, only the traffic changes.
 * ``cost=`` assigns cost-model constants by name;

@@ -289,9 +289,10 @@ class ShardedBackend:
     def _speculate(self, request):
         """Predict the authoritative plan without touching any state.
 
-        Only estimate-cache hits are predictable (the cached decision *is*
-        what ``plan_initial`` will produce as long as the cache entry
-        survives until fold time — and the fold verifies that).  Only
+        Only hits on a §6.3-eligible plan-memo entry are predictable (the
+        memoized decision *is* what ``plan_initial`` will produce as long
+        as the entry survives until fold time — and the fold verifies
+        that).  Only
         single-partition plans whose lock set is exactly the home
         partition are dispatched: their execution cannot touch another
         shard, and their run-time monitor provably cannot abort the walk.

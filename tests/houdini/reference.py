@@ -1,0 +1,117 @@
+"""The paper-literal path estimator: the reference the compiled one must equal.
+
+Until the plan memo became the only planning cache this code lived in
+``repro.houdini.estimator`` behind ``HoudiniConfig.compiled_estimation=False``.
+It re-derives every catalog and mapping fact per candidate state and picks
+the next state with a plain scan of the successor records — no compiled
+resolvers, no successor-hint probe, no per-name group index — so it is the
+oracle for ``repro.houdini.compiled`` and for the shortcuts in
+``PathEstimator._choose`` (``test_compiled.py``, ``test_multiname_probe.py``).
+It shares only the walk loop and the per-vertex accounting with the
+production estimator.
+"""
+
+from __future__ import annotations
+
+from repro.catalog.statement import Operation
+from repro.houdini import PathEstimator
+from repro.houdini.estimator import _pool_rank
+from repro.types import PartitionSet
+
+
+class ReferenceEstimator(PathEstimator):
+    """:class:`PathEstimator` with interpreted resolution and a plain scan."""
+
+    def predict_partitions(self, procedure_name, statement_name, counter, parameters, accumulated):
+        """Partitions a candidate query would touch; ``None`` when unknown."""
+        procedure = self.catalog.procedure(procedure_name)
+        mapping = self.mappings.get(procedure_name)
+        statement = procedure.statement(statement_name)
+        table = self.catalog.schema.table(statement.table)
+        scheme = self.catalog.scheme
+        if table.replicated:
+            if statement.operation is Operation.SELECT:
+                # Replicated reads are local to wherever the control code
+                # runs: the first partition the transaction touched.
+                if not accumulated.partitions:
+                    return None
+                return PartitionSet.of([accumulated.partitions[0]])
+            return scheme.all_partitions()
+        partition_column = table.partition_column
+        if partition_column is None:
+            return PartitionSet.of([0])
+        literal = statement.partitioning_literal(partition_column)
+        if literal is not None:
+            return PartitionSet.of([scheme.partition_for_value(literal)])
+        index = statement.partitioning_parameter_index(partition_column)
+        if index is None:
+            return scheme.all_partitions()
+        if mapping is None:
+            return None
+        value = mapping.resolve(statement_name, index, counter, parameters)
+        if value is None:
+            return None
+        return PartitionSet.of([scheme.partition_for_value(value)])
+
+    def predicted_footprint(self, request):
+        """Mapping-only footprint: every statement, every plausible counter."""
+        mapping = self.mappings.get(request.procedure)
+        if mapping is None:
+            return None
+        procedure = self.catalog.procedure(request.procedure)
+        scheme = self.catalog.scheme
+        everything = frozenset(range(scheme.num_partitions))
+        max_counter = 1
+        for value in request.parameters:
+            if isinstance(value, (list, tuple)):
+                max_counter = max(max_counter, len(value))
+        max_counter = min(max_counter, 128)
+        footprint = set()
+        for statement in procedure.statements.values():
+            table = self.catalog.schema.table(statement.table)
+            if table.replicated:
+                if statement.operation is not Operation.SELECT:
+                    return everything
+                continue
+            partition_column = table.partition_column
+            if partition_column is None:
+                footprint.add(0)
+                continue
+            literal = statement.partitioning_literal(partition_column)
+            if literal is not None:
+                footprint.add(scheme.partition_for_value(literal))
+                continue
+            index = statement.partitioning_parameter_index(partition_column)
+            if index is None or mapping.entry_for(statement.name, index) is None:
+                return everything
+            for counter in range(max_counter):
+                value = mapping.resolve(statement.name, index, counter, request.parameters)
+                if value is not None:
+                    footprint.add(scheme.partition_for_value(value))
+        return frozenset(footprint)
+
+    def _choose(self, current, successors, model, parameters, accumulated,
+                counters, estimate, compiled):
+        estimate.work_units += len(successors)
+        valid, consistent = [], []
+        for key, probability, is_terminal, name, counter, previous, partitions in successors:
+            if is_terminal:
+                valid.append((key, probability))
+                continue
+            if counter != counters.get(name, 0) or previous != accumulated:
+                continue
+            consistent.append((key, probability))
+            predicted = self.predict_partitions(
+                model.procedure, name, counter, parameters, accumulated
+            )
+            if predicted is not None and partitions == predicted:
+                valid.append((key, probability))
+        pool = valid or consistent or [(record[0], record[1]) for record in successors]
+        if len(pool) == 1:
+            key, probability = pool[0]
+            return key, 1.0 if probability > 0 else 0.0
+        best = max(pool, key=_pool_rank)
+        total = sum(probability for _, probability in pool)
+        if total <= 0:
+            return best[0], 0.0
+        return best[0], best[1] / total

@@ -1,9 +1,9 @@
-"""Tests for the compiled estimation fast path (houdini/compiled.py).
+"""Tests for the compiled statement resolvers (houdini/compiled.py).
 
 The compiled resolvers must be *observationally identical* to the
-interpreted estimator — same predictions, same estimates, same footprints —
-they only move the catalog/mapping resolution from per-candidate-state to
-per-procedure.
+paper-literal reference (``reference.py`` beside this file) — same
+predictions, same estimates, same footprints — they only move the
+catalog/mapping resolution from per-candidate-state to per-procedure.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from repro.catalog import (
     integer,
     param,
 )
+from repro import pipeline
 from repro.houdini import GlobalModelProvider, HoudiniConfig, PathEstimator
 from repro.houdini.compiled import CONST, DOMINANT, MAPPED, UNKNOWN, CompiledProcedure
-from repro.mapping import MappingEntry, ParameterMapping, ParameterMappingSet
-from repro.types import PartitionSet, ProcedureRequest
+from repro.mapping import MappingEntry, ParameterMapping
+from repro.types import PartitionSet
+from tests.houdini.reference import ReferenceEstimator
 
 # ----------------------------------------------------------------------
 # Synthetic catalog covering every resolver kind.
@@ -170,27 +172,22 @@ class TestResolverKinds:
         assert compiled.footprint((5, ())) is None
 
 
-class TestEquivalenceWithInterpreter:
-    """Compiled predictions must match the interpreted reference exactly."""
+class TestEquivalenceWithReference:
+    """Compiled predictions must match the paper-literal reference exactly."""
 
     def _estimators(self, artifacts):
-        provider = GlobalModelProvider(artifacts.models)
-        compiled = PathEstimator(
-            artifacts.benchmark.catalog, provider, artifacts.mappings,
-            HoudiniConfig(compiled_estimation=True),
+        arguments = (
+            artifacts.benchmark.catalog, GlobalModelProvider(artifacts.models),
+            artifacts.mappings, HoudiniConfig(),
         )
-        interpreted = PathEstimator(
-            artifacts.benchmark.catalog, provider, artifacts.mappings,
-            HoudiniConfig(compiled_estimation=False),
-        )
-        return compiled, interpreted
+        return PathEstimator(*arguments), ReferenceEstimator(*arguments)
 
     def _assert_identical(self, artifacts, count=150):
-        compiled, interpreted = self._estimators(artifacts)
+        compiled, reference = self._estimators(artifacts)
         requests = artifacts.benchmark.generator.generate(count)
         for request in requests:
             fast = compiled.estimate(request)
-            slow = interpreted.estimate(request)
+            slow = reference.estimate(request)
             assert fast.vertices == slow.vertices
             assert fast.edge_probabilities == slow.edge_probabilities
             assert fast.abort_probability == slow.abort_probability
@@ -204,7 +201,7 @@ class TestEquivalenceWithInterpreter:
                 assert prediction.last_access_index == other.last_access_index
                 assert prediction.written == other.written
             assert compiled.predicted_footprint(request) == \
-                interpreted.predicted_footprint(request)
+                reference.predicted_footprint(request)
 
     def test_tpcc_estimates_identical(self, tpcc_artifacts):
         self._assert_identical(tpcc_artifacts)
@@ -214,10 +211,7 @@ class TestEquivalenceWithInterpreter:
 
     def test_predict_partitions_equivalence(self, tpcc_artifacts):
         catalog = tpcc_artifacts.benchmark.catalog
-        provider = GlobalModelProvider(tpcc_artifacts.models)
-        estimator = PathEstimator(
-            catalog, provider, tpcc_artifacts.mappings, HoudiniConfig()
-        )
+        _, reference = self._estimators(tpcc_artifacts)
         requests = tpcc_artifacts.benchmark.generator.generate(25)
         for procedure_name, mapping in tpcc_artifacts.mappings.items():
             procedure = catalog.procedure(procedure_name)
@@ -234,7 +228,47 @@ class TestEquivalenceWithInterpreter:
                         ):
                             assert compiled.predict_partitions(
                                 statement_name, counter, request.parameters, accumulated
-                            ) == estimator._predict_partitions(
-                                procedure, mapping, statement_name, counter,
+                            ) == reference.predict_partitions(
+                                procedure_name, statement_name, counter,
                                 request.parameters, accumulated,
                             )
+
+
+class TestFootprintSignatureParity:
+    @pytest.fixture(scope="class")
+    def auctionmark_estimator(self):
+        artifacts = pipeline.train("auctionmark", 4, trace_transactions=400, seed=11)
+        estimator = PathEstimator(
+            artifacts.benchmark.catalog,
+            artifacts.global_provider(),
+            artifacts.mappings,
+            HoudiniConfig(),
+        )
+        return artifacts, estimator
+
+    def test_combined_equals_separate_on_live_requests(self, auctionmark_estimator):
+        artifacts, estimator = auctionmark_estimator
+        generator = artifacts.benchmark.generator
+        for _ in range(200):
+            req = generator.next_request()
+            compiled = estimator._compiled_for(req.procedure)
+            assert compiled.footprint_and_signature(req.parameters) == (
+                compiled.footprint(req.parameters),
+                compiled.binding_signature(req.parameters),
+            )
+
+    def test_footprint_all_short_parameters_do_not_raise(self, auctionmark_estimator):
+        """Regression: a broadcast/replicated-write procedure's footprint is
+        the whole cluster without consulting the parameters, so a short
+        parameter list must not raise on the combined path either."""
+        artifacts, estimator = auctionmark_estimator
+        checked = 0
+        for name in artifacts.models:
+            compiled = estimator._compiled_for(name)
+            if not compiled._footprint_all:
+                continue
+            footprint, signature = compiled.footprint_and_signature(())
+            assert footprint == compiled.footprint(())
+            assert signature is None or isinstance(signature, tuple)
+            checked += 1
+        assert checked > 0, "AuctionMark should have footprint_all procedures"

@@ -3,7 +3,7 @@
 Covers the model-side structure (`MarkovModel.successor_groups`, its
 invalidation contract) and the estimator's grouped candidate selection,
 which must be observationally identical to both the compiled record scan
-and the interpreted reference path.
+and the paper-literal reference (``reference.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.houdini import estimator as estimator_module
 from repro.mapping import MappingEntry, ParameterMapping, ParameterMappingSet
 from repro.markov.model import MarkovModel, PathStep
 from repro.types import PartitionSet, ProcedureRequest, QueryType
+from tests.houdini.reference import ReferenceEstimator
 
 NUM_PARTITIONS = 4
 
@@ -154,14 +155,12 @@ class TestSuccessorGroups:
 class TestGroupedChoiceEquivalence:
     def _estimate(self, setup, compiled: bool, request):
         catalog, mappings, _, provider = setup
-        estimator = PathEstimator(
-            catalog, provider, mappings,
-            HoudiniConfig(compiled_estimation=compiled),
-        )
+        estimator_class = PathEstimator if compiled else ReferenceEstimator
+        estimator = estimator_class(catalog, provider, mappings, HoudiniConfig())
         return estimator.estimate(request)
 
     @pytest.mark.parametrize("a", range(NUM_PARTITIONS))
-    def test_compiled_grouped_equals_interpreted(self, setup, a):
+    def test_compiled_grouped_equals_reference(self, setup, a):
         request = ProcedureRequest.of("fanout", (a, 0))
         compiled = self._estimate(setup, True, request)
         interpreted = self._estimate(setup, False, request)

@@ -133,3 +133,45 @@ class TestMaintenance:
         second = registry.for_model(model)
         assert first is second
         assert registry.check_all() == []
+
+
+class TestLearningOffNeverWritesTheModels:
+    def test_learning_off_session_leaves_every_model_untouched(self):
+        """A learning-off attempt may reach states the model has never seen;
+        it must not add placeholder vertices for them (a vertex without an
+        inbound edge or a table can influence no walk, yet it would move
+        ``model.version`` and void every memoized walk)."""
+        import hashlib
+        import json
+
+        from repro.markov.serialization import model_to_dict
+        from repro.session import Cluster, ClusterSpec
+
+        session = Cluster.open(ClusterSpec(
+            benchmark="smallbank", num_partitions=16, strategy="houdini",
+            trace_transactions=400, seed=0, learning=False,
+        ))
+        houdini = session.houdini
+
+        def state():
+            return {
+                model.procedure: (
+                    model.version,
+                    hashlib.sha256(
+                        json.dumps(model_to_dict(model), sort_keys=True).encode()
+                    ).hexdigest(),
+                )
+                for model in houdini.provider.models()
+            }
+
+        before = state()
+        result = session.run_for(txns=2000)
+        assert state() == before
+        # The premise: some attempts did leave the modelled states.
+        assert result.restarts > 0 or any(
+            stats.mispredicted_restarts for stats in houdini.stats.procedures.values()
+        )
+        memo = houdini.estimate_cache
+        assert memo.stats.invalidations == 0
+        assert memo.stats.misses == memo.stats.stores == len(memo)
+        session.close()

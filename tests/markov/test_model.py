@@ -139,3 +139,57 @@ class TestRuntimeLearning:
         assert len(distribution) == 2
         assert model.abort in distribution
         assert sum(distribution.values()) == pytest.approx(1.0)
+
+
+class TestModelVersion:
+    def test_count_only_visits_do_not_move_the_version(self):
+        model = MarkovModel("p", 4)
+        model.add_path([step("Q", [0], [])], aborted=False)
+        model.process()
+        version = model.version
+        # Re-recording a known path only increments counters: every edge and
+        # vertex already exists and no probability changes until process().
+        key = step("Q", [0], []).key()
+        model.record_transitions([(model.begin, key), (key, model.commit)])
+        assert model.version == version
+
+    def test_new_edges_placeholders_and_process_move_the_version(self):
+        model = MarkovModel("p", 4)
+        model.add_path([step("Q", [0], [])], aborted=False)
+        model.process()
+        version = model.version
+        other = step("Q", [1], []).key()
+        model.record_transitions([(model.begin, other), (other, model.commit)])
+        assert model.version > version
+        version = model.version
+        model.process()
+        assert model.version > version
+
+    def test_bulk_record_matches_singles(self):
+        """record_transitions is behaviourally identical to a loop of
+        record_transition calls."""
+        a = MarkovModel("p", 4)
+        b = MarkovModel("p", 4)
+        for model in (a, b):
+            model.add_path(
+                [step("A", [0], []), step("B", [0], [0])], aborted=False
+            )
+            model.process()
+        first = step("A", [0], []).key()
+        second = step("B", [1], [0]).key()  # new vertex: a placeholder path
+        transitions = [
+            (a.begin, first), (first, second), (second, a.commit),
+            (a.begin, first), (first, a.abort),
+        ]
+        a.record_transitions(transitions)
+        for source, target in transitions:
+            b.record_transition(source, target)
+        assert a.vertex_count() == b.vertex_count()
+        assert a.edge_count() == b.edge_count()
+        for vertex in a.vertices():
+            assert b.vertex(vertex.key).hits == vertex.hits
+        for source in (a.begin, first, second):
+            mine = {e.target: e.hits for e in a.edges_from(source)}
+            theirs = {e.target: e.hits for e in b.edges_from(source)}
+            assert mine == theirs
+        assert a.stale and b.stale

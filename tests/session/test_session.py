@@ -350,10 +350,11 @@ class TestReconfigure:
         )
         houdini = session.houdini
         session.run_for(txns=100)
-        assert houdini.estimator._walk_tables  # compiled walks populated
+        memo = houdini.estimate_cache
+        assert len(memo) > 0  # walks and decisions memoized
         session.reconfigure(confidence_threshold=0.9)
         assert houdini.config.confidence_threshold == 0.9
-        assert not houdini.estimator._walk_tables
+        assert len(memo) == 0 and houdini.estimate_cache is memo
         with pytest.raises(SessionError, match="confidence_threshold"):
             session.reconfigure(confidence_threshold=1.5)
         session.close()
