@@ -109,15 +109,11 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     "_quota_held": ("TenantQuotaController", "would_admit()/admit()/release_if_admitted()"),
     "_slo_counts": ("SLOTracker", "record()/set_config()/snapshot()"),
     "_work_ends": ("TenancyManager", "note_dispatch()/seed_inflight()/inflight_remaining_ms()"),
-    # Memoized successor structures, one rule for all five: a function of a
-    # vertex's edge set and edge probabilities, so a new edge drops them
-    # (_drop_successor_caches), process() replaces them for the dirty set,
-    # and a hit count on an existing edge only marks the source dirty.
-    "_sorted_successors": ("MarkovModel", "successors()/process(); a new edge drops, a count dirties"),
-    "_successor_records": ("MarkovModel", "successor_records()/process(); a new edge drops, a count dirties"),
-    "_successor_hints": ("MarkovModel", "successor_hint()/process(); a new edge drops, a count dirties"),
-    "_successor_index": ("MarkovModel", "probe_successor()/process(); a new edge drops, a count dirties"),
-    "_successor_groups": ("MarkovModel", "successor_groups()/process(); a new edge drops, a count dirties"),
+    # One SuccessorView per vertex, a function of the vertex's edge set and
+    # edge probabilities: a new edge pops it (_add_edge_visit, the one drop
+    # site), process() replaces it for the dirty set, and a hit count on an
+    # existing edge only marks the source dirty.
+    "_successor_views": ("MarkovModel", "successor_view()/successors()/process(); a new edge drops, a count dirties"),
 }
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """``cache-poke``: derived caches are touched only through their owners.
 
 Each derived cache in the repo — the plan memo, the cost model's schedule
-cache, the Markov model's successor indexes — has named contract methods
+cache, the Markov model's successor views — has named contract methods
 that keep its invalidation story correct (version tokens validated, stale
 entries dropped, rebuilds complete).  Reaching into the backing dict from outside the owning class
-(``model._sorted_successors.clear()``, ``cache._entries[key] = ...``)
+(``model._successor_views.clear()``, ``cache._entries[key] = ...``)
 skips those guarantees, so any attribute access whose name appears in
 :data:`~repro.analysis.contracts.PROTECTED_CACHES` is flagged unless the
 enclosing class *is* the registered owner.

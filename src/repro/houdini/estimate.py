@@ -145,14 +145,6 @@ class PathEstimate:
         # Deterministic tie-break on the partition id keeps runs reproducible.
         return min(counts, key=lambda p: (-counts[p], p))
 
-    def partitions_with_confidence(self, threshold: float) -> list[PartitionId]:
-        """OP2: partitions whose access confidence meets the threshold."""
-        return sorted(
-            prediction.partition_id
-            for prediction in self.partitions.values()
-            if prediction.access_confidence >= threshold
-        )
-
     def finish_points(self) -> dict[PartitionId, int]:
         """OP4: per-partition index of the last predicted access.
 

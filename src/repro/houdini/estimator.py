@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 from ..catalog.schema import Catalog
 from ..mapping.parameter_mapping import ParameterMappingSet
-from ..markov.model import MarkovModel
+from ..markov.model import MarkovModel, SuccessorView
 from ..markov.vertex import VertexKey, VertexKind
 from ..types import EMPTY_PARTITION_SET, PartitionId, PartitionSet, ProcedureRequest
 from .compiled import CompiledProcedure
@@ -41,6 +41,18 @@ def _pool_rank(pair: tuple[VertexKey, float]) -> tuple[float, int]:
 def _position_rank(entry: tuple) -> int:
     """Sort grouped candidates back into canonical record order."""
     return entry[0]
+
+
+def _pick(pool: list[tuple[VertexKey, float]]) -> tuple[VertexKey, float]:
+    """The pool's best candidate and its weight renormalized over the pool."""
+    if len(pool) == 1:
+        key, probability = pool[0]
+        return key, 1.0 if probability > 0 else 0.0
+    best = max(pool, key=_pool_rank)
+    total = sum(probability for _, probability in pool)
+    if total <= 0:
+        return best[0], 0.0
+    return best[0], best[1] / total
 
 
 #: Successor count from which the per-name group index beats the linear
@@ -149,18 +161,15 @@ class PathEstimator:
         counters: dict[str, int] = {}
         confidence = 1.0
         query_index = 0
-        successors_of = model.successor_records
+        view_of = model.successor_view
         choose = self._choose
         for _ in range(self.config.max_path_length):
-            successors = successors_of(current)
-            if not successors:
+            view = view_of(current)
+            if not view.records:
                 break
             chosen, probability = choose(
-                current, successors, model, parameters,
-                accumulated, counters, estimate, compiled,
+                view, parameters, accumulated, counters, estimate, compiled
             )
-            if chosen is None:
-                break
             vertices.append(chosen)
             probabilities.append(probability)
             confidence *= probability
@@ -179,19 +188,14 @@ class PathEstimator:
 
     def _choose(
         self,
-        current: VertexKey,
-        successors: list[tuple[VertexKey, float, bool, str, int, PartitionSet, PartitionSet]],
-        model: MarkovModel,
+        view: SuccessorView,
         parameters: Sequence[Any],
         accumulated: PartitionSet,
         counters: dict[str, int],
         estimate: PathEstimate,
         compiled: CompiledProcedure,
-    ) -> tuple[VertexKey | None, float]:
-        """Pick the next state among a vertex's successor records.
-
-        ``successors`` uses the denormalized layout of
-        :meth:`~repro.markov.model.MarkovModel.successor_records`.
+    ) -> tuple[VertexKey, float]:
+        """Pick the next state among a vertex's successors.
 
         The returned probability is the chosen edge's weight *renormalized
         over the candidate pool it was chosen from*.  A transition that the
@@ -202,31 +206,28 @@ class PathEstimator:
         fallback of §4.2) contribute their relative likelihood, which is what
         the confidence-threshold pruning of §4.3 acts on.
         """
+        successors = view.records
         estimate.work_units += len(successors)
         if len(successors) == 1:
             # A single successor wins regardless of the validity checks
             # (pool = valid or consistent or successors), so the partition
             # prediction can be skipped entirely.
-            record = successors[0]
-            return record[0], 1.0 if record[1] > 0 else 0.0
-        prediction_seed: tuple[tuple[str, int], PartitionSet | None] | None = None
+            key, probability = view.pairs[0]
+            return key, 1.0 if probability > 0 else 0.0
         # When every non-terminal successor belongs to one statement, the
         # prediction pins the partitions and history, so the next state is
         # resolved with a single index probe: at most one successor can
         # match, making it the whole valid pool (probability 1.0).
-        single_name, has_terminal = model.successor_hint(current)
-        if single_name is not None and not has_terminal:
+        single_name = view.single_name
+        if single_name is not None and not view.has_terminal:
             expected_counter = counters.get(single_name, 0)
             predicted = compiled.predict_partitions(
                 single_name, expected_counter, parameters, accumulated
             )
             if predicted is not None:
-                hit = model.probe_successor(
-                    current, single_name, expected_counter, accumulated, predicted
-                )
+                hit = view.probe(single_name, expected_counter, accumulated, predicted)
                 if hit is not None:
                     return hit[0], 1.0 if hit[1] > 0 else 0.0
-            prediction_seed = ((single_name, expected_counter), predicted)
         elif len(successors) >= _GROUPED_CHOICE_MIN_FANOUT:
             # Multi-name (or terminal-bearing) vertex with a wide fan-out:
             # resolve each candidate name with one probe of the per-name
@@ -235,17 +236,11 @@ class PathEstimator:
             # (positions restore the canonical record order); below the
             # fan-out threshold the plain scan is cheaper than the group
             # bookkeeping.
-            return self._choose_grouped(
-                current, successors, model, parameters, accumulated,
-                counters, compiled,
-            )
+            return self._choose_grouped(view, parameters, accumulated, counters, compiled)
         valid: list[tuple[VertexKey, float]] = []
         consistent: list[tuple[VertexKey, float]] = []
         partition_cache: dict[tuple[str, int], PartitionSet | None] = {}
         counters_get = counters.get
-        if prediction_seed is not None:
-            # Reuse the prediction the probe fast path already computed.
-            partition_cache[prediction_seed[0]] = prediction_seed[1]
         for key, probability, is_terminal, name, counter, previous, partitions in successors:
             if is_terminal:
                 valid.append((key, probability))
@@ -268,28 +263,16 @@ class PathEstimator:
                 partitions is predicted or partitions == predicted
             ):
                 valid.append((key, probability))
-        pool = valid or consistent
-        if not pool:
-            pool = [(record[0], record[1]) for record in successors]
-        if len(pool) == 1:
-            key, probability = pool[0]
-            return key, 1.0 if probability > 0 else 0.0
-        best = max(pool, key=_pool_rank)
-        total = sum(probability for _, probability in pool)
-        if total <= 0:
-            return best[0], 0.0
-        return best[0], best[1] / total
+        return _pick(valid or consistent or view.pairs)
 
     def _choose_grouped(
         self,
-        current: VertexKey,
-        successors: list,
-        model: MarkovModel,
+        view: SuccessorView,
         parameters: Sequence[Any],
         accumulated: PartitionSet,
         counters: dict[str, int],
         compiled: CompiledProcedure,
-    ) -> tuple[VertexKey | None, float]:
+    ) -> tuple[VertexKey, float]:
         """Multi-name candidate selection via the per-name group index.
 
         Behaviourally identical to the record scan in :meth:`_choose`: the
@@ -298,44 +281,30 @@ class PathEstimator:
         are kept in canonical record order so tie-breaking and probability
         renormalization agree with the scan bit-for-bit.
         """
-        groups, names, terminals = model.successor_groups(current)
+        groups, names, terminals = view.groups()
         counters_get = counters.get
         valid: list[tuple] = list(terminals)
-        consistent_groups: list[tuple] = []
+        consistent: list[tuple] = []
         for name in names:
             expected_counter = counters_get(name, 0)
             group = groups.get((name, expected_counter, accumulated))
             if not group:
                 continue
-            consistent_groups.append(group)
+            consistent.extend(group)
             predicted = compiled.predict_partitions(
                 name, expected_counter, parameters, accumulated
             )
             if predicted is None:
                 continue
-            for position, key, probability, partitions in group:
+            for entry in group:
+                partitions = entry[3]
                 if partitions is predicted or partitions == predicted:
-                    valid.append((position, key, probability))
-        if valid:
-            if len(valid) > 1:
-                valid.sort(key=_position_rank)
-            pool = [(entry[1], entry[2]) for entry in valid]
-        else:
-            consistent = [entry for group in consistent_groups for entry in group]
-            if consistent:
-                if len(consistent) > 1:
-                    consistent.sort(key=_position_rank)
-                pool = [(entry[1], entry[2]) for entry in consistent]
-            else:
-                pool = [(record[0], record[1]) for record in successors]
-        if len(pool) == 1:
-            key, probability = pool[0]
-            return key, 1.0 if probability > 0 else 0.0
-        best = max(pool, key=_pool_rank)
-        total = sum(probability for _, probability in pool)
-        if total <= 0:
-            return best[0], 0.0
-        return best[0], best[1] / total
+                    valid.append(entry)
+        ranked = valid or consistent
+        if not ranked:
+            return _pick(view.pairs)
+        ranked.sort(key=_position_rank)
+        return _pick([(entry[1], entry[2]) for entry in ranked])
 
     # ------------------------------------------------------------------
     @staticmethod

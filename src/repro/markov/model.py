@@ -42,6 +42,93 @@ class PathStep:
         return VertexKey.query(self.statement, self.counter, self.partitions, self.previous)
 
 
+class SuccessorView:
+    """Everything the planner reads about one vertex's outgoing edges.
+
+    A function of the vertex's edge *set* and each ``edge.probability``,
+    built once and shared — do not mutate:
+
+    * ``pairs`` — ``(target, probability)`` sorted by descending probability,
+      ties by :attr:`VertexKey.sort_token`;
+    * ``records`` — the same successors, same order, with the estimator's
+      per-candidate fields denormalized: ``(key, probability, is_terminal,
+      name, counter, previous, partitions)`` (its inner loop unpacks one
+      tuple per candidate instead of performing five attribute lookups);
+    * ``single_name`` — the statement name every non-terminal successor
+      shares, else ``None``; ``has_terminal`` — whether commit/abort is a
+      successor.  A single-name, terminal-free vertex resolves its next state
+      with one :meth:`probe`.
+
+    The probe index and the per-name groups are built on first use.
+    """
+
+    __slots__ = ("pairs", "records", "single_name", "has_terminal", "_index", "_groups")
+
+    def __init__(self, edges: Iterable[Edge]) -> None:
+        pairs = [(edge.target, edge.probability) for edge in edges]
+        pairs.sort(key=lambda pair: (-pair[1], pair[0].sort_token))
+        self.pairs = pairs
+        self.records = [
+            (key, probability, key.is_terminal, key.name, key.counter,
+             key.previous, key.partitions)
+            for key, probability in pairs
+        ]
+        names = {key.name for key, _ in pairs if not key.is_terminal}
+        self.single_name = next(iter(names)) if len(names) == 1 else None
+        self.has_terminal = any(key.is_terminal for key, _ in pairs)
+        self._index: dict[tuple, tuple[VertexKey, float]] | None = None
+        self._groups: tuple[dict, tuple[str, ...], tuple] | None = None
+
+    def probe(
+        self, name: str, counter: int, previous: PartitionSet, partitions: PartitionSet
+    ) -> tuple[VertexKey, float] | None:
+        """O(1) lookup of one non-terminal successor by its identity fields:
+        the canonical ``(target, probability)`` pair, or ``None``."""
+        index = self._index
+        if index is None:
+            index = self._index = {
+                (key.name, key.counter, key.previous, key.partitions): (key, probability)
+                for key, probability in self.pairs
+                if not key.is_terminal
+            }
+        return index.get((name, counter, previous, partitions))
+
+    def groups(self) -> tuple[dict, tuple[str, ...], tuple]:
+        """Per-name index for wide multi-name vertices: ``(groups, names,
+        terminals)``.
+
+        * ``groups`` maps ``(name, counter, previous)`` to the tuple of
+          matching successors ``(position, key, probability, partitions)``,
+          where ``position`` is the rank in :attr:`records` (it restores the
+          canonical order of a candidate pool);
+        * ``names`` lists the distinct non-terminal statement names in
+          first-appearance order;
+        * ``terminals`` lists the terminal successors as ``(position, key,
+          probability)``.
+        """
+        if self._groups is None:
+            groups: dict[tuple, list] = {}
+            names: list[str] = []
+            terminals: list[tuple] = []
+            for position, record in enumerate(self.records):
+                key, probability, is_terminal, name, counter, previous, partitions = record
+                if is_terminal:
+                    terminals.append((position, key, probability))
+                    continue
+                bucket = groups.get((name, counter, previous))
+                if bucket is None:
+                    groups[(name, counter, previous)] = bucket = []
+                    if name not in names:
+                        names.append(name)
+                bucket.append((position, key, probability, partitions))
+            self._groups = (
+                {group_key: tuple(bucket) for group_key, bucket in groups.items()},
+                tuple(names),
+                tuple(terminals),
+            )
+        return self._groups
+
+
 class MarkovModel:
     """Execution-state graph for a single stored procedure."""
 
@@ -64,24 +151,8 @@ class MarkovModel:
         #: (:mod:`repro.houdini.cache`) compares it to decide whether a
         #: memoized walk or decision derived from this model is still valid.
         self.version = 0
-        #: Probability-sorted successor arrays, rebuilt by :meth:`process`.
-        #: A vertex's entry is dropped the moment it gains an outgoing edge
-        #: (see :meth:`_drop_successor_caches`) and re-read through on demand.
-        self._sorted_successors: dict[VertexKey, list[tuple[VertexKey, float]]] = {}
-        #: Denormalized companions of ``_sorted_successors`` (see
-        #: :meth:`successor_records`); maintained under the same contract.
-        self._successor_records: dict[VertexKey, list[tuple]] = {}
-        #: Per-vertex ``(single_query_name, has_terminal)`` hints (see
-        #: :meth:`successor_hint`); maintained under the same contract.
-        self._successor_hints: dict[VertexKey, tuple[str | None, bool]] = {}
-        #: Per-vertex probe index over the non-terminal successors, keyed by
-        #: ``(name, counter, previous, partitions)`` (see
-        #: :meth:`probe_successor`); maintained under the same contract.
-        self._successor_index: dict[VertexKey, dict[tuple, tuple[VertexKey, float]]] = {}
-        #: Per-vertex *per-name* successor grouping (see
-        #: :meth:`successor_groups`), the multi-name extension of the probe
-        #: index; maintained under the same contract.
-        self._successor_groups: dict[VertexKey, tuple[dict, tuple, tuple]] = {}
+        #: One :class:`SuccessorView` per vertex (see :meth:`successor_view`).
+        self._successor_views: dict[VertexKey, SuccessorView] = {}
         #: Vertices whose outgoing edge counts changed (or that were created)
         #: since the last processing pass.  ``None`` means "everything" —
         #: the model has never been processed with its current structure.
@@ -148,178 +219,28 @@ class MarkovModel:
     def edges_from(self, key: VertexKey) -> list[Edge]:
         return list(self._edges.get(key, {}).values())
 
+    def successor_view(self, key: VertexKey) -> SuccessorView:
+        """The vertex's :class:`SuccessorView` (the planner fetches it once
+        per walk step).
+
+        A view is a function of the vertex's edge set and edge probabilities:
+        a new edge drops it (rebuilt here, read-through, on the next call),
+        :meth:`process` replaces it for every dirty vertex, and counting a
+        visit to an existing edge leaves it alone — run-time learning keeps
+        serving the same object until the structure or the probabilities
+        move.  An unknown vertex gets an empty view that is not kept.
+        """
+        view = self._successor_views.get(key)
+        if view is None:
+            view = SuccessorView(self._edges.get(key, {}).values())
+            if key in self._vertices:
+                self._successor_views[key] = view
+        return view
+
     def successors(self, key: VertexKey) -> list[tuple[VertexKey, float]]:
-        """Outgoing (target, probability) pairs sorted by descending probability.
-
-        After :meth:`process` the answer comes from a precomputed array (the
-        estimator calls this for every step of every walk, so the per-call
-        rebuild-and-sort used to dominate estimation time).  The array is a
-        function of the vertex's edge set and edge probabilities: a new edge
-        drops it (rebuilt here, read-through, on the next call), a processing
-        pass overwrites it for every dirty vertex, and counting a visit to an
-        existing edge leaves it alone — run-time learning keeps serving the
-        same list object until the structure or the probabilities move.
-        The returned list is shared — callers must not mutate it.
-        """
-        cached = self._sorted_successors.get(key)
-        if cached is not None:
-            return cached
-        pairs = self._build_successors(key)
-        if key in self._vertices:
-            self._sorted_successors[key] = pairs
-        return pairs
-
-    def successor_records(
-        self, key: VertexKey
-    ) -> list[tuple[VertexKey, float, bool, str, int, PartitionSet, PartitionSet]]:
-        """Like :meth:`successors`, with the estimator's per-candidate fields
-        denormalized into each record:
-
-        ``(key, probability, is_terminal, name, counter, previous, partitions)``
-
-        The estimator's inner loop unpacks one tuple per candidate instead of
-        performing five attribute lookups.  Same ordering and invalidation
-        contract as :meth:`successors`; the list is shared — do not mutate.
-        """
-        cached = self._successor_records.get(key)
-        if cached is not None:
-            return cached
-        records = self._build_records(self.successors(key))
-        if key in self._vertices:
-            self._successor_records[key] = records
-        return records
-
-    def successor_hint(self, key: VertexKey) -> tuple[str | None, bool]:
-        """Precomputed ``(single_query_name, has_terminal)`` for a vertex.
-
-        ``single_query_name`` is set when every non-terminal successor shares
-        one statement name — the estimator then resolves the next state with
-        a single O(1) probe of :meth:`probe_successor` instead of scanning
-        every candidate.  Same invalidation contract as :meth:`successors`.
-        """
-        cached = self._successor_hints.get(key)
-        if cached is not None:
-            return cached
-        hint = self._build_hint(self.successors(key))
-        if key in self._vertices:
-            self._successor_hints[key] = hint
-        return hint
-
-    def probe_successor(
-        self,
-        source: VertexKey,
-        name: str,
-        counter: int,
-        previous: PartitionSet,
-        partitions: PartitionSet,
-    ) -> tuple[VertexKey, float] | None:
-        """O(1) lookup of one non-terminal successor by its identity fields.
-
-        Works for vertices whose successors span *multiple* statement names
-        (the index is keyed by the full identity, name included); the
-        estimator pairs it with :meth:`successor_groups` to resolve each
-        candidate name with one probe instead of scanning every candidate.
-        Returns the canonical ``(target, probability)`` pair, or ``None``
-        when no such successor exists.  Same invalidation contract as
-        :meth:`successors`.
-        """
-        index = self._successor_index.get(source)
-        if index is None:
-            index = self._build_index(self.successors(source))
-            if source in self._vertices:
-                self._successor_index[source] = index
-        return index.get((name, counter, previous, partitions))
-
-    def successor_groups(
-        self, key: VertexKey
-    ) -> tuple[dict, tuple[str, ...], tuple]:
-        """Per-name index over a vertex's successors (multi-name fast path).
-
-        Returns ``(groups, names, terminals)``:
-
-        * ``groups`` maps ``(name, counter, previous)`` to the tuple of
-          matching successor records ``(position, key, probability,
-          partitions)``, where ``position`` is the record's rank in
-          :meth:`successor_records` order (used to keep candidate pools in
-          canonical order);
-        * ``names`` lists the distinct non-terminal statement names in
-          first-appearance order;
-        * ``terminals`` lists the terminal successors as ``(position, key,
-          probability)``.
-
-        Same invalidation contract as :meth:`successors`; the returned
-        structures are shared — do not mutate.
-        """
-        cached = self._successor_groups.get(key)
-        if cached is not None:
-            return cached
-        groups = self._build_groups(self.successor_records(key))
-        if key in self._vertices:
-            self._successor_groups[key] = groups
-        return groups
-
-    @staticmethod
-    def _build_hint(pairs: list[tuple[VertexKey, float]]) -> tuple[str | None, bool]:
-        has_terminal = False
-        names: set[str] = set()
-        for key, _ in pairs:
-            if key.is_terminal:
-                has_terminal = True
-            else:
-                names.add(key.name)
-        single = next(iter(names)) if len(names) == 1 else None
-        return (single, has_terminal)
-
-    @staticmethod
-    def _build_index(
-        pairs: list[tuple[VertexKey, float]]
-    ) -> dict[tuple, tuple[VertexKey, float]]:
-        return {
-            (key.name, key.counter, key.previous, key.partitions): (key, probability)
-            for key, probability in pairs
-            if not key.is_terminal
-        }
-
-    @staticmethod
-    def _build_groups(
-        records: list[tuple[VertexKey, float, bool, str, int, PartitionSet, PartitionSet]]
-    ) -> tuple[dict, tuple[str, ...], tuple]:
-        groups: dict[tuple, list] = {}
-        names: list[str] = []
-        terminals: list[tuple] = []
-        for position, record in enumerate(records):
-            key, probability, is_terminal, name, counter, previous, partitions = record
-            if is_terminal:
-                terminals.append((position, key, probability))
-                continue
-            group_key = (name, counter, previous)
-            bucket = groups.get(group_key)
-            if bucket is None:
-                groups[group_key] = bucket = []
-                if name not in names:
-                    names.append(name)
-            bucket.append((position, key, probability, partitions))
-        return (
-            {group_key: tuple(bucket) for group_key, bucket in groups.items()},
-            tuple(names),
-            tuple(terminals),
-        )
-
-    def _build_successors(self, key: VertexKey) -> list[tuple[VertexKey, float]]:
-        edges = self._edges.get(key, {})
-        pairs = [(edge.target, edge.probability) for edge in edges.values()]
-        pairs.sort(key=lambda pair: (-pair[1], pair[0].sort_token))
-        return pairs
-
-    @staticmethod
-    def _build_records(
-        pairs: list[tuple[VertexKey, float]]
-    ) -> list[tuple[VertexKey, float, bool, str, int, PartitionSet, PartitionSet]]:
-        return [
-            (key, probability, key.is_terminal, key.name, key.counter,
-             key.previous, key.partitions)
-            for key, probability in pairs
-        ]
+        """Outgoing (target, probability) pairs sorted by descending
+        probability — ``successor_view(key).pairs``; shared, do not mutate."""
+        return self.successor_view(key).pairs
 
     def edge(self, source: VertexKey, target: VertexKey) -> Edge | None:
         return self._edges.get(source, {}).get(target)
@@ -359,7 +280,7 @@ class MarkovModel:
 
         A *new* edge changes the successor structure (its probability stays
         0.0 until the next processing pass, but it already participates in
-        candidate pools), so the source's successor structures are dropped and
+        candidate pools), so the source's successor view is dropped and
         memoized walks must go.  A visit to an existing edge changes neither
         the edge set nor any ``edge.probability``: it only marks the source
         dirty, and the next :meth:`process` refreshes exactly the dirty set.
@@ -371,26 +292,11 @@ class MarkovModel:
             targets[target] = edge
             self._reverse.setdefault(target, set()).add(source)
             self.version += 1
-            self._drop_successor_caches(source)
+            self._successor_views.pop(source, None)
         edge.hits += count
         if self._dirty is not None:
             self._dirty.add(source)
         return edge
-
-    def _drop_successor_caches(self, source: VertexKey) -> None:
-        """Forget every memoized successor structure of one vertex.
-
-        The structures are a function of the vertex's edge *set* and each
-        ``edge.probability``, so they are dropped when an edge is added and
-        rebuilt when :meth:`process` recomputes probabilities — never on a
-        hit count.  The single place that knows the full structure list: a
-        new memoized successor structure must be popped here too.
-        """
-        self._sorted_successors.pop(source, None)
-        self._successor_records.pop(source, None)
-        self._successor_hints.pop(source, None)
-        self._successor_index.pop(source, None)
-        self._successor_groups.pop(source, None)
 
     def add_path(self, steps: Sequence[PathStep], aborted: bool) -> list[VertexKey]:
         """Fold one transaction's execution path into the model.
@@ -467,15 +373,14 @@ class MarkovModel:
         )
         if incremental and not dirty:
             # Nothing changed since the last pass: probabilities, successor
-            # arrays and tables are all still valid.
+            # views and tables are all still valid.
             self._stale = False
             return
-        if incremental:
-            self._compute_edge_probabilities(dirty)
-            self._refresh_successor_cache(dirty)
-        else:
-            self._compute_edge_probabilities(None)
-            self._refresh_successor_cache(None)
+        sources = dirty if incremental else None
+        self._compute_edge_probabilities(sources)
+        for key in self._vertices if sources is None else sources:
+            if key in self._vertices:
+                self._successor_views[key] = SuccessorView(self._edges[key].values())
         if precompute_tables:
             order, complete = self._topological_order()
             if not complete:
@@ -511,50 +416,6 @@ class MarkovModel:
             total = sum(edge.hits for edge in targets.values())
             for edge in targets.values():
                 edge.probability = edge.hits / total if total > 0 else 0.0
-
-    def _refresh_successor_cache(self, sources: set[VertexKey] | None) -> None:
-        """Precompute the probability-sorted successor arrays."""
-        if sources is None:
-            self._sorted_successors = {
-                key: self._build_successors(key) for key in self._vertices
-            }
-            self._successor_records = {
-                key: self._build_records(pairs)
-                for key, pairs in self._sorted_successors.items()
-            }
-            self._successor_hints = {
-                key: self._build_hint(pairs)
-                for key, pairs in self._sorted_successors.items()
-            }
-            # The probe index is consulted for vertices whose hint is
-            # (single name, no terminal successor); the per-name groups cover
-            # the complementary multi-name / terminal-bearing vertices.
-            # Everything else is covered by the lazy read-throughs.
-            self._successor_index = {
-                key: self._build_index(self._sorted_successors[key])
-                for key, (single, has_terminal) in self._successor_hints.items()
-                if single is not None and not has_terminal
-            }
-            self._successor_groups = {
-                key: self._build_groups(self._successor_records[key])
-                for key, (single, has_terminal) in self._successor_hints.items()
-                if single is None or has_terminal
-            }
-        else:
-            for key in sources:
-                if key in self._vertices:
-                    pairs = self._build_successors(key)
-                    self._sorted_successors[key] = pairs
-                    records = self._build_records(pairs)
-                    self._successor_records[key] = records
-                    hint = self._build_hint(pairs)
-                    self._successor_hints[key] = hint
-                    self._successor_index.pop(key, None)
-                    self._successor_groups.pop(key, None)
-                    if hint[0] is not None and not hint[1]:
-                        self._successor_index[key] = self._build_index(pairs)
-                    else:
-                        self._successor_groups[key] = self._build_groups(records)
 
     def _affected_closure(self, dirty: set[VertexKey]) -> set[VertexKey]:
         """Dirty vertices plus every vertex that can reach one of them.

@@ -73,7 +73,7 @@ class VertexKey:
         object.__setattr__(self, "is_query", self.kind is VertexKind.QUERY)
         object.__setattr__(self, "is_terminal", self.kind.is_terminal)
         # Tie-break among equal-probability successors
-        # (``MarkovModel._build_successors``).  It decides successor order and
+        # (``SuccessorView.pairs``).  It decides successor order and
         # so result bytes: the format is frozen here, spelled out down to the
         # partition lists, and independent of every ``__str__``/``label``.
         if self.kind is VertexKind.QUERY:

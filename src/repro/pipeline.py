@@ -153,11 +153,3 @@ def simulate(
     result = session.run_for(txns=transactions)
     session.close()
     return result
-
-
-def _anchor_value(parameters):
-    """First scalar parameter of a request (the benchmark anchor entity)."""
-    for value in parameters:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return value
-    return 0

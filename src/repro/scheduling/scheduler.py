@@ -526,41 +526,29 @@ class TransactionScheduler:
         documented error bound) at the zero-adjusted rank.
         """
         summary: dict[str, dict] = {}
-        if self._streaming_waits:
-            for procedure in sorted(set(self._waits) | set(self._zero_waits)):
-                sketch = self._waits.get(procedure)
-                zeros = self._zero_waits.get(procedure, 0)
-                nonzero = sketch.count if sketch is not None else 0
-                count = zeros + nonzero
-
-                def percentile(p: int) -> float:
-                    rank = max(0, -(-count * p // 100) - 1)
-                    if rank < zeros or not nonzero:
-                        return 0.0
-                    return sketch.quantile((rank - zeros + 1) / nonzero)
-
-                summary[procedure] = {
-                    "count": count,
-                    "mean_ms": (sketch.total if sketch is not None else 0.0) / count,
-                    "max_ms": sketch.max if nonzero else 0.0,
-                    "p50_ms": percentile(50),
-                    "p95_ms": percentile(95),
-                    "p99_ms": percentile(99),
-                }
-            return summary
         for procedure in sorted(set(self._waits) | set(self._zero_waits)):
-            waits = sorted(self._waits.get(procedure, ()))
             zeros = self._zero_waits.get(procedure, 0)
-            count = zeros + len(waits)
+            recorded = self._waits.get(procedure)
+            # count / sum / max / 0-based rank -> value of the non-zero waits
+            if recorded is None:
+                nonzero, total, largest, value_at = 0, 0.0, 0.0, None
+            elif self._streaming_waits:
+                nonzero, total, largest = recorded.count, recorded.total, recorded.max
+                value_at = lambda index: recorded.quantile((index + 1) / nonzero)
+            else:
+                waits = sorted(recorded)
+                nonzero, total, largest = len(waits), sum(waits), waits[-1]
+                value_at = waits.__getitem__
+            count = zeros + nonzero
 
             def percentile(p: int) -> float:
                 rank = max(0, -(-count * p // 100) - 1)
-                return waits[rank - zeros] if rank >= zeros else 0.0
+                return value_at(rank - zeros) if rank >= zeros else 0.0
 
             summary[procedure] = {
                 "count": count,
-                "mean_ms": sum(waits) / count,
-                "max_ms": waits[-1] if waits else 0.0,
+                "mean_ms": total / count,
+                "max_ms": largest,
                 "p50_ms": percentile(50),
                 "p95_ms": percentile(95),
                 "p99_ms": percentile(99),

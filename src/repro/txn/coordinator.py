@@ -92,14 +92,6 @@ class TransactionCoordinator:
         return record
 
     # ------------------------------------------------------------------
-    def execute_all(self, requests, progress_every: int = 0):
-        """Execute a sequence of requests, yielding their records."""
-        for index, request in enumerate(requests):
-            yield self.execute_transaction(request)
-            if progress_every and (index + 1) % progress_every == 0:  # pragma: no cover
-                pass
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _finalize(record: TransactionRecord) -> None:
         final = record.final_attempt

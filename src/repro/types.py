@@ -22,13 +22,6 @@ ClientId = int
 ParameterValue = Any
 
 
-class IsolationDecision(Enum):
-    """How the coordinator decided to run a transaction."""
-
-    SINGLE_PARTITION = "single_partition"
-    MULTI_PARTITION = "multi_partition"
-
-
 class QueryType(Enum):
     """Coarse classification of a statement used by probability tables."""
 

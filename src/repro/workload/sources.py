@@ -250,6 +250,9 @@ class WorkloadSource(ABC):
             )
         return factory(data)
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.to_dict() == other.to_dict()
+
     def describe(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.to_dict()}>"
 
@@ -298,9 +301,6 @@ class ClosedLoopSource(WorkloadSource):
         # clients drive submission (the session layer special-cases this
         # source and never consumes the empty stream).
         return CompiledSource(iter(()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClosedLoopSource) and self.to_dict() == other.to_dict()
 
 
 class OpenLoopSource(WorkloadSource):
@@ -419,9 +419,6 @@ class OpenLoopSource(WorkloadSource):
 
         return CompiledSource(stream())
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpenLoopSource) and self.to_dict() == other.to_dict()
-
 
 class TraceReplaySource(WorkloadSource):
     """Replay a recorded :class:`WorkloadTrace` as live traffic.
@@ -523,9 +520,6 @@ class TraceReplaySource(WorkloadSource):
 
         return CompiledSource(stream())
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TraceReplaySource) and self.to_dict() == other.to_dict()
-
 
 class PhasedSource(WorkloadSource):
     """Time-phased mixture: each phase contributes one arrival source.
@@ -607,9 +601,6 @@ class PhasedSource(WorkloadSource):
 
         return CompiledSource(stream())
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhasedSource) and self.to_dict() == other.to_dict()
-
 
 class TenantSource(WorkloadSource):
     """Labeled composition: several tenants share one cluster.
@@ -664,9 +655,6 @@ class TenantSource(WorkloadSource):
             for order, (name, source) in enumerate(self.tenants.items())
         ]
         return CompiledSource(_merge_labeled(compiled))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TenantSource) and self.to_dict() == other.to_dict()
 
 
 def _merge_labeled(
@@ -901,9 +889,6 @@ class ClientCohortSource(WorkloadSource):
         if len(compiled) == 1:
             return compiled[0][2]
         return CompiledSource(_merge_labeled(compiled))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClientCohortSource) and self.to_dict() == other.to_dict()
 
 
 # ----------------------------------------------------------------------

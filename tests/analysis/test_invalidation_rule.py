@@ -51,7 +51,7 @@ class TestCachePoke:
         findings = check({"mod.py": """
             class Scheduler:
                 def reset(self, model):
-                    model._sorted_successors.clear()
+                    model._successor_views.clear()
         """}, rule="cache-poke")
         assert len(findings) == 1
         assert "MarkovModel" in findings[0].message

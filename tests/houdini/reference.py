@@ -3,8 +3,8 @@
 Until the plan memo became the only planning cache this code lived in
 ``repro.houdini.estimator`` behind ``HoudiniConfig.compiled_estimation=False``.
 It re-derives every catalog and mapping fact per candidate state and picks
-the next state with a plain scan of the successor records — no compiled
-resolvers, no successor-hint probe, no per-name group index — so it is the
+the next state with a plain scan of the view's successor records — no
+compiled resolvers, no identity probe, no per-name group index — so it is the
 oracle for ``repro.houdini.compiled`` and for the shortcuts in
 ``PathEstimator._choose`` (``test_compiled.py``, ``test_multiname_probe.py``).
 It shares only the walk loop and the per-vertex accounting with the
@@ -90,8 +90,8 @@ class ReferenceEstimator(PathEstimator):
                     footprint.add(scheme.partition_for_value(value))
         return frozenset(footprint)
 
-    def _choose(self, current, successors, model, parameters, accumulated,
-                counters, estimate, compiled):
+    def _choose(self, view, parameters, accumulated, counters, estimate, compiled):
+        successors = view.records
         estimate.work_units += len(successors)
         valid, consistent = [], []
         for key, probability, is_terminal, name, counter, previous, partitions in successors:
@@ -102,7 +102,7 @@ class ReferenceEstimator(PathEstimator):
                 continue
             consistent.append((key, probability))
             predicted = self.predict_partitions(
-                model.procedure, name, counter, parameters, accumulated
+                estimate.procedure, name, counter, parameters, accumulated
             )
             if predicted is not None and partitions == predicted:
                 valid.append((key, probability))

@@ -26,6 +26,7 @@ from repro import pipeline
 from repro.houdini import GlobalModelProvider, HoudiniConfig, PathEstimator
 from repro.houdini.compiled import CONST, DOMINANT, MAPPED, UNKNOWN, CompiledProcedure
 from repro.mapping import MappingEntry, ParameterMapping
+from repro.markov import MarkovModel
 from repro.types import PartitionSet
 from tests.houdini.reference import ReferenceEstimator
 
@@ -208,6 +209,29 @@ class TestEquivalenceWithReference:
 
     def test_tatp_estimates_identical(self, tatp_artifacts):
         self._assert_identical(tatp_artifacts)
+
+    def test_one_successor_view_fetch_per_walk_step(self, tpcc_artifacts, monkeypatch):
+        """The walker's only model read per step is one ``successor_view``
+        call: `_choose` and its strategies read the view they are handed."""
+        compiled, _ = self._estimators(tpcc_artifacts)
+        fetches = []
+        fetch = MarkovModel.successor_view
+
+        def counting(self, key):
+            fetches.append(key)
+            return fetch(self, key)
+
+        monkeypatch.setattr(MarkovModel, "successor_view", counting)
+        neworders = [
+            request for request in tpcc_artifacts.benchmark.generator.generate(60)
+            if request.procedure == "neworder"
+        ]
+        assert neworders
+        for request in neworders:
+            del fetches[:]
+            estimate = compiled.estimate(request)
+            assert estimate.reached_terminal and len(estimate.vertices) > 10
+            assert fetches == estimate.vertices[:-1]
 
     def test_predict_partitions_equivalence(self, tpcc_artifacts):
         catalog = tpcc_artifacts.benchmark.catalog

@@ -1,7 +1,7 @@
 """Tests for the multi-name successor index (per-name groups).
 
-Covers the model-side structure (`MarkovModel.successor_groups`, its
-invalidation contract) and the estimator's grouped candidate selection,
+Covers the model-side structure (`SuccessorView.groups`, which lives and
+dies with its vertex's view) and the estimator's grouped candidate selection,
 which must be observationally identical to both the compiled record scan
 and the paper-literal reference (``reference.py``).
 """
@@ -102,16 +102,17 @@ def setup():
 class TestSuccessorGroups:
     def test_groups_cover_every_non_terminal_successor(self, setup):
         _, _, model, _ = setup
-        groups, names, terminals = model.successor_groups(model.begin)
+        groups, names, terminals = model.successor_view(model.begin).groups()
         assert set(names) == {"ReadA", "ReadB", "ReadC", "ReadD"}
         assert terminals == ()
         total = sum(len(bucket) for bucket in groups.values())
         assert total == len(model.successors(model.begin)) == 16
 
-    def test_group_probe_matches_probe_successor(self, setup):
+    def test_group_probe_matches_the_identity_probe(self, setup):
         _, _, model, _ = setup
         empty = PartitionSet.of([])
-        groups, _, _ = model.successor_groups(model.begin)
+        view = model.successor_view(model.begin)
+        groups, _, _ = view.groups()
         for partition in range(NUM_PARTITIONS):
             bucket = groups[("ReadB", 0, empty)]
             match = [
@@ -119,15 +120,14 @@ class TestSuccessorGroups:
                 if entry[3] == PartitionSet.of([partition])
             ]
             assert len(match) == 1
-            probe = model.probe_successor(
-                model.begin, "ReadB", 0, empty, PartitionSet.of([partition])
-            )
+            probe = view.probe("ReadB", 0, empty, PartitionSet.of([partition]))
             assert probe == (match[0][1], match[0][2])
 
     def test_positions_restore_record_order(self, setup):
         _, _, model, _ = setup
-        records = model.successor_records(model.begin)
-        groups, _, _ = model.successor_groups(model.begin)
+        view = model.successor_view(model.begin)
+        records = view.records
+        groups, _, _ = view.groups()
         flattened = sorted(
             (entry for bucket in groups.values() for entry in bucket),
             key=lambda entry: entry[0],
@@ -137,19 +137,22 @@ class TestSuccessorGroups:
     def test_invalidated_on_runtime_learning(self, setup):
         _, _, model, _ = setup
         begin = model.begin
-        cached = model.successor_groups(begin)
+        cached = model.successor_view(begin).groups()
         target = model.successors(begin)[0][0]
         model.record_transition(begin, target)
-        # A counted visit changes no probability: the entry is kept until
-        # reprocessing replaces it with one that reflects the new counts.
-        assert model.successor_groups(begin) is cached
+        # A counted visit changes no probability: the view and its groups are
+        # kept until reprocessing replaces them to reflect the new counts.
+        assert model.successor_view(begin).groups() is cached
         model.process()
-        groups, names, _ = model.successor_groups(begin)
+        groups, names, _ = model.successor_view(begin).groups()
         assert (groups, names) != cached[:2]
         assert set(names) == {"ReadA", "ReadB", "ReadC", "ReadD"}
-        # A new outgoing edge changes the structure: the entry goes at once.
+        # A new outgoing edge changes the structure: the view goes at once,
+        # and the rebuilt one groups the new terminal successor.
+        replaced = model.successor_view(begin)
         model.record_transition(begin, model.abort)
-        assert begin not in model._successor_groups
+        assert model.successor_view(begin) is not replaced
+        assert model.successor_view(begin).groups()[2] == ((16, model.abort, 0.0),)
 
 
 class TestGroupedChoiceEquivalence:

@@ -1,18 +1,19 @@
-"""Regression tests for the precomputed successor tables.
+"""Regression tests for the per-vertex successor view.
 
-Guards the cache-invalidation contract.  A vertex's memoized successor
-structures are a function of its edge *set* and each ``edge.probability``:
-a run-time mutation that adds an edge (``record_transition(s)``,
-``add_path``, ``merge_counts``) must drop them immediately and bump
-``version``; one that only counts a visit to an existing edge must leave
-them (and ``version``) alone and mark the vertex dirty, so that the next
-``recompute_probabilities()`` refreshes them — an ordering that disagrees
-with the current edges and probabilities must never be served.
+Guards the cache-invalidation contract.  A vertex's ``SuccessorView`` is a
+function of its edge *set* and each ``edge.probability``: a run-time
+mutation that adds an edge (``record_transition(s)``, ``add_path``,
+``merge_counts``) must drop it immediately and bump ``version``; one that
+only counts a visit to an existing edge must leave it (and ``version``)
+alone and mark the vertex dirty, so that the next
+``recompute_probabilities()`` replaces it — an ordering that disagrees with
+the current edges and probabilities must never be served.
 """
 
 from __future__ import annotations
 
 from repro.markov import MarkovModel, PathStep
+from repro.markov.model import SuccessorView
 from repro.markov.vertex import VertexKey
 from repro.types import PartitionSet, QueryType
 
@@ -85,27 +86,26 @@ class TestSuccessorCache:
         assert target in targets  # present immediately, probability still 0.0
         assert model.edge_probability(model.begin, target) == 0.0
 
-    def test_records_hint_and_probe_follow_the_same_contract(self):
+    def test_records_names_and_probe_live_on_the_one_view(self):
         model = build_branching_model()
-        records = model.successor_records(model.begin)
-        assert [(r[0], r[1]) for r in records] == model.successors(model.begin)
-        for key, probability, is_terminal, name, counter, previous, partitions in records:
+        view = model.successor_view(model.begin)
+        assert view.pairs is model.successors(model.begin)
+        assert [(r[0], r[1]) for r in view.records] == view.pairs
+        for key, probability, is_terminal, name, counter, previous, partitions in view.records:
             assert (key.is_terminal, key.name, key.counter, key.previous, key.partitions) == \
                 (is_terminal, name, counter, previous, partitions)
-        single_name, has_terminal = model.successor_hint(model.begin)
-        assert single_name == "A" and not has_terminal
-        hit = model.probe_successor(
-            model.begin, "A", 0, PartitionSet.of([]), PartitionSet.of([0])
-        )
+        assert view.single_name == "A" and not view.has_terminal
+        hit = view.probe("A", 0, PartitionSet.of([]), PartitionSet.of([0]))
         assert hit is not None and hit[0] == key_of("A", 0, []) and hit[1] == 0.9
-        assert model.probe_successor(
-            model.begin, "A", 1, PartitionSet.of([]), PartitionSet.of([0])
-        ) is None
+        assert view.probe("A", 1, PartitionSet.of([]), PartitionSet.of([0])) is None
+        a0 = model.successor_view(key_of("A", 0, []))
+        assert a0.single_name is None and a0.has_terminal
+        assert a0.groups() == ({}, (), ((0, model.commit, 1.0),))
         # After a mutation + recompute the probe sees the new distribution.
         model.record_transition(model.begin, key_of("A", 1, []), count=90)
         model.recompute_probabilities()
-        hit = model.probe_successor(
-            model.begin, "A", 0, PartitionSet.of([]), PartitionSet.of([1])
+        hit = model.successor_view(model.begin).probe(
+            "A", 0, PartitionSet.of([]), PartitionSet.of([1])
         )
         assert hit is not None and hit[1] == 0.91
 
@@ -148,36 +148,38 @@ class TestIncrementalRecompute:
 
 
 class TestCountChangeVersusStructureChange:
-    def test_hit_only_batch_keeps_the_identical_structures(self):
+    def test_hit_only_batch_keeps_the_identical_view(self):
         model = build_branching_model()
         a0 = key_of("A", 0, [])
-        memoized = (
-            model.successors(model.begin), model.successor_records(model.begin),
-            model.successor_hint(model.begin), model.successor_groups(a0),
-        )
+        views = (model.successor_view(model.begin), model.successor_view(a0))
+        groups = views[1].groups()  # built on first use, then kept with the view
         version = model.version
         model.record_transitions([(model.begin, a0), (a0, model.commit)] * 3)
         assert model.version == version
         assert model.stale and model.edge(model.begin, a0).hits == 12
-        assert model.successors(model.begin) is memoized[0]
-        assert model.successor_records(model.begin) is memoized[1]
-        assert model.successor_hint(model.begin) is memoized[2]
-        assert model.successor_groups(a0) is memoized[3]
+        assert model.successor_view(model.begin) is views[0]
+        assert model.successor_view(a0) is views[1]
+        assert views[1].groups() is groups
         # ... and the recompute still sees the counts (the source is dirty).
         model.recompute_probabilities()
-        assert model.successors(model.begin) is not memoized[0]
+        assert model.successor_view(model.begin) is not views[0]
         assert model.successors(model.begin)[0] == (a0, 12 / 13)
 
-    def test_new_edge_drops_the_structures_and_bumps_version(self):
+    def test_new_edge_drops_the_view_and_bumps_version(self):
         model = build_branching_model()
-        records = model.successor_records(model.begin)
-        untouched = model.successor_records(key_of("A", 0, []))
+        view = model.successor_view(model.begin)
+        empty = PartitionSet.of([])
+        assert view.probe("A", 0, empty, PartitionSet.of([0])) is not None
+        untouched = model.successor_view(key_of("A", 0, []))
         version = model.version
         model.record_transitions([(model.begin, model.abort)])
         assert model.version == version + 1
-        fresh = model.successor_records(model.begin)
-        assert fresh is not records and len(fresh) == len(records) + 1
-        assert model.successor_records(key_of("A", 0, [])) is untouched
+        fresh = model.successor_view(model.begin)
+        assert fresh is not view and len(fresh.records) == len(view.records) + 1
+        # The index and groups went with the view they were built inside.
+        assert fresh.has_terminal and fresh.groups()[2] == ((2, model.abort, 0.0),)
+        assert fresh.probe("A", 0, empty, PartitionSet.of([0])) == view.pairs[0]
+        assert model.successor_view(key_of("A", 0, [])) is untouched
 
     def test_merge_counts_follows_the_same_rule(self):
         model = build_branching_model()
@@ -205,22 +207,23 @@ class TestCountChangeVersusStructureChange:
 
     def test_learning_rebuilds_few_successor_arrays(self, monkeypatch):
         """Count gate: with learning on, planning must mostly be served from
-        the memoized arrays (measured 0.004; the parent rebuilt 0.69 per transition)."""
+        the memoized views (measured 0.004 rebuilt per transition; 0.69 when
+        every counted visit dropped them)."""
         from repro.session import Cluster, ClusterSpec
 
         rebuilds = 0
-        build = MarkovModel._build_successors
+        build = SuccessorView.__init__
 
-        def counting(self, key):
+        def counting(self, edges):
             nonlocal rebuilds
             rebuilds += 1
-            return build(self, key)
+            build(self, edges)
 
         session = Cluster.open(ClusterSpec(
             benchmark="tpcc", num_partitions=16, trace_transactions=1500,
             seed=0, learning=True,
         ))
-        monkeypatch.setattr(MarkovModel, "_build_successors", counting)
+        monkeypatch.setattr(SuccessorView, "__init__", counting)
         session.run_for(txns=300)
         observed = sum(
             entry["transitions_observed"]
@@ -233,25 +236,22 @@ class TestCountChangeVersusStructureChange:
 
 class TestReadThroughCaching:
     def test_fallback_rebuilds_are_recached(self):
-        """A new edge pops the cache entries; the next read must re-cache so
-        the vertex doesn't stay uncached until the next processing pass."""
+        """A new edge pops the view; the next read must re-cache so the
+        vertex doesn't stay uncached until the next processing pass."""
         model = build_branching_model()
         model.record_transition(model.begin, key_of("C", 3, []))
-        first = model.successors(model.begin)
-        assert model.successors(model.begin) is first
-        records = model.successor_records(model.begin)
-        assert model.successor_records(model.begin) is records
-        hint = model.successor_hint(model.begin)
-        assert model.successor_hint(model.begin) is hint
-        # A further structure change invalidates the re-cached entries again.
+        first = model.successor_view(model.begin)
+        assert model.successor_view(model.begin) is first
+        assert model.successors(model.begin) is first.pairs
+        # A further structure change invalidates the re-cached view again.
         model.record_transition(model.begin, key_of("D", 3, []))
-        assert model.successors(model.begin) is not first
+        assert model.successor_view(model.begin) is not first
 
     def test_unknown_vertex_is_not_cached(self):
         model = build_branching_model()
         ghost = key_of("Ghost", 0, [])
         assert model.successors(ghost) == []
-        assert ghost not in model._sorted_successors
+        assert model.successor_view(ghost) is not model.successor_view(ghost)
 
 
 class TestPickling:
@@ -266,5 +266,9 @@ class TestPickling:
         assert clone == partitions and hash(clone) == hash(partitions)
         assert copy.deepcopy(partitions) == partitions
         model = build_branching_model()
-        restored = pickle.loads(pickle.dumps(model))
-        assert restored.successors(restored.begin) == model.successors(model.begin)
+        view = model.successor_view(model.begin)
+        view.probe("A", 0, PartitionSet.of([]), PartitionSet.of([0]))  # the built index pickles too
+        restored = pickle.loads(pickle.dumps(model)).successor_view(model.begin)
+        assert (restored.pairs, restored.records) == (view.pairs, view.records)
+        assert (restored.single_name, restored.has_terminal) == ("A", False)
+        assert restored.probe("A", 0, PartitionSet.of([]), PartitionSet.of([1])) == view.pairs[1]

@@ -1,13 +1,15 @@
-"""Property: the memoized successor structures never disagree with the model.
+"""Property: a vertex's successor view never disagrees with the model.
 
 Random interleavings of every mutation a model accepts — ``add_path``,
 ``record_transition``, ``record_transitions``, ``add_placeholder``,
-``merge_counts`` — and ``process()``.  After every step each memoized
-structure must equal a fresh rebuild from the edges (a count change keeps
-the memo, a structure change drops it, a processing pass replaces it: none
-of the three may ever leave a stale answer behind).  After every
-``process()`` the incrementally maintained model must hold the very floats a
-full ``process()`` computes on a serialized copy.
+``merge_counts`` — and ``process()``.  After every step every vertex's
+``SuccessorView`` — pairs, records, name/terminal summary and, touched here
+on every step, its probe index and per-name groups — must equal a fresh
+rebuild from the edges (a count change keeps the view, a structure change
+drops it, a processing pass replaces it: none of the three may ever leave a
+stale answer behind).  After every ``process()`` the incrementally
+maintained model must hold the very floats a full ``process()`` computes on
+a serialized copy.
 
 Tier-1 runs the default budget; CI's ``learning-smoke`` job runs
 ``--hypothesis-profile=long`` (registered in ``tests/conftest.py``).
@@ -15,6 +17,7 @@ Tier-1 runs the default budget; CI's ``learning-smoke`` job runs
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.markov import MarkovModel
@@ -81,7 +84,7 @@ def apply(model: MarkovModel, operation: str, argument) -> None:
         model.process()
 
 
-def assert_memos_match_a_fresh_rebuild(model: MarkovModel) -> None:
+def assert_views_match_a_fresh_rebuild(model: MarkovModel) -> None:
     ghost = VertexKey.query("Ghost", 9, PartitionSet.of([0]), PartitionSet.of([]))
     for key in [vertex.key for vertex in model.vertices()] + [ghost]:
         pairs = sorted(
@@ -92,18 +95,29 @@ def assert_memos_match_a_fresh_rebuild(model: MarkovModel) -> None:
             (k, p, k.is_terminal, k.name, k.counter, k.previous, k.partitions)
             for k, p in pairs
         ]
+        view = model.successor_view(key)
+        # Known vertices keep one view object; an unknown one is never kept.
+        assert (model.successor_view(key) is view) == (key != ghost)
         assert model.successors(key) == pairs
-        assert model.successor_records(key) == records
-        assert model.successor_hint(key) == MarkovModel._build_hint(pairs)
-        assert model.successor_groups(key) == MarkovModel._build_groups(records)
-        for target, probability in pairs:
-            probed = model.probe_successor(
-                key, target.name, target.counter, target.previous, target.partitions
+        assert view.pairs == pairs
+        assert view.records == records
+        names = {k.name for k, _ in pairs if not k.is_terminal}
+        assert view.single_name == (names.pop() if len(names) == 1 else None)
+        assert view.has_terminal == any(k.is_terminal for k, _ in pairs)
+        groups, group_names, terminals = view.groups()
+        queries = [(i, r) for i, r in enumerate(records) if not r[2]]
+        assert terminals == tuple((i, r[0], r[1]) for i, r in enumerate(records) if r[2])
+        assert group_names == tuple(dict.fromkeys(r[3] for _, r in queries))
+        assert groups == {
+            group_key: tuple(
+                (i, r[0], r[1], r[6]) for i, r in queries if (r[3], r[4], r[5]) == group_key
             )
+            for group_key in {(r[3], r[4], r[5]) for _, r in queries}
+        }
+        for target, probability in pairs:
+            probed = view.probe(target.name, target.counter, target.previous, target.partitions)
             assert probed == (None if target.is_terminal else (target, probability))
-        assert model.probe_successor(
-            key, ghost.name, ghost.counter, ghost.previous, ghost.partitions
-        ) is None
+        assert view.probe(ghost.name, ghost.counter, ghost.previous, ghost.partitions) is None
 
 
 def derived_state(model: MarkovModel) -> list:
@@ -143,6 +157,18 @@ _A = VertexKey.query("A", 0, PartitionSet.of([0]), PartitionSet.of([]))
 _B = VertexKey.query("B", 0, PartitionSet.of([1]), PartitionSet.of([0]))
 
 
+def check(steps) -> None:
+    model = MarkovModel("prop", PARTITIONS)
+    for operation, argument in steps:
+        apply(model, operation, argument)
+        assert_views_match_a_fresh_rebuild(model)
+        if operation == "process":
+            assert_incremental_equals_full(model)
+    model.process()
+    assert_views_match_a_fresh_rebuild(model)
+    assert_incremental_equals_full(model)
+
+
 @given(st.lists(operations, min_size=1, max_size=25))
 @example([  # run-time edges close a cycle A <-> B (rare under random draws)
     ("record_transitions", [(BEGIN_KEY, _A), (_A, _B), (_B, _A), (_B, COMMIT_KEY)]),
@@ -151,13 +177,51 @@ _B = VertexKey.query("B", 0, PartitionSet.of([1]), PartitionSet.of([0]))
     ("process", None),
 ])
 @settings(deadline=None)
-def test_memoized_structures_equal_a_fresh_rebuild_after_every_step(steps):
-    model = MarkovModel("prop", PARTITIONS)
-    for operation, argument in steps:
-        apply(model, operation, argument)
-        assert_memos_match_a_fresh_rebuild(model)
-        if operation == "process":
-            assert_incremental_equals_full(model)
-    model.process()
-    assert_memos_match_a_fresh_rebuild(model)
-    assert_incremental_equals_full(model)
+def test_successor_views_equal_a_fresh_rebuild_after_every_step(steps):
+    check(steps)
+
+
+# ----------------------------------------------------------------------
+# The property is only worth its budget if it catches the bugs it is for:
+# two seeded mutations of ``_add_edge_visit``, the one edge mutation.
+# ----------------------------------------------------------------------
+_add_edge_visit = MarkovModel._add_edge_visit
+
+
+def _new_edge_keeps_the_view(self, source, target, count=1):
+    view = self._successor_views.get(source)
+    edge = _add_edge_visit(self, source, target, count)
+    if view is not None:
+        self._successor_views[source] = view
+    return edge
+
+
+def _hit_does_not_dirty_the_source(self, source, target, count=1):
+    dirty = None if self._dirty is None else set(self._dirty)
+    known = self.edge(source, target) is not None
+    edge = _add_edge_visit(self, source, target, count)
+    if known:
+        self._dirty = dirty
+    return edge
+
+
+class TestMutationsAreCaught:
+    fork = [
+        ("add_path", ([("A", 0, False)], False)),
+        ("add_path", ([("A", 1, False)], False)),
+        ("process", None),
+    ]
+
+    def test_a_new_edge_that_keeps_the_view(self, monkeypatch):
+        script = self.fork + [("record_transition", ((BEGIN_KEY, ABORT_KEY), 1))]
+        check(script)
+        monkeypatch.setattr(MarkovModel, "_add_edge_visit", _new_edge_keeps_the_view)
+        with pytest.raises(AssertionError):
+            check(script)
+
+    def test_a_hit_that_does_not_dirty_its_source(self, monkeypatch):
+        script = self.fork + [("record_transition", ((BEGIN_KEY, _A), 7)), ("process", None)]
+        check(script)
+        monkeypatch.setattr(MarkovModel, "_add_edge_visit", _hit_does_not_dirty_the_source)
+        with pytest.raises(AssertionError):
+            check(script)

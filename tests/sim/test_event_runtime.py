@@ -231,6 +231,54 @@ class TestSessionLegacyEquivalence:
         session.close()
 
 
+class TestFastLoopEqualsGeneralLoop:
+    """``_run_fast`` is a host-time optimisation of ``_run_general`` for the
+    ungated FCFS case (kept because folding it away cost ``tatp_closed`` more
+    than 3%), never a second behaviour: the same legs driven through either
+    loop must give the same snapshot bytes."""
+
+    #: Deadline that routes a leg: only an unbounded one takes ``_run_fast``.
+    DEADLINE = {"_run_fast": float("inf"), "_run_general": 1e15}
+
+    @pytest.fixture()
+    def entered(self, monkeypatch):
+        """Names of the loop bodies entered, in order."""
+        entered = []
+        for name in self.DEADLINE:
+            def spy(self, *args, _loop=getattr(ClusterSimulator, name), _name=name):
+                entered.append(_name)
+                return _loop(self, *args)
+            monkeypatch.setattr(ClusterSimulator, name, spy)
+        return entered
+
+    @pytest.mark.parametrize("think", [0.0, 0.5])
+    @pytest.mark.parametrize("bench_name", ["tatp", "tpcc"])
+    @pytest.mark.parametrize("txns,routes", [
+        (400, [["_run_fast"], ["_run_general"]]),
+        # Two legs, switching loops between them.
+        (300, [["_run_fast", "_run_fast"], ["_run_fast", "_run_general"],
+               ["_run_general", "_run_fast"]]),
+    ])
+    def test_same_legs_through_either_loop(self, entered, bench_name, think, txns, routes):
+        snapshots = []
+        for route in routes:
+            del entered[:]
+            artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+            simulator = ClusterSimulator(
+                artifacts.benchmark.catalog, artifacts.benchmark.database,
+                artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+                config=SimulatorConfig(client_think_time_ms=think), benchmark_name=bench_name,
+            )
+            for loop in route:
+                simulator.extend_budget(txns)
+                simulator.run_until(deadline_ms=self.DEADLINE[loop])
+            assert entered == route
+            result = simulator.snapshot()
+            assert result.total_transactions == txns * len(route)
+            snapshots.append(result.to_dict())
+        assert all(snapshot == snapshots[0] for snapshot in snapshots[1:])
+
+
 class TestSchedulingIntegration:
     @pytest.mark.parametrize("policy", ["shortest-predicted", "single-partition-first"])
     def test_policies_run_inside_the_event_loop(self, policy):
