@@ -114,6 +114,11 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # site), process() replaces it for the dirty set, and a hit count on an
     # existing edge only marks the source dirty.
     "_successor_views": ("MarkovModel", "successor_view()/successors()/process(); a new edge drops, a count dirties"),
+    # Deliberately absent: ``StatementExecutor.tables`` (the per-procedure
+    # compiled step tables).  It is memoized, but it has no invalidation
+    # rule to protect — a step captures only the catalog (immutable) and the
+    # heaps of its own engine's database (which live exactly as long as the
+    # engine), so an entry, once built, can never go stale.
 }
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .procedure import (
 )
 from .schema import Catalog, Schema, statements_by_name
 from .statement import (
-    BoundDelta,
     ColumnDelta,
     Operation,
     ParameterRef,
@@ -53,7 +52,6 @@ __all__ = [
     "Operation",
     "ParameterRef",
     "ColumnDelta",
-    "BoundDelta",
     "param",
     "delta",
     "StoredProcedure",

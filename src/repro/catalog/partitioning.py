@@ -103,21 +103,23 @@ class PartitionEstimator:
     (Houdini's initial path estimation via parameter mappings).
     """
 
-    #: Resolver kinds cached per statement (see :meth:`_resolver_for`).
-    _REPLICATED_READ = 0
-    _FIXED = 1
-    _PARAM = 2
+    #: Resolver kinds (see :meth:`resolve`); payload ``None`` / the fixed
+    #: :class:`PartitionSet` / the routing parameter's index.
+    REPLICATED_READ = 0
+    FIXED = 1
+    PARAM = 2
 
     def __init__(self, scheme: PartitionScheme) -> None:
         self.scheme = scheme
-        self._all = scheme.all_partitions()
-        self._singletons = tuple(
+        #: The broadcast set and the interned one-partition sets, indexed by
+        #: partition id: every routing decision returns one of these.
+        self.all_partitions = scheme.all_partitions()
+        self.singletons = tuple(
             PartitionSet.of([pid]) for pid in range(scheme.num_partitions)
         )
-        #: Per-statement resolution of the catalog-determined part of
-        #: :meth:`partitions_for` (replication, partition column, literal vs
-        #: parameter binding).  Keyed by statement identity; the statement is
-        #: pinned in the value so the id cannot be recycled.
+        #: :meth:`resolve` results for :meth:`partitions_for`.  Keyed by
+        #: statement identity; the statement is pinned in the value so the id
+        #: cannot be recycled.
         self._resolvers: dict[int, tuple[Statement, int, Any]] = {}
 
     # ------------------------------------------------------------------
@@ -137,51 +139,53 @@ class PartitionEstimator:
         value; if the statement has no binding on the partitioning column the
         access is a broadcast to every partition.
 
-        The catalog-determined part of this decision is resolved once per
-        statement and cached; the per-call work for the common case is one
-        parameter fetch plus a hash.
+        This is the off-line form of the API (model construction from
+        traces).  The execution engine applies the same :meth:`resolve`
+        result inline, from its per-procedure step table.
         """
         resolver = self._resolvers.get(id(statement))
         if resolver is None:
-            resolver = self._resolver_for(table, statement)
+            resolver = (statement, *self.resolve(table, statement))
             self._resolvers[id(statement)] = resolver
         _, kind, payload = resolver
-        if kind == self._FIXED:
+        if kind == self.FIXED:
             return payload
-        if kind == self._PARAM:
+        if kind == self.PARAM:
             if payload >= len(parameters):
                 raise CatalogError(
                     f"statement {statement.name!r} expects at least {payload + 1} parameters"
                 )
             value = parameters[payload]
             if value is None:
-                return self._all
-            return self._singletons[stable_hash(value) % self.scheme.num_partitions]
-        # _REPLICATED_READ: local to wherever the control code runs.
+                return self.all_partitions
+            return self.singletons[stable_hash(value) % self.scheme.num_partitions]
+        # REPLICATED_READ: local to wherever the control code runs.
         if base_partition is not None:
-            return self._singletons[base_partition]
-        return self._all
+            return self.singletons[base_partition]
+        return self.all_partitions
 
-    def _resolver_for(self, table: Table, statement: Statement) -> tuple[Statement, int, Any]:
+    def resolve(self, table: Table, statement: Statement) -> tuple[int, Any]:
+        """The catalog-determined part of the routing decision, as
+        ``(kind, payload)``: replication, partition column, literal vs
+        parameter binding.  Fixed per statement — callers cache it."""
         if table.replicated:
             if statement.operation is Operation.SELECT:
-                return (statement, self._REPLICATED_READ, None)
-            return (statement, self._FIXED, self._all)
+                return (self.REPLICATED_READ, None)
+            return (self.FIXED, self.all_partitions)
         partition_column = table.partition_column
         if partition_column is None:
             # Unpartitioned, unreplicated tables live on partition zero.
-            return (statement, self._FIXED, self._singletons[0])
+            return (self.FIXED, self.singletons[0])
         literal = statement.partitioning_literal(partition_column)
         if literal is not None:
             return (
-                statement,
-                self._FIXED,
-                self._singletons[self.scheme.partition_for_value(literal)],
+                self.FIXED,
+                self.singletons[self.scheme.partition_for_value(literal)],
             )
         index = statement.partitioning_parameter_index(partition_column)
         if index is None:
-            return (statement, self._FIXED, self._all)
-        return (statement, self._PARAM, index)
+            return (self.FIXED, self.all_partitions)
+        return (self.PARAM, index)
 
     # ------------------------------------------------------------------
     def partition_for_row(self, table: Table, row: dict[str, Any]) -> PartitionId:

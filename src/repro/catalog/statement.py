@@ -69,9 +69,17 @@ def delta(index: int) -> ColumnDelta:
 
 
 #: Binding-plan kinds produced by :meth:`Statement._compile`.
-_BIND_LITERAL = 0
-_BIND_PARAM = 1
-_BIND_DELTA = 2
+BIND_LITERAL = 0
+BIND_PARAM = 1
+BIND_DELTA = 2
+
+
+def missing_parameter(max_param: int, supplied: int) -> CatalogError:
+    """The error every binding site raises for a too-short parameter list."""
+    return CatalogError(
+        f"statement expected parameter index {max_param} but only "
+        f"{supplied} parameters were supplied"
+    )
 
 
 @dataclass(frozen=True)
@@ -132,16 +140,17 @@ class Statement:
             raise CatalogError(f"statement {self.name!r}: set_values only valid for UPDATE")
         # Statements are bound for every query the engine executes, so the
         # ParameterRef/ColumnDelta classification is resolved once here into
-        # flat (column, kind, payload) plans instead of per bind call.
+        # flat ``((column, kind, payload), ...), max_param`` plans — what the
+        # engine's per-procedure step table is compiled from.
         object.__setattr__(
             self,
             "_query_type",
             QueryType.WRITE if self.operation.is_write else QueryType.READ,
         )
-        object.__setattr__(self, "_where_plan", self._compile(self.where))
-        object.__setattr__(self, "_insert_plan", self._compile(self.insert_values))
+        object.__setattr__(self, "where_plan", self._compile(self.where))
+        object.__setattr__(self, "insert_plan", self._compile(self.insert_values))
         object.__setattr__(
-            self, "_set_plan", self._compile(self.set_values, allow_delta=True)
+            self, "set_plan", self._compile(self.set_values, allow_delta=True)
         )
 
     @staticmethod
@@ -157,13 +166,13 @@ class Statement:
         max_param = -1
         for column, value in bindings.items():
             if isinstance(value, ParameterRef):
-                plan.append((column, _BIND_PARAM, value.index))
+                plan.append((column, BIND_PARAM, value.index))
                 max_param = max(max_param, value.index)
             elif allow_delta and isinstance(value, ColumnDelta):
-                plan.append((column, _BIND_DELTA, value.index))
+                plan.append((column, BIND_DELTA, value.index))
                 max_param = max(max_param, value.index)
             else:
-                plan.append((column, _BIND_LITERAL, value))
+                plan.append((column, BIND_LITERAL, value))
         return tuple(plan), max_param
 
     # ------------------------------------------------------------------
@@ -196,51 +205,13 @@ class Statement:
     # ------------------------------------------------------------------
     def bind_where(self, parameters: Sequence[Any]) -> dict[str, Any]:
         """Resolve the WHERE predicates against concrete parameter values."""
-        plan, max_param = self._where_plan
+        plan, max_param = self.where_plan
         if max_param >= len(parameters):
-            raise CatalogError(
-                f"statement expected parameter index {max_param} but only "
-                f"{len(parameters)} parameters were supplied"
-            )
+            raise missing_parameter(max_param, len(parameters))
         return {
             column: parameters[payload] if kind else payload
             for column, kind, payload in plan
         }
-
-    def bind_insert(self, parameters: Sequence[Any]) -> dict[str, Any]:
-        """Resolve INSERT values against concrete parameter values."""
-        plan, max_param = self._insert_plan
-        if max_param >= len(parameters):
-            raise CatalogError(
-                f"statement expected parameter index {max_param} but only "
-                f"{len(parameters)} parameters were supplied"
-            )
-        return {
-            column: parameters[payload] if kind else payload
-            for column, kind, payload in plan
-        }
-
-    def bind_set(self, parameters: Sequence[Any]) -> dict[str, Any]:
-        """Resolve UPDATE SET assignments.
-
-        :class:`ColumnDelta` assignments remain wrapped so that the executor
-        can apply them additively to the current row value.
-        """
-        plan, max_param = self._set_plan
-        if max_param >= len(parameters):
-            raise CatalogError(
-                f"statement expected parameter index {max_param} but only "
-                f"{len(parameters)} parameters were supplied"
-            )
-        resolved: dict[str, Any] = {}
-        for column, kind, payload in plan:
-            if kind == _BIND_PARAM:
-                resolved[column] = parameters[payload]
-            elif kind == _BIND_DELTA:
-                resolved[column] = BoundDelta(parameters[payload])
-            else:
-                resolved[column] = payload
-        return resolved
 
     def partitioning_parameter_index(self, partition_column: str) -> int | None:
         """Return the parameter index bound to ``partition_column`` if any.
@@ -263,25 +234,3 @@ class Statement:
         if value is None or isinstance(value, (ParameterRef, ColumnDelta)):
             return None
         return value
-
-    @staticmethod
-    def _resolve(value: Any, parameters: Sequence[Any]) -> Any:
-        if isinstance(value, ParameterRef):
-            return Statement._parameter_at(parameters, value.index)
-        return value
-
-    @staticmethod
-    def _parameter_at(parameters: Sequence[Any], index: int) -> Any:
-        if index >= len(parameters):
-            raise CatalogError(
-                f"statement expected parameter index {index} but only "
-                f"{len(parameters)} parameters were supplied"
-            )
-        return parameters[index]
-
-
-@dataclass(frozen=True)
-class BoundDelta:
-    """A resolved additive assignment produced by :meth:`Statement.bind_set`."""
-
-    amount: Any

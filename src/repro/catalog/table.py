@@ -84,10 +84,6 @@ class Table:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def column(self, name: str) -> Column:
         try:
             return self._columns_by_name[name]
@@ -96,10 +92,6 @@ class Table:
 
     def has_column(self, name: str) -> bool:
         return name in self._columns_by_name
-
-    @property
-    def is_partitioned(self) -> bool:
-        return self.partition_column is not None
 
     # ------------------------------------------------------------------
     # Row helpers
@@ -137,8 +129,11 @@ class Table:
 
     def validate_update(self, assignments: Mapping[str, Any]) -> None:
         """Validate an UPDATE's column assignments against this table."""
+        columns = self._columns_by_name
         for name, value in assignments.items():
-            column = self.column(name)
+            column = columns.get(name)
+            if column is None:
+                raise UnknownColumnError(self.name, name)
             if type(value) not in column._exact_types:
                 column.validate_value(value)
 

@@ -3,9 +3,10 @@
 The :class:`TransactionContext` is the object handed to stored-procedure
 control code (Fig. 2's ``run`` method).  It is responsible for
 
-* resolving statement names to :class:`~repro.catalog.statement.Statement`
-  definitions,
-* computing the partitions each invocation accesses (the internal API),
+* resolving statement names to the procedure's compiled
+  :class:`~repro.engine.executor.Step` (one probe of the step table),
+* computing the partitions each invocation accesses, inline from the step's
+  routing kind (the internal API's per-call half),
 * enforcing the coordinator's lock set — touching a partition outside the
   locked set raises :class:`~repro.errors.MispredictionAbort`,
 * recording every invocation (the transaction's *actual execution path*,
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+from ..catalog.partitioning import PartitionEstimator, stable_hash
 from ..catalog.procedure import StoredProcedure
-from ..catalog.schema import Catalog
-from ..errors import MispredictionAbort, UserAbort
-from ..storage.partition_store import Database
+from ..errors import CatalogError, MispredictionAbort, UnknownStatementError, UserAbort
 from ..storage.undo_log import UndoLog
 from ..types import PartitionId, PartitionSet, QueryInvocation
 from .executor import StatementExecutor
@@ -30,14 +30,16 @@ from .executor import StatementExecutor
 #: Listener signature: called after each query with (context, invocation).
 QueryListener = Callable[["TransactionContext", QueryInvocation], None]
 
+_ROUTE_PARAM = PartitionEstimator.PARAM
+_ROUTE_FIXED = PartitionEstimator.FIXED
+
 
 class TransactionContext:
     """Execution state for a single transaction attempt."""
 
     def __init__(
         self,
-        catalog: Catalog,
-        database: Database,
+        executor: StatementExecutor,
         procedure: StoredProcedure,
         parameters: Sequence[Any],
         *,
@@ -45,11 +47,13 @@ class TransactionContext:
         base_partition: PartitionId = 0,
         locked_partitions: PartitionSet | None = None,
         undo_enabled: bool = True,
-        executor: StatementExecutor | None = None,
         undo_log: UndoLog | None = None,
+        listeners: Sequence[QueryListener] = (),
     ) -> None:
-        self.catalog = catalog
-        self.database = database
+        #: The engine's statement executor: owns the compiled step tables and
+        #: the routing constants, shared by every attempt.
+        self.executor = executor
+        self.database = executor.database
         self.procedure = procedure
         self.parameters = tuple(parameters)
         self.txn_id = txn_id
@@ -57,18 +61,22 @@ class TransactionContext:
         #: Partitions the coordinator locked for this transaction.  ``None``
         #: means every partition is available (a fully distributed txn).
         self.locked_partitions = locked_partitions
+        #: The lock set as the frozenset :meth:`execute` tests inline.
+        self._allowed = (
+            locked_partitions.as_frozenset() if locked_partitions is not None else None
+        )
         # An injected log (the sharded backend's effect-capturing one) must
         # agree with undo_enabled; callers construct it that way.
         self.undo_log = undo_log if undo_log is not None else UndoLog(enabled=undo_enabled)
-        # The statement executor is stateless; the engine shares one across
-        # attempts instead of allocating one per transaction.
-        self.executor = executor or StatementExecutor(catalog, database)
-        #: Direct table lookup (statement.table is catalog-validated).
-        self._tables = catalog.schema._tables
+        steps = executor.tables.get(procedure)
+        if steps is None:
+            steps = executor.compile_procedure(procedure)
+        self._steps = steps
         self.invocations: list[QueryInvocation] = []
         self.touched_partitions: set[PartitionId] = set()
-        self._statement_counters: dict[str, int] = {}
-        self._listeners: list[QueryListener] = []
+        #: Executions so far of each statement, by step index.
+        self._counters = [0] * len(steps)
+        self._listeners = listeners
         self.finished_partitions: set[PartitionId] = set()
         #: Partitions added to the lock set *after* undo logging had been
         #: disabled.  Aborting such a transaction would be unrecoverable, so
@@ -77,16 +85,15 @@ class TransactionContext:
         self.escalated_partitions: set[PartitionId] = set()
 
     # ------------------------------------------------------------------
-    # Listener registration (Houdini runtime monitoring)
-    # ------------------------------------------------------------------
-    def add_listener(self, listener: QueryListener) -> None:
-        self._listeners.append(listener)
-
-    # ------------------------------------------------------------------
     # API used by stored-procedure control code
     # ------------------------------------------------------------------
     def execute(self, statement_name: str, parameters: Sequence[Any]) -> list[dict[str, Any]]:
         """Execute one of the procedure's statements.
+
+        Everything the catalog fixes about the statement was resolved into
+        its step when the procedure was compiled; what is left per call is
+        the routing value, the lock-set test, one executor call and the
+        bookkeeping the listeners read.
 
         Raises
         ------
@@ -95,21 +102,42 @@ class TransactionContext:
             lock set.  The coordinator catches this, rolls back and restarts
             the transaction with a larger lock set (Section 2, OP2).
         """
-        statement = self.procedure.statement(statement_name)
-        table = self._tables[statement.table]
-        partitions = self.catalog.estimator.partitions_for(
-            table, statement, parameters, base_partition=self.base_partition
-        )
-        self._check_lock_set(partitions)
-        counter = self._statement_counters.get(statement_name, 0)
-        self._statement_counters[statement_name] = counter + 1
-        rows = self.executor.execute(statement, parameters, partitions, self.undo_log)
+        step = self._steps.get(statement_name)
+        if step is None:
+            raise UnknownStatementError(self.procedure.name, statement_name)
+        executor = self.executor
+        route = step.route
+        if route == _ROUTE_PARAM:
+            try:
+                value = parameters[step.route_payload]
+            except IndexError:
+                raise CatalogError(
+                    f"statement {statement_name!r} expects at least "
+                    f"{step.route_payload + 1} parameters"
+                ) from None
+            if type(value) is int:
+                # stable_hash(int) is the int itself.
+                partitions = executor.singletons[value % executor.num_partitions]
+            elif value is None:
+                partitions = executor.all_partitions
+            else:
+                partitions = executor.singletons[
+                    stable_hash(value) % executor.num_partitions
+                ]
+        elif route == _ROUTE_FIXED:
+            partitions = step.route_payload
+        else:
+            # A replicated read is local to wherever the control code runs.
+            partitions = executor.singletons[self.base_partition]
+        allowed = self._allowed
+        if allowed is not None and not allowed.issuperset(partitions.partitions):
+            self._check_lock_set(partitions)
+        counters = self._counters
+        counter = counters[step.index]
+        counters[step.index] = counter + 1
+        rows = executor.execute(step, parameters, partitions, self.undo_log)
         invocation = QueryInvocation(
-            statement=statement_name,
-            parameters=tuple(parameters),
-            partitions=partitions,
-            counter=counter,
-            query_type=statement.query_type,
+            statement_name, tuple(parameters), partitions, counter, step.query_type
         )
         self.invocations.append(invocation)
         self.touched_partitions.update(partitions.partitions)
@@ -145,15 +173,11 @@ class TransactionContext:
     def touched_partition_set(self) -> PartitionSet:
         return PartitionSet.of(self.touched_partitions)
 
-    def query_count(self) -> int:
-        return len(self.invocations)
-
     def _check_lock_set(self, partitions: PartitionSet) -> None:
-        if self.locked_partitions is None:
-            return
-        allowed = self.locked_partitions.as_frozenset()
+        """Out-of-line half of the lock-set test: :meth:`execute` found
+        ``partitions`` not covered by the lock set — escalate or abort."""
         for partition_id in partitions.partitions:
-            if partition_id not in allowed:
+            if partition_id not in self._allowed:
                 if self.undo_log.records_skipped > 0:
                     # The transaction already wrote data without undo records
                     # (OP3); restarting it is impossible, so the only safe
@@ -163,6 +187,6 @@ class TransactionContext:
                         PartitionSet.of([partition_id])
                     )
                     self.escalated_partitions.add(partition_id)
-                    allowed = self.locked_partitions.as_frozenset()
+                    self._allowed = self.locked_partitions.as_frozenset()
                     continue
                 raise MispredictionAbort(partition_id)

@@ -71,7 +71,8 @@ class ExecutionEngine:
     def __init__(self, catalog: Catalog, database: Database) -> None:
         self.catalog = catalog
         self.database = database
-        #: One stateless statement executor shared by every attempt.
+        #: One statement executor — and with it one set of compiled step
+        #: tables — shared by every attempt.
         self.executor = StatementExecutor(catalog, database)
 
     def new_context(
@@ -83,21 +84,21 @@ class ExecutionEngine:
         locked_partitions: PartitionSet | None = None,
         undo_enabled: bool = True,
         undo_log: UndoLog | None = None,
+        listeners: Sequence[QueryListener] = (),
     ) -> TransactionContext:
         """Build a transaction context for a request without running it."""
         procedure = self.catalog.procedure(request.procedure)
         procedure.validate_parameters(request.parameters)
         return TransactionContext(
-            self.catalog,
-            self.database,
+            self.executor,
             procedure,
             request.parameters,
             txn_id=txn_id,
             base_partition=base_partition,
             locked_partitions=locked_partitions,
             undo_enabled=undo_enabled,
-            executor=self.executor,
             undo_log=undo_log,
+            listeners=listeners,
         )
 
     # ------------------------------------------------------------------
@@ -125,9 +126,8 @@ class ExecutionEngine:
             locked_partitions=locked_partitions,
             undo_enabled=undo_enabled,
             undo_log=undo_log,
+            listeners=listeners,
         )
-        for listener in listeners:
-            context.add_listener(listener)
         procedure = context.procedure
         try:
             return_value = procedure.run(context, *request.parameters)

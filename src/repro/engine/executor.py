@@ -1,64 +1,80 @@
-"""Statement executor.
+"""Statement executor: per-procedure step tables.
 
-Executes a bound :class:`~repro.catalog.statement.Statement` against the row
-heaps of one or more partitions, recording undo information for writes.  The
-executor is deliberately partition-oblivious about *policy*: it is told which
-partitions to touch; deciding that set (and whether touching it is allowed)
-is the transaction context's and coordinator's job.
+Stored procedures are *predefined* (paper §2): every statement a transaction
+can issue, the table it hits and the parameter that routes it are known
+before the first request arrives.  The executor therefore compiles each
+procedure once, on its first attempt, into a table ``statement name ->``
+:class:`Step` holding everything the catalog and this engine's heaps fix
+about the statement — routing kind, target heap per partition, a primary-key
+getter when the WHERE clause is an exact key match (the dominant OLTP access,
+"transactions touch a small subset of data using index look-ups"), the SET
+plan of an UPDATE, the full defaulted row plan of an INSERT.  Executing a
+statement reads the step; nothing is re-derived per call.
 
-Statements are executed tens of thousands of times per simulated run, so the
-executor compiles a per-statement *access plan* on first use: the target
-heap per partition is pre-resolved, and statements whose WHERE clause is an
-exact primary-key match (the dominant OLTP access, "transactions touch a
-small subset of data using index look-ups") bind their key tuple directly
-from the parameters — no predicate dict, no generic access-path selection.
+The executor is deliberately partition-oblivious about *policy*: it is told
+which partitions to touch; deciding that set (and whether touching it is
+allowed) is the transaction context's and coordinator's job.
+
+A step table has no invalidation rule because nothing it captures can
+change: the catalog is immutable and the heaps live exactly as long as the
+engine that owns this executor.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
+from ..catalog.procedure import StoredProcedure
 from ..catalog.schema import Catalog
-from ..catalog.statement import BoundDelta, ColumnDelta, Operation, Statement
-from ..errors import ExecutionError
+from ..catalog.statement import BIND_DELTA, Operation, Statement, missing_parameter
+from ..errors import CatalogError, ExecutionError, UnknownColumnError
 from ..storage.heap import RowHeap
 from ..storage.partition_store import Database
 from ..storage.undo_log import UndoLog
-from ..types import PartitionId, PartitionSet
+from ..types import PartitionId, PartitionSet, QueryType
 
 
-class _AccessPlan:
-    """Pre-resolved execution recipe for one statement."""
+@dataclass(slots=True)
+class Step:
+    """One statement of one procedure, resolved against catalog and heaps."""
 
-    __slots__ = (
-        "statement",
-        "table_name",
-        "heaps",
-        "pk_bindings",
-        "pk_max_param",
-        "update_touches_pk",
-        "update_has_deltas",
-    )
-
-    def __init__(
-        self,
-        statement: Statement,
-        table_name: str,
-        heaps: tuple[RowHeap, ...],
-        pk_bindings: tuple[tuple[int, Any], ...] | None,
-        pk_max_param: int,
-        update_touches_pk: bool,
-        update_has_deltas: bool,
-    ) -> None:
-        self.statement = statement
-        self.table_name = table_name
-        self.heaps = heaps
-        #: ``((is_param, payload), ...)`` aligned to the primary key, or
-        #: ``None`` when the WHERE clause is not an exact primary-key match.
-        self.pk_bindings = pk_bindings
-        self.pk_max_param = pk_max_param
-        self.update_touches_pk = update_touches_pk
-        self.update_has_deltas = update_has_deltas
+    statement: Statement
+    #: Position in the procedure (the context's counter slot).
+    index: int
+    query_type: QueryType
+    #: ``PartitionEstimator.resolve``'s ``(kind, payload)``.
+    route: int
+    route_payload: Any
+    #: Target heap, by partition id.
+    heaps: tuple[RowHeap, ...]
+    #: ``parameters -> primary-key values`` when the WHERE clause is an exact
+    #: primary-key match, else ``None``; usable once ``key_arity`` parameters
+    #: were supplied.  A one-column ``itemgetter`` yields the bare value
+    #: (``key_is_scalar``).
+    key_of: Callable[[Sequence[Any]], Any] | None = None
+    key_is_scalar: bool = False
+    key_arity: int = 0
+    #: The write body (``None`` for SELECT): this module's ``_insert`` /
+    #: ``_update`` / ``_delete``.
+    write: Callable[..., int] | None = None
+    #: UPDATE: ``(column, kind, payload)`` assignments, the parameters they
+    #: need, whether any is additive, and (DELETE too) whether the write
+    #: edits the key bucket the rows were found by.
+    set_plan: tuple[tuple[str, int, Any], ...] = ()
+    set_arity: int = 0
+    set_has_deltas: bool = False
+    rekeys: bool = False
+    #: INSERT: one ``(name, is_param, payload, exact_types, column)`` entry
+    #: per table column, in table order, defaults filled in.  A statement
+    #: naming an unknown column, or omitting a required one, keeps the
+    #: error's constructor (and the entries validated before it) to raise at
+    #: execution time, where the uncompiled path did.
+    row_plan: tuple[tuple, ...] = ()
+    row_arity: int = 0
+    row_error: Callable[[], Exception] | None = None
 
 
 class StatementExecutor:
@@ -72,208 +88,252 @@ class StatementExecutor:
     def __init__(self, catalog: Catalog, database: Database) -> None:
         self.catalog = catalog
         self.database = database
-        #: Direct partition-store list (bounds are enforced by the catalog's
-        #: partition estimator before execution reaches this layer).
-        self._stores = database._partitions
-        #: Per-statement access plans, keyed by statement identity (the
-        #: statement object is pinned inside the plan).
-        self._plans: dict[int, _AccessPlan] = {}
+        #: Routing constants the transaction context reads per statement.
+        estimator = catalog.estimator
+        self.singletons = estimator.singletons
+        self.all_partitions = estimator.all_partitions
+        self.num_partitions = catalog.num_partitions
+        #: Compiled step tables, by procedure (built on first use, never
+        #: invalidated — see the module docstring).
+        self.tables: dict[StoredProcedure, dict[str, Step]] = {}
 
     # ------------------------------------------------------------------
-    def _plan_for(self, statement: Statement) -> _AccessPlan:
-        plan = self._plans.get(id(statement))
-        if plan is None:
-            plan = self._compile(statement)
-            self._plans[id(statement)] = plan
-        return plan
+    # Compilation
+    # ------------------------------------------------------------------
+    def compile_procedure(self, procedure: StoredProcedure) -> dict[str, Step]:
+        """Build (and keep) the step table of ``procedure``."""
+        steps = {
+            name: self.compile(statement, index)
+            for index, (name, statement) in enumerate(procedure.statements.items())
+        }
+        self.tables[procedure] = steps
+        return steps
 
-    def _compile(self, statement: Statement) -> _AccessPlan:
+    def compile(self, statement: Statement, index: int = 0) -> Step:
+        """Resolve one statement into its :class:`Step`."""
         table = self.catalog.schema.table(statement.table)
-        heaps = tuple(store._heaps[statement.table] for store in self._stores)
-        where_plan, where_max_param = statement._where_plan
-        pk_bindings: tuple[tuple[int, Any], ...] | None = None
-        primary_key = tuple(table.primary_key or ())
-        if primary_key and len(where_plan) == len(primary_key):
-            by_column = {column: (kind, payload) for column, kind, payload in where_plan}
-            if set(by_column) == set(primary_key):
-                pk_bindings = tuple(by_column[column] for column in primary_key)
-        update_touches_pk = any(
-            column in primary_key for column in statement.set_values
-        )
-        update_has_deltas = any(
-            isinstance(value, ColumnDelta) for value in statement.set_values.values()
-        )
-        return _AccessPlan(
-            statement,
-            statement.table,
-            heaps,
-            pk_bindings,
-            where_max_param,
-            update_touches_pk,
-            update_has_deltas,
-        )
+        route, route_payload = self.catalog.estimator.resolve(table, statement)
+        # Direct partition-store list: partition ids were bounded by routing.
+        heaps = tuple(store._heaps[statement.table] for store in self.database._partitions)
+        step = Step(statement, index, statement.query_type, route, route_payload, heaps)
+        where_plan, where_max_param = statement.where_plan
+        primary_key = tuple(table.primary_key)
+        by_column = {column: (kind, payload) for column, kind, payload in where_plan}
+        if primary_key and set(by_column) == set(primary_key):
+            bindings = [by_column[column] for column in primary_key]
+            if all(kind for kind, _ in bindings):
+                step.key_of = itemgetter(*(payload for _, payload in bindings))
+                step.key_is_scalar = len(bindings) == 1
+            else:
+                step.key_of = lambda parameters: tuple(
+                    parameters[payload] if kind else payload for kind, payload in bindings
+                )
+            step.key_arity = where_max_param + 1
+        operation = statement.operation
+        if operation is Operation.INSERT:
+            step.write = _insert
+            self._compile_row_plan(step, table)
+        elif operation is Operation.UPDATE:
+            step.write = _update
+            step.set_plan, set_max_param = statement.set_plan
+            step.set_arity = set_max_param + 1
+            step.set_has_deltas = any(kind == BIND_DELTA for _, kind, _ in step.set_plan)
+            step.rekeys = any(column in primary_key for column, _, _ in step.set_plan)
+        elif operation is Operation.DELETE:
+            step.write = _delete
+            step.rekeys = True
+        return step
 
+    @staticmethod
+    def _compile_row_plan(step: Step, table) -> None:
+        insert_plan, insert_max_param = step.statement.insert_plan
+        step.row_arity = insert_max_param + 1
+        bound = {column: (kind, payload) for column, kind, payload in insert_plan}
+        for name in bound:
+            if not table.has_column(name):
+                step.row_error = partial(UnknownColumnError, table.name, name)
+                return
+        entries = []
+        for column in table.columns:
+            if column.name in bound:
+                kind, payload = bound[column.name]
+            elif column.default is not None or column.nullable:
+                kind, payload = 0, column.default
+            else:
+                step.row_error = partial(
+                    CatalogError,
+                    f"insert into {table.name!r} missing required column {column.name!r}",
+                )
+                break
+            entries.append((column.name, kind, payload, column._exact_types, column))
+        step.row_plan = tuple(entries)
+
+    # ------------------------------------------------------------------
+    # Execution
     # ------------------------------------------------------------------
     def execute(
         self,
-        statement: Statement,
+        step: Step,
         parameters: Sequence[Any],
-        partitions: Iterable[PartitionId],
+        partitions: PartitionSet,
         undo_log: UndoLog,
     ) -> list[dict[str, Any]]:
-        """Execute ``statement`` at every partition in ``partitions``.
+        """Execute ``step`` at every partition in ``partitions``.
 
         Returns the merged result rows (for SELECT) or a single-row summary
         with the number of modified rows (for writes), matching the shape
         stored-procedure control code expects.
         """
-        if type(partitions) is PartitionSet:
-            partition_list: Sequence[PartitionId] = partitions.partitions
+        partition_ids = partitions.partitions
+        if not partition_ids:
+            raise ExecutionError(f"statement {step.statement.name!r} targeted no partitions")
+        write = step.write
+        if write is not None:
+            return [{"modified": write(step, parameters, partition_ids, undo_log)}]
+        statement = step.statement
+        output_columns = statement.output_columns
+        heaps = step.heaps
+        rows: list[dict[str, Any]] = []
+        key_of = step.key_of
+        if key_of is not None and step.key_arity <= len(parameters):
+            # Exact primary-key read: bind the key tuple straight from the
+            # parameters and probe the unique index.  A unique key yields at
+            # most one row per partition, so per-partition ordering/limit are
+            # no-ops; only the multi-partition merge below can need them.
+            key = key_of(parameters)
+            if step.key_is_scalar:
+                key = (key,)
+            for partition_id in partition_ids:
+                for row in heaps[partition_id].pk_rows(key):
+                    if output_columns:
+                        projected = {}
+                        for column in output_columns:
+                            projected[column] = row[column]
+                        rows.append(projected)
+                    else:
+                        rows.append(dict(row))
         else:
-            partition_list = list(partitions)
-        if not partition_list:
-            raise ExecutionError(f"statement {statement.name!r} targeted no partitions")
-        plan = self._plans.get(id(statement))
-        if plan is None:
-            plan = self._compile(statement)
-            self._plans[id(statement)] = plan
-        operation = statement.operation
-        if operation is Operation.SELECT:
-            bindings = plan.pk_bindings
-            if bindings is not None and plan.pk_max_param < len(parameters):
-                # Exact primary-key read: bind the key tuple straight from
-                # the parameters and probe the unique index.
-                key = tuple(
-                    parameters[payload] if kind else payload
-                    for kind, payload in bindings
-                )
-                output_columns = statement.output_columns
-                rows: list[dict[str, Any]] = []
-                heaps = plan.heaps
-                for partition_id in partition_list:
-                    for row in heaps[partition_id].pk_rows(key):
-                        if output_columns:
-                            rows.append({c: row[c] for c in output_columns})
-                        else:
-                            rows.append(dict(row))
-                # A unique key yields at most one row per partition, so
-                # per-partition ordering/limit are no-ops; only the
-                # multi-partition merge (same rule as the generic path
-                # below) can need them.
-                if statement.order_by is not None and len(partition_list) > 1:
-                    column, descending = statement.order_by
-                    rows.sort(key=lambda r: r[column], reverse=descending)
-                    if statement.limit is not None:
-                        rows = rows[: statement.limit]
-                return rows
-            rows = []
-            for partition_id in partition_list:
-                rows.extend(self._select(plan, parameters, partition_id))
-            if statement.order_by is not None and len(partition_list) > 1:
-                column, descending = statement.order_by
-                rows.sort(key=lambda r: r[column], reverse=descending)
-                if statement.limit is not None:
-                    rows = rows[: statement.limit]
-            return rows
-        modified = 0
-        for partition_id in partition_list:
-            modified += self._write(plan, parameters, partition_id, undo_log)
-        return [{"modified": modified}]
-
-    # ------------------------------------------------------------------
-    def _select(
-        self, plan: _AccessPlan, parameters: Sequence[Any], partition_id: PartitionId
-    ) -> list[dict[str, Any]]:
-        statement = plan.statement
-        predicate = statement.bind_where(parameters)
-        return plan.heaps[partition_id].select(
-            predicate,
-            output_columns=statement.output_columns,
-            order_by=statement.order_by,
-            limit=statement.limit,
-        )
-
-    def _write(
-        self,
-        plan: _AccessPlan,
-        parameters: Sequence[Any],
-        partition_id: PartitionId,
-        undo_log: UndoLog,
-    ) -> int:
-        statement = plan.statement
-        heap = plan.heaps[partition_id]
-        operation = statement.operation
-        effects = undo_log.effects
-        if operation is Operation.INSERT:
-            values = statement.bind_insert(parameters)
-            row_id = heap.insert(values)
-            undo_log.record_insert(plan.table_name, partition_id, row_id)
-            if effects is not None:
-                # Post-insert image: new_row may have filled defaults.
-                effects.append(
-                    ("i", plan.table_name, partition_id, row_id, dict(heap.row(row_id)))
-                )
-            return 1
-        bindings = plan.pk_bindings
-        if bindings is not None and plan.pk_max_param < len(parameters):
-            key = tuple(
-                parameters[payload] if kind else payload for kind, payload in bindings
-            )
-            bucket = heap.pk_row_ids(key)
-            if operation is Operation.DELETE or plan.update_touches_pk:
-                # The mutation below reindexes the bucket: iterate a copy.
-                row_ids: Sequence[int] = list(bucket)
-            else:
-                row_ids = bucket
-        else:
+            # One predicate serves every partition of a broadcast.
             predicate = statement.bind_where(parameters)
-            row_ids = heap.find(predicate)
-        if operation is Operation.UPDATE:
-            assignments = statement.bind_set(parameters)
-            has_deltas = plan.update_has_deltas
-            if not has_deltas and row_ids:
-                # One shared assignment dict for every matched row: validate
-                # it once instead of per row.
-                heap.table.validate_update(assignments)
-            logging = undo_log.enabled
-            for row_id in row_ids:
-                if has_deltas:
-                    resolved = self._resolve_deltas(heap.row(row_id), assignments)
-                    before = heap.update(row_id, resolved, capture_before=logging)
-                    applied = resolved
-                else:
-                    before = heap.update(
-                        row_id, assignments, validate=False, capture_before=logging
-                    )
-                    applied = assignments
-                if logging:
-                    undo_log.record_update(plan.table_name, partition_id, row_id, before)
-                else:
-                    # OP3 active: no image was built, but the skipped-record
-                    # count must stay exact.
-                    undo_log.note_skipped()
-                if effects is not None:
-                    effects.append(
-                        ("u", plan.table_name, partition_id, row_id, applied)
-                    )
-            return len(row_ids)
-        if operation is Operation.DELETE:
-            count = 0
-            for row_id in row_ids:
-                before = heap.delete(row_id)
-                undo_log.record_delete(plan.table_name, partition_id, row_id, before)
-                if effects is not None:
-                    effects.append(("d", plan.table_name, partition_id, row_id))
-                count += 1
-            return count
-        raise ExecutionError(f"unsupported operation {operation!r}")  # pragma: no cover
+            order_by, limit = statement.order_by, statement.limit
+            for partition_id in partition_ids:
+                rows.extend(heaps[partition_id].select(
+                    predicate, output_columns=output_columns, order_by=order_by, limit=limit
+                ))
+        if statement.order_by is not None and len(partition_ids) > 1:
+            column, descending = statement.order_by
+            rows.sort(key=lambda r: r[column], reverse=descending)
+            if statement.limit is not None:
+                rows = rows[: statement.limit]
+        return rows
 
-    @staticmethod
-    def _resolve_deltas(current_row: dict[str, Any], assignments: dict[str, Any]) -> dict[str, Any]:
-        resolved: dict[str, Any] = {}
-        for column, value in assignments.items():
-            if isinstance(value, BoundDelta):
-                resolved[column] = current_row[column] + value.amount
+
+# ----------------------------------------------------------------------
+# Write bodies (``Step.write``).  Module-level on purpose: a step holding a
+# bound method of its executor would tie executor, steps and heaps into a
+# reference cycle, and a dropped engine's database would wait for the cycle
+# collector instead of being freed at once.
+# ----------------------------------------------------------------------
+def _matching_row_ids(step: Step, parameters: Sequence[Any], heap: RowHeap) -> Sequence[int]:
+    """Row ids an UPDATE/DELETE applies to on one partition."""
+    key_of = step.key_of
+    if key_of is not None and step.key_arity <= len(parameters):
+        key = key_of(parameters)
+        if step.key_is_scalar:
+            key = (key,)
+        bucket = heap.pk_row_ids(key)
+        # A mutation that re-keys or removes the row edits the live
+        # bucket: iterate a copy.
+        return list(bucket) if step.rekeys else bucket
+    return heap.find(step.statement.bind_where(parameters))
+
+
+def _insert(
+    step: Step, parameters: Sequence[Any], partition_ids: Sequence[PartitionId], undo_log: UndoLog
+) -> int:
+    if step.row_arity > len(parameters):
+        raise missing_parameter(step.row_arity - 1, len(parameters))
+    table_name = step.statement.table
+    effects = undo_log.effects
+    for partition_id in partition_ids:
+        # The full, defaulted, type-checked row in one pass (replaces
+        # bind_insert + Table.new_row); each partition stores its own.
+        row: dict[str, Any] = {}
+        for name, is_param, payload, exact_types, column in step.row_plan:
+            value = parameters[payload] if is_param else payload
+            if type(value) not in exact_types:
+                # Slow path covers None/nullability, bool-vs-int and errors.
+                column.validate_value(value)
+            row[name] = value
+        if step.row_error is not None:
+            raise step.row_error()
+        row_id = step.heaps[partition_id].insert(row, validate=False)
+        undo_log.record_insert(table_name, partition_id, row_id)
+        if effects is not None:
+            effects.append(("i", table_name, partition_id, row_id, dict(row)))
+    return len(partition_ids)
+
+
+def _update(
+    step: Step, parameters: Sequence[Any], partition_ids: Sequence[PartitionId], undo_log: UndoLog
+) -> int:
+    table_name = step.statement.table
+    set_plan = step.set_plan
+    has_deltas = step.set_has_deltas
+    effects = undo_log.effects
+    modified = 0
+    for partition_id in partition_ids:
+        heap = step.heaps[partition_id]
+        row_ids = _matching_row_ids(step, parameters, heap)
+        if step.set_arity > len(parameters):
+            raise missing_parameter(step.set_arity - 1, len(parameters))
+        assignments: dict[str, Any] = {}
+        if not has_deltas:
+            # One shared assignment dict for every matched row, validated
+            # once instead of per row.
+            for column, is_param, payload in set_plan:
+                assignments[column] = parameters[payload] if is_param else payload
+            if row_ids:
+                heap.table.validate_update(assignments)
+        logging = undo_log.enabled
+        for row_id in row_ids:
+            if has_deltas:
+                # ``col = col + parameter`` straight from the SET plan;
+                # the sum depends on the row, so each is validated.
+                current = heap.row(row_id)
+                assignments = {}
+                for column, kind, payload in set_plan:
+                    if kind == BIND_DELTA:
+                        assignments[column] = current[column] + parameters[payload]
+                    else:
+                        assignments[column] = parameters[payload] if kind else payload
+            before = heap.update(
+                row_id, assignments, validate=has_deltas, capture_before=logging
+            )
+            if logging:
+                undo_log.record_update(table_name, partition_id, row_id, before)
             else:
-                resolved[column] = value
-        return resolved
+                # OP3 active: no image was built, but the skipped-record
+                # count must stay exact.
+                undo_log.note_skipped()
+            if effects is not None:
+                effects.append(("u", table_name, partition_id, row_id, assignments))
+        modified += len(row_ids)
+    return modified
+
+
+def _delete(
+    step: Step, parameters: Sequence[Any], partition_ids: Sequence[PartitionId], undo_log: UndoLog
+) -> int:
+    table_name = step.statement.table
+    effects = undo_log.effects
+    modified = 0
+    for partition_id in partition_ids:
+        heap = step.heaps[partition_id]
+        for row_id in _matching_row_ids(step, parameters, heap):
+            before = heap.delete(row_id)
+            undo_log.record_delete(table_name, partition_id, row_id, before)
+            if effects is not None:
+                effects.append(("d", table_name, partition_id, row_id))
+            modified += 1
+    return modified

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..markov.vertex import VertexKey, VertexKind
+from ..markov.vertex import Vertex, VertexKey, VertexKind
 from ..types import PartitionId
 
 
@@ -44,6 +44,15 @@ class PathEstimate:
     vertices: list[VertexKey] = field(default_factory=list)
     #: Probability of each traversed edge, aligned with ``vertices[1:]``.
     edge_probabilities: list[float] = field(default_factory=list)
+    #: The model's :class:`Vertex` for each query state the walk accounted
+    #: for, aligned with ``vertices`` (``None`` for begin and terminals), so
+    #: the run-time monitor need not probe the model again for a state the
+    #: walk already fetched.  A model never replaces a vertex object, so the
+    #: record stays valid for as long as the estimate is served.  Empty for
+    #: an estimate no walk produced.
+    path_vertices: list[Vertex | None] = field(
+        default_factory=list, repr=False, compare=False
+    )
     #: Per-partition predictions derived from the path.
     partitions: dict[PartitionId, PartitionPrediction] = field(default_factory=dict)
     #: Greatest abort probability found in the probability tables along the

@@ -25,7 +25,7 @@ from typing import Any, Sequence
 from ..catalog.schema import Catalog
 from ..mapping.parameter_mapping import ParameterMappingSet
 from ..markov.model import MarkovModel, SuccessorView
-from ..markov.vertex import VertexKey, VertexKind
+from ..markov.vertex import Vertex, VertexKey, VertexKind
 from ..types import EMPTY_PARTITION_SET, PartitionId, PartitionSet, ProcedureRequest
 from .compiled import CompiledProcedure
 from .config import HoudiniConfig
@@ -156,7 +156,9 @@ class PathEstimator:
         current = model.begin
         vertices = estimate.vertices
         probabilities = estimate.edge_probabilities
+        path_vertices = estimate.path_vertices
         vertices.append(current)
+        path_vertices.append(None)
         accumulated = EMPTY_PARTITION_SET
         counters: dict[str, int] = {}
         confidence = 1.0
@@ -174,15 +176,17 @@ class PathEstimator:
             probabilities.append(probability)
             confidence *= probability
             if chosen.is_query:
-                self._account_for_vertex(
+                path_vertices.append(self._account_for_vertex(
                     estimate, model, chosen, confidence, query_index
-                )
+                ))
                 counters[chosen.name] = chosen.counter + 1
                 accumulated = accumulated.union(chosen.partitions)
                 query_index += 1
-            elif chosen.is_terminal:
-                estimate.predicted_abort = chosen.kind is VertexKind.ABORT
-                break
+            else:
+                path_vertices.append(None)
+                if chosen.is_terminal:
+                    estimate.predicted_abort = chosen.kind is VertexKind.ABORT
+                    break
             current = chosen
         estimate._confidence_cache = (len(probabilities), confidence)
 
@@ -314,7 +318,8 @@ class PathEstimator:
         key: VertexKey,
         confidence: float,
         query_index: int,
-    ) -> None:
+    ) -> Vertex:
+        """Fold one query state into the estimate; returns its vertex."""
         # The chosen key always comes from the model's own successor records.
         vertex = model.find_vertex(key)
         table = vertex.table
@@ -347,3 +352,4 @@ class PathEstimator:
             ):
                 estimate._base_partition = partition_id
                 estimate._base_count = count
+        return vertex

@@ -77,15 +77,19 @@ class HoudiniRuntime:
         #: They are never declared finished before their predicted last use —
         #: a guard against early-prepare mispredictions turning into restarts.
         self.footprint = footprint
-        self._predicted_finish_points = estimate.finish_points()
         self.stats = RuntimeStats()
         self._current: VertexKey | None = model.begin if model is not None else None
         self._accumulated = EMPTY_PARTITION_SET
-        # Read-only view of the estimated path past the begin vertex; the
-        # walk is complete once the estimate reaches the runtime, so sharing
-        # the list (instead of copying it) is safe.
+        # Read-only views of the estimated path (keys, and the vertices the
+        # walk fetched for them): the walk is complete, so the lists are
+        # shared, not copied.  Query ``i`` is expected at index ``i + 1``.
         self._expected = estimate.vertices
-        self._expected_offset = 1
+        self._expected_vertices = estimate.path_vertices
+        #: OP4 state fixed per attempt, built by the first query that may
+        #: finish a partition: the floored confidence threshold and the
+        #: unfinished candidates as ``(partition, first releasable query)``.
+        self._finish_threshold = 0.0
+        self._finish_candidates: list[tuple[PartitionId, int]] | None = None
 
     # ------------------------------------------------------------------
     # QueryListener interface
@@ -94,59 +98,63 @@ class HoudiniRuntime:
         stats = self.stats
         observed = stats.queries_observed
         stats.queries_observed = observed + 1
-        self._check_finished_partitions(invocation)
+        partitions = invocation.partitions
+        if stats.finished_partitions:
+            self._check_finished_partitions(partitions)
         model = self.model
         if model is None:
             return
+        accumulated = self._accumulated
         # While the attempt tracks the initial estimate, the next state is
         # the precompiled expected-path vertex at the current index — no
-        # VertexKey needs to be derived (or hashed) at all, just four field
-        # comparisons against what actually executed.
-        key = None
+        # VertexKey needs to be derived (or hashed) and the model need not
+        # be probed at all: four field comparisons against what actually
+        # executed, identity first (partition sets are mostly interned).
+        key = vertex = None
         if not stats.deviated_from_estimate:
-            index = observed + self._expected_offset
+            index = observed + 1
             if index < len(self._expected):
                 expected = self._expected[index]
                 if (
                     expected.is_query
                     and expected.name == invocation.statement
                     and expected.counter == invocation.counter
-                    and expected.partitions == invocation.partitions
-                    and expected.previous == self._accumulated
+                    and (expected.partitions is partitions or expected.partitions == partitions)
+                    and (expected.previous is accumulated or expected.previous == accumulated)
                 ):
                     key = expected
+                    if index < len(self._expected_vertices):
+                        vertex = self._expected_vertices[index]
                 else:
                     stats.deviated_from_estimate = True
             else:
                 stats.deviated_from_estimate = True
         if key is None:
             key = VertexKey.query(
-                invocation.statement,
-                invocation.counter,
-                invocation.partitions,
-                self._accumulated,
+                invocation.statement, invocation.counter, partitions, accumulated
             )
-        # One model probe serves both the advance and the update decisions.
-        vertex = model.find_vertex(key)
         if vertex is None:
-            stats.deviated_from_estimate = True
-            if self.learn:
-                # Only a learning attempt writes the model: a placeholder
-                # moves ``model.version`` and with it every memoized walk.
-                vertex = model.add_placeholder(key, invocation.query_type)
-                stats.placeholders_added += 1
+            vertex = model.find_vertex(key)
+            if vertex is None:
+                stats.deviated_from_estimate = True
+                if self.learn:
+                    # Only a learning attempt writes the model: a placeholder
+                    # moves ``model.version`` and with it every memoized walk.
+                    vertex = model.add_placeholder(key, invocation.query_type)
+                    stats.placeholders_added += 1
         if self._current is not None:
             # Transitions are buffered per attempt and flushed into the
             # model in one batch by :meth:`finish`.
             stats.transitions.append((self._current, key))
         self._current = key
-        self._accumulated = self._accumulated.union(invocation.partitions)
-        self._issue_updates(context, key, vertex)
+        if partitions is not accumulated:
+            self._accumulated = accumulated.union(partitions)
+        self._issue_updates(context, observed, vertex)
 
     # ------------------------------------------------------------------
-    def _check_finished_partitions(self, invocation: QueryInvocation) -> None:
+    def _check_finished_partitions(self, partitions) -> None:
         """Abort if the query touches a partition already declared finished."""
-        for partition_id in invocation.partitions:
+        for partition_id in partitions:
             if partition_id in self.stats.finished_partitions:
                 self.stats.finish_mispredicted = True
                 raise MispredictionAbort(
@@ -155,12 +163,13 @@ class HoudiniRuntime:
                     f"but was accessed again",
                 )
 
-    def _issue_updates(self, context: TransactionContext, key: VertexKey, vertex) -> None:
+    def _issue_updates(self, context: TransactionContext, observed: int, vertex) -> None:
         # An unknown state (no vertex, or a placeholder without a table)
         # says nothing until the model's probabilities are recomputed.
         table = vertex.table if vertex is not None else None
         if table is None:
             return
+        finished = self.stats.finished_partitions
         # OP3: disable undo logging once no path leads to the abort state.
         # The update is deliberately conservative (§4.3: "Houdini is more
         # cautious when estimating whether transactions could abort"): the
@@ -173,7 +182,7 @@ class HoudiniRuntime:
         # undo logging stays on while any finish declaration is pending.
         if (
             not self._undo_disabled
-            and not self.stats.finished_partitions
+            and not finished
             and self.predicted_single_partition
             and table.abort <= 0.0
             and vertex.hits >= self.config.op3_min_observations
@@ -181,7 +190,7 @@ class HoudiniRuntime:
         ):
             context.disable_undo_logging()
             self._undo_disabled = True
-            self.stats.undo_disabled_at_query = self.stats.queries_observed
+            self.stats.undo_disabled_at_query = observed + 1
         # OP4: declare partitions finished when their finish probability
         # clears the (floored) confidence threshold.
         if not self.allow_early_prepare:
@@ -192,40 +201,50 @@ class HoudiniRuntime:
             # unrecoverable — so once logging is off, no new early-prepare
             # gambles are taken.
             return
-        finish_threshold = max(self.config.confidence_threshold, self.config.op4_floor)
-        if context.locked_partitions is None:
-            candidate_partitions = range(table.num_partitions)
-        else:
-            candidate_partitions = context.locked_partitions
-        for partition_id in candidate_partitions:
-            if partition_id in self.stats.finished_partitions:
-                continue
-            if partition_id in self.never_finish:
-                continue
-            if partition_id == context.base_partition:
-                # The base partition is released at commit; there is nothing
-                # to early-prepare for the coordinator's own partition.
-                continue
-            if not self._finish_allowed(partition_id):
-                continue
-            if table.finish_probability(partition_id) >= finish_threshold:
+        candidates = self._finish_candidates
+        if candidates is None:
+            candidates = self._finish_candidates = self._compile_finish_candidates(
+                context, table.num_partitions
+            )
+        threshold = self._finish_threshold
+        finish = table.finish
+        released = False
+        for partition_id, not_before in candidates:
+            if observed >= not_before and finish[partition_id] >= threshold:
                 context.mark_partition_finished(partition_id)
-                self.stats.finished_partitions.add(partition_id)
+                finished.add(partition_id)
+                released = True
+        if released:
+            self._finish_candidates = [c for c in candidates if c[0] not in finished]
 
-    def _finish_allowed(self, partition_id: PartitionId) -> bool:
-        """Guard OP4 with the mapping-based footprint.
-
-        A partition the parameter mappings say the transaction may touch is
-        only released once the estimated last access to it has passed; a
-        partition outside the footprint can be released as soon as the
+    def _compile_finish_candidates(
+        self, context: TransactionContext, num_partitions: int
+    ) -> list[tuple[PartitionId, int]]:
+        """The partitions OP4 may ever release in this attempt: locked, not
+        the base partition (released at commit: nothing to early-prepare for
+        the coordinator's own partition), not barred by ``never_finish``.
+        None of that changes while finishes can still be declared — the lock
+        set only grows by escalation, which needs undo logging off, and then
+        OP4 is off too.  The mapping-based footprint guards each release: a
+        partition the mappings say the transaction may touch is released only
+        once its estimated last access has passed (never, when the estimate
+        does not reach it); one outside the footprint as soon as the
         probability tables allow it.
         """
-        if self.footprint is None or partition_id not in self.footprint:
-            return True
-        predicted_last = self._predicted_finish_points.get(partition_id)
-        if predicted_last is None:
-            return False
-        return (self.stats.queries_observed - 1) >= predicted_last
+        config = self.config
+        self._finish_threshold = max(config.confidence_threshold, config.op4_floor)
+        locked = context.locked_partitions
+        footprint = self.footprint
+        last_access = self.estimate.finish_points()
+        candidates = []
+        for partition_id in range(num_partitions) if locked is None else locked:
+            if partition_id == context.base_partition or partition_id in self.never_finish:
+                continue
+            if footprint is None or partition_id not in footprint:
+                candidates.append((partition_id, 0))
+            elif partition_id in last_access:
+                candidates.append((partition_id, last_access[partition_id]))
+        return candidates
 
     def _may_need_unlocked_partition(self, context: TransactionContext, table) -> bool:
         """Whether the transaction might still touch an unlocked partition.

@@ -23,8 +23,7 @@ row ids everywhere.
 
 from __future__ import annotations
 
-from ...errors import UnrecoverableError
-from ...storage.undo_log import UndoAction, UndoLog, UndoRecord
+from ...storage.undo_log import UndoLog, UndoRecord
 
 
 class CapturingUndoLog(UndoLog):
@@ -33,8 +32,8 @@ class CapturingUndoLog(UndoLog):
     Two extensions over the base class:
 
     * :attr:`effects` is a live list the statement executor appends one op
-      to per physical write (see :meth:`repro.engine.executor` ``_write``) —
-      including the *inverse* ops appended by :meth:`rollback`, so after an
+      to per physical write (the write bodies of :mod:`repro.engine.executor`) —
+      including the *inverse* ops :meth:`UndoLog.rollback` appends, so after an
       aborted attempt the stream still replays to the attempt's net effect
       (zero writes, but with the same transient row-id allocations);
     * :attr:`held_records` preserves the undo records past commit:
@@ -54,47 +53,6 @@ class CapturingUndoLog(UndoLog):
         self.held_records = self._records
         self._records = []
         self._skipped = 0
-
-    def rollback(self, store_resolver) -> int:
-        """Roll back like the base class, capturing the inverse writes."""
-        if self._skipped:
-            raise UnrecoverableError(
-                f"abort requested but {self._skipped} changes were made"
-                " without undo logging"
-            )
-        effects = self.effects
-        undone = 0
-        for record in reversed(self._records):
-            store = store_resolver(record.partition_id)
-            heap = store.heap(record.table)
-            if record.action is UndoAction.INSERT:
-                heap.delete(record.row_id)
-                effects.append(("d", record.table, record.partition_id, record.row_id))
-            elif record.action is UndoAction.UPDATE:
-                current = heap.row(record.row_id)
-                restored = {
-                    column: record.before_image[column] for column in current
-                }
-                heap.update(
-                    record.row_id, restored, validate=False, capture_before=False
-                )
-                effects.append(
-                    ("u", record.table, record.partition_id, record.row_id, restored)
-                )
-            else:  # DELETE
-                heap.insert_raw(dict(record.before_image), record.row_id)
-                effects.append(
-                    (
-                        "i",
-                        record.table,
-                        record.partition_id,
-                        record.row_id,
-                        dict(record.before_image),
-                    )
-                )
-            undone += 1
-        self._records.clear()
-        return undone
 
 
 def apply_ops(database, ops, only_partitions=None) -> None:

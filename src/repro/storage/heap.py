@@ -12,10 +12,8 @@ from typing import Any, Callable, Iterator
 
 from ..errors import DuplicateKeyError, StorageError
 from ..catalog.table import Table
-from .indexes import HashIndex, OrderedIndex
+from .indexes import HashIndex
 
-#: Shared empty list for the no-affected-indexes common case.
-_NO_INDEXES: list = []
 #: Shared empty row list for primary-key misses.
 _NO_ROWS: list = []
 
@@ -30,7 +28,7 @@ class RowHeap:
         self._primary: HashIndex | None = None
         if table.primary_key:
             self._primary = HashIndex(tuple(table.primary_key), unique=True)
-        self._secondary: dict[str, HashIndex | OrderedIndex] = {}
+        self._secondary: dict[str, HashIndex] = {}
         for index in table.secondary_indexes:
             self._secondary[index.name] = HashIndex(tuple(index.columns), unique=index.unique)
         #: Non-unique indexes over proper prefixes of the primary key, built
@@ -42,8 +40,18 @@ class RowHeap:
         #: Precomputed column sets consulted on every ``find``.
         self._pk_columns: tuple[str, ...] = tuple(table.primary_key or ())
         self._pk_set: frozenset[str] = frozenset(self._pk_columns)
-        self._secondary_sets: tuple[tuple[HashIndex | OrderedIndex, frozenset[str]], ...] = tuple(
+        self._secondary_sets: tuple[tuple[HashIndex, frozenset[str]], ...] = tuple(
             (index, frozenset(index.columns)) for index in self._secondary.values()
+        )
+        #: Every index every mutation maintains — primary first, then the
+        #: secondaries, then prefix indexes as they get built — and every
+        #: column one of them covers (prefix indexes cover primary-key
+        #: columns only): an update assigning none of those moves no entry.
+        self._indexes: list[HashIndex] = [
+            *([self._primary] if self._primary is not None else ()), *self._secondary.values()
+        ]
+        self._indexed_columns: frozenset[str] = self._pk_set.union(
+            *(column_set for _, column_set in self._secondary_sets)
         )
 
     # ------------------------------------------------------------------
@@ -74,7 +82,7 @@ class RowHeap:
             raise StorageError(f"no row with id {row_id} in table {self.table.name!r}") from None
 
     # ------------------------------------------------------------------
-    # Primary-key fast path (compiled executor access plans)
+    # Primary-key fast path (the executor's compiled steps)
     # ------------------------------------------------------------------
     def pk_row_ids(self, key: tuple[Any, ...]) -> list[int]:
         """Row ids carrying an exact primary-key tuple.
@@ -93,45 +101,47 @@ class RowHeap:
         bucket = self._primary.lookup_readonly(key)
         if not bucket:
             return _NO_ROWS
-        rows = self._rows
-        return [rows[row_id] for row_id in bucket]
+        # The primary index is unique: a hit is exactly one row.
+        return [self._rows[bucket[0]]]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, values: dict[str, Any]) -> int:
-        """Insert a row (validated against the table) and return its row id."""
-        row = self.table.new_row(values)
-        primary = self._primary
-        key = None
-        if primary is not None:
-            key = primary.key_of(row)
-            if primary.contains(key):
+    def insert(self, values: dict[str, Any], *, validate: bool = True) -> int:
+        """Insert a row and return its row id.
+
+        ``values`` is validated against the table and completed with
+        defaults.  ``validate=False`` is for callers that already hold a
+        full, type-checked row (the statement executor's compiled row plan,
+        the loader): the heap stores that dict itself, without a second pass.
+
+        Every unique index is consulted before the first mutation, so a
+        rejected insert leaves the heap untouched.
+        """
+        row = self.table.new_row(values) if validate else values
+        keys = []
+        for index in self._indexes:
+            key = index.key_of(row)
+            if index is not self._primary:
+                index.check_unique(key)
+            elif index.contains(key):
                 raise DuplicateKeyError(self.table.name, key)
+            keys.append(key)
         row_id = self._next_row_id
         self._next_row_id += 1
         self._rows[row_id] = row
-        if primary is not None:
-            primary.insert(key, row_id)
-        for index in self._secondary.values():
-            index.insert(index.key_of(row), row_id)
-        for index in self._prefix.values():
-            index.insert(index.key_of(row), row_id)
+        for index, key in zip(self._indexes, keys):
+            index.insert(key, row_id)
         return row_id
 
     def insert_raw(self, row: dict[str, Any], row_id: int) -> None:
         """Re-insert a previously deleted row under its original id (undo)."""
         if row_id in self._rows:
             raise StorageError(f"row id {row_id} already present")
-        stored = dict(row)
-        self._rows[row_id] = stored
+        self._rows[row_id] = dict(row)
         self._next_row_id = max(self._next_row_id, row_id + 1)
-        if self._primary is not None:
-            self._primary.insert(self._primary.key_of(row), row_id)
-        for index in self._secondary.values():
+        for index in self._indexes:
             index.insert(index.key_of(row), row_id)
-        for index in self._prefix.values():
-            index.insert(index.key_of(stored), row_id)
 
     def update(
         self,
@@ -149,49 +159,47 @@ class RowHeap:
         building the previous-image copy and returns ``None`` — for updates
         whose undo logging is disabled (OP3), where the image would be
         dropped anyway.
+
+        Only an index whose key the assignments actually move is re-keyed,
+        and every such move is checked against unique indexes before the row
+        is touched: the update applies completely or not at all.
         """
-        if row_id not in self._rows:
+        current = self._rows.get(row_id)
+        if current is None:
             raise StorageError(f"no row with id {row_id} in table {self.table.name!r}")
         if validate:
             self.table.validate_update(assignments)
-        current = self._rows[row_id]
-        reindex_primary = self._primary is not None and not self._pk_set.isdisjoint(
-            assignments
-        )
-        affected_secondary = [
-            index for index, column_set in self._secondary_sets
-            if not column_set.isdisjoint(assignments)
-        ] if self._secondary else _NO_INDEXES
-        affected_prefix = [
-            index for index in self._prefix.values()
-            if any(column in index.columns for column in assignments)
-        ] if self._prefix else _NO_INDEXES
-        if reindex_primary:
-            self._primary.remove(self._primary.key_of(current), row_id)
-        for index in affected_secondary:
-            index.remove(index.key_of(current), row_id)
-        for index in affected_prefix:
-            index.remove(index.key_of(current), row_id)
+        moves = None
+        if not self._indexed_columns.isdisjoint(assignments):
+            moves = self._index_moves(current, assignments)
         before = dict(current) if capture_before else None
         current.update(assignments)
-        if reindex_primary:
-            self._primary.insert(self._primary.key_of(current), row_id)
-        for index in affected_secondary:
-            index.insert(index.key_of(current), row_id)
-        for index in affected_prefix:
-            index.insert(index.key_of(current), row_id)
+        if moves:
+            for index, old_key, new_key in moves:
+                index.remove(old_key, row_id)
+                index.insert(new_key, row_id)
         return before
+
+    def _index_moves(
+        self, current: dict[str, Any], assignments: dict[str, Any]
+    ) -> list[tuple[HashIndex, tuple, tuple]]:
+        """``(index, old key, new key)`` for each index entry the assignments move."""
+        updated = {**current, **assignments}
+        moves = []
+        for index in self._indexes:
+            old_key = index.key_of(current)
+            new_key = index.key_of(updated)
+            if new_key != old_key:
+                index.check_unique(new_key)
+                moves.append((index, old_key, new_key))
+        return moves
 
     def delete(self, row_id: int) -> dict[str, Any]:
         """Delete a row, returning its previous image."""
         if row_id not in self._rows:
             raise StorageError(f"no row with id {row_id} in table {self.table.name!r}")
         row = self._rows.pop(row_id)
-        if self._primary is not None:
-            self._primary.remove(self._primary.key_of(row), row_id)
-        for index in self._secondary.values():
-            index.remove(index.key_of(row), row_id)
-        for index in self._prefix.values():
+        for index in self._indexes:
             index.remove(index.key_of(row), row_id)
         return row
 
@@ -259,6 +267,7 @@ class RowHeap:
             for row_id, row in self._rows.items():
                 index.insert(index.key_of(row), row_id)
             self._prefix[length] = index
+            self._indexes.append(index)
         return index
 
     def _find_readonly(self, predicate: dict[str, Any]) -> list[int]:
@@ -293,6 +302,9 @@ class RowHeap:
     ) -> list[dict[str, Any]]:
         """Run a SELECT against this heap and return projected row copies."""
         row_ids = self._find_readonly(predicate)
+        if not row_ids:
+            # Most partitions of a broadcast hold no match.
+            return []
         rows = self._rows
         found = [rows[row_id] for row_id in row_ids]
         if order_by is not None:

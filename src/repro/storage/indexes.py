@@ -16,6 +16,7 @@ Indexes map key tuples to lists of row ids within a
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..errors import StorageError
@@ -33,14 +34,30 @@ class HashIndex:
         self.columns = columns
         self.unique = unique
         self._entries: dict[tuple[Any, ...], list[int]] = {}
+        self._values_of = itemgetter(*columns)
+        self._single_column = len(columns) == 1
 
     def key_of(self, row: dict[str, Any]) -> tuple[Any, ...]:
-        return tuple(row[c] for c in self.columns)
+        values = self._values_of(row)
+        # itemgetter of one column returns the bare value, not a 1-tuple.
+        return (values,) if self._single_column else values
+
+    def check_unique(self, key: tuple[Any, ...]) -> None:
+        """Raise if storing one more row under ``key`` would break uniqueness.
+
+        The heap asks every index *before* its first mutation, so a rejected
+        insert or update leaves rows and indexes exactly as they were.
+        """
+        if self.unique and key in self._entries:
+            raise self._violation(key)
+
+    def _violation(self, key: tuple[Any, ...]) -> StorageError:
+        return StorageError(f"unique index violation on {self.columns}: {key!r}")
 
     def insert(self, key: tuple[Any, ...], row_id: int) -> None:
         bucket = self._entries.setdefault(key, [])
         if self.unique and bucket:
-            raise StorageError(f"unique index violation on {self.columns}: {key!r}")
+            raise self._violation(key)
         bucket.append(row_id)
 
     def remove(self, key: tuple[Any, ...], row_id: int) -> None:

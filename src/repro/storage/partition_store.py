@@ -81,13 +81,14 @@ class Database:
         for the target cluster configuration.
         """
         table = self.schema.table(table_name)
+        # Validated once here; each heap stores its own (pre-validated) copy.
         row = table.new_row(values)
         if table.replicated:
             for store in self._partitions:
-                store.insert_row(table_name, row)
+                store.heap(table_name).insert(dict(row), validate=False)
             return
         home = estimator.partition_for_row(table, row)
-        self.partition(home).insert_row(table_name, row)
+        self.partition(home).heap(table_name).insert(row, validate=False)
 
     def total_rows(self, table_name: str | None = None) -> int:
         return sum(store.row_count(table_name) for store in self._partitions)

@@ -54,7 +54,8 @@ class UndoLog:
 
     #: Optional write-effect sink.  When a subclass sets this to a list, the
     #: statement executor appends one replayable op per physical write —
-    #: independent of whether undo records are being retained.  ``None`` (the
+    #: independent of whether undo records are being retained — and
+    #: :meth:`rollback` one inverse op per record it undoes.  ``None`` (the
     #: default) keeps the hot write path free of any capture cost.
     effects: list | None = None
 
@@ -89,12 +90,6 @@ class UndoLog:
         return self._skipped
 
     # ------------------------------------------------------------------
-    def record(self, record: UndoRecord) -> None:
-        if self._enabled:
-            self._records.append(record)
-        else:
-            self._skipped += 1
-
     def record_insert(self, table: str, partition_id: int, row_id: int) -> None:
         if not self._enabled:
             self._skipped += 1
@@ -153,23 +148,27 @@ class UndoLog:
             raise UnrecoverableError(
                 f"abort requested but {self._skipped} changes were made without undo logging"
             )
-        undone = 0
+        # A capturing log also records the inverse writes, so its effect
+        # stream replays to the attempt's net effect (zero writes, but with
+        # the same transient row-id allocations).
+        effects = self.effects
         for record in reversed(self._records):
-            store = store_resolver(record.partition_id)
-            heap = store.heap(record.table)
+            heap = store_resolver(record.partition_id).heap(record.table)
+            image = record.before_image
             if record.action is UndoAction.INSERT:
                 heap.delete(record.row_id)
+                op = ("d", record.table, record.partition_id, record.row_id)
             elif record.action is UndoAction.UPDATE:
-                assert record.before_image is not None
-                current = heap.get(record.row_id)
-                heap.update(record.row_id, {
-                    column: record.before_image[column]
-                    for column in current
-                })
+                # The image is a full row the heap itself produced: nothing
+                # to validate, and only indexes whose key moved are re-keyed.
+                heap.update(record.row_id, image, validate=False, capture_before=False)
+                op = ("u", record.table, record.partition_id, record.row_id, image)
             else:  # DELETE
-                assert record.before_image is not None
-                heap.insert_raw(record.before_image, record.row_id)
-            undone += 1
+                heap.insert_raw(image, record.row_id)
+                op = ("i", record.table, record.partition_id, record.row_id, image)
+            if effects is not None:
+                effects.append(op)
+        undone = len(self._records)
         self._records.clear()
         return undone
 

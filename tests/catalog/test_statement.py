@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.catalog import BoundDelta, Operation, Statement, delta, param
+from repro.catalog import Operation, Statement, delta, param
+from repro.catalog.statement import BIND_DELTA, BIND_LITERAL, BIND_PARAM
 from repro.errors import CatalogError
 from repro.types import QueryType
 
@@ -49,23 +50,27 @@ class TestBinding:
         with pytest.raises(CatalogError):
             select_statement().bind_where([])
 
-    def test_bind_insert(self):
+    def test_insert_plan_classifies_parameters_and_literals(self):
         statement = Statement(
             name="I", table="T", operation=Operation.INSERT,
             insert_values={"ID": param(0), "V": param(1), "FLAG": 1},
         )
-        assert statement.bind_insert([7, "x"]) == {"ID": 7, "V": "x", "FLAG": 1}
+        assert statement.insert_plan == (
+            (("ID", BIND_PARAM, 0), ("V", BIND_PARAM, 1), ("FLAG", BIND_LITERAL, 1)),
+            1,
+        )
 
-    def test_bind_set_wraps_deltas(self):
+    def test_set_plan_marks_deltas(self):
         statement = Statement(
             name="U", table="T", operation=Operation.UPDATE,
             where={"ID": param(0)},
             set_values={"BAL": delta(1), "NAME": param(2)},
         )
-        bound = statement.bind_set([1, 10, "n"])
-        assert bound["NAME"] == "n"
-        assert isinstance(bound["BAL"], BoundDelta)
-        assert bound["BAL"].amount == 10
+        assert statement.set_plan == (
+            (("BAL", BIND_DELTA, 1), ("NAME", BIND_PARAM, 2)), 2
+        )
+        # Only SET assignments are additive: elsewhere a delta is a literal.
+        assert statement.where_plan == ((("ID", BIND_PARAM, 0),), 0)
 
     def test_parameter_count(self):
         statement = Statement(

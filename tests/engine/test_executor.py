@@ -5,9 +5,16 @@ import pytest
 from repro.catalog import Operation, Statement, delta, param
 from repro.engine import StatementExecutor
 from repro.errors import ExecutionError
-from repro.storage import Database, UndoLog
-from tests.conftest import TransferProcedure, make_account_schema
-from repro.catalog import Catalog, PartitionScheme
+from repro.storage import UndoLog
+from repro.types import PartitionSet
+from tests.conftest import TransferProcedure
+
+
+def run(executor, statement, parameters, partitions, undo_log):
+    """``execute`` takes a compiled step and a partition set."""
+    return executor.execute(
+        executor.compile(statement), parameters, PartitionSet.of(partitions), undo_log
+    )
 
 
 @pytest.fixture
@@ -20,7 +27,7 @@ class TestSelect:
     def test_select_single_partition(self, setup):
         catalog, database, executor = setup
         statement = TransferProcedure.statements["GetFrom"]
-        rows = executor.execute(statement, [4], [0], UndoLog())
+        rows = run(executor, statement, [4], [0], UndoLog())
         assert rows == [{"A_ID": 4, "A_OWNER": "owner-4", "A_BALANCE": 100}]
 
     def test_select_merges_partitions(self, setup):
@@ -29,14 +36,14 @@ class TestSelect:
             name="ScanOwner", table="ACCOUNT", operation=Operation.SELECT,
             where={"A_OWNER": param(0)},
         )
-        rows = executor.execute(statement, ["owner-6"], range(4), UndoLog())
+        rows = run(executor, statement, ["owner-6"], range(4), UndoLog())
         assert len(rows) == 1 and rows[0]["A_ID"] == 6
 
     def test_empty_partition_list_rejected(self, setup):
         _, _, executor = setup
         statement = TransferProcedure.statements["GetFrom"]
         with pytest.raises(ExecutionError):
-            executor.execute(statement, [4], [], UndoLog())
+            run(executor, statement, [4], [], UndoLog())
 
 
 class TestWrites:
@@ -47,9 +54,9 @@ class TestWrites:
             where={"A_ID": param(0)}, set_values={"A_BALANCE": delta(1)},
         )
         undo = UndoLog()
-        result = executor.execute(statement, [4, 25], [0], undo)
+        result = run(executor, statement, [4, 25], [0], undo)
         assert result == [{"modified": 1}]
-        rows = executor.execute(TransferProcedure.statements["GetFrom"], [4], [0], UndoLog())
+        rows = run(executor, TransferProcedure.statements["GetFrom"], [4], [0], UndoLog())
         assert rows[0]["A_BALANCE"] == 125
         assert undo.records_written == 1
 
@@ -60,7 +67,7 @@ class TestWrites:
             insert_values={"A_ID": param(0), "A_OWNER": param(1), "A_BALANCE": 0},
         )
         undo = UndoLog()
-        executor.execute(statement, [100, "new"], [0], undo)
+        run(executor, statement, [100, "new"], [0], undo)
         assert undo.records_written == 1
         assert database.partition(0).heap("ACCOUNT").find({"A_ID": 100})
 
@@ -71,7 +78,7 @@ class TestWrites:
             where={"A_ID": param(0)},
         )
         undo = UndoLog()
-        result = executor.execute(statement, [8], [0], undo)
+        result = run(executor, statement, [8], [0], undo)
         assert result == [{"modified": 1}]
         assert not database.partition(0).heap("ACCOUNT").find({"A_ID": 8})
         assert undo.records_written == 1
@@ -82,5 +89,5 @@ class TestWrites:
             name="Zero", table="ACCOUNT", operation=Operation.UPDATE,
             where={}, set_values={"A_BALANCE": 0},
         )
-        result = executor.execute(statement, [], range(4), UndoLog())
+        result = run(executor, statement, [], range(4), UndoLog())
         assert result == [{"modified": 16}]

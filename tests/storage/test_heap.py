@@ -5,6 +5,7 @@ import pytest
 from repro.catalog import SecondaryIndex, Table, integer, string
 from repro.errors import DuplicateKeyError, StorageError
 from repro.storage import RowHeap
+from tests.storage.invariants import assert_indexes_match_scan, heap_state
 
 
 def make_heap():
@@ -39,6 +40,66 @@ class TestInsert:
         assert heap.get(row_id)["ID"] == 1
         with pytest.raises(StorageError):
             heap.insert_raw(row, row_id)
+
+
+def make_subscriber_heap():
+    """TATP's SUBSCRIBER in miniature: a primary key plus a *unique* secondary index."""
+    table = Table(
+        name="SUBSCRIBER",
+        columns=[integer("S_ID"), string("SUB_NBR"), integer("VLR_LOCATION")],
+        primary_key=["S_ID"],
+        partition_column="S_ID",
+        secondary_indexes=[SecondaryIndex("IDX_SUBSCRIBER_NBR", ("SUB_NBR",), unique=True)],
+    )
+    heap = RowHeap(table)
+    for s_id in range(3):
+        heap.insert({"S_ID": s_id, "SUB_NBR": f"nbr-{s_id}", "VLR_LOCATION": 0})
+    return heap
+
+
+class TestUniqueIndexViolationIsAllOrNothing:
+    """A write a unique index rejects must leave rows, ``pk_rows`` and every
+    index lookup exactly as they were — no phantom row, no unindexed row."""
+
+    def assert_untouched(self, heap, before):
+        assert heap_state(heap) == before
+        assert len(heap) == 3
+        assert heap.pk_rows((7,)) == []
+        assert [row["SUB_NBR"] for row in heap.pk_rows((2,))] == ["nbr-2"]
+        assert heap.find({"SUB_NBR": "nbr-1"}) == heap.find({"S_ID": 1})
+        assert heap.find({"SUB_NBR": "nbr-2"}) == heap.find({"S_ID": 2})
+        assert_indexes_match_scan(heap)
+
+    def test_rejected_insert_stores_nothing(self):
+        heap = make_subscriber_heap()
+        before = heap_state(heap)
+        with pytest.raises(StorageError, match="unique index violation"):
+            heap.insert({"S_ID": 7, "SUB_NBR": "nbr-1", "VLR_LOCATION": 0})
+        self.assert_untouched(heap, before)
+
+    def test_rejected_update_changes_nothing(self):
+        heap = make_subscriber_heap()
+        before = heap_state(heap)
+        (row_id,) = heap.find({"S_ID": 2})
+        with pytest.raises(StorageError, match="unique index violation"):
+            heap.update(row_id, {"SUB_NBR": "nbr-1", "VLR_LOCATION": 9})
+        self.assert_untouched(heap, before)
+
+    def test_rejected_primary_key_move_changes_nothing(self):
+        heap = make_subscriber_heap()
+        heap.find({"S_ID": 0, "VLR_LOCATION": 0})  # no prefix index on a 1-column key
+        before = heap_state(heap)
+        (row_id,) = heap.find({"S_ID": 2})
+        with pytest.raises(StorageError, match="unique index violation"):
+            heap.update(row_id, {"S_ID": 1, "SUB_NBR": "fresh"})
+        self.assert_untouched(heap, before)
+
+    def test_update_keeping_its_own_unique_key_is_not_a_violation(self):
+        heap = make_subscriber_heap()
+        (row_id,) = heap.find({"S_ID": 2})
+        heap.update(row_id, {"SUB_NBR": "nbr-2", "VLR_LOCATION": 5})
+        assert heap.get(row_id)["VLR_LOCATION"] == 5
+        assert_indexes_match_scan(heap)
 
 
 class TestFindAndSelect:
