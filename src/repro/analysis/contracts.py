@@ -10,8 +10,10 @@ contracts that previously lived only in docstrings and reviewers' heads:
   :class:`~repro.workload.rng.WorkloadRandom` / seeded generators; the
   byte-equivalence suites rely on it);
 * the prediction-version contract (mutating a Markov model's structure
-  must advance :attr:`~repro.markov.model.MarkovModel.version`, the token
-  the plan memo validates against);
+  must advance :attr:`~repro.markov.model.MarkovModel.version`, the plan
+  memo's fast-path token, and the views and tables a model publishes are
+  replaced, never mutated: under a moved version the memo validates an
+  entry by the identity of what its walk read);
 * the cache-invalidation contract (derived caches are cleared through
   their named contract methods, never by reaching into private dicts);
 * the cross-process contract (worker processes of the sharded backend are
@@ -65,6 +67,13 @@ BANNED_MODULE_RANDOM: dict[str, frozenset[str]] = {
 #: any method that mutates one of them (directly, through a local alias,
 #: or via a mutating dict/set method call) must — itself or through
 #: another method it calls — assign/augment the ``version`` attribute.
+#: An unmoved version proves every memoized walk valid; under a moved one
+#: the plan memo relies on the companion rule — *a published
+#: ``SuccessorView`` / ``ProbabilityTable`` is replaced, never mutated*
+#: (``MarkovModel.still_publishes`` tests identity; asserted by
+#: ``tests/property/test_property_successor_cache.py``).  The lazily filled
+#: caches (``positive_access``, a view's probe index and groups) are the one
+#: benign exception: pure functions of the immutable content.
 VERSIONED_CLASSES: dict[str, dict] = {
     "MarkovModel": {
         "tracked": frozenset({"_vertices", "_edges", "_reverse"}),
@@ -112,8 +121,10 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # One SuccessorView per vertex, a function of the vertex's edge set and
     # edge probabilities: a new edge pops it (_add_edge_visit, the one drop
     # site), process() replaces it for the dirty set, and a hit count on an
-    # existing edge only marks the source dirty.
-    "_successor_views": ("MarkovModel", "successor_view()/successors()/process(); a new edge drops, a count dirties"),
+    # existing edge only marks the source dirty.  A published view is
+    # replaced, never mutated — its identity is what the plan memo compares
+    # (still_publishes()), so nothing outside the model may hold the dict.
+    "_successor_views": ("MarkovModel", "successor_view()/successors()/still_publishes()/process(); a new edge drops, a count dirties"),
     # Deliberately absent: ``StatementExecutor.tables`` (the per-procedure
     # compiled step tables).  It is memoized, but it has no invalidation
     # rule to protect — a step captures only the catalog (immutable) and the

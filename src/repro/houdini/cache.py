@@ -9,7 +9,7 @@ makes reuse safe for *any* model shape: a walk reads the request parameters
 only through the procedure's partition-binding signature
 (:meth:`~repro.houdini.compiled.CompiledProcedure.binding_signature`), so a
 finished walk is valid for every later request with the same signature for
-as long as the model it walked is unchanged.
+as long as what it read from the model is unchanged.
 
 An entry is keyed ``(procedure, id(model), signature)`` and holds
 
@@ -19,7 +19,7 @@ An entry is keyed ``(procedure, id(model), signature)`` and holds
   nothing has planned the walk yet, or the model is learning and the
   decision is :attr:`support-limited
   <repro.houdini.optimizations.OptimizationDecision.support_limited>` — it
-  can flip as observation counts grow without the model version moving;
+  can flip as observation counts grow with nothing the walk read replaced;
 * ``eligible`` — the §6.3 rule itself (:meth:`EstimateCache.eligible`):
   non-abortable, always single-partition, decision memoized.  Only eligible
   hits take the ``estimate_cache_simulated_savings`` what-if charge and only
@@ -28,22 +28,36 @@ An entry is keyed ``(procedure, id(model), signature)`` and holds
 What invalidates an entry
 -------------------------
 
-The memo must never change what Houdini decides, so one token covers every
-event that could change a freshly-planned result:
+The memo must never change what Houdini decides, so an entry is served only
+while a fresh walk would read exactly what the memoized one read:
 
 * each entry records the :attr:`~repro.markov.model.MarkovModel.version` of
   the model it walked (and pins the model, so its identity cannot be
-  recycled); a lookup under a different version evicts the entry and is a
-  miss.  That covers run-time learning adding vertices or edges and every
-  probability recomputation; partitioned providers routing a procedure to a
-  different cluster model land on a different key;
+  recycled).  An unmoved version is the O(1) fast path: nothing
+  prediction-relevant changed anywhere in the model;
+* under a moved version the entry is validated by *what the walk read*
+  (:attr:`PathEstimate.read_views` / ``read_tables``): the successor view
+  fetched at each step and the probability table of each state accounted
+  for, plus the decision's OP2 reference table.  The model replaces those
+  objects and never mutates them (a new edge drops its source's view, a
+  recompute installs new views for the dirty set and new tables for the
+  affected closure), so identity is exact: if every recorded object is
+  still in place the entry is re-stamped with the current version and
+  served (``stats.revalidated``); if any was replaced — a dropped,
+  not-yet-rebuilt view included — it is evicted and the lookup is a miss.
+  A state discovered *off* a memoized path therefore leaves the walk alone;
+  one *on* it evicts it.  The memoized decision rides along: beyond the recorded
+  tables it reads only observation counts, and only through the
+  support-limited gate above;
 * :meth:`EstimateCache.invalidate_procedure` drops one procedure's entries
   (model maintenance recomputed it, or a retrained model was hot-swapped
-  in) and :meth:`EstimateCache.invalidate` drops everything (a live
-  configuration change: decisions bake the confidence threshold in).
+  in; partitioned providers routing a procedure to a different cluster
+  model land on a different key) and :meth:`EstimateCache.invalidate` drops
+  everything (a live configuration change: decisions bake the confidence
+  threshold in).
 
 ``stats.invalidations`` counts *entries evicted* on every invalidation path
-(full flush, per-procedure, stale version) so the counter means one thing.
+(full flush, per-procedure, replaced read) so the counter means one thing.
 """
 
 from __future__ import annotations
@@ -69,8 +83,11 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     #: Entries evicted by any invalidation path (flush, per-procedure,
-    #: stale model version).
+    #: something the walk read was replaced).
     invalidations: int = 0
+    #: Hits served under a moved model version because everything the walk
+    #: read was still in place (a subset of ``hits``).
+    revalidated: int = 0
     #: Requests that could not even be keyed (no signature can vouch for the
     #: walk, or no processed model exists).  Counted as lookups so the hit
     #: rate reflects how much of the *workload* the memo absorbs.
@@ -99,6 +116,14 @@ class CachedEstimate:
     eligible: bool = False
 
 
+def _reads_in_place(entry: CachedEstimate, model: MarkovModel) -> bool:
+    """Whether ``model`` still publishes every object the entry's walk read."""
+    estimate = entry.estimate
+    return model.still_publishes(
+        estimate.vertices, estimate.read_views, estimate.read_tables
+    )
+
+
 class EstimateCache:
     """LRU memo of path estimates and decisions, one entry per signature."""
 
@@ -116,7 +141,8 @@ class EstimateCache:
         """Return the entry for ``key`` (LRU-refreshing it), if still valid.
 
         ``model`` is the model the key names; an entry walked under another
-        version of it is stale and is evicted on the spot.  ``key`` is
+        version of it is served (and re-stamped) only if everything its walk
+        read is still in place, else evicted on the spot.  ``key`` is
         ``None`` for a request that cannot be memoized at all.
         """
         if key is None:
@@ -127,10 +153,13 @@ class EstimateCache:
             self.stats.misses += 1
             return None
         if entry.version != model.version:
-            del self._entries[key]
-            self.stats.invalidations += 1
-            self.stats.misses += 1
-            return None
+            if not _reads_in_place(entry, model):
+                del self._entries[key]
+                self.stats.invalidations += 1
+                self.stats.misses += 1
+                return None
+            entry.version = model.version
+            self.stats.revalidated += 1
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
@@ -145,7 +174,9 @@ class EstimateCache:
         leave the cache byte-identical to a run that never peeked.
         """
         entry = self._entries.get(key)
-        if entry is None or entry.version != model.version:
+        if entry is None or not (
+            entry.version == model.version or _reads_in_place(entry, model)
+        ):
             return None
         return entry
 

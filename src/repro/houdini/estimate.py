@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..markov.model import SuccessorView
+from ..markov.probability_table import ProbabilityTable
 from ..markov.vertex import Vertex, VertexKey, VertexKind
 from ..types import PartitionId
 
@@ -51,6 +53,17 @@ class PathEstimate:
     #: record stays valid for as long as the estimate is served.  Empty for
     #: an estimate no walk produced.
     path_vertices: list[Vertex | None] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: What the walk read from the model, aligned with ``vertices``: the
+    #: ``SuccessorView`` fetched at each step, and the probability table of
+    #: each query state accounted for (``None`` elsewhere, or a placeholder's
+    #: missing one) — with ``begin``'s in slot 0 when no first query state's
+    #: table exists to be the decision's OP2 reference.  The model replaces
+    #: these objects and never mutates them; "each is still in place" is the
+    #: plan memo's validity rule (``MarkovModel.still_publishes``).
+    read_views: list[SuccessorView] = field(default_factory=list, repr=False, compare=False)
+    read_tables: list[ProbabilityTable | None] = field(
         default_factory=list, repr=False, compare=False
     )
     #: Per-partition predictions derived from the path.

@@ -157,8 +157,11 @@ class PathEstimator:
         vertices = estimate.vertices
         probabilities = estimate.edge_probabilities
         path_vertices = estimate.path_vertices
+        views = estimate.read_views
+        tables = estimate.read_tables
         vertices.append(current)
         path_vertices.append(None)
+        tables.append(None)
         accumulated = EMPTY_PARTITION_SET
         counters: dict[str, int] = {}
         confidence = 1.0
@@ -167,6 +170,7 @@ class PathEstimator:
         choose = self._choose
         for _ in range(self.config.max_path_length):
             view = view_of(current)
+            views.append(view)
             if not view.records:
                 break
             chosen, probability = choose(
@@ -176,18 +180,25 @@ class PathEstimator:
             probabilities.append(probability)
             confidence *= probability
             if chosen.is_query:
-                path_vertices.append(self._account_for_vertex(
+                vertex = self._account_for_vertex(
                     estimate, model, chosen, confidence, query_index
-                ))
+                )
+                path_vertices.append(vertex)
+                tables.append(vertex.table)
                 counters[chosen.name] = chosen.counter + 1
                 accumulated = accumulated.union(chosen.partitions)
                 query_index += 1
             else:
                 path_vertices.append(None)
+                tables.append(None)
                 if chosen.is_terminal:
                     estimate.predicted_abort = chosen.kind is VertexKind.ABORT
                     break
             current = chosen
+        if len(tables) < 2 or tables[1] is None:
+            # No first query state with a table: the decision's OP2
+            # reference is begin's (OptimizationSelector.decide).
+            tables[0] = model.find_vertex(model.begin).table
         estimate._confidence_cache = (len(probabilities), confidence)
 
     def _choose(

@@ -132,8 +132,10 @@ class Houdini:
         """Select the optimizations and memoize the decision with the walk.
 
         While the model learns, a support-limited decision can flip as
-        observation counts grow without the version moving, so it is
-        re-derived per request until it no longer is.
+        observation counts grow with nothing the walk read replaced, so it
+        is re-derived per request until it no longer is.  Everything else a
+        decision reads from the model is a table the walk recorded, so the
+        memo's validity rule covers the decision too.
         """
         decision = self.selector.decide(request, estimate, model)
         if entry is not None and not (self.learning and decision.support_limited):
@@ -161,7 +163,9 @@ class Houdini:
 
         Planning is two layers behind one switch
         (:attr:`HoudiniConfig.enable_estimate_caching`): the plan memo is
-        probed with the request's binding signature, and only a miss pays
+        probed with the request's binding signature — an entry is served
+        when the model's version has not moved or, failing that, when
+        everything its walk read is still in place — and only a miss pays
         for a model walk plus optimization selection.  Both produce
         identical decisions and charge the identical modelled estimation
         cost, so simulated metrics do not depend on which one served a

@@ -139,7 +139,8 @@ class HoudiniRuntime:
                 stats.deviated_from_estimate = True
                 if self.learn:
                     # Only a learning attempt writes the model: a placeholder
-                    # moves ``model.version`` and with it every memoized walk.
+                    # moves ``model.version``, and its first edge drops the
+                    # source's view — evicting the memoized walks that read it.
                     vertex = model.add_placeholder(key, invocation.query_type)
                     stats.placeholders_added += 1
         if self._current is not None:

@@ -147,9 +147,11 @@ class MarkovModel:
         #: when a vertex or edge is created and when :meth:`process`
         #: recomputes probabilities/tables, but NOT on count-only edge visits
         #: (those leave every probability — and therefore every walk — intact
-        #: until the next processing pass).  The plan memo
-        #: (:mod:`repro.houdini.cache`) compares it to decide whether a
-        #: memoized walk or decision derived from this model is still valid.
+        #: until the next processing pass).  For the plan memo
+        #: (:mod:`repro.houdini.cache`) it is the O(1) fast path only: an
+        #: unmoved version proves a memoized walk valid, a moved one proves
+        #: nothing — the walk is then asked what it read
+        #: (:meth:`still_publishes`).
         self.version = 0
         #: One :class:`SuccessorView` per vertex (see :meth:`successor_view`).
         self._successor_views: dict[VertexKey, SuccessorView] = {}
@@ -241,6 +243,32 @@ class MarkovModel:
         """Outgoing (target, probability) pairs sorted by descending
         probability — ``successor_view(key).pairs``; shared, do not mutate."""
         return self.successor_view(key).pairs
+
+    def still_publishes(
+        self,
+        keys: Sequence[VertexKey],
+        views: Sequence[SuccessorView],
+        tables: Sequence[ProbabilityTable | None],
+    ) -> bool:
+        """Whether everything a walk read is still what the model publishes
+        (the plan memo's validity rule, :mod:`repro.houdini.cache`).
+
+        ``views[i]`` must be the successor view of ``keys[i]`` — a dropped,
+        not-yet-rebuilt view counts as replaced — and ``tables[i]`` its
+        probability table.  A ``None`` table means "not read", except at a
+        query state: a walk reads every query state's table, and ``None``
+        there is a placeholder's missing one.  Identity is the whole test
+        because a published view or table is replaced, never mutated.
+        """
+        current_view = self._successor_views.get
+        for key, view in zip(keys, views):
+            if current_view(key) is not view:
+                return False
+        vertices = self._vertices
+        for key, table in zip(keys, tables):
+            if (table is not None or key.is_query) and vertices[key].table is not table:
+                return False
+        return True
 
     def edge(self, source: VertexKey, target: VertexKey) -> Edge | None:
         return self._edges.get(source, {}).get(target)

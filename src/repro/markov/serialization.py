@@ -21,7 +21,7 @@ from typing import Any, Mapping
 from ..errors import ModelError
 from ..types import PartitionSet, QueryType
 from .model import MarkovModel
-from .vertex import VertexKey, VertexKind
+from .vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, VertexKey, VertexKind
 
 #: Format version written into every document.
 FORMAT_VERSION = 1
@@ -41,14 +41,18 @@ def vertex_key_to_dict(key: VertexKey) -> dict[str, Any]:
     }
 
 
+_SPECIAL_KEYS = {key.kind: key for key in (BEGIN_KEY, COMMIT_KEY, ABORT_KEY)}
+
+
 def vertex_key_from_dict(data: Mapping[str, Any]) -> VertexKey:
-    """Decode a vertex key produced by :func:`vertex_key_to_dict`."""
+    """Decode a vertex key produced by :func:`vertex_key_to_dict` — to the
+    canonical object of that state (keys are hash-consed)."""
     try:
         kind = VertexKind(data["kind"])
     except (KeyError, ValueError) as exc:
         raise ModelError(f"invalid vertex kind in {data!r}") from exc
     if kind is not VertexKind.QUERY:
-        return VertexKey(kind=kind)
+        return _SPECIAL_KEYS[kind]
     return VertexKey.query(
         data["name"],
         int(data["counter"]),

@@ -9,6 +9,7 @@ set of partitions the transaction accessed previously.  Three special states
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,61 +29,58 @@ class VertexKind(Enum):
         return self in (VertexKind.COMMIT, VertexKind.ABORT)
 
 
-#: Small integer codes hashed in place of the enum members (see
-#: :meth:`VertexKey.__post_init__`).
-_KIND_CODES = {kind: code for code, kind in enumerate(VertexKind)}
-
-#: Intern table for query-state keys (see :meth:`VertexKey.query`).  Grows
-#: with the number of distinct execution states observed — the same order of
-#: magnitude as the Markov models themselves — but, being process-global, it
-#: would outlive discarded models, so interning stops at a bound (further
-#: keys are constructed uncached; interning is only an optimization, equality
-#: stays value-based).
-_QUERY_KEY_INTERN: dict[tuple, "VertexKey"] = {}
-_QUERY_KEY_INTERN_LIMIT = 262_144
+#: The hash-consing table behind :meth:`VertexKey.query`: state fields ->
+#: weak reference to the one live key of that state.  Weak, because the table
+#: is process-global and must not pin the keys of discarded models: a key
+#: dies with the last model, estimate or maintenance tail that references
+#: it, and its entry goes with it.
+_QUERY_KEYS: dict[tuple, weakref.KeyedRef] = {}
 
 
-@dataclass(frozen=True)
+def _forget(reference: weakref.KeyedRef) -> None:
+    # A dead key's slot may already hold its successor (the collector clears
+    # a reference before calling back): remove only this reference's entry.
+    if _QUERY_KEYS.get(reference.key) is reference:
+        del _QUERY_KEYS[reference.key]
+
+
 class VertexKey:
-    """Hashable identity of an execution state.
+    """Identity of an execution state — hash-consed: one live object per state.
 
-    Keys are used as dictionary keys throughout the model and the estimator's
-    inner loop, so the hash is computed once at construction and the
-    ``is_query`` / ``is_terminal`` classifications are precomputed attributes
-    rather than per-access enum comparisons.
+    Keys come only from :meth:`query` and the module singletons
+    :data:`BEGIN_KEY` / :data:`COMMIT_KEY` / :data:`ABORT_KEY`; pickling,
+    copying and deserialization route back through those and direct
+    construction is rejected, so two keys of one state cannot coexist.  That
+    is what lets equality and hashing be the object defaults: every dict
+    probe in the model, the estimator's inner loop, the run-time monitor and
+    the learner is a C-level identity test with no Python frame.
     """
 
-    kind: VertexKind
-    name: str = ""
-    counter: int = 0
-    partitions: PartitionSet = EMPTY_PARTITION_SET
-    previous: PartitionSet = EMPTY_PARTITION_SET
+    #: ``is_query`` / ``is_terminal`` are precomputed (attribute reads, not
+    #: enum comparisons).  ``sort_token`` breaks ties among equal-probability
+    #: successors (``SuccessorView.pairs``): it decides successor order and
+    #: so result bytes — its format is frozen in ``_make_key``, spelled out
+    #: down to the partition lists, independent of ``__str__``/``label``.
+    __slots__ = (
+        "kind", "name", "counter", "partitions", "previous",
+        "is_query", "is_terminal", "sort_token", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        # Hash the kind's code point rather than the enum member: enum
-        # hashing is a Python-level call, and query keys are constructed for
-        # every monitored query invocation.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(
-                (_KIND_CODES[self.kind], self.name, self.counter,
-                 self.partitions, self.previous)
-            ),
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(
+            "VertexKey is hash-consed: use VertexKey.query() or "
+            "BEGIN_KEY / COMMIT_KEY / ABORT_KEY"
         )
-        object.__setattr__(self, "is_query", self.kind is VertexKind.QUERY)
-        object.__setattr__(self, "is_terminal", self.kind.is_terminal)
-        # Tie-break among equal-probability successors
-        # (``SuccessorView.pairs``).  It decides successor order and
-        # so result bytes: the format is frozen here, spelled out down to the
-        # partition lists, and independent of every ``__str__``/``label``.
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"VertexKey is immutable (cannot set {name!r})")
+
+    def __reduce__(self):
+        # Unpickling and copying land on the canonical object: a query key
+        # through the table, a special through its module-level name.
         if self.kind is VertexKind.QUERY:
-            partitions = ", ".join(map(str, self.partitions.partitions))
-            previous = ", ".join(map(str, self.previous.partitions))
-            token = f"{self.name}#{self.counter}@{{{partitions}}}|prev={{{previous}}}"
-        else:
-            token = self.kind.value
-        object.__setattr__(self, "sort_token", token)
+            return VertexKey.query, (self.name, self.counter, self.partitions, self.previous)
+        return f"{self.kind.name}_KEY"
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -92,26 +90,13 @@ class VertexKey:
         partitions: PartitionSet,
         previous: PartitionSet,
     ) -> "VertexKey":
-        """Interned constructor for query-state keys.
-
-        The runtime monitor and the estimator construct one key per query
-        they look at, almost always one that already exists in some model;
-        interning turns the duplicate construction (dataclass init + 5-tuple
-        hash) into a single dict probe and makes later dict lookups hit the
-        pointer-equality fast path.
-        """
+        """The key of a query state (the only constructor of query keys)."""
         probe = (name, counter, partitions, previous)
-        key = _QUERY_KEY_INTERN.get(probe)
+        reference = _QUERY_KEYS.get(probe)
+        key = reference() if reference is not None else None
         if key is None:
-            key = VertexKey(
-                kind=VertexKind.QUERY,
-                name=name,
-                counter=counter,
-                partitions=partitions,
-                previous=previous,
-            )
-            if len(_QUERY_KEY_INTERN) < _QUERY_KEY_INTERN_LIMIT:
-                _QUERY_KEY_INTERN[probe] = key
+            key = _make_key(VertexKind.QUERY, name, counter, partitions, previous)
+            _QUERY_KEYS[probe] = weakref.KeyedRef(key, _forget, probe)
         return key
 
     def accessed_partitions(self) -> PartitionSet:
@@ -127,24 +112,40 @@ class VertexKey:
             f"partitions: {self.partitions}\nprevious: {self.previous}"
         )
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"VertexKey({self})"
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind is not VertexKind.QUERY:
             return self.kind.value
         return f"{self.name}#{self.counter}@{self.partitions}|prev={self.previous}"
 
 
-def _vertex_key_hash(self: VertexKey) -> int:
-    return self._hash  # type: ignore[attr-defined]
+def _make_key(
+    kind: VertexKind,
+    name: str = "",
+    counter: int = 0,
+    partitions: PartitionSet = EMPTY_PARTITION_SET,
+    previous: PartitionSet = EMPTY_PARTITION_SET,
+) -> VertexKey:
+    if kind is VertexKind.QUERY:
+        partition_list = ", ".join(map(str, partitions.partitions))
+        previous_list = ", ".join(map(str, previous.partitions))
+        token = f"{name}#{counter}@{{{partition_list}}}|prev={{{previous_list}}}"
+    else:
+        token = kind.value
+    key = object.__new__(VertexKey)
+    for slot, value in zip(VertexKey.__slots__, (
+        kind, name, counter, partitions, previous,
+        kind is VertexKind.QUERY, kind.is_terminal, token,
+    )):
+        object.__setattr__(key, slot, value)
+    return key
 
 
-# Installed after class creation so the dataclass machinery cannot replace it
-# with the default field-tuple hash.
-VertexKey.__hash__ = _vertex_key_hash  # type: ignore[method-assign]
-
-
-BEGIN_KEY = VertexKey(kind=VertexKind.BEGIN)
-COMMIT_KEY = VertexKey(kind=VertexKind.COMMIT)
-ABORT_KEY = VertexKey(kind=VertexKind.ABORT)
+BEGIN_KEY = _make_key(VertexKind.BEGIN)
+COMMIT_KEY = _make_key(VertexKind.COMMIT)
+ABORT_KEY = _make_key(VertexKind.ABORT)
 
 
 @dataclass(slots=True)

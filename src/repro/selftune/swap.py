@@ -12,9 +12,7 @@ procedure's state:
   (:meth:`~repro.houdini.cache.EstimateCache.invalidate_procedure`), which
   also releases the retired model they pin;
 * maintenance stops tracking the retired model
-  (:meth:`~repro.houdini.maintenance.MaintenanceRegistry.forget`);
-* the retired model's ``version`` is bumped while we still hold it, so any
-  version captured against it can never validate again.
+  (:meth:`~repro.houdini.maintenance.MaintenanceRegistry.forget`).
 
 Nothing else is rekeyed: other procedures' memoized walks stay
 exactly where they are (the swap-isolation tests pin this down).
@@ -49,6 +47,5 @@ class ModelSwapController:
             houdini.estimate_cache.invalidate_procedure(procedure)
         if old_model is not None:
             houdini.maintenance.forget(old_model)
-            old_model.version += 1
         self.swaps_performed += 1
         return old_model

@@ -8,8 +8,8 @@ TATP run (the layered path: context â†’ procedure â†’ estimator â†’ lock check â
 executor â†’ binders â†’ heap â†’ monitor); with the step tables it reads 16.97 and
 45.90.  The count is a function of the code and the seed, not of the host; a
 fresh interpreter repeats it exactly, and inside a longer pytest session it
-can only read *lower* (process-global interning of vertex keys is already
-warm).  The gates sit just above what the step tables reach.
+can only read *lower* (vertex keys another live model already holds are
+found, not constructed).  The gates sit just above what the step tables reach.
 """
 
 from __future__ import annotations

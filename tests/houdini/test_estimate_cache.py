@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro import pipeline
 from repro.houdini import (
     EstimateCache,
+    GlobalModelProvider,
     Houdini,
     HoudiniConfig,
     OptimizationDecision,
@@ -102,15 +104,6 @@ class TestLookupAndEviction:
         assert "uncacheable=2" in cache.describe()
         assert "hit_rate" in cache.describe()
 
-    def test_stale_version_evicts_and_counts_one_invalidation(self, model):
-        cache = EstimateCache(HoudiniConfig())
-        cache.store(_key(model), model, _estimate())
-        assert cache.lookup(_key(model), model) is not None
-        model.version += 1
-        assert cache.lookup(_key(model), model) is None
-        assert len(cache) == 0
-        assert (cache.stats.invalidations, cache.stats.misses) == (1, 1)
-
     def test_entry_pins_its_model(self, model):
         """The key holds ``id(model)``: the entry keeps the model alive so
         the identity cannot be recycled under it."""
@@ -168,19 +161,124 @@ class TestLookupAndEviction:
         assert cache.peek(_key(model, signature=(0,)), model) is old
         assert cache.peek(_key(model, signature=(7,)), model) is None
         assert cache.peek(None, None) is None
-        model.version += 1  # stale: peek reports a miss but evicts nothing
+        model.version += 1  # stale but valid: served, and not re-stamped
+        assert cache.peek(_key(model, signature=(0,)), model) is old
+        old.estimate.read_views.append(model.successor_view(model.begin))
+        model.record_transition(model.begin, COMMIT_KEY)  # drops begin's view
+        # Stale and invalid: peek reports a miss but evicts nothing.
         assert cache.peek(_key(model, signature=(0,)), model) is None
         assert state() == before
 
 
-def _houdini(artifacts, *, learning=False, **config) -> Houdini:
+def _houdini(artifacts, *, learning=False, models=None, **config) -> Houdini:
     return Houdini(
         artifacts.benchmark.catalog,
-        artifacts.global_provider(),
+        artifacts.global_provider() if models is None else GlobalModelProvider(models),
         artifacts.mappings,
         HoudiniConfig(**config),
         learning=learning,
     )
+
+
+class TestAMovedVersionAsksWhatTheWalkRead:
+    """The validity rule under a moved ``model.version``: an entry is served
+    iff every view and table its walk read is still the one in place."""
+
+    @pytest.fixture()
+    def planned(self, tpcc_artifacts):
+        """``(houdini, request, model, entry)`` over private model copies,
+        with one ``neworder`` walk memoized."""
+        houdini = _houdini(
+            tpcc_artifacts, learning=True, models=copy.deepcopy(tpcc_artifacts.models)
+        )
+        request = ProcedureRequest.of(
+            "neworder", (0, 1, 5, (11, 12, 13), (0, 0, 0), (1, 2, 3))
+        )
+        estimate = houdini.plan(request).estimate
+        assert estimate.reached_terminal and estimate.query_count > 3
+        model = houdini.provider.model_for(request)
+        signature = houdini.estimator.footprint_and_signature(request)[1]
+        entry = houdini.estimate_cache.peek(("neworder", id(model), signature), model)
+        assert entry is not None and entry.estimate is estimate
+        assert len(estimate.read_tables) == len(estimate.vertices)
+        assert len(estimate.read_views) == len(estimate.vertices) - 1  # not the terminal's
+        return houdini, request, model, entry
+
+    @staticmethod
+    def _unseen(source: VertexKey) -> VertexKey:
+        return VertexKey.query(
+            source.name, 99, PartitionSet.of([0]), source.accessed_partitions()
+        )
+
+    @staticmethod
+    def _off_the_path(model, estimate, *, below: bool) -> VertexKey:
+        """A query state the walk never visited: a child of a visited query
+        state (``below``) or any other."""
+        visited = set(estimate.vertices)
+        candidates = (
+            [target for key in estimate.query_vertices for target, _ in model.successors(key)]
+            if below else [vertex.key for vertex in model.query_vertices()]
+        )
+        for key in candidates:
+            if key not in visited and key.is_query and model.successors(key):
+                return key
+        pytest.fail("every candidate state is on the walk's path")
+
+    def test_nothing_read_was_replaced_is_a_hit(self, planned):
+        houdini, request, model, entry = planned
+        stats = houdini.estimate_cache.stats
+        before = (stats.hits, stats.misses, stats.stores)
+        elsewhere = self._off_the_path(model, entry.estimate, below=False)
+        version = model.version
+        model.record_transition(elsewhere, self._unseen(elsewhere))  # vertex + edge
+        assert model.version == version + 2 and entry.version == version
+        assert houdini.plan(request).estimate is entry.estimate
+        assert entry.version == model.version  # re-stamped: the next probe is O(1)
+        assert houdini.plan(request).estimate is entry.estimate
+        assert (stats.hits, stats.misses, stats.stores) == (before[0] + 2, *before[1:])
+        assert (stats.revalidated, stats.invalidations) == (1, 0)
+
+    def test_a_visited_vertex_gained_an_edge_is_a_miss(self, planned):
+        houdini, request, model, entry = planned
+        stats = houdini.estimate_cache.stats
+        misses = stats.misses
+        visited = entry.estimate.query_vertices[2]
+        model.record_transition(visited, self._unseen(visited))
+        rewalked = houdini.plan(request).estimate
+        assert rewalked is not entry.estimate
+        assert rewalked.work_units == entry.estimate.work_units + 1
+        assert (stats.revalidated, stats.invalidations) == (0, 1)
+        assert stats.misses == misses + 1
+
+    def test_a_recompute_that_replaced_a_read_table_is_a_miss(self, planned):
+        houdini, request, model, entry = planned
+        estimate = entry.estimate
+        below = self._off_the_path(model, estimate, below=True)
+        model.record_transition(below, model.successors(below)[0][0], 50)  # counts only
+        version = model.version
+        model.process()
+        assert model.version == version + 1
+        # Every view the walk read is still in place; the tables above the
+        # drifted state are not.
+        assert model.still_publishes(estimate.vertices, estimate.read_views, ())
+        assert not model.still_publishes(estimate.vertices, (), estimate.read_tables)
+        assert houdini.plan(request).estimate is not estimate
+        stats = houdini.estimate_cache.stats
+        assert (stats.revalidated, stats.invalidations) == (0, 1)
+
+    def test_an_estimate_records_begins_table_only_as_the_op2_reference(self, planned):
+        """Slot 0 of ``read_tables`` is ``begin``'s table only when no first
+        query state's table exists to condition OP2 on."""
+        houdini, request, model, entry = planned
+        assert entry.estimate.read_tables[0] is None
+        assert entry.estimate.read_tables[1] is model.find_vertex(
+            entry.estimate.query_vertices[0]
+        ).table
+        empty = MarkovModel("neworder", model.num_partitions)
+        empty.process()
+        walked = houdini.estimator.estimate(request, empty)
+        assert walked.vertices == [empty.begin] and len(walked.read_tables) == 1
+        assert walked.read_tables[0] is empty.probability_table(empty.begin)
 
 
 class TestHoudiniIntegration:

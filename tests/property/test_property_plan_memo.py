@@ -2,15 +2,25 @@
 
 Random interleavings of everything that can touch a memoized walk — planning
 a request, completing attempts (which, with learning on, count transitions
-and now and then discover a new state), a maintenance pass, a hot model
-swap, a live ``confidence_threshold`` change — are fed in lockstep to a
-memo-on and a memo-off ``Houdini`` over identical, separately owned models
-of TATP, SmallBank **and TPC-C**.  At every planning step the two must agree
-on the decision, the charged estimation cost, the plan and the estimate.
+and now and then discover a new state), transitions learned at an arbitrary
+state of the model (on a memoized path or off it, with or without a
+recompute behind the memo's back), a maintenance pass, a hot model swap, a
+live ``confidence_threshold`` change — are fed in lockstep to a memo-on and
+a memo-off ``Houdini`` over identical, separately owned models of TATP,
+SmallBank **and TPC-C**.  At every planning step the two must agree on the
+decision, the charged estimation cost, the plan and the estimate.
+
+The memo's validity rule is *what the walk read is still in place*
+(``repro.houdini.cache``), so the sharpest case is an entry served under a
+moved model version: whenever that happens, a fresh walk of the same request
+on the *same* model is taken on the spot and must equal what was served —
+and each workload's run must contain both outcomes (an entry that survived a
+version change, and one evicted by it), or it proves nothing.
 
 The property is proven by seeded mutations of the memo it must catch (the
-``TestMutationsAreCaught`` cases below: skip the version check; memoize a
-support-limited decision while learning).
+``TestMutationsAreCaught`` cases below: re-stamp without checking; skip the
+view check; skip the table check; memoize a support-limited decision while
+learning).
 
 Tier-1 runs a fixed-seed quarter of the default budget (every example
 copies the models twice; seconds, not tens of seconds); CI's
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +40,8 @@ from hypothesis import given, settings, strategies as st
 from repro import pipeline
 from repro.engine.engine import AttemptOutcome, AttemptResult
 from repro.houdini import EstimateCache, GlobalModelProvider, Houdini, HoudiniConfig
-from repro.markov.vertex import VertexKey
+from repro.markov import MarkovModel
+from repro.markov.vertex import ABORT_KEY, VertexKey
 from repro.selftune import ModelSwapController
 from repro.types import EMPTY_PARTITION_SET, PartitionSet
 
@@ -63,21 +75,14 @@ def make_pair(benchmark: str, learning: bool) -> list[Houdini]:
     return pair
 
 
-def observable(houdini_plan) -> tuple:
-    """Everything a plan hands the rest of the system, minus ``source``
-    (which says who served it) and wall-clock time."""
-    decision, estimate, plan = (
-        houdini_plan.decision, houdini_plan.estimate, houdini_plan.plan
-    )
+def walked(decision, estimate) -> tuple:
+    """Every field of a decision and of the estimate it was derived from."""
     return (
         decision.base_partition, decision.locked_partitions,
         decision.predicted_single_partition, decision.disable_undo,
         sorted(decision.finish_after_query.items()), decision.abort_probability,
         decision.confidence, decision.op1_selected, decision.op2_selected,
         decision.support_limited,
-        plan.estimation_ms, plan.base_partition, plan.locked_partitions,
-        plan.undo_logging, sorted(plan.finish_after_query.items()),
-        plan.predicted_single_partition, plan.predicted_abort_probability,
         tuple(estimate.vertices), tuple(estimate.edge_probabilities),
         estimate.work_units, estimate.abort_probability, estimate.predicted_abort,
         estimate.degenerate,
@@ -89,11 +94,35 @@ def observable(houdini_plan) -> tuple:
     )
 
 
-def plan_both(pair, request):
+def observable(houdini_plan) -> tuple:
+    """Everything a plan hands the rest of the system, minus ``source``
+    (which says who served it) and wall-clock time."""
+    plan = houdini_plan.plan
+    return walked(houdini_plan.decision, houdini_plan.estimate) + (
+        plan.estimation_ms, plan.base_partition, plan.locked_partitions,
+        plan.undo_logging, sorted(plan.finish_after_query.items()),
+        plan.predicted_single_partition, plan.predicted_abort_probability,
+    )
+
+
+def plan_both(pair, request, tally):
+    memo_on = pair[0]
+    stats = memo_on.estimate_cache.stats
+    revalidated, evicted = stats.revalidated, stats.invalidations
     plans = [houdini.plan(request) for houdini in pair]
     assert observable(plans[0]) == observable(plans[1]), (
         f"memo-on and memo-off disagree on {request.procedure}{request.parameters}"
     )
+    tally["evicted"] += stats.invalidations - evicted
+    if stats.revalidated > revalidated:
+        # Served under a moved version: walk the same model afresh, now.
+        tally["revalidated"] += 1
+        model = memo_on.provider.model_for(request)
+        fresh = memo_on.estimator.estimate(request, model)
+        served = plans[0]
+        assert walked(served.decision, served.estimate) == walked(
+            memo_on.selector.decide(request, fresh, model), fresh
+        ), f"a revalidated entry differs from a fresh walk of {request.procedure}"
     return plans
 
 
@@ -125,18 +154,48 @@ def complete(houdini, request, houdini_plan, cut, committed) -> None:
     ))
 
 
-def check(benchmark: str, learning: bool, script) -> None:
+def learn(houdini, request, choice, discover, times, recompute) -> None:
+    """Record a transition out of an arbitrary query state of the request's
+    model — on a memoized path or off it — straight into the model, as a
+    concurrent learner would: to a state nobody has seen (``discover``) or to
+    ``abort``.  ``recompute`` then re-derives probabilities and tables
+    without telling the memo, which must notice by itself."""
+    model = houdini.provider.model_for(request)
+    states = [vertex.key for vertex in model.query_vertices()]
+    if not states:
+        return
+    source = states[choice % len(states)]
+    target = ABORT_KEY
+    if discover:
+        target = VertexKey.query(
+            source.name, 9, PartitionSet.of([choice % PARTITIONS]),
+            source.accessed_partitions(),
+        )
+    model.record_transition(source, target, times)
+    if recompute:
+        houdini.maintenance.for_model(model).recompute()
+
+
+def check(benchmark: str, learning: bool, script, tally=None, warm=False) -> None:
     _, requests, pristine = world(benchmark)
     pair = make_pair(benchmark, learning)
+    tally = Counter() if tally is None else tally
+    if warm:  # every request memoized before the script starts writing
+        for request in requests:
+            plan_both(pair, request, tally)
     for operation, argument in script:
         if operation == "plan":
-            plan_both(pair, requests[argument])
+            plan_both(pair, requests[argument], tally)
         elif operation == "attempt":
             index, cut, committed, repeat = argument
             for _ in range(repeat):
-                plans = plan_both(pair, requests[index])
+                plans = plan_both(pair, requests[index], tally)
                 for houdini, houdini_plan in zip(pair, plans):
                     complete(houdini, requests[index], houdini_plan, cut, committed)
+        elif operation == "learn":
+            index, *how = argument
+            for houdini in pair:
+                learn(houdini, requests[index], *how)
         elif operation == "maintenance":
             for houdini in pair:
                 houdini.maintenance.check_all()
@@ -150,7 +209,7 @@ def check(benchmark: str, learning: bool, script) -> None:
             for houdini in pair:
                 houdini.reconfigure(confidence_threshold=argument)
     for request in requests:
-        plan_both(pair, request)
+        plan_both(pair, request, tally)
 
 
 indexes = st.integers(min_value=0, max_value=POOL - 1)
@@ -162,6 +221,13 @@ operations = st.one_of(
         st.booleans(),  # committed?
         st.sampled_from([1, 1, 1, 3, 12, 120]),  # enough to outgrow thin support
     )),
+    st.tuples(st.just("learn"), st.tuples(
+        indexes,
+        st.integers(min_value=-4, max_value=40),  # which state (negative: newest)
+        st.booleans(),  # discover a new state, or drift towards abort?
+        st.sampled_from([1, 1, 50, 5000]),
+        st.booleans(),  # recompute behind the memo's back?
+    )),
     st.tuples(st.just("maintenance"), st.none()),
     st.tuples(st.just("swap"), indexes),
     st.tuples(st.just("threshold"), st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0])),
@@ -169,17 +235,26 @@ operations = st.one_of(
 
 
 @pytest.mark.parametrize("workload", BENCHMARKS)
-@given(learning=st.booleans(), script=st.lists(operations, min_size=1, max_size=12))
-@settings(deadline=None, derandomize=True,
-          max_examples=max(25, settings.default.max_examples // 4))
-def test_memo_on_equals_memo_off_at_every_step(workload, learning, script):
-    check(workload, learning, script)
+def test_memo_on_equals_memo_off_at_every_step(workload):
+    tally = Counter()
+
+    @given(learning=st.booleans(), warm=st.booleans(),
+           script=st.lists(operations, min_size=1, max_size=12))
+    @settings(deadline=None, derandomize=True,
+              max_examples=max(25, settings.default.max_examples // 4))
+    def run(learning, warm, script):
+        check(workload, learning, script, tally, warm)
+
+    run()
+    # Not vacuous: entries did survive a version change (each checked against
+    # a fresh walk on the spot), and entries were evicted by one.
+    assert tally["revalidated"] > 0 and tally["evicted"] > 0, tally
 
 
 # ----------------------------------------------------------------------
 # The property must catch a broken memo.
 # ----------------------------------------------------------------------
-def _lookup_without_the_version_check(self, key, model):
+def _lookup_restamping_without_a_check(self, key, model):
     entry = self._entries.get(key)
     if entry is not None:
         entry.version = model.version
@@ -187,6 +262,15 @@ def _lookup_without_the_version_check(self, key, model):
 
 
 _real_lookup = EstimateCache.lookup
+_real_still_publishes = MarkovModel.still_publishes
+
+
+def _still_publishes_ignoring_views(self, keys, views, tables):
+    return _real_still_publishes(self, keys, (), tables)
+
+
+def _still_publishes_ignoring_tables(self, keys, views, tables):
+    return _real_still_publishes(self, keys, views, ())
 
 
 def _decide_and_always_memoize(self, request, estimate, model, footprint, entry):
@@ -208,13 +292,44 @@ def _support_limited_index(benchmark: str) -> int:
 
 
 class TestMutationsAreCaught:
-    def test_skipping_the_version_check(self, monkeypatch):
+    def test_restamping_without_checking(self, monkeypatch):
         """A walk memoized before the model learned a new state (and was
         recomputed) must not be served afterwards."""
         script = [("plan", 0), ("attempt", (0, 0, True, 12)), ("maintenance", None)]
         check("tpcc", True, script)
-        monkeypatch.setattr(EstimateCache, "lookup", _lookup_without_the_version_check)
+        monkeypatch.setattr(EstimateCache, "lookup", _lookup_restamping_without_a_check)
         with pytest.raises(AssertionError, match="disagree"):
+            check("tpcc", True, script)
+
+    def test_skipping_the_view_check(self, monkeypatch):
+        """A state discovered *on* a memoized path adds an edge at a visited
+        vertex: no table has moved yet, but a fresh walk already weighs one
+        more candidate there (``work_units``, hence the charged cost)."""
+        script = [("plan", 0), ("attempt", (0, 1, True, 1)), ("plan", 0)]
+        tally = Counter()
+        check("tpcc", True, script, tally)
+        assert tally["evicted"] > 0
+        monkeypatch.setattr(MarkovModel, "still_publishes", _still_publishes_ignoring_views)
+        with pytest.raises(AssertionError, match="disagree|differs from a fresh walk"):
+            check("tpcc", True, script)
+
+    def test_skipping_the_table_check(self, monkeypatch):
+        """Counts drift at a state *below* a memoized path and a recompute
+        follows: every view the walk read is still in place (no visited
+        vertex was dirtied), but its ancestors' tables — the walk's abort
+        probability — were replaced."""
+        script = [
+            ("attempt", (0, 1, True, 1)),  # discovers a state below the path...
+            ("learn", (0, -1, False, 50, True)),  # ...that mostly aborts
+            ("plan", 0),
+            ("learn", (0, -1, False, 5000, True)),  # counts only, then recompute
+            ("plan", 0),
+        ]
+        tally = Counter()
+        check("tpcc", True, script, tally)
+        assert tally["evicted"] > 0
+        monkeypatch.setattr(MarkovModel, "still_publishes", _still_publishes_ignoring_tables)
+        with pytest.raises(AssertionError, match="disagree|differs from a fresh walk"):
             check("tpcc", True, script)
 
     def test_memoizing_a_support_limited_decision_while_learning(self, monkeypatch):

@@ -9,13 +9,19 @@ rebuild from the edges (a count change keeps the view, a structure change
 drops it, a processing pass replaces it: none of the three may ever leave a
 stale answer behind).  After every ``process()`` the incrementally
 maintained model must hold the very floats a full ``process()`` computes on
-a serialized copy.
+a serialized copy.  And across every step, whatever the model had *published*
+for walks to read — a ``SuccessorView``, a ``ProbabilityTable`` — still holds
+what it held when it was captured: the model replaces those objects and never
+mutates them, which is what lets the plan memo validate a memoized walk by
+the identity of what it read (``MarkovModel.still_publishes``).
 
 Tier-1 runs the default budget; CI's ``learning-smoke`` job runs
 ``--hypothesis-profile=long`` (registered in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,16 +163,41 @@ _A = VertexKey.query("A", 0, PartitionSet.of([0]), PartitionSet.of([]))
 _B = VertexKey.query("B", 0, PartitionSet.of([1]), PartitionSet.of([0]))
 
 
+def view_content(view) -> tuple:
+    return (list(view.pairs), list(view.records), view.single_name, view.has_terminal)
+
+
+def published(model: MarkovModel) -> list[tuple]:
+    """Every view and table the model publishes, each with a copy of what it
+    holds now.  Their lazily filled caches (the benign exception to "never
+    mutated") are forced first, half of the time, so both orders occur."""
+    captured = []
+    for index, vertex in enumerate(model.vertices()):
+        view, table = model.successor_view(vertex.key), vertex.table
+        captured.append((view, view_content, view_content(view)))
+        if table is not None:
+            if index % 2:
+                table.positive_access()
+            captured.append((table, copy.deepcopy, copy.deepcopy(table)))
+    return captured
+
+
+def assert_never_mutated(captured: list[tuple]) -> None:
+    for published_object, content_of, content in captured:
+        assert content_of(published_object) == content, (
+            f"a published {type(published_object).__name__} was mutated in place"
+        )
+
+
 def check(steps) -> None:
     model = MarkovModel("prop", PARTITIONS)
-    for operation, argument in steps:
+    for operation, argument in [*steps, ("process", None)]:
+        captured = published(model)
         apply(model, operation, argument)
+        assert_never_mutated(captured)
         assert_views_match_a_fresh_rebuild(model)
         if operation == "process":
             assert_incremental_equals_full(model)
-    model.process()
-    assert_views_match_a_fresh_rebuild(model)
-    assert_incremental_equals_full(model)
 
 
 @given(st.lists(operations, min_size=1, max_size=25))
@@ -183,9 +214,21 @@ def test_successor_views_equal_a_fresh_rebuild_after_every_step(steps):
 
 # ----------------------------------------------------------------------
 # The property is only worth its budget if it catches the bugs it is for:
-# two seeded mutations of ``_add_edge_visit``, the one edge mutation.
+# two seeded mutations of ``_add_edge_visit``, the one edge mutation, and one
+# of ``_table_for`` that refreshes a published table in place.
 # ----------------------------------------------------------------------
 _add_edge_visit = MarkovModel._add_edge_visit
+_table_for = MarkovModel._table_for
+
+
+def _table_refreshed_in_place(self, key):
+    table, published_table = _table_for(self, key), self.vertex(key).table
+    if published_table is None:
+        return table
+    published_table.single_partition, published_table.abort = table.single_partition, table.abort
+    published_table.read[:], published_table.write[:] = table.read, table.write
+    published_table.finish[:] = table.finish
+    return published_table
 
 
 def _new_edge_keeps_the_view(self, source, target, count=1):
@@ -224,4 +267,12 @@ class TestMutationsAreCaught:
         check(script)
         monkeypatch.setattr(MarkovModel, "_add_edge_visit", _hit_does_not_dirty_the_source)
         with pytest.raises(AssertionError):
+            check(script)
+
+    def test_a_recompute_that_refreshes_a_table_in_place(self, monkeypatch):
+        """Every value is right — only the plan memo, which trusts identity,
+        would be fooled."""
+        script = self.fork + [("record_transition", ((BEGIN_KEY, _A), 7)), ("process", None)]
+        monkeypatch.setattr(MarkovModel, "_table_for", _table_refreshed_in_place)
+        with pytest.raises(AssertionError, match="ProbabilityTable was mutated in place"):
             check(script)

@@ -73,16 +73,21 @@ class TestSwapContract:
         # Swap back so the module fixture stays warm for the other tests.
         controller.swap(procedure, old)
 
-    def test_swap_bumps_the_retired_models_version(self, warm_houdini):
-        procedure, _ = _two_cached_procedures(warm_houdini)
+    def test_swap_leaves_no_memo_entry_of_the_retired_model(self, warm_houdini):
+        """Nothing memoized against the retired model can be served again:
+        its entries are gone (a bare version bump would invalidate nothing —
+        the memo validates by what a walk read), and with them the pins that
+        kept the model's identity from being recycled."""
+        _, procedure = _two_cached_procedures(warm_houdini)
+        cache = warm_houdini.estimate_cache
         old = warm_houdini.provider.model_for_procedure(procedure)
-        version_before = old.version
+        assert any(entry.model is old for entry in cache._entries.values())
         controller = ModelSwapController(warm_houdini)
         controller.swap(procedure, _fresh_replacement(old))
-        # A version captured against the retired model can never validate
-        # again.
-        assert old.version > version_before
+        assert not any(entry.model is old for entry in cache._entries.values())
         controller.swap(procedure, old)
+        # Swapped back in, the model starts from an empty slate too.
+        assert not any(key[0] == procedure for key in cache._entries)
 
     def test_swap_forgets_the_retired_models_maintenance(self, warm_houdini):
         procedure, _ = _two_cached_procedures(warm_houdini)
