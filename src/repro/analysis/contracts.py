@@ -97,7 +97,7 @@ CACHE_FEEDING_SUFFIX = "_ms"
 #: the message names the contract method(s) to use instead.
 PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # attribute -> (owner class, contract methods to use instead)
-    "_entries": ("EstimateCache", "lookup()/peek()/store()/invalidate()/invalidate_procedure()"),
+    "_entries": ("EstimateCache", "lookup()/store()/invalidate()/invalidate_procedure()"),
     "_schedule_cache": ("CostModel", "assign the *_ms field or call clear_schedule_cache()"),
     # Self-tuning (hot model swap) contract surfaces: the provider's model
     # table only changes through install_model() — the atomic swap point —

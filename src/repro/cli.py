@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--backend", choices=("inline", "sharded"), default="inline",
         help="execution backend: 'sharded' runs partition workers over OS "
-        "processes (same simulated results, higher wall-clock throughput)",
+        "processes (same simulated results; a determinism and fault-handling "
+        "harness)",
     )
     simulate.add_argument(
         "--workers", type=int, default=2,

@@ -22,8 +22,8 @@ An entry is keyed ``(procedure, id(model), signature)`` and holds
   can flip as observation counts grow with nothing the walk read replaced;
 * ``eligible`` — the §6.3 rule itself (:meth:`EstimateCache.eligible`):
   non-abortable, always single-partition, decision memoized.  Only eligible
-  hits take the ``estimate_cache_simulated_savings`` what-if charge and only
-  eligible entries back the sharded backend's speculation.
+  hits take the ``estimate_cache_simulated_savings`` what-if charge and the
+  ``houdini:cached`` source label.
 
 What invalidates an entry
 -------------------------
@@ -116,14 +116,6 @@ class CachedEstimate:
     eligible: bool = False
 
 
-def _reads_in_place(entry: CachedEstimate, model: MarkovModel) -> bool:
-    """Whether ``model`` still publishes every object the entry's walk read."""
-    estimate = entry.estimate
-    return model.still_publishes(
-        estimate.vertices, estimate.read_views, estimate.read_tables
-    )
-
-
 class EstimateCache:
     """LRU memo of path estimates and decisions, one entry per signature."""
 
@@ -153,7 +145,10 @@ class EstimateCache:
             self.stats.misses += 1
             return None
         if entry.version != model.version:
-            if not _reads_in_place(entry, model):
+            estimate = entry.estimate
+            if not model.still_publishes(
+                estimate.vertices, estimate.read_views, estimate.read_tables
+            ):
                 del self._entries[key]
                 self.stats.invalidations += 1
                 self.stats.misses += 1
@@ -162,22 +157,6 @@ class EstimateCache:
             self.stats.revalidated += 1
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry
-
-    def peek(self, key: CacheKey | None, model: MarkovModel | None) -> CachedEstimate | None:
-        """Side-effect-free :meth:`lookup`: no stats, no LRU refresh, no
-        eviction.
-
-        The sharded backend uses this to *speculate* whether a request would
-        be served from the memo without perturbing any counter the real
-        (authoritative) ``lookup`` at fold time will advance — the peek must
-        leave the cache byte-identical to a run that never peeked.
-        """
-        entry = self._entries.get(key)
-        if entry is None or not (
-            entry.version == model.version or _reads_in_place(entry, model)
-        ):
-            return None
         return entry
 
     def store(self, key: CacheKey, model: MarkovModel, estimate: PathEstimate) -> CachedEstimate:

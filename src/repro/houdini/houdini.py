@@ -192,32 +192,6 @@ class Houdini:
         self._record_plan_stats(request, decision)
         return HoudiniPlan(plan=plan, runtime=runtime, estimate=estimate, decision=decision)
 
-    def plan_speculative(self, request: ProcedureRequest) -> ExecutionPlan | None:
-        """Predict — without side effects — the plan :meth:`plan` would return.
-
-        Serves the sharded backend's dispatch decision: a request whose
-        §6.3-eligible memo entry is valid *now* will (absent interleaved
-        invalidations) be planned from that same entry when the transaction
-        is folded back, so its plan arguments are known before the
-        authoritative ``plan`` call runs.  Returns ``None`` whenever the
-        memo cannot vouch for the request; the caller then executes inline.
-        No statistic, LRU state, estimate field or model is touched — a run
-        that calls this between ``plan`` calls stays byte-identical to one
-        that never does.
-        """
-        memo = self.estimate_cache
-        if memo is None:
-            return None
-        signature = self.estimator.footprint_and_signature(request)[1]
-        model = self.provider.model_for(request)
-        key = self._memo_key(request, model, signature)
-        entry = memo.peek(key, model)
-        if entry is None or not entry.eligible:
-            return None
-        return entry.decision.as_plan(
-            self._charged_ms(entry.estimate, True), source="houdini:cached"
-        )
-
     def plan_restart(
         self,
         request: ProcedureRequest,

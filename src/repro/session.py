@@ -216,12 +216,13 @@ class ClusterSpec:
     #: scale mode (counters stay exact; percentiles carry the sketch's
     #: documented error bound).
     metrics_mode: str = "exact"
-    #: Where transaction logic executes: ``"inline"`` (default) runs it in
-    #: the event loop; ``"sharded"`` shards the partition stores across
-    #: ``num_workers`` OS worker processes and dispatches predictable
-    #: single-partition transactions to them (:mod:`repro.sim.backend`).
-    #: Simulated metrics are byte-identical either way under the same
-    #: seed; only wall-clock throughput differs.
+    #: Where an attempt's statements execute: ``"inline"`` (default) on the
+    #: coordinator; ``"sharded"`` shards the partition stores across
+    #: ``num_workers`` OS worker processes and sends each attempt that locks
+    #: only its base partition to the owning worker
+    #: (:mod:`repro.sim.backend`).  Simulated metrics are byte-identical
+    #: either way under the same seed: the sharded backend is a determinism
+    #: and fault-handling harness, and slower than inline by design.
     execution_backend: str = "inline"
     #: Worker processes for the sharded backend (clamped to the partition
     #: count; ignored by the inline backend).

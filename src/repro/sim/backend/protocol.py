@@ -1,44 +1,25 @@
 """Pipe-protocol tags shared by the sharded coordinator and its workers.
 
-Both :mod:`repro.sim.backend.sharded` (coordinator side) and
-:mod:`repro.sim.backend.worker` (worker side) import these constants, so
-the two ends of the pipe agree on every message tag *by construction* —
-an inline literal in one peer can silently disagree with the other's.
-``repro analyze``'s process-hygiene rule enforces that no speaker module
-spells a tag out inline, and that the values below stay pairwise
-distinct.
+Both ends import these constants, so they agree on every tag *by
+construction*; ``repro analyze``'s process-hygiene rule enforces that no
+speaker module spells a tag out inline and that the values stay distinct.
+The exchange is synchronous — one report per dispatch, nothing else ever
+travels worker -> coordinator::
 
-Coordinator -> worker messages::
-
-    (MSG_BATCH, [sub, ...])      batched sub-messages, each one of:
-        (SUB_DISPATCH, did, request, base, locked, watermark)
-        (SUB_EFFECTS, ops)       remote write effects to apply
-    (MSG_ROLLBACK, boundary)     rewind storage to the boundary snapshot
-    (MSG_QUIT,)                  drain and exit
-
-Worker -> coordinator messages::
-
-    (MSG_REPORT, [report, ...])  batched per-dispatch reports, each:
-        (REPORT_OK, did, result, effects, op_counts)
-        (REPORT_ERR, did, message)
-    (MSG_ROLLBACK_ACK, boundary) rollback applied through the boundary
+    (MSG_DISPATCH, request, base, locked, ops)  apply ``ops``, run one attempt
+    (MSG_EFFECTS, ops)                          apply ``ops`` (no reply)
+    (MSG_QUIT,)                                 exit
+    (REPORT_OK, result, effects, op_counts)     the attempt, as executed
+    (REPORT_ERR, message)                       the attempt raised; worker exits
 """
 
 from __future__ import annotations
 
 # Coordinator -> worker.
-MSG_BATCH = "B"
-MSG_ROLLBACK = "r"
+MSG_DISPATCH = "d"
+MSG_EFFECTS = "x"
 MSG_QUIT = "q"
 
-# Sub-messages inside a MSG_BATCH payload.
-SUB_DISPATCH = "d"
-SUB_EFFECTS = "x"
-
 # Worker -> coordinator.
-MSG_REPORT = "R"
-MSG_ROLLBACK_ACK = "rb"
-
-# Per-dispatch reports inside a MSG_REPORT payload.
 REPORT_OK = "ok"
 REPORT_ERR = "err"

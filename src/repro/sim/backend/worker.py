@@ -1,165 +1,57 @@
 """Worker-process entry point for the sharded execution backend.
 
 A worker is a *pure executor*: it owns a copy-on-write fork of the whole
-database, is considered authoritative only for the partitions of its
-shard, and runs dispatched transactions with no clock, no RNG, no
-strategy state and no simulated-time accounting — all of that stays on
-the coordinator.  The protocol over the duplex pipe (FIFO both ways):
+database, is authoritative only for the partitions of its shard, and runs
+one dispatched attempt at a time with no clock, no RNG, no strategy state
+and no simulated-time accounting — all of that stays on the coordinator
+(message shapes: :mod:`repro.sim.backend.protocol`).
 
-coordinator → worker
-    ``("B", [submessage, ...])``
-        An ordered batch (the unit of transfer: per-message pipe writes
-        cost a context switch each, so the coordinator coalesces).  Each
-        submessage is one of:
-
-        ``("d", did, request, base, locked, watermark)``
-            Execute ``request`` with the given base partition and lock
-            set (undo logging always on, so any result remains
-            unwindable) and queue a report.  ``watermark`` is the
-            highest dispatch id the coordinator has durably folded;
-            held undo state at or below it is garbage-collected.
-        ``("x", ops)``
-            Replay a write-effect stream from a transaction executed
-            elsewhere (coordinator-local execution, or another shard's
-            spillover).  The worker filters the stream to its own
-            shard.
-    ``("r", boundary)``
-        Roll back every held dispatch with ``did >= boundary`` (newest
-        first) and acknowledge.  Used when a fold rejects a speculative
-        execution or an earlier transaction's outcome changed state
-        that in-flight dispatches already read.
-    ``("q",)``
-        Exit.
-
-worker → coordinator
-    ``("R", [report, ...])`` — one entry per dispatch of the batch just
-    processed.  A report is ``("ok", did, result, effects, op_counts)``
-    — the attempt's :class:`~repro.engine.engine.AttemptResult`, its
-    replayable write effects, and the cumulative effect count after
-    each query invocation (so the coordinator can reconstruct how many
-    undo records an OP3-disabled inline execution would have written) —
-    or ``("err", did, message)`` when the attempt raised; the worker
-    exits after an error report and the coordinator fails the session
-    loudly.
-    ``("rb", boundary)`` — rollback acknowledged; sent after all
-    still-buffered reports, so the coordinator can drain the pipe up to
-    this marker to discard stale reports.
+An attempt always runs with undo logging on, under exactly the lock set the
+coordinator's plan names, and is never taken back: the coordinator either
+accepts the report as the attempt, or — in the one case an inline attempt
+would have run differently — repeats it locally after the worker's own
+rollback already left the shard as the attempt found it.  The report's
+``op_counts`` is the cumulative effect count after each query, from which
+the coordinator derives how many undo records an OP3-disabled inline run
+would have written.
 """
 
 from __future__ import annotations
 
 from ...engine.engine import ExecutionEngine
-from ...storage.undo_log import UndoAction
 from .effects import CapturingUndoLog, apply_ops
-from .protocol import (
-    MSG_BATCH,
-    MSG_QUIT,
-    MSG_REPORT,
-    MSG_ROLLBACK,
-    MSG_ROLLBACK_ACK,
-    REPORT_ERR,
-    REPORT_OK,
-    SUB_DISPATCH,
-)
+from .protocol import MSG_DISPATCH, MSG_EFFECTS, REPORT_ERR, REPORT_OK
 
 
-def worker_main(conn, catalog, database, shard_partitions) -> None:
-    """Serve dispatch batches until told to quit or the pipe closes."""
+def worker_main(conn, catalog, database) -> None:
+    """Serve dispatches until told to quit or the pipe closes."""
     engine = ExecutionEngine(catalog, database)
-    shard = frozenset(shard_partitions)
-    held: dict[int, list] = {}  # did -> undo records of that dispatch
     try:
         while True:
             message = conn.recv()
             tag = message[0]
-            if tag == MSG_BATCH:
-                reports: list[tuple] = []
-                failed = False
-                for sub in message[1]:
-                    if sub[0] == SUB_DISPATCH:
-                        _, did, request, base, locked, watermark = sub
-                        for old_did in [d for d in held if d <= watermark]:
-                            del held[old_did]
-                        log = CapturingUndoLog(enabled=True)
-                        op_counts: list[int] = []
-                        effects = log.effects
-
-                        def listener(
-                            _context, _invocation, _e=effects, _c=op_counts
-                        ):
-                            _c.append(len(_e))
-
-                        try:
-                            result = engine.execute_attempt(
-                                request,
-                                base_partition=base,
-                                locked_partitions=locked,
-                                undo_enabled=True,
-                                listeners=(listener,),
-                                undo_log=log,
-                            )
-                        except Exception as error:  # noqa: BLE001
-                            reports.append(
-                                (
-                                    REPORT_ERR,
-                                    did,
-                                    f"{type(error).__name__}: {error}",
-                                )
-                            )
-                            failed = True
-                            break
-                        held[did] = log.held_records
-                        reports.append((REPORT_OK, did, result, effects, op_counts))
-                    else:  # SUB_EFFECTS
-                        apply_ops(database, sub[1], shard)
-                if reports:
-                    conn.send((MSG_REPORT, reports))
-                if failed:
+            if tag == MSG_EFFECTS:
+                apply_ops(database, message[1])
+            elif tag == MSG_DISPATCH:
+                _, request, base, locked, ops = message
+                log = CapturingUndoLog(enabled=True)
+                effects = log.effects
+                op_counts: list[int] = []
+                try:
+                    apply_ops(database, ops)
+                    result = engine.execute_attempt(
+                        request,
+                        base_partition=base,
+                        locked_partitions=locked,
+                        undo_enabled=True,
+                        listeners=(lambda _c, _i: op_counts.append(len(effects)),),
+                        undo_log=log,
+                    )
+                except Exception as error:  # noqa: BLE001
+                    conn.send((REPORT_ERR, f"{type(error).__name__}: {error}"))
                     return
-            elif tag == MSG_ROLLBACK:
-                boundary = message[1]
-                _rollback_from(database, held, boundary)
-                conn.send((MSG_ROLLBACK_ACK, boundary))
-            elif tag == MSG_QUIT:
-                return
-            else:  # unknown tag: protocol bug, exit rather than wedge
+                conn.send((REPORT_OK, result, effects, op_counts))
+            else:  # MSG_QUIT, or an unknown tag: exit rather than wedge
                 return
     except (EOFError, OSError, KeyboardInterrupt):
         return
-
-
-def _rollback_from(database, held, boundary) -> None:
-    """Unwind every held dispatch with ``did >= boundary``, newest first.
-
-    Undoing an insert does not move a heap's ``_next_row_id`` counter
-    back, so after the unwind each touched heap's counter is restored to
-    what it was before the *oldest* discarded dispatch ran — that is the
-    row id its first discarded insert was assigned (dispatches executed
-    back-to-back with no interleaved replays, so the minimum over all
-    discarded INSERT records is exact).  This keeps future organic
-    inserts allocating the same row ids as the coordinator's timeline.
-    """
-    restore: dict[tuple[str, int], int] = {}
-    for did in sorted((d for d in held if d >= boundary), reverse=True):
-        for record in reversed(held.pop(did)):
-            heap = database.partition(record.partition_id).heap(record.table)
-            if record.action is UndoAction.INSERT:
-                heap.delete(record.row_id)
-                key = (record.table, record.partition_id)
-                current = restore.get(key)
-                if current is None or record.row_id < current:
-                    restore[key] = record.row_id
-            elif record.action is UndoAction.UPDATE:
-                heap.update(
-                    record.row_id,
-                    {
-                        column: record.before_image[column]
-                        for column in heap.row(record.row_id)
-                    },
-                    validate=False,
-                    capture_before=False,
-                )
-            else:  # DELETE
-                heap.insert_raw(dict(record.before_image), record.row_id)
-    for (table, partition_id), row_id in restore.items():
-        database.partition(partition_id).heap(table)._next_row_id = row_id

@@ -119,11 +119,11 @@ class SimulatorConfig:
     #: O(1)-memory sketches (:mod:`repro.sim.sketch`) so unbounded runs
     #: never grow per-transaction state — the million-user scale mode.
     metrics_mode: str = "exact"
-    #: ``"inline"`` executes every transaction in the event loop (default);
+    #: ``"inline"`` executes every attempt on the coordinator (default);
     #: ``"sharded"`` shards the partition stores across OS worker processes
-    #: and dispatches predictable single-partition transactions to them
-    #: (:mod:`repro.sim.backend`).  Simulated results are byte-identical
-    #: either way; only wall-clock throughput differs.
+    #: and sends each attempt that locks only its base partition to the
+    #: owning worker (:mod:`repro.sim.backend`).  Simulated results are
+    #: byte-identical either way: a determinism and fault-handling harness.
     execution_backend: str = "inline"
     #: Worker-process count for the sharded backend (clamped to the
     #: partition count; ignored by the inline backend).
@@ -315,20 +315,19 @@ class ClusterSimulator:
         #: (TXN_COMPLETE / PARTITION_RELEASE / EXTERNAL_SUBMIT).
         self._general_events = 0
         self._now = 0.0
-        #: Submission/pop time of the transaction currently executing: the
+        #: Dispatch time of the transaction currently executing: the
         #: deterministic clock self-tuning retrain jobs run against.  Unlike
-        #: ``_now`` it is set at every execute site (including sharded folds,
-        #: which replay at the entry's pop time), so it reads identically
-        #: across backends.
+        #: ``_now`` it is set right before every call of ``_execute``, in
+        #: both event loops.
         self._txn_clock = 0.0
         if config.execution_backend == "sharded":
             if self._backend is None:
                 from .backend import ShardedBackend
 
                 self._backend = ShardedBackend(self, config.num_workers)
-            # Once workers exist, every out-of-pipeline execution must
-            # broadcast its writes to them.
-            self._execute = self._backend.execute_local
+            # The one execute site: the same coordinator call, with the
+            # backend as the attempt executor.
+            self._execute = self._backend.execute
         else:
             self._execute = self.coordinator.execute_transaction
         self._began = True
@@ -340,12 +339,12 @@ class ClusterSimulator:
 
     @property
     def txn_clock_ms(self) -> float:
-        """Simulated submission time of the currently executing transaction.
+        """Simulated dispatch time of the currently executing transaction.
 
         This is the clock the self-tuning subsystem schedules retrain jobs
-        against: it advances identically under the inline and sharded
-        backends (sharded folds replay in submission order at pop time), so
-        time-driven decisions stay byte-deterministic across backends.
+        against.  Both event loops set it where they call ``_execute``, and
+        the execution backend sits behind that call, so time-driven
+        decisions are byte-deterministic across backends.
         """
         return self._txn_clock if self._began else 0.0
 
@@ -577,10 +576,7 @@ class ClusterSimulator:
             # folded into its next CLIENT_READY event — one heap entry per
             # transaction.  Submissions still go through the scheduler, so
             # the policy orders them and the stats stay live.
-            if self._backend is not None:
-                self._backend.run_fast(limit)
-            else:
-                self._run_fast(limit)
+            self._run_fast(limit)
         else:
             self._run_general(deadline_ms, limit, need_estimates, gate_on_partitions)
 
@@ -998,8 +994,8 @@ class ClusterSimulator:
                 )
             result.tenants[tenant] = breakdown
         # Maintenance (§4.5) and self-tuning activity, surfaced per snapshot.
-        # Built here — shared by run()/snapshot()/sharded folds — so session
-        # and batch results stay byte-identical.
+        # Built here — shared by run() and snapshot() — so session and batch
+        # results stay byte-identical.
         houdini = getattr(self.strategy, "houdini", None)
         if houdini is not None:
             result.maintenance = houdini.maintenance.stats_by_procedure()

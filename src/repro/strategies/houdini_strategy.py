@@ -94,12 +94,12 @@ class HoudiniStrategy(ExecutionStrategy):
     def replace_current_runtime(self, runtime) -> None:
         """Swap the monitor of the attempt currently being executed.
 
-        The sharded backend's fold path walks the original runtime over a
-        worker's invocation stream to validate a speculative execution; when
-        validation fails mid-walk the runtime has already consumed part of
-        that stream, so the local re-execution needs a fresh, unwalked clone
-        in its place (both as the attempt listener and for the bookkeeping
-        that ``on_transaction_complete`` later reads).
+        The sharded backend replays the runtime over the invocation stream
+        of an attempt a worker executed; when the attempt then has to be
+        repeated on the coordinator the runtime has already consumed that
+        stream, so the local execution needs a fresh, unwalked one in its
+        place (both as the attempt listener and for the bookkeeping that
+        ``on_transaction_complete`` later reads).
         """
         if self._current_plans and self._current_plans[-1] is not None:
             self._current_plans[-1].runtime = runtime

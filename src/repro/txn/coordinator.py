@@ -57,9 +57,9 @@ class TransactionCoordinator:
         """Execute one logical transaction, restarting after mispredictions.
 
         ``engine`` substitutes the attempt executor for this one transaction
-        — the sharded backend folds worker-executed attempts back through
-        here so planning, retries and strategy callbacks stay identical to
-        inline execution.
+        — the sharded backend passes itself, so an attempt may run on a
+        worker process while planning, retries and strategy callbacks are
+        this very code.
         """
         if txn_id is None:
             txn_id = self._next_txn_id

@@ -145,30 +145,6 @@ class TestLookupAndEviction:
         assert cache.invalidate_procedure("A") == 0
         assert cache.stats.invalidations == 4
 
-    def test_peek_leaves_the_cache_byte_identical(self, model):
-        cache = EstimateCache(HoudiniConfig(), max_entries=2)
-        old = cache.store(_key(model, signature=(0,)), model, _estimate(0))
-        cache.store(_key(model, signature=(1,)), model, _estimate(1))
-
-        def state():
-            return pickle.dumps((
-                cache.stats,
-                [(key[0], key[2], entry.version, entry.eligible)
-                 for key, entry in cache._entries.items()],
-            ))
-
-        before = state()
-        assert cache.peek(_key(model, signature=(0,)), model) is old
-        assert cache.peek(_key(model, signature=(7,)), model) is None
-        assert cache.peek(None, None) is None
-        model.version += 1  # stale but valid: served, and not re-stamped
-        assert cache.peek(_key(model, signature=(0,)), model) is old
-        old.estimate.read_views.append(model.successor_view(model.begin))
-        model.record_transition(model.begin, COMMIT_KEY)  # drops begin's view
-        # Stale and invalid: peek reports a miss but evicts nothing.
-        assert cache.peek(_key(model, signature=(0,)), model) is None
-        assert state() == before
-
 
 def _houdini(artifacts, *, learning=False, models=None, **config) -> Houdini:
     return Houdini(
@@ -178,6 +154,13 @@ def _houdini(artifacts, *, learning=False, models=None, **config) -> Houdini:
         HoudiniConfig(**config),
         learning=learning,
     )
+
+
+def _memo_entry(houdini, request):
+    """The memo entry for ``request``, read by key (no lookup side effects)."""
+    model = houdini.provider.model_for(request)
+    signature = houdini.estimator.footprint_and_signature(request)[1]
+    return houdini.estimate_cache._entries.get((request.procedure, id(model), signature))
 
 
 class TestAMovedVersionAsksWhatTheWalkRead:
@@ -197,8 +180,7 @@ class TestAMovedVersionAsksWhatTheWalkRead:
         estimate = houdini.plan(request).estimate
         assert estimate.reached_terminal and estimate.query_count > 3
         model = houdini.provider.model_for(request)
-        signature = houdini.estimator.footprint_and_signature(request)[1]
-        entry = houdini.estimate_cache.peek(("neworder", id(model), signature), model)
+        entry = _memo_entry(houdini, request)
         assert entry is not None and entry.estimate is estimate
         assert len(estimate.read_tables) == len(estimate.vertices)
         assert len(estimate.read_views) == len(estimate.vertices) - 1  # not the terminal's
@@ -377,7 +359,7 @@ class TestHoudiniIntegration:
 
     def test_ineligible_hits_are_reused_but_never_take_the_savings(self, tpcc_artifacts):
         """A multi-partition walk is memoized like any other; the §6.3
-        what-if charge and the sharded speculation stay with eligible ones."""
+        what-if charge stays with eligible ones."""
         houdini = _houdini(tpcc_artifacts, estimate_cache_simulated_savings=True)
         remote = ProcedureRequest.of("payment", (0, 0, 1, 0, 1, 5.0))
         first = houdini.plan(remote)
@@ -386,7 +368,8 @@ class TestHoudiniIntegration:
         assert second.estimate is first.estimate and second.decision is first.decision
         assert second.plan.source == "houdini"
         assert second.plan.estimation_ms == first.plan.estimation_ms
-        assert houdini.plan_speculative(remote) is None
+        entry = _memo_entry(houdini, remote)
+        assert entry.decision is first.decision and not entry.eligible
 
     def test_same_footprint_different_bindings_occupy_distinct_entries(self, tpcc_artifacts):
         """The key is the binding signature, not the footprint: two remote
@@ -408,19 +391,6 @@ class TestHoudiniIntegration:
         assert houdini.plan(by_id).estimate is houdini.plan(by_name).estimate
         stats = houdini.estimate_cache.stats
         assert (stats.misses, stats.hits, len(houdini.estimate_cache)) == (3, 5, 3)
-
-    def test_speculative_plan_equals_the_plan_it_predicts(self, houdini):
-        request = ProcedureRequest.of("GetSubscriberData", (5,))
-        assert houdini.plan_speculative(request) is None  # nothing memoized
-        houdini.plan(request)
-        speculative = houdini.plan_speculative(request)
-        assert speculative == houdini.plan(request).plan
-        # A model that is being rebuilt plans degenerately: no speculation.
-        model = houdini.provider.model_for(request)
-        model._processed = False
-        assert houdini.plan_speculative(request) is None
-        assert houdini.plan(request).estimate.degenerate
-        model._processed = True
 
 
 class TestSupportLimitedDecisions:
@@ -444,14 +414,15 @@ class TestSupportLimitedDecisions:
         assert second.estimate is first.estimate  # the walk is reused...
         assert second.decision is not first.decision  # ...the decision is not
         assert second.plan.source == "houdini"
-        assert houdini.plan_speculative(request) is None
+        entry = _memo_entry(houdini, request)
+        assert entry.decision is None and not entry.eligible
         # Once the counts support it, the decision is memoized and eligible.
         model = houdini.provider.model_for(request)
         model.find_vertex(first.estimate.query_vertices[0]).hits += 1000
         settled = houdini.plan(request)
         assert not settled.decision.support_limited
         assert houdini.plan(request).decision is settled.decision
-        assert houdini.plan_speculative(request) is not None
+        assert entry.decision is settled.decision and entry.eligible
 
     def test_memoized_when_the_counts_are_frozen(self, thin_artifacts):
         houdini = _houdini(thin_artifacts, learning=False)

@@ -247,6 +247,14 @@ class DisableLoggingAfter:
             context.disable_undo_logging()
 
 
+class KeepingLog(CapturingUndoLog):
+    """Keeps the undo records past commit, so both sides' can be compared."""
+
+    def clear(self):
+        self.kept = list(self._records)
+        super().clear()
+
+
 def check_attempts(benchmark, attempts):
     """``attempts`` is ``[(request, base, locked, undo enabled?, disable
     logging after N queries or None)]``, run in order on one database pair;
@@ -256,7 +264,7 @@ def check_attempts(benchmark, attempts):
     engine = ExecutionEngine(catalog, engine_db)
     for number, (request, base, locked, undo_enabled, disable_after) in enumerate(attempts):
         lock_set = None if locked is None else PartitionSet.of(locked)
-        logs = (CapturingUndoLog(enabled=undo_enabled), CapturingUndoLog(enabled=undo_enabled))
+        logs = (KeepingLog(enabled=undo_enabled), KeepingLog(enabled=undo_enabled))
         arguments = dict(
             base_partition=base, locked_partitions=lock_set, undo_enabled=undo_enabled
         )
@@ -271,7 +279,8 @@ def check_attempts(benchmark, attempts):
         assert got == expected, f"attempt {number} ({request.procedure}) disagree"
         happened.append(got[1].outcome.value if got[0] == "returned" else got[1])
         assert logs[0].effects == logs[1].effects, f"attempt {number} effects disagree"
-        assert logs[0].held_records == logs[1].held_records, f"attempt {number} undo disagree"
+        kept = [getattr(log, "kept", None) for log in logs]  # None: rolled back
+        assert kept[0] == kept[1], f"attempt {number} undo disagree"
     assert database_state(engine_db) == database_state(reference_db), "final heaps disagree"
     for store in engine_db.partitions():
         for name in store.table_names():

@@ -251,6 +251,27 @@ class TestFastLoopEqualsGeneralLoop:
             monkeypatch.setattr(ClusterSimulator, name, spy)
         return entered
 
+    def drive(self, entered, bench_name, think, txns, route, **config):
+        """Snapshot bytes (and the simulator) after ``route``'s legs."""
+        del entered[:]
+        artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+        simulator = ClusterSimulator(
+            artifacts.benchmark.catalog, artifacts.benchmark.database,
+            artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+            config=SimulatorConfig(client_think_time_ms=think, **config),
+            benchmark_name=bench_name,
+        )
+        try:
+            for loop in route:
+                simulator.extend_budget(txns)
+                simulator.run_until(deadline_ms=self.DEADLINE[loop])
+            result = simulator.snapshot()
+        finally:
+            simulator.close()
+        assert entered == route
+        assert result.total_transactions == txns * len(route)
+        return result.to_dict(), simulator
+
     @pytest.mark.parametrize("think", [0.0, 0.5])
     @pytest.mark.parametrize("bench_name", ["tatp", "tpcc"])
     @pytest.mark.parametrize("txns,routes", [
@@ -260,23 +281,19 @@ class TestFastLoopEqualsGeneralLoop:
                ["_run_general", "_run_fast"]]),
     ])
     def test_same_legs_through_either_loop(self, entered, bench_name, think, txns, routes):
-        snapshots = []
-        for route in routes:
-            del entered[:]
-            artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
-            simulator = ClusterSimulator(
-                artifacts.benchmark.catalog, artifacts.benchmark.database,
-                artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
-                config=SimulatorConfig(client_think_time_ms=think), benchmark_name=bench_name,
-            )
-            for loop in route:
-                simulator.extend_budget(txns)
-                simulator.run_until(deadline_ms=self.DEADLINE[loop])
-            assert entered == route
-            result = simulator.snapshot()
-            assert result.total_transactions == txns * len(route)
-            snapshots.append(result.to_dict())
+        snapshots = [self.drive(entered, bench_name, think, txns, route)[0] for route in routes]
         assert all(snapshot == snapshots[0] for snapshot in snapshots[1:])
+
+    def test_same_legs_under_the_sharded_backend(self, entered):
+        """The execution backend sits behind the one execute site both loops
+        share, so the equivalence holds there too — with workers executing."""
+        inline = self.drive(entered, "tpcc", 0.5, 150, ["_run_fast", "_run_fast"])[0]
+        for route in (["_run_fast", "_run_general"], ["_run_general", "_run_fast"]):
+            sharded, simulator = self.drive(
+                entered, "tpcc", 0.5, 150, route, execution_backend="sharded"
+            )
+            assert simulator._backend.stats["dispatched"] > 0
+            assert sharded == inline
 
 
 class TestSchedulingIntegration:
