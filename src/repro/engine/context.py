@@ -169,10 +169,6 @@ class TransactionContext:
         self.undo_log.clear()
 
     # ------------------------------------------------------------------
-    @property
-    def touched_partition_set(self) -> PartitionSet:
-        return PartitionSet.of(self.touched_partitions)
-
     def _check_lock_set(self, partitions: PartitionSet) -> None:
         """Out-of-line half of the lock-set test: :meth:`execute` found
         ``partitions`` not covered by the lock set — escalate or abort."""

@@ -119,8 +119,13 @@ class ExecutionEngine:
         rolled back before returning (using the undo log).  On commit the
         undo buffer is discarded.
         """
-        context = self.new_context(
-            request,
+        procedure = self.catalog.procedure(request.procedure)
+        parameters = tuple(request.parameters)
+        procedure.validate_parameters(parameters)
+        context = TransactionContext(
+            self.executor,
+            procedure,
+            parameters,
             txn_id=txn_id,
             base_partition=base_partition,
             locked_partitions=locked_partitions,
@@ -128,52 +133,37 @@ class ExecutionEngine:
             undo_log=undo_log,
             listeners=listeners,
         )
-        procedure = context.procedure
+        outcome = AttemptOutcome.COMMITTED
+        return_value = abort_reason = mispredicted_partition = None
         try:
-            return_value = procedure.run(context, *request.parameters)
+            return_value = procedure.run(context, *parameters)
         except UserAbort as abort:
             context.rollback()
-            return self._result(
-                AttemptOutcome.USER_ABORT, context, request, abort_reason=abort.reason
-            )
+            outcome = AttemptOutcome.USER_ABORT
+            abort_reason = abort.reason
         except MispredictionAbort as abort:
             context.rollback()
-            return self._result(
-                AttemptOutcome.MISPREDICTION,
-                context,
-                request,
-                abort_reason=abort.reason,
-                mispredicted_partition=abort.partition_id,
-            )
-        result = self._result(
-            AttemptOutcome.COMMITTED, context, request, return_value=return_value
+            outcome = AttemptOutcome.MISPREDICTION
+            abort_reason = abort.reason
+            mispredicted_partition = abort.partition_id
+        undo_log = context.undo_log
+        # The context dies with the attempt, so its invocation list is
+        # handed over, not copied.
+        result = AttemptResult(
+            outcome,
+            request.procedure,
+            parameters,
+            context.base_partition,
+            PartitionSet.of(context.touched_partitions),
+            context.invocations,
+            return_value,
+            abort_reason,
+            mispredicted_partition,
+            undo_log.records_written,
+            undo_log.records_skipped,
+            frozenset(context.finished_partitions),
+            frozenset(context.escalated_partitions),
         )
-        context.commit_cleanup()
+        if outcome is AttemptOutcome.COMMITTED:
+            context.commit_cleanup()
         return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _result(
-        outcome: AttemptOutcome,
-        context: TransactionContext,
-        request: ProcedureRequest,
-        *,
-        return_value: Any = None,
-        abort_reason: str | None = None,
-        mispredicted_partition: PartitionId | None = None,
-    ) -> AttemptResult:
-        return AttemptResult(
-            outcome=outcome,
-            procedure=request.procedure,
-            parameters=tuple(request.parameters),
-            base_partition=context.base_partition,
-            touched_partitions=context.touched_partition_set,
-            invocations=list(context.invocations),
-            return_value=return_value,
-            abort_reason=abort_reason,
-            mispredicted_partition=mispredicted_partition,
-            undo_records_written=context.undo_log.records_written,
-            undo_records_skipped=context.undo_log.records_skipped,
-            finished_partitions=frozenset(context.finished_partitions),
-            escalated_partitions=frozenset(context.escalated_partitions),
-        )

@@ -123,7 +123,7 @@ class Houdini:
             estimate = self.estimator.estimate(request, model)
             if key is not None:
                 entry = memo.store(key, model, estimate)
-        self.stats.for_procedure(request.procedure).estimation_ms_total += (
+        self.stats.for_procedure(request.procedure).estimation_wall_ms_total += (
             time.perf_counter() - started
         ) * 1000.0
         return estimate, entry, hit, model, footprint

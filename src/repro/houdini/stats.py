@@ -23,7 +23,7 @@ class ProcedureStats:
     op3_enabled: int = 0
     op4_enabled: int = 0
     mispredicted_restarts: int = 0
-    estimation_ms_total: float = 0.0
+    estimation_wall_ms_total: float = 0.0
     estimates: int = 0
 
     # ------------------------------------------------------------------
@@ -52,7 +52,7 @@ class ProcedureStats:
     def average_estimation_ms(self) -> float:
         if self.estimates == 0:
             return 0.0
-        return self.estimation_ms_total / self.estimates
+        return self.estimation_wall_ms_total / self.estimates
 
 
 @dataclass
@@ -85,7 +85,7 @@ class HoudiniStats:
         estimates = sum(stats.estimates for stats in self.procedures.values())
         if estimates == 0:
             return 0.0
-        total = sum(stats.estimation_ms_total for stats in self.procedures.values())
+        total = sum(stats.estimation_wall_ms_total for stats in self.procedures.values())
         return total / estimates
 
     # ------------------------------------------------------------------

@@ -269,6 +269,27 @@ class TransactionScheduler:
         self.stats.submitted += 1
         return pending
 
+    def pass_through(self, request: ProcedureRequest) -> None:
+        """Submit ``request`` to an *empty* queue and dispatch it at once.
+
+        What :meth:`submit` + :meth:`pop` + a zero :meth:`record_wait` leave
+        behind when nothing else is queued — the arrival index and the FIFO
+        sequence number are consumed, the transaction counts as submitted,
+        dispatched and zero-wait — without building the entry that would be
+        pushed and popped straight back (an only entry is the head under any
+        policy key, and leaves no queue-jump bookkeeping behind).  The caller
+        guarantees the empty queue and an estimate-free submission: the
+        simulator's FCFS fast loop.
+        """
+        self._arrivals += 1
+        self._sequence += 1
+        stats = self.stats
+        stats.submitted += 1
+        stats.dispatched += 1
+        zero_waits = self._zero_waits
+        procedure = request.procedure
+        zero_waits[procedure] = zero_waits.get(procedure, 0) + 1
+
     def _predicted_cost(
         self, procedure: str, estimate: PathEstimate, base_partition: PartitionId
     ) -> PredictedCost:
@@ -507,10 +528,6 @@ class TransactionScheduler:
                 waits = []
             self._waits[procedure] = waits
         waits.append(wait_ms)
-
-    def record_zero_wait(self, procedure: str) -> None:
-        """Count an immediate (zero-wait) dispatch — the fast-path case."""
-        self._zero_waits[procedure] = self._zero_waits.get(procedure, 0) + 1
 
     def wait_summary(self) -> dict[str, dict]:
         """Per-class queue-wait summary: count/mean/max + p50/p95/p99.

@@ -19,10 +19,14 @@ Every constant can be overridden, and the ablation benchmark
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from ..engine.engine import AttemptResult
+from ..engine.engine import AttemptOutcome, AttemptResult
 from ..txn.plan import ExecutionPlan
 from ..types import PartitionId, PartitionSet
+
+_PARTITIONS_OF = attrgetter("partitions")
+_COMMITTED = AttemptOutcome.COMMITTED
 
 
 @dataclass
@@ -56,10 +60,13 @@ class CostModel:
     #: never uses (resources held idle; keeps "lock everything" honest).
     unused_lock_ms: float = 0.05
 
-    #: Cost-schedule cache, keyed by (procedure-independent) *plan shape* —
-    #: base partition, lock set, the sequence of per-invocation partition
-    #: sets, undo records, commit flag and early-prepared partitions — the
-    #: same normalization the compiled estimator uses for its footprints.
+    #: Cost-schedule cache: per (procedure-independent) *plan shape* — base
+    #: partition, lock set, the sequence of per-invocation partition sets,
+    #: undo records, commit flag and early-prepared partitions, the same
+    #: normalization the compiled estimator uses for its footprints — the
+    #: finished, shared :class:`AttemptTiming` at the estimation cost the
+    #: shape was last seen with (one per shape: a shape mostly keeps its
+    #: cost, and a key per cost doubled the TPC-C cache).
     #: Cached values bake in the model's constants, so assigning any
     #: ``*_ms`` constant on a live instance clears the cache automatically
     #: (see :meth:`__setattr__`); :meth:`clear_schedule_cache` remains for
@@ -70,9 +77,11 @@ class CostModel:
     #: Adaptive bypass: workloads whose plan shapes are near-unique (e.g.
     #: TPC-C NewOrder item arrays) would pay key construction on every call
     #: and hit never; after a probation window with a poor hit rate the
-    #: cache stops being consulted.
-    _cache_checks: int = field(default=0, init=False, repr=False, compare=False)
-    _cache_hits: int = field(default=0, init=False, repr=False, compare=False)
+    #: cache stops being consulted.  ``[probes, hits]``, bumped in place: an
+    #: attribute assignment per attempt would pass through ``__setattr__``.
+    _cache_counts: list = field(
+        default_factory=lambda: [0, 0], init=False, repr=False, compare=False
+    )
     _cache_bypassed: bool = field(default=False, init=False, repr=False, compare=False)
 
     #: Probation length and minimum hit rate for the schedule cache.
@@ -95,8 +104,7 @@ class CostModel:
     def clear_schedule_cache(self) -> None:
         """Drop cached cost schedules (automatic on ``*_ms`` assignment)."""
         self._schedule_cache.clear()
-        self._cache_checks = 0
-        self._cache_hits = 0
+        self._cache_counts[:] = (0, 0)
         self._cache_bypassed = False
 
     # ------------------------------------------------------------------
@@ -132,125 +140,59 @@ class CostModel:
     ) -> "AttemptTiming":
         """Break one execution attempt down into simulated time components.
 
-        Everything except the plan's estimation overhead depends only on the
-        attempt's *shape*; that part is computed once per shape and cached,
-        so a saturated simulation run pays the full derivation only for the
-        first transaction of each (procedure, plan-shape) class.
+        The breakdown depends only on the attempt's *shape* and the plan's
+        estimation cost; the finished timing is kept per shape and shared —
+        read-only — by every later attempt of that shape at that cost, so a
+        saturated simulation run pays the derivation for the first
+        transaction of each (procedure, plan-shape) class and again only
+        when the shape's estimation cost moves.
         """
         lock_set = plan.lock_set(num_partitions)
         if self._cache_bypassed:
-            schedule = self._compute_schedule(plan.base_partition, lock_set, attempt)
-        else:
-            key = (
-                plan.base_partition,
-                lock_set,
-                tuple(invocation.partitions for invocation in attempt.invocations),
-                attempt.undo_records_written,
-                attempt.committed,
-                attempt.finished_partitions,
-            )
-            schedule = self._schedule_cache.get(key)
-            self._cache_checks += 1
-            if schedule is None:
-                schedule = self._compute_schedule(plan.base_partition, lock_set, attempt)
-                self._schedule_cache[key] = schedule
-                if (
-                    self._cache_checks >= self._CACHE_PROBATION
-                    and self._cache_hits < self._cache_checks * self._CACHE_MIN_HIT_RATE
-                ):
-                    self._cache_bypassed = True
-                    self._schedule_cache.clear()
-            else:
-                self._cache_hits += 1
-        return self._timing_from(schedule, plan.estimation_ms)
+            return self._timing_from(plan, lock_set, attempt)
+        key = (
+            plan.base_partition,
+            lock_set,
+            tuple(map(_PARTITIONS_OF, attempt.invocations)),
+            attempt.undo_records_written,
+            attempt.outcome is _COMMITTED,
+            attempt.finished_partitions,
+        )
+        counts = self._cache_counts
+        counts[0] += 1
+        timing = self._schedule_cache.get(key)
+        if timing is not None and timing.estimation_ms == plan.estimation_ms:
+            counts[1] += 1
+            return timing
+        timing = self._timing_from(plan, lock_set, attempt)
+        self._schedule_cache[key] = timing
+        if (
+            counts[0] >= self._CACHE_PROBATION
+            and counts[1] < counts[0] * self._CACHE_MIN_HIT_RATE
+        ):
+            self._cache_bypassed = True
+            self._schedule_cache.clear()
+        return timing
 
     def attempt_timings(
         self,
         pairs,
         num_partitions: int,
     ) -> list["AttemptTiming"]:
-        """Timings for every ``(plan, attempt)`` pair of one transaction.
+        """Timings for every ``(plan, attempt)`` pair of one transaction:
+        the batch form the simulator replays a restarted transaction with."""
+        attempt_timing = self.attempt_timing
+        return [
+            attempt_timing(plan, attempt, num_partitions) for plan, attempt in pairs
+        ]
 
-        Restarted transactions often repeat the same plan shape (a fully
-        distributed retry re-executes the same invocation sequence), so the
-        shape key is built and the schedule cache probed **once per distinct
-        shape per transaction** instead of once per attempt; repeated shapes
-        reuse the schedule via a tiny per-transaction memo.  Field-identical
-        to calling :meth:`attempt_timing` per pair (the cache stores the
-        same schedules either way; only probe counts differ, and those only
-        steer the wall-clock bypass heuristic, never a simulated value).
-        """
-        if self._cache_bypassed:
-            return [
-                self._timing_from(
-                    self._compute_schedule(
-                        plan.base_partition, plan.lock_set(num_partitions), attempt
-                    ),
-                    plan.estimation_ms,
-                )
-                for plan, attempt in pairs
-            ]
-        memo: dict = {}
-        timings = []
-        for plan, attempt in pairs:
-            lock_set = plan.lock_set(num_partitions)
-            key = (
-                plan.base_partition,
-                lock_set,
-                tuple(invocation.partitions for invocation in attempt.invocations),
-                attempt.undo_records_written,
-                attempt.committed,
-                attempt.finished_partitions,
-            )
-            schedule = memo.get(key)
-            if schedule is None:
-                schedule = self._schedule_cache.get(key)
-                self._cache_checks += 1
-                if schedule is None:
-                    schedule = self._compute_schedule(
-                        plan.base_partition, lock_set, attempt
-                    )
-                    self._schedule_cache[key] = schedule
-                    if (
-                        self._cache_checks >= self._CACHE_PROBATION
-                        and self._cache_hits
-                        < self._cache_checks * self._CACHE_MIN_HIT_RATE
-                    ):
-                        self._cache_bypassed = True
-                        self._schedule_cache.clear()
-                else:
-                    self._cache_hits += 1
-                memo[key] = schedule
-            timings.append(self._timing_from(schedule, plan.estimation_ms))
-        return timings
-
-    def _timing_from(self, schedule, estimation_ms: float) -> "AttemptTiming":
-        """Attach a plan's estimation cost to a shape-derived schedule."""
-        execution_ms, coordination_ms, base_total_ms, release_plan = schedule
-        total_ms = base_total_ms + estimation_ms
-        release_offsets: dict[PartitionId, float] = {}
-        for partition_id, early_release in release_plan:
-            if early_release is None:
-                release_offsets[partition_id] = total_ms
-            else:
-                release_offsets[partition_id] = min(early_release, total_ms)
-        return AttemptTiming(
-            estimation_ms=estimation_ms,
-            planning_ms=self.planning_ms,
-            execution_ms=execution_ms,
-            coordination_ms=coordination_ms,
-            setup_ms=self.setup_ms,
-            total_ms=total_ms,
-            release_offsets=release_offsets,
-        )
-
-    def _compute_schedule(
-        self,
-        base: PartitionId,
-        lock_set,
-        attempt: AttemptResult,
-    ) -> tuple[float, float, float, tuple]:
-        """Derive the estimation-independent cost schedule of one shape."""
+    def _timing_from(
+        self, plan: ExecutionPlan, lock_set, attempt: AttemptResult
+    ) -> "AttemptTiming":
+        """The uncached derivation of one attempt's timing."""
+        base = plan.base_partition
+        committed = attempt.committed
+        finished = attempt.finished_partitions
         execution_ms = 0.0
         per_partition_last_use: dict[PartitionId, float] = {}
         elapsed = 0.0
@@ -265,38 +207,53 @@ class CostModel:
 
         distributed = len(lock_set) > 1
         coordination_ms = 0.0
-        if distributed and attempt.committed:
+        if distributed and committed:
             remote_participants = [p for p in lock_set if p != base]
-            explicit = [
-                p for p in remote_participants if p not in attempt.finished_partitions
-            ]
+            explicit = [p for p in remote_participants if p not in finished]
             if explicit:
                 coordination_ms += self.two_phase_prepare_ms
             coordination_ms += self.two_phase_commit_ms
         unused = [p for p in lock_set if p not in per_partition_last_use]
         coordination_ms += self.unused_lock_ms * len(unused)
-        if not attempt.committed:
+        if not committed:
             coordination_ms += self.abort_ms
 
-        base_total_ms = execution_ms + coordination_ms + self.planning_ms + self.setup_ms
-        # Per-partition release plan: early-prepared partitions (OP4) are
-        # released right after their last use plus the commit round; held
-        # partitions (None) only at the end of the attempt.
-        release_plan = tuple(
-            (
-                partition_id,
-                per_partition_last_use.get(partition_id, 0.0) + self.two_phase_commit_ms
-                if (partition_id in attempt.finished_partitions and attempt.committed)
-                else None,
-            )
-            for partition_id in lock_set
+        estimation_ms = plan.estimation_ms
+        total_ms = (
+            execution_ms + coordination_ms + self.planning_ms + self.setup_ms
+        ) + estimation_ms
+        # Early-prepared partitions (OP4) are released right after their last
+        # use plus the commit round; held partitions only at the end of the
+        # attempt.
+        release_offsets: dict[PartitionId, float] = {}
+        for partition_id in lock_set:
+            if committed and partition_id in finished:
+                release_offsets[partition_id] = min(
+                    per_partition_last_use.get(partition_id, 0.0)
+                    + self.two_phase_commit_ms,
+                    total_ms,
+                )
+            else:
+                release_offsets[partition_id] = total_ms
+        return AttemptTiming(
+            estimation_ms=estimation_ms,
+            planning_ms=self.planning_ms,
+            execution_ms=execution_ms,
+            coordination_ms=coordination_ms,
+            setup_ms=self.setup_ms,
+            total_ms=total_ms,
+            release_offsets=release_offsets,
         )
-        return (execution_ms, coordination_ms, base_total_ms, release_plan)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class AttemptTiming:
-    """Simulated time breakdown of one execution attempt (Fig. 11 categories)."""
+    """Simulated time breakdown of one execution attempt (Fig. 11 categories).
+
+    Shared between every attempt of one shape (see
+    :meth:`CostModel.attempt_timing`): nothing may write to one, its
+    ``release_offsets`` — keyed by the lock set, in its order — included.
+    """
 
     estimation_ms: float
     planning_ms: float

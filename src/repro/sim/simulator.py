@@ -67,6 +67,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from ..catalog.schema import Catalog
+from ..engine.engine import AttemptOutcome
 from ..errors import SimulationError
 from ..scheduling.admission import AdmissionController, AdmissionDecision, AdmissionLimits
 from ..scheduling.policies import SchedulingPolicy, policy_by_name
@@ -570,12 +571,17 @@ class ClusterSimulator:
             and not gate_on_partitions
             and self._general_events == 0
             and deadline_ms == _INF
+            and not self.scheduler
         ):
             # Pass-through fast path: dispatch follows submission immediately
-            # (no capacity gate can block it), so each client's completion is
-            # folded into its next CLIENT_READY event — one heap entry per
-            # transaction.  Submissions still go through the scheduler, so
-            # the policy orders them and the stats stay live.
+            # (no capacity gate can block it, nothing is queued ahead), so
+            # each client's completion is folded into its next CLIENT_READY
+            # event — one heap entry per transaction — and the scheduler
+            # only counts the transaction through.  Every way this loop
+            # leaves work queued also leaves a general event behind (a park
+            # arms a PARTITION_RELEASE, a push-back needs an in-flight
+            # TXN_COMPLETE); the empty-queue test covers a queue filled from
+            # outside the loop, which the general loop drains.
             self._run_fast(limit)
         else:
             self._run_general(deadline_ms, limit, need_estimates, gate_on_partitions)
@@ -595,9 +601,7 @@ class ClusterSimulator:
         now = self._now
         replay = self._replay_timing
         account = self._account_record
-        scheduler_submit = self.scheduler.submit
-        scheduler_pop = self.scheduler.pop
-        record_zero_wait = self.scheduler.record_zero_wait
+        pass_through = self.scheduler.pass_through
         next_request = self.generator.next_request
         execute = self._execute
         processed = 0
@@ -617,21 +621,13 @@ class ClusterSimulator:
             # need_estimates is necessarily False here: this path runs
             # only without admission control and with a non-predictive
             # policy, so submissions carry no estimate.
-            pending = scheduler_submit(request)
-            pending.submit_time_ms = now
-            pending = scheduler_pop()
-            # Dispatch follows submission immediately on this path.
-            record_zero_wait(pending.request.procedure)
+            pass_through(request)
             self._txn_clock = now
-            record = execute(pending.request)
+            record = execute(request)
             end = replay(record, now, partition_free, breakdown_acc)
-            latencies.append(end - pending.submit_time_ms)
-            account(record, counters)
-            heappush(
-                events,
-                (end + think, CLIENT_READY, pending.request.client_id,
-                 (end, record.committed)),
-            )
+            latencies.append(end - now)
+            committed = account(record, counters)
+            heappush(events, (end + think, CLIENT_READY, client_id, (end, committed)))
         self._submitted = submitted
         self._now = now
 
@@ -834,14 +830,14 @@ class ClusterSimulator:
             end = self._replay_timing(record, now, partition_free, breakdown_acc)
             latency = end - pending.submit_time_ms
             latencies.append(latency)
-            self._account_record(record, counters)
+            committed = self._account_record(record, counters)
             if tenancy is not None:
                 tenancy.note_dispatch(end)
                 tenancy.slo.record(pending.tenant, latency)
             if pending.tenant is not None:
                 acc = self._tenant_account(pending.tenant)
                 acc["latencies"].append(latency)
-                if record.committed:
+                if committed:
                     acc["committed"] += 1
                 else:
                     acc["user_aborted"] += 1
@@ -851,7 +847,7 @@ class ClusterSimulator:
             heappush(
                 events,
                 (end, TXN_COMPLETE, self._complete_seq,
-                 (pending.request.client_id, record.committed, pending, record)),
+                 (pending.request.client_id, committed, pending, record)),
             )
         for pending in blocked:
             scheduler.requeue(pending)
@@ -1014,45 +1010,40 @@ class ClusterSimulator:
         breakdown_acc: dict[str, list],
     ) -> float:
         """Schedule every attempt of a transaction onto the partitions."""
-        num_partitions = self.catalog.num_partitions
-        attempt_timing = self.cost_model.attempt_timing
+        num_partitions = self._num_partitions
+        cost_model = self.cost_model
         clock = submit_time
-        acc = breakdown_acc.get(record.procedure)
+        procedure = record.request.procedure
+        acc = breakdown_acc.get(procedure)
         if acc is None:
             acc = [0, 0.0, 0.0, 0.0, 0.0, 0.0]
-            breakdown_acc[record.procedure] = acc
+            breakdown_acc[procedure] = acc
         pairs = record.attempt_pairs()
         last_index = len(pairs) - 1
         if last_index > 0:
-            # Restarted transaction: batch the schedule-cache probes — one
-            # per distinct plan shape instead of one per attempt.
-            timings = self.cost_model.attempt_timings(pairs, num_partitions)
+            timings = cost_model.attempt_timings(pairs, num_partitions)
         else:
-            timings = None
+            plan, attempt = pairs[0]
+            timings = (cost_model.attempt_timing(plan, attempt, num_partitions),)
         for attempt_index, (plan, attempt) in enumerate(pairs):
-            timing = (
-                timings[attempt_index]
-                if timings is not None
-                else attempt_timing(plan, attempt, num_partitions)
-            )
-            lock_set = plan.lock_set(num_partitions).partitions
+            timing = timings[attempt_index]
+            # The release offsets are keyed by the lock set, in its order.
+            release_offsets = timing.release_offsets
             ready = clock + plan.estimation_ms + timing.planning_ms
             start = ready
-            for partition_id in lock_set:
+            for partition_id in release_offsets:
                 free_at = partition_free[partition_id]
                 if free_at > start:
                     start = free_at
-            release_offsets = timing.release_offsets
-            for partition_id in lock_set:
-                partition_free[partition_id] = start + release_offsets[partition_id]
+            for partition_id, offset in release_offsets.items():
+                partition_free[partition_id] = start + offset
             # Escalated partitions (OP3 safety valve) are acquired late: the
             # transaction stalls until they are free, on top of its own work.
             stall = 0.0
             escalated = attempt.escalated_partitions
             if escalated:
-                lock_members = set(lock_set)
                 for partition_id in escalated:
-                    if partition_id not in lock_members:
+                    if partition_id not in release_offsets:
                         acquire_at = max(start, partition_free[partition_id])
                         stall = max(stall, acquire_at - start)
                         partition_free[partition_id] = start + timing.total_ms + stall
@@ -1061,7 +1052,7 @@ class ClusterSimulator:
             if attempt_index < last_index:
                 # The attempt was thrown away; the next one starts after a
                 # redirect round-trip.
-                clock += self.cost_model.redirect_ms
+                clock += cost_model.redirect_ms
             acc[_TXNS] += 1
             acc[_EST] += timing.estimation_ms
             acc[_PLAN] += timing.planning_ms
@@ -1072,25 +1063,29 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _account_record(record: TransactionRecord, counters: dict) -> None:
-        if record.committed:
+    def _account_record(record: TransactionRecord, counters: dict) -> bool:
+        """Fold one finished transaction into ``counters``; whether it
+        committed (what the completion event carries)."""
+        attempts = record.attempts
+        final = attempts[-1]
+        committed = final.outcome is AttemptOutcome.COMMITTED
+        if committed:
             counters["committed"] += 1
         else:
             counters["user_aborted"] += 1
-        counters["restarts"] += record.restarts
-        escalations = 0
-        for attempt in record.attempts:
+        counters["restarts"] += len(attempts) - 1
+        for attempt in attempts:
             if attempt.escalated_partitions:
-                escalations += 1
-        counters["escalations"] += escalations
+                counters["escalations"] += 1
         if record.undo_disabled:
             counters["undo_disabled"] += 1
         if record.early_prepared_partitions:
             counters["early_prepared"] += 1
-        if record.single_partitioned:
+        if len(final.touched_partitions.partitions) <= 1:
             counters["single_partition"] += 1
         else:
             counters["distributed"] += 1
+        return committed
 
     def _finalize_window(
         self, completions: list[tuple[float, bool]], result: SimulationResult

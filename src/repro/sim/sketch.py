@@ -68,54 +68,111 @@ class _P2Quantile:
         self.count = 0
 
     def add(self, x: float) -> None:
-        self.count += 1
+        """One P² update, written out over the five markers.
+
+        The same float operations in the same order as the textbook loops
+        (kept as the oracle in ``tests/sim/reference_sketch.py``): locate the
+        cell of ``x`` and clamp the extreme markers, shift the positions
+        above the cell, advance the desired positions, then move markers 1,
+        2, 3 — in that order, each seeing its neighbour's new height — by a
+        parabolic step, or a linear one when the parabola would leave the
+        bracket.  Marker 0's desired position never moves (its increment is
+        0.0).
+        """
+        count = self.count + 1
+        self.count = count
         heights = self.heights
-        if self.count <= 5:
+        if count <= 5:
             insort(heights, x)
             return
         positions = self.positions
-        # Locate the cell containing x and clamp the extreme markers.
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and x >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
         desired = self.desired
-        increments = self.increments
-        for index in range(5):
-            desired[index] += increments[index]
-        # Adjust the three interior markers toward their desired positions.
-        for index in range(1, 4):
-            delta = desired[index] - positions[index]
-            if (delta >= 1.0 and positions[index + 1] - positions[index] > 1.0) or (
-                delta <= -1.0 and positions[index - 1] - positions[index] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
+        h0, h1, h2, h3, h4 = heights
+        n0, n1, n2, n3, n4 = positions
+        if x < h0:
+            heights[0] = h0 = x
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif x >= h4:
+            heights[4] = h4 = x
+        elif x < h1:
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif x < h2:
+            n2 += 1.0
+            n3 += 1.0
+        elif x < h3:
+            n3 += 1.0
+        n4 += 1.0
+        _, i1, i2, i3, i4 = self.increments
+        desired[4] += i4
 
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
+        desired[1] = d = desired[1] + i1
+        delta = d - n1
+        if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and n0 - n1 < -1.0):
+            step = 1.0 if delta >= 1.0 else -1.0
+            candidate = h1 + step / (n2 - n0) * (
+                (n1 - n0 + step) * (h2 - h1) / (n2 - n1)
+                + (n2 - n1 - step) * (h1 - h0) / (n1 - n0)
+            )
+            if h0 < candidate < h2:
+                h1 = candidate
+            elif step > 0.0:
+                h1 = h1 + step * (h2 - h1) / (n2 - n1)
+            else:
+                h1 = h1 + step * (h0 - h1) / (n0 - n1)
+            heights[1] = h1
+            n1 += step
 
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+        desired[2] = d = desired[2] + i2
+        delta = d - n2
+        if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
+            step = 1.0 if delta >= 1.0 else -1.0
+            candidate = h2 + step / (n3 - n1) * (
+                (n2 - n1 + step) * (h3 - h2) / (n3 - n2)
+                + (n3 - n2 - step) * (h2 - h1) / (n2 - n1)
+            )
+            if h1 < candidate < h3:
+                h2 = candidate
+            elif step > 0.0:
+                h2 = h2 + step * (h3 - h2) / (n3 - n2)
+            else:
+                h2 = h2 + step * (h1 - h2) / (n1 - n2)
+            heights[2] = h2
+            n2 += step
+
+        desired[3] = d = desired[3] + i3
+        delta = d - n3
+        if (delta >= 1.0 and n4 - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
+            step = 1.0 if delta >= 1.0 else -1.0
+            candidate = h3 + step / (n4 - n2) * (
+                (n3 - n2 + step) * (h4 - h3) / (n4 - n3)
+                + (n4 - n3 - step) * (h3 - h2) / (n3 - n2)
+            )
+            if h2 < candidate < h4:
+                h3 = candidate
+            elif step > 0.0:
+                h3 = h3 + step * (h4 - h3) / (n4 - n3)
+            else:
+                h3 = h3 + step * (h2 - h3) / (n2 - n3)
+            heights[3] = h3
+            n3 += step
+
+        positions[1] = n1
+        positions[2] = n2
+        positions[3] = n3
+        positions[4] = n4
+
+    def copy(self) -> "_P2Quantile":
+        clone = _P2Quantile(self.q)
+        clone.heights = list(self.heights)
+        clone.positions = list(self.positions)
+        clone.desired = list(self.desired)
+        clone.increments = list(self.increments)
+        clone.count = self.count
+        return clone
 
     def value(self) -> float:
         heights = self.heights
@@ -149,7 +206,7 @@ class LatencySketch:
         self.total = 0.0
         self._min = 0.0
         self._max = 0.0
-        self._p2 = {q: _P2Quantile(q) for q in TRACKED_QUANTILES}
+        self._p2 = tuple(_P2Quantile(q) for q in TRACKED_QUANTILES)
         self._reservoir: list[float] = []
         self._rng = random.Random(_RESERVOIR_SEED)
         self._frozen: dict[float, float] | None = None
@@ -169,7 +226,7 @@ class LatencySketch:
             self._max = value_ms
         self.count += 1
         self.total += value_ms
-        for estimator in self._p2.values():
+        for estimator in self._p2:
             estimator.add(value_ms)
         reservoir = self._reservoir
         if len(reservoir) < RESERVOIR_SIZE:
@@ -213,8 +270,8 @@ class LatencySketch:
             return self._frozen[nearest]
         if self.count <= len(self._reservoir):
             return self._rank_of(sorted(self._reservoir), q)  # still exact
-        for tracked, estimator in self._p2.items():
-            if abs(q - tracked) < 1e-9:
+        for estimator in self._p2:
+            if abs(q - estimator.q) < 1e-9:
                 return estimator.value()
         return self._rank_of(sorted(self._reservoir), q)
 
@@ -235,15 +292,7 @@ class LatencySketch:
         twin._reservoir = list(self._reservoir)
         twin._rng = random.Random(_RESERVOIR_SEED)
         twin._rng.setstate(self._rng.getstate())
-        twin._p2 = {}
-        for q, estimator in self._p2.items():
-            clone = _P2Quantile(q)
-            clone.heights = list(estimator.heights)
-            clone.positions = list(estimator.positions)
-            clone.desired = list(estimator.desired)
-            clone.increments = list(estimator.increments)
-            clone.count = estimator.count
-            twin._p2[q] = clone
+        twin._p2 = tuple(estimator.copy() for estimator in self._p2)
         return twin
 
     # ------------------------------------------------------------------

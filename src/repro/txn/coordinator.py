@@ -87,15 +87,8 @@ class TransactionCoordinator:
                 f"transaction {txn_id} ({request.procedure}) did not converge after "
                 f"{self.max_restarts} restarts under strategy {self.strategy.name!r}"
             )
-        self._finalize(record)
+        # ``plan`` / ``attempt`` are the final pair here.
+        record.undo_disabled = not plan.undo_logging or attempt.undo_records_skipped > 0
+        record.early_prepared_partitions = frozenset(attempt.finished_partitions)
         self.strategy.on_transaction_complete(record)
         return record
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _finalize(record: TransactionRecord) -> None:
-        final = record.final_attempt
-        record.undo_disabled = (
-            not record.final_plan.undo_logging or final.undo_records_skipped > 0
-        )
-        record.early_prepared_partitions = frozenset(final.finished_partitions)

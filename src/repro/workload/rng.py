@@ -26,8 +26,14 @@ class WorkloadRandom:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._random = random.Random(seed)
+        self._randrange = self._random.randrange
         # TPC-C's NURand constant; fixed so runs are reproducible.
         self._c_value = 123
+        #: The mix tuple :meth:`weighted_choice` last summed, and its total.
+        self._mix: tuple | None = None
+        self._mix_total = 0.0
+        #: Harmonic sums :meth:`zipf` has computed, per ``(n, skew)``.
+        self._harmonics: dict[tuple[int, float], float] = {}
 
     @property
     def core(self) -> random.Random:
@@ -46,7 +52,8 @@ class WorkloadRandom:
         """Uniform integer in ``[low, high]`` inclusive."""
         if low > high:
             raise WorkloadError(f"invalid range [{low}, {high}]")
-        return self._random.randint(low, high)
+        # randint(low, high) is randrange(low, high + 1): the same draws.
+        return self._randrange(low, high + 1)
 
     def floating(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
@@ -75,11 +82,18 @@ class WorkloadRandom:
     # ------------------------------------------------------------------
     def weighted_choice(self, weighted_items: Sequence[tuple[T, float]]) -> T:
         """Choose an item with probability proportional to its weight."""
-        if not weighted_items:
-            raise WorkloadError("cannot choose from an empty weighted sequence")
-        total = sum(weight for _, weight in weighted_items)
-        if total <= 0:
-            raise WorkloadError("weights must sum to a positive value")
+        if weighted_items is self._mix:
+            total = self._mix_total
+        else:
+            if not weighted_items:
+                raise WorkloadError("cannot choose from an empty weighted sequence")
+            total = sum(weight for _, weight in weighted_items)
+            if total <= 0:
+                raise WorkloadError("weights must sum to a positive value")
+            # A generator draws from one mix for its whole life; only a
+            # tuple is remembered (a list could change under the same id).
+            if type(weighted_items) is tuple:
+                self._mix, self._mix_total = weighted_items, total
         threshold = self._random.random() * total
         accumulated = 0.0
         for item, weight in weighted_items:
@@ -103,7 +117,10 @@ class WorkloadRandom:
             return self.integer(1, n)
         # Rejection-free inverse-CDF over a small support; adequate for the
         # benchmark catalog sizes used here.
-        harmonic = sum(1.0 / (i ** skew) for i in range(1, n + 1))
+        harmonic = self._harmonics.get((n, skew))
+        if harmonic is None:
+            harmonic = sum(1.0 / (i ** skew) for i in range(1, n + 1))
+            self._harmonics[(n, skew)] = harmonic
         threshold = self._random.random() * harmonic
         accumulated = 0.0
         for i in range(1, n + 1):

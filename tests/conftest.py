@@ -7,6 +7,9 @@ tests that need pristine state build their own instances.
 
 from __future__ import annotations
 
+import functools
+import pickle
+
 import pytest
 from hypothesis import settings
 
@@ -127,6 +130,22 @@ def account_database(account_catalog: Catalog) -> Database:
 # ----------------------------------------------------------------------
 # Session-scoped benchmark artifacts (small but realistic).
 # ----------------------------------------------------------------------
+@functools.cache
+def _trained(benchmark: str, partitions: int, trace: int, seed: int) -> bytes:
+    return pickle.dumps(
+        pipeline.train(benchmark, partitions, trace_transactions=trace, seed=seed)
+    )
+
+
+def trained(benchmark: str, partitions: int, trace: int, seed: int):
+    """A private copy of the artifacts ``pipeline.train`` builds for these
+    arguments: trained once per session, unpickled per use.  Runs mutate the
+    database (and, with learning on, the models), so every run needs its
+    own.  Import it as ``from tests.conftest import trained`` — one module
+    object, one cache."""
+    return pickle.loads(_trained(benchmark, partitions, trace, seed))
+
+
 @pytest.fixture(scope="session")
 def tpcc_artifacts():
     return pipeline.train("tpcc", 4, trace_transactions=600, seed=11)

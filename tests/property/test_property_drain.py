@@ -111,6 +111,7 @@ class ScriptedSimulator(ClusterSimulator):
     @staticmethod
     def _account_record(record, counters):
         counters["committed"] += 1
+        return True
 
 
 class NaiveSimulator(ScriptedSimulator):

@@ -22,7 +22,9 @@ from repro.sim.sketch import (
     TRACKED_QUANTILES,
     CompletionWindow,
     LatencySketch,
+    _P2Quantile,
 )
+from tests.sim.reference_sketch import LoopP2Quantile
 
 latency_lists = st.lists(
     st.floats(min_value=0.001, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -106,6 +108,100 @@ class TestLatencySketchAccuracyBound:
         exact = exact_quantile(values, 0.75)
         # Reservoir sampling carries a looser (statistical) bound.
         assert abs(sketch.quantile(0.75) - exact) <= 0.25 * exact
+
+
+# ----------------------------------------------------------------------
+# Straight-line P² == loop-form P², bit for bit
+# ----------------------------------------------------------------------
+_value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_step = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+_short = st.integers(min_value=1, max_value=40)
+
+#: One stream segment: ``(kind, *arguments)``; see ``_segment_values``.
+_segments = st.one_of(
+    st.tuples(st.just("values"), st.lists(_value, min_size=1, max_size=60)),
+    st.tuples(st.just("constant"), _value, _short),
+    st.tuples(st.just("increasing"), _value, _step, _short),
+    st.tuples(st.just("decreasing"), _value, _step, _short),
+    st.tuples(st.just("bimodal"), st.integers(min_value=0, max_value=2**16), _short),
+    st.tuples(st.just("burst"), _value),
+    # Relative to the estimator's markers at that point of the stream.
+    st.tuples(st.just("marker"), st.integers(min_value=0, max_value=4), _short),
+    st.tuples(st.just("below"), _step, _short),
+    st.tuples(st.just("above"), st.one_of(st.just(0.0), _step), _short),
+)
+
+
+def _segment_values(segment, reference):
+    """The observations of one segment, drawn lazily: marker-relative
+    segments read the reference estimator's heights as they stand."""
+    kind, *arguments = segment
+    if kind == "values":
+        yield from arguments[0]
+    elif kind == "constant":
+        yield from [arguments[0]] * arguments[1]
+    elif kind in ("increasing", "decreasing"):
+        start, step, count = arguments
+        sign = 1.0 if kind == "increasing" else -1.0
+        yield from (start + sign * step * index for index in range(count))
+    elif kind == "bimodal":
+        rng = random.Random(arguments[0])
+        for _ in range(arguments[1]):
+            yield rng.gauss(5.0, 0.5) if rng.random() < 0.9 else rng.gauss(60.0, 5.0)
+    elif kind == "burst":
+        yield from [arguments[0]] * 512
+    else:
+        for _ in range(arguments[-1]):
+            heights = reference.heights
+            if len(heights) < 5:
+                yield 1.0
+            elif kind == "marker":
+                yield heights[arguments[0]]
+            elif kind == "below":
+                yield heights[0] - arguments[0]
+            else:
+                yield heights[4] + arguments[0]
+
+
+class TestStraightLineP2EqualsLoopForm:
+    @pytest.mark.parametrize("q", TRACKED_QUANTILES)
+    @given(st.lists(_segments, min_size=1, max_size=8))
+    def test_markers_equal_after_every_observation(self, q, segments):
+        straight, loop = _P2Quantile(q), LoopP2Quantile(q)
+        for segment in segments:
+            for x in _segment_values(segment, loop):
+                straight.add(x)
+                loop.add(x)
+                assert straight.heights == loop.heights, (segment, x)
+                assert straight.positions == loop.positions, (segment, x)
+                assert straight.desired == loop.desired, (segment, x)
+        assert straight.count == loop.count
+        assert straight.increments == loop.increments
+        assert straight.value() == loop.value()
+
+    def test_latency_sketch_bytes_past_the_reservoir(self):
+        """10,000 observations: the P² markers, the reservoir's ``randrange``
+        draws and the summary are what the loop form produced (the dict was
+        recorded at the parent commit)."""
+        rng = random.Random(20231)
+        sketch, reference = LatencySketch(), LatencySketch()
+        reference._p2 = tuple(LoopP2Quantile(q) for q in TRACKED_QUANTILES)
+        for _ in range(10_000):
+            value = rng.gauss(5.0, 0.5) if rng.random() < 0.9 else rng.gauss(60.0, 5.0)
+            sketch.observe(value)
+            reference.observe(value)
+        assert sketch.count > RESERVOIR_SIZE
+        assert sketch.to_dict() == reference.to_dict() == {
+            "count": 10000, "total_ms": 105344.36338472678,
+            "min_ms": 3.2173635162422345, "max_ms": 79.6195502712748,
+            "quantiles": {"p50": 5.0724287216206765, "p95": 59.73592084446501,
+                          "p99": 66.23395302611085},
+        }
+        # Untracked quantiles read the reservoir: its draws have not moved.
+        assert (sketch.quantile(0.25), sketch.quantile(0.75)) == (
+            4.719268178720901, 5.48403857522506)
+        assert sketch._reservoir == reference._reservoir
+        assert sketch.copy().to_dict() == sketch.to_dict()
 
 
 class TestLatencySketchSerialization:

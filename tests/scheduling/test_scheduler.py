@@ -15,6 +15,7 @@ from repro.scheduling import (
     SinglePartitionFirstPolicy,
     TransactionScheduler,
 )
+from repro.scheduling.policies import SchedulingPolicy, available_policies, policy_by_name
 from repro.sim import CostModel
 from repro.types import PartitionSet, ProcedureRequest
 
@@ -172,3 +173,82 @@ class TestSchedulerProperties:
             scheduler.submit(ProcedureRequest.of("P", (index,)), _estimate([[0]] * queries))
         costs = [p.predicted_cost_ms for p in scheduler.drain()]
         assert costs == sorted(costs)
+
+
+class _ByProcedureName(SchedulingPolicy):
+    """Non-predictive, but not arrival-ordered: the scheduler keeps its
+    queue-jump bookkeeping (``_track_reorder``) for it."""
+
+    name = "by-procedure-name"
+
+    def key(self, pending):
+        return (pending.request.procedure, pending.arrival_index)
+
+
+def _non_predictive_policies():
+    registered = [policy_by_name(name) for name in available_policies()]
+    return [policy for policy in registered if not policy.uses_predictions] + [
+        _ByProcedureName()
+    ]
+
+
+class TestPassThrough:
+    """``pass_through`` is ``submit`` + ``pop`` + a zero ``record_wait`` on
+    an empty queue, minus the entry that would be pushed and popped."""
+
+    REQUESTS = [
+        ProcedureRequest.of(name, (index,), client_id=index)
+        for index, name in enumerate(["B", "A", "B", "C", "A", "A", "B"])
+    ]
+
+    @staticmethod
+    def observable(scheduler):
+        return {
+            "stats": scheduler.stats,
+            "arrivals": scheduler._arrivals,
+            "sequence": scheduler._sequence,
+            "waits": scheduler.wait_summary(),
+            "queued": len(scheduler),
+            "has_ready": scheduler.has_ready,
+            "jump_bookkeeping": (sorted(scheduler._arrival_heap), sorted(scheduler._waiting)),
+        }
+
+    @pytest.mark.parametrize(
+        "policy", _non_predictive_policies(), ids=lambda policy: policy.name
+    )
+    def test_equals_submit_pop_and_zero_wait(self, policy):
+        assert [p.name for p in _non_predictive_policies()] == ["fcfs", "by-procedure-name"]
+        passed = TransactionScheduler(policy)
+        queued = TransactionScheduler(type(policy)())
+        for request in self.REQUESTS:
+            passed.pass_through(request)
+            pending = queued.submit(request)
+            assert queued.pop() is pending
+            queued.record_wait(request.procedure, 0.0)
+            assert self.observable(passed) == self.observable(queued)
+        assert passed.stats.submitted == passed.stats.dispatched == len(self.REQUESTS)
+        assert passed.wait_summary()["A"]["count"] == 3
+        # The next queued submission cannot tell which way the earlier ones went.
+        follow_up = ProcedureRequest.of("A", (99,))
+        entries = []
+        for scheduler in (passed, queued):
+            pending = scheduler.submit(follow_up)
+            (entry,) = scheduler._queued_entries()
+            entries.append((entry[0], entry[1], pending.arrival_index))
+        assert entries[0] == entries[1]
+        assert entries[0][1:] == (len(self.REQUESTS) + 1, len(self.REQUESTS))
+
+    def test_interleaves_with_a_queued_backlog_that_drained(self):
+        """Pass-through legs between queued legs (fast -> general -> fast):
+        arrival indexes and FIFO sequence numbers stay one series."""
+        scheduler = TransactionScheduler(_ByProcedureName())
+        scheduler.pass_through(self.REQUESTS[0])
+        first = scheduler.submit(self.REQUESTS[1])
+        second = scheduler.submit(self.REQUESTS[2])
+        assert (first.arrival_index, second.arrival_index) == (1, 2)
+        assert [scheduler.pop(), scheduler.pop()] == [first, second]  # "A" before "B"
+        assert not scheduler
+        scheduler.pass_through(self.REQUESTS[3])
+        assert scheduler.submit(self.REQUESTS[4]).arrival_index == 4
+        assert scheduler._sequence == 5
+        assert scheduler.stats.submitted == 5 and scheduler.stats.dispatched == 4

@@ -14,10 +14,12 @@ import pytest
 
 from repro import pipeline
 from repro.scheduling import AdmissionLimits
+from repro.session import Cluster, ClusterSpec
 from repro.sim import ClusterSimulator, CostModel, SimulatorConfig
 from repro.sim.metrics import SimulationResult
 from repro.txn.coordinator import TransactionCoordinator
 from repro.types import ProcedureRequest
+from tests.conftest import trained
 
 
 def legacy_run(catalog, database, generator, strategy, cost_model, config, benchmark_name):
@@ -133,7 +135,7 @@ class TestLegacyEquivalence:
     def test_fcfs_metrics_identical_to_legacy_driver(self, bench_name, strategy_name, think):
         config = SimulatorConfig(total_transactions=250, client_think_time_ms=think)
 
-        artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+        artifacts = trained(bench_name, 4, 300, 17)
         strategy = pipeline.make_strategy(strategy_name, artifacts)
         new = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
@@ -141,7 +143,7 @@ class TestLegacyEquivalence:
             config=config, benchmark_name=bench_name,
         ).run()
 
-        artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+        artifacts = trained(bench_name, 4, 300, 17)
         strategy = pipeline.make_strategy(strategy_name, artifacts)
         old = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
@@ -152,7 +154,7 @@ class TestLegacyEquivalence:
 
     def test_completions_arrive_in_end_time_order(self):
         """The linear warm-up pass relies on event-ordered completions."""
-        artifacts = pipeline.train("tpcc", 4, trace_transactions=300, seed=9)
+        artifacts = trained("tpcc", 4, 300, 9)
         strategy = pipeline.make_strategy("oracle", artifacts)
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
@@ -182,7 +184,7 @@ class TestSessionLegacyEquivalence:
 
         config = SimulatorConfig(total_transactions=250, client_think_time_ms=think)
 
-        artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+        artifacts = trained(bench_name, 4, 300, 17)
         strategy = pipeline.make_strategy(strategy_name, artifacts)
         spec = ClusterSpec(
             benchmark=bench_name, num_partitions=4,
@@ -192,7 +194,7 @@ class TestSessionLegacyEquivalence:
         new = session.run_for(txns=250)
         session.close()
 
-        artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+        artifacts = trained(bench_name, 4, 300, 17)
         strategy = pipeline.make_strategy(strategy_name, artifacts)
         old = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
@@ -206,7 +208,7 @@ class TestSessionLegacyEquivalence:
         uninterrupted budget reproduces the batch run; a fresh session given
         the full budget at once must match run() exactly."""
         def train():
-            artifacts = pipeline.train("tatp", 4, trace_transactions=250, seed=11)
+            artifacts = trained("tatp", 4, 250, 11)
             return artifacts, pipeline.make_strategy("oracle", artifacts)
 
         from repro.session import Cluster, ClusterSpec
@@ -251,10 +253,11 @@ class TestFastLoopEqualsGeneralLoop:
             monkeypatch.setattr(ClusterSimulator, name, spy)
         return entered
 
-    def drive(self, entered, bench_name, think, txns, route, **config):
-        """Snapshot bytes (and the simulator) after ``route``'s legs."""
+    def drive(self, entered, bench_name, think, txns, route, rekey_after=None, **config):
+        """Snapshot (and the simulator) after ``route``'s legs; the policy is
+        re-keyed to a fresh FCFS after leg ``rekey_after``."""
         del entered[:]
-        artifacts = pipeline.train(bench_name, 4, trace_transactions=300, seed=17)
+        artifacts = trained(bench_name, 4, 300, 17)
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
@@ -262,15 +265,17 @@ class TestFastLoopEqualsGeneralLoop:
             benchmark_name=bench_name,
         )
         try:
-            for loop in route:
+            for leg, loop in enumerate(route):
                 simulator.extend_budget(txns)
                 simulator.run_until(deadline_ms=self.DEADLINE[loop])
+                if leg == rekey_after:
+                    simulator.set_policy("fcfs")
             result = simulator.snapshot()
         finally:
             simulator.close()
         assert entered == route
         assert result.total_transactions == txns * len(route)
-        return result.to_dict(), simulator
+        return result, simulator
 
     @pytest.mark.parametrize("think", [0.0, 0.5])
     @pytest.mark.parametrize("bench_name", ["tatp", "tpcc"])
@@ -281,8 +286,106 @@ class TestFastLoopEqualsGeneralLoop:
                ["_run_general", "_run_fast"]]),
     ])
     def test_same_legs_through_either_loop(self, entered, bench_name, think, txns, routes):
-        snapshots = [self.drive(entered, bench_name, think, txns, route)[0] for route in routes]
+        snapshots = [
+            self.drive(entered, bench_name, think, txns, route)[0].to_dict()
+            for route in routes
+        ]
         assert all(snapshot == snapshots[0] for snapshot in snapshots[1:])
+
+    @pytest.mark.parametrize("bench_name, think", [("tatp", 0.0), ("tpcc", 0.5)])
+    def test_fast_general_fast_with_a_rekey_between(self, entered, bench_name, think):
+        """The pass-through loop counts transactions through the scheduler
+        exactly as the general loop's submit / pop / zero wait does: arrival
+        indexes, FIFO sequence and stats are one series across a switch of
+        loops and a mid-run re-key."""
+        routes = [
+            ["_run_general", "_run_general", "_run_general"],
+            ["_run_fast", "_run_general", "_run_fast"],
+            ["_run_fast", "_run_fast", "_run_fast"],
+        ]
+        runs = [
+            self.drive(entered, bench_name, think, 200, route, rekey_after=0)
+            for route in routes
+        ]
+        reference, reference_simulator = runs[0]
+        assert reference.scheduler_stats.dispatched == 600
+        assert sum(
+            entry["count"] for entry in reference.scheduler_stats.queue_wait_by_class.values()
+        ) == 600
+        for result, simulator in runs[1:]:
+            assert result.to_dict() == reference.to_dict()
+            assert result.scheduler_stats == reference.scheduler_stats
+            for counter in ("_arrivals", "_sequence"):
+                assert getattr(simulator.scheduler, counter) == getattr(
+                    reference_simulator.scheduler, counter
+                ) == 600
+
+    def test_a_queue_filled_outside_the_loop_goes_to_the_general_loop(self, entered):
+        """Nothing the event loops do leaves a transaction queued without a
+        general event outstanding, but the scheduler is a public attribute:
+        a queue that is not empty keeps the run off the pass-through loop,
+        and the general loop drains it."""
+        backlog = [ProcedureRequest.of("GetSubscriberData", (index,), client_id=index)
+                   for index in (1, 2, 3)]
+
+        def run(deadline):
+            del entered[:]
+            artifacts = trained("tatp", 4, 300, 17)
+            simulator = ClusterSimulator(
+                artifacts.benchmark.catalog, artifacts.benchmark.database,
+                artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+                benchmark_name="tatp",
+            )
+            simulator.begin()
+            for request in backlog:
+                simulator.scheduler.submit(request)
+            simulator.extend_budget(100)
+            simulator.run_until(deadline_ms=deadline)
+            assert len(simulator.scheduler) == 0
+            assert simulator.scheduler.stats.dispatched == 100 + len(backlog)
+            # The queue has drained: the next leg is pass-through again.
+            simulator.extend_budget(50)
+            simulator.run_until()
+            return simulator.snapshot().to_dict(), list(entered)
+
+        chosen, loops = run(self.DEADLINE["_run_fast"])
+        assert loops == ["_run_general", "_run_fast"]
+        forced, loops = run(self.DEADLINE["_run_general"])
+        assert loops == ["_run_general", "_run_fast"]
+        assert chosen == forced
+
+    def test_gates_lifted_over_a_parked_backlog(self, entered):
+        """A gated leg paused on a parked backlog, then FCFS without gates,
+        then a ``txns=`` leg: the outstanding wake-ups keep that leg on the
+        general loop, which drains the backlog; only then is the run
+        pass-through again."""
+        def run(deadline):
+            del entered[:]
+            session = Cluster.open(
+                ClusterSpec(benchmark="tatp", num_partitions=4, learning=False,
+                            policy="shortest-predicted"),
+                artifacts=trained("tatp", 4, 300, 17),
+            )
+            simulator = session.simulator
+            session.run_for(sim_seconds=0.02)
+            assert simulator.scheduler.parked_partitions()
+            backlog = len(simulator.scheduler)
+            assert backlog > 4
+            session.reconfigure(policy="fcfs")
+            assert len(simulator.scheduler) == backlog
+            submitted = simulator.submitted
+            simulator.extend_budget(120)
+            simulator.run_until(deadline_ms=deadline)
+            assert len(simulator.scheduler) == 0
+            assert simulator.scheduler.stats.dispatched == submitted + 120
+            session.run_for(txns=60)
+            loops = list(entered)
+            return session.close().to_dict(), loops
+
+        chosen, loops = run(self.DEADLINE["_run_fast"])
+        assert loops == ["_run_general", "_run_general", "_run_fast"]
+        forced, _ = run(self.DEADLINE["_run_general"])
+        assert chosen == forced
 
     def test_same_legs_under_the_sharded_backend(self, entered):
         """The execution backend sits behind the one execute site both loops
@@ -293,13 +396,13 @@ class TestFastLoopEqualsGeneralLoop:
                 entered, "tpcc", 0.5, 150, route, execution_backend="sharded"
             )
             assert simulator._backend.stats["dispatched"] > 0
-            assert sharded == inline
+            assert sharded.to_dict() == inline.to_dict()
 
 
 class TestSchedulingIntegration:
     @pytest.mark.parametrize("policy", ["shortest-predicted", "single-partition-first"])
     def test_policies_run_inside_the_event_loop(self, policy):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=400, seed=5)
+        artifacts = trained("smallbank", 4, 400, 5)
         strategy = pipeline.make_strategy("houdini", artifacts)
         result = pipeline.simulate(
             artifacts, strategy, transactions=300, policy=policy
@@ -311,7 +414,7 @@ class TestSchedulingIntegration:
         assert result.scheduler_stats.reordered > 0
 
     def test_admission_control_is_exercised(self):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=400, seed=5)
+        artifacts = trained("smallbank", 4, 400, 5)
         strategy = pipeline.make_strategy("houdini", artifacts)
         result = pipeline.simulate(
             artifacts, strategy, transactions=300,
@@ -324,7 +427,7 @@ class TestSchedulingIntegration:
         assert result.rejected == 0
 
     def test_admission_rejection_backs_the_client_off(self):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=400, seed=5)
+        artifacts = trained("smallbank", 4, 400, 5)
         strategy = pipeline.make_strategy("houdini", artifacts)
         result = pipeline.simulate(
             artifacts, strategy, transactions=300,
@@ -337,7 +440,7 @@ class TestSchedulingIntegration:
 
     def test_fcfs_with_policy_name_matches_default(self):
         def run(policy):
-            artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=13)
+            artifacts = trained("tatp", 4, 200, 13)
             strategy = pipeline.make_strategy("oracle", artifacts)
             return pipeline.simulate(artifacts, strategy, transactions=150, policy=policy)
 

@@ -18,15 +18,15 @@ never the coordinator against itself:
   coordinator, and closing the session leaves no child behind;
 * spec validation and round-tripping of the backend fields.
 
-Artifacts are trained once per ``(benchmark, seed, trace)`` and unpickled
-per run: learning mutates the models in place, so every side needs its own.
+Artifacts come from ``tests.conftest.trained``: trained once per
+``(benchmark, partitions, trace, seed)`` and unpickled per run — learning
+mutates the models in place, so every side needs its own.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import pickle
 import signal
 import time
 import types
@@ -45,6 +45,7 @@ from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.types import PartitionSet, ProcedureRequest
 from repro.workload import OpenLoopSource, TenantSource
 from repro.workload.rng import WorkloadRandom
+from tests.conftest import trained
 from tests.selftune.test_selftune_session import (
     _SELFTUNE,
     LargeOrderGenerator,
@@ -58,18 +59,6 @@ STRATEGIES = (
     "houdini",
 )
 PARTITIONS = 4
-
-
-@functools.cache
-def _trained(bench: str, seed: int, trace: int) -> bytes:
-    return pickle.dumps(
-        pipeline.train(bench, PARTITIONS, trace_transactions=trace, seed=seed)
-    )
-
-
-def trained(bench: str, seed: int, trace: int = 150):
-    """A private copy of the artifacts trained for ``(bench, seed, trace)``."""
-    return pickle.loads(_trained(bench, seed, trace))
 
 
 def run_session(backend, artifacts, drive, *, workers=2, **spec_fields):
@@ -95,7 +84,8 @@ def run_session(backend, artifacts, drive, *, workers=2, **spec_fields):
 # ----------------------------------------------------------------------
 def _run(bench, strategy, backend, workers=2):
     return run_session(
-        backend, trained(bench, 17), lambda session: session.run_for(txns=200),
+        backend, trained(bench, PARTITIONS, 150, 17),
+        lambda session: session.run_for(txns=200),
         strategy=strategy, workers=workers,
     )
 
@@ -127,7 +117,8 @@ class TestByteEquivalence:
 def _learning_closed_loop(backend):
     """Fast loop, learning on: the replayed monitor feeds the models."""
     return run_session(
-        backend, trained("tpcc", 17, 300), lambda session: session.run_for(txns=250),
+        backend, trained("tpcc", PARTITIONS, 300, 17),
+        lambda session: session.run_for(txns=250),
         learning=True,
     )
 
@@ -135,7 +126,8 @@ def _learning_closed_loop(backend):
 def _tenancy_with_shedding(backend):
     """General loop behind partition gates, quotas and the shed predictor."""
     return run_session(
-        backend, trained("smallbank", 11, 600), lambda session: session.run_for(sim_seconds=0.5),
+        backend, trained("smallbank", PARTITIONS, 600, 11),
+        lambda session: session.run_for(sim_seconds=0.5),
         learning=False,
         workload=TenantSource({
             "gold": OpenLoopSource(400.0, "poisson", seed=11),
@@ -155,7 +147,8 @@ def _tenancy_with_shedding(backend):
 def _gated_open_loop(backend):
     """General loop: preview estimates, predicted-cost order, admission."""
     return run_session(
-        backend, trained("smallbank", 5, 400), lambda session: session.run_for(sim_seconds=0.6),
+        backend, trained("smallbank", PARTITIONS, 400, 5),
+        lambda session: session.run_for(sim_seconds=0.6),
         learning=False,
         workload=OpenLoopSource(900.0, "bursty", seed=6, burst_size=8),
         policy="shortest-predicted",
@@ -165,7 +158,7 @@ def _gated_open_loop(backend):
 
 def _selftune_hot_swap(backend):
     """Small orders in training, large ones live: a model is swapped mid-run."""
-    artifacts = trained("tpcc", 21, 400)
+    artifacts = trained("tpcc", PARTITIONS, 400, 21)
     instance = artifacts.benchmark
     instance.generator = SmallOrderGenerator(
         instance.catalog, instance.config, WorkloadRandom(22)
@@ -197,7 +190,7 @@ def _out_of_loop_submit(backend):
             session.submit(ProcedureRequest(raw.procedure, raw.parameters, client, 0))
         session.run_for(txns=100)
 
-    return run_session(backend, trained("tpcc", 11, 300), drive, learning=False)
+    return run_session(backend, trained("tpcc", PARTITIONS, 300, 11), drive, learning=False)
 
 
 SHAPES = {
@@ -286,7 +279,7 @@ class TestAReplayCannotAbort:
 
     @pytest.mark.parametrize("bench", ["tatp", "tpcc", "smallbank"])
     def test_a_base_only_lock_set_offers_nothing_to_finish(self, bench):
-        artifacts = trained(bench, 17, 300)
+        artifacts = trained(bench, PARTITIONS, 300, 17)
         instance = artifacts.benchmark
         houdini = Houdini(
             instance.catalog, artifacts.global_provider(), artifacts.mappings,
@@ -345,7 +338,7 @@ class TestWorkerFailure:
     @pytest.mark.parametrize("loop", LOOPS)
     def test_killed_worker_raises_session_error_promptly(self, loop):
         """SIGKILL while the coordinator waits on that worker's report."""
-        session = _open_sharded(trained("tatp", 3), **LOOPS[loop])
+        session = _open_sharded(trained("tatp", PARTITIONS, 150, 3), **LOOPS[loop])
         session.simulator.begin()  # creates the backend; workers fork on demand
         backend = session.simulator._backend
         recv, calls = backend._recv, []
@@ -369,7 +362,7 @@ class TestWorkerFailure:
         """An attempt that raises on the worker (here: only there) comes back
         as ``REPORT_ERR``; the worker exits and the session says which
         procedure failed."""
-        artifacts = trained("tatp", 3)
+        artifacts = trained("tatp", PARTITIONS, 150, 3)
         coordinator = os.getpid()
         for procedure in artifacts.benchmark.catalog.procedures():
             def run(context, *parameters, _run=procedure.run):
@@ -383,7 +376,7 @@ class TestWorkerFailure:
         _assert_closes_clean(session)
 
     def test_close_shuts_down_worker_pool(self):
-        session = _open_sharded(trained("tatp", 5))
+        session = _open_sharded(trained("tatp", PARTITIONS, 150, 5))
         session.run_for(txns=1000)
         backend = session.simulator._backend
         processes = list(backend._procs)

@@ -20,6 +20,7 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import SimulatorConfig
 from repro.sim.sketch import QUANTILE_RTOL, TRACKED_QUANTILES
 from repro.workload import ClientCohortSource, Cohort
+from tests.conftest import trained
 
 EXACT_COUNTERS = (
     "committed",
@@ -54,11 +55,11 @@ def _run(artifacts, benchmark: str, mode: str, *, txns: int = 500,
 
 
 def _twin_run(benchmark: str, mode: str) -> SimulationResult:
-    """A run over *freshly trained* artifacts.  Training is deterministic,
-    so two calls start from byte-identical database and model state — the
-    shared session-scoped artifacts would not: each run mutates the
-    benchmark database it executes against."""
-    artifacts = pipeline.train(benchmark, 4, trace_transactions=400, seed=11)
+    """A run over a *private copy* of the trained artifacts, so two calls
+    start from byte-identical database and model state — the shared
+    session-scoped fixtures would not: each run mutates the benchmark
+    database it executes against."""
+    artifacts = trained(benchmark, 4, 400, 11)
     return _run(artifacts, benchmark, mode)
 
 

@@ -49,7 +49,7 @@ def _stats(**procedures) -> HoudiniStats:
         procedure.op2_correct = spec.get("op2", procedure.transactions)
         procedure.op2_enabled = procedure.transactions
         procedure.op1_enabled = procedure.transactions
-        procedure.estimation_ms_total = spec.get("estimation_ms", 10.0)
+        procedure.estimation_wall_ms_total = spec.get("estimation_ms", 10.0)
     return stats
 
 

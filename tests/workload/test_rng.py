@@ -1,5 +1,8 @@
 """Tests for the deterministic workload RNG."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -69,3 +72,49 @@ class TestDistributions:
         assert rng.numeric_string(5).isdigit()
         value = rng.alphanumeric(3, 6)
         assert 3 <= len(value) <= 6
+
+
+class TestSameStream:
+    """The cached sums and the bound ``randrange`` draw what the uncached
+    code drew: the reference is the stdlib generator driven the old way."""
+
+    def test_integer_draws_what_randint_draws(self):
+        rng, reference = WorkloadRandom(11), random.Random(11)
+        for low, high in [(0, 0), (1, 4), (0, 99_999), (-5, 5), (0, 2**40)] * 50:
+            assert rng.integer(low, high) == reference.randint(low, high)
+        assert rng.core.getstate() == reference.getstate()
+
+    def test_weighted_choice_draws_the_same_with_the_total_remembered(self):
+        mix = (("a", 0.35), ("b", 0.35), ("c", 0.1), ("d", 0.2))
+        rng, reference = WorkloadRandom(7), random.Random(7)
+        total = sum(weight for _, weight in mix)
+        for _ in range(500):
+            threshold, accumulated = reference.random() * total, 0.0
+            for item, weight in mix:
+                accumulated += weight
+                if threshold <= accumulated:
+                    break
+            assert rng.weighted_choice(mix) == item
+        # Another mix, then the first again; a list is summed on every draw.
+        other = [("x", 1.0), ("y", 3.0)]
+        assert rng.weighted_choice(other) in ("x", "y")
+        other[1] = ("y", 0.0)
+        assert {rng.weighted_choice(other) for _ in range(50)} == {"x"}
+        assert rng.weighted_choice(mix) in "abcd"
+        with pytest.raises(WorkloadError):
+            rng.weighted_choice((("a", 0.0),))
+
+    def test_zipf_stream_is_the_one_recorded_at_the_parent(self):
+        """1,000 draws over two ``(n, skew)`` supports, then one ``integer``:
+        recorded before the harmonic sum was cached per support."""
+        rng = WorkloadRandom(42)
+        draws = [
+            rng.zipf(50, 1.0) if index % 2 == 0 else rng.zipf(200, 0.7)
+            for index in range(1000)
+        ]
+        draws.append(rng.integer(0, 10**6))
+        assert draws[:12] == [10, 1, 2, 6, 15, 71, 31, 2, 4, 1, 1, 34]
+        assert draws[-1] == 104180
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+            "1947f822b28b70f5535959d55d04ca95a1f8b3794f9c66e3bc368c3ba5debaa1"
+        )
