@@ -16,6 +16,12 @@ state — so the rule checks two things for every class defining
   the ``to_dict`` emits.  Keys in
   :data:`~repro.analysis.contracts.RECOMPUTED_KEYS` are derived on load by
   convention and exempt.
+
+A ``to_dict`` derived from the class's field table — a class-body
+``to_dict = schema.to_dict``, or a method that builds on
+``schema.to_dict(self)`` — still needs a reachable ``from_dict``; its key
+parity is structural (both directions read the same dataclass fields), so
+the literal-key comparison is skipped.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ class SerializationRule(Rule):
             if not isinstance(node, ast.ClassDef):
                 continue
             to_dict = _method(node, "to_dict")
-            if to_dict is None:
+            derived = _assigns_schema_to_dict(node)
+            if to_dict is None and not derived:
                 continue
             from_dict = _method(node, "from_dict")
             if from_dict is None:
@@ -56,7 +63,8 @@ class SerializationRule(Rule):
                     "state cannot be restored",
                 )
                 continue
-            yield from self._check_parity(module, node, to_dict, from_dict)
+            if not derived and not _calls_schema_to_dict(to_dict):
+                yield from self._check_parity(module, node, to_dict, from_dict)
 
     # ------------------------------------------------------------------
     def _check_parity(
@@ -93,6 +101,30 @@ def _method(class_node: ast.ClassDef, name: str) -> ast.FunctionDef | None:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name:
             return item
     return None
+
+
+def _is_schema_to_dict(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "to_dict"
+        and isinstance(node.value, ast.Name) and node.value.id == "schema"
+    )
+
+
+def _assigns_schema_to_dict(class_node: ast.ClassDef) -> bool:
+    """A class-body ``to_dict = schema.to_dict``."""
+    return any(
+        isinstance(item, ast.Assign) and _is_schema_to_dict(item.value)
+        and any(isinstance(t, ast.Name) and t.id == "to_dict" for t in item.targets)
+        for item in class_node.body
+    )
+
+
+def _calls_schema_to_dict(method: ast.FunctionDef) -> bool:
+    """A ``to_dict`` built on ``schema.to_dict(self)`` (plus literal keys)."""
+    return any(
+        isinstance(node, ast.Call) and _is_schema_to_dict(node.func)
+        for node in ast.walk(method)
+    )
 
 
 def _is_abstract(method: ast.FunctionDef) -> bool:

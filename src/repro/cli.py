@@ -39,7 +39,7 @@ import json
 import sys
 from typing import Callable, Sequence
 
-from . import pipeline
+from . import pipeline, schema
 from .artifacts import ArtifactBundle
 from .benchmarks import available_benchmarks
 from .errors import ReproError
@@ -55,7 +55,10 @@ from .experiments import (
     run_table03,
     run_table04,
 )
+from .scheduling.admission import AdmissionLimits
+from .selftune import SelfTuneConfig
 from .session import STRATEGY_NAMES, Cluster, ClusterSpec
+from .tenancy import TenancyConfig, TenantPolicy
 
 #: Strategy names accepted by ``repro simulate`` / ``repro serve``.
 STRATEGIES = STRATEGY_NAMES
@@ -330,6 +333,29 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+_CONVERT = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
+
+
+def _parse_fields(tokens: Sequence[str], cls, aliases: dict | None = None) -> dict:
+    """``k=v[,k=v]`` tokens (commas with or without spaces) as a field dict.
+
+    Each value is converted by the kind ``cls`` declares for the field
+    (``none`` is ``None``).  What cannot be converted, and every unknown key,
+    passes through as text: the class's own check then names the field with
+    its range, or the closest known field.
+    """
+    out = {}
+    for pair in " ".join(tokens).replace(",", " ").split():
+        key, _, text = pair.partition("=")
+        key = (aliases or {}).get(key, key)
+        kind = (schema.rule_of(cls, key) or {}).get("kind")
+        try:
+            out[key] = None if text == "none" else _CONVERT[kind](text)
+        except (KeyError, ValueError):
+            out[key] = text
+    return out
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """REPL over a long-lived :class:`~repro.session.ClusterSession`.
 
@@ -374,11 +400,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     session.reconfigure(admission=None)
                     print("admission -> off")
                 else:
-                    fields = {}
-                    # Accept "k=v,k=v" with or without spaces after commas.
-                    for pair in " ".join(rest).replace(",", " ").split():
-                        key, _, value = pair.partition("=")
-                        fields[key] = float(value) if "." in value else int(value)
+                    fields = _parse_fields(rest, AdmissionLimits)
                     session.reconfigure(admission=fields)
                     print(f"admission -> {fields}")
             elif command == "caching":
@@ -422,13 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     session.reconfigure(selftune=None)
                     print("selftune -> off")
                 elif token == "on":
-                    fields = {}
-                    for pair in " ".join(rest[1:]).replace(",", " ").split():
-                        key, _, value = pair.partition("=")
-                        if value in ("true", "false"):
-                            fields[key] = value == "true"
-                        else:
-                            fields[key] = float(value) if "." in value else int(value)
+                    fields = _parse_fields(rest[1:], SelfTuneConfig)
                     session.reconfigure(selftune=fields)
                     print(f"selftune -> on {fields or '(defaults)'}")
                 elif token == "status":
@@ -461,8 +477,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                               f"accuracy={verdict['accuracy']:.3f} "
                               f"swaps={entry['swaps']}{pending}")
             elif command == "tenancy":
-                from .tenancy import TenancyConfig
-
                 token = rest[0].lower() if rest else "status"
                 manager = session.simulator.tenancy
                 base = (
@@ -481,17 +495,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         ))
                 elif token == "set" and len(rest) >= 2:
                     label = rest[1]
-                    alias = {"slo": "slo_latency_ms", "quantile": "slo_quantile"}
-                    policy = dict(base["tenants"].get(label, {}))
-                    for pair in " ".join(rest[2:]).replace(",", " ").split():
-                        key, _, value = pair.partition("=")
-                        key = alias.get(key, key)
-                        if value == "none":
-                            policy[key] = None
-                        elif key == "quota":
-                            policy[key] = int(value)
-                        else:
-                            policy[key] = float(value)
+                    policy = {
+                        **base["tenants"].get(label, {}),
+                        **_parse_fields(rest[2:], TenantPolicy,
+                                        {"slo": "slo_latency_ms", "quantile": "slo_quantile"}),
+                    }
                     base["tenants"][label] = policy
                     session.reconfigure(tenancy=base)
                     print(f"tenancy[{label}] -> {policy}")

@@ -13,9 +13,11 @@ and individual fields can be overridden via keyword arguments.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from .. import schema
 from ..errors import SessionError
+from ..schema import spec
 
 
 @dataclass(frozen=True)
@@ -27,50 +29,32 @@ class ExperimentScale:
     :meth:`from_env` rejects unknown ``REPRO_SCALE`` values instead of
     silently falling back to the default."""
 
-    name: str = "small"
+    name: str = spec("small", kind="str")
     #: Transactions recorded in the sample workload trace (paper: 100,000).
-    trace_transactions: int = 1500
+    trace_transactions: int = spec(1500, kind="int", ge=1)
     #: Transactions executed per simulator run (paper: 5-minute runs).
-    simulated_transactions: int = 800
+    simulated_transactions: int = spec(800, kind="int", ge=1)
     #: Cluster sizes (number of partitions) for the scaling experiments
     #: (paper: 4, 8, 16, 32, 64).
-    partition_counts: tuple[int, ...] = (4, 8, 16)
+    partition_counts: tuple[int, ...] = spec((4, 8, 16), kind="int", ge=1, each=True)
     #: Cluster size used by the fixed-size experiments (paper: 16).
-    accuracy_partitions: int = 8
+    accuracy_partitions: int = spec(8, kind="int", ge=1)
     #: Confidence-threshold sweep for the Fig. 13 experiment.
-    thresholds: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    thresholds: tuple[float, ...] = spec(
+        (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), kind="float", ge=0, le=1, each=True
+    )
     #: Transactions evaluated per configuration in the accuracy experiment.
-    accuracy_test_transactions: int = 600
+    accuracy_test_transactions: int = spec(600, kind="int", ge=1)
     #: Whether partitioned models use the full feed-forward search.
-    feedforward_selection: bool = False
+    feedforward_selection: bool = spec(False, kind="bool")
     #: Base RNG seed.
-    seed: int = 7
+    seed: int = spec(7, kind="int")
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        for name in (
-            "trace_transactions",
-            "simulated_transactions",
-            "accuracy_partitions",
-            "accuracy_test_transactions",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise SessionError(
-                    f"ExperimentScale.{name} must be an integer >= 1, got {value!r}"
-                )
-        if not self.partition_counts or any(
-            not isinstance(p, int) or p < 1 for p in self.partition_counts
-        ):
-            raise SessionError(
-                "ExperimentScale.partition_counts must be a non-empty tuple of "
-                f"integers >= 1, got {self.partition_counts!r}"
-            )
-        if any(not 0.0 <= t <= 1.0 for t in self.thresholds):
-            raise SessionError(
-                "ExperimentScale.thresholds must all lie within [0, 1], "
-                f"got {self.thresholds!r}"
-            )
+        schema.check(self, SessionError, "ExperimentScale.")
+        if not self.partition_counts:
+            raise SessionError("ExperimentScale.partition_counts must not be empty")
 
     # ------------------------------------------------------------------
     @staticmethod

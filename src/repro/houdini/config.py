@@ -7,7 +7,10 @@ plus the handful of engineering constants the reproduction needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+from .. import schema
+from ..schema import spec
 
 
 @dataclass
@@ -16,12 +19,12 @@ class HoudiniConfig:
 
     #: Confidence-coefficient threshold used to prune estimations (§4.3).
     #: The Fig. 13 experiment sweeps this between 0 and 1.
-    confidence_threshold: float = 0.5
+    confidence_threshold: float = spec(0.5, kind="float", ge=0, le=1)
 
     #: Maximum predicted abort probability for which undo logging may still
     #: be disabled (OP3).  The paper is "more cautious" about this
     #: optimization because a wrong call is unrecoverable.
-    abort_tolerance: float = 0.01
+    abort_tolerance: float = spec(0.01, kind="float", ge=0, le=1)
 
     #: Lower bound applied on top of the confidence threshold before a
     #: partition is declared finished (OP4).  Declaring a partition finished
@@ -30,43 +33,43 @@ class HoudiniConfig:
     #: close to certain (see DESIGN.md's threshold-semantics note); the
     #: genuine OP4 wins — releasing partitions a distributed transaction is
     #: truly done with — all have finish probability 1.0 and are unaffected.
-    op4_floor: float = 0.99
+    op4_floor: float = spec(0.99, kind="float", ge=0, le=1)
 
     #: Estimation is skipped for transactions whose models would require
     #: walking more than this many states (§4.6 reports a practical limit of
     #: roughly 175-200 queries per transaction).
-    max_path_length: int = 200
+    max_path_length: int = spec(200, kind="int", ge=1)
 
     #: Minimum number of times a state must have been observed before its
     #: zero abort probability is trusted enough to disable undo logging at
     #: run time.  The paper stresses that a wrong OP3 call is unrecoverable,
     #: so the reproduction refuses to act on thinly-supported states.
-    op3_min_observations: int = 10
+    op3_min_observations: int = spec(10, kind="int", ge=0)
 
     #: Procedures for which prediction is disabled entirely (the paper turns
     #: Houdini off for AuctionMark's CheckWinningBids).
-    disabled_procedures: frozenset[str] = field(default_factory=frozenset)
+    disabled_procedures: frozenset[str] = frozenset()
 
     #: Whether vertex probability tables are pre-computed during the
     #: processing phase (the optimization §3.2 credits with a ~24% reduction
     #: in on-line computation time).
-    precompute_tables: bool = True
+    precompute_tables: bool = spec(True, kind="bool")
 
     #: Run-time model maintenance: when the observed transition distribution
     #: of a vertex matches the model with less than this accuracy, the edge
     #: and vertex probabilities are recomputed from the counters (§4.5).
-    maintenance_accuracy_threshold: float = 0.75
+    maintenance_accuracy_threshold: float = spec(0.75, kind="float", ge=0, le=1)
 
     #: Minimum number of observed transitions before maintenance judges a
     #: vertex's distribution at all.
-    maintenance_min_observations: int = 20
+    maintenance_min_observations: int = spec(20, kind="int", ge=0)
 
     #: Optional sliding window (number of recent transitions) considered by
     #: model maintenance.  ``None`` keeps every observation since the last
     #: recomputation (the paper's behaviour); a window makes drift detection
     #: react faster to fast-changing workloads, the extension §4.5 defers to
     #: future work.
-    maintenance_window: int | None = None
+    maintenance_window: int | None = spec(None, kind="int", ge=1, optional=True)
 
     #: Whether restarted attempts become progressively more conservative.
     #: Restarts always run with undo logging enabled and lock every
@@ -78,7 +81,7 @@ class HoudiniConfig:
     #: keeps full OP4 behaviour on every restart (paper-literal, but a
     #: procedure the models chronically mispredict can then restart until the
     #: coordinator gives up).
-    conservative_restarts: bool = True
+    conservative_restarts: bool = spec(True, kind="bool")
 
     #: The one planning switch: whether finished walks (and the decisions
     #: derived from them) are memoized per binding signature and reused
@@ -88,10 +91,10 @@ class HoudiniConfig:
     #: metrics are identical either way — an entry is dropped whenever the
     #: model it was derived from changes, and a decision that could still
     #: flip as observation counts grow is never reused.
-    enable_estimate_caching: bool = True
+    enable_estimate_caching: bool = spec(True, kind="bool")
 
     #: Maximum number of entries kept by the plan memo (LRU eviction).
-    estimate_cache_max_entries: int = 4096
+    estimate_cache_max_entries: int = spec(4096, kind="int", ge=1)
 
     #: When True, a hit on a §6.3-eligible entry (non-abortable, always
     #: single-partition) charges :attr:`estimation_cache_hit_ms` of
@@ -100,28 +103,30 @@ class HoudiniConfig:
     #: the paper's estimation-overhead savings.  Off by default so that the
     #: memo is a pure wall-clock optimization: simulated metrics stay
     #: byte-identical with it on or off.
-    estimate_cache_simulated_savings: bool = False
+    estimate_cache_simulated_savings: bool = spec(False, kind="bool")
 
     #: Simulated cost charged for a cache hit (a dictionary lookup instead of
     #: a model walk) when :attr:`estimate_cache_simulated_savings` is set.
-    estimation_cache_hit_ms: float = 0.001
+    estimation_cache_hit_ms: float = spec(0.001, kind="float", ge=0)
 
     #: Simulated-time model of the estimation overhead charged per
     #: transaction (Fig. 11): a fixed base cost plus a cost per candidate
     #: state examined and per state on the chosen path.  Wall-clock Python
     #: time is also measured and reported, but charging a modelled cost keeps
     #: the simulator deterministic and comparable to the paper's Java system.
-    estimation_base_ms: float = 0.01
-    estimation_per_candidate_ms: float = 0.002
-    estimation_per_state_ms: float = 0.010
+    estimation_base_ms: float = spec(0.01, kind="float", ge=0)
+    estimation_per_candidate_ms: float = spec(0.002, kind="float", ge=0)
+    estimation_per_state_ms: float = spec(0.010, kind="float", ge=0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be within [0, 1]")
-        if not 0.0 <= self.abort_tolerance <= 1.0:
-            raise ValueError("abort_tolerance must be within [0, 1]")
-        if self.max_path_length < 1:
-            raise ValueError("max_path_length must be positive")
+        self.disabled_procedures = frozenset(self.disabled_procedures)
+        schema.check(self, ValueError)
+
+    to_dict = schema.to_dict
+
+    @classmethod
+    def from_dict(cls, data) -> "HoudiniConfig":
+        return schema.from_dict(cls, data, ValueError, "houdini")
 
     def with_threshold(self, threshold: float) -> "HoudiniConfig":
         """Copy of this config with a different confidence threshold."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .. import schema
 from ..catalog.schema import Catalog
 from ..engine.engine import AttemptResult
 from ..mapping.parameter_mapping import ParameterMappingSet
@@ -341,11 +342,14 @@ class Houdini:
         configuration.
         """
         config = self.config
+        # Both ranges are checked before anything is applied.
+        if confidence_threshold is not None:
+            schema.check_field(
+                HoudiniConfig, "confidence_threshold", confidence_threshold, ValueError
+            )
         if maintenance_window is not _UNSET:
             self.maintenance.set_window(maintenance_window)
         if confidence_threshold is not None:
-            if not 0.0 <= confidence_threshold <= 1.0:
-                raise ValueError("confidence_threshold must be within [0, 1]")
             config.confidence_threshold = confidence_threshold
             if self.estimate_cache is not None:
                 self.estimate_cache.invalidate()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
+from .. import schema
 from ..markov.model import MarkovModel
 from ..markov.vertex import VertexKey
 from .config import HoudiniConfig
@@ -24,13 +25,6 @@ from .config import HoudiniConfig
 #: enabling a window via ``reconfigure`` would silently keep the unbounded
 #: all-time counters until enough new traffic arrived to fill the window.
 TAIL_LIMIT = 2048
-
-
-def _validate_window(window) -> None:
-    if window is not None and (
-        isinstance(window, bool) or not isinstance(window, int) or window < 1
-    ):
-        raise ValueError("maintenance window must be a positive int or None")
 
 
 @dataclass
@@ -88,7 +82,7 @@ class ModelMaintenance:
         silently kept until new traffic pushes it out.  ``None`` disables the
         window: the current counters are kept and accumulate from here on.
         """
-        _validate_window(window)
+        schema.check_field(HoudiniConfig, "maintenance_window", window, ValueError)
         self.config.maintenance_window = window
         if window is None:
             self._window = None
@@ -195,7 +189,7 @@ class MaintenanceRegistry:
         shared config; existing ones rebuild their counters from the recent
         tail (see :meth:`ModelMaintenance.set_window`).
         """
-        _validate_window(window)
+        schema.check_field(HoudiniConfig, "maintenance_window", window, ValueError)
         self.config.maintenance_window = window
         for maintenance in self._by_model.values():
             maintenance.set_window(window)

@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import schema
 from ..catalog.schema import Catalog
 from ..evaluation.accuracy import AccuracyEvaluator
 from ..houdini.config import HoudiniConfig
@@ -41,6 +42,7 @@ from ..markov.builder import MarkovModelBuilder, TraceBaseChooser
 from ..markov.model import MarkovModel
 from ..ml.decision_tree import DecisionTreeClassifier
 from ..ml.em import EMClustering
+from ..schema import spec
 from ..workload.trace import WorkloadTrace
 from .clustered import ClusteredModels, PartitionedModelProvider
 from .features import FeatureCategory, FeatureDefinition, FeatureExtractor, encode_matrix
@@ -51,27 +53,30 @@ class PartitionerConfig:
     """Knobs for the model-partitioning pipeline."""
 
     #: "feedforward" (paper §5.2) or "heuristic" (fixed Fig. 9-style set).
-    feature_selection: str = "feedforward"
+    feature_selection: str = spec("feedforward", choices=("feedforward", "heuristic"))
     #: Maximum feed-forward round (feature-set size).
-    max_rounds: int = 2
+    max_rounds: int = spec(2, kind="int", ge=1)
     #: Fraction of best-scoring sets whose features survive to the next round.
-    top_fraction: float = 0.10
+    top_fraction: float = spec(0.10, kind="float", gt=0, le=1)
     #: Trace split used by feed-forward selection (paper: 30/30/40).
-    training_fraction: float = 0.30
-    validation_fraction: float = 0.30
+    training_fraction: float = spec(0.30, kind="float", gt=0, lt=1)
+    validation_fraction: float = spec(0.30, kind="float", gt=0, lt=1)
     #: Procedures with fewer trace records than this keep their global model.
-    min_records: int = 60
+    min_records: int = spec(60, kind="int", ge=0)
     #: Upper bound on the number of clusters the EM search considers.
-    max_clusters: int = 6
+    max_clusters: int = spec(6, kind="int", ge=1)
     #: Cap on the number of testing-workset records scored per candidate.
-    max_test_records: int = 300
+    max_test_records: int = spec(300, kind="int", ge=1)
     #: Cap on candidate features entering round one.
-    max_candidate_features: int = 16
+    max_candidate_features: int = spec(16, kind="int", ge=1)
     #: Clusters with fewer trace records than this are not given their own
     #: model; requests routed to them fall back to the procedure's global
     #: model (guards against data fragmentation on small traces).
-    min_cluster_records: int = 20
-    seed: int = 0
+    min_cluster_records: int = spec(20, kind="int", ge=0)
+    seed: int = spec(0, kind="int")
+
+    def __post_init__(self) -> None:
+        schema.check(self, ValueError)
 
 
 @dataclass

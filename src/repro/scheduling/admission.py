@@ -9,10 +9,12 @@ queueing ceiling, rejected so clients can back off instead of piling up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
+from .. import schema
 from ..errors import SimulationError
+from ..schema import spec
 from .scheduler import PendingTransaction
 
 
@@ -32,29 +34,28 @@ class AdmissionLimits:
     """
 
     #: Maximum number of transactions executing at once.
-    max_in_flight: int | None = None
+    max_in_flight: int | None = spec(None, kind="int", ge=1, optional=True)
     #: Maximum number of *distributed* transactions executing at once —
     #: these are the expensive ones (multi-partition locks + 2PC).
-    max_distributed_in_flight: int | None = None
+    max_distributed_in_flight: int | None = spec(None, kind="int", ge=1, optional=True)
     #: Maximum total predicted service time (ms) of in-flight transactions.
-    max_in_flight_ms: float | None = None
+    max_in_flight_ms: float | None = spec(None, kind="float", gt=0, optional=True)
     #: Deferrals after which a transaction is rejected outright instead of
     #: being requeued forever.  A deferral is one drain pass that examined
     #: the transaction and found no capacity — it stays in the ready set and
     #: every pass re-examines it, so the budget counts scheduling events
     #: (submissions, completions, partition releases), not simulated time.
     #: Time parked on a busy partition costs nothing.
-    max_deferrals: int = 16
+    max_deferrals: int = spec(16, kind="int", ge=0)
 
     def __post_init__(self) -> None:
-        for name in ("max_in_flight", "max_distributed_in_flight"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise SimulationError(f"{name} must be at least 1 when set")
-        if self.max_in_flight_ms is not None and self.max_in_flight_ms <= 0:
-            raise SimulationError("max_in_flight_ms must be positive when set")
-        if self.max_deferrals < 0:
-            raise SimulationError("max_deferrals must be non-negative")
+        schema.check(self, SimulationError)
+
+    to_dict = schema.to_dict
+
+    @classmethod
+    def from_dict(cls, data) -> "AdmissionLimits":
+        return schema.from_dict(cls, data, SimulationError, "admission")
 
 
 @dataclass

@@ -9,7 +9,10 @@ rebuild from the tail is modelled slightly slower).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from .. import schema
+from ..schema import spec
 
 
 @dataclass
@@ -17,58 +20,40 @@ class SelfTuneConfig:
     """Tunables of the observe -> detect -> retrain -> swap loop."""
 
     #: Run a drift check every N observed transactions of a procedure.
-    check_interval_txns: int = 50
+    check_interval_txns: int = spec(50, kind="int", ge=1)
     #: Sliding window of recent (source, target) transitions the detector
     #: scores divergence over, per procedure.
-    window_transitions: int = 400
+    window_transitions: int = spec(400, kind="int", ge=1)
     #: Drift verdict when the worst per-vertex divergence (1 - distribution
     #: overlap with the model's expectations) exceeds this.
-    divergence_threshold: float = 0.25
+    divergence_threshold: float = spec(0.25, kind="float", gt=0, le=1)
     #: A vertex's observed transitions must reach this count inside the
     #: window before its divergence is trusted.
-    min_observations: int = 20
+    min_observations: int = spec(20, kind="int", ge=1)
     #: Also declare drift when maintenance's last measured prediction
     #: accuracy for the procedure sits below the Houdini maintenance
     #: threshold (the paper's 75%).
-    use_accuracy_signal: bool = True
+    use_accuracy_signal: bool = spec(True, kind="bool")
     #: How many recent transactions (complete transition paths) are recorded
     #: per procedure as the retraining corpus.
-    retrain_tail_txns: int = 512
+    retrain_tail_txns: int = spec(512, kind="int", ge=1)
     #: A retrain must have at least this many recorded transactions to work
     #: with; drift verdicts before that only count, they do not retrain.
-    retrain_min_tail_txns: int = 64
+    retrain_min_tail_txns: int = spec(64, kind="int", ge=1)
     #: Simulated milliseconds a background retrain takes before the rebuilt
     #: model is ready to swap in.
-    retrain_latency_ms: float = 10.0
+    retrain_latency_ms: float = spec(10.0, kind="float", ge=0)
     #: After a swap, no new retrain starts for this many observed
     #: transactions of the procedure (lets the fresh model settle).
-    cooldown_txns: int = 200
+    cooldown_txns: int = spec(200, kind="int", ge=0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "check_interval_txns",
-            "window_transitions",
-            "min_observations",
-            "retrain_tail_txns",
-            "retrain_min_tail_txns",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
-        if isinstance(self.cooldown_txns, bool) or not isinstance(self.cooldown_txns, int) or self.cooldown_txns < 0:
-            raise ValueError(f"cooldown_txns must be a non-negative int, got {self.cooldown_txns!r}")
-        if not 0.0 < self.divergence_threshold <= 1.0:
-            raise ValueError("divergence_threshold must be within (0, 1]")
-        if self.retrain_latency_ms < 0.0:
-            raise ValueError("retrain_latency_ms must be non-negative")
+        schema.check(self, ValueError)
         if self.retrain_min_tail_txns > self.retrain_tail_txns:
             raise ValueError("retrain_min_tail_txns cannot exceed retrain_tail_txns")
-        if not isinstance(self.use_accuracy_signal, bool):
-            raise ValueError("use_accuracy_signal must be a bool")
 
-    def to_dict(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+    to_dict = schema.to_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelfTuneConfig":
-        return cls(**dict(data))
+        return schema.from_dict(cls, data, ValueError, "selftune")

@@ -93,16 +93,28 @@ no stale derived state survives:
 
 Reconfiguration changes the *live* session only; the spec the session was
 opened from is never mutated, so it can be reused to open further sessions.
+
+Configuration is declared once
+------------------------------
+Every ``ClusterSpec`` field declares its range on the dataclass field
+(:func:`repro.schema.spec`), and so do the nested configs.  Validation,
+``to_dict`` / ``from_dict`` (unknown keys get a did-you-mean), ``diff`` and
+:meth:`ClusterSession.apply_schedule` are derived from that table.  A nested
+config (``houdini``, ``selftune``, ``tenancy``, ``admission``, ``cost_model``,
+``workload``) may be given as an instance or in dict form anywhere one is
+accepted — the spec and ``reconfigure`` coerce both through the class the
+field declares (``_nested``) — and a spec-diff key maps to its ``reconfigure``
+keyword through one table (``_LIVE_FIELDS`` / ``_LIVE_HOUDINI_FIELDS``).
 """
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping
 
+from . import schema
 from .benchmarks import BenchmarkInstance, available_benchmarks, get_benchmark
-from .errors import SessionError, SimulationError, WorkloadError
+from .errors import ReproError, SessionError, WorkloadError
 from .houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from .houdini.providers import ModelProvider
 from .mapping import ParameterMappingSet, build_parameter_mappings
@@ -111,6 +123,7 @@ from .modelpart import ModelPartitioner, PartitionedModelProvider, PartitionerCo
 from .scheduling.admission import AdmissionLimits
 from .scheduling.policies import SchedulingPolicy, available_policies
 from .selftune import SelfTuneConfig, SelfTuneManager
+from .schema import spec
 from .sim import ClusterSimulator, CostModel, SimulationResult, SimulatorConfig
 from .tenancy import TenancyConfig
 from .strategies import (
@@ -146,6 +159,19 @@ MODEL_PROVIDERS = ("global", "partitioned")
 
 _UNSET = object()
 
+#: Spec-diff key -> ``ClusterSession.reconfigure`` keyword: everything a
+#: schedule may change on a live session (a ``houdini`` diff goes field by
+#: field through the second table).
+_LIVE_FIELDS = {
+    "policy": "policy", "admission": "admission", "workload": "workload",
+    "selftune": "selftune", "tenancy": "tenancy", "cost_model": "cost",
+}
+_LIVE_HOUDINI_FIELDS = {
+    "enable_estimate_caching": "estimate_caching",
+    "confidence_threshold": "confidence_threshold",
+    "maintenance_window": "maintenance_window",
+}
+
 
 # ----------------------------------------------------------------------
 # Off-line artifacts
@@ -173,49 +199,53 @@ class ClusterSpec:
 
     Composes every choice the previous five config objects spread out —
     benchmark, simulator, Houdini, scheduling, admission and model provider
-    — and round-trips through plain dicts: ``ClusterSpec.from_kwargs(
-    **spec.to_dict())`` reproduces the spec (policies are normalized to
-    their registry names, nested configs to field dicts).  Validation is
-    strict: unknown fields and out-of-range values raise
-    :class:`~repro.errors.SessionError` with an actionable message instead
-    of being silently ignored.
+    — and round-trips through plain dicts: ``ClusterSpec.from_dict(
+    spec.to_dict())`` reproduces the spec (policies are normalized to
+    their registry names, nested configs to their dict forms).  Each field
+    declares its range where it is defined; unknown fields and out-of-range
+    values raise :class:`~repro.errors.SessionError` naming the field
+    instead of being silently ignored.
     """
 
     # --- benchmark -----------------------------------------------------
-    benchmark: str = "tpcc"
-    num_partitions: int = 8
-    partitions_per_node: int = 2
-    seed: int = 0
-    trace_transactions: int = 2000
+    benchmark: str = spec("tpcc", choices=available_benchmarks, noun="benchmark")
+    num_partitions: int = spec(8, kind="int", ge=1)
+    partitions_per_node: int = spec(2, kind="int", ge=1)
+    seed: int = spec(0, kind="int")
+    trace_transactions: int = spec(2000, kind="int", ge=1)
     benchmark_config: Mapping | None = None
     # --- strategy / Houdini --------------------------------------------
-    strategy: str = "houdini"
-    learning: bool = True
-    model_provider: str = "global"
-    houdini: HoudiniConfig | None = None
+    strategy: str = spec("houdini", choices=STRATEGY_NAMES, noun="strategy")
+    learning: bool = spec(True, kind="bool")
+    model_provider: str = spec("global", choices=MODEL_PROVIDERS, noun="model_provider")
+    houdini: HoudiniConfig | None = spec(None, nested=HoudiniConfig, optional=True)
     #: Self-tuning loop (:mod:`repro.selftune`): a
     #: :class:`~repro.selftune.SelfTuneConfig` (or its field dict) enables
     #: online drift detection, background retraining and atomic hot model
     #: swaps; ``None`` (default) leaves the loop off.  Requires a learning
     #: Houdini strategy with the global model provider.
-    selftune: SelfTuneConfig | Mapping | None = None
+    selftune: SelfTuneConfig | Mapping | None = spec(
+        None, nested=SelfTuneConfig, optional=True
+    )
     #: Multi-tenant policy (:mod:`repro.tenancy`): a
     #: :class:`~repro.tenancy.TenancyConfig` (or its dict form) layers
     #: per-tenant weighted fair queuing, admission quotas, latency SLOs and
     #: predicted-work shedding over the node scheduler; ``None`` (default)
     #: keeps the single shared scheduler.
-    tenancy: TenancyConfig | Mapping | None = None
+    tenancy: TenancyConfig | Mapping | None = spec(
+        None, nested=TenancyConfig, optional=True
+    )
     # --- simulator -----------------------------------------------------
-    clients_per_partition: int = 4
-    warmup_fraction: float = 0.1
-    client_think_time_ms: float = 0.0
+    clients_per_partition: int = spec(4, kind="int", ge=1)
+    warmup_fraction: float = spec(0.1, kind="float", ge=0, lt=1)
+    client_think_time_ms: float = spec(0.0, kind="float", ge=0)
     #: Latency accounting: ``"exact"`` (default) keeps every observation —
     #: byte-identical to specs that predate this field — while
     #: ``"streaming"`` replaces the unbounded per-latency lists with the
     #: O(1)-memory sketches of :mod:`repro.sim.sketch`, the million-user
     #: scale mode (counters stay exact; percentiles carry the sketch's
     #: documented error bound).
-    metrics_mode: str = "exact"
+    metrics_mode: str = spec("exact", choices=("exact", "streaming"))
     #: Where an attempt's statements execute: ``"inline"`` (default) on the
     #: coordinator; ``"sharded"`` shards the partition stores across
     #: ``num_workers`` OS worker processes and sends each attempt that locks
@@ -223,10 +253,10 @@ class ClusterSpec:
     #: (:mod:`repro.sim.backend`).  Simulated metrics are byte-identical
     #: either way under the same seed: the sharded backend is a determinism
     #: and fault-handling harness, and slower than inline by design.
-    execution_backend: str = "inline"
+    execution_backend: str = spec("inline", choices=("inline", "sharded"))
     #: Worker processes for the sharded backend (clamped to the partition
     #: count; ignored by the inline backend).
-    num_workers: int = 2
+    num_workers: int = spec(2, kind="int", ge=1)
     # --- workload ------------------------------------------------------
     #: How traffic enters the session: a :class:`WorkloadSource` (or its
     #: dict form).  ``None`` — the default — is the legacy closed loop
@@ -235,103 +265,27 @@ class ClusterSpec:
     #: :class:`ClosedLoopSource` overrides those two fields; any other
     #: source (open-loop arrivals, trace replay, phased mixes, tenant
     #: streams) runs the simulator in open-loop mode.
-    workload: WorkloadSource | Mapping | None = None
+    workload: WorkloadSource | Mapping | None = spec(
+        None, nested=WorkloadSource, optional=True, noun="workload source"
+    )
     # --- scheduling / admission / cost --------------------------------
-    policy: SchedulingPolicy | str | None = None
-    admission: AdmissionLimits | None = None
-    cost_model: CostModel | None = None
+    policy: SchedulingPolicy | str | None = spec(
+        None, nested=SchedulingPolicy, choices=available_policies,
+        noun="scheduling policy", optional=True,
+    )
+    admission: AdmissionLimits | None = spec(None, nested=AdmissionLimits, optional=True)
+    cost_model: CostModel | None = spec(None, nested=CostModel, optional=True)
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        if isinstance(self.houdini, Mapping):
-            self.houdini = _coerce(HoudiniConfig, self.houdini, "houdini")
-        if isinstance(self.selftune, Mapping):
-            self.selftune = _coerce(SelfTuneConfig, self.selftune, "selftune")
-        if isinstance(self.tenancy, Mapping):
-            self.tenancy = _coerce_tenancy(self.tenancy)
-        if isinstance(self.admission, Mapping):
-            self.admission = _coerce(AdmissionLimits, self.admission, "admission")
-        if isinstance(self.cost_model, Mapping):
-            self.cost_model = _coerce(CostModel, self.cost_model, "cost_model")
-        if isinstance(self.workload, Mapping):
-            self.workload = _coerce_workload(self.workload)
+        for name in _NESTED:
+            setattr(self, name, _nested(name, getattr(self, name)))
         self.validate()
 
     def validate(self) -> None:
         """Check every field; raise :class:`SessionError` on the first problem."""
-        benchmarks = available_benchmarks()
-        if self.benchmark not in benchmarks:
-            raise SessionError(
-                f"unknown benchmark {self.benchmark!r}; available: "
-                f"{', '.join(benchmarks)}"
-            )
-        if self.strategy not in STRATEGY_NAMES:
-            raise SessionError(
-                f"unknown strategy {self.strategy!r}; available: "
-                f"{', '.join(STRATEGY_NAMES)}"
-            )
-        if self.model_provider not in MODEL_PROVIDERS:
-            raise SessionError(
-                f"unknown model_provider {self.model_provider!r}; available: "
-                f"{', '.join(MODEL_PROVIDERS)}"
-            )
-        for name, minimum in (
-            ("num_partitions", 1),
-            ("partitions_per_node", 1),
-            ("trace_transactions", 1),
-            ("clients_per_partition", 1),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise SessionError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}"
-                )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise SessionError(f"seed must be an integer, got {self.seed!r}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise SessionError(
-                f"warmup_fraction must be within [0, 1), got {self.warmup_fraction!r}"
-            )
-        if self.client_think_time_ms < 0:
-            raise SessionError(
-                f"client_think_time_ms must be non-negative, "
-                f"got {self.client_think_time_ms!r}"
-            )
-        if self.metrics_mode not in ("exact", "streaming"):
-            raise SessionError(
-                f"metrics_mode must be 'exact' or 'streaming', "
-                f"got {self.metrics_mode!r}"
-            )
-        if self.execution_backend not in ("inline", "sharded"):
-            raise SessionError(
-                f"execution_backend must be 'inline' or 'sharded', "
-                f"got {self.execution_backend!r}"
-            )
-        if (
-            not isinstance(self.num_workers, int)
-            or isinstance(self.num_workers, bool)
-            or self.num_workers < 1
-        ):
-            raise SessionError(
-                f"num_workers must be an integer >= 1, got {self.num_workers!r}"
-            )
-        if isinstance(self.policy, str) and self.policy not in available_policies():
-            raise SessionError(
-                f"unknown scheduling policy {self.policy!r}; available: "
-                f"{', '.join(available_policies())} (or pass a SchedulingPolicy "
-                f"instance, or None for FCFS)"
-            )
-        if self.houdini is not None and not isinstance(self.houdini, HoudiniConfig):
-            raise SessionError(
-                f"houdini must be a HoudiniConfig or a field dict, "
-                f"got {type(self.houdini).__name__}"
-            )
+        schema.check(self, SessionError)
         if self.selftune is not None:
-            if not isinstance(self.selftune, SelfTuneConfig):
-                raise SessionError(
-                    f"selftune must be a SelfTuneConfig or a field dict, "
-                    f"got {type(self.selftune).__name__}"
-                )
             if not self.strategy.startswith("houdini"):
                 raise SessionError(
                     f"selftune requires a Houdini strategy, got {self.strategy!r}"
@@ -345,27 +299,7 @@ class ClusterSpec:
                     "selftune requires learning=True (it consumes the "
                     "run-time transition stream)"
                 )
-        if self.tenancy is not None and not isinstance(self.tenancy, TenancyConfig):
-            raise SessionError(
-                f"tenancy must be a TenancyConfig or its dict form, "
-                f"got {type(self.tenancy).__name__}"
-            )
-        if self.admission is not None and not isinstance(self.admission, AdmissionLimits):
-            raise SessionError(
-                f"admission must be AdmissionLimits or a field dict, "
-                f"got {type(self.admission).__name__}"
-            )
-        if self.cost_model is not None and not isinstance(self.cost_model, CostModel):
-            raise SessionError(
-                f"cost_model must be a CostModel or a field dict, "
-                f"got {type(self.cost_model).__name__}"
-            )
         if self.workload is not None:
-            if not isinstance(self.workload, WorkloadSource):
-                raise SessionError(
-                    f"workload must be a WorkloadSource or its dict form, "
-                    f"got {type(self.workload).__name__}"
-                )
             try:
                 self.workload.validate()
             except WorkloadError as error:
@@ -375,60 +309,23 @@ class ClusterSpec:
     @classmethod
     def from_kwargs(cls, **kwargs: Any) -> "ClusterSpec":
         """Build a spec from keyword arguments, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            hints = []
-            for name in unknown:
-                close = difflib.get_close_matches(name, known, n=1)
-                hints.append(f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
-            raise SessionError(
-                f"unknown ClusterSpec field(s): {', '.join(hints)}; "
-                f"valid fields: {', '.join(sorted(known))}"
-            )
-        return cls(**kwargs)
+        return schema.from_dict(cls, kwargs, SessionError, cls.__name__)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
-        return cls.from_kwargs(**dict(data))
+        return schema.from_dict(cls, data, SessionError, cls.__name__)
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON-friendly) that :meth:`from_kwargs` accepts.
+        """Plain-dict form (JSON-friendly) that :meth:`from_dict` accepts.
 
         Policies are normalized to their registry name, nested configs to
-        their field dicts; ``None`` fields stay ``None``.
+        their dict forms; ``None`` fields stay ``None``.
         """
-        policy = self.policy
-        if isinstance(policy, SchedulingPolicy):
-            policy = policy.name
-        return {
-            "benchmark": self.benchmark,
-            "num_partitions": self.num_partitions,
-            "partitions_per_node": self.partitions_per_node,
-            "seed": self.seed,
-            "trace_transactions": self.trace_transactions,
-            "benchmark_config": dict(self.benchmark_config)
-            if self.benchmark_config is not None else None,
-            "strategy": self.strategy,
-            "learning": self.learning,
-            "model_provider": self.model_provider,
-            "houdini": _init_field_dict(self.houdini),
-            "selftune": _init_field_dict(self.selftune),
-            # Nested per-tenant policies need the recursive dict form, not
-            # the flat init-field dict.
-            "tenancy": self.tenancy.to_dict() if self.tenancy is not None else None,
-            "clients_per_partition": self.clients_per_partition,
-            "warmup_fraction": self.warmup_fraction,
-            "client_think_time_ms": self.client_think_time_ms,
-            "metrics_mode": self.metrics_mode,
-            "execution_backend": self.execution_backend,
-            "num_workers": self.num_workers,
-            "workload": self.workload.to_dict() if self.workload is not None else None,
-            "policy": policy,
-            "admission": _init_field_dict(self.admission),
-            "cost_model": _init_field_dict(self.cost_model),
-        }
+        out = schema.to_dict(self)
+        if isinstance(self.policy, SchedulingPolicy):
+            out["policy"] = self.policy.name
+        return out
 
     def diff(self, other: "ClusterSpec") -> dict:
         """Fields where ``other`` differs from this spec, in ``to_dict`` form.
@@ -444,81 +341,46 @@ class ClusterSpec:
 
     def simulator_config(self, total_transactions: int = 0) -> SimulatorConfig:
         """The :class:`SimulatorConfig` this spec describes."""
-        clients = self.clients_per_partition
-        think = self.client_think_time_ms
-        open_loop = False
+        # Every field the two classes share by name is copied; the three
+        # that are renamed or derived are spelled out.
+        values = {
+            f.name: getattr(self, f.name)
+            for f in fields(SimulatorConfig) if hasattr(self, f.name)
+        }
         if isinstance(self.workload, ClosedLoopSource):
-            clients = self.workload.clients_per_partition
-            think = self.workload.think_time_ms
-        elif self.workload is not None:
-            open_loop = True
-        return SimulatorConfig(
-            clients_per_partition=clients,
-            total_transactions=total_transactions,
-            warmup_fraction=self.warmup_fraction,
-            client_think_time_ms=think,
-            policy=self.policy,
-            admission_limits=self.admission,
-            open_loop=open_loop,
-            metrics_mode=self.metrics_mode,
-            execution_backend=self.execution_backend,
-            num_workers=self.num_workers,
+            values["clients_per_partition"] = self.workload.clients_per_partition
+            values["client_think_time_ms"] = self.workload.think_time_ms
+        if self.tenancy is not None:
             # Copied so live reconfigure never mutates the (reusable) spec.
-            tenancy=self.tenancy.copy() if self.tenancy is not None else None,
+            values["tenancy"] = self.tenancy.copy()
+        return SimulatorConfig(
+            **values,
+            total_transactions=total_transactions,
+            admission_limits=self.admission,
+            open_loop=not (self.workload is None or isinstance(self.workload, ClosedLoopSource)),
         )
 
 
-def _init_field_dict(config) -> dict | None:
-    """The init-field dict of a dataclass instance (``None`` passes through)."""
-    if config is None:
-        return None
-    out = {}
-    for f in fields(config):
-        if not f.init:
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        out[f.name] = value
-    return out
+#: The nested configs of a spec — the fields that declare ``nested=`` with a
+#: class that has a dict form.  ``ClusterSpec.__post_init__`` and
+#: ``ClusterSession.reconfigure`` coerce through this one table.
+_NESTED = tuple(
+    f.name for f in fields(ClusterSpec)
+    if hasattr((schema.rule_of(ClusterSpec, f.name) or {}).get("nested"), "from_dict")
+)
 
 
-def _coerce_workload(data: Mapping | WorkloadSource | None) -> WorkloadSource | None:
-    """Coerce a workload declaration (dict form allowed) to a source."""
-    if data is None or isinstance(data, WorkloadSource):
-        return data
-    try:
-        return WorkloadSource.from_dict(data)
-    except WorkloadError as error:
-        raise SessionError(f"invalid workload source: {error}") from error
-
-
-def _coerce_tenancy(data: Mapping | TenancyConfig) -> TenancyConfig:
-    """Coerce a tenancy declaration (dict form allowed), strict validation."""
-    if isinstance(data, TenancyConfig):
-        return data
-    try:
-        return TenancyConfig.from_dict(data)
-    except (TypeError, SimulationError) as error:
-        raise SessionError(f"invalid tenancy configuration: {error}") from error
-
-
-def _coerce(cls, data: Mapping, label: str):
-    """Build ``cls(**data)`` with an actionable error for unknown keys."""
-    known = {f.name for f in fields(cls) if f.init}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SessionError(
-            f"unknown {label} field(s): {', '.join(map(repr, unknown))}; "
-            f"valid fields: {', '.join(sorted(known))}"
-        )
-    kwargs = dict(data)
-    if cls is HoudiniConfig and "disabled_procedures" in kwargs:
-        kwargs["disabled_procedures"] = frozenset(kwargs["disabled_procedures"])
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as error:
-        raise SessionError(f"invalid {label} configuration: {error}") from error
+def _nested(name: str, value):
+    """A nested config in either form, as an instance of its declared class."""
+    rule = schema.rule_of(ClusterSpec, name)
+    if isinstance(value, Mapping):
+        try:
+            value = rule["nested"].from_dict(value)
+        except (TypeError, ValueError, ReproError) as error:
+            noun = rule["noun"] or f"{name} configuration"
+            raise SessionError(f"invalid {noun}: {error}") from error
+    schema.check_field(ClusterSpec, name, value, SessionError)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -956,7 +818,7 @@ class ClusterSession:
         self._check_open()
         simulator = self.simulator
         if workload is not None:
-            source = _coerce_workload(workload)
+            source = _nested("workload", workload)
             try:
                 source.validate()
             except WorkloadError as error:
@@ -986,21 +848,10 @@ class ClusterSession:
                 self._arrival_offset = simulator.now_ms
             self.workload = source
         if policy is not _UNSET:
-            if isinstance(policy, str) and policy not in available_policies():
-                raise SessionError(
-                    f"unknown scheduling policy {policy!r}; available: "
-                    f"{', '.join(available_policies())}"
-                )
+            schema.check_field(ClusterSpec, "policy", policy, SessionError)
             simulator.set_policy(policy)
         if admission is not _UNSET:
-            if isinstance(admission, Mapping):
-                admission = _coerce(AdmissionLimits, admission, "admission")
-            if admission is not None and not isinstance(admission, AdmissionLimits):
-                raise SessionError(
-                    f"admission must be AdmissionLimits, a field dict or None, "
-                    f"got {type(admission).__name__}"
-                )
-            simulator.set_admission(admission)
+            simulator.set_admission(_nested("admission", admission))
         if generator is not None:
             simulator.set_generator(generator)
         if cost is not None:
@@ -1011,38 +862,31 @@ class ClusterSession:
                         f"unknown cost-model constant {name!r}; constants are "
                         f"the *_ms fields of repro.sim.CostModel"
                     )
+                schema.check_field(CostModel, name, value, SessionError)
                 # CostModel.__setattr__ clears the cost-schedule cache.
                 setattr(model, name, value)
             # Predicted per-class costs baked the old constants in.
             simulator.scheduler.clear_cost_cache()
-        if estimate_caching is not None or confidence_threshold is not None:
-            houdini = self.houdini
-            if houdini is None:
-                raise SessionError(
-                    "estimate_caching / confidence_threshold reconfiguration "
-                    f"requires a Houdini-backed strategy (this session runs "
-                    f"{self.strategy.name!r})"
-                )
-            try:
-                houdini.reconfigure(
-                    estimate_caching=estimate_caching,
-                    confidence_threshold=confidence_threshold,
-                )
-            except ValueError as error:
-                raise SessionError(str(error)) from error
+        knobs: dict[str, Any] = {}
+        if estimate_caching is not None:
+            knobs["estimate_caching"] = estimate_caching
+        if confidence_threshold is not None:
+            knobs["confidence_threshold"] = confidence_threshold
         if maintenance_window is not _UNSET:
+            knobs["maintenance_window"] = maintenance_window
+        if knobs:
             houdini = self.houdini
             if houdini is None:
                 raise SessionError(
-                    "maintenance_window reconfiguration requires a "
-                    f"Houdini-backed strategy (this session runs "
-                    f"{self.strategy.name!r})"
+                    f"{' / '.join(knobs)} reconfiguration requires a Houdini-backed "
+                    f"strategy (this session runs {self.strategy.name!r})"
                 )
             try:
-                houdini.reconfigure(maintenance_window=maintenance_window)
+                houdini.reconfigure(**knobs)
             except ValueError as error:
                 raise SessionError(str(error)) from error
         if selftune is not _UNSET:
+            selftune = _nested("selftune", selftune)
             if selftune is None:
                 houdini = self.houdini
                 if houdini is not None:
@@ -1050,28 +894,11 @@ class ClusterSession:
                 simulator.set_selftune(None)
                 self.selftune = None
             else:
-                if isinstance(selftune, Mapping):
-                    selftune = _coerce(SelfTuneConfig, selftune, "selftune")
-                elif isinstance(selftune, SelfTuneConfig):
-                    selftune = replace(selftune)
-                else:
-                    raise SessionError(
-                        f"selftune must be a SelfTuneConfig, a field dict or "
-                        f"None, got {type(selftune).__name__}"
-                    )
-                self._install_selftune(selftune)
-        if tenancy is not _UNSET:
-            if isinstance(tenancy, Mapping):
-                tenancy = _coerce_tenancy(tenancy)
-            elif isinstance(tenancy, TenancyConfig):
                 # Copied so the caller's config object stays reusable.
-                tenancy = tenancy.copy()
-            elif tenancy is not None:
-                raise SessionError(
-                    f"tenancy must be a TenancyConfig, its dict form or None, "
-                    f"got {type(tenancy).__name__}"
-                )
-            simulator.set_tenancy(tenancy)
+                self._install_selftune(replace(selftune))
+        if tenancy is not _UNSET:
+            tenancy = _nested("tenancy", tenancy)
+            simulator.set_tenancy(tenancy.copy() if tenancy is not None else None)
         return self
 
     # ------------------------------------------------------------------
@@ -1143,12 +970,33 @@ class ClusterSession:
         """Apply one :meth:`ClusterSpec.diff` entry through ``reconfigure``."""
         changes: dict[str, Any] = {}
         for key, value in diff.items():
-            if key == "policy":
-                changes["policy"] = value
-            elif key == "admission":
-                changes["admission"] = value
-            elif key == "workload":
-                changes["workload"] = value if value is not None else ClosedLoopSource(
+            if key == "houdini":
+                houdini = self.houdini
+                if houdini is None:
+                    raise SessionError(
+                        "houdini reconfiguration requires a Houdini-backed "
+                        f"strategy (this session runs {self.strategy.name!r})"
+                    )
+                live = houdini.config.to_dict()
+                for name, new in (value or HoudiniConfig().to_dict()).items():
+                    if live[name] == new:
+                        continue
+                    if name not in _LIVE_HOUDINI_FIELDS:
+                        raise SessionError(
+                            f"houdini field {name!r} is not live-reconfigurable; "
+                            "only enable_estimate_caching, confidence_threshold "
+                            "and maintenance_window can change in a schedule"
+                        )
+                    changes[_LIVE_HOUDINI_FIELDS[name]] = new
+                continue
+            if key not in _LIVE_FIELDS:
+                raise SessionError(
+                    f"spec field {key!r} is not live-reconfigurable; schedules "
+                    "may change policy, admission, cost_model, workload, "
+                    "selftune, tenancy and the Houdini runtime knobs"
+                )
+            if key == "workload" and value is None:
+                value = ClosedLoopSource(
                     self.spec.clients_per_partition, self.spec.client_think_time_ms
                 )
             elif key == "cost_model":
@@ -1158,49 +1006,13 @@ class ClusterSession:
                         "that keeps a cost model"
                     )
                 live = self.simulator.cost_model
-                constants = {
+                value = {
                     name: new for name, new in value.items()
                     if name.endswith("_ms") and getattr(live, name, new) != new
                 }
-                if constants:
-                    changes["cost"] = constants
-            elif key == "houdini":
-                houdini = self.houdini
-                if houdini is None:
-                    raise SessionError(
-                        "houdini reconfiguration requires a Houdini-backed "
-                        f"strategy (this session runs {self.strategy.name!r})"
-                    )
-                target = value or _init_field_dict(HoudiniConfig())
-                live_config = houdini.config
-                for name, new in target.items():
-                    current = getattr(live_config, name)
-                    if isinstance(current, frozenset):
-                        current = sorted(current)
-                    if current == new:
-                        continue
-                    if name == "enable_estimate_caching":
-                        changes["estimate_caching"] = new
-                    elif name == "confidence_threshold":
-                        changes["confidence_threshold"] = new
-                    elif name == "maintenance_window":
-                        changes["maintenance_window"] = new
-                    else:
-                        raise SessionError(
-                            f"houdini field {name!r} is not live-reconfigurable; "
-                            "only enable_estimate_caching, confidence_threshold "
-                            "and maintenance_window can change in a schedule"
-                        )
-            elif key == "selftune":
-                changes["selftune"] = value
-            elif key == "tenancy":
-                changes["tenancy"] = value
-            else:
-                raise SessionError(
-                    f"spec field {key!r} is not live-reconfigurable; schedules "
-                    "may change policy, admission, cost_model, workload, "
-                    "selftune, tenancy and the Houdini runtime knobs"
-                )
+                if not value:
+                    continue
+            changes[_LIVE_FIELDS[key]] = value
         if changes:
             self.reconfigure(**changes)
 

@@ -21,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+from .. import schema
 from ..engine.engine import AttemptOutcome, AttemptResult
+from ..errors import SimulationError
+from ..schema import spec
 from ..txn.plan import ExecutionPlan
 from ..types import PartitionId, PartitionSet
 
@@ -34,31 +37,31 @@ class CostModel:
     """Simulated-time constants (all in milliseconds)."""
 
     #: CPU cost of executing one query at the partition running the control code.
-    query_local_ms: float = 0.20
+    query_local_ms: float = spec(0.20, kind="float", ge=0)
     #: Additional cost of dispatching a query to a remote partition
     #: (serialization + network round trip).
-    query_remote_ms: float = 0.90
+    query_remote_ms: float = spec(0.90, kind="float", ge=0)
     #: Per-partition execution cost of a broadcast query (charged at every
     #: partition it touches, beyond the dispatch cost above).
-    broadcast_per_partition_ms: float = 0.10
+    broadcast_per_partition_ms: float = spec(0.10, kind="float", ge=0)
     #: Cost of writing one undo-log record (what OP3 saves).
-    undo_record_ms: float = 0.040
+    undo_record_ms: float = spec(0.040, kind="float", ge=0)
     #: One round of the two-phase-commit prepare exchange (coordinator to all
     #: remaining participants, in parallel).
-    two_phase_prepare_ms: float = 1.20
+    two_phase_prepare_ms: float = spec(1.20, kind="float", ge=0)
     #: The commit/acknowledge round of two-phase commit.
-    two_phase_commit_ms: float = 0.80
+    two_phase_commit_ms: float = spec(0.80, kind="float", ge=0)
     #: Per-transaction planning cost (query plan lookup, routing).
-    planning_ms: float = 0.20
+    planning_ms: float = spec(0.20, kind="float", ge=0)
     #: Per-transaction setup/miscellaneous cost ("other" in Fig. 11).
-    setup_ms: float = 0.30
+    setup_ms: float = spec(0.30, kind="float", ge=0)
     #: Cost of aborting an attempt (rolling back, notifying the client).
-    abort_ms: float = 0.30
+    abort_ms: float = spec(0.30, kind="float", ge=0)
     #: Cost of redirecting a restarted transaction to a different node.
-    redirect_ms: float = 1.00
+    redirect_ms: float = spec(1.00, kind="float", ge=0)
     #: Extra coordination paid per transaction when it locks partitions it
     #: never uses (resources held idle; keeps "lock everything" honest).
-    unused_lock_ms: float = 0.05
+    unused_lock_ms: float = spec(0.05, kind="float", ge=0)
 
     #: Cost-schedule cache: per (procedure-independent) *plan shape* — base
     #: partition, lock set, the sequence of per-invocation partition sets,
@@ -87,6 +90,15 @@ class CostModel:
     #: Probation length and minimum hit rate for the schedule cache.
     _CACHE_PROBATION = 512
     _CACHE_MIN_HIT_RATE = 0.25
+
+    def __post_init__(self) -> None:
+        schema.check(self, SimulationError)
+
+    to_dict = schema.to_dict
+
+    @classmethod
+    def from_dict(cls, data) -> "CostModel":
+        return schema.from_dict(cls, data, SimulationError, "cost_model")
 
     def __setattr__(self, name: str, value) -> None:
         """Assigning a ``*_ms`` constant invalidates every cached schedule.

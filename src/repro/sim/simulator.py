@@ -66,12 +66,14 @@ import dataclasses
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .. import schema
 from ..catalog.schema import Catalog
 from ..engine.engine import AttemptOutcome
 from ..errors import SimulationError
 from ..scheduling.admission import AdmissionController, AdmissionDecision, AdmissionLimits
-from ..scheduling.policies import SchedulingPolicy, policy_by_name
+from ..scheduling.policies import SchedulingPolicy, available_policies, policy_by_name
 from ..scheduling.scheduler import TransactionScheduler, blocking_partition
+from ..schema import spec
 from ..storage.partition_store import Database
 from ..tenancy import TenancyConfig, TenancyManager, TenantScheduler
 from ..txn.coordinator import TransactionCoordinator
@@ -95,44 +97,49 @@ class SimulatorConfig:
     """Knobs for one simulator run."""
 
     #: Closed-loop clients per partition (the paper uses four).
-    clients_per_partition: int = 4
+    clients_per_partition: int = spec(4, kind="int", ge=1)
     #: Total transactions to execute (split across clients) when driven by
     #: the one-shot :meth:`ClusterSimulator.run`; session-driven runs grant
     #: budget through :meth:`ClusterSimulator.extend_budget` instead.
-    total_transactions: int = 2000
+    total_transactions: int = spec(2000, kind="int", ge=0)
     #: Fraction of the earliest-completing transactions treated as warm-up
     #: and excluded from the throughput window (the paper warms up for 60s).
-    warmup_fraction: float = 0.1
+    warmup_fraction: float = spec(0.1, kind="float", ge=0, lt=1)
     #: Think time between a client's transactions (0 = saturated, as in the paper).
-    client_think_time_ms: float = 0.0
+    client_think_time_ms: float = spec(0.0, kind="float", ge=0)
     #: Queue policy for the node scheduler: a registry name, a policy
     #: instance, or ``None`` for first-come first-served.
-    policy: SchedulingPolicy | str | None = None
+    policy: SchedulingPolicy | str | None = spec(
+        None, nested=SchedulingPolicy, choices=available_policies,
+        noun="scheduling policy", optional=True,
+    )
     #: Admission-control limits; ``None`` disables admission control.
-    admission_limits: AdmissionLimits | None = None
+    admission_limits: AdmissionLimits | None = spec(
+        None, nested=AdmissionLimits, optional=True
+    )
     #: Open-loop mode: no closed-loop clients are created at :meth:`begin`
     #: (work arrives only through ``EXTERNAL_SUBMIT`` injections — arrival
     #: processes, trace replay, tenant streams).  The closed loop can still
     #: be started later via :meth:`ClusterSimulator.activate_clients`.
-    open_loop: bool = False
+    open_loop: bool = spec(False, kind="bool")
     #: ``"exact"`` stores every latency/completion (default, byte-identical
     #: to the pre-scale-mode behavior); ``"streaming"`` accumulates into
     #: O(1)-memory sketches (:mod:`repro.sim.sketch`) so unbounded runs
     #: never grow per-transaction state — the million-user scale mode.
-    metrics_mode: str = "exact"
+    metrics_mode: str = spec("exact", choices=("exact", "streaming"))
     #: ``"inline"`` executes every attempt on the coordinator (default);
     #: ``"sharded"`` shards the partition stores across OS worker processes
     #: and sends each attempt that locks only its base partition to the
     #: owning worker (:mod:`repro.sim.backend`).  Simulated results are
     #: byte-identical either way: a determinism and fault-handling harness.
-    execution_backend: str = "inline"
+    execution_backend: str = spec("inline", choices=("inline", "sharded"))
     #: Worker-process count for the sharded backend (clamped to the
     #: partition count; ignored by the inline backend).
-    num_workers: int = 2
+    num_workers: int = spec(2, kind="int", ge=1)
     #: Multi-tenant policy (``repro.tenancy``): per-tenant weighted fair
     #: queuing, admission quotas, latency SLOs and predicted-work shedding.
     #: ``None`` keeps the single shared scheduler.
-    tenancy: "TenancyConfig | None" = None
+    tenancy: TenancyConfig | None = spec(None, nested=TenancyConfig, optional=True)
 
 
 @dataclass(frozen=True)
@@ -241,16 +248,7 @@ class ClusterSimulator:
         if self._began:
             return
         config = self.config
-        if config.metrics_mode not in ("exact", "streaming"):
-            raise SimulationError(
-                f"metrics_mode must be 'exact' or 'streaming', "
-                f"got {config.metrics_mode!r}"
-            )
-        if config.execution_backend not in ("inline", "sharded"):
-            raise SimulationError(
-                f"execution_backend must be 'inline' or 'sharded', "
-                f"got {config.execution_backend!r}"
-            )
+        schema.check(config, SimulationError)
         streaming = config.metrics_mode == "streaming"
         self._streaming = streaming
         self._num_partitions = self.catalog.num_partitions

@@ -24,10 +24,12 @@ and shedding always require an explicit tenant label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from .. import schema
 from ..errors import SimulationError
+from ..schema import spec
 
 
 @dataclass(frozen=True)
@@ -35,52 +37,26 @@ class TenantPolicy:
     """Per-tenant policy: fair-share weight, admission quota, latency SLO."""
 
     #: Relative share of dispatch capacity under weighted fair queuing.
-    weight: float = 1.0
+    weight: float = spec(1.0, kind="float", gt=0)
     #: Maximum concurrently executing transactions of this tenant
     #: (``None`` disables the quota for the tenant).
-    quota: int | None = None
+    quota: int | None = spec(None, kind="int", ge=1, optional=True)
     #: Latency objective in simulated milliseconds (``None`` = no SLO; the
     #: tenant is neither tracked nor shed).
-    slo_latency_ms: float | None = None
+    slo_latency_ms: float | None = spec(None, kind="float", gt=0, optional=True)
     #: The SLO quantile: ``slo_quantile`` of completions must land within
     #: ``slo_latency_ms`` (burn rate is measured against the remaining
     #: violation allowance, ``1 - slo_quantile``).
-    slo_quantile: float = 0.95
+    slo_quantile: float = spec(0.95, kind="float", gt=0, lt=1)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.weight, (int, float)) or isinstance(self.weight, bool):
-            raise SimulationError(f"weight must be a number, got {self.weight!r}")
-        if not self.weight > 0:
-            raise SimulationError(f"weight must be positive, got {self.weight!r}")
-        if self.quota is not None:
-            if not isinstance(self.quota, int) or isinstance(self.quota, bool) or self.quota < 1:
-                raise SimulationError(
-                    f"quota must be an integer >= 1 when set, got {self.quota!r}"
-                )
-        if self.slo_latency_ms is not None:
-            if not isinstance(self.slo_latency_ms, (int, float)) or isinstance(
-                self.slo_latency_ms, bool
-            ) or not self.slo_latency_ms > 0:
-                raise SimulationError(
-                    f"slo_latency_ms must be positive when set, "
-                    f"got {self.slo_latency_ms!r}"
-                )
-        if isinstance(self.slo_quantile, bool) or not 0.0 < self.slo_quantile < 1.0:
-            raise SimulationError(
-                f"slo_quantile must be within (0, 1), got {self.slo_quantile!r}"
-            )
+        schema.check(self, SimulationError)
 
-    def to_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "quota": self.quota,
-            "slo_latency_ms": self.slo_latency_ms,
-            "slo_quantile": self.slo_quantile,
-        }
+    to_dict = schema.to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TenantPolicy":
-        return cls(**dict(data))
+        return schema.from_dict(cls, data, SimulationError, "tenant policy")
 
 
 #: Policy applied to unlabeled traffic and unknown tenant labels.
@@ -96,21 +72,21 @@ class TenancyConfig:
     tenants: dict[str, TenantPolicy] = field(default_factory=dict)
     #: Policy for unlabeled traffic and labels absent from ``tenants``
     #: (weighting only; ``None`` uses ``TenantPolicy()`` defaults).
-    default_policy: TenantPolicy | None = None
+    default_policy: TenantPolicy | None = spec(None, nested=TenantPolicy, optional=True)
     #: Shared overflow pool: admission slots any quota-limited tenant may
     #: borrow once its own quota is exhausted.
-    shared_quota: int = 0
+    shared_quota: int = spec(0, kind="int", ge=0)
     #: Enable predicted-work shedding for tenants with an SLO.
-    shed: bool = True
+    shed: bool = spec(True, kind="bool")
     #: Shedding aggressiveness: an arrival predicted to complete later than
     #: ``slo_latency_ms * shed_headroom`` is rejected at the door.  Values
     #: below 1.0 shed earlier (more protective), above 1.0 later.
-    shed_headroom: float = 1.0
+    shed_headroom: float = spec(1.0, kind="float", gt=0)
     #: Maintain one queue per (tenant, home partition) instead of one per
     #: tenant — the cluster-shaped queue structure.  Dispatch order is
     #: unchanged (the scheduler always pops the globally smallest head),
     #: only the queue topology and its introspection differ.
-    per_partition_queues: bool = False
+    per_partition_queues: bool = spec(False, kind="bool")
 
     def __post_init__(self) -> None:
         if not isinstance(self.tenants, Mapping):
@@ -135,35 +111,7 @@ class TenancyConfig:
         self.tenants = coerced
         if isinstance(self.default_policy, Mapping):
             self.default_policy = TenantPolicy.from_dict(self.default_policy)
-        if self.default_policy is not None and not isinstance(
-            self.default_policy, TenantPolicy
-        ):
-            raise SimulationError(
-                f"default_policy must be a TenantPolicy or a field dict, "
-                f"got {type(self.default_policy).__name__}"
-            )
-        if (
-            not isinstance(self.shared_quota, int)
-            or isinstance(self.shared_quota, bool)
-            or self.shared_quota < 0
-        ):
-            raise SimulationError(
-                f"shared_quota must be a non-negative integer, "
-                f"got {self.shared_quota!r}"
-            )
-        if not isinstance(self.shed, bool):
-            raise SimulationError(f"shed must be a bool, got {self.shed!r}")
-        if not isinstance(self.shed_headroom, (int, float)) or isinstance(
-            self.shed_headroom, bool
-        ) or not self.shed_headroom > 0:
-            raise SimulationError(
-                f"shed_headroom must be positive, got {self.shed_headroom!r}"
-            )
-        if not isinstance(self.per_partition_queues, bool):
-            raise SimulationError(
-                f"per_partition_queues must be a bool, "
-                f"got {self.per_partition_queues!r}"
-            )
+        schema.check(self, SimulationError)
 
     # ------------------------------------------------------------------
     def policy_for(self, label: str | None) -> TenantPolicy:
@@ -178,30 +126,14 @@ class TenancyConfig:
 
     def copy(self) -> "TenancyConfig":
         """An independent copy (policies are frozen and safely shared)."""
-        return TenancyConfig(
-            tenants=dict(self.tenants),
-            default_policy=self.default_policy,
-            shared_quota=self.shared_quota,
-            shed=self.shed,
-            shed_headroom=self.shed_headroom,
-            per_partition_queues=self.per_partition_queues,
-        )
+        return replace(self)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "tenants": {
-                label: policy.to_dict()
-                for label, policy in sorted(self.tenants.items())
-            },
-            "default_policy": self.default_policy.to_dict()
-            if self.default_policy is not None else None,
-            "shared_quota": self.shared_quota,
-            "shed": self.shed,
-            "shed_headroom": self.shed_headroom,
-            "per_partition_queues": self.per_partition_queues,
-        }
+        out = schema.to_dict(self)
+        out["tenants"] = dict(sorted(out["tenants"].items()))
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TenancyConfig":
-        return cls(**dict(data))
+        return schema.from_dict(cls, data, SimulationError, "tenancy")

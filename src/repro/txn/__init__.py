@@ -1,16 +1,12 @@
-"""Transaction machinery: plans, locks, two-phase commit, coordinator."""
+"""Transaction machinery: plans, records, strategies, coordinator."""
 
 from .coordinator import MAX_RESTARTS, TransactionCoordinator
-from .locks import PartitionLockManager
 from .plan import ExecutionPlan
 from .record import TransactionRecord
 from .strategy import ExecutionStrategy
-from .two_phase_commit import TwoPhaseCommit
 
 __all__ = [
     "ExecutionPlan",
-    "PartitionLockManager",
-    "TwoPhaseCommit",
     "TransactionRecord",
     "ExecutionStrategy",
     "TransactionCoordinator",

@@ -28,14 +28,20 @@ simulator core.  Five shapes exist:
   cluster; per-tenant metrics are broken out in
   :class:`~repro.sim.metrics.SimulationResult`.
 
-Sources are declarative and serializable: ``validate()`` raises
-:class:`~repro.errors.WorkloadError` on bad parameters, and
-``to_dict()`` / :meth:`WorkloadSource.from_dict` round-trip through plain
-JSON-friendly dicts exactly like the rest of
-:class:`~repro.session.ClusterSpec`.  ``compile(ctx)`` turns a source into
-a :class:`CompiledSource` — a deterministic, resumable stream of
-:class:`Arrival` records — so the same source object can open any number of
-sessions, each with an independent cursor.
+Sources are declarative and serializable.  Each is a dataclass whose
+fields declare their own range (:func:`repro.schema.spec`): ``validate()``
+raises :class:`~repro.errors.WorkloadError` naming the field, and
+``to_dict()`` / :meth:`WorkloadSource.from_dict` (which dispatches on the
+``kind`` key over the subclasses) are derived from the same table, so they
+round-trip through plain JSON-friendly dicts exactly like the rest of
+:class:`~repro.session.ClusterSpec` and an unknown key is an error with a
+did-you-mean, never ignored.  Nested sources (a phase, a tenant, a cohort)
+may be given in dict form wherever an instance is accepted.  Only structure
+is hand-written: exactly-one-of pairs, phase / tenant / cohort shape.
+``compile(ctx)`` turns a source into a :class:`CompiledSource` — a
+deterministic, resumable stream of :class:`Arrival` records — so the same
+source object can open any number of sessions, each with an independent
+cursor.
 """
 
 from __future__ import annotations
@@ -46,13 +52,16 @@ import operator
 import zlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import KW_ONLY, dataclass
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .. import schema
 from ..errors import WorkloadError
+from ..schema import spec
 from ..types import ProcedureRequest
 from . import vectorized as _vectorized
 from .rng import WorkloadRandom
-from .trace import WorkloadTrace
+from .trace import TransactionTraceRecord, WorkloadTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..benchmarks.base import BenchmarkInstance
@@ -215,19 +224,39 @@ class CompiledSource:
 # ----------------------------------------------------------------------
 # The source hierarchy
 # ----------------------------------------------------------------------
+def _source(value):
+    """A nested source in either form (dict forms are coerced at construction)."""
+    return WorkloadSource.from_dict(value) if isinstance(value, Mapping) else value
+
+
+def _items(name: str, value) -> list:
+    """The elements of a structural field (``phases``, ``cohorts``)."""
+    if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+        raise WorkloadError(f"{name} must be a list, got {type(value).__name__}")
+    return list(value)
+
+
 class WorkloadSource(ABC):
-    """Declarative description of how traffic enters a cluster session."""
+    """Declarative description of how traffic enters a cluster session.
 
-    #: Registry discriminator used by :meth:`to_dict` / :meth:`from_dict`.
-    kind: str = ""
+    Every concrete source is a dataclass whose fields declare their own
+    range (:mod:`repro.schema`); validation and the dict form are derived
+    from that table, so a subclass writes only what a table cannot say.
+    """
 
-    @abstractmethod
+    #: Discriminator of the dict form (``to_dict`` / :meth:`from_dict`).
+    kind: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         """Raise :class:`WorkloadError` on the first invalid parameter."""
+        schema.check(self, WorkloadError)
 
-    @abstractmethod
     def to_dict(self) -> dict:
         """Plain JSON-friendly dict form, including the ``kind`` key."""
+        return {"kind": self.kind, **schema.to_dict(self)}
 
     @abstractmethod
     def compile(self, ctx: CompileContext) -> CompiledSource:
@@ -236,27 +265,32 @@ class WorkloadSource(ABC):
     # ------------------------------------------------------------------
     @staticmethod
     def from_dict(data: Mapping) -> "WorkloadSource":
-        """Rebuild any source from its :meth:`to_dict` form."""
+        """Rebuild any source from its :meth:`to_dict` form (strict: an
+        unknown key raises :class:`WorkloadError` with the closest field)."""
         if not isinstance(data, Mapping):
             raise WorkloadError(
                 f"workload source must be a mapping, got {type(data).__name__}"
             )
+        kinds = {cls.kind: cls for cls in WorkloadSource.__subclasses__()}
         kind = data.get("kind")
-        factory = _SOURCE_KINDS.get(kind)
-        if factory is None:
+        if kind not in kinds:
             raise WorkloadError(
                 f"unknown workload source kind {kind!r}; available: "
-                f"{', '.join(sorted(_SOURCE_KINDS))}"
+                f"{', '.join(sorted(kinds))}"
             )
-        return factory(data)
+        return kinds[kind]._from_fields(
+            {key: value for key, value in data.items() if key != "kind"}
+        )
+
+    @classmethod
+    def _from_fields(cls, data: dict) -> "WorkloadSource":
+        return schema.from_dict(cls, data, WorkloadError, f"{cls.kind} source")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.to_dict() == other.to_dict()
 
-    def describe(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.to_dict()}>"
 
-
+@dataclass(eq=False)
 class ClosedLoopSource(WorkloadSource):
     """The paper's closed loop: think-time clients saturating the node.
 
@@ -267,34 +301,8 @@ class ClosedLoopSource(WorkloadSource):
 
     kind = "closed-loop"
 
-    def __init__(
-        self, clients_per_partition: int = 4, think_time_ms: float = 0.0
-    ) -> None:
-        self.clients_per_partition = clients_per_partition
-        self.think_time_ms = think_time_ms
-        self.validate()
-
-    def validate(self) -> None:
-        if (
-            not isinstance(self.clients_per_partition, int)
-            or isinstance(self.clients_per_partition, bool)
-            or self.clients_per_partition < 1
-        ):
-            raise WorkloadError(
-                f"clients_per_partition must be an integer >= 1, "
-                f"got {self.clients_per_partition!r}"
-            )
-        if self.think_time_ms < 0:
-            raise WorkloadError(
-                f"think_time_ms must be non-negative, got {self.think_time_ms!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "clients_per_partition": self.clients_per_partition,
-            "think_time_ms": self.think_time_ms,
-        }
+    clients_per_partition: int = spec(4, kind="int", ge=1)
+    think_time_ms: float = spec(0.0, kind="float", ge=0)
 
     def compile(self, ctx: CompileContext) -> CompiledSource:
         # The closed loop emits no arrivals: the simulator's budget-parked
@@ -303,6 +311,7 @@ class ClosedLoopSource(WorkloadSource):
         return CompiledSource(iter(()))
 
 
+@dataclass(eq=False)
 class OpenLoopSource(WorkloadSource):
     """Open-loop arrivals: requests arrive on a clock, not on completions.
 
@@ -324,52 +333,12 @@ class OpenLoopSource(WorkloadSource):
 
     kind = "open-loop"
 
-    def __init__(
-        self,
-        rate_per_sec: float,
-        arrival: str = "poisson",
-        *,
-        seed: int = 0,
-        burst_size: int = 8,
-        limit: int | None = None,
-    ) -> None:
-        self.rate_per_sec = rate_per_sec
-        self.arrival = arrival
-        self.seed = seed
-        self.burst_size = burst_size
-        self.limit = limit
-        self.validate()
-
-    def validate(self) -> None:
-        if not isinstance(self.rate_per_sec, (int, float)) or self.rate_per_sec <= 0:
-            raise WorkloadError(
-                f"rate_per_sec must be positive, got {self.rate_per_sec!r}"
-            )
-        if self.arrival not in ARRIVAL_PROCESSES:
-            raise WorkloadError(
-                f"unknown arrival process {self.arrival!r}; available: "
-                f"{', '.join(ARRIVAL_PROCESSES)}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise WorkloadError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.burst_size, int) or self.burst_size < 1:
-            raise WorkloadError(
-                f"burst_size must be an integer >= 1, got {self.burst_size!r}"
-            )
-        if self.limit is not None and (
-            not isinstance(self.limit, int) or self.limit < 1
-        ):
-            raise WorkloadError(f"limit must be a positive integer or None, got {self.limit!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate_per_sec": self.rate_per_sec,
-            "arrival": self.arrival,
-            "seed": self.seed,
-            "burst_size": self.burst_size,
-            "limit": self.limit,
-        }
+    rate_per_sec: float = spec(kind="float", gt=0)
+    arrival: str = spec("poisson", choices=ARRIVAL_PROCESSES, noun="arrival process")
+    _: KW_ONLY
+    seed: int = spec(0, kind="int")
+    burst_size: int = spec(8, kind="int", ge=1)
+    limit: int | None = spec(None, kind="int", ge=1, optional=True)
 
     def compile(self, ctx: CompileContext, *, _tenant: str | None = None) -> CompiledSource:
         generator = ctx.make_generator(self.seed)
@@ -420,6 +389,7 @@ class OpenLoopSource(WorkloadSource):
         return CompiledSource(stream())
 
 
+@dataclass(eq=False)
 class TraceReplaySource(WorkloadSource):
     """Replay a recorded :class:`WorkloadTrace` as live traffic.
 
@@ -429,63 +399,43 @@ class TraceReplaySource(WorkloadSource):
     back to a metronome of ``default_gap_ms``.  ``speedup`` rescales time
     (2.0 replays twice as fast — the what-if-load-doubles knob).
 
-    Exactly one of ``trace`` (in-memory, serialized inline) or ``path``
-    (a JSON-lines file, loaded lazily at compile time) must be given.
-    Replay is deterministic: the same trace yields the same arrival stream
-    in every session.
+    Exactly one of ``trace`` (in-memory, serialized inline as ``records``)
+    or ``path`` (a JSON-lines file, loaded lazily at compile time) must be
+    given.  Replay is deterministic: the same trace yields the same arrival
+    stream in every session.  A trace recorded against another benchmark is
+    refused at compile time, before any arrival is handed out.
     """
 
     kind = "trace-replay"
 
-    def __init__(
-        self,
-        trace: WorkloadTrace | None = None,
-        *,
-        path: str | None = None,
-        speedup: float = 1.0,
-        default_gap_ms: float = 1.0,
-        limit: int | None = None,
-    ) -> None:
-        self.trace = trace
-        self.path = path
-        self.speedup = speedup
-        self.default_gap_ms = default_gap_ms
-        self.limit = limit
-        self.validate()
+    trace: WorkloadTrace | None = spec(None, nested=WorkloadTrace, optional=True)
+    _: KW_ONLY
+    speedup: float = spec(1.0, kind="float", gt=0)
+    default_gap_ms: float = spec(1.0, kind="float", ge=0)
+    limit: int | None = spec(None, kind="int", ge=1, optional=True)
+    path: str | None = spec(None, kind="str", optional=True, omit_none=True)
 
     def validate(self) -> None:
+        super().validate()
         if (self.trace is None) == (self.path is None):
             raise WorkloadError(
                 "TraceReplaySource needs exactly one of trace= (in-memory) "
                 "or path= (JSON-lines file)"
             )
-        if self.trace is not None and not isinstance(self.trace, WorkloadTrace):
-            raise WorkloadError(
-                f"trace must be a WorkloadTrace, got {type(self.trace).__name__}"
-            )
-        if not isinstance(self.speedup, (int, float)) or self.speedup <= 0:
-            raise WorkloadError(f"speedup must be positive, got {self.speedup!r}")
-        if not isinstance(self.default_gap_ms, (int, float)) or self.default_gap_ms < 0:
-            raise WorkloadError(
-                f"default_gap_ms must be non-negative, got {self.default_gap_ms!r}"
-            )
-        if self.limit is not None and (
-            not isinstance(self.limit, int) or self.limit < 1
-        ):
-            raise WorkloadError(f"limit must be a positive integer or None, got {self.limit!r}")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "kind": self.kind,
-            "speedup": self.speedup,
-            "default_gap_ms": self.default_gap_ms,
-            "limit": self.limit,
-        }
-        if self.path is not None:
-            out["path"] = self.path
-        else:
+        out = super().to_dict()
+        if out.pop("trace") is not None:
             out["records"] = [record.to_json() for record in self.trace]
         return out
+
+    @classmethod
+    def _from_fields(cls, data: dict) -> "TraceReplaySource":
+        if "records" in data:
+            data["trace"] = WorkloadTrace(
+                [TransactionTraceRecord.from_json(entry) for entry in data.pop("records")]
+            )
+        return super()._from_fields(data)
 
     def _load(self) -> WorkloadTrace:
         if self.trace is not None:
@@ -504,6 +454,18 @@ class TraceReplaySource(WorkloadSource):
         speedup = self.speedup
         gap = self.default_gap_ms
         limit = self.limit
+        # Checked in one pass before any arrival exists: a foreign trace must
+        # fail here, not inside the event loop after arrivals were consumed.
+        # (A context compiled without a catalog has nothing to check against.)
+        catalog = ctx.benchmark.catalog
+        if catalog is not None:
+            for record in trace:
+                if not catalog.has_procedure(record.procedure):
+                    raise WorkloadError(
+                        f"trace record {record.txn_id} calls {record.procedure!r}, "
+                        f"which the {ctx.benchmark.name!r} benchmark does not define "
+                        "(was the trace recorded against another benchmark?)"
+                    )
 
         def stream() -> Iterator[Arrival]:
             clock = 0.0
@@ -521,6 +483,21 @@ class TraceReplaySource(WorkloadSource):
         return CompiledSource(stream())
 
 
+def _arrival_source(owner: str, source) -> None:
+    """Phases and tenants must be arrival sources (structure, not a range)."""
+    if not isinstance(source, WorkloadSource):
+        raise WorkloadError(
+            f"{owner} source must be a WorkloadSource, got {type(source).__name__}"
+        )
+    if isinstance(source, ClosedLoopSource):
+        raise WorkloadError(
+            f"{owner}: closed-loop sources have no arrival clock; use "
+            "OpenLoopSource or TraceReplaySource streams"
+        )
+    source.validate()
+
+
+@dataclass(eq=False)
 class PhasedSource(WorkloadSource):
     """Time-phased mixture: each phase contributes one arrival source.
 
@@ -533,10 +510,15 @@ class PhasedSource(WorkloadSource):
 
     kind = "phased"
 
-    def __init__(
-        self, phases: Iterable[tuple[float | None, WorkloadSource]]
-    ) -> None:
-        self.phases = list(phases)
+    phases: list
+
+    def __post_init__(self) -> None:
+        self.phases = [
+            (entry.get("duration_ms"), _source(entry.get("source")))
+            if isinstance(entry, Mapping) and set(entry) <= {"duration_ms", "source"}
+            else entry
+            for entry in _items("phases", self.phases)
+        ]
         self.validate()
 
     def validate(self) -> None:
@@ -546,21 +528,11 @@ class PhasedSource(WorkloadSource):
         for index, entry in enumerate(self.phases):
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise WorkloadError(
-                    f"phase {index} must be a (duration_ms, source) pair, got {entry!r}"
+                    f"phase {index} must be a (duration_ms, source) pair (or a "
+                    f"dict with exactly those keys), got {entry!r}"
                 )
             duration, source = entry
-            if not isinstance(source, WorkloadSource):
-                raise WorkloadError(
-                    f"phase {index} source must be a WorkloadSource, "
-                    f"got {type(source).__name__}"
-                )
-            if isinstance(source, ClosedLoopSource):
-                raise WorkloadError(
-                    f"phase {index}: closed-loop sources cannot be phased "
-                    "(they have no arrival clock); use OpenLoopSource or "
-                    "TraceReplaySource phases"
-                )
-            source.validate()
+            _arrival_source(f"phase {index}", source)
             if duration is None:
                 if index != last:
                     raise WorkloadError(
@@ -602,6 +574,7 @@ class PhasedSource(WorkloadSource):
         return CompiledSource(stream())
 
 
+@dataclass(eq=False)
 class TenantSource(WorkloadSource):
     """Labeled composition: several tenants share one cluster.
 
@@ -615,8 +588,14 @@ class TenantSource(WorkloadSource):
 
     kind = "tenants"
 
-    def __init__(self, tenants: Mapping[str, WorkloadSource]) -> None:
-        self.tenants = dict(tenants)
+    tenants: Mapping[str, WorkloadSource]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tenants, Mapping):
+            raise WorkloadError(
+                f"tenants must map a name to a source, got {type(self.tenants).__name__}"
+            )
+        self.tenants = {name: _source(source) for name, source in self.tenants.items()}
         self.validate()
 
     def validate(self) -> None:
@@ -625,24 +604,7 @@ class TenantSource(WorkloadSource):
         for name, source in self.tenants.items():
             if not isinstance(name, str) or not name:
                 raise WorkloadError(f"tenant names must be non-empty strings, got {name!r}")
-            if not isinstance(source, WorkloadSource):
-                raise WorkloadError(
-                    f"tenant {name!r} source must be a WorkloadSource, "
-                    f"got {type(source).__name__}"
-                )
-            if isinstance(source, ClosedLoopSource):
-                raise WorkloadError(
-                    f"tenant {name!r}: closed-loop sources cannot be labeled "
-                    "tenants (they have no arrival clock); use OpenLoopSource "
-                    "or TraceReplaySource streams"
-                )
-            source.validate()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "tenants": {name: source.to_dict() for name, source in self.tenants.items()},
-        }
+            _arrival_source(f"tenant {name!r}", source)
 
     def compile(self, ctx: CompileContext) -> CompiledSource:
         # Each tenant compiles under a seed derived from its name, so two
@@ -689,6 +651,7 @@ def _merge_labeled(
             heapq.heappush(heap, (nxt.at_ms, order, sequence))
 
 
+@dataclass
 class Cohort:
     """One homogeneous slice of a simulated client population.
 
@@ -710,64 +673,25 @@ class Cohort:
     exactly the overload behavior the knee-finder wants to measure).
     """
 
-    def __init__(
-        self,
-        name: str,
-        users: int,
-        *,
-        think_time_ms: float | None = None,
-        rate_per_user_per_sec: float | None = None,
-        arrival: str = "poisson",
-        burst_size: int = 8,
-    ) -> None:
-        self.name = name
-        self.users = users
-        self.think_time_ms = think_time_ms
-        self.rate_per_user_per_sec = rate_per_user_per_sec
-        self.arrival = arrival
-        self.burst_size = burst_size
+    name: str = spec(kind="str")
+    users: int = spec(kind="int", ge=1)
+    _: KW_ONLY
+    arrival: str = spec("poisson", choices=ARRIVAL_PROCESSES, noun="arrival process")
+    burst_size: int = spec(8, kind="int", ge=1)
+    think_time_ms: float | None = spec(None, kind="float", gt=0, optional=True, omit_none=True)
+    rate_per_user_per_sec: float | None = spec(
+        None, kind="float", gt=0, optional=True, omit_none=True
+    )
+
+    def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise WorkloadError(f"cohort name must be a non-empty string, got {self.name!r}")
-        if (
-            not isinstance(self.users, int)
-            or isinstance(self.users, bool)
-            or self.users < 1
-        ):
-            raise WorkloadError(
-                f"cohort {self.name!r}: users must be an integer >= 1, got {self.users!r}"
-            )
+        schema.check(self, WorkloadError, f"cohort {self.name!r}: ")
         if (self.think_time_ms is None) == (self.rate_per_user_per_sec is None):
             raise WorkloadError(
                 f"cohort {self.name!r} needs exactly one of think_time_ms= "
                 "(closed-loop users) or rate_per_user_per_sec= (open-loop users)"
-            )
-        if self.think_time_ms is not None and (
-            not isinstance(self.think_time_ms, (int, float)) or self.think_time_ms <= 0
-        ):
-            raise WorkloadError(
-                f"cohort {self.name!r}: think_time_ms must be positive, "
-                f"got {self.think_time_ms!r}"
-            )
-        if self.rate_per_user_per_sec is not None and (
-            not isinstance(self.rate_per_user_per_sec, (int, float))
-            or self.rate_per_user_per_sec <= 0
-        ):
-            raise WorkloadError(
-                f"cohort {self.name!r}: rate_per_user_per_sec must be positive, "
-                f"got {self.rate_per_user_per_sec!r}"
-            )
-        if self.arrival not in ARRIVAL_PROCESSES:
-            raise WorkloadError(
-                f"cohort {self.name!r}: unknown arrival process {self.arrival!r}; "
-                f"available: {', '.join(ARRIVAL_PROCESSES)}"
-            )
-        if not isinstance(self.burst_size, int) or self.burst_size < 1:
-            raise WorkloadError(
-                f"cohort {self.name!r}: burst_size must be an integer >= 1, "
-                f"got {self.burst_size!r}"
             )
 
     @property
@@ -777,38 +701,14 @@ class Cohort:
             return self.users * self.rate_per_user_per_sec
         return self.users * 1000.0 / self.think_time_ms
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "users": self.users,
-            "arrival": self.arrival,
-            "burst_size": self.burst_size,
-        }
-        if self.think_time_ms is not None:
-            out["think_time_ms"] = self.think_time_ms
-        else:
-            out["rate_per_user_per_sec"] = self.rate_per_user_per_sec
-        return out
+    to_dict = schema.to_dict
 
-    @staticmethod
-    def from_dict(data: Mapping) -> "Cohort":
-        if not isinstance(data, Mapping) or "name" not in data or "users" not in data:
-            raise WorkloadError(
-                f"each cohort must be a dict with 'name' and 'users', got {data!r}"
-            )
-        return Cohort(
-            data["name"],
-            data["users"],
-            think_time_ms=data.get("think_time_ms"),
-            rate_per_user_per_sec=data.get("rate_per_user_per_sec"),
-            arrival=data.get("arrival", "poisson"),
-            burst_size=data.get("burst_size", 8),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Cohort) and self.to_dict() == other.to_dict()
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "Cohort":
+        return schema.from_dict(cls, data, WorkloadError, "cohort")
 
 
+@dataclass(eq=False)
 class ClientCohortSource(WorkloadSource):
     """A client population expressed as weighted cohorts.
 
@@ -828,19 +728,20 @@ class ClientCohortSource(WorkloadSource):
 
     kind = "cohorts"
 
-    def __init__(
-        self,
-        cohorts: Iterable[Cohort],
-        *,
-        seed: int = 0,
-        label_tenants: bool = True,
-    ) -> None:
-        self.cohorts = list(cohorts)
-        self.seed = seed
-        self.label_tenants = bool(label_tenants)
+    cohorts: list
+    _: KW_ONLY
+    seed: int = spec(0, kind="int")
+    label_tenants: bool = spec(True, kind="bool")
+
+    def __post_init__(self) -> None:
+        self.cohorts = [
+            Cohort.from_dict(cohort) if isinstance(cohort, Mapping) else cohort
+            for cohort in _items("cohorts", self.cohorts)
+        ]
         self.validate()
 
     def validate(self) -> None:
+        super().validate()
         if not self.cohorts:
             raise WorkloadError("ClientCohortSource needs at least one cohort")
         seen: set[str] = set()
@@ -853,20 +754,10 @@ class ClientCohortSource(WorkloadSource):
             if cohort.name in seen:
                 raise WorkloadError(f"duplicate cohort name {cohort.name!r}")
             seen.add(cohort.name)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise WorkloadError(f"seed must be an integer, got {self.seed!r}")
 
     def total_users(self) -> int:
         """The declared population size across all cohorts."""
         return sum(cohort.users for cohort in self.cohorts)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "cohorts": [cohort.to_dict() for cohort in self.cohorts],
-            "seed": self.seed,
-            "label_tenants": self.label_tenants,
-        }
 
     def compile(self, ctx: CompileContext) -> CompiledSource:
         compiled = []
@@ -990,88 +881,6 @@ def arrival_times(
         times.append(clock)
     return times
 
-
-# ----------------------------------------------------------------------
-# Registry (dict-form deserialization)
-# ----------------------------------------------------------------------
-def _closed_loop_from_dict(data: Mapping) -> ClosedLoopSource:
-    return ClosedLoopSource(
-        clients_per_partition=data.get("clients_per_partition", 4),
-        think_time_ms=data.get("think_time_ms", 0.0),
-    )
-
-
-def _open_loop_from_dict(data: Mapping) -> OpenLoopSource:
-    if "rate_per_sec" not in data:
-        raise WorkloadError("open-loop source dict is missing 'rate_per_sec'")
-    return OpenLoopSource(
-        data["rate_per_sec"],
-        data.get("arrival", "poisson"),
-        seed=data.get("seed", 0),
-        burst_size=data.get("burst_size", 8),
-        limit=data.get("limit"),
-    )
-
-
-def _trace_replay_from_dict(data: Mapping) -> TraceReplaySource:
-    from .trace import TransactionTraceRecord
-
-    trace = None
-    if "records" in data:
-        trace = WorkloadTrace(
-            [TransactionTraceRecord.from_json(entry) for entry in data["records"]]
-        )
-    return TraceReplaySource(
-        trace,
-        path=data.get("path"),
-        speedup=data.get("speedup", 1.0),
-        default_gap_ms=data.get("default_gap_ms", 1.0),
-        limit=data.get("limit"),
-    )
-
-
-def _phased_from_dict(data: Mapping) -> PhasedSource:
-    phases = data.get("phases")
-    if not isinstance(phases, (list, tuple)):
-        raise WorkloadError("phased source dict needs a 'phases' list")
-    built = []
-    for entry in phases:
-        if not isinstance(entry, Mapping) or "source" not in entry:
-            raise WorkloadError(
-                f"each phase must be a dict with 'duration_ms' and 'source', got {entry!r}"
-            )
-        built.append((entry.get("duration_ms"), WorkloadSource.from_dict(entry["source"])))
-    return PhasedSource(built)
-
-
-def _tenants_from_dict(data: Mapping) -> TenantSource:
-    tenants = data.get("tenants")
-    if not isinstance(tenants, Mapping):
-        raise WorkloadError("tenants source dict needs a 'tenants' mapping")
-    return TenantSource(
-        {name: WorkloadSource.from_dict(source) for name, source in tenants.items()}
-    )
-
-
-def _cohorts_from_dict(data: Mapping) -> ClientCohortSource:
-    cohorts = data.get("cohorts")
-    if not isinstance(cohorts, (list, tuple)):
-        raise WorkloadError("cohorts source dict needs a 'cohorts' list")
-    return ClientCohortSource(
-        [Cohort.from_dict(entry) for entry in cohorts],
-        seed=data.get("seed", 0),
-        label_tenants=data.get("label_tenants", True),
-    )
-
-
-_SOURCE_KINDS: dict[str, Callable[[Mapping], WorkloadSource]] = {
-    ClosedLoopSource.kind: _closed_loop_from_dict,
-    OpenLoopSource.kind: _open_loop_from_dict,
-    TraceReplaySource.kind: _trace_replay_from_dict,
-    PhasedSource.kind: _phased_from_dict,
-    TenantSource.kind: _tenants_from_dict,
-    ClientCohortSource.kind: _cohorts_from_dict,
-}
 
 __all__ = [
     "ARRIVAL_PROCESSES",

@@ -136,3 +136,67 @@ class TestKeyParity:
                     return cls(state=data["state"], extra=data.get("extra"))
         """}, rule="serialization")
         assert findings == []
+
+
+class TestSchemaDerivedToDict:
+    """A ``to_dict`` derived from the field table: ``from_dict`` is still
+    required, key parity is structural and not compared."""
+
+    def test_class_body_assignment_without_from_dict_flagged(self, check):
+        findings = check({"mod.py": """
+            from repro import schema
+
+            class Limits:
+                to_dict = schema.to_dict
+        """}, rule="serialization")
+        assert len(findings) == 1
+        assert "no from_dict" in findings[0].message
+
+    def test_class_body_assignment_with_from_dict_allowed(self, check):
+        findings = check({"mod.py": """
+            from repro import schema
+
+            class Limits:
+                to_dict = schema.to_dict
+
+                @classmethod
+                def from_dict(cls, data):
+                    return schema.from_dict(cls, data, ValueError, "limits")
+        """}, rule="serialization")
+        assert findings == []
+
+    def test_method_over_schema_to_dict_skips_parity(self, check):
+        # The literal ``policy`` key is written on top of the derived dict;
+        # from_dict never mentions it, and that is not a finding.
+        findings = check({"mod.py": """
+            from repro import schema
+
+            class Spec:
+                def to_dict(self):
+                    out = schema.to_dict(self)
+                    out["policy"] = self.policy.name
+                    return out
+
+                @classmethod
+                def from_dict(cls, data):
+                    return schema.from_dict(cls, data, ValueError)
+        """}, rule="serialization")
+        assert findings == []
+
+    def test_method_over_schema_to_dict_still_needs_from_dict(self, check):
+        findings = check({"mod.py": """
+            from repro import schema
+
+            class Spec:
+                def to_dict(self):
+                    return {"kind": "spec", **schema.to_dict(self)}
+        """}, rule="serialization")
+        assert len(findings) == 1
+        assert "no from_dict" in findings[0].message
+
+    def test_unrelated_to_dict_assignment_is_not_a_to_dict(self, check):
+        findings = check({"mod.py": """
+            class Spec:
+                to_dict = None
+        """}, rule="serialization")
+        assert findings == []

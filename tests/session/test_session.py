@@ -113,6 +113,17 @@ class TestClusterSpec:
         with pytest.raises(SessionError, match="invalid houdini configuration"):
             ClusterSpec.from_kwargs(houdini={"confidence_threshold": 3.0})
 
+    def test_nested_wrong_type_names_the_field_and_its_range(self):
+        # Was: "'<' not supported between instances of 'str' and 'int'".
+        with pytest.raises(
+            SessionError,
+            match="invalid admission configuration: max_in_flight must be an "
+                  "integer >= 1 or None, got '4'",
+        ):
+            ClusterSpec(admission={"max_in_flight": "4"})
+        with pytest.raises(SessionError, match="cost_model must be a CostModel"):
+            ClusterSpec(cost_model=0.5)
+
     def test_to_dict_round_trips(self):
         spec = ClusterSpec(
             benchmark="tatp",

@@ -20,6 +20,8 @@ The acceptance contracts of the workload-source redesign:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import pipeline
@@ -413,6 +415,28 @@ class TestWorkloadReconfigure:
             )
             session = Cluster.open(spec)
             session.close()
+
+    def test_foreign_trace_is_refused_at_the_door(self, tmp_path):
+        """A TATP trace offered to a TPC-C cluster fails at ``open`` /
+        ``reconfigure`` — not inside the event loop after its arrivals were
+        consumed — leaving the previous workload installed and the session
+        drainable."""
+        foreign = TraceReplaySource(path=_record_tatp_trace(tmp_path, count=20))
+        artifacts = pipeline.train("tpcc", 2, trace_transactions=100, seed=0)
+        spec = ClusterSpec(
+            benchmark="tpcc", num_partitions=2, trace_transactions=100,
+            strategy="oracle",
+        )
+        with pytest.raises(SessionError, match="invalid workload source.*'tpcc' benchmark"):
+            Cluster.open(replace(spec, workload=foreign), artifacts=artifacts)
+        session = Cluster.open(spec, artifacts=artifacts)
+        installed = session.workload
+        for source in (foreign, TenantSource({"guest": foreign})):
+            with pytest.raises(SessionError, match="invalid workload source"):
+                session.reconfigure(workload=source)
+        assert session.workload is installed
+        assert session.run_for(txns=20).total_transactions == 20
+        assert session.close().total_transactions == 20
 
 
 # ----------------------------------------------------------------------

@@ -241,3 +241,69 @@ class TestCommands:
         assert "error: workload takes" in out
         assert "max_queue_wait_ms" in out
         assert "session closed" in out
+
+    def test_serve_parses_values_by_declared_kind(self, capsys, monkeypatch):
+        """``k=v`` values are converted by the kind the field declares (a
+        float field takes ``2e1``; the old parser guessed ``int`` from the
+        missing dot), and an unknown key gets the class's did-you-mean."""
+        import io
+
+        script = "\n".join([
+            "admission max_in_flight_ms=2e1,max_in_flight=4",
+            "selftune on divergence_threshold=5e-1,use_accuracy_signal=false",
+            "tenancy set gold weight=2,quota=3,slo=2.5e1,quantile=0.9",
+            "tenancy set gold quota=none",
+            "admission max_flights=3",
+            "admission max_in_flight=2.5",
+            "run 20",
+            "quit",
+        ]) + "\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        code = main(["serve", "tatp", "--partitions", "2", "--trace", "100"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "admission -> {'max_in_flight_ms': 20.0, 'max_in_flight': 4}" in out
+        assert ("selftune -> on {'divergence_threshold': 0.5, "
+                "'use_accuracy_signal': False}") in out
+        assert ("tenancy[gold] -> {'weight': 2.0, 'quota': 3, "
+                "'slo_latency_ms': 25.0, 'slo_quantile': 0.9}") in out
+        assert "'quota': None" in out
+        assert "'max_flights' (did you mean 'max_in_flight'?)" in out
+        assert "max_in_flight must be an integer >= 1 or None, got '2.5'" in out
+        assert out.count("error:") == 2
+        assert "session closed after 20 transactions" in out
+
+    def test_serve_refuses_a_foreign_trace_and_stays_drainable(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import io
+
+        trace_path = tmp_path / "tatp.jsonl"
+        assert main(
+            ["record", "tatp", "--partitions", "2", "--transactions", "20",
+             "--rate", "400", "--output", str(trace_path)]
+        ) == 0
+        capsys.readouterr()
+        script = f"workload trace {trace_path}\nrunfor 0.05\nrun 10\nquit\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        code = main(["serve", "tpcc", "--partitions", "2", "--trace", "100"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "error: invalid workload source" in out
+        assert "'tpcc' benchmark does not define" in out
+        assert "workload -> trace-replay" not in out
+        assert "session closed after" in out
+
+    def test_simulate_refuses_a_foreign_trace_before_running(self, capsys, tmp_path):
+        trace_path = tmp_path / "tatp.jsonl"
+        assert main(
+            ["record", "tatp", "--partitions", "2", "--transactions", "20",
+             "--output", str(trace_path)]
+        ) == 0
+        capsys.readouterr()
+        code = main(["simulate", "tpcc", "--partitions", "2", "--trace", "100",
+                     "--workload", str(trace_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "invalid workload source" in captured.err
+        assert "committed" not in captured.out
