@@ -125,6 +125,11 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # replaced, never mutated — its identity is what the plan memo compares
     # (still_publishes()), so nothing outside the model may hold the dict.
     "_successor_views": ("MarkovModel", "successor_view()/successors()/still_publishes()/process(); a new edge drops, a count dirties"),
+    # The exact-mode completion log's warm-up cursor: derived from the log's
+    # contents, moved only by window() and reset by its recount after an
+    # in-place sort; a new episode builds a fresh log instead of clearing one.
+    "_cursor": ("CompletionLog", "window(); a new episode builds a fresh CompletionLog"),
+    "_cursor_committed": ("CompletionLog", "window(); a new episode builds a fresh CompletionLog"),
     # Deliberately absent: ``StatementExecutor.tables`` (the per-procedure
     # compiled step tables).  It is memoized, but it has no invalidation
     # rule to protect — a step captures only the catalog (immutable) and the

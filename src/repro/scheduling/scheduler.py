@@ -553,9 +553,11 @@ class TransactionScheduler:
                 nonzero, total, largest = recorded.count, recorded.total, recorded.max
                 value_at = lambda index: recorded.quantile((index + 1) / nonzero)
             else:
-                waits = sorted(recorded)
-                nonzero, total, largest = len(waits), sum(waits), waits[-1]
-                value_at = waits.__getitem__
+                # In place: the next summary sorts a sorted prefix plus the
+                # waits recorded since (one merge), and sums the same order.
+                recorded.sort()
+                nonzero, total, largest = len(recorded), sum(recorded), recorded[-1]
+                value_at = recorded.__getitem__
             count = zeros + nonzero
 
             def percentile(p: int) -> float:

@@ -84,7 +84,7 @@ from ..workload.generator import WorkloadGenerator
 from .cost_model import CostModel
 from .events import CLIENT_READY, EXTERNAL_SUBMIT, PARTITION_RELEASE, TXN_COMPLETE
 from .metrics import ProcedureBreakdown, SimulationResult, TenantBreakdown
-from .sketch import CompletionWindow, LatencySketch
+from .sketch import CompletionLog, CompletionWindow, LatencySketch
 
 #: Accumulator slots per procedure (see ``_replay_timing``).
 _TXNS, _EST, _PLAN, _EXEC, _COORD, _OTHER = range(6)
@@ -279,8 +279,8 @@ class ClusterSimulator:
         self._latencies: list[float] | LatencySketch = (
             LatencySketch() if streaming else []
         )
-        self._completions: list[tuple[float, bool]] | CompletionWindow = (
-            CompletionWindow() if streaming else []
+        self._completions: CompletionLog | CompletionWindow = (
+            CompletionWindow() if streaming else CompletionLog()
         )
         self._breakdown_acc: dict[str, list] = {}
         self._counters = {
@@ -966,7 +966,7 @@ class ClusterSimulator:
         scheduler_stats.queue_wait_by_class = self.scheduler.wait_summary()
         result.scheduler_stats = scheduler_stats
         result.admission_stats = admission_stats
-        self._finalize_window(self._completions, result)
+        self._finalize_window(result)
         for tenant in sorted(self._tenant_acc):
             acc = self._tenant_acc[tenant]
             breakdown = TenantBreakdown(
@@ -1085,55 +1085,16 @@ class ClusterSimulator:
             counters["distributed"] += 1
         return committed
 
-    def _finalize_window(
-        self, completions: list[tuple[float, bool]], result: SimulationResult
-    ) -> None:
-        """Compute the post-warm-up measurement window (paper: 60s warm-up).
+    def _finalize_window(self, result: SimulationResult) -> None:
+        """The post-warm-up measurement window (paper: 60s warm-up).
 
-        ``completions`` is produced by ``TXN_COMPLETE`` events, i.e. already
-        ordered by end time — one linear pass, no sort.  The one exception:
-        the FCFS fast path records a completion when its *folded* follow-up
-        event pops (at ``end + think``), so switching from fast to general
-        mode mid-heap with a non-zero think time can interleave a general
-        completion (recorded at ``end``) before an earlier folded one.  A
-        linear scan detects that rare case and restores order with a stable
-        sort on end time (batch runs never take it, keeping them exact).
-
-        In streaming mode the completions live in a bounded
-        :class:`CompletionWindow` histogram (order-insensitive), which
+        Exact mode keeps every completion in a :class:`CompletionLog`, which
+        extends its counts by what arrived since the last snapshot; streaming
+        mode keeps a bounded :class:`CompletionWindow` histogram, which
         reproduces the same window to within one bucket.
         """
-        if isinstance(completions, CompletionWindow):
-            duration, window, window_committed = completions.window(
-                self.config.warmup_fraction
-            )
-            result.simulated_duration_ms = duration
-            result.window_duration_ms = window
-            result.window_committed = window_committed
-            return
-        if not completions:
-            result.simulated_duration_ms = 0.0
-            return
-        previous = 0.0
-        for entry in completions:
-            end = entry[0]
-            if end < previous:
-                completions = sorted(completions, key=lambda c: c[0])
-                break
-            previous = end
-        last_end = completions[-1][0]
-        result.simulated_duration_ms = last_end
-        warmup_index = min(
-            int(len(completions) * self.config.warmup_fraction), len(completions) - 1
-        )
-        warmup_time = completions[warmup_index][0] if warmup_index > 0 else 0.0
-        window = last_end - warmup_time
-        if window <= 0:
-            # Degenerate (single transaction): fall back to the full run.
-            result.window_duration_ms = last_end
-            result.window_committed = sum(1 for _, committed in completions if committed)
-            return
-        result.window_duration_ms = window
-        result.window_committed = sum(
-            1 for end, committed in completions if committed and end > warmup_time
-        )
+        (
+            result.simulated_duration_ms,
+            result.window_duration_ms,
+            result.window_committed,
+        ) = self._completions.window(self.config.warmup_fraction)

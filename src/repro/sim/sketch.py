@@ -20,14 +20,18 @@ arrive:
   tuples.
 
 Both deliberately answer to ``append(...)`` so the simulator's hot loops
-feed a list or a sketch through the same call site.
+feed a list or a sketch through the same call site.  Exact mode's completion
+list is a :class:`CompletionLog`: every tuple kept, and the window extended
+by what arrived since the last snapshot instead of recomputed from the log.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import insort
+from bisect import bisect_right, insort
+from itertools import chain
+from operator import itemgetter, le
 from typing import Iterable, Mapping
 
 from ..errors import SimulationError
@@ -341,11 +345,11 @@ class LatencySketch:
 class CompletionWindow:
     """Bounded histogram of completion times for warm-up windowing.
 
-    Replaces the exact-mode ``list[(end_ms, committed)]``: the simulator
-    appends every completion, and :meth:`finalize` reproduces
-    ``_finalize_window``'s post-warm-up measurement window from bucket
-    counts.  The bucket width doubles (adjacent buckets merging) whenever a
-    completion lands past the current range, so memory stays at
+    Replaces the exact-mode :class:`CompletionLog`: the simulator appends
+    every completion, and :meth:`window` reproduces the log's post-warm-up
+    measurement window from bucket counts.  The bucket width doubles
+    (adjacent buckets merging) whenever a completion lands past the current
+    range, so memory stays at
     :data:`WINDOW_BUCKETS` buckets while resolution tracks the run length —
     the warm-up boundary is located to within one bucket, i.e. a relative
     window error of at most ``1/WINDOW_BUCKETS`` of the simulated duration.
@@ -438,6 +442,74 @@ class CompletionWindow:
         )
 
 
+_END = itemgetter(0)
+_COMMITTED = itemgetter(1)
+
+
+class CompletionLog(list):
+    """Exact-mode completion list, ``(end_ms, committed: bool)`` per entry,
+    that carries the warm-up window's counts between :meth:`window` calls.
+
+    A ``list``, so the hot loops' ``append`` stays the inherited C call; a
+    window reads only the entries appended since the previous one.  They are
+    in end-time order except when a fast-path completion folded into its
+    client's next ready event (recorded at ``end + think``) interleaves with
+    a general-loop one after a mode switch: the scan that meets one sorts the
+    log in place once (stable, on end time) and recounts — the window a
+    stable sort of a fresh copy gives, since sorting ``sorted(old) + new``
+    equals sorting ``old + new``.
+    """
+
+    __slots__ = ("ordered", "_last_end", "_committed", "_cursor", "_cursor_committed")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._recount()
+
+    def _recount(self) -> None:
+        #: Length of the prefix verified to be in end-time order.
+        self.ordered = 0
+        self._last_end = -math.inf
+        self._committed = 0  # commits in the ordered prefix
+        #: Entries at or before the last warm-up time, and their commits.
+        self._cursor = 0
+        self._cursor_committed = 0
+
+    def window(self, warmup_fraction: float) -> tuple[float, float, int]:
+        """(duration_ms, window_duration_ms, window_committed): the first
+        ``warmup_fraction`` of completions by end time are warm-up, the
+        window runs from the warm-up completion's end to the last one and
+        counts the commits strictly after the former; a non-positive window
+        (a single completion) falls back to the whole run.  Any fraction may
+        follow any other: a smaller one recounts the cursor from the start."""
+        count = len(self)
+        if not count:
+            return 0.0, 0.0, 0
+        tail = self[self.ordered:]
+        if tail:
+            ends = list(map(_END, tail))
+            if not all(map(le, chain((self._last_end,), ends), ends)):
+                self.sort(key=_END)
+                self._recount()
+                return self.window(warmup_fraction)
+            self.ordered = count
+            self._last_end = ends[-1]
+            self._committed += sum(map(_COMMITTED, tail))
+        last_end, committed = self._last_end, self._committed
+        warmup_index = min(int(count * warmup_fraction), count - 1)
+        warmup_time = self[warmup_index][0] if warmup_index > 0 else 0.0
+        window = last_end - warmup_time
+        if window <= 0:
+            return last_end, last_end, committed
+        cursor = bisect_right(self, warmup_time, key=_END)
+        start, before = self._cursor, self._cursor_committed
+        if cursor < start:  # a smaller fraction than the last call's
+            start = before = 0
+        before += sum(map(_COMMITTED, self[start:cursor]))
+        self._cursor, self._cursor_committed = cursor, before
+        return last_end, window, committed - before
+
+
 __all__ = [
     "TRACKED_QUANTILES",
     "QUANTILE_RTOL",
@@ -445,4 +517,5 @@ __all__ = [
     "WINDOW_BUCKETS",
     "LatencySketch",
     "CompletionWindow",
+    "CompletionLog",
 ]

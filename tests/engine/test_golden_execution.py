@@ -15,7 +15,7 @@ attempt (dispatch itself is ``tests/sim/test_sharded_backend.py``'s job).
 
 Re-record (only in a change that means to alter what execution computes)::
 
-    PYTHONPATH=src python tests/engine/test_golden_execution.py
+    PYTHONPATH=src:. python tests/engine/test_golden_execution.py
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.session import Cluster, ClusterSpec
+from tests.conftest import trained
 
 GOLDEN = Path(__file__).with_name("golden_execution.json")
 BENCHMARKS = ("tatp", "tpcc", "smallbank", "auctionmark")
@@ -73,7 +74,7 @@ def run_execution(benchmark: str, backend: str = "inline") -> dict:
         trace_transactions=300, seed=0, learning=True,
         execution_backend=backend, num_workers=2,
     )
-    session = Cluster.open(spec)
+    session = Cluster.open(spec, artifacts=trained(benchmark, 16, 300, 0))
     stream = hashlib.sha256()
     counts = {"transactions": 0, "attempts": 0}
     # Every logical transaction — executed inline or folded from a worker —

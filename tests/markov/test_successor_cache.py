@@ -16,6 +16,7 @@ from repro.markov import MarkovModel, PathStep
 from repro.markov.model import SuccessorView
 from repro.markov.vertex import VertexKey
 from repro.types import PartitionSet, QueryType
+from tests.conftest import trained
 
 
 def step(name: str, partition: int, previous: list[int], counter: int = 0) -> PathStep:
@@ -222,7 +223,7 @@ class TestCountChangeVersusStructureChange:
         session = Cluster.open(ClusterSpec(
             benchmark="tpcc", num_partitions=16, trace_transactions=1500,
             seed=0, learning=True,
-        ))
+        ), artifacts=trained("tpcc", 16, 1500, 0))
         monkeypatch.setattr(SuccessorView, "__init__", counting)
         session.run_for(txns=300)
         observed = sum(

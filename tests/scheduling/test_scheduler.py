@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,9 @@ from repro.scheduling import (
 )
 from repro.scheduling.policies import SchedulingPolicy, available_policies, policy_by_name
 from repro.sim import CostModel
+from repro.sim.sketch import LatencySketch
+from repro.tenancy import TenancyConfig
+from repro.tenancy.scheduler import TenantScheduler
 from repro.types import PartitionSet, ProcedureRequest
 
 
@@ -252,3 +258,113 @@ class TestPassThrough:
         assert scheduler.submit(self.REQUESTS[4]).arrival_index == 4
         assert scheduler._sequence == 5
         assert scheduler.stats.submitted == 5 and scheduler.stats.dispatched == 4
+
+
+def reference_wait_summary(zero_waits: dict, waits: dict, streaming: bool) -> dict:
+    """``wait_summary`` as it was when every summary sorted a fresh copy:
+    ``waits`` holds each class's non-zero waits in recording order (streaming
+    mode replays them into a fresh sketch)."""
+    summary = {}
+    for procedure in sorted(set(waits) | set(zero_waits)):
+        zeros = zero_waits.get(procedure, 0)
+        recorded = waits.get(procedure)
+        if recorded is None:
+            nonzero, total, largest, value_at = 0, 0.0, 0.0, None
+        elif streaming:
+            sketch = LatencySketch()
+            for wait in recorded:
+                sketch.observe(wait)
+            nonzero, total, largest = sketch.count, sketch.total, sketch.max
+            value_at = lambda index, s=sketch, n=nonzero: s.quantile((index + 1) / n)
+        else:
+            ordered = sorted(recorded)
+            nonzero, total, largest = len(ordered), sum(ordered), ordered[-1]
+            value_at = ordered.__getitem__
+        count = zeros + nonzero
+
+        def percentile(p: int) -> float:
+            rank = max(0, -(-count * p // 100) - 1)
+            return value_at(rank - zeros) if rank >= zeros else 0.0
+
+        summary[procedure] = {
+            "count": count, "mean_ms": total / count, "max_ms": largest,
+            "p50_ms": percentile(50), "p95_ms": percentile(95), "p99_ms": percentile(99),
+        }
+    return summary
+
+
+#: Magnitudes far apart, so a sum taken in another order shows in the bits.
+_WAIT = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.1, 0.2, 0.3, 1e-9, 1e9, 7.0]),
+    st.floats(min_value=1e-3, max_value=1e4),
+)
+_WAIT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("wait"), st.sampled_from("ABC"), _WAIT),
+        st.tuples(st.just("summary")),
+        st.tuples(st.just("rekey"), st.sampled_from(available_policies())),
+        st.tuples(st.just("attach")),
+        st.tuples(st.just("detach")),
+    ),
+    max_size=80,
+)
+
+
+class TestWaitSummaryRepeated:
+    """A summary sorts each class's waits in place: the next one merges the
+    waits recorded since into a sorted prefix and sums the same order, so it
+    reads the same bytes as a summary over a sorted copy, however often it
+    is taken — across a re-key and a tenancy attach / detach, which hand the
+    same wait lists to the next scheduler."""
+
+    @staticmethod
+    def replay(ops, streaming: bool) -> int:
+        scheduler = TransactionScheduler(streaming_waits=streaming)
+        zeros, waits = {}, {}
+        summaries = 0
+        for op in [*ops, ("summary",)]:
+            kind = op[0]
+            if kind == "wait":
+                _, procedure, wait = op
+                scheduler.record_wait(procedure, wait)
+                if wait == 0.0:
+                    zeros[procedure] = zeros.get(procedure, 0) + 1
+                else:
+                    waits.setdefault(procedure, []).append(wait)
+            elif kind == "summary":
+                got = scheduler.wait_summary()
+                expected = reference_wait_summary(zeros, waits, streaming)
+                assert json.dumps(got) == json.dumps(expected)
+                summaries += 1
+            elif kind == "rekey":
+                scheduler.rekey(policy_by_name(op[1]))
+            elif kind == "attach" and not isinstance(scheduler, TenantScheduler):
+                layered = TenantScheduler(TenancyConfig(), scheduler.policy)
+                layered.adopt_from(scheduler)
+                scheduler = layered
+            elif kind == "detach" and isinstance(scheduler, TenantScheduler):
+                flat = TransactionScheduler(scheduler.policy)
+                flat.adopt_from(scheduler)
+                scheduler = flat
+        return summaries
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["exact", "streaming"])
+    @settings(deadline=None)
+    @given(ops=_WAIT_OPS)
+    def test_interleaved_summaries_equal_a_sorted_copy(self, streaming, ops):
+        self.replay(ops, streaming)
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["exact", "streaming"])
+    def test_a_long_interleaving_through_every_handover(self, streaming):
+        """Past the streaming sketch's exact reservoir, with every op kind."""
+        rng = random.Random(11)
+        ops = []
+        for index in range(6000):
+            ops.append(("wait", rng.choice("ABC"),
+                        0.0 if rng.random() < 0.3 else rng.expovariate(0.1)))
+            if index % 97 == 0:
+                ops.append(("summary",))
+            if index % 1001 == 0:
+                ops.append((rng.choice(["rekey", "attach", "detach"]), "shortest-predicted"))
+        assert self.replay(ops, streaming) > 60

@@ -26,6 +26,7 @@ from repro.markov import build_models_from_trace
 from repro.selftune import SelfTuneConfig, SelfTuneManager
 from repro.session import Cluster, ClusterSpec
 from repro.workload import WorkloadRandom
+from tests.conftest import trained
 
 
 class SmallOrderGenerator(TpccGenerator):
@@ -69,9 +70,7 @@ _SELFTUNE = SelfTuneConfig(
 
 def _shift_scenario(backend: str = "inline") -> dict:
     """Train on small orders, shift to large mid-run, let the loop act."""
-    artifacts = pipeline.train(
-        "tpcc", num_partitions=4, trace_transactions=400, seed=21
-    )
+    artifacts = trained("tpcc", 4, 400, 21)
     instance = artifacts.benchmark
     instance.generator = SmallOrderGenerator(
         instance.catalog, instance.config, WorkloadRandom(22)
@@ -163,7 +162,7 @@ class TestSpecValidation:
 
 class TestLiveReconfigure:
     def _session(self, **spec_kwargs):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         spec_kwargs.setdefault("strategy", "houdini")
         return Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, **spec_kwargs),

@@ -14,11 +14,11 @@ import json
 
 import pytest
 
-from repro import pipeline
 from repro.scheduling.admission import AdmissionLimits
 from repro.session import Cluster, ClusterSpec
 from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.workload import OpenLoopSource, TenantSource
+from tests.conftest import trained
 
 PARTITIONS = 4
 
@@ -33,7 +33,7 @@ def tenancy(**overrides) -> TenancyConfig:
 
 def open_mid_burst(backend: str = "inline", **spec_fields):
     """A session paused 20 simulated ms in: the first burst is still arriving."""
-    artifacts = pipeline.train("tatp", PARTITIONS, trace_transactions=600, seed=11)
+    artifacts = trained("tatp", PARTITIONS, 600, 11)
     spec = ClusterSpec(
         benchmark="tatp", num_partitions=PARTITIONS, learning=False,
         execution_backend=backend,

@@ -27,7 +27,10 @@ from repro.scheduling import AdmissionLimits
 from repro.scheduling.policies import ShortestPredictedFirstPolicy
 from repro.session import Cluster, ClusterSession, ClusterSpec
 from repro.sim import CostModel, SimulationResult
+from repro.sim.sketch import CompletionLog
 from repro.types import ProcedureRequest
+from tests.conftest import trained
+from tests.sim.reference_window import reference_window
 
 
 def _assert_identical(new, old):
@@ -163,7 +166,7 @@ class TestShimSessionByteEquality:
     @pytest.mark.parametrize("strategy_name", STRATEGIES)
     def test_simulate_shim_equals_session_run_for(self, bench_name, strategy_name):
         def train():
-            artifacts = pipeline.train(bench_name, 4, trace_transactions=200, seed=17)
+            artifacts = trained(bench_name, 4, 200, 17)
             return artifacts, pipeline.make_strategy(strategy_name, artifacts)
 
         artifacts, strategy = train()
@@ -184,7 +187,7 @@ class TestShimSessionByteEquality:
 # ----------------------------------------------------------------------
 def _scripted_session(seed: int) -> SimulationResult:
     """One fixed mid-run reconfigure script (same seed → same bytes)."""
-    artifacts = pipeline.train("smallbank", 4, trace_transactions=300, seed=seed)
+    artifacts = trained("smallbank", 4, 300, seed)
     session = Cluster.open(
         ClusterSpec(benchmark="smallbank", num_partitions=4, strategy="houdini",
                     seed=seed),
@@ -215,7 +218,7 @@ class TestReconfigure:
         from repro.benchmarks.tpcc import NewOrderOnlyGenerator
         from repro.workload import WorkloadRandom
 
-        artifacts = pipeline.train("tpcc", 4, trace_transactions=300, seed=5)
+        artifacts = trained("tpcc", 4, 300, 5)
         instance = artifacts.benchmark
         session = Cluster.open(
             ClusterSpec(benchmark="tpcc", num_partitions=4, strategy="houdini"),
@@ -246,7 +249,7 @@ class TestReconfigure:
         session.close()
 
     def test_live_policy_swap(self):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=300, seed=7)
+        artifacts = trained("smallbank", 4, 300, 7)
         session = Cluster.open(
             ClusterSpec(benchmark="smallbank", num_partitions=4, strategy="houdini"),
             artifacts=artifacts,
@@ -267,7 +270,7 @@ class TestReconfigure:
         session.close()
 
     def test_admission_installed_mid_run_never_underflows(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -282,7 +285,7 @@ class TestReconfigure:
         assert final.admission_stats is None
 
     def test_cost_reconfigure_clears_caches(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
                         policy="shortest-predicted"),
@@ -302,7 +305,7 @@ class TestReconfigure:
         """Live reconfiguration must never leak into the spec (or into other
         sessions opened from it): the spec's cost model and HoudiniConfig
         are copied at open time."""
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         spec = ClusterSpec(
             benchmark="tatp", num_partitions=4, strategy="houdini",
             cost_model=CostModel(redirect_ms=1.0),
@@ -336,7 +339,7 @@ class TestReconfigure:
         session.close()
 
     def test_estimate_caching_toggle_routes_through_invalidation(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini"),
             artifacts=artifacts,
@@ -354,7 +357,7 @@ class TestReconfigure:
         session.close()
 
     def test_confidence_threshold_drops_memoized_decisions(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini"),
             artifacts=artifacts,
@@ -387,7 +390,7 @@ class TestSessionLifecycle:
         session.close()
 
     def test_run_for_sim_seconds_advances_the_clock(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -401,7 +404,7 @@ class TestSessionLifecycle:
         session.close()
 
     def test_submit_injects_out_of_loop_requests(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini"),
             artifacts=artifacts,
@@ -418,7 +421,7 @@ class TestSessionLifecycle:
         """An external completion must not re-arm a closed-loop client: the
         closed loop would otherwise gain a duplicate (or nonexistent) client
         for the rest of the session."""
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -437,7 +440,7 @@ class TestSessionLifecycle:
         session.close()
 
     def test_step_processes_single_events(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle",
                         clients_per_partition=1),
@@ -496,7 +499,7 @@ class TestSessionLifecycle:
         (fresh scheduler and accumulators over the evolving database)."""
         from repro.sim import ClusterSimulator, SimulatorConfig
 
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator,
@@ -511,7 +514,7 @@ class TestSessionLifecycle:
         assert second.scheduler_stats.submitted == 50
 
     def test_step_revives_parked_clients_after_budget_extension(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -527,7 +530,7 @@ class TestSessionLifecycle:
         session.close()
 
     def test_snapshot_is_repeatable_and_isolated(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -545,7 +548,7 @@ class TestSessionLifecycle:
     def test_snapshot_stats_are_frozen_not_live(self):
         """Saved snapshots must keep the scheduler/admission counters of
         their moment; further driving must not mutate them retroactively."""
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
                         admission={"max_in_flight": 8}),
@@ -559,26 +562,48 @@ class TestSessionLifecycle:
         assert session.snapshot_metrics().scheduler_stats.submitted == 100
         session.close()
 
-    def test_mode_switch_with_think_time_keeps_windows_sane(self):
+    def test_mode_switch_with_think_time_keeps_windows_sane(self, monkeypatch):
         """Fast-path folded completions left mid-heap by step() record at
         end+think; after a live policy swap the general loop's completions
-        interleave — the warm-up finalization must restore end-time order."""
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        interleave.  Every snapshot equals the whole-log window; a snapshot
+        that finds the log out of order sorts it in place once, and the
+        snapshots after it scan only the completions recorded since."""
+        sorts = []
+        real_sort = list.sort
+        monkeypatch.setattr(
+            CompletionLog, "sort", lambda self, **kw: sorts.append(1) or real_sort(self, **kw)
+        )
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
                         client_think_time_ms=1.5),
-            artifacts=artifacts,
+            artifacts=trained("tatp", 4, 200, 3),
         )
         session.simulator.extend_budget(60)
         for _ in range(40):  # partial fast-path drive leaves folded payloads
             session.step()
         session.reconfigure(policy="shortest-predicted")
-        result = session.run_for(txns=60)
+        session.simulator.extend_budget(60)
+        log = session.simulator._completions
+        disordered = sorted_then_scanned = 0
+        verified = log.ordered
+        while any([session.step() for _ in range(5)]):
+            recorded = list(log)
+            out_of_order = recorded != sorted(recorded, key=lambda entry: entry[0])
+            expected = reference_window(recorded, session.spec.warmup_fraction)
+            scanned_from, sorts_before = log.ordered, len(sorts)
+            result = session.snapshot_metrics()
+            assert (result.simulated_duration_ms, result.window_duration_ms,
+                    result.window_committed) == expected
+            assert len(sorts) == sorts_before + out_of_order
+            if not out_of_order:
+                assert scanned_from == verified  # only the new tail was read
+                sorted_then_scanned += disordered > 0
+            disordered += out_of_order
+            verified = log.ordered
+            assert verified == len(log)
         assert result.total_transactions == 120
-        ends = sorted(end for end, _ in session.simulator._completions)
-        assert result.simulated_duration_ms == ends[-1]
-        assert 0 < result.window_duration_ms <= result.simulated_duration_ms
-        assert result.window_committed <= result.committed
+        assert disordered >= 1 and len(sorts) == disordered
+        assert sorted_then_scanned >= 1
         session.close()
 
     def test_open_from_kwargs(self):
@@ -597,7 +622,7 @@ class TestSessionLifecycle:
 # ----------------------------------------------------------------------
 class TestResultSerialization:
     def test_to_dict_from_dict_round_trip(self):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=300, seed=7)
+        artifacts = trained("smallbank", 4, 300, 7)
         strategy = pipeline.make_strategy("houdini", artifacts)
         result = pipeline.simulate(
             artifacts, strategy, transactions=150,
@@ -620,7 +645,7 @@ class TestResultSerialization:
     def test_to_dict_is_json_serializable(self):
         import json
 
-        artifacts = pipeline.train("tatp", 2, trace_transactions=120, seed=1)
+        artifacts = trained("tatp", 2, 120, 1)
         strategy = pipeline.make_strategy("oracle", artifacts)
         result = pipeline.simulate(artifacts, strategy, transactions=60)
         encoded = json.dumps(result.to_dict())

@@ -37,6 +37,7 @@ from repro.workload import (
     TraceReplaySource,
     arrival_times,
 )
+from tests.conftest import trained
 
 
 def _result_bytes(result: SimulationResult) -> dict:
@@ -62,7 +63,7 @@ class TestClosedLoopByteIdentity:
         self, bench_name, strategy_name
     ):
         def run(workload):
-            artifacts = pipeline.train(bench_name, 4, trace_transactions=200, seed=17)
+            artifacts = trained(bench_name, 4, 200, 17)
             strategy = pipeline.make_strategy(strategy_name, artifacts)
             session = Cluster.open(
                 ClusterSpec(benchmark=bench_name, num_partitions=4, workload=workload),
@@ -134,7 +135,7 @@ class TestSpecWorkloadSection:
 # Trace replay
 # ----------------------------------------------------------------------
 def _record_tatp_trace(tmp_path, count=120, rate=800.0):
-    artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+    artifacts = trained("tatp", 4, 200, 3)
     instance = artifacts.benchmark
     recorder = TraceRecorder(
         instance.catalog, instance.database,
@@ -154,7 +155,7 @@ class TestTraceReplay:
         path = _record_tatp_trace(tmp_path)
 
         def replay():
-            artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+            artifacts = trained("tatp", 4, 200, 3)
             session = Cluster.open(
                 ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
                             workload=TraceReplaySource(path=path)),
@@ -171,7 +172,7 @@ class TestTraceReplay:
         path = _record_tatp_trace(tmp_path)
 
         def replay():
-            artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+            artifacts = trained("tatp", 4, 200, 3)
             session = Cluster.open(
                 ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
                             workload=TraceReplaySource(path=path)),
@@ -190,7 +191,7 @@ class TestTraceReplay:
 
     def test_replay_by_sim_seconds_pauses_mid_trace(self, tmp_path):
         path = _record_tatp_trace(tmp_path, count=100, rate=500.0)
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle",
                         workload=TraceReplaySource(path=path)),
@@ -212,7 +213,7 @@ class TestTraceReplay:
 # ----------------------------------------------------------------------
 class TestTenants:
     def _open_two_tenant_session(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         spec = ClusterSpec(
             benchmark="tatp", num_partitions=4, strategy="oracle",
             workload=TenantSource({
@@ -286,7 +287,7 @@ class TestTenants:
 # ----------------------------------------------------------------------
 class TestPhased:
     def test_phase_boundaries_shift_the_mix(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         spec = ClusterSpec(
             benchmark="tatp", num_partitions=4, strategy="oracle",
             workload=PhasedSource([
@@ -307,7 +308,7 @@ class TestPhased:
 # ----------------------------------------------------------------------
 class TestInFlight:
     def test_paused_run_exposes_executing_and_queued_work(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle",
                         workload=OpenLoopSource(4000.0, "poisson", seed=5)),
@@ -363,7 +364,7 @@ class TestInFlight:
 # ----------------------------------------------------------------------
 class TestWorkloadReconfigure:
     def test_closed_to_open_to_closed(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -422,7 +423,7 @@ class TestWorkloadReconfigure:
         consumed — leaving the previous workload installed and the session
         drainable."""
         foreign = TraceReplaySource(path=_record_tatp_trace(tmp_path, count=20))
-        artifacts = pipeline.train("tpcc", 2, trace_transactions=100, seed=0)
+        artifacts = trained("tpcc", 2, 100, 0)
         spec = ClusterSpec(
             benchmark="tpcc", num_partitions=2, trace_transactions=100,
             strategy="oracle",
@@ -467,7 +468,7 @@ class TestApplySchedule:
         diff = self._diff()
 
         def run():
-            artifacts = pipeline.train("smallbank", 4, trace_transactions=300, seed=23)
+            artifacts = trained("smallbank", 4, 300, 23)
             session = Cluster.open(ClusterSpec(**self.BASE), artifacts=artifacts)
             session.run_for(txns=100)
             session.apply_schedule([(session.now_ms + 10.0, diff)])
@@ -484,7 +485,7 @@ class TestApplySchedule:
         assert first.admission_stats is not None
 
     def test_schedule_applies_at_simulated_times(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,
@@ -515,7 +516,7 @@ class TestApplySchedule:
             benchmark="tatp", num_partitions=4, strategy="oracle",
             workload=OpenLoopSource(500.0, "uniform", seed=9),
         )
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(base, artifacts=artifacts)
         session.run_for(txns=20)
         session.apply_schedule([(session.now_ms + 1.0, base.diff(target))])
@@ -530,7 +531,7 @@ class TestApplySchedule:
 # ----------------------------------------------------------------------
 class TestQueueWaitMetric:
     def test_waits_are_tracked_per_class_and_serialized(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
                         policy="shortest-predicted",
@@ -564,7 +565,7 @@ class TestQueueWaitMetric:
         session.close()
 
     def test_snapshot_wait_stats_are_frozen(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
+        artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle"),
             artifacts=artifacts,

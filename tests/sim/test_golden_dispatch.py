@@ -11,7 +11,7 @@ they are digested whole.
 
 Re-record (only in a change that means to alter dispatch order)::
 
-    PYTHONPATH=src python tests/sim/test_golden_dispatch.py
+    PYTHONPATH=src:. python tests/sim/test_golden_dispatch.py
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.scheduling.admission import AdmissionLimits
 from repro.session import Cluster, ClusterSpec
 from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.workload import OpenLoopSource, TenantSource
+from tests.conftest import trained
 
 GOLDEN = Path(__file__).with_name("golden_dispatch.json")
 PARTITIONS = 4
@@ -122,7 +123,7 @@ def run_cell(benchmark: str, config: str, loop: str, seed: int) -> dict:
         benchmark=benchmark, num_partitions=PARTITIONS, trace_transactions=400,
         seed=seed, learning=False, workload=workload, **fields,
     )
-    session = Cluster.open(spec)
+    session = Cluster.open(spec, artifacts=trained(benchmark, PARTITIONS, 400, seed))
     for _ in range(2):
         if loop == "open":
             session.run_for(sim_seconds=0.2)

@@ -12,7 +12,7 @@ remaining queries).
 
 Re-record (only in a change that means to alter what learning computes)::
 
-    PYTHONPATH=src python tests/sim/test_golden_learning.py
+    PYTHONPATH=src:. python tests/sim/test_golden_learning.py
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import pytest
 
 from repro.markov.serialization import model_to_dict
 from repro.session import Cluster, ClusterSpec
+from tests.conftest import trained
 
 GOLDEN = Path(__file__).with_name("golden_learning.json")
 BENCHMARKS = ("tpcc", "tatp")
@@ -62,7 +63,7 @@ def run_learning(benchmark: str) -> dict:
         benchmark=benchmark, num_partitions=16, strategy="houdini",
         trace_transactions=1500, seed=0, learning=True,
     )
-    session = Cluster.open(spec)
+    session = Cluster.open(spec, artifacts=trained(benchmark, 16, 1500, 0))
     session.run_for(txns=1500)
     houdini = session.houdini
     result = session.close()

@@ -5,6 +5,7 @@ import pytest
 from repro import pipeline
 from repro.sim import ClusterSimulator, CostModel, SimulationResult, SimulatorConfig
 from repro.sim.metrics import ProcedureBreakdown
+from tests.conftest import trained
 
 
 class TestMetrics:
@@ -34,7 +35,7 @@ class TestSimulator:
         """Oracle vs assume-distributed on the same tiny TPC-C workload."""
         results = {}
         for mode in ("oracle", "assume-distributed"):
-            artifacts = pipeline.train("tpcc", 4, trace_transactions=200, seed=21)
+            artifacts = trained("tpcc", 4, 200, 21)
             strategy = pipeline.make_strategy(mode, artifacts)
             results[mode] = pipeline.simulate(artifacts, strategy, transactions=200)
         return results
@@ -58,7 +59,7 @@ class TestSimulator:
 
     def test_deterministic_given_seed(self):
         def run():
-            artifacts = pipeline.train("tatp", 4, trace_transactions=150, seed=5)
+            artifacts = trained("tatp", 4, 150, 5)
             strategy = pipeline.make_strategy("oracle", artifacts)
             return pipeline.simulate(artifacts, strategy, transactions=150)
 
@@ -67,11 +68,11 @@ class TestSimulator:
         assert first.committed == second.committed
 
     def test_custom_cost_model_changes_throughput(self):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=150, seed=6)
+        artifacts = trained("tatp", 4, 150, 6)
         strategy = pipeline.make_strategy("oracle", artifacts)
         baseline = pipeline.simulate(artifacts, strategy, transactions=150)
 
-        artifacts = pipeline.train("tatp", 4, trace_transactions=150, seed=6)
+        artifacts = trained("tatp", 4, 150, 6)
         strategy = pipeline.make_strategy("oracle", artifacts)
         slow = pipeline.simulate(
             artifacts, strategy, transactions=150,

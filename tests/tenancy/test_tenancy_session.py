@@ -27,15 +27,14 @@ from repro.errors import SessionError
 from repro.session import Cluster, ClusterSpec
 from repro.tenancy import TenancyConfig, TenantPolicy, TenantScheduler
 from repro.workload import OpenLoopSource, TenantSource
+from tests.conftest import trained
 
 PARTITIONS = 4
 
 
 def fresh_pipeline(benchmark: str = "tatp"):
     """Pristine artifacts + strategy (learning mutates models in place)."""
-    artifacts = pipeline.train(
-        benchmark, PARTITIONS, trace_transactions=600, seed=11
-    )
+    artifacts = trained(benchmark, PARTITIONS, 600, 11)
     return artifacts, pipeline.make_strategy("houdini", artifacts)
 
 
