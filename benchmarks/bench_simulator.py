@@ -3,16 +3,14 @@
 Measures end-to-end simulated transactions per wall second through the
 event-driven runtime — closed-loop clients, scheduler routing, functional
 execution through the coordinator, cost-model replay, metric finalization —
-under the default FCFS configuration, and tracks the result against the
-committed pre-change baseline in ``benchmarks/baselines/``.
+under the default FCFS configuration.
 
 Runs go through the public session API (``Cluster.open`` →
 ``ClusterSession.run_for``), so the measured path is exactly what clients
 of the redesigned surface pay; the timed region excludes training and
-session assembly, matching the baseline protocol's timed region
-(``ClusterSimulator.run()`` alone).
+session assembly.
 
-Protocol (must match the committed baseline's):
+Protocol:
 
 * TATP and TPC-C at 16 partitions (the paper's fixed-size cluster), four
   clients per partition;
@@ -21,17 +19,15 @@ Protocol (must match the committed baseline's):
 * 2000 transactions per run, best of three rounds with fresh artifacts,
   CPU time (GC paused).
 
-The absolute speedup against the committed baseline is only asserted on
-hosts comparable to the one that measured the baseline (opt in via
-``REPRO_BENCH_STRICT=1``) — wall-clock throughput is not commensurable
-across machines, so on arbitrary CI hardware the ratio is reported only.
+Absolute wall rates are not commensurable across machines or even across
+sessions on one machine, so every ratio this module records is taken
+between two sides run interleaved in one session.
 
-Scale mode (million-user PR) adds three more tracked sections, measured
-against ``baselines/simulator_pre_scale_mode.json``:
+Scale mode adds three more tracked sections:
 
 * ``arrival_generation`` — the 1M-arrival micro-benchmark: the vectorized
   kernel against the scalar one-gap-at-a-time fallback, interleaved in the
-  same session (the acceptance floor is 5x on baseline-comparable hosts,
+  same session (the acceptance floor is 5x with ``REPRO_BENCH_STRICT=1``,
   2x anywhere numpy runs);
 * ``chunked_consumption`` — batched ``CompiledSource.take_until`` against
   the per-element peek/pop loop it replaced;
@@ -67,7 +63,14 @@ ARRIVAL_RATE = 1000.0
 LEARNING_ON_OVER_OFF_BEFORE = 0.497
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
-BASELINES = Path(__file__).resolve().parent / "baselines"
+
+#: The closed-loop protocol shared by the throughput and overhead sections.
+CLOSED_LOOP_PROTOCOL = (
+    "at 16 partitions, 4 clients/partition (closed loop), Houdini strategy "
+    "(global models, learning=False), default HoudiniConfig/CostModel, 2000 "
+    "transactions/run, fresh artifacts per round (trace 1500, seed 0), CPU "
+    "time with GC paused, best of 3 rounds."
+)
 
 
 def _merge_sections(**sections) -> dict:
@@ -130,47 +133,16 @@ def _measure(benchmark_name: str, scale) -> dict:
 
 def test_simulator_throughput_tracking(scale, save_result):
     """Emit BENCH_simulator.json: the perf trajectory of the event runtime."""
-    baseline_path = (
-        Path(__file__).resolve().parent / "baselines" / "simulator_pre_walk_cache.json"
-    )
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    report = {
-        "protocol": baseline["protocol"],
-        "wall_clock_note": "Wall ratios against the committed baseline "
-        "numbers are only commensurable when both sides run interleaved "
-        "in one session: on this container, cross-session drift alone "
-        "moves absolute rates 15-25%. The TPC-C ratio sits below TATP's "
-        "because the walk-cache's per-plan-shape schedule cache amortizes "
-        "poorly there: TPC-C produces ~580 distinct shapes at a ~73% hit "
-        "rate in a 2000-txn run (TATP: ~104 shapes, ~95%), so more "
-        "transactions pay shape-key construction on top of the full "
-        "schedule computation. The batched attempt_timings replay trims "
-        "the repeated-shape probes of restarted transactions; the "
-        "adaptive bypass already disables the cache entirely when the "
-        "hit rate collapses.",
-        "baseline": {
-            "description": baseline["description"],
-            "tatp": baseline["tatp"],
-            "tpcc": baseline["tpcc"],
-        },
-    }
+    report = {"protocol": "TATP and TPC-C " + CLOSED_LOOP_PROTOCOL}
     for name in ("tatp", "tpcc"):
-        current = _measure(name, scale)
-        speedup = current["wall_txns_per_sec"] / baseline[name]["wall_txns_per_sec"]
-        report[name] = {
-            **current,
-            "speedup_vs_pre_change_baseline": round(speedup, 2),
-        }
-        if os.environ.get("REPRO_BENCH_STRICT") == "1":
-            assert speedup >= 1.5
+        report[name] = _measure(name, scale)
     report = _merge_sections(**report)
     save_result(
         "simulator_throughput",
         f"Simulator throughput (wall txns/s, {PARTITIONS} partitions, houdini strategy)\n"
         + "\n".join(
             f"  {name}: {report[name]['wall_txns_per_sec']:.0f} txns/s "
-            f"({report[name]['speedup_vs_pre_change_baseline']:.2f}x pre-change baseline, "
-            f"simulated {report[name]['simulated_throughput_txn_s']:.0f} txn/s)"
+            f"(simulated {report[name]['simulated_throughput_txn_s']:.0f} txn/s)"
             for name in ("tatp", "tpcc")
         ),
     )
@@ -285,12 +257,8 @@ def test_arrival_generation_micro(save_result):
     """1M-arrival micro-benchmark: vectorized kernel vs scalar fallback.
 
     Interleaved in the same session (scalar round, vectorized round, three
-    times) so machine-state drift cancels; the committed pre-change scalar
-    rate is kept in ``baselines/simulator_pre_scale_mode.json``.
+    times) so machine-state drift cancels.
     """
-    baseline = json.loads(
-        (BASELINES / "simulator_pre_scale_mode.json").read_text(encoding="utf-8")
-    )
     scalar_best = vector_best = 0.0
     for _ in range(ROUNDS):
         for vectorized in (False, True):
@@ -316,13 +284,10 @@ def test_arrival_generation_micro(save_result):
         "scalar_arrivals_per_sec": round(scalar_best, 1),
         "vectorized_arrivals_per_sec": round(vector_best, 1),
         "speedup_vectorized_vs_scalar": round(speedup, 2),
-        "baseline_scalar_arrivals_per_sec": baseline["arrival_generation"][
-            "scalar_arrivals_per_sec"
-        ],
     }
     _merge_sections(arrival_generation=section)
     # The kernel must beat the scalar path everywhere numpy runs; the 5x
-    # acceptance floor is asserted on baseline-comparable hosts.
+    # acceptance floor is opt-in.
     assert speedup >= 2.0
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert speedup >= 5.0
@@ -418,9 +383,6 @@ def test_scale_mode_overload(scale, save_result):
 
     # Metrics footprint: one overload probe per mode at the same offered
     # rate over the same window (fresh deterministic training per side).
-    baseline = json.loads(
-        (BASELINES / "simulator_pre_scale_mode.json").read_text(encoding="utf-8")
-    )
     window_s, per_user = 20.0, 0.002
     footprints = {}
     for mode in ("exact", "streaming"):
@@ -447,7 +409,7 @@ def test_scale_mode_overload(scale, save_result):
         "protocol": f"knee finder on tatp with one {users:,}-user cohort, "
         "streaming metrics, 1.0s probes; footprint pair measured at "
         f"{per_user * users:g} txn/s offered over {window_s:g} simulated "
-        "seconds (see baselines/simulator_pre_scale_mode.json)",
+        "seconds",
         "users": users,
         "knee_rate_txn_s": round(result.knee_rate, 1),
         "p95_at_knee_ms": round(result.p95_at_knee_ms, 3),
@@ -456,9 +418,6 @@ def test_scale_mode_overload(scale, save_result):
         "metrics_footprint": {
             **footprints,
             "exact_over_streaming": round(ratio, 1),
-            "baseline_exact_latency_bytes": baseline["exact_mode_overload"][
-                "latency_bytes"
-            ],
         },
     })
     save_result(
@@ -477,7 +436,7 @@ def test_scale_mode_overload(scale, save_result):
 # Multi-tenant SLO subsystem: the cost of having it, off and on
 # ----------------------------------------------------------------------
 def _closed_round(benchmark: str, *, tenancy=None, learning: bool = False) -> float:
-    """One closed-loop round under the pre-tenancy baseline protocol."""
+    """One closed-loop round under :data:`CLOSED_LOOP_PROTOCOL`."""
     artifacts = pipeline.train(benchmark, PARTITIONS, trace_transactions=1500, seed=0)
     strategy = HoudiniStrategy(pipeline.make_houdini(artifacts, learning=learning))
     session = Cluster.open(
@@ -494,67 +453,45 @@ def _closed_round(benchmark: str, *, tenancy=None, learning: bool = False) -> fl
 
 
 def test_tenancy_overhead(save_result):
-    """Track the tenancy subsystem's cost against the pre-change baseline.
+    """Track the tenancy subsystem's cost: the same loop, tenancy off and on.
 
-    Two numbers against ``baselines/simulator_pre_tenancy.json``:
-
-    * ``tenancy_off`` — the default path (``tenancy=None``).  The subsystem
-      must be free when unused: every per-arrival hook is behind one
-      ``self.tenancy is not None`` check and the scheduler stays the plain
-      ``TransactionScheduler``.  This ratio is the asserted one.
+    * ``tenancy_off`` — the default path (``tenancy=None``): every
+      per-arrival hook is behind one ``self.tenancy is not None`` check and
+      the scheduler stays the plain ``TransactionScheduler``.
     * ``tenancy_on`` — an *empty* ``TenancyConfig()`` on the identical
       closed loop, isolating the fixed machinery cost (TenantScheduler
       virtual clocks plus partition-gated dispatch) from any policy.  Gating
       is the dominant term: the loop leaves the pass-through fast path for
       the general event loop, every submission carries a preview estimate,
       and blocked transactions park on per-partition wait lists that only
-      that partition's release looks at again.  Reported, not asserted,
-      with ``on_over_off`` as the host-independent reading.
+      that partition's release looks at again.
 
-    Off and on rounds alternate, so host drift hits both sides alike.
+    Off and on rounds alternate, so host drift hits both sides alike;
+    ``on_over_off`` is the host-independent reading.  Reported, not asserted.
     """
     from repro.tenancy import TenancyConfig
 
-    baseline = json.loads(
-        (BASELINES / "simulator_pre_tenancy.json").read_text(encoding="utf-8")
-    )
     off = on = 0.0
     for _ in range(ROUNDS):
         off = max(off, _best_of(1, lambda: _closed_round("tatp")))
         on = max(on, _best_of(1, lambda: _closed_round("tatp", tenancy=TenancyConfig())))
-    base_rate = baseline["tatp"]["wall_txns_per_sec"]
     section = {
-        "protocol": baseline["protocol"]
-        + " tenancy_on attaches an empty TenancyConfig() to the same loop.",
-        "baseline_wall_txns_per_sec": base_rate,
-        "tenancy_off": {
-            "wall_txns_per_sec": round(off, 1),
-            "ratio_vs_pre_change": round(off / base_rate, 3),
-        },
-        "tenancy_on": {
-            "wall_txns_per_sec": round(on, 1),
-            "ratio_vs_pre_change": round(on / base_rate, 3),
-        },
+        "protocol": "TATP " + CLOSED_LOOP_PROTOCOL
+        + " tenancy_on attaches an empty TenancyConfig() to the same loop; off "
+        "and on rounds alternate.",
+        "tenancy_off": {"wall_txns_per_sec": round(off, 1)},
+        "tenancy_on": {"wall_txns_per_sec": round(on, 1)},
         "on_over_off": round(on / off, 3),
-        "note": "Ratios vs the committed baseline are only commensurable "
-        "when measured interleaved in one session (the baseline file "
-        "records 0.98x for tenancy_off in its recording session); "
-        "cross-session drift on the bench container is 15-25%. off and on "
-        "rounds alternate here, so on_over_off is the reading to track. The "
-        "tenancy_on figure is the cost of partition-gated weighted-fair "
-        "dispatch under a saturated closed loop, the gate's worst case: "
-        "0.116x pre-change under the pop-all/requeue scan, measured before "
-        "the partition-indexed ready set.",
+        "note": "The tenancy_on figure is the cost of partition-gated "
+        "weighted-fair dispatch under a saturated closed loop, the gate's "
+        "worst case.",
     }
     _merge_sections(tenancy_overhead=section)
-    if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        assert off / base_rate >= 0.9, "tenancy-off path must stay free"
     save_result(
         "tenancy_overhead",
         f"Tenancy overhead (TATP, {PARTITIONS} partitions, closed loop)\n"
-        f"  off: {off:.0f} txns/s ({off / base_rate:.2f}x pre-change)\n"
-        f"  on (empty config): {on:.0f} txns/s ({on / base_rate:.2f}x, "
-        f"{on / off:.2f}x of off)",
+        f"  off: {off:.0f} txns/s\n"
+        f"  on (empty config): {on:.0f} txns/s ({on / off:.2f}x of off)",
     )
 
 

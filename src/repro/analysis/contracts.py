@@ -107,9 +107,18 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     "_states": ("SelfTuneManager", "observe()/snapshot()"),
     # Scheduler queues: the ready set and the per-partition wait lists move
     # only through submit/pop, park (requeue(partition)), wake, and the
-    # rekey/adopt transplant; TenantScheduler reaches them as ``self``.
+    # rekey/adopt transplant; TenantScheduler reaches them as ``self``.  A
+    # wait list is partition -> lane -> predicted partition set -> heap: a
+    # gate verdict is a function of the set, so wake() judges each set once
+    # and moves a blocked set's waiters ahead of the lane's first clearing
+    # waiter (every one of them when none clears) as one group.
     "_ready": ("TransactionScheduler", "submit()/pop()/requeue()/wake()/rekey()/adopt_from()"),
     "_wait_lists": ("TransactionScheduler", "requeue(partition)/wake()/parked_partitions()/rekey()/adopt_from()"),
+    # Per-tenant queued predicted work, an exact running total (2**-1074
+    # units) that the shed predictor reads on every arrival: it moves with
+    # the queue itself, so only the methods that add or remove a queued
+    # transaction may touch it.
+    "_backlog": ("TenantScheduler", "_push()/requeue()/pop()/_drain_queued()/predicted_backlog_ms_for()"),
     # Multi-tenancy contract surfaces: virtual clocks only move at dispatch,
     # quota slots through would_admit()/admit()/release_if_admitted(), SLO
     # counters through record(), and the in-flight work heap through

@@ -22,6 +22,12 @@ on the predicted partition that frees last (:meth:`TransactionScheduler.
 requeue`) and a release wakes only that partition's waiters
 (:meth:`TransactionScheduler.wake`).  Parked work is still queued work:
 every length, backlog and introspection view covers both.
+
+A lane's wait list on a partition is grouped by *predicted partition set*:
+one heap per set.  The gate's verdict is a function of the set alone (for a
+fixed ``partition_free`` and ``now``), so a release judges each set once,
+not each waiter, and a burst of broadcast waiters moves between wait lists
+as one group instead of one entry at a time.
 """
 
 from __future__ import annotations
@@ -45,15 +51,15 @@ ENTRY_ORDER = itemgetter(0, 1)
 
 
 def blocking_partition(
-    pending: "PendingTransaction", partition_free: list[float], now: float
+    predicted: tuple[PartitionId, ...], partition_free: list[float], now: float
 ) -> PartitionId:
-    """The partition gate: the predicted partition of ``pending`` that frees
+    """The partition gate: the partition of the ``predicted`` set that frees
     last after ``now``, or -1 when none is busy (ids beyond the cluster are
     not gated).  ``partition_free`` only moves forward, so the verdict cannot
     turn to "free" before that partition's release."""
     wait_on = -1
     num_partitions = len(partition_free)
-    for partition_id in pending.predicted_partitions:
+    for partition_id in predicted:
         if partition_id < num_partitions:
             free_at = partition_free[partition_id]
             if free_at > now:
@@ -200,8 +206,9 @@ class TransactionScheduler:
         #: ready work only.  A lane is one ordering domain: the whole queue
         #: here, one tenant under :class:`~repro.tenancy.scheduler.TenantScheduler`.
         self._ready: dict = {}
-        #: Wait lists: partition -> lane -> heap of parked entries, in the
-        #: ready set's order, so a release need only wake each lane's head.
+        #: Wait lists: partition -> lane -> predicted partition set -> heap
+        #: of parked entries in the ready set's order.  Waiters with one set
+        #: share one gate verdict, so a release judges each set once.
         self._wait_lists: dict[PartitionId, dict] = {}
         #: Queued transactions, ready and parked.
         self._queued = 0
@@ -381,9 +388,33 @@ class TransactionScheduler:
         self.stats.requeued += 1
         self._queued += 1
         self._track_arrival(pending)
-        pending.parked_on = -1 if partition is None else partition
-        lanes = self._ready if partition is None else self._wait_lists.setdefault(partition, {})
-        heapq.heappush(lanes.setdefault(self._lane(pending), []), self._entry(pending))
+        lane = self._lane(pending)
+        if partition is None:
+            pending.parked_on = -1
+            heapq.heappush(self._ready.setdefault(lane, []), self._entry(pending))
+            return
+        pending.parked_on = partition
+        self._park(partition, lane, pending.predicted_partitions, [self._entry(pending)])
+
+    def _park(
+        self, partition: PartitionId, lane, predicted: tuple, entries: list
+    ) -> None:
+        """Add ``entries`` — a heap, all predicting ``predicted`` — to the
+        ``lane`` wait list of ``partition``; the list itself becomes the
+        group's heap when the partition holds none for that set yet."""
+        lanes = self._wait_lists.get(partition)
+        if lanes is None:
+            lanes = self._wait_lists[partition] = {}
+        groups = lanes.get(lane)
+        if groups is None:
+            lanes[lane] = {predicted: entries}
+            return
+        heap = groups.get(predicted)
+        if heap is None:
+            groups[predicted] = entries
+        else:
+            for entry in entries:
+                heapq.heappush(heap, entry)
 
     def wake(
         self,
@@ -401,26 +432,77 @@ class TransactionScheduler:
         the partition free, the caller passes it back as ``successor_of``
         and that one lane's next waiter follows — a release examines O(1)
         transactions, not the whole list.
+
+        The rule is applied per predicted-partition group: a verdict
+        depends on the set, ``partition_free`` and ``now`` alone, so each
+        group is judged at most once per call (and never across calls —
+        ``partition_free`` moves between them).  The *bound* is the smallest
+        head among the groups that clear, the waiter the lane reaches first;
+        groups are judged in head order until one clears.  Each blocked
+        group moves its entries that sort before the bound to its verdict
+        partition — all of them, as one list, when no group clears — with
+        ``parked_on`` updated on each; everything else stays.
         """
-        lanes = self._wait_lists.get(partition)
+        wait_lists = self._wait_lists
+        lanes = wait_lists.get(partition)
         if not lanes:
             return
         woken = list(lanes) if successor_of is None else (self._lane(successor_of),)
         for lane in woken:
-            heap = lanes.get(lane)
-            while heap:
-                entry = heapq.heappop(heap)
-                wait_on = blocking_partition(entry[2], partition_free, now)
+            groups = lanes.get(lane)
+            if groups is None:
+                continue
+            if len(groups) == 1:
+                # One set, one verdict: wake its head or move the whole list.
+                ((predicted, heap),) = groups.items()
+                wait_on = blocking_partition(predicted, partition_free, now)
                 if wait_on < 0:
+                    entry = heapq.heappop(heap)
+                    if not heap:
+                        del lanes[lane]
                     heapq.heappush(self._ready.setdefault(lane, []), entry)
+                else:
+                    del lanes[lane]
+                    for entry in heap:
+                        entry[2].parked_on = wait_on
+                    self._park(wait_on, lane, predicted, heap)
+                continue
+            # Judge the groups in head order up to the first that clears:
+            # its head is the bound, and no later group holds an entry
+            # before it.  Entries compare on (key, seq) alone: seq is unique.
+            bound = None
+            blocked = []
+            for head, predicted, heap in sorted(
+                [(heap[0], predicted, heap) for predicted, heap in groups.items()]
+            ):
+                wait_on = blocking_partition(predicted, partition_free, now)
+                if wait_on < 0:
+                    bound = head
+                    heapq.heappop(heap)
+                    if not heap:
+                        del groups[predicted]
                     break
-                entry[2].parked_on = wait_on
-                others = self._wait_lists.setdefault(wait_on, {})
-                heapq.heappush(others.setdefault(lane, []), entry)
-            if heap is not None and not heap:
+                blocked.append((predicted, heap, wait_on))
+            for predicted, heap, wait_on in blocked:
+                if bound is None:
+                    moving = heap
+                    del groups[predicted]
+                else:
+                    # Popped in order, so ``moving`` is itself a valid heap.
+                    moving = []
+                    while heap and heap[0] < bound:
+                        moving.append(heapq.heappop(heap))
+                    if not heap:
+                        del groups[predicted]
+                for entry in moving:
+                    entry[2].parked_on = wait_on
+                self._park(wait_on, lane, predicted, moving)
+            if bound is not None:
+                heapq.heappush(self._ready.setdefault(lane, []), bound)
+            if not groups:
                 del lanes[lane]
         if not lanes:
-            del self._wait_lists[partition]
+            del wait_lists[partition]
 
     def parked_partitions(self) -> KeysView[PartitionId]:
         """Partitions that have transactions parked on them (a live view)."""
@@ -498,7 +580,11 @@ class TransactionScheduler:
 
     def _queued_entries(self) -> Iterator[tuple]:
         """Every queued entry, ready then parked, in no particular order."""
-        parked = (lanes.values() for lanes in self._wait_lists.values())
+        parked = (
+            groups.values()
+            for lanes in self._wait_lists.values()
+            for groups in lanes.values()
+        )
         return chain.from_iterable(chain(self._ready.values(), *parked))
 
     def pending_transactions(self) -> list[PendingTransaction]:

@@ -787,7 +787,9 @@ class ClusterSimulator:
             pending = scheduler.pop()
             woken_from = pending.parked_on
             if gate_on_partitions:
-                wait_on = blocking_partition(pending, partition_free, now)
+                wait_on = blocking_partition(
+                    pending.predicted_partitions, partition_free, now
+                )
                 if wait_on >= 0:
                     scheduler.requeue(pending, wait_on)
                     continue

@@ -19,10 +19,18 @@ which of them is examined first.
 Idle tenants hold no credit: on the idle → backlogged transition a tenant's
 virtual time is floored to the global watermark (the virtual time of the
 last dispatch), so sitting out does not bank an unbounded burst.
+
+Each tenant's queued predicted work — what the shedding decision reads on
+every arrival — is a running total, kept exactly: costs enter as integers
+scaled by 2**1074 (every finite float is a multiple of 2**-1074), so adds
+and removes leave no rounding residue, and the total reads back as the
+correctly rounded sum of the queued costs (``math.fsum``), independent of
+the order they arrived or left in.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -38,6 +46,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: advances its tenant's clock, so unpredicted traffic cannot starve
 #: predicted traffic by dispatching for free.
 _MIN_CHARGE_MS = 1.0
+
+#: Every finite float is an integer multiple of 2**-_EXACT_SHIFT.
+_EXACT_SHIFT = 1074
+_EXACT_SCALE = 1 << _EXACT_SHIFT
+
+
+@functools.lru_cache(maxsize=4096)  # costs repeat per transaction class
+def _exact(cost_ms: float) -> int:
+    """``cost_ms`` as an exact integer multiple of 2**-1074."""
+    numerator, denominator = cost_ms.as_integer_ratio()
+    # ``denominator`` is 2**k: scale by 2**(1074 - k).
+    return numerator << (_EXACT_SHIFT + 1 - denominator.bit_length())
 
 
 def _label_order(label: str | None) -> tuple[bool, str]:
@@ -63,6 +83,10 @@ class TenantScheduler(TransactionScheduler):
         #: label -> queued-transaction count, ready *and* parked: a tenant
         #: with parked work is backlogged, not idle.
         self._tenant_counts: dict[str | None, int] = {}
+        #: label -> queued predicted work (ready and parked) in units of
+        #: 2**-1074 ms: exact, so removals cancel additions to the bit.
+        #: ``predicted_cost_ms`` must not change while a transaction is queued.
+        self._backlog: dict[str | None, int] = {}
         #: label -> virtual time in weighted predicted milliseconds.
         self._tenant_vtime: dict[str | None, float] = {}
         #: Global virtual-time watermark: pre-charge virtual time of the most
@@ -104,6 +128,8 @@ class TenantScheduler(TransactionScheduler):
             if vtime < self._vfloor:
                 self._tenant_vtime[label] = self._vfloor
         self._tenant_counts[label] = self._tenant_counts.get(label, 0) + 1
+        backlog = self._backlog
+        backlog[label] = backlog.get(label, 0) + _exact(pending.predicted_cost_ms)
         super()._push(pending)
 
     def _rank(self, label: str | None) -> tuple:
@@ -120,12 +146,14 @@ class TenantScheduler(TransactionScheduler):
     def pop(self) -> PendingTransaction:
         pending = super().pop()
         self._tenant_counts[pending.tenant] -= 1
+        self._backlog[pending.tenant] -= _exact(pending.predicted_cost_ms)
         return pending
 
     def requeue(
         self, pending: PendingTransaction, partition: PartitionId | None = None
     ) -> None:
         self._tenant_counts[pending.tenant] += 1
+        self._backlog[pending.tenant] += _exact(pending.predicted_cost_ms)
         super().requeue(pending, partition)
 
     #: Inherited as is; named here because ``benchmarks/e2e/spans.py`` looks
@@ -154,13 +182,15 @@ class TenantScheduler(TransactionScheduler):
     def _drain_queued(self) -> list[PendingTransaction]:
         queued = super()._drain_queued()
         self._tenant_counts.clear()
+        self._backlog.clear()
         return queued
 
     def _entries_of(self, label: str | None) -> Iterator[tuple]:
         """One tenant's queued entries, ready then parked, unordered."""
         yield from self._ready.get(label, ())
         for lanes in self._wait_lists.values():
-            yield from lanes.get(label, ())
+            for heap in lanes.get(label, {}).values():
+                yield from heap
 
     def pending_transactions(self) -> list[PendingTransaction]:
         """Still-queued transactions — ready or parked — tenants in
@@ -179,8 +209,9 @@ class TenantScheduler(TransactionScheduler):
 
     # ------------------------------------------------------------------
     def predicted_backlog_ms_for(self, label: str | None) -> float:
-        """Predicted service time queued (ready or parked) for one tenant."""
-        return sum(entry[2].predicted_cost_ms for entry in self._entries_of(label))
+        """Predicted service time queued (ready or parked) for one tenant:
+        the correctly rounded sum of the queued costs, in O(1)."""
+        return self._backlog.get(label, 0) / _EXACT_SCALE
 
     def backlogged_tenants(self) -> list[str | None]:
         """Labels with queued work, in deterministic (unlabeled-first) order."""

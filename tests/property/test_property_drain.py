@@ -13,6 +13,10 @@ several, all, ids beyond the cluster) and the partitions and time it
 * the dispatch sequence (who, when) equals that of a naive reference that
   pops *everything* on every drain, re-tests each transaction against the
   partition gate and pushes the blocked ones back.
+
+Parked waiters are grouped by predicted partition set, so one suite draws
+mostly full-cluster and mixed-width sets from a small pool across two
+tenants: many waiters share a set, and whole groups move between wait lists.
 """
 
 from __future__ import annotations
@@ -131,7 +135,9 @@ class NaiveSimulator(ScriptedSimulator):
         wake_at = None
         while scheduler.has_ready:
             pending = scheduler.pop()
-            wait_on = blocking_partition(pending, partition_free, now) if gate_on_partitions else -1
+            wait_on = -1
+            if gate_on_partitions:
+                wait_on = blocking_partition(pending.predicted_partitions, partition_free, now)
             if wait_on >= 0:
                 blocked.append(pending)
                 free_at = partition_free[wait_on]
@@ -159,25 +165,34 @@ def instance():
     return build_benchmark("tatp", PARTITIONS)
 
 
-def _footprints():
+#: The wide suite's predicted sets: mostly the whole cluster, some mixed
+#: widths, few singles — drawn from a pool so that sets repeat.
+WIDE_SETS = (tuple(range(PARTITIONS)),) * 4 + ((0, 1), (1, 2, 3), (0, 2), (2, 3), (3,))
+
+
+def _footprints(wide: bool):
     in_range = st.integers(min_value=0, max_value=PARTITIONS - 1)
     several = st.lists(in_range, min_size=2, max_size=3, unique=True).map(tuple)
-    predicted = st.one_of(
-        st.just(()),                                   # estimate-free: ungated
-        in_range.map(lambda p: (p,)),                  # single
-        several,                                       # multi
-        st.just(tuple(range(PARTITIONS))),             # broadcast
-        st.just((BEYOND,)),                            # only out of range: ungated
-        in_range.map(lambda p: (BEYOND, p)),           # out-of-range id mixed in
-    )
+    if wide:
+        predicted = st.sampled_from(WIDE_SETS)
+    else:
+        predicted = st.one_of(
+            st.just(()),                               # estimate-free: ungated
+            in_range.map(lambda p: (p,)),              # single
+            several,                                   # multi
+            st.just(tuple(range(PARTITIONS))),         # broadcast
+            st.just((BEYOND,)),                        # only out of range: ungated
+            in_range.map(lambda p: (BEYOND, p)),       # out-of-range id mixed in
+        )
     actual = st.one_of(in_range.map(lambda p: (p,)), several,
                        st.just(tuple(range(PARTITIONS))))
     return predicted, actual
 
 
 @st.composite
-def scripts(draw):
-    predicted_choices, actual_choices = _footprints()
+def scripts(draw, wide=False):
+    predicted_choices, actual_choices = _footprints(wide)
+    tenants = ("a", "b") if wide else (None, "a", "b")
     count = draw(st.integers(min_value=1, max_value=40))
     out = []
     for _ in range(count):
@@ -194,7 +209,7 @@ def scripts(draw):
             duration_ms=0.5 * draw(st.integers(min_value=1, max_value=6)),
             early_release=draw(st.booleans()),
             priority=draw(st.integers(min_value=0, max_value=2)),
-            tenant=draw(st.sampled_from((None, "a", "b"))),
+            tenant=draw(st.sampled_from(tenants)),
         ))
     return out
 
@@ -225,15 +240,19 @@ def _check_invariants(simulator):
         assert partition_free[partition_id] > now, "parked on a free partition"
         assert partition_id in releases, "no wake-up for a partition with waiters"
         assert releases[partition_id] <= partition_free[partition_id]
+        for groups in scheduler._wait_lists[partition_id].values():
+            for predicted, heap in groups.items():
+                assert heap, "an empty group was left behind"
+                for _key, _seq, pending in heap:
+                    assert pending.parked_on == partition_id
+                    assert pending.predicted_partitions == predicted
     queued = scheduler.pending_transactions()
     stats = scheduler.stats
     assert len(queued) == len(scheduler) == stats.pending
     assert {p.request.client_id for p in queued} == set(simulator.waiting)
 
 
-@settings(max_examples=120, deadline=None)
-@given(batch=scripts(), mode=st.sampled_from(("policy", "tenancy", "tenancy+policy")))
-def test_drain_invariants_and_naive_equivalence(instance, batch, mode):
+def _check_against_naive(instance, batch, mode):
     real = ScriptedSimulator(instance, _config(mode))
     _load(real, batch)
     steps = 0
@@ -252,3 +271,15 @@ def test_drain_invariants_and_naive_equivalence(instance, batch, mode):
     assert real.scheduler.stats.requeued <= naive.scheduler.stats.requeued
     if mode != "tenancy":  # FCFS within a tenant: jumps are not tracked
         assert real.scheduler.stats.reordered == real.jumps
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=scripts(), mode=st.sampled_from(("policy", "tenancy", "tenancy+policy")))
+def test_drain_invariants_and_naive_equivalence(instance, batch, mode):
+    _check_against_naive(instance, batch, mode)
+
+
+@settings(max_examples=50, deadline=None)
+@given(batch=scripts(wide=True), mode=st.sampled_from(("tenancy", "tenancy+policy")))
+def test_wide_sets_across_two_tenants_match_naive(instance, batch, mode):
+    _check_against_naive(instance, batch, mode)

@@ -44,7 +44,7 @@ def park_all(scheduler, partition_free, now=0.0):
     parked = []
     while scheduler.has_ready:
         pending = scheduler.pop()
-        wait_on = blocking_partition(pending, partition_free, now)
+        wait_on = blocking_partition(pending.predicted_partitions, partition_free, now)
         assert wait_on >= 0
         scheduler.requeue(pending, wait_on)
         parked.append(pending)
@@ -53,15 +53,15 @@ def park_all(scheduler, partition_free, now=0.0):
 
 class TestBlockingPartition:
     def test_picks_the_partition_that_frees_last(self):
-        pending = make_pending(0, partitions=(0, 1, 2))
-        assert blocking_partition(pending, [5.0, 9.0, 7.0], 1.0) == 1
-        assert blocking_partition(pending, [5.0, 9.0, 7.0], 8.0) == 1
-        assert blocking_partition(pending, [5.0, 9.0, 7.0], 9.0) == -1
+        predicted = (0, 1, 2)
+        assert blocking_partition(predicted, [5.0, 9.0, 7.0], 1.0) == 1
+        assert blocking_partition(predicted, [5.0, 9.0, 7.0], 8.0) == 1
+        assert blocking_partition(predicted, [5.0, 9.0, 7.0], 9.0) == -1
 
     def test_unpredicted_and_out_of_range_are_not_gated(self):
-        assert blocking_partition(make_pending(0, partitions=()), [9.0], 0.0) == -1
-        assert blocking_partition(make_pending(0, partitions=(7,)), [9.0], 0.0) == -1
-        assert blocking_partition(make_pending(0, partitions=(7, 0)), [9.0], 0.0) == 0
+        assert blocking_partition((), [9.0], 0.0) == -1
+        assert blocking_partition((7,), [9.0], 0.0) == -1
+        assert blocking_partition((7, 0), [9.0], 0.0) == 0
 
 
 class TestParkedWorkIsQueuedWork:
@@ -179,6 +179,74 @@ class TestWake:
         while layered.has_ready:
             drained.append(layered.pop())
         assert sorted(p.arrival_index for p in drained) == list(range(6))
+
+
+class TestGroupedWake:
+    """A lane's waiters on a partition are grouped by predicted partition
+    set and each set is judged once per release — with exactly the
+    per-waiter rule's outcome: waiters before the lane's first clearing one
+    move, that one wakes, the rest stay."""
+
+    def test_a_blocked_group_moves_only_the_waiters_before_the_bound(self):
+        scheduler = TransactionScheduler()
+        wide_first = make_pending(0, partitions=(0, 1))
+        single = make_pending(1, partitions=(0,))
+        wide_last = make_pending(2, partitions=(0, 1))
+        push_all(scheduler, [wide_first, single, wide_last])
+        partition_free = [5.0, 3.0]
+        park_all(scheduler, partition_free)
+        assert list(scheduler.parked_partitions()) == [0]
+        partition_free[1] = 9.0
+        scheduler.wake(0, partition_free, 5.0)
+        assert scheduler.pop() is single
+        assert wide_first.parked_on == 1  # moved: it sorts before `single`
+        assert wide_last.parked_on == 0   # stays: it sorts after
+        assert sorted(scheduler.parked_partitions()) == [0, 1]
+        assert scheduler.pending_transactions() == [wide_first, wide_last]
+        # The successor: nothing clears now, so the whole group moves.
+        scheduler.wake(0, partition_free, 5.0, single)
+        assert wide_last.parked_on == 1 and list(scheduler.parked_partitions()) == [1]
+        scheduler.wake(1, partition_free, 9.0)
+        assert scheduler.pop() is wide_first and not scheduler.has_ready
+
+    def test_a_verdict_is_not_reused_by_the_next_wake(self):
+        scheduler = TransactionScheduler()
+        first, second = make_pending(0, partitions=(0, 1)), make_pending(1, partitions=(0, 1))
+        single = make_pending(2, partitions=(0,))
+        push_all(scheduler, [first, second, single])
+        partition_free = [5.0, 3.0]
+        park_all(scheduler, partition_free)
+        scheduler.wake(0, partition_free, 5.0)
+        assert scheduler.pop() is first
+        partition_free[1] = 9.0  # `first` took partition 1 only
+        scheduler.wake(0, partition_free, 5.0, first)
+        assert scheduler.pop() is single
+        assert second.parked_on == 1 and list(scheduler.parked_partitions()) == [1]
+
+    def test_every_parked_waiter_knows_its_partition(self):
+        scheduler = TenantScheduler(TenancyConfig())
+        sets = [(0, 1, 2), (0, 1, 2), (1, 2), (2,), (0, 1, 2), (0, 2)]
+        pendings = [
+            make_pending(i, partitions=sets[i % len(sets)], tenant=("a", "b")[i % 2])
+            for i in range(24)
+        ]
+        push_all(scheduler, pendings)
+        partition_free = [5.0, 7.0, 9.0]
+        park_all(scheduler, partition_free)
+        assert list(scheduler.parked_partitions()) == [2]
+        partition_free[:] = [12.0, 10.0, 9.0]
+        for now in (9.0, 10.0, 12.0):
+            for partition_id in [p for p in scheduler.parked_partitions()
+                                 if partition_free[p] <= now]:
+                scheduler.wake(partition_id, partition_free, now)
+            for partition_id, lanes in scheduler._wait_lists.items():
+                for lane, groups in lanes.items():
+                    for predicted, heap in groups.items():
+                        for _key, _seq, pending in heap:
+                            assert pending.parked_on == partition_id
+                            assert pending.predicted_partitions == predicted
+                            assert pending.tenant == lane
+        assert len(scheduler) == 24
 
 
 class TestChurnCounters:
