@@ -452,21 +452,6 @@ class TransactionScheduler:
             groups = lanes.get(lane)
             if groups is None:
                 continue
-            if len(groups) == 1:
-                # One set, one verdict: wake its head or move the whole list.
-                ((predicted, heap),) = groups.items()
-                wait_on = blocking_partition(predicted, partition_free, now)
-                if wait_on < 0:
-                    entry = heapq.heappop(heap)
-                    if not heap:
-                        del lanes[lane]
-                    heapq.heappush(self._ready.setdefault(lane, []), entry)
-                else:
-                    del lanes[lane]
-                    for entry in heap:
-                        entry[2].parked_on = wait_on
-                    self._park(wait_on, lane, predicted, heap)
-                continue
             # Judge the groups in head order up to the first that clears:
             # its head is the bound, and no later group holds an entry
             # before it.  Entries compare on (key, seq) alone: seq is unique.

@@ -16,6 +16,7 @@ A violation reads ``<field> must be <range>, got <value>`` (or ``unknown
 from __future__ import annotations
 
 import difflib
+import math
 import operator
 from dataclasses import MISSING, field, fields
 from typing import Any, Mapping
@@ -23,7 +24,7 @@ from typing import Any, Mapping
 #: kind -> (accepted types, their name in a message); a bool is only a "bool".
 _KINDS = {
     "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
+    "float": ((int, float), "a finite number"),
     "bool": (bool, "a bool"),
     "str": (str, "a non-empty string"),
 }
@@ -37,7 +38,7 @@ def spec(default: Any = MISSING, *, kind: str | None = None, ge=None, gt=None,
          omit_none: bool = False, **field_kwargs):
     """A dataclass field that declares its own range.
 
-    ``kind`` is ``"int"``, ``"float"`` (any real number), ``"bool"`` or
+    ``kind`` is ``"int"``, ``"float"`` (any finite real number), ``"bool"`` or
     ``"str"``; ``ge``/``gt``/``le``/``lt`` bound it; ``choices`` (a sequence,
     or a callable returning one) enumerates it and ``noun`` names it in the
     message; ``nested`` names the class an instance must be (its owner coerces
@@ -67,6 +68,7 @@ def _accepts(rule: dict, value, choices) -> bool:
         isinstance(value, bool) != (kind == "bool")
         or not isinstance(value, _KINDS[kind][0])
         or (kind == "str" and not value)
+        or (kind == "float" and not -math.inf < value < math.inf)
     ):
         return False
     return all(rule[key] is None or test(value, rule[key]) for key, test, _ in _BOUNDS)

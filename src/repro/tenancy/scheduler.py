@@ -30,7 +30,7 @@ the order they arrived or left in.
 
 from __future__ import annotations
 
-import functools
+import math
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -52,9 +52,15 @@ _EXACT_SHIFT = 1074
 _EXACT_SCALE = 1 << _EXACT_SHIFT
 
 
-@functools.lru_cache(maxsize=4096)  # costs repeat per transaction class
+#: Stands for an infinite cost: above any total of finite costs (each is
+#: below 2**2098 in these units), so a queued one reads back as ``inf``.
+_INFINITE = 1 << 2200
+
+
 def _exact(cost_ms: float) -> int:
     """``cost_ms`` as an exact integer multiple of 2**-1074."""
+    if not math.isfinite(cost_ms):  # a price that overflowed
+        return _INFINITE
     numerator, denominator = cost_ms.as_integer_ratio()
     # ``denominator`` is 2**k: scale by 2**(1074 - k).
     return numerator << (_EXACT_SHIFT + 1 - denominator.bit_length())
@@ -210,8 +216,12 @@ class TenantScheduler(TransactionScheduler):
     # ------------------------------------------------------------------
     def predicted_backlog_ms_for(self, label: str | None) -> float:
         """Predicted service time queued (ready or parked) for one tenant:
-        the correctly rounded sum of the queued costs, in O(1)."""
-        return self._backlog.get(label, 0) / _EXACT_SCALE
+        the correctly rounded sum of the queued costs, in O(1); ``inf`` once
+        that sum is past the largest float or a queued cost is infinite."""
+        try:
+            return self._backlog.get(label, 0) / _EXACT_SCALE
+        except OverflowError:
+            return math.inf
 
     def backlogged_tenants(self) -> list[str | None]:
         """Labels with queued work, in deterministic (unlabeled-first) order."""

@@ -162,3 +162,23 @@ def test_backlog_is_the_exact_sum_of_queued_costs(steps):
             queue.pop("dispatch")
             _check(queue.scheduler)
     _check(queue.scheduler)
+
+
+def test_an_unbounded_backlog_reads_inf_and_recovers():
+    """An infinite cost (a price that overflowed) or a total past the
+    largest float reads ``inf``, as a float sum would; removing it restores
+    the exact total."""
+    queue = Queue()
+    queue.push("a", 1.5, ())
+    queue.push("a", math.inf, ())
+    assert queue.scheduler.predicted_backlog_ms_for("a") == math.inf
+    queue.scheduler.rekey(ArrivalOrderPolicy())
+    queue.pop("dispatch")
+    assert queue.scheduler.predicted_backlog_ms_for("a") == math.inf
+    queue.pop("dispatch")
+    assert queue.scheduler.predicted_backlog_ms_for("a") == 0.0
+    queue.push("b", 1.7e308, ())
+    queue.push("b", 1.7e308, ())
+    assert queue.scheduler.predicted_backlog_ms_for("b") == math.inf
+    queue.pop("dispatch")
+    assert queue.scheduler.predicted_backlog_ms_for("b") == 1.7e308

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.engine import AttemptOutcome, AttemptResult
+from repro.errors import SimulationError
 from repro.sim import CostModel
 from repro.txn import ExecutionPlan
 from repro.types import PartitionSet, QueryInvocation, QueryType
@@ -98,3 +99,10 @@ class TestAttemptTiming:
         narrow_timing = model.attempt_timing(narrow, attempt, 8)
         wide_timing = model.attempt_timing(wide, attempt, 8)
         assert wide_timing.coordination_ms > narrow_timing.coordination_ms
+
+
+class TestValidation:
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_a_non_finite_cost_is_rejected(self, value):
+        with pytest.raises(SimulationError, match="query_remote_ms must be a finite number"):
+            CostModel(query_remote_ms=value)
