@@ -8,8 +8,8 @@ sweep, i.e. that the reproduction's conclusions are not an artifact of one
 particular constant choice.
 """
 
-from repro import pipeline
 from repro.experiments.common import format_table
+from repro.session import Cluster, ClusterSpec
 from repro.sim import CostModel
 
 
@@ -28,17 +28,16 @@ def test_costmodel_sensitivity(benchmark, scale, save_result):
         for label, cost_model in variants.items():
             throughput = {}
             for mode in ("oracle", "assume-single-partition"):
-                artifacts = pipeline.train(
-                    "tpcc", partitions,
+                spec = ClusterSpec(
+                    benchmark="tpcc",
+                    num_partitions=partitions,
                     trace_transactions=min(scale.trace_transactions, 1200),
                     seed=scale.seed,
-                )
-                strategy = pipeline.make_strategy(mode, artifacts)
-                result = pipeline.simulate(
-                    artifacts, strategy,
-                    transactions=min(scale.simulated_transactions, 600),
+                    strategy=mode,
                     cost_model=cost_model,
                 )
+                with Cluster.open(spec) as session:
+                    result = session.run_for(txns=min(scale.simulated_transactions, 600))
                 throughput[mode] = result.throughput_txn_per_sec
             rows.append((label, throughput))
         return rows

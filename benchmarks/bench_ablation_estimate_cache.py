@@ -22,8 +22,8 @@ procedures):
 import os
 import time
 
-from repro import pipeline
 from repro.houdini import Houdini, HoudiniConfig
+from repro.session import ClusterSpec, train
 
 
 def _houdini(artifacts, **config_kwargs) -> Houdini:
@@ -52,12 +52,12 @@ def _decision_fields(decision):
 
 
 def test_estimate_cache_reduces_planning_overhead(benchmark, scale, save_result):
-    artifacts = pipeline.train(
-        "tatp",
-        scale.accuracy_partitions,
+    artifacts = train(ClusterSpec(
+        benchmark="tatp",
+        num_partitions=scale.accuracy_partitions,
         trace_transactions=scale.trace_transactions,
         seed=scale.seed,
-    )
+    ))
     requests = artifacts.benchmark.generator.generate(
         max(300, scale.accuracy_test_transactions // 2)
     )

@@ -6,21 +6,23 @@ on-line estimation.  This benchmark measures global-model size and estimation
 work at increasing cluster sizes and compares against the partitioned models.
 """
 
-from repro import pipeline
 from repro.experiments.common import format_table
 from repro.houdini import GlobalModelProvider, HoudiniConfig, PathEstimator
+from repro.session import ClusterSpec, build_partitioned_provider, train
 
 
 def test_model_size_growth_and_partitioning_benefit(benchmark, scale, save_result):
     def sweep():
         rows = []
         for partitions in scale.partition_counts:
-            artifacts = pipeline.train(
-                "tpcc", partitions,
-                trace_transactions=scale.trace_transactions, seed=scale.seed,
-            )
+            artifacts = train(ClusterSpec(
+                benchmark="tpcc",
+                num_partitions=partitions,
+                trace_transactions=scale.trace_transactions,
+                seed=scale.seed,
+            ))
             global_provider = GlobalModelProvider(artifacts.models)
-            partitioned = pipeline.make_partitioned_provider(artifacts)
+            partitioned = build_partitioned_provider(artifacts)
             estimator = PathEstimator(
                 artifacts.benchmark.catalog, global_provider,
                 artifacts.mappings, HoudiniConfig(),

@@ -8,16 +8,18 @@ resulting on-line estimation latency.
 
 import time
 
-from repro import pipeline
 from repro.houdini import GlobalModelProvider, HoudiniConfig, PathEstimator
 from repro.markov import MarkovModelBuilder
+from repro.session import ClusterSpec, train
 
 
 def _train(scale):
-    return pipeline.train(
-        "tpcc", scale.accuracy_partitions,
-        trace_transactions=scale.trace_transactions, seed=scale.seed,
-    )
+    return train(ClusterSpec(
+        benchmark="tpcc",
+        num_partitions=scale.accuracy_partitions,
+        trace_transactions=scale.trace_transactions,
+        seed=scale.seed,
+    ))
 
 
 def test_processing_phase_cost_with_and_without_tables(benchmark, scale, save_result):

@@ -13,13 +13,13 @@ Delivery transactions) while the worst-case completion time stays the same
 order).
 """
 
-from repro import pipeline
 from repro.scheduling import (
     ArrivalOrderPolicy,
     ShortestPredictedFirstPolicy,
     SinglePartitionFirstPolicy,
     TransactionScheduler,
 )
+from repro.session import ClusterSpec, build_houdini, train
 
 
 def _serve(backlog, policy) -> tuple[float, float]:
@@ -35,13 +35,13 @@ def _serve(backlog, policy) -> tuple[float, float]:
 
 
 def test_predicted_sjf_beats_fifo_on_mean_latency(benchmark, scale, save_result):
-    artifacts = pipeline.train(
-        "tpcc",
-        4,
+    artifacts = train(ClusterSpec(
+        benchmark="tpcc",
+        num_partitions=4,
         trace_transactions=scale.trace_transactions,
         seed=scale.seed,
-    )
-    houdini = pipeline.make_houdini(artifacts, learning=False)
+    ))
+    houdini = build_houdini(artifacts, learning=False)
     generator = artifacts.benchmark.generator
     backlog = []
     for _ in range(max(200, scale.simulated_transactions // 2)):

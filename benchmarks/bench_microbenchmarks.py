@@ -9,17 +9,20 @@ regressions in the reproduction itself.
 
 import pytest
 
-from repro import pipeline
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import MarkovModelBuilder
+from repro.session import ClusterSpec, train
 from repro.types import ProcedureRequest
 
 
 @pytest.fixture(scope="module")
 def artifacts(scale):
-    return pipeline.train(
-        "tpcc", 4, trace_transactions=min(scale.trace_transactions, 1500), seed=scale.seed
-    )
+    return train(ClusterSpec(
+        benchmark="tpcc",
+        num_partitions=4,
+        trace_transactions=min(scale.trace_transactions, 1500),
+        seed=scale.seed,
+    ))
 
 
 def test_path_estimation_latency(benchmark, artifacts):
@@ -126,10 +129,12 @@ def test_estimation_throughput_tracking(scale, save_result):
         },
     }
     for name in ("tatp", "tpcc"):
-        artifacts = pipeline.train(
-            name, 4, trace_transactions=min(scale.trace_transactions, 1500),
+        artifacts = train(ClusterSpec(
+            benchmark=name,
+            num_partitions=4,
+            trace_transactions=min(scale.trace_transactions, 1500),
             seed=scale.seed,
-        )
+        ))
         requests = artifacts.benchmark.generator.generate(PLAN_REQUESTS)
         on = _planner(artifacts, memo=True, requests=requests)
         off = _planner(artifacts, memo=False, requests=requests)

@@ -45,9 +45,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import pipeline
 from repro.session import Cluster, ClusterSpec
-from repro.strategies import HoudiniStrategy
 from repro.workload import ClientCohortSource, Cohort, arrival_times
 
 PARTITIONS = 16
@@ -102,16 +100,12 @@ def _measure(benchmark_name: str, scale) -> dict:
     best = 0.0
     simulated = 0.0
     for _ in range(ROUNDS):
-        artifacts = pipeline.train(
-            benchmark_name, PARTITIONS,
-            trace_transactions=min(scale.trace_transactions, 1500), seed=0,
-        )
-        strategy = HoudiniStrategy(pipeline.make_houdini(artifacts, learning=False))
-        session = Cluster.open(
-            ClusterSpec(benchmark=benchmark_name, num_partitions=PARTITIONS),
-            artifacts=artifacts,
-            strategy=strategy,
-        )
+        session = Cluster.open(ClusterSpec(
+            benchmark=benchmark_name,
+            num_partitions=PARTITIONS,
+            trace_transactions=min(scale.trace_transactions, 1500),
+            learning=False,
+        ))
         gc.collect()
         gc.disable()
         started = time.process_time()
@@ -157,20 +151,14 @@ SHARDED_WORKERS = 2
 
 def _backend_round(benchmark_name: str, backend: str):
     """One fresh-artifacts run; returns (wall rate, result dict, stats)."""
-    artifacts = pipeline.train(
-        benchmark_name, PARTITIONS, trace_transactions=1500, seed=0
-    )
-    strategy = HoudiniStrategy(pipeline.make_houdini(artifacts, learning=False))
-    session = Cluster.open(
-        ClusterSpec(
-            benchmark=benchmark_name,
-            num_partitions=PARTITIONS,
-            execution_backend=backend,
-            num_workers=SHARDED_WORKERS,
-        ),
-        artifacts=artifacts,
-        strategy=strategy,
-    )
+    session = Cluster.open(ClusterSpec(
+        benchmark=benchmark_name,
+        num_partitions=PARTITIONS,
+        trace_transactions=1500,
+        learning=False,
+        execution_backend=backend,
+        num_workers=SHARDED_WORKERS,
+    ))
     txns = SHARDED_TXNS[benchmark_name]
     gc.collect()
     gc.disable()
@@ -386,17 +374,15 @@ def test_scale_mode_overload(scale, save_result):
     window_s, per_user = 20.0, 0.002
     footprints = {}
     for mode in ("exact", "streaming"):
-        artifacts = pipeline.train("tatp", 4, trace_transactions=600, seed=0)
-        strategy = pipeline.make_strategy("houdini", artifacts)
         spec = ClusterSpec(
             benchmark="tatp", num_partitions=4, trace_transactions=600, seed=0,
-            learning=False, metrics_mode=mode,
+            metrics_mode=mode,
             workload=ClientCohortSource(
                 [Cohort("clients", users, rate_per_user_per_sec=per_user)],
                 label_tenants=False,
             ),
         )
-        session = Cluster.open(spec, artifacts=artifacts, strategy=strategy)
+        session = Cluster.open(spec)
         probe = session.run_for(sim_seconds=window_s)
         footprints[mode] = {
             "completions": probe.committed + probe.user_aborted,
@@ -437,13 +423,13 @@ def test_scale_mode_overload(scale, save_result):
 # ----------------------------------------------------------------------
 def _closed_round(benchmark: str, *, tenancy=None, learning: bool = False) -> float:
     """One closed-loop round under :data:`CLOSED_LOOP_PROTOCOL`."""
-    artifacts = pipeline.train(benchmark, PARTITIONS, trace_transactions=1500, seed=0)
-    strategy = HoudiniStrategy(pipeline.make_houdini(artifacts, learning=learning))
-    session = Cluster.open(
-        ClusterSpec(benchmark=benchmark, num_partitions=PARTITIONS, tenancy=tenancy),
-        artifacts=artifacts,
-        strategy=strategy,
-    )
+    session = Cluster.open(ClusterSpec(
+        benchmark=benchmark,
+        num_partitions=PARTITIONS,
+        trace_transactions=1500,
+        learning=learning,
+        tenancy=tenancy,
+    ))
     started = time.process_time()
     result = session.run_for(txns=TRANSACTIONS)
     elapsed = time.process_time() - started

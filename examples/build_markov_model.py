@@ -11,13 +11,15 @@ model to ``neworder_model.dot`` so it can be rendered with Graphviz::
 
 from pathlib import Path
 
-from repro import pipeline
 from repro.markov import save_dot
 from repro.markov.vertex import VertexKind
+from repro.session import ClusterSpec, train
 
 
 def main() -> None:
-    artifacts = pipeline.train("tpcc", num_partitions=2, trace_transactions=1500, seed=2)
+    artifacts = train(ClusterSpec(
+        benchmark="tpcc", num_partitions=2, trace_transactions=1500, seed=2
+    ))
     model = artifacts.models["neworder"]
     print(f"NewOrder Markov model: {model.vertex_count()} execution states, "
           f"{model.edge_count()} transitions, trained on "

@@ -19,13 +19,16 @@ Run with::
 import tempfile
 from pathlib import Path
 
-from repro import ArtifactBundle, pipeline
+from repro import ArtifactBundle
 from repro.houdini import Houdini, HoudiniConfig
+from repro.session import ClusterSpec, build_benchmark, train
 
 
 def offline_training(directory: Path) -> None:
     print("== Off-line: train on a workload trace and write the bundle ==")
-    trained = pipeline.train("tpcc", num_partitions=4, trace_transactions=1500, seed=3)
+    trained = train(ClusterSpec(
+        benchmark="tpcc", num_partitions=4, trace_transactions=1500, seed=3
+    ))
     bundle = ArtifactBundle.from_trained(trained)
     target = bundle.save(directory)
     print(f"  {bundle.describe()}")
@@ -43,7 +46,7 @@ def online_node(directory: Path) -> None:
 
     # The node rebuilds the benchmark substrate (schema + generator) but NOT
     # the models: those come straight from the bundle.
-    instance = pipeline.build_benchmark("tpcc", bundle.num_partitions, seed=99)
+    instance = build_benchmark("tpcc", bundle.num_partitions, seed=99)
     if not bundle.matches_cluster(bundle.num_partitions):
         raise SystemExit("bundle was trained for a different cluster layout")
 

@@ -23,8 +23,7 @@ Run with::
     python examples/intelligent_scheduling.py
 """
 
-from repro import pipeline
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_houdini, train
 
 SPEC = ClusterSpec(benchmark="tpcc", num_partitions=4, strategy="houdini",
                    trace_transactions=1200, seed=5)
@@ -82,8 +81,8 @@ def live_reconfiguration(artifacts) -> None:
 
 def main() -> None:
     print("== Train TPC-C once; every scenario reuses the artifacts ==")
-    artifacts = pipeline.train("tpcc", num_partitions=4, trace_transactions=1200, seed=5)
-    backlog_estimate = pipeline.make_houdini(artifacts, learning=False)
+    artifacts = train(SPEC)
+    backlog_estimate = build_houdini(artifacts, learning=False)
     distributed = sum(
         1 for _ in range(300)
         if len(backlog_estimate.estimate(

@@ -11,15 +11,17 @@ Run with::
     python examples/model_partitioning.py
 """
 
-from repro import pipeline
 from repro.evaluation import AccuracyEvaluator
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.modelpart import FeatureExtractor, ModelPartitioner, PartitionerConfig
+from repro.session import ClusterSpec, build_partitioned_provider, record_trace, train
 from repro.types import ProcedureRequest
 
 
 def main() -> None:
-    artifacts = pipeline.train("auctionmark", num_partitions=4, trace_transactions=2500, seed=4)
+    artifacts = train(ClusterSpec(
+        benchmark="auctionmark", num_partitions=4, trace_transactions=2500, seed=4
+    ))
     instance = artifacts.benchmark
     config = HoudiniConfig(
         disabled_procedures=instance.bundle.houdini_disabled_procedures
@@ -56,7 +58,7 @@ def main() -> None:
     print(f"  selected features: {[f.name for f in search.best_features] or '(keep global model)'}")
 
     print("\n== Partitioned models + run-time decision tree (Fig. 9) ==")
-    provider = pipeline.make_partitioned_provider(
+    provider = build_partitioned_provider(
         artifacts, feature_selection="heuristic", houdini_config=config
     )
     print(provider.describe())
@@ -66,7 +68,7 @@ def main() -> None:
         print(bundle.decision_tree.describe())
 
     print("\n== Global vs partitioned estimate accuracy on a held-out workload ==")
-    held_out = pipeline.record_trace(instance, 600)
+    held_out = record_trace(instance, 600)
     for label, model_provider in (
         ("global", GlobalModelProvider(artifacts.models)),
         ("partitioned", provider),

@@ -26,8 +26,7 @@ Set ``REPRO_TENANT_QUICK=1`` for a smaller run (CI smoke).
 import json
 import os
 
-from repro import pipeline
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, train
 from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.workload import OpenLoopSource, TenantSource
 
@@ -62,10 +61,12 @@ def open_session(artifacts):
 
 def run_story() -> dict:
     """One full session: run, squeeze gold's SLO live, run on, close."""
-    artifacts = pipeline.train(
-        "smallbank", num_partitions=PARTITIONS,
-        trace_transactions=TRACE_TXNS, seed=9,
-    )
+    artifacts = train(ClusterSpec(
+        benchmark="smallbank",
+        num_partitions=PARTITIONS,
+        trace_transactions=TRACE_TXNS,
+        seed=9,
+    ))
     session = open_session(artifacts)
     session.run_for(txns=RUN_TXNS)
     # Live squeeze: gold's latency target drops 80ms -> 20ms mid-run; the

@@ -11,13 +11,15 @@ Run with::
     python examples/path_estimation.py
 """
 
-from repro import pipeline
 from repro.houdini import GlobalModelProvider, HoudiniConfig, OptimizationSelector, PathEstimator
+from repro.session import ClusterSpec, train
 from repro.types import ProcedureRequest
 
 
 def main() -> None:
-    artifacts = pipeline.train("tpcc", num_partitions=2, trace_transactions=1500, seed=2)
+    artifacts = train(ClusterSpec(
+        benchmark="tpcc", num_partitions=2, trace_transactions=1500, seed=2
+    ))
     catalog = artifacts.benchmark.catalog
     config = HoudiniConfig()
     estimator = PathEstimator(

@@ -16,15 +16,17 @@ Run with::
     python examples/prefetch_and_advisor.py
 """
 
-from repro import pipeline
 from repro.advisor import AdvisorThresholds, WorkloadAdvisor
 from repro.houdini import PrefetchAdvisor
+from repro.session import Cluster, ClusterSpec, train
 
 
 def prefetch_report() -> None:
     print("== 1. Prefetchable / batchable queries per procedure ==")
     for benchmark in ("tatp", "tpcc"):
-        artifacts = pipeline.train(benchmark, num_partitions=4, trace_transactions=800, seed=7)
+        artifacts = train(ClusterSpec(
+            benchmark=benchmark, num_partitions=4, trace_transactions=800, seed=7
+        ))
         advisor = PrefetchAdvisor(artifacts.benchmark.catalog, artifacts.mappings)
         plans = advisor.analyze_all(artifacts.models)
         print(f"  [{benchmark}]")
@@ -39,28 +41,28 @@ def prefetch_report() -> None:
 
 def advisor_report() -> None:
     print("== 2. Reorganization advisor on a distributed-heavy workload ==")
-    artifacts = pipeline.train(
-        "auctionmark", num_partitions=8, trace_transactions=1000, seed=11
+    spec = ClusterSpec(
+        benchmark="auctionmark", num_partitions=8, trace_transactions=1000, seed=11
     )
-    strategy = pipeline.make_strategy("houdini", artifacts)
-    result = pipeline.simulate(artifacts, strategy, transactions=800)
+    with Cluster.open(spec) as session:
+        result = session.run_for(txns=800)
     print(
         f"  simulated {result.total_transactions} transactions: "
         f"{result.single_partition} single-partition, {result.distributed} distributed, "
         f"{result.restarts} restarts"
     )
     advisor = WorkloadAdvisor(AdvisorThresholds(distributed_fraction=0.15))
-    report = advisor.analyze(strategy.stats, result)
+    report = advisor.analyze(session.strategy.stats, result)
     print("  advisor says:")
     for line in report.describe().splitlines():
         print(f"    {line}")
     print()
 
     print("== 3. The same advisor on a healthy TATP run ==")
-    artifacts = pipeline.train("tatp", num_partitions=4, trace_transactions=800, seed=13)
-    strategy = pipeline.make_strategy("houdini", artifacts)
-    result = pipeline.simulate(artifacts, strategy, transactions=600)
-    report = WorkloadAdvisor().analyze(strategy.stats, result)
+    spec = ClusterSpec(benchmark="tatp", num_partitions=4, trace_transactions=800, seed=13)
+    with Cluster.open(spec) as session:
+        result = session.run_for(txns=600)
+    report = WorkloadAdvisor().analyze(session.strategy.stats, result)
     print(f"  {report.describe()}")
 
 

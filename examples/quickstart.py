@@ -22,9 +22,8 @@ whole public API path in seconds.
 import os
 from dataclasses import replace
 
-from repro import pipeline
 from repro.markov import models_summary
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_houdini, train
 from repro.types import ProcedureRequest
 
 #: Scale factor for trace/simulation sizes (CI runs with a fraction).
@@ -35,16 +34,16 @@ SIM_TXNS = max(150, int(800 * SCALE))
 
 def main() -> None:
     print("== 1-3. Train: populate TPC-C, record a trace, build models ==")
-    artifacts = pipeline.train(
-        "tpcc", num_partitions=4, trace_transactions=TRACE_TXNS, seed=1
-    )
+    spec = ClusterSpec(benchmark="tpcc", num_partitions=4, seed=1,
+                       trace_transactions=TRACE_TXNS)
+    artifacts = train(spec)
     print(models_summary(artifacts.models))
     print()
     print(artifacts.mappings["neworder"].describe())
     print()
 
     print("== 4. Houdini plans incoming requests ==")
-    houdini = pipeline.make_houdini(artifacts)
+    houdini = build_houdini(artifacts)
     examples = [
         ("single-warehouse NewOrder",
          ProcedureRequest.of("neworder", (1, 0, 3, (5, 9, 12), (1, 1, 1), (2, 1, 4)))),
@@ -73,8 +72,6 @@ def main() -> None:
     # one cross-mode interaction is Houdini's on-line learning mutating the
     # shared models, which only affects Houdini's own run; the baseline and
     # oracle strategies never read the models.
-    spec = ClusterSpec(benchmark="tpcc", num_partitions=4, seed=1,
-                       trace_transactions=TRACE_TXNS)
     for mode in ("assume-single-partition", "houdini", "oracle"):
         with Cluster.open(replace(spec, strategy=mode), artifacts=artifacts) as session:
             result = session.run_for(txns=SIM_TXNS)

@@ -19,20 +19,20 @@ Run with::
     python examples/trace_replay.py
 """
 
-from repro import pipeline
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, train
 from repro.workload import TraceRecorder, TraceReplaySource, arrival_times
 
 PARTITIONS = 4
 TRACE_TXNS = 400
 RATE_PER_SEC = 600.0
+TRAINING = ClusterSpec(
+    benchmark="tatp", num_partitions=PARTITIONS, trace_transactions=800, seed=42
+)
 
 
 def main() -> None:
     # 1. Record a timestamped production trace.
-    artifacts = pipeline.train(
-        "tatp", num_partitions=PARTITIONS, trace_transactions=800, seed=42
-    )
+    artifacts = train(TRAINING)
     instance = artifacts.benchmark
     recorder = TraceRecorder(
         instance.catalog,
@@ -73,13 +73,10 @@ def main() -> None:
           f"avg latency {first.average_latency_ms:.3f}ms")
 
     # 5. What if the same traffic arrived twice as fast?
-    artifacts2 = pipeline.train(
-        "tatp", num_partitions=PARTITIONS, trace_transactions=800, seed=42
-    )
     doubled = Cluster.open(
         ClusterSpec(benchmark="tatp", num_partitions=PARTITIONS, strategy="houdini",
                     workload=TraceReplaySource(trace, speedup=2.0)),
-        artifacts=artifacts2,
+        artifacts=train(TRAINING),
     )
     doubled.run_for(txns=TRACE_TXNS)
     second = doubled.close()

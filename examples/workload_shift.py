@@ -21,11 +21,10 @@ Set ``REPRO_SHIFT_QUICK=1`` for the reduced-scale CI variant.
 
 import os
 
-from repro import pipeline
 from repro.benchmarks.tpcc import TpccGenerator
 from repro.markov import build_models_from_trace
 from repro.selftune import SelfTuneConfig
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, record_trace, train
 from repro.workload import WorkloadRandom
 
 QUICK = os.environ.get("REPRO_SHIFT_QUICK", "") not in ("", "0")
@@ -76,15 +75,15 @@ class LargeOrderGenerator(TpccGenerator):
 
 def run_scenario(verbose: bool = False) -> dict:
     """Train on small orders, shift to large mid-run, return final metrics."""
-    artifacts = pipeline.train(
-        "tpcc", num_partitions=4, trace_transactions=TRAIN_TRACE, seed=8
-    )
+    artifacts = train(ClusterSpec(
+        benchmark="tpcc", num_partitions=4, trace_transactions=TRAIN_TRACE, seed=8
+    ))
     instance = artifacts.benchmark
     # Train the models from a *small-order* workload only.
     instance.generator = SmallOrderGenerator(
         instance.catalog, instance.config, WorkloadRandom(9)
     )
-    small_trace = pipeline.record_trace(instance, SMALL_TRACE)
+    small_trace = record_trace(instance, SMALL_TRACE)
     artifacts.trace = small_trace
     artifacts.models = build_models_from_trace(instance.catalog, small_trace)
 

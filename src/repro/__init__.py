@@ -22,10 +22,10 @@ True
 The session API (:mod:`repro.session`) is the primary surface: open a
 long-lived cluster, stream transactions in, reconfigure scheduling /
 admission / Houdini live, and snapshot windowed metrics on demand.  The
-:mod:`repro.pipeline` helpers remain as stable one-shot shims over it.
+off-line stage (Fig. 6) is :func:`repro.session.train`; ``Cluster.open``
+runs it for you unless pre-trained ``artifacts=`` are passed.
 """
 
-from . import pipeline
 from .advisor import AdvisorReport, AdvisorThresholds, Recommendation, RecommendationKind, WorkloadAdvisor
 from .artifacts import ArtifactBundle, ArtifactError
 from .benchmarks import available_benchmarks, get_benchmark
@@ -74,7 +74,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "pipeline",
     "Cluster",
     "ClusterSession",
     "ClusterSpec",

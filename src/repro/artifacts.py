@@ -13,9 +13,9 @@ they no longer apply (the models must be regenerated whenever the database's
 partitioning scheme changes, §3.1), and can be written to / read from a
 directory of JSON files.
 
->>> from repro import pipeline
 >>> from repro.artifacts import ArtifactBundle
->>> trained = pipeline.train("tpcc", num_partitions=4, trace_transactions=300)
+>>> from repro.session import ClusterSpec, train
+>>> trained = train(ClusterSpec(benchmark="tpcc", num_partitions=4, trace_transactions=300))
 >>> bundle = ArtifactBundle.from_trained(trained)
 >>> path = bundle.save("/tmp/tpcc-artifacts")          # doctest: +SKIP
 >>> restored = ArtifactBundle.load("/tmp/tpcc-artifacts")  # doctest: +SKIP
@@ -34,7 +34,7 @@ from .mapping import ParameterMappingSet, load_mappings, save_mappings
 from .markov import MarkovModel, load_models, save_models
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .pipeline import TrainedArtifacts
+    from .session import TrainedArtifacts
 
 #: Version of the on-disk bundle layout.
 BUNDLE_FORMAT_VERSION = 1
@@ -63,7 +63,7 @@ class ArtifactBundle:
     # ------------------------------------------------------------------
     @staticmethod
     def from_trained(trained: "TrainedArtifacts") -> "ArtifactBundle":
-        """Build a bundle from :func:`repro.pipeline.train` output."""
+        """Build a bundle from :func:`repro.session.train` output."""
         catalog = trained.benchmark.catalog
         return ArtifactBundle(
             models=dict(trained.models),

@@ -1,7 +1,7 @@
 """Command-line interface for the reproduction.
 
-The CLI wraps the high-level :mod:`repro.pipeline` flows so the library can
-be exercised without writing Python:
+The CLI wraps the session API (:mod:`repro.session`) so the library can be
+exercised without writing Python:
 
 .. code-block:: console
 
@@ -39,7 +39,7 @@ import json
 import sys
 from typing import Callable, Sequence
 
-from . import pipeline, schema
+from . import schema
 from .artifacts import ArtifactBundle
 from .benchmarks import available_benchmarks
 from .errors import ReproError
@@ -57,7 +57,7 @@ from .experiments import (
 )
 from .scheduling.admission import AdmissionLimits
 from .selftune import SelfTuneConfig
-from .session import STRATEGY_NAMES, Cluster, ClusterSpec
+from .session import STRATEGY_NAMES, Cluster, ClusterSpec, train
 from .tenancy import TenancyConfig, TenantPolicy
 
 #: Strategy names accepted by ``repro simulate`` / ``repro serve``.
@@ -243,12 +243,12 @@ def _cmd_list_benchmarks(_args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    trained = pipeline.train(
-        args.benchmark,
-        args.partitions,
+    trained = train(ClusterSpec(
+        benchmark=args.benchmark,
+        num_partitions=args.partitions,
         trace_transactions=args.trace,
         seed=args.seed,
-    )
+    ))
     bundle = ArtifactBundle.from_trained(trained)
     print(bundle.describe())
     for name in sorted(trained.models):

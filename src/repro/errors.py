@@ -141,7 +141,9 @@ class SessionError(ReproError, ValueError):
     """Raised for invalid cluster specifications or misuse of a session
     (unknown spec fields, out-of-range values, driving a closed session).
 
-    Also a :class:`ValueError`: the historical ``pipeline`` entry points
-    raised ``ValueError`` for bad configuration (e.g. an unknown strategy
-    name), and their shims must stay catchable by existing callers.
+    Also a :class:`ValueError`: a bad configuration value (an unknown
+    strategy name, an out-of-range threshold) is a value error by Python's
+    convention, and the config classes outside the session raise plain
+    ``ValueError`` for the same mistakes — one ``except ValueError`` catches
+    a bad value wherever it was declared.
     """

@@ -130,36 +130,6 @@ class ExperimentScale:
 BENCHMARKS = ("tatp", "tpcc", "auctionmark")
 
 
-def run_session(
-    artifacts,
-    strategy,
-    *,
-    transactions: int,
-    policy=None,
-    admission_limits=None,
-    clients_per_partition: int = 4,
-):
-    """Drive one closed-loop run through the session API.
-
-    Every experiment routes its simulator runs through here; the single
-    implementation is the :func:`repro.pipeline.simulate` shim, which opens
-    a :class:`~repro.session.ClusterSession` over the trained artifacts and
-    the prebuilt strategy, drives it for ``transactions`` closed-loop
-    submissions, and closes it.  Results are byte-identical to the
-    historical one-shot ``ClusterSimulator.run()``.
-    """
-    from .. import pipeline
-
-    return pipeline.simulate(
-        artifacts,
-        strategy,
-        transactions=transactions,
-        policy=policy,
-        admission_limits=admission_limits,
-        clients_per_partition=clients_per_partition,
-    )
-
-
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
     """Render a simple fixed-width text table."""
     widths = [len(str(h)) for h in headers]

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
 from ..benchmarks.tpcc import NewOrderOnlyGenerator
-from .common import ExperimentScale, format_table, run_session
+from ..session import Cluster, ClusterSpec, train
+from .common import ExperimentScale, format_table
 
 #: Strategy labels in the order the paper's legend lists them.
 STRATEGIES = ("oracle", "assume-single-partition", "assume-distributed")
@@ -65,19 +65,21 @@ def run_figure03(scale: ExperimentScale | None = None) -> Figure3Result:
     for partitions in scale.partition_counts:
         result.throughput[partitions] = {}
         for strategy_name in STRATEGIES:
-            artifacts = pipeline.train(
-                "tpcc", partitions,
+            spec = ClusterSpec(
+                benchmark="tpcc",
+                num_partitions=partitions,
                 trace_transactions=scale.trace_transactions,
                 seed=scale.seed,
+                strategy=strategy_name,
             )
+            # Trained on the full mix, run on NewOrder only.
+            artifacts = train(spec)
             instance = artifacts.benchmark
             instance.generator = NewOrderOnlyGenerator(
                 instance.catalog, instance.config, instance.generator.rng
             )
-            strategy = pipeline.make_strategy(strategy_name, artifacts, seed=scale.seed)
-            simulation = run_session(
-                artifacts, strategy, transactions=scale.simulated_transactions
-            )
+            with Cluster.open(spec, artifacts=artifacts) as session:
+                simulation = session.run_for(txns=scale.simulated_transactions)
             result.throughput[partitions][strategy_name] = simulation.throughput_txn_per_sec
     return result
 

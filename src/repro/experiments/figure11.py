@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
-from .common import BENCHMARKS, ExperimentScale, format_table, run_session
+from ..session import Cluster, ClusterSpec
+from .common import BENCHMARKS, ExperimentScale, format_table
 
 CATEGORIES = ("estimation", "execution", "planning", "coordination", "other")
 
@@ -60,16 +60,15 @@ def run_figure11(scale: ExperimentScale | None = None) -> Figure11Result:
     scale = scale or ExperimentScale.from_env()
     result = Figure11Result(scale=scale)
     for benchmark in BENCHMARKS:
-        artifacts = pipeline.train(
-            benchmark,
-            scale.accuracy_partitions,
+        spec = ClusterSpec(
+            benchmark=benchmark,
+            num_partitions=scale.accuracy_partitions,
             trace_transactions=scale.trace_transactions,
             seed=scale.seed,
+            strategy="houdini-partitioned",
         )
-        strategy = pipeline.make_strategy("houdini-partitioned", artifacts, seed=scale.seed)
-        simulation = run_session(
-            artifacts, strategy, transactions=scale.simulated_transactions
-        )
+        with Cluster.open(spec) as session:
+            simulation = session.run_for(txns=scale.simulated_transactions)
         result.breakdowns[benchmark] = {
             procedure: breakdown.percentages()
             for procedure, breakdown in simulation.breakdowns.items()

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
-from .common import BENCHMARKS, ExperimentScale, format_table, run_session
+from ..session import Cluster, ClusterSpec
+from .common import BENCHMARKS, ExperimentScale, format_table
 
 MODES = ("houdini-partitioned", "houdini-global", "assume-single-partition")
 LABELS = {
@@ -84,16 +84,15 @@ def run_figure12(
         for partitions in scale.partition_counts:
             result.throughput[benchmark][partitions] = {}
             for mode in MODES:
-                artifacts = pipeline.train(
-                    benchmark,
-                    partitions,
+                spec = ClusterSpec(
+                    benchmark=benchmark,
+                    num_partitions=partitions,
                     trace_transactions=scale.trace_transactions,
                     seed=scale.seed,
+                    strategy=mode,
                 )
-                strategy = pipeline.make_strategy(mode, artifacts, seed=scale.seed)
-                simulation = run_session(
-                    artifacts, strategy, transactions=scale.simulated_transactions
-                )
+                with Cluster.open(spec) as session:
+                    simulation = session.run_for(txns=scale.simulated_transactions)
                 result.throughput[benchmark][partitions][mode] = (
                     simulation.throughput_txn_per_sec
                 )

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
 from ..houdini import HoudiniConfig
-from .common import BENCHMARKS, ExperimentScale, format_table, run_session
+from ..session import Cluster, ClusterSpec
+from .common import BENCHMARKS, ExperimentScale, format_table
 
 
 @dataclass
@@ -58,21 +58,16 @@ def run_figure13(
     for benchmark in benchmarks:
         result.throughput[benchmark] = {}
         for threshold in scale.thresholds:
-            artifacts = pipeline.train(
-                benchmark,
-                scale.accuracy_partitions,
+            spec = ClusterSpec(
+                benchmark=benchmark,
+                num_partitions=scale.accuracy_partitions,
                 trace_transactions=scale.trace_transactions,
                 seed=scale.seed,
+                strategy="houdini",
+                houdini=HoudiniConfig(confidence_threshold=threshold),
             )
-            config = HoudiniConfig(
-                confidence_threshold=threshold,
-                disabled_procedures=artifacts.benchmark.bundle.houdini_disabled_procedures,
-            )
-            houdini = pipeline.make_houdini(artifacts, config=config)
-            strategy = pipeline.make_strategy("houdini", artifacts, houdini=houdini)
-            simulation = run_session(
-                artifacts, strategy, transactions=scale.simulated_transactions
-            )
+            with Cluster.open(spec) as session:
+                simulation = session.run_for(txns=scale.simulated_transactions)
             result.throughput[benchmark][threshold] = simulation.throughput_txn_per_sec
     return result
 

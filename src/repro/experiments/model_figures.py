@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
 from ..markov import MarkovModel, to_dot
 from ..markov.vertex import VertexKind
+from ..session import ClusterSpec, build_partitioned_provider, train
 from .common import ExperimentScale
 
 
@@ -63,9 +63,11 @@ def run_model_figures(scale: ExperimentScale | None = None) -> ModelFigureResult
     result = ModelFigureResult(scale=scale)
 
     # Fig. 4/5: NewOrder on two partitions.
-    artifacts = pipeline.train(
-        "tpcc", 2, trace_transactions=min(scale.trace_transactions, 2000), seed=scale.seed
-    )
+    trace_transactions = min(scale.trace_transactions, 2000)
+    artifacts = train(ClusterSpec(
+        benchmark="tpcc", num_partitions=2,
+        trace_transactions=trace_transactions, seed=scale.seed,
+    ))
     model = artifacts.models.get("neworder")
     result.neworder_model = model
     if model is not None:
@@ -89,7 +91,7 @@ def run_model_figures(scale: ExperimentScale | None = None) -> ModelFigureResult
                 break
 
     # Fig. 9: partitioned NewOrder models + decision tree.
-    provider = pipeline.make_partitioned_provider(artifacts, feature_selection="heuristic")
+    provider = build_partitioned_provider(artifacts, feature_selection="heuristic")
     bundle = provider.bundle_for("neworder")
     if bundle is not None:
         result.partitioned_description = bundle.describe()
@@ -103,10 +105,10 @@ def run_model_figures(scale: ExperimentScale | None = None) -> ModelFigureResult
         "auctionmark": "GetUserInfo",
     }
     for benchmark, procedure in representatives.items():
-        bench_artifacts = pipeline.train(
-            benchmark, 4, trace_transactions=min(scale.trace_transactions, 2000),
-            seed=scale.seed,
-        )
+        bench_artifacts = train(ClusterSpec(
+            benchmark=benchmark, num_partitions=4,
+            trace_transactions=trace_transactions, seed=scale.seed,
+        ))
         bench_model = bench_artifacts.models.get(procedure)
         if bench_model is not None:
             result.benchmark_models[benchmark] = to_dot(

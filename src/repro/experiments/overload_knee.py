@@ -28,10 +28,9 @@ is recorded so the scale-mode benchmark can assert bounded memory at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .. import pipeline
-from ..session import Cluster, ClusterSpec
+from ..session import Cluster, ClusterSpec, train
 from ..workload import ClientCohortSource, Cohort
 from .common import ExperimentScale, format_table
 
@@ -125,27 +124,27 @@ def run_overload_knee(
         users = default_users(scale)
     result = OverloadKneeResult(scale=scale, benchmark=benchmark, users=users)
 
-    artifacts = pipeline.train(
-        benchmark,
-        scale.accuracy_partitions,
+    spec = ClusterSpec(
+        benchmark=benchmark,
+        num_partitions=scale.accuracy_partitions,
         trace_transactions=scale.trace_transactions,
         seed=scale.seed,
+        strategy="houdini",
     )
+    artifacts = train(spec)
 
     def probe(rate: float, phase: str) -> dict:
         """One independent open-loop probe at ``rate`` txn/s (abandoned, not
         drained — an overloaded backlog must not be executed to completion)."""
-        strategy = pipeline.make_strategy("houdini", artifacts)
         cohort = Cohort("clients", users, rate_per_user_per_sec=rate / users)
-        spec = ClusterSpec(
-            benchmark=benchmark,
-            num_partitions=scale.accuracy_partitions,
-            trace_transactions=scale.trace_transactions,
-            seed=scale.seed,
-            metrics_mode="streaming",
-            workload=ClientCohortSource([cohort], seed=scale.seed, label_tenants=False),
+        session = Cluster.open(
+            replace(
+                spec,
+                metrics_mode="streaming",
+                workload=ClientCohortSource([cohort], seed=scale.seed, label_tenants=False),
+            ),
+            artifacts=artifacts,
         )
-        session = Cluster.open(spec, artifacts=artifacts, strategy=strategy)
         snapshot = session.run_for(sim_seconds=probe_seconds)
         throughput = snapshot.committed / probe_seconds
         p95 = snapshot.latency_quantile(0.95)
@@ -168,10 +167,8 @@ def run_overload_knee(
         return entry
 
     # Phase 0: closed-loop run -> service-rate estimate to anchor the search.
-    strategy = pipeline.make_strategy("houdini", artifacts)
-    closed = pipeline.simulate(
-        artifacts, strategy, transactions=scale.simulated_transactions
-    )
+    with Cluster.open(spec, artifacts=artifacts) as session:
+        closed = session.run_for(txns=scale.simulated_transactions)
     result.service_rate = max(1.0, closed.throughput_txn_per_sec)
 
     # Phase 1: uncongested baseline.

@@ -36,15 +36,14 @@ SLO without shedding any of its traffic — the bulk tenant sheds instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .. import pipeline
 from ..scheduling import AdmissionLimits
 from ..scheduling.policies import available_policies
-from ..session import Cluster, ClusterSpec
+from ..session import Cluster, ClusterSpec, train
 from ..tenancy import TenancyConfig, TenantPolicy
 from ..workload import OpenLoopSource, TenantSource
-from .common import ExperimentScale, format_table, run_session
+from .common import ExperimentScale, format_table
 
 
 @dataclass
@@ -168,43 +167,30 @@ def run_scheduling_policies(
             AdmissionLimits(max_in_flight=2 * scale.accuracy_partitions, max_deferrals=256),
         )
     )
+    base = ClusterSpec(
+        benchmark=benchmark,
+        num_partitions=scale.accuracy_partitions,
+        trace_transactions=scale.trace_transactions,
+        seed=scale.seed,
+        strategy="houdini",
+    )
     closed_rate = None
     for label, policy, limits in configurations:
-        artifacts = pipeline.train(
-            benchmark,
-            scale.accuracy_partitions,
-            trace_transactions=scale.trace_transactions,
-            seed=scale.seed,
-        )
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        simulation = run_session(
-            artifacts,
-            strategy,
-            transactions=scale.simulated_transactions,
-            policy=policy,
-            admission_limits=limits,
-        )
+        with Cluster.open(replace(base, policy=policy, admission=limits)) as session:
+            simulation = session.run_for(txns=scale.simulated_transactions)
         result.rows[label] = _row(simulation)
         if closed_rate is None:
             closed_rate = max(1.0, simulation.throughput_txn_per_sec)
     # Open-loop overload: arrivals at ~2x the closed-loop service rate, so
     # the queue actually grows and policy choice (and starvation) matters.
+    # The open-loop cells train at the scale's seed but open at seed 0,
+    # which seeds the arrival stream: the recorded outputs depend on both.
     for label, policy, limits in configurations:
-        artifacts = pipeline.train(
-            benchmark,
-            scale.accuracy_partitions,
-            trace_transactions=scale.trace_transactions,
-            seed=scale.seed,
-        )
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        spec = ClusterSpec(
-            benchmark=benchmark,
-            num_partitions=scale.accuracy_partitions,
-            policy=policy,
-            admission=limits,
+        spec = replace(
+            base, seed=0, policy=policy, admission=limits,
             workload=OpenLoopSource(2.0 * closed_rate, "poisson", seed=scale.seed),
         )
-        session = Cluster.open(spec, artifacts=artifacts, strategy=strategy)
+        session = Cluster.open(spec, artifacts=train(base))
         session.run_for(txns=scale.simulated_transactions)
         result.rows[f"open-loop 2x {label}"] = _row(session.close())
     # Two tenants sharing the same 2x overload: "gold" offers 0.5x with a
@@ -226,23 +212,14 @@ def run_scheduling_policies(
         shed=True,
     )
     for label, config in (("2x shared", None), ("2x tenancy", tenancy)):
-        artifacts = pipeline.train(
-            benchmark,
-            scale.accuracy_partitions,
-            trace_transactions=scale.trace_transactions,
-            seed=scale.seed,
-        )
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        spec = ClusterSpec(
-            benchmark=benchmark,
-            num_partitions=scale.accuracy_partitions,
+        spec = replace(
+            base, seed=0, tenancy=config,
             workload=TenantSource({
                 "gold": OpenLoopSource(0.5 * closed_rate, "poisson", seed=scale.seed),
                 "free": OpenLoopSource(1.5 * closed_rate, "poisson", seed=scale.seed),
             }),
-            tenancy=config,
         )
-        session = Cluster.open(spec, artifacts=artifacts, strategy=strategy)
+        session = Cluster.open(spec, artifacts=train(base))
         session.run_for(txns=scale.simulated_transactions)
         _tenant_slo_rows(session.close(), label, slos, result.tenant_rows)
     return result

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
 from ..evaluation import AccuracyEvaluator, AccuracyReport
-from ..houdini import Houdini, HoudiniConfig
 from ..markov import build_models_from_trace
+from ..session import ClusterSpec, build_houdini, build_partitioned_provider, train
 from ..types import ProcedureRequest
 from .common import BENCHMARKS, ExperimentScale, format_table
 
@@ -51,41 +50,34 @@ def run_table03(scale: ExperimentScale | None = None) -> Table3Result:
     scale = scale or ExperimentScale.from_env()
     result = Table3Result(scale=scale)
     for benchmark in BENCHMARKS:
-        artifacts = pipeline.train(
-            benchmark,
-            scale.accuracy_partitions,
+        artifacts = train(ClusterSpec(
+            benchmark=benchmark,
+            num_partitions=scale.accuracy_partitions,
             trace_transactions=scale.trace_transactions,
             seed=scale.seed,
-        )
+        ))
         instance = artifacts.benchmark
         training, testing = artifacts.trace.halves()
         testing = type(testing)(testing.records[: scale.accuracy_test_transactions])
         base_chooser = lambda record: instance.generator.home_partition(  # noqa: E731
             ProcedureRequest(record.procedure, record.parameters)
         )
-        global_models = build_models_from_trace(
-            instance.catalog, training, base_partition_chooser=base_chooser
-        )
-        config = HoudiniConfig(
-            disabled_procedures=instance.bundle.houdini_disabled_procedures
-        )
         # Replace the artifacts' models with the training-half models so the
         # partitioned provider is derived from the same data.
-        artifacts.models = global_models
+        artifacts.models = build_models_from_trace(
+            instance.catalog, training, base_partition_chooser=base_chooser
+        )
         artifacts.trace = training
-        partitioned_provider = pipeline.make_partitioned_provider(
+        partitioned_provider = build_partitioned_provider(
             artifacts,
             feature_selection="feedforward" if scale.feedforward_selection else "heuristic",
-            houdini_config=config,
         )
         result.reports[benchmark] = {}
         for label, provider in (
-            ("global", pipeline.GlobalModelProvider(global_models)),
+            ("global", artifacts.global_provider()),
             ("partitioned", partitioned_provider),
         ):
-            houdini = Houdini(
-                instance.catalog, provider, artifacts.mappings, config, learning=False
-            )
+            houdini = build_houdini(artifacts, provider=provider, learning=False)
             evaluator = AccuracyEvaluator(houdini, label=f"{benchmark}:{label}")
             result.reports[benchmark][label] = evaluator.evaluate(testing)
     return result

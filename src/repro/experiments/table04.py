@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import pipeline
 from ..houdini.stats import ProcedureStats
-from .common import BENCHMARKS, ExperimentScale, format_table, run_session
+from ..session import Cluster, ClusterSpec
+from .common import BENCHMARKS, ExperimentScale, format_table
 
 
 @dataclass
@@ -50,18 +50,17 @@ def run_table04(scale: ExperimentScale | None = None) -> Table4Result:
     scale = scale or ExperimentScale.from_env()
     result = Table4Result(scale=scale)
     for benchmark in BENCHMARKS:
-        artifacts = pipeline.train(
-            benchmark,
-            scale.accuracy_partitions,
+        spec = ClusterSpec(
+            benchmark=benchmark,
+            num_partitions=scale.accuracy_partitions,
             trace_transactions=scale.trace_transactions,
             seed=scale.seed,
+            strategy="houdini-partitioned",
         )
-        strategy = pipeline.make_strategy("houdini-partitioned", artifacts, seed=scale.seed)
-        simulation = run_session(
-            artifacts, strategy, transactions=scale.simulated_transactions
-        )
+        with Cluster.open(spec) as session:
+            simulation = session.run_for(txns=scale.simulated_transactions)
         result.throughput[benchmark] = simulation.throughput_txn_per_sec
-        result.procedures[benchmark] = dict(strategy.stats.procedures)
+        result.procedures[benchmark] = dict(session.strategy.stats.procedures)
     return result
 
 

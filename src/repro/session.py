@@ -3,9 +3,8 @@
 The paper's Houdini is an *online* component — it sits in front of a live
 H-Store cluster, plans every incoming request, and keeps learning while
 traffic flows.  This module is the public surface for that mode of
-operation, replacing the one-shot ``pipeline.train(...)`` →
-``ClusterSimulator.run()`` flow with a long-lived session over the
-incrementally steppable event core of :mod:`repro.sim.simulator`:
+operation: one long-lived session over the incrementally steppable event
+core of :mod:`repro.sim.simulator`:
 
 .. code-block:: python
 
@@ -63,7 +62,12 @@ a :class:`SimulationResult` byte-identical to the one-shot
 ``ClusterSimulator.run()`` with ``total_transactions=N`` — same latencies,
 counters, windows and per-procedure breakdowns (held by
 ``tests/session/test_session.py`` and ``tests/sim/test_event_runtime.py``).
-``pipeline.simulate`` remains as a thin deprecation shim over this API.
+
+Training is the off-line stage (Fig. 6): :func:`train` derives the models
+and mappings a spec describes; ``Cluster.open(spec, artifacts=...)`` adopts
+them instead of training again, and :func:`build_strategy` /
+:func:`build_houdini` / :func:`build_partitioned_provider` assemble the
+pieces for callers that need one without a session.
 
 Reconfigure semantics
 ---------------------
@@ -384,8 +388,7 @@ def _nested(name: str, value):
 
 
 # ----------------------------------------------------------------------
-# Training and assembly (the canonical implementations; repro.pipeline
-# keeps its historical signatures as thin shims over these)
+# Training and assembly
 # ----------------------------------------------------------------------
 def build_benchmark(
     name: str,
@@ -451,20 +454,24 @@ def build_houdini(
     config: HoudiniConfig | None = None,
     learning: bool = True,
 ) -> Houdini:
-    """Assemble a Houdini instance from trained artifacts."""
+    """Assemble a Houdini instance from trained artifacts.
+
+    The instance gets its own copy of ``config`` with the benchmark's
+    disabled procedures added, so the caller's object is neither changed
+    nor reconfigured by the running Houdini.
+    """
     instance = artifacts.benchmark
-    houdini_config = config or HoudiniConfig(
-        disabled_procedures=instance.bundle.houdini_disabled_procedures
+    config = config or HoudiniConfig()
+    config = replace(
+        config,
+        disabled_procedures=config.disabled_procedures
+        | instance.bundle.houdini_disabled_procedures,
     )
-    if houdini_config.disabled_procedures != instance.bundle.houdini_disabled_procedures:
-        houdini_config.disabled_procedures = (
-            houdini_config.disabled_procedures | instance.bundle.houdini_disabled_procedures
-        )
     return Houdini(
         instance.catalog,
         provider or artifacts.global_provider(),
         artifacts.mappings,
-        houdini_config,
+        config,
         learning=learning,
     )
 
@@ -505,7 +512,6 @@ def build_strategy(
     name: str,
     artifacts: TrainedArtifacts,
     *,
-    houdini: Houdini | None = None,
     seed: int = 0,
     learning: bool = True,
     houdini_config: HoudiniConfig | None = None,
@@ -521,16 +527,15 @@ def build_strategy(
         return OracleStrategy(instance.catalog, instance.database)
     partitioned = name == "houdini-partitioned" or model_provider == "partitioned"
     if name in ("houdini", "houdini-global", "houdini-partitioned"):
-        if houdini is None:
-            provider = None
-            if partitioned:
-                provider = artifacts.extras.get("partitioned_provider")
-                if provider is None:
-                    provider = build_partitioned_provider(artifacts)
-                    artifacts.extras["partitioned_provider"] = provider
-            houdini = build_houdini(
-                artifacts, provider=provider, config=houdini_config, learning=learning
-            )
+        provider = None
+        if partitioned:
+            provider = artifacts.extras.get("partitioned_provider")
+            if provider is None:
+                provider = build_partitioned_provider(artifacts)
+                artifacts.extras["partitioned_provider"] = provider
+        houdini = build_houdini(
+            artifacts, provider=provider, config=houdini_config, learning=learning
+        )
         return HoudiniStrategy(houdini, name=name)
     raise SessionError(
         f"unknown strategy {name!r}; available: {', '.join(STRATEGY_NAMES)}"
@@ -549,7 +554,6 @@ class Cluster:
         *,
         artifacts: TrainedArtifacts | None = None,
         strategy: ExecutionStrategy | None = None,
-        houdini: Houdini | None = None,
         **kwargs: Any,
     ) -> "ClusterSession":
         """Open a long-lived cluster session.
@@ -558,9 +562,9 @@ class Cluster:
         (``Cluster.open(benchmark="tatp", strategy="oracle")``).  Passing
         pre-trained ``artifacts`` skips training — the idiom for comparing
         strategies over one training pass, or for opening several sessions
-        against the same artifacts.  A prebuilt ``strategy`` (or ``houdini``)
-        instance overrides the spec's strategy assembly; a strategy *name*
-        is shorthand for the spec field of the same name.
+        against the same artifacts.  A prebuilt ``strategy`` instance
+        overrides the spec's strategy assembly; a strategy *name* is
+        shorthand for the spec field of the same name.
         """
         if isinstance(strategy, str):
             if spec is None:
@@ -578,17 +582,15 @@ class Cluster:
         if artifacts is None:
             artifacts = train(spec)
         if strategy is None:
-            # The spec's HoudiniConfig is copied so live reconfiguration of
-            # this session never leaks into other sessions opened from the
-            # same spec object.
-            config = replace(spec.houdini) if spec.houdini is not None else None
+            # build_houdini copies the spec's HoudiniConfig, so live
+            # reconfiguration of this session never leaks into other
+            # sessions opened from the same spec object.
             strategy = build_strategy(
                 spec.strategy,
                 artifacts,
-                houdini=houdini,
                 seed=spec.seed,
                 learning=spec.learning,
-                houdini_config=config,
+                houdini_config=spec.houdini,
                 model_provider=spec.model_provider,
             )
         # Copied for the same reason as the HoudiniConfig above: live cost

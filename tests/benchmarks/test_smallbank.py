@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
 from repro.benchmarks import available_benchmarks, get_benchmark
 from repro.engine import ExecutionEngine
 from repro.errors import UserAbort
+from repro.session import Cluster, ClusterSpec
 from repro.types import ProcedureRequest
 
 
@@ -101,24 +101,19 @@ class TestWorkload:
         assert 0.25 <= len(two_customer) / len(requests) <= 0.55
 
     def test_runs_through_the_simulator(self):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=300, seed=3)
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        result = pipeline.simulate(artifacts, strategy, transactions=250)
+        spec = ClusterSpec(benchmark="smallbank", num_partitions=4, trace_transactions=300, seed=3)
+        with Cluster.open(spec) as session:
+            result = session.run_for(txns=250)
         assert result.total_transactions == 250
         # The 40% two-customer mix must produce real distributed work.
         assert result.distributed > 25
         assert result.throughput_txn_per_sec > 0
 
     def test_houdini_predicts_better_than_assume_single_partition(self):
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=400, seed=3)
-        houdini = pipeline.simulate(
-            artifacts, pipeline.make_strategy("houdini", artifacts), transactions=250
-        )
-        artifacts = pipeline.train("smallbank", 4, trace_transactions=400, seed=3)
-        naive = pipeline.simulate(
-            artifacts,
-            pipeline.make_strategy("assume-single-partition", artifacts),
-            transactions=250,
-        )
+        spec = ClusterSpec(benchmark="smallbank", num_partitions=4, trace_transactions=400, seed=3)
+        with Cluster.open(spec) as session:
+            houdini = session.run_for(txns=250)
+        with Cluster.open(spec, strategy="assume-single-partition") as session:
+            naive = session.run_for(txns=250)
         assert houdini.restarts < naive.restarts
         assert houdini.throughput_txn_per_sec > naive.throughput_txn_per_sec

@@ -13,7 +13,6 @@ import pickle
 import pytest
 from hypothesis import settings
 
-from repro import pipeline
 from repro.benchmarks import get_benchmark
 from repro.catalog import (
     Catalog,
@@ -30,6 +29,7 @@ from repro.catalog import (
 )
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import PathStep
+from repro.session import ClusterSpec, train
 from repro.storage import Database
 from repro.types import PartitionSet, QueryType
 
@@ -132,13 +132,14 @@ def account_database(account_catalog: Catalog) -> Database:
 # ----------------------------------------------------------------------
 @functools.cache
 def _trained(benchmark: str, partitions: int, trace: int, seed: int) -> bytes:
-    return pickle.dumps(
-        pipeline.train(benchmark, partitions, trace_transactions=trace, seed=seed)
-    )
+    return pickle.dumps(train(ClusterSpec(
+        benchmark=benchmark, num_partitions=partitions,
+        trace_transactions=trace, seed=seed,
+    )))
 
 
 def trained(benchmark: str, partitions: int, trace: int, seed: int):
-    """A private copy of the artifacts ``pipeline.train`` builds for these
+    """A private copy of the artifacts ``session.train`` builds for these
     arguments: trained once per session, unpickled per use.  Runs mutate the
     database (and, with learning on, the models), so every run needs its
     own.  Import it as ``from tests.conftest import trained`` — one module
@@ -148,17 +149,23 @@ def trained(benchmark: str, partitions: int, trace: int, seed: int):
 
 @pytest.fixture(scope="session")
 def tpcc_artifacts():
-    return pipeline.train("tpcc", 4, trace_transactions=600, seed=11)
+    return train(ClusterSpec(
+        benchmark="tpcc", num_partitions=4, trace_transactions=600, seed=11
+    ))
 
 
 @pytest.fixture(scope="session")
 def tatp_artifacts():
-    return pipeline.train("tatp", 4, trace_transactions=600, seed=11)
+    return train(ClusterSpec(
+        benchmark="tatp", num_partitions=4, trace_transactions=600, seed=11
+    ))
 
 
 @pytest.fixture(scope="session")
 def auctionmark_artifacts():
-    return pipeline.train("auctionmark", 4, trace_transactions=600, seed=11)
+    return train(ClusterSpec(
+        benchmark="auctionmark", num_partitions=4, trace_transactions=600, seed=11
+    ))
 
 
 @pytest.fixture(scope="session")

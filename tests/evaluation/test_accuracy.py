@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import pipeline
 from repro.evaluation import AccuracyEvaluator
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.evaluation.accuracy import PENALTY_ABORT, TransactionAccuracy
+from repro.session import record_trace
 
 
 class TestTransactionAccuracy:
@@ -55,7 +55,7 @@ class TestAccuracyEvaluator:
         assert 0.0 <= neworder.rate("op2_correct") <= 100.0
 
     def test_held_out_accuracy_reasonable(self, tpcc_houdini, tpcc_artifacts):
-        held_out = pipeline.record_trace(tpcc_artifacts.benchmark, 150)
+        held_out = record_trace(tpcc_artifacts.benchmark, 150)
         report = AccuracyEvaluator(tpcc_houdini).evaluate(held_out)
         # The paper reports ~91-95% total accuracy; the scaled-down
         # reproduction should stay in the same neighbourhood.

@@ -1,31 +1,16 @@
 """Smoke tests for the experiment harness at a tiny scale.
 
 Each experiment's full-size configuration is exercised by the pytest
-benchmarks under ``benchmarks/``; here we only verify that every harness runs
-end to end, produces structurally complete results, and that the headline
-qualitative relationships hold even at toy scale.
+benchmarks under ``benchmarks/``; here we verify that every harness runs
+end to end, produces structurally complete results, that the headline
+qualitative relationships hold even at toy scale, and that its formatted
+output is the one recorded in ``golden_outputs.json`` (see ``outputs.py``).
 """
 
 import pytest
 
-from repro.experiments import (
-    ExperimentScale,
-    run_figure03,
-    run_model_figures,
-    run_table03,
-    run_table04,
-)
-
-TINY = ExperimentScale(
-    name="tiny",
-    trace_transactions=300,
-    simulated_transactions=150,
-    partition_counts=(4,),
-    accuracy_partitions=4,
-    accuracy_test_transactions=100,
-    thresholds=(0.5,),
-    seed=3,
-)
+from repro.experiments import ExperimentScale
+from tests.experiments.outputs import RUNS, expected, normalized
 
 
 class TestScalePresets:
@@ -63,18 +48,19 @@ class TestScalePresets:
 
 class TestFigure3:
     def test_motivating_experiment_shape(self):
-        result = run_figure03(TINY)
+        result = RUNS["figure03"]()
         rows = result.throughput[4]
         assert set(rows) == {"oracle", "assume-single-partition", "assume-distributed"}
         # Proper selection must beat assuming everything is distributed.
         assert rows["oracle"] > rows["assume-distributed"]
         assert "Figure 3" in result.format()
         assert result.series("oracle")[0][0] == 4
+        assert normalized("figure03", result) == expected("figure03")
 
 
 class TestTable3:
     def test_accuracy_table_structure(self):
-        result = run_table03(TINY.override(accuracy_test_transactions=80))
+        result = RUNS["table03"]()
         assert set(result.reports) == {"tatp", "tpcc", "auctionmark"}
         for benchmark in result.reports:
             for configuration in ("global", "partitioned"):
@@ -83,18 +69,20 @@ class TestTable3:
                 # The abort optimization is never mispredicted.
                 assert report.op3 > 95.0
         assert "Table 3" in result.format()
+        assert normalized("table03", result) == expected("table03")
 
 
 class TestTable4AndModelFigures:
     def test_table4_reports_every_executed_procedure(self):
-        result = run_table04(TINY.override(simulated_transactions=120))
+        result = RUNS["table04"]()
         assert "tpcc" in result.procedures
         stats = result.procedures["tpcc"]
         assert stats  # at least one procedure executed
         assert "Table 4" in result.format()
+        assert normalized("table04", result) == expected("table04")
 
     def test_model_figures_artifacts(self):
-        result = run_model_figures(TINY)
+        result = RUNS["model_figures"]()
         assert result.neworder_model is not None
         assert result.neworder_dot.startswith("digraph")
         assert result.getwarehouse_table
@@ -102,3 +90,12 @@ class TestTable4AndModelFigures:
         home = max(table["partitions"], key=lambda p: table["partitions"][p]["read"])
         assert table["partitions"][home]["read"] == pytest.approx(1.0)
         assert set(result.benchmark_models) == {"tatp", "tpcc", "auctionmark"}
+        assert normalized("model_figures", result) == expected("model_figures")
+
+
+@pytest.mark.parametrize(
+    "name", ["figure11", "figure12", "figure13", "scheduling_policies"]
+)
+def test_output_matches_parent(name):
+    """The experiments no other smoke test runs, pinned by their output."""
+    assert normalized(name, RUNS[name]()) == expected(name)

@@ -8,25 +8,15 @@ probed rate, and the harness is registered with the CLI.
 
 import pytest
 
-from repro.experiments import ExperimentScale, run_overload_knee
+from repro.experiments import ExperimentScale
 from repro.experiments.overload_knee import default_users
-
-TINY = ExperimentScale(
-    name="tiny",
-    trace_transactions=300,
-    simulated_transactions=150,
-    partition_counts=(4,),
-    accuracy_partitions=4,
-    accuracy_test_transactions=100,
-    thresholds=(0.5,),
-    seed=3,
-)
+from tests.experiments.outputs import RUNS, expected, normalized
 
 
 class TestOverloadKnee:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_overload_knee(TINY, "tatp", users=50_000, probe_seconds=0.5)
+        return RUNS["overload_knee"]()
 
     def test_search_converges(self, result):
         assert result.service_rate > 0
@@ -57,6 +47,9 @@ class TestOverloadKnee:
         text = result.format()
         assert "knee" in text and "50,000" in text
         assert "offered txn/s" in text
+
+    def test_output_matches_parent(self, result):
+        assert normalized("overload_knee", result) == expected("overload_knee")
 
     def test_default_users_scale_mapping(self):
         assert default_users(ExperimentScale.small()) == 100_000

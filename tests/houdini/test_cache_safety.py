@@ -18,9 +18,9 @@ import pickle
 
 import pytest
 
-from repro import pipeline
 from repro.engine.engine import AttemptOutcome, AttemptResult
 from repro.houdini import Houdini, HoudiniConfig
+from repro.session import Cluster, ClusterSpec, train
 from repro.types import PartitionSet, ProcedureRequest
 
 
@@ -53,7 +53,9 @@ def _decision_bytes(decision) -> bytes:
 
 @pytest.fixture(scope="module")
 def smallbank_artifacts():
-    return pipeline.train("smallbank", 4, trace_transactions=600, seed=11)
+    return train(ClusterSpec(
+        benchmark="smallbank", num_partitions=4, trace_transactions=600, seed=11
+    ))
 
 
 class TestCachedDecisionEquality:
@@ -123,11 +125,14 @@ class TestSimulatedMetricEquivalence:
             # Fresh artifacts per run: the generator is stateful and, in
             # learning mode, the models mutate — both sides must start from
             # an identical, identically-seeded world.
-            artifacts = pipeline.train("tatp", 4, trace_transactions=600, seed=11)
-            houdini = _make_houdini(artifacts, caching=caching, learning=learning)
-            return pipeline.simulate(
-                artifacts, HoudiniStrategy(houdini), transactions=300
+            spec = ClusterSpec(
+                benchmark="tatp", num_partitions=4, trace_transactions=600, seed=11
             )
+            artifacts = train(spec)
+            houdini = _make_houdini(artifacts, caching=caching, learning=learning)
+            strategy = HoudiniStrategy(houdini)
+            with Cluster.open(spec, artifacts=artifacts, strategy=strategy) as session:
+                return session.run_for(txns=300)
 
         on, off = run(True), run(False)
         assert on.throughput_txn_per_sec == off.throughput_txn_per_sec

@@ -22,11 +22,11 @@ from repro.catalog import (
     integer,
     param,
 )
-from repro import pipeline
 from repro.houdini import GlobalModelProvider, HoudiniConfig, PathEstimator
 from repro.houdini.compiled import CONST, DOMINANT, MAPPED, UNKNOWN, CompiledProcedure
 from repro.mapping import MappingEntry, ParameterMapping
 from repro.markov import MarkovModel
+from repro.session import ClusterSpec, train
 from repro.types import PartitionSet
 from tests.houdini.reference import ReferenceEstimator
 
@@ -261,7 +261,9 @@ class TestEquivalenceWithReference:
 class TestFootprintSignatureParity:
     @pytest.fixture(scope="class")
     def auctionmark_estimator(self):
-        artifacts = pipeline.train("auctionmark", 4, trace_transactions=400, seed=11)
+        artifacts = train(ClusterSpec(
+            benchmark="auctionmark", num_partitions=4, trace_transactions=400, seed=11
+        ))
         estimator = PathEstimator(
             artifacts.benchmark.catalog,
             artifacts.global_provider(),

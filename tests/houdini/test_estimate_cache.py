@@ -7,7 +7,6 @@ import pickle
 
 import pytest
 
-from repro import pipeline
 from repro.houdini import (
     EstimateCache,
     GlobalModelProvider,
@@ -19,6 +18,7 @@ from repro.houdini import (
 )
 from repro.markov import MarkovModel
 from repro.markov.vertex import COMMIT_KEY, VertexKey
+from repro.session import ClusterSpec, train
 from repro.types import PartitionSet, ProcedureRequest
 
 
@@ -399,7 +399,9 @@ class TestSupportLimitedDecisions:
 
     @pytest.fixture(scope="class")
     def thin_artifacts(self):
-        return pipeline.train("tatp", 4, trace_transactions=150, seed=17)
+        return train(ClusterSpec(
+            benchmark="tatp", num_partitions=4, trace_transactions=150, seed=17
+        ))
 
     def _support_limited_request(self, houdini, artifacts):
         for request in artifacts.benchmark.generator.generate(200):

@@ -157,11 +157,14 @@ class TestStrategyNeverFinishAccumulation:
 class TestEndToEndConvergence:
     def test_auctionmark_partitioned_models_always_converge(self):
         """The original failure: PostAuction under houdini-partitioned."""
-        from repro import pipeline
+        from repro.session import Cluster, ClusterSpec
 
-        artifacts = pipeline.train("auctionmark", 8, trace_transactions=400, seed=3)
-        strategy = pipeline.make_strategy("houdini-partitioned", artifacts)
-        result = pipeline.simulate(artifacts, strategy, transactions=400)
+        spec = ClusterSpec(
+            benchmark="auctionmark", num_partitions=8, trace_transactions=400, seed=3,
+            strategy="houdini-partitioned",
+        )
+        with Cluster.open(spec) as session:
+            result = session.run_for(txns=400)
         # Convergence means the run completes; every transaction either
         # committed or was a genuine user abort.
         assert result.committed + result.user_aborted == 400

@@ -157,9 +157,11 @@ def pristine_tpcc_artifacts():
     incrementally recomputed by learning tests, which can differ from a full
     reprocess in the last ulp.
     """
-    from repro import pipeline
+    from repro.session import ClusterSpec, train
 
-    return pipeline.train("tpcc", 4, trace_transactions=600, seed=11)
+    return train(ClusterSpec(
+        benchmark="tpcc", num_partitions=4, trace_transactions=600, seed=11
+    ))
 
 
 class TestDeserializedEstimates:

@@ -28,7 +28,6 @@ import weakref
 
 import pytest
 
-from repro import pipeline
 from repro.houdini import EstimateCache, GlobalModelProvider, HoudiniConfig, PathEstimate
 from repro.houdini.maintenance import MaintenanceRegistry
 from repro.markov import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, MarkovModel, VertexKey, VertexKind
@@ -41,7 +40,7 @@ from repro.markov.serialization import (
 )
 from repro.selftune import ModelSwapController
 from repro.selftune.retrain import retrain_model
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, train
 from repro.types import PartitionSet
 
 from tests.conftest import to_steps
@@ -166,7 +165,9 @@ class TestSuccessorOrderIsFrozen:
 
     @pytest.mark.parametrize("benchmark_name", sorted(PARENT))
     def test_vertex_and_successor_order_match_the_parent(self, benchmark_name):
-        models = pipeline.train(benchmark_name, 4, trace_transactions=600, seed=11).models
+        models = train(ClusterSpec(
+            benchmark=benchmark_name, num_partitions=4, trace_transactions=600, seed=11
+        )).models
         rows = [
             [name, vertex.key.sort_token,
              [[key.sort_token, repr(p)] for key, p in models[name].successors(vertex.key)]]

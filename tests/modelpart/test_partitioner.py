@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import pipeline
 from repro.houdini import HoudiniConfig
 from repro.modelpart import (
     FeatureExtractor,

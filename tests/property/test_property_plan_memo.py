@@ -37,12 +37,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import pipeline
 from repro.engine.engine import AttemptOutcome, AttemptResult
 from repro.houdini import EstimateCache, GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import MarkovModel
 from repro.markov.vertex import ABORT_KEY, VertexKey
 from repro.selftune import ModelSwapController
+from repro.session import ClusterSpec, train
 from repro.types import EMPTY_PARTITION_SET, PartitionSet
 
 BENCHMARKS = ("tatp", "smallbank", "tpcc")
@@ -53,7 +53,9 @@ POOL = 12
 @functools.cache
 def world(benchmark: str):
     """Trained artifacts, a request pool and the pickled pristine models."""
-    artifacts = pipeline.train(benchmark, PARTITIONS, trace_transactions=300, seed=11)
+    artifacts = train(ClusterSpec(
+        benchmark=benchmark, num_partitions=PARTITIONS, trace_transactions=300, seed=11
+    ))
     requests = artifacts.benchmark.generator.generate(POOL)
     return artifacts, requests, pickle.dumps(artifacts.models)
 

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from repro import pipeline
+from repro.session import build_strategy
 from repro.sim import ClusterSimulator, SimulatorConfig
 from repro.sim import sketch
 from repro.sim.sketch import CompletionLog
@@ -151,7 +151,7 @@ def drive_episodes(episodes: int = 2) -> tuple[int, int]:
     artifacts = trained("tatp", 4, 200, 3)
     simulator = ClusterSimulator(
         artifacts.benchmark.catalog, artifacts.benchmark.database,
-        artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+        artifacts.benchmark.generator, build_strategy("houdini", artifacts),
         config=SimulatorConfig(client_think_time_ms=1.5, warmup_fraction=WARMUP_FRACTION),
         benchmark_name="tatp",
     )

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
 from repro.benchmarks.tpcc import TpccGenerator
 from repro.errors import SessionError
 from repro.markov import build_models_from_trace
 from repro.selftune import SelfTuneConfig, SelfTuneManager
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, record_trace
 from repro.workload import WorkloadRandom
 from tests.conftest import trained
 
@@ -75,7 +74,7 @@ def _shift_scenario(backend: str = "inline") -> dict:
     instance.generator = SmallOrderGenerator(
         instance.catalog, instance.config, WorkloadRandom(22)
     )
-    trace = pipeline.record_trace(instance, 400)
+    trace = record_trace(instance, 400)
     artifacts.trace = trace
     artifacts.models = build_models_from_trace(instance.catalog, trace)
     session = Cluster.open(

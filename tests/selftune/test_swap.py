@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import MarkovModel
 from repro.selftune import ModelSwapController
+from repro.session import ClusterSpec, train
 
 
 @pytest.fixture(scope="module")
 def warm_houdini():
     """A Houdini with warmed caches for several TATP procedures."""
-    artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=13)
+    artifacts = train(ClusterSpec(
+        benchmark="tatp", num_partitions=4, trace_transactions=200, seed=13
+    ))
     houdini = Houdini(
         artifacts.benchmark.catalog,
         GlobalModelProvider(artifacts.models),

@@ -4,28 +4,26 @@ Covers the redesign's contracts:
 
 * ``ClusterSpec`` — strict validation (unknown fields, out-of-range values),
   nested-config coercion and ``from_kwargs``/``to_dict`` round-tripping;
-* byte-equality between the ``pipeline.simulate`` shim and
-  ``ClusterSession.run_for`` on TATP and TPC-C across all four execution
-  strategies (the legacy-driver reference lives in
-  ``tests/sim/test_event_runtime.py``);
 * determinism of mid-run ``reconfigure`` (same seed, same script → same
   result, byte for byte);
 * the two scenarios the redesign exists for — a workload shift (generator
   swap without rebuilding the cluster) and a live scheduling-policy swap;
 * session lifecycle (submit/step/drain/close) and
   ``SimulationResult.to_dict``/``from_dict`` stability.
+
+Byte-equality between ``ClusterSession.run_for`` and the legacy greedy
+driver is held by ``tests/sim/test_event_runtime.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
 from repro.errors import SessionError
 from repro.houdini import HoudiniConfig
 from repro.scheduling import AdmissionLimits
 from repro.scheduling.policies import ShortestPredictedFirstPolicy
-from repro.session import Cluster, ClusterSession, ClusterSpec
+from repro.session import Cluster, ClusterSession, ClusterSpec, build_houdini, build_strategy
 from repro.sim import CostModel, SimulationResult
 from repro.sim.sketch import CompletionLog
 from repro.types import ProcedureRequest
@@ -148,38 +146,6 @@ class TestClusterSpec:
     def test_open_rejects_spec_plus_kwargs(self):
         with pytest.raises(SessionError, match="not both"):
             Cluster.open(ClusterSpec(), benchmark="tatp")
-
-
-# ----------------------------------------------------------------------
-# Byte-equality: shim vs session across benchmarks and strategies
-# ----------------------------------------------------------------------
-STRATEGIES = (
-    "assume-distributed",
-    "assume-single-partition",
-    "oracle",
-    "houdini",
-)
-
-
-class TestShimSessionByteEquality:
-    @pytest.mark.parametrize("bench_name", ["tatp", "tpcc"])
-    @pytest.mark.parametrize("strategy_name", STRATEGIES)
-    def test_simulate_shim_equals_session_run_for(self, bench_name, strategy_name):
-        def train():
-            artifacts = trained(bench_name, 4, 200, 17)
-            return artifacts, pipeline.make_strategy(strategy_name, artifacts)
-
-        artifacts, strategy = train()
-        via_shim = pipeline.simulate(artifacts, strategy, transactions=150)
-
-        artifacts, strategy = train()
-        session = Cluster.open(
-            ClusterSpec(benchmark=bench_name, num_partitions=4),
-            artifacts=artifacts, strategy=strategy,
-        )
-        via_session = session.run_for(txns=150)
-        session.close()
-        _assert_identical(via_session, via_shim)
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +469,7 @@ class TestSessionLifecycle:
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator,
-            pipeline.make_strategy("oracle", artifacts),
+            build_strategy("oracle", artifacts),
             config=SimulatorConfig(total_transactions=50), benchmark_name="tatp",
         )
         first = simulator.run()
@@ -616,19 +582,46 @@ class TestSessionLifecycle:
         assert result.total_transactions == 20
         session.close()
 
+    @pytest.mark.parametrize(
+        "houdini",
+        [HoudiniConfig(confidence_threshold=0.9), {"confidence_threshold": 0.9}],
+        ids=["instance", "dict"],
+    )
+    def test_open_from_kwargs_sets_the_houdini_field(self, houdini):
+        session = Cluster.open(
+            benchmark="tatp", num_partitions=2, trace_transactions=100, houdini=houdini,
+        )
+        assert session.spec.houdini.confidence_threshold == 0.9
+        assert session.houdini.config.confidence_threshold == 0.9
+        assert session.run_for(txns=20).total_transactions == 20
+        session.close()
+
+
+class TestBuildHoudini:
+    def test_callers_config_is_copied_not_changed(self):
+        """AuctionMark disables CheckWinningBids: in the built Houdini's
+        config, never in the caller's, which stays free to configure another
+        benchmark or be reconfigured without touching the running Houdini."""
+        config = HoudiniConfig(confidence_threshold=0.7)
+        houdini = build_houdini(trained("auctionmark", 4, 200, 3), config=config)
+        assert houdini.config is not config
+        assert "CheckWinningBids" in houdini.config.disabled_procedures
+        assert config == HoudiniConfig(confidence_threshold=0.7)
+        houdini.reconfigure(confidence_threshold=0.2)
+        assert config.confidence_threshold == 0.7
+
 
 # ----------------------------------------------------------------------
 # SimulationResult serialization
 # ----------------------------------------------------------------------
 class TestResultSerialization:
     def test_to_dict_from_dict_round_trip(self):
-        artifacts = trained("smallbank", 4, 300, 7)
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        result = pipeline.simulate(
-            artifacts, strategy, transactions=150,
-            policy="shortest-predicted",
-            admission_limits=AdmissionLimits(max_in_flight=8, max_deferrals=256),
+        spec = ClusterSpec(
+            benchmark="smallbank", num_partitions=4, policy="shortest-predicted",
+            admission=AdmissionLimits(max_in_flight=8, max_deferrals=256),
         )
+        with Cluster.open(spec, artifacts=trained("smallbank", 4, 300, 7)) as session:
+            result = session.run_for(txns=150)
         data = result.to_dict()
         rebuilt = SimulationResult.from_dict(data)
         _assert_identical(rebuilt, result)
@@ -645,8 +638,8 @@ class TestResultSerialization:
     def test_to_dict_is_json_serializable(self):
         import json
 
-        artifacts = trained("tatp", 2, 120, 1)
-        strategy = pipeline.make_strategy("oracle", artifacts)
-        result = pipeline.simulate(artifacts, strategy, transactions=60)
+        spec = ClusterSpec(benchmark="tatp", num_partitions=2, strategy="oracle")
+        with Cluster.open(spec, artifacts=trained("tatp", 2, 120, 1)) as session:
+            result = session.run_for(txns=60)
         encoded = json.dumps(result.to_dict())
         assert json.loads(encoded)["committed"] == result.committed

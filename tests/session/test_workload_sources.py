@@ -24,9 +24,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro import pipeline
 from repro.errors import SessionError
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.sim import SimulationResult
 from repro.workload import (
     ClosedLoopSource,
@@ -64,7 +63,7 @@ class TestClosedLoopByteIdentity:
     ):
         def run(workload):
             artifacts = trained(bench_name, 4, 200, 17)
-            strategy = pipeline.make_strategy(strategy_name, artifacts)
+            strategy = build_strategy(strategy_name, artifacts)
             session = Cluster.open(
                 ClusterSpec(benchmark=bench_name, num_partitions=4, workload=workload),
                 artifacts=artifacts, strategy=strategy,

@@ -7,8 +7,8 @@ import dataclasses
 
 import pytest
 
-from repro import pipeline
 from repro.engine.engine import AttemptOutcome, AttemptResult
+from repro.session import build_strategy
 from repro.sim import ClusterSimulator, CostModel, SimulatorConfig
 from repro.txn.plan import ExecutionPlan
 from repro.types import PartitionSet, ProcedureRequest, QueryInvocation, QueryType
@@ -47,7 +47,7 @@ def _simulator(bench_name, transactions):
     artifacts = trained(bench_name, 4, 300, 17)
     return ClusterSimulator(
         artifacts.benchmark.catalog, artifacts.benchmark.database,
-        artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+        artifacts.benchmark.generator, build_strategy("houdini", artifacts),
         config=SimulatorConfig(total_transactions=transactions), benchmark_name=bench_name,
     )
 

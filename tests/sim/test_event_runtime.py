@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
 from repro.scheduling import AdmissionLimits
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.sim import ClusterSimulator, CostModel, SimulatorConfig
 from repro.sim.metrics import SimulationResult
 from repro.txn.coordinator import TransactionCoordinator
@@ -136,7 +135,7 @@ class TestLegacyEquivalence:
         config = SimulatorConfig(total_transactions=250, client_think_time_ms=think)
 
         artifacts = trained(bench_name, 4, 300, 17)
-        strategy = pipeline.make_strategy(strategy_name, artifacts)
+        strategy = build_strategy(strategy_name, artifacts)
         new = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
@@ -144,7 +143,7 @@ class TestLegacyEquivalence:
         ).run()
 
         artifacts = trained(bench_name, 4, 300, 17)
-        strategy = pipeline.make_strategy(strategy_name, artifacts)
+        strategy = build_strategy(strategy_name, artifacts)
         old = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
@@ -155,7 +154,7 @@ class TestLegacyEquivalence:
     def test_completions_arrive_in_end_time_order(self):
         """The linear warm-up pass relies on event-ordered completions."""
         artifacts = trained("tpcc", 4, 300, 9)
-        strategy = pipeline.make_strategy("oracle", artifacts)
+        strategy = build_strategy("oracle", artifacts)
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
@@ -185,7 +184,7 @@ class TestSessionLegacyEquivalence:
         config = SimulatorConfig(total_transactions=250, client_think_time_ms=think)
 
         artifacts = trained(bench_name, 4, 300, 17)
-        strategy = pipeline.make_strategy(strategy_name, artifacts)
+        strategy = build_strategy(strategy_name, artifacts)
         spec = ClusterSpec(
             benchmark=bench_name, num_partitions=4,
             client_think_time_ms=think,
@@ -195,7 +194,7 @@ class TestSessionLegacyEquivalence:
         session.close()
 
         artifacts = trained(bench_name, 4, 300, 17)
-        strategy = pipeline.make_strategy(strategy_name, artifacts)
+        strategy = build_strategy(strategy_name, artifacts)
         old = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
@@ -209,7 +208,7 @@ class TestSessionLegacyEquivalence:
         the full budget at once must match run() exactly."""
         def train():
             artifacts = trained("tatp", 4, 250, 11)
-            return artifacts, pipeline.make_strategy("oracle", artifacts)
+            return artifacts, build_strategy("oracle", artifacts)
 
         from repro.session import Cluster, ClusterSpec
 
@@ -260,7 +259,7 @@ class TestFastLoopEqualsGeneralLoop:
         artifacts = trained(bench_name, 4, 300, 17)
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
-            artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+            artifacts.benchmark.generator, build_strategy("houdini", artifacts),
             config=SimulatorConfig(client_think_time_ms=think, **config),
             benchmark_name=bench_name,
         )
@@ -333,7 +332,7 @@ class TestFastLoopEqualsGeneralLoop:
             artifacts = trained("tatp", 4, 300, 17)
             simulator = ClusterSimulator(
                 artifacts.benchmark.catalog, artifacts.benchmark.database,
-                artifacts.benchmark.generator, pipeline.make_strategy("houdini", artifacts),
+                artifacts.benchmark.generator, build_strategy("houdini", artifacts),
                 benchmark_name="tatp",
             )
             simulator.begin()
@@ -399,14 +398,17 @@ class TestFastLoopEqualsGeneralLoop:
             assert sharded.to_dict() == inline.to_dict()
 
 
+def run_smallbank(**spec_fields):
+    """300 closed-loop SmallBank transactions under Houdini, drained."""
+    spec = ClusterSpec(benchmark="smallbank", num_partitions=4, **spec_fields)
+    with Cluster.open(spec, artifacts=trained("smallbank", 4, 400, 5)) as session:
+        return session.run_for(txns=300)
+
+
 class TestSchedulingIntegration:
     @pytest.mark.parametrize("policy", ["shortest-predicted", "single-partition-first"])
     def test_policies_run_inside_the_event_loop(self, policy):
-        artifacts = trained("smallbank", 4, 400, 5)
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        result = pipeline.simulate(
-            artifacts, strategy, transactions=300, policy=policy
-        )
+        result = run_smallbank(policy=policy)
         assert result.total_transactions == 300
         assert result.scheduler_stats is not None
         assert result.scheduler_stats.dispatched == 300
@@ -414,12 +416,7 @@ class TestSchedulingIntegration:
         assert result.scheduler_stats.reordered > 0
 
     def test_admission_control_is_exercised(self):
-        artifacts = trained("smallbank", 4, 400, 5)
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        result = pipeline.simulate(
-            artifacts, strategy, transactions=300,
-            admission_limits=AdmissionLimits(max_in_flight=4, max_deferrals=512),
-        )
+        result = run_smallbank(admission=AdmissionLimits(max_in_flight=4, max_deferrals=512))
         assert result.total_transactions == 300
         assert result.admission_stats is not None
         assert result.admission_stats.admitted == 300
@@ -427,12 +424,7 @@ class TestSchedulingIntegration:
         assert result.rejected == 0
 
     def test_admission_rejection_backs_the_client_off(self):
-        artifacts = trained("smallbank", 4, 400, 5)
-        strategy = pipeline.make_strategy("houdini", artifacts)
-        result = pipeline.simulate(
-            artifacts, strategy, transactions=300,
-            admission_limits=AdmissionLimits(max_in_flight=2, max_deferrals=1),
-        )
+        result = run_smallbank(admission=AdmissionLimits(max_in_flight=2, max_deferrals=1))
         # Rejected requests consume a submission slot but never execute.
         assert result.rejected > 0
         assert result.total_transactions == 300 - result.rejected
@@ -440,8 +432,8 @@ class TestSchedulingIntegration:
 
     def test_fcfs_with_policy_name_matches_default(self):
         def run(policy):
-            artifacts = trained("tatp", 4, 200, 13)
-            strategy = pipeline.make_strategy("oracle", artifacts)
-            return pipeline.simulate(artifacts, strategy, transactions=150, policy=policy)
+            spec = ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle", policy=policy)
+            with Cluster.open(spec, artifacts=trained("tatp", 4, 200, 13)) as session:
+                return session.run_for(txns=150)
 
         _assert_identical(run("fcfs"), run(None))

@@ -33,13 +33,12 @@ import types
 
 import pytest
 
-from repro import pipeline
 from repro.engine import ExecutionEngine
 from repro.errors import ReproError, SessionError
 from repro.houdini import Houdini, HoudiniConfig
 from repro.markov.builder import build_models_from_trace
 from repro.scheduling.admission import AdmissionLimits
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, record_trace
 from repro.sim.backend import ShardedBackend, sharded as sharded_module
 from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.types import PartitionSet, ProcedureRequest
@@ -163,7 +162,7 @@ def _selftune_hot_swap(backend):
     instance.generator = SmallOrderGenerator(
         instance.catalog, instance.config, WorkloadRandom(22)
     )
-    artifacts.trace = pipeline.record_trace(instance, 400)
+    artifacts.trace = record_trace(instance, 400)
     artifacts.models = build_models_from_trace(instance.catalog, artifacts.trace)
 
     def drive(session):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import pipeline
+from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.sim import ClusterSimulator, CostModel, SimulationResult, SimulatorConfig
 from repro.sim.metrics import ProcedureBreakdown
 from tests.conftest import trained
@@ -35,9 +35,9 @@ class TestSimulator:
         """Oracle vs assume-distributed on the same tiny TPC-C workload."""
         results = {}
         for mode in ("oracle", "assume-distributed"):
-            artifacts = trained("tpcc", 4, 200, 21)
-            strategy = pipeline.make_strategy(mode, artifacts)
-            results[mode] = pipeline.simulate(artifacts, strategy, transactions=200)
+            spec = ClusterSpec(benchmark="tpcc", num_partitions=4, strategy=mode)
+            with Cluster.open(spec, artifacts=trained("tpcc", 4, 200, 21)) as session:
+                results[mode] = session.run_for(txns=200)
         return results
 
     def test_all_transactions_accounted(self, simulation_pair):
@@ -59,29 +59,28 @@ class TestSimulator:
 
     def test_deterministic_given_seed(self):
         def run():
-            artifacts = trained("tatp", 4, 150, 5)
-            strategy = pipeline.make_strategy("oracle", artifacts)
-            return pipeline.simulate(artifacts, strategy, transactions=150)
+            spec = ClusterSpec(benchmark="tatp", num_partitions=4, strategy="oracle")
+            with Cluster.open(spec, artifacts=trained("tatp", 4, 150, 5)) as session:
+                return session.run_for(txns=150)
 
         first, second = run(), run()
         assert first.throughput_txn_per_sec == pytest.approx(second.throughput_txn_per_sec)
         assert first.committed == second.committed
 
     def test_custom_cost_model_changes_throughput(self):
-        artifacts = trained("tatp", 4, 150, 6)
-        strategy = pipeline.make_strategy("oracle", artifacts)
-        baseline = pipeline.simulate(artifacts, strategy, transactions=150)
+        def run(cost_model):
+            spec = ClusterSpec(
+                benchmark="tatp", num_partitions=4, strategy="oracle", cost_model=cost_model
+            )
+            with Cluster.open(spec, artifacts=trained("tatp", 4, 150, 6)) as session:
+                return session.run_for(txns=150)
 
-        artifacts = trained("tatp", 4, 150, 6)
-        strategy = pipeline.make_strategy("oracle", artifacts)
-        slow = pipeline.simulate(
-            artifacts, strategy, transactions=150,
-            cost_model=CostModel(query_local_ms=2.0),
-        )
+        baseline = run(None)
+        slow = run(CostModel(query_local_ms=2.0))
         assert slow.throughput_txn_per_sec < baseline.throughput_txn_per_sec
 
     def test_houdini_overhead_tracked(self, tpcc_artifacts):
-        strategy = pipeline.make_strategy("houdini", tpcc_artifacts)
+        strategy = build_strategy("houdini", tpcc_artifacts)
         simulator = ClusterSimulator(
             tpcc_artifacts.benchmark.catalog,
             tpcc_artifacts.benchmark.database,

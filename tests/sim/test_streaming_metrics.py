@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
 from repro.errors import SessionError, SimulationError
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.sim import LatencySketch
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import SimulatorConfig
@@ -47,7 +46,7 @@ def _run(artifacts, benchmark: str, mode: str, *, txns: int = 500,
         metrics_mode=mode,
         workload=workload,
     )
-    strategy = pipeline.make_strategy("houdini", artifacts)
+    strategy = build_strategy("houdini", artifacts)
     session = Cluster.open(spec, artifacts=artifacts, strategy=strategy)
     result = session.run_for(txns=txns)
     session.close()
@@ -72,7 +71,7 @@ class TestModeValidation:
         from repro.sim import ClusterSimulator
 
         bench = tatp_artifacts.benchmark
-        strategy = pipeline.make_strategy("oracle", tatp_artifacts)
+        strategy = build_strategy("oracle", tatp_artifacts)
         simulator = ClusterSimulator(
             bench.catalog, bench.database, bench.generator, strategy,
             config=SimulatorConfig(metrics_mode="bogus"),

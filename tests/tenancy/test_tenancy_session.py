@@ -22,9 +22,8 @@ import math
 
 import pytest
 
-from repro import pipeline
 from repro.errors import SessionError
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.tenancy import TenancyConfig, TenantPolicy, TenantScheduler
 from repro.workload import OpenLoopSource, TenantSource
 from tests.conftest import trained
@@ -35,7 +34,7 @@ PARTITIONS = 4
 def fresh_pipeline(benchmark: str = "tatp"):
     """Pristine artifacts + strategy (learning mutates models in place)."""
     artifacts = trained(benchmark, PARTITIONS, 600, 11)
-    return artifacts, pipeline.make_strategy("houdini", artifacts)
+    return artifacts, build_strategy("houdini", artifacts)
 
 
 def two_tenant_workload(rate_gold: float = 400.0, rate_free: float = 800.0):
@@ -152,7 +151,9 @@ class TestSLOProtection:
         # Calibrate offered load and SLO from a closed-loop baseline so the
         # test is scale-independent (a fixed ms target would rot).
         artifacts, strategy = fresh_pipeline("smallbank")
-        closed = pipeline.simulate(artifacts, strategy, transactions=400)
+        spec = ClusterSpec(benchmark="smallbank", num_partitions=PARTITIONS)
+        with Cluster.open(spec, artifacts=artifacts, strategy=strategy) as session:
+            closed = session.run_for(txns=400)
         rate = max(1.0, closed.throughput_txn_per_sec)
         # 7x the unloaded average: loose enough for WFQ to meet (measured
         # ~5.7x under the 2x flood), far below the shared queue's ~25x.

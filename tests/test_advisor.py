@@ -162,10 +162,12 @@ class TestEndToEndAdvisor:
         """Run a real (tiny) simulation and feed its statistics through the
         advisor; the healthy TPC-C run should not demand model regeneration
         at a high restart threshold."""
-        from repro import pipeline
+        from repro.session import Cluster, ClusterSpec, build_strategy
 
-        strategy = pipeline.make_strategy("houdini", tpcc_artifacts)
-        result = pipeline.simulate(tpcc_artifacts, strategy, transactions=150)
+        strategy = build_strategy("houdini", tpcc_artifacts)
+        spec = ClusterSpec(benchmark="tpcc", num_partitions=4)
+        with Cluster.open(spec, artifacts=tpcc_artifacts, strategy=strategy) as session:
+            result = session.run_for(txns=150)
         advisor = WorkloadAdvisor(AdvisorThresholds(restart_rate=0.9))
         report = advisor.analyze(strategy.stats, result)
         assert not report.has(RecommendationKind.REGENERATE_MODELS)

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro import pipeline
 from repro.artifacts import ArtifactBundle, ArtifactError
 from repro.houdini import Houdini, HoudiniConfig
 from repro.types import ProcedureRequest

@@ -332,10 +332,12 @@ class TestTraceTimestamps:
         assert TransactionTraceRecord.from_json(payload).at_ms is None
 
     def test_recorder_stamps_arrival_times(self):
-        from repro import pipeline
+        from repro.session import ClusterSpec, train
         from repro.workload import TraceRecorder
 
-        artifacts = pipeline.train("tatp", 2, trace_transactions=60, seed=1)
+        artifacts = train(ClusterSpec(
+            benchmark="tatp", num_partitions=2, trace_transactions=60, seed=1
+        ))
         instance = artifacts.benchmark
         recorder = TraceRecorder(
             instance.catalog, instance.database,
