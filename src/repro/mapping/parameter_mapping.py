@@ -53,15 +53,26 @@ class ParameterMapping:
 
     def __post_init__(self) -> None:
         self._by_slot: dict[tuple[str, int], MappingEntry] = {}
-        for entry in sorted(self.entries, key=lambda e: -e.coefficient):
-            self._by_slot.setdefault((entry.statement, entry.query_param_index), entry)
+        for entry in self.entries:
+            self._offer(entry)
 
     # ------------------------------------------------------------------
     def add(self, entry: MappingEntry) -> None:
         self.entries.append(entry)
-        current = self._by_slot.get((entry.statement, entry.query_param_index))
-        if current is None or entry.coefficient > current.coefficient:
-            self._by_slot[(entry.statement, entry.query_param_index)] = entry
+        self._offer(entry)
+
+    def _offer(self, entry: MappingEntry) -> None:
+        """Let ``entry`` serve its slot if it ranks first there.
+
+        The rank reads only the entry's own fields — higher coefficient, then
+        lower procedure parameter, then scalar before array-aligned — so the
+        order entries arrive in (the builder's, or a loaded file's sorted
+        one) never changes which entry a slot resolves to.
+        """
+        slot = (entry.statement, entry.query_param_index)
+        current = self._by_slot.get(slot)
+        if current is None or _rank(entry) < _rank(current):
+            self._by_slot[slot] = entry
 
     def entry_for(self, statement: str, query_param_index: int) -> MappingEntry | None:
         """Best mapping entry for one query-parameter slot, if any."""
@@ -132,6 +143,11 @@ class ParameterMapping:
                 f"(coefficient {entry.coefficient:.3f})"
             )
         return "\n".join(lines)
+
+
+def _rank(entry: MappingEntry) -> tuple[float, int, bool]:
+    """Sort key of the entries competing for one slot: the best comes first."""
+    return (-entry.coefficient, entry.procedure_param_index, entry.array_aligned)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

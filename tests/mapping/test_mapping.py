@@ -1,5 +1,8 @@
 """Tests for parameter mappings and their derivation from traces."""
 
+import itertools
+import json
+
 import pytest
 
 from repro.errors import EstimationError
@@ -10,6 +13,8 @@ from repro.mapping import (
     build_parameter_mappings,
     geometric_mean,
 )
+from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
+from tests.mapping.reference import PairwiseMappingBuilder, mapping_state
 
 
 class TestGeometricMean:
@@ -57,6 +62,20 @@ class TestParameterMapping:
         mapping.add(MappingEntry("Q", 0, 1, False, 0.91))
         mapping.add(MappingEntry("Q", 0, 2, True, 1.0))
         assert mapping.entry_for("Q", 0).procedure_param_index == 2
+
+    def test_ties_break_by_the_entries_not_their_order(self):
+        contenders = [
+            MappingEntry("Q", 0, 2, False, 1.0),
+            MappingEntry("Q", 0, 1, True, 1.0),
+            MappingEntry("Q", 0, 1, False, 1.0),
+            MappingEntry("Q", 0, 0, False, 0.95),
+        ]
+        for entries in itertools.permutations(contenders):
+            built = ParameterMapping("proc", entries=list(entries))
+            added = ParameterMapping("proc")
+            for entry in entries:
+                added.add(entry)
+            assert built.entry_for("Q", 0) == added.entry_for("Q", 0) == contenders[2]
 
     def test_missing_parameter_raises(self):
         mapping = self.make_mapping()
@@ -116,3 +135,30 @@ class TestMappingBuilder:
         builder = ParameterMappingBuilder(account_catalog, min_comparisons=3)
         mapping = builder.build(trace, "transfer")
         assert mapping.entry_for("GetFrom", 0) is None
+
+    def test_unhashable_values_from_json_are_compared_pair_by_pair(self, account_catalog):
+        """A JSON trace keeps an object-valued parameter as a dict, which a
+        hashed probe cannot look up; such values must still match by ``==``."""
+        records = []
+        for txn_id in range(6):
+            owner = {"name": txn_id % 3}
+            records.append(TransactionTraceRecord(
+                txn_id, "transfer", (txn_id, [{"id": txn_id}, {"id": 9}], owner), (
+                    QueryTraceRecord("GetFrom", (txn_id, {"name": txn_id % 3})),
+                    QueryTraceRecord("GetTo", ({"id": txn_id}, [txn_id])),
+                    QueryTraceRecord("GetTo", ({"id": 9},)),
+                ),
+            ))
+        loaded = WorkloadTrace([
+            TransactionTraceRecord.from_json(json.loads(json.dumps(record.to_json())))
+            for record in records
+        ])
+        assert isinstance(loaded[0].parameters[2], dict)
+        assert isinstance(loaded[0].parameters[1], tuple)
+        built = ParameterMappingBuilder(account_catalog, threshold=0.0).build_all(loaded)
+        expected = PairwiseMappingBuilder(account_catalog, threshold=0.0).build_all(loaded)
+        assert mapping_state(built) == mapping_state(expected)
+        transfer = built["transfer"]
+        assert transfer.entry_for("GetFrom", 1).procedure_param_index == 2
+        assert transfer.entry_for("GetTo", 0).procedure_param_index == 1
+        assert transfer.entry_for("GetTo", 0).array_aligned

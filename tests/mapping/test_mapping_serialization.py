@@ -8,6 +8,7 @@ from repro.errors import EstimationError
 from repro.mapping import (
     MappingEntry,
     ParameterMapping,
+    ParameterMappingBuilder,
     ParameterMappingSet,
     load_mappings,
     mapping_from_dict,
@@ -16,6 +17,7 @@ from repro.mapping import (
     mapping_to_dict,
     save_mappings,
 )
+from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
 
 
 def _sample_mapping() -> ParameterMapping:
@@ -62,6 +64,27 @@ class TestMappingRoundTrip:
                 "CheckStock", 0, counter, parameters
             )
         assert restored.resolve("GetWarehouse", 0, 0, parameters) == 7
+
+    def test_a_tied_slot_resolves_the_same_after_a_round_trip(self, account_catalog):
+        """``x`` is both parameter 1 and the only element of array parameter
+        0, so two entries of coefficient 1.0 compete for ``GetFrom``'s slot.
+        The builder adds the scalar entry first and the file lists entries by
+        procedure index; the tie must be broken by the entries themselves
+        (lower procedure index first), not by either order."""
+        trace = WorkloadTrace([
+            TransactionTraceRecord(txn_id, "transfer", ((x,), x, 5), (
+                QueryTraceRecord("GetFrom", (x,)),
+            ))
+            for txn_id, x in enumerate((11, 12, 13, 14))
+        ])
+        fresh = ParameterMappingBuilder(account_catalog).build(trace, "transfer")
+        restored = mapping_from_dict(mapping_to_dict(fresh))
+        assert len(fresh.entries) == 2
+        assert fresh.entry_for("GetFrom", 0) == restored.entry_for("GetFrom", 0)
+        assert fresh.entry_for("GetFrom", 0).procedure_param_index == 0
+        parameters = ((7,), 9, 1)
+        assert fresh.resolve("GetFrom", 0, 0, parameters) == 7
+        assert restored.resolve("GetFrom", 0, 0, parameters) == 7
 
     def test_missing_fields_raise_estimation_error(self):
         with pytest.raises(EstimationError):
