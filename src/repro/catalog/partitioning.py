@@ -156,6 +156,9 @@ class PartitionEstimator:
                     f"statement {statement.name!r} expects at least {payload + 1} parameters"
                 )
             value = parameters[payload]
+            if type(value) is int:
+                # stable_hash(int) is the int itself.
+                return self.singletons[value % self.scheme.num_partitions]
             if value is None:
                 return self.all_partitions
             return self.singletons[stable_hash(value) % self.scheme.num_partitions]

@@ -1,12 +1,6 @@
 """Transaction Markov models (the paper's Section 3)."""
 
-from .builder import (
-    MarkovModelBuilder,
-    build_models_from_trace,
-    models_summary,
-    steps_from_invocations,
-    steps_from_queries,
-)
+from .builder import MarkovModelBuilder, build_models_from_trace, models_summary
 from .dot import save_dot, to_dot
 from .model import MarkovModel, PathStep
 from .serialization import (
@@ -36,8 +30,6 @@ __all__ = [
     "MarkovModelBuilder",
     "build_models_from_trace",
     "models_summary",
-    "steps_from_queries",
-    "steps_from_invocations",
     "ProbabilityTable",
     "Vertex",
     "VertexKey",

@@ -1,78 +1,33 @@
 """Markov-model construction from workload traces (paper §3.2).
 
-The builder replays each trace record's query sequence, computes the
-partitions every query accesses using the catalog's partition estimator (the
-"internal API for the target cluster configuration"), and folds the resulting
-path into the procedure's model.  Because partitions are re-estimated from
-parameters rather than copied from the trace, the same trace can be used to
-build models for *any* cluster size — exactly the property the paper relies
-on when it regenerates models after a repartitioning.
+The builder makes one pass over the trace.  It groups records by procedure
+in first-appearance order and folds each record straight into its
+procedure's model: every query's partitions are estimated with the
+catalog's partition estimator (the "internal API for the target cluster
+configuration"), the query's vertex key is interned from its statement,
+invocation counter, partitions and previously accessed partitions, and
+:meth:`MarkovModel.fold_path` counts the record's path of keys.  No
+intermediate step objects are built.  Because partitions are re-estimated
+from parameters rather than copied from the trace, the same trace can be
+used to build models for *any* cluster size — exactly the property the
+paper relies on when it regenerates models after a repartitioning.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from ..catalog.procedure import StoredProcedure
 from ..catalog.schema import Catalog
 from ..errors import ModelError
-from ..types import PartitionId, PartitionSet, QueryInvocation
+from ..types import EMPTY_PARTITION_SET, PartitionId, QueryType
 from ..workload.trace import TransactionTraceRecord, WorkloadTrace
 from .model import MarkovModel, PathStep
+from .vertex import VertexKey
 
 #: Chooses the base partition assumed for a trace record (controls where
 #: replicated-table reads are located).
 TraceBaseChooser = Callable[[TransactionTraceRecord], PartitionId]
-
-
-def steps_from_queries(
-    catalog: Catalog,
-    procedure: StoredProcedure,
-    queries: Sequence[tuple[str, Sequence]],
-    base_partition: PartitionId,
-) -> list[PathStep]:
-    """Convert (statement, parameters) pairs into :class:`PathStep` objects.
-
-    Tracks the per-statement invocation counter and the accumulated
-    previously-accessed partition set, the two history components of the
-    vertex identity.
-    """
-    steps: list[PathStep] = []
-    counters: dict[str, int] = {}
-    previous = PartitionSet.of([])
-    for statement_name, parameters in queries:
-        statement = procedure.statement(statement_name)
-        table = catalog.schema.table(statement.table)
-        partitions = catalog.estimator.partitions_for(
-            table, statement, parameters, base_partition=base_partition
-        )
-        counter = counters.get(statement_name, 0)
-        counters[statement_name] = counter + 1
-        steps.append(PathStep(
-            statement=statement_name,
-            query_type=statement.query_type,
-            partitions=partitions,
-            previous=previous,
-            counter=counter,
-        ))
-        previous = previous.union(partitions)
-    return steps
-
-
-def steps_from_invocations(invocations: Sequence[QueryInvocation]) -> list[PathStep]:
-    """Convert already-executed invocations (with known partitions) to steps."""
-    steps: list[PathStep] = []
-    previous = PartitionSet.of([])
-    for invocation in invocations:
-        steps.append(PathStep(
-            statement=invocation.statement,
-            query_type=invocation.query_type,
-            partitions=invocation.partitions,
-            previous=previous,
-            counter=invocation.counter,
-        ))
-        previous = previous.union(invocation.partitions)
-    return steps
 
 
 class MarkovModelBuilder:
@@ -88,13 +43,24 @@ class MarkovModelBuilder:
         self.catalog = catalog
         self.precompute_tables = precompute_tables
         self._choose_base = base_partition_chooser or self._default_base_chooser
+        #: Per procedure name: the procedure and its statement table, statement
+        #: name -> ``(statement, table, query type)``.  Both are built on first
+        #: use and never invalidated: the catalog is immutable.
+        self._procedures: dict[str, tuple[StoredProcedure, dict[str, tuple]]] = {}
 
     # ------------------------------------------------------------------
     def build(self, trace: WorkloadTrace) -> dict[str, MarkovModel]:
         """Build models for every procedure present in ``trace``."""
         models: dict[str, MarkovModel] = {}
-        for procedure_name in trace.procedures:
-            models[procedure_name] = self.build_for_procedure(trace, procedure_name)
+        for record in trace:
+            model = models.get(record.procedure)
+            if model is None:
+                model = models[record.procedure] = MarkovModel(
+                    record.procedure, self.catalog.num_partitions
+                )
+            model.fold_path(self._path(record), record.aborted)
+        for model in models.values():
+            model.process(precompute_tables=self.precompute_tables)
         return models
 
     def build_for_procedure(
@@ -115,19 +81,54 @@ class MarkovModelBuilder:
                     f"record for {record.procedure!r} cannot extend model of "
                     f"{model.procedure!r}"
                 )
-            steps = self.steps_for_record(record)
-            model.add_path(steps, aborted=record.aborted)
+            model.fold_path(self._path(record), record.aborted)
             added += 1
         return added
 
     def steps_for_record(self, record: TransactionTraceRecord) -> list[PathStep]:
         """Compute the path steps (with partition estimates) for one record."""
-        procedure = self.catalog.procedure(record.procedure)
-        base_partition = self._choose_base(record)
-        queries = [(q.statement, q.parameters) for q in record.queries]
-        return steps_from_queries(self.catalog, procedure, queries, base_partition)
+        return [
+            PathStep(key.name, query_type, key.partitions, key.previous, key.counter)
+            for key, query_type in self._path(record)
+        ]
 
     # ------------------------------------------------------------------
+    def _path(self, record: TransactionTraceRecord) -> list[tuple[VertexKey, QueryType]]:
+        """The record's queries as interned ``(vertex key, query type)`` pairs.
+
+        Tracks the per-statement invocation counter and the accumulated
+        previously-accessed partition set, the two history components of the
+        vertex identity.
+        """
+        entry = self._procedures.get(record.procedure)
+        if entry is None:
+            entry = (self.catalog.procedure(record.procedure), {})
+            self._procedures[record.procedure] = entry
+        procedure, statements = entry
+        base_partition = self._choose_base(record)
+        partitions_for = self.catalog.estimator.partitions_for
+        query_key = VertexKey.query
+        counters: dict[str, int] = {}
+        previous = EMPTY_PARTITION_SET
+        path = []
+        for query in record.queries:
+            name = query.statement
+            resolved = statements.get(name)
+            if resolved is None:
+                statement = procedure.statement(name)
+                resolved = statements[name] = (
+                    statement, self.catalog.schema.table(statement.table), statement.query_type
+                )
+            statement, table, query_type = resolved
+            partitions = partitions_for(
+                table, statement, query.parameters, base_partition=base_partition
+            )
+            counter = counters.get(name, 0)
+            counters[name] = counter + 1
+            path.append((query_key(name, counter, partitions, previous), query_type))
+            previous = previous.union(partitions)
+        return path
+
     def _default_base_chooser(self, record: TransactionTraceRecord) -> PartitionId:
         """Home partition of the first scalar parameter (same as the recorder)."""
         for value in record.parameters:

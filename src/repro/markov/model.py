@@ -313,7 +313,9 @@ class MarkovModel:
         the edge set nor any ``edge.probability``: it only marks the source
         dirty, and the next :meth:`process` refreshes exactly the dirty set.
         """
-        targets = self._edges.setdefault(source, {})
+        targets = self._edges.get(source)
+        if targets is None:
+            targets = self._edges[source] = {}
         edge = targets.get(target)
         if edge is None:
             edge = Edge(source=source, target=target)
@@ -326,29 +328,32 @@ class MarkovModel:
             self._dirty.add(source)
         return edge
 
+    def fold_path(self, path: Iterable[tuple[VertexKey, QueryType]], aborted: bool) -> None:
+        """Fold one transaction's execution path into the model: ``path``
+        lists the ``(query key, query type)`` states between begin and the
+        commit/abort terminal."""
+        add_vertex, add_edge_visit = self._add_vertex, self._add_edge_visit
+        current = BEGIN_KEY
+        self._vertices[current].hits += 1
+        for key, query_type in path:
+            add_vertex(key, query_type).hits += 1
+            add_edge_visit(current, key)
+            current = key
+        terminal = ABORT_KEY if aborted else COMMIT_KEY
+        self._vertices[terminal].hits += 1
+        add_edge_visit(current, terminal)
+        self.transactions_observed += 1
+        self._processed = False
+
     def add_path(self, steps: Sequence[PathStep], aborted: bool) -> list[VertexKey]:
-        """Fold one transaction's execution path into the model.
+        """:meth:`fold_path` over :class:`PathStep` objects.
 
         Returns the list of vertex keys visited (begin ... terminal), which
         callers can reuse for accuracy bookkeeping.
         """
-        current = BEGIN_KEY
-        self._vertices[current].hits += 1
-        visited = [current]
-        for step in steps:
-            key = step.key()
-            vertex = self._add_vertex(key, step.query_type)
-            vertex.hits += 1
-            self._add_edge_visit(current, key)
-            visited.append(key)
-            current = key
-        terminal = ABORT_KEY if aborted else COMMIT_KEY
-        self._vertices[terminal].hits += 1
-        self._add_edge_visit(current, terminal)
-        visited.append(terminal)
-        self.transactions_observed += 1
-        self._processed = False
-        return visited
+        path = [(step.key(), step.query_type) for step in steps]
+        self.fold_path(path, aborted)
+        return [BEGIN_KEY, *(key for key, _ in path), ABORT_KEY if aborted else COMMIT_KEY]
 
     def add_placeholder(self, key: VertexKey, query_type: QueryType | None = None) -> Vertex:
         """Add a vertex for a state seen at run time but absent from the model.

@@ -29,11 +29,12 @@ class VertexKind(Enum):
         return self in (VertexKind.COMMIT, VertexKind.ABORT)
 
 
-#: The hash-consing table behind :meth:`VertexKey.query`: state fields ->
-#: weak reference to the one live key of that state.  Weak, because the table
-#: is process-global and must not pin the keys of discarded models: a key
-#: dies with the last model, estimate or maintenance tail that references
-#: it, and its entry goes with it.
+#: The hash-consing table behind :meth:`VertexKey.query`: state fields (the
+#: partition sets as their sorted tuples, which hash and compare in C and are
+#: equal exactly when the sets are) -> weak reference to the one live key of
+#: that state.  Weak, because the table is process-global and must not pin
+#: the keys of discarded models: a key dies with the last model, estimate or
+#: maintenance tail that references it, and its entry goes with it.
 _QUERY_KEYS: dict[tuple, weakref.KeyedRef] = {}
 
 
@@ -91,7 +92,7 @@ class VertexKey:
         previous: PartitionSet,
     ) -> "VertexKey":
         """The key of a query state (the only constructor of query keys)."""
-        probe = (name, counter, partitions, previous)
+        probe = (name, counter, partitions.partitions, previous.partitions)
         reference = _QUERY_KEYS.get(probe)
         key = reference() if reference is not None else None
         if key is None:

@@ -177,7 +177,9 @@ class WorkloadTrace:
                     continue
                 try:
                     records.append(TransactionTraceRecord.from_json(json.loads(line)))
-                except (json.JSONDecodeError, KeyError) as exc:
+                except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+                    # TypeError / AttributeError: valid JSON of the wrong
+                    # shape (``[1, 2]``, ``"queries": 5``, ``"queries": [5]``).
                     raise WorkloadError(f"malformed trace line {line_number}: {exc}") from exc
         return WorkloadTrace(records)
 

@@ -8,13 +8,12 @@ from repro.markov import (
     MarkovModelBuilder,
     build_models_from_trace,
     models_summary,
-    steps_from_invocations,
-    steps_from_queries,
     to_dot,
 )
 from repro.markov.vertex import VertexKind
-from repro.types import PartitionSet, ProcedureRequest, QueryInvocation, QueryType
+from repro.types import PartitionSet, ProcedureRequest, QueryType
 from repro.workload import TraceRecorder
+from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord
 
 
 @pytest.fixture
@@ -29,27 +28,30 @@ def account_trace(account_catalog, account_database):
     return recorder.record(requests)
 
 
-class TestStepConversion:
-    def test_steps_from_queries_tracks_history(self, account_catalog):
-        procedure = account_catalog.procedure("transfer")
-        steps = steps_from_queries(
-            account_catalog, procedure,
-            [("GetFrom", [0]), ("GetTo", [5]), ("Debit", [0, 90]), ("Credit", [5, 110])],
-            base_partition=0,
-        )
+def transfer_record(*queries) -> TransactionTraceRecord:
+    return TransactionTraceRecord(
+        0, "transfer", (0, 5, 10),
+        tuple(QueryTraceRecord(name, parameters) for name, parameters in queries),
+    )
+
+
+class TestStepsForRecord:
+    def test_steps_for_record_tracks_history(self, account_catalog):
+        builder = MarkovModelBuilder(account_catalog, base_partition_chooser=lambda record: 0)
+        steps = builder.steps_for_record(transfer_record(
+            ("GetFrom", (0,)), ("GetTo", (5,)), ("Debit", (0, 90)), ("Credit", (5, 110)),
+        ))
         assert [s.counter for s in steps] == [0, 0, 0, 0]
         assert steps[0].previous == PartitionSet.of([])
         assert steps[1].previous == PartitionSet.of([0])
         assert steps[2].previous == PartitionSet.of([0, 1])
         assert steps[3].query_type is QueryType.WRITE
 
-    def test_steps_from_invocations(self):
-        invocations = [
-            QueryInvocation("A", (1,), PartitionSet.of([0]), 0, QueryType.READ),
-            QueryInvocation("A", (2,), PartitionSet.of([1]), 1, QueryType.READ),
-        ]
-        steps = steps_from_invocations(invocations)
+    def test_steps_for_record_counts_repeated_statements(self, account_catalog):
+        builder = MarkovModelBuilder(account_catalog)
+        steps = builder.steps_for_record(transfer_record(("GetFrom", (0,)), ("GetFrom", (5,))))
         assert steps[1].previous == PartitionSet.of([0])
+        assert steps[1].partitions == PartitionSet.of([1])
         assert steps[1].counter == 1
 
 

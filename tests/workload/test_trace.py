@@ -64,6 +64,20 @@ class TestSerialization:
         with pytest.raises(WorkloadError):
             WorkloadTrace.load(path)
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        "5",
+        '{"txn_id": 1, "procedure": "p", "parameters": [], "queries": 5}',
+        '{"txn_id": 1, "procedure": "p", "parameters": [], "queries": [5]}',
+    ])
+    def test_json_of_the_wrong_shape_raises_workload_error(self, tmp_path, line):
+        trace = WorkloadTrace([make_record(1)])
+        path = tmp_path / "trace.jsonl"
+        trace.save(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(WorkloadError, match="malformed trace line 2: "):
+            WorkloadTrace.load(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         trace = WorkloadTrace([make_record(1)])
         path = tmp_path / "trace.jsonl"
