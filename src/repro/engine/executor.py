@@ -61,12 +61,10 @@ class Step:
     #: ``_update`` / ``_delete``.
     write: Callable[..., int] | None = None
     #: UPDATE: ``(column, kind, payload)`` assignments, the parameters they
-    #: need, whether any is additive, and (DELETE too) whether the write
-    #: edits the key bucket the rows were found by.
+    #: need, and whether any is additive.
     set_plan: tuple[tuple[str, int, Any], ...] = ()
     set_arity: int = 0
     set_has_deltas: bool = False
-    rekeys: bool = False
     #: INSERT: one ``(name, is_param, payload, exact_types, column)`` entry
     #: per table column, in table order, defaults filled in.  A statement
     #: naming an unknown column, or omitting a required one, keeps the
@@ -138,10 +136,8 @@ class StatementExecutor:
             step.set_plan, set_max_param = statement.set_plan
             step.set_arity = set_max_param + 1
             step.set_has_deltas = any(kind == BIND_DELTA for _, kind, _ in step.set_plan)
-            step.rekeys = any(column in primary_key for column, _, _ in step.set_plan)
         elif operation is Operation.DELETE:
             step.write = _delete
-            step.rekeys = True
         return step
 
     @staticmethod
@@ -241,10 +237,8 @@ def _matching_row_ids(step: Step, parameters: Sequence[Any], heap: RowHeap) -> S
         key = key_of(parameters)
         if step.key_is_scalar:
             key = (key,)
-        bucket = heap.pk_row_ids(key)
-        # A mutation that re-keys or removes the row edits the live
-        # bucket: iterate a copy.
-        return list(bucket) if step.rekeys else bucket
+        # Immutable: the write may re-key or remove the row it iterates.
+        return heap.pk_row_ids(key)
     return heap.find(step.statement.bind_where(parameters))
 
 

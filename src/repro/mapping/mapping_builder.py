@@ -143,13 +143,12 @@ def _count(
         shape = tuple([len(v) if isinstance(v, _ARRAY) else _SCALAR for v in parameters])
         tables = _index(parameters)
         counters: dict[str, int] = {}
-        for query in record.queries:
-            statement = query.statement
+        for statement, query_parameters, _ in record.queries:
             counter = counters.get(statement, 0)
             counters[statement] = counter + 1
             table = tables[counter] if counter < len(tables) else tables[-1]
             slots = []
-            for query_index, value in enumerate(query.parameters):
+            for query_index, value in enumerate(query_parameters):
                 if isinstance(value, _ARRAY):
                     continue
                 slots.append(query_index)

@@ -111,8 +111,7 @@ class MarkovModelBuilder:
         counters: dict[str, int] = {}
         previous = EMPTY_PARTITION_SET
         path = []
-        for query in record.queries:
-            name = query.statement
+        for name, parameters, _ in record.queries:
             resolved = statements.get(name)
             if resolved is None:
                 statement = procedure.statement(name)
@@ -121,7 +120,7 @@ class MarkovModelBuilder:
                 )
             statement, table, query_type = resolved
             partitions = partitions_for(
-                table, statement, query.parameters, base_partition=base_partition
+                table, statement, parameters, base_partition=base_partition
             )
             counter = counters.get(name, 0)
             counters[name] = counter + 1

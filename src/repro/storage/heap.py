@@ -12,10 +12,13 @@ from typing import Any, Callable, Iterator
 
 from ..errors import DuplicateKeyError, StorageError
 from ..catalog.table import Table
-from .indexes import HashIndex
+from .indexes import HashIndex, UniqueIndex
 
 #: Shared empty row list for primary-key misses.
 _NO_ROWS: list = []
+
+#: Either index kind; both offer the same maintenance and lookup methods.
+Index = HashIndex | UniqueIndex
 
 
 class RowHeap:
@@ -25,12 +28,13 @@ class RowHeap:
         self.table = table
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_row_id = 0
-        self._primary: HashIndex | None = None
+        self._primary: UniqueIndex | None = None
         if table.primary_key:
-            self._primary = HashIndex(tuple(table.primary_key), unique=True)
-        self._secondary: dict[str, HashIndex] = {}
+            self._primary = UniqueIndex(tuple(table.primary_key))
+        self._secondary: dict[str, Index] = {}
         for index in table.secondary_indexes:
-            self._secondary[index.name] = HashIndex(tuple(index.columns), unique=index.unique)
+            kind = UniqueIndex if index.unique else HashIndex
+            self._secondary[index.name] = kind(tuple(index.columns))
         #: Non-unique indexes over proper prefixes of the primary key, built
         #: lazily the first time a predicate covers that prefix (OLTP code
         #: like TPC-C's ORDER_LINE or TATP's CALL_FORWARDING constantly looks
@@ -40,14 +44,14 @@ class RowHeap:
         #: Precomputed column sets consulted on every ``find``.
         self._pk_columns: tuple[str, ...] = tuple(table.primary_key or ())
         self._pk_set: frozenset[str] = frozenset(self._pk_columns)
-        self._secondary_sets: tuple[tuple[HashIndex, frozenset[str]], ...] = tuple(
+        self._secondary_sets: tuple[tuple[Index, frozenset[str]], ...] = tuple(
             (index, frozenset(index.columns)) for index in self._secondary.values()
         )
         #: Every index every mutation maintains — primary first, then the
         #: secondaries, then prefix indexes as they get built — and every
         #: column one of them covers (prefix indexes cover primary-key
         #: columns only): an update assigning none of those moves no entry.
-        self._indexes: list[HashIndex] = [
+        self._indexes: list[Index] = [
             *([self._primary] if self._primary is not None else ()), *self._secondary.values()
         ]
         self._indexed_columns: frozenset[str] = self._pk_set.union(
@@ -84,11 +88,10 @@ class RowHeap:
     # ------------------------------------------------------------------
     # Primary-key fast path (the executor's compiled steps)
     # ------------------------------------------------------------------
-    def pk_row_ids(self, key: tuple[Any, ...]) -> list[int]:
-        """Row ids carrying an exact primary-key tuple.
+    def pk_row_ids(self, key: tuple[Any, ...]) -> tuple[int, ...]:
+        """Row ids carrying an exact primary-key tuple: ``(row_id,)`` or ``()``.
 
-        Returns the live index bucket (possibly a shared empty list):
-        callers that mutate the heap while iterating must copy it first.
+        Immutable, so callers may update or delete the rows while iterating.
         """
         if self._primary is None:
             raise StorageError(f"table {self.table.name!r} has no primary key")
@@ -98,11 +101,8 @@ class RowHeap:
         """Live row dicts for an exact primary-key tuple (read-only)."""
         if self._primary is None:
             raise StorageError(f"table {self.table.name!r} has no primary key")
-        bucket = self._primary.lookup_readonly(key)
-        if not bucket:
-            return _NO_ROWS
-        # The primary index is unique: a hit is exactly one row.
-        return [self._rows[bucket[0]]]
+        row_id = self._primary.get(key)
+        return _NO_ROWS if row_id is None else [self._rows[row_id]]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -135,13 +135,20 @@ class RowHeap:
         return row_id
 
     def insert_raw(self, row: dict[str, Any], row_id: int) -> None:
-        """Re-insert a previously deleted row under its original id (undo)."""
+        """Re-insert a previously deleted row under its original id (undo).
+
+        Like :meth:`insert`, every unique index is consulted first: a rejected
+        re-insert leaves the heap untouched.
+        """
         if row_id in self._rows:
             raise StorageError(f"row id {row_id} already present")
+        keys = [index.key_of(row) for index in self._indexes]
+        for index, key in zip(self._indexes, keys):
+            index.check_unique(key)
         self._rows[row_id] = dict(row)
         self._next_row_id = max(self._next_row_id, row_id + 1)
-        for index in self._indexes:
-            index.insert(index.key_of(row), row_id)
+        for index, key in zip(self._indexes, keys):
+            index.insert(key, row_id)
 
     def update(
         self,
@@ -182,7 +189,7 @@ class RowHeap:
 
     def _index_moves(
         self, current: dict[str, Any], assignments: dict[str, Any]
-    ) -> list[tuple[HashIndex, tuple, tuple]]:
+    ) -> list[tuple[Index, tuple, tuple]]:
         """``(index, old key, new key)`` for each index entry the assignments move."""
         updated = {**current, **assignments}
         moves = []

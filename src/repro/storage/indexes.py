@@ -1,39 +1,34 @@
-"""In-memory index structures for the row store.
+"""In-memory hash indexes for the row store.
 
-Two index kinds are provided:
+Every index serves equality lookups (the common case for OLTP index look-ups
+the paper assumes; "transactions touch a small subset of data using index
+look-ups") from key tuples to row ids within a
+:class:`~repro.storage.heap.RowHeap`; ORDER BY and LIMIT are applied to the
+matched rows.  Two kinds are provided:
 
-* :class:`HashIndex` — equality lookups (the common case for OLTP index
-  look-ups the paper assumes; "transactions touch a small subset of data
-  using index look-ups").
-* :class:`OrderedIndex` — a sorted-key index used for the handful of range /
-  "latest N" access patterns in the benchmarks (e.g. TPC-C StockLevel and
-  OrderStatus).
-
-Indexes map key tuples to lists of row ids within a
-:class:`~repro.storage.heap.RowHeap`.
+* :class:`UniqueIndex` — primary keys and unique secondary indexes.  Each
+  key maps straight to its one row id, so the index holds only keys and ints:
+  nothing the cycle collector has to scan.
+* :class:`HashIndex` — non-unique secondary indexes and the heap's lazily
+  built primary-key prefix indexes.  Each key maps to a list of row ids.
 """
 
 from __future__ import annotations
 
-import bisect
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..errors import StorageError
 
-#: Shared empty bucket returned by read-only misses.
-_EMPTY_BUCKET: list[int] = []
 
+class _Index:
+    """Key extraction shared by both index kinds."""
 
-class HashIndex:
-    """A (possibly non-unique) hash index from key tuples to row ids."""
-
-    def __init__(self, columns: tuple[str, ...], unique: bool = False) -> None:
+    def __init__(self, columns: tuple[str, ...]) -> None:
         if not columns:
             raise StorageError("index requires at least one column")
         self.columns = columns
-        self.unique = unique
-        self._entries: dict[tuple[Any, ...], list[int]] = {}
+        self._entries: dict[tuple[Any, ...], Any] = {}
         self._values_of = itemgetter(*columns)
         self._single_column = len(columns) == 1
 
@@ -42,28 +37,76 @@ class HashIndex:
         # itemgetter of one column returns the bare value, not a 1-tuple.
         return (values,) if self._single_column else values
 
+    def contains(self, key: tuple[Any, ...]) -> bool:
+        return key in self._entries
+
+    def keys(self) -> Iterator[tuple[Any, ...]]:
+        return iter(self._entries)
+
+    def _missing(self, key: tuple[Any, ...], row_id: int) -> StorageError:
+        return StorageError(f"row {row_id} not present for key {key!r}")
+
+
+class UniqueIndex(_Index):
+    """A unique hash index: each key maps to the one row id carrying it."""
+
     def check_unique(self, key: tuple[Any, ...]) -> None:
         """Raise if storing one more row under ``key`` would break uniqueness.
 
         The heap asks every index *before* its first mutation, so a rejected
         insert or update leaves rows and indexes exactly as they were.
         """
-        if self.unique and key in self._entries:
+        if key in self._entries:
             raise self._violation(key)
 
     def _violation(self, key: tuple[Any, ...]) -> StorageError:
         return StorageError(f"unique index violation on {self.columns}: {key!r}")
 
     def insert(self, key: tuple[Any, ...], row_id: int) -> None:
-        bucket = self._entries.setdefault(key, [])
-        if self.unique and bucket:
+        if key in self._entries:
             raise self._violation(key)
-        bucket.append(row_id)
+        self._entries[key] = row_id
+
+    def remove(self, key: tuple[Any, ...], row_id: int) -> None:
+        if self._entries.get(key) != row_id:
+            raise self._missing(key, row_id)
+        del self._entries[key]
+
+    def get(self, key: tuple[Any, ...]) -> int | None:
+        """The row id stored under ``key``, or ``None``."""
+        return self._entries.get(key)
+
+    def lookup(self, key: tuple[Any, ...]) -> list[int]:
+        row_id = self._entries.get(key)
+        return [] if row_id is None else [row_id]
+
+    def lookup_readonly(self, key: tuple[Any, ...]) -> tuple[int, ...]:
+        """``(row_id,)`` or ``()``: immutable, so safe to hold across writes."""
+        row_id = self._entries.get(key)
+        return () if row_id is None else (row_id,)
+
+    def items(self) -> Iterator[tuple[tuple[Any, ...], tuple[int, ...]]]:
+        """``(key, row ids)`` per key, in insertion order."""
+        for key, row_id in self._entries.items():
+            yield key, (row_id,)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class HashIndex(_Index):
+    """A non-unique hash index from key tuples to lists of row ids."""
+
+    def check_unique(self, key: tuple[Any, ...]) -> None:
+        """A non-unique index admits every key."""
+
+    def insert(self, key: tuple[Any, ...], row_id: int) -> None:
+        self._entries.setdefault(key, []).append(row_id)
 
     def remove(self, key: tuple[Any, ...], row_id: int) -> None:
         bucket = self._entries.get(key)
         if not bucket or row_id not in bucket:
-            raise StorageError(f"row {row_id} not present for key {key!r}")
+            raise self._missing(key, row_id)
         bucket.remove(row_id)
         if not bucket:
             del self._entries[key]
@@ -71,81 +114,17 @@ class HashIndex:
     def lookup(self, key: tuple[Any, ...]) -> list[int]:
         return list(self._entries.get(key, ()))
 
-    def lookup_readonly(self, key: tuple[Any, ...]):
+    def lookup_readonly(self, key: tuple[Any, ...]) -> Sequence[int]:
         """Bucket for ``key`` without the defensive copy.
 
         The returned sequence is live index state — callers must not mutate
         it or the heap while holding it (the read-only SELECT path).
         """
-        return self._entries.get(key, _EMPTY_BUCKET)
+        return self._entries.get(key, ())
 
-    def contains(self, key: tuple[Any, ...]) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
-
-    def keys(self) -> Iterator[tuple[Any, ...]]:
-        return iter(self._entries)
-
-
-class OrderedIndex:
-    """A sorted-key index supporting range scans.
-
-    Keys are kept in a sorted list; each key maps to the row ids carrying it.
-    This is a simple reproduction of a B-tree's leaf level, adequate for the
-    small per-partition data volumes of the benchmarks.
-    """
-
-    def __init__(self, columns: tuple[str, ...]) -> None:
-        if not columns:
-            raise StorageError("index requires at least one column")
-        self.columns = columns
-        self._keys: list[tuple[Any, ...]] = []
-        self._entries: dict[tuple[Any, ...], list[int]] = {}
-
-    def key_of(self, row: dict[str, Any]) -> tuple[Any, ...]:
-        return tuple(row[c] for c in self.columns)
-
-    def insert(self, key: tuple[Any, ...], row_id: int) -> None:
-        if key not in self._entries:
-            bisect.insort(self._keys, key)
-            self._entries[key] = []
-        self._entries[key].append(row_id)
-
-    def remove(self, key: tuple[Any, ...], row_id: int) -> None:
-        bucket = self._entries.get(key)
-        if not bucket or row_id not in bucket:
-            raise StorageError(f"row {row_id} not present for key {key!r}")
-        bucket.remove(row_id)
-        if not bucket:
-            del self._entries[key]
-            index = bisect.bisect_left(self._keys, key)
-            if index < len(self._keys) and self._keys[index] == key:
-                del self._keys[index]
-
-    def lookup(self, key: tuple[Any, ...]) -> list[int]:
-        return list(self._entries.get(key, ()))
-
-    def lookup_readonly(self, key: tuple[Any, ...]):
-        """Bucket for ``key`` without the defensive copy (read-only use)."""
-        return self._entries.get(key, _EMPTY_BUCKET)
-
-    def range(
-        self,
-        low: tuple[Any, ...] | None = None,
-        high: tuple[Any, ...] | None = None,
-        *,
-        reverse: bool = False,
-    ) -> Iterator[int]:
-        """Yield row ids whose keys fall in ``[low, high]`` (inclusive)."""
-        start = 0 if low is None else bisect.bisect_left(self._keys, low)
-        stop = len(self._keys) if high is None else bisect.bisect_right(self._keys, high)
-        selected: Iterable[tuple[Any, ...]] = self._keys[start:stop]
-        if reverse:
-            selected = reversed(list(selected))
-        for key in selected:
-            yield from self._entries[key]
+    def items(self) -> Iterator[tuple[tuple[Any, ...], list[int]]]:
+        """``(key, live bucket)`` per key, in insertion order."""
+        return iter(self._entries.items())
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())

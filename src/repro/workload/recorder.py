@@ -6,6 +6,11 @@ reproduction of the paper's "sample workload trace ... collected over a
 simulated one hour period": the control code runs for real, so loops,
 conditionals and user aborts all show up in the trace exactly as they would
 in production.
+
+Each executed query is recorded as the plain ``(statement, parameters,
+partitions)`` tuple :class:`~repro.workload.trace.TransactionTraceRecord`
+holds, built directly rather than through a named type: a recorded trace is
+then nothing the cycle collector keeps rescanning.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from ..engine.engine import AttemptOutcome, ExecutionEngine
 from ..errors import WorkloadError
 from ..storage.partition_store import Database
 from ..types import PartitionId, ProcedureRequest
-from .trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
+from .trace import TransactionTraceRecord, WorkloadTrace
 
 #: Chooses the base partition used while recording a request.
 BasePartitionChooser = Callable[[ProcedureRequest], PartitionId]
@@ -87,14 +92,15 @@ class TraceRecorder:
             locked_partitions=None,
             undo_enabled=True,
         )
-        queries = tuple(
-            QueryTraceRecord(
-                statement=invocation.statement,
-                parameters=invocation.parameters,
-                partitions=tuple(invocation.partitions) if self.embed_partitions else None,
+        embed = self.embed_partitions
+        queries = tuple([
+            (
+                invocation.statement,
+                invocation.parameters,
+                tuple(invocation.partitions) if embed else None,
             )
             for invocation in attempt.invocations
-        )
+        ])
         return TransactionTraceRecord(
             txn_id=txn_id,
             procedure=request.procedure,

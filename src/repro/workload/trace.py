@@ -9,6 +9,12 @@ re-estimated with the DBMS's internal API whenever the partitioning scheme
 changes, and the model builder here does exactly that.  (The recorder can
 optionally embed the observed partitions for debugging.)
 
+Each query is held as a plain ``(statement, parameters, partitions)`` tuple
+and read by position.  A trace is the bulk of what set-up leaves in memory
+(about 25 queries per TPC-C transaction), and CPython stops tracking an
+exact tuple of atomic values, so the cycle collector never rescans them;
+a named tuple or dataclass instance would stay tracked.
+
 Traces serialize to JSON-lines so they can be saved, inspected and reloaded.
 """
 
@@ -17,38 +23,30 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import WorkloadError
 
 
-@dataclass(frozen=True)
-class QueryTraceRecord:
-    """One query invocation inside a traced transaction."""
+class QueryTraceRecord(NamedTuple):
+    """One query invocation inside a traced transaction, for building by hand.
+
+    A :class:`TransactionTraceRecord` stores it as the plain tuple of the
+    same three fields.
+    """
 
     statement: str
     parameters: tuple
     partitions: tuple[int, ...] | None = None
 
-    def to_json(self) -> dict:
-        payload: dict = {"statement": self.statement, "parameters": _jsonable(self.parameters)}
-        if self.partitions is not None:
-            payload["partitions"] = list(self.partitions)
-        return payload
-
-    @staticmethod
-    def from_json(payload: dict) -> "QueryTraceRecord":
-        partitions = payload.get("partitions")
-        return QueryTraceRecord(
-            statement=payload["statement"],
-            parameters=_detuple(payload["parameters"]),
-            partitions=tuple(partitions) if partitions is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class TransactionTraceRecord:
     """One traced transaction: procedure inputs plus the executed queries.
+
+    ``queries`` holds plain ``(statement, parameters, partitions)`` tuples;
+    one given as a :class:`QueryTraceRecord` (or any other sequence) is
+    converted on construction.
 
     ``at_ms`` optionally records the transaction's submission timestamp
     relative to the start of the trace.  The recorder stamps it when the
@@ -61,20 +59,31 @@ class TransactionTraceRecord:
     txn_id: int
     procedure: str
     parameters: tuple
-    queries: tuple[QueryTraceRecord, ...]
+    queries: tuple[tuple, ...]
     aborted: bool = False
     at_ms: float | None = None
+
+    def __post_init__(self) -> None:
+        # ``tuple(query)`` returns an exact tuple itself: recorded and loaded
+        # queries pass through, hand-built ones share their representation.
+        object.__setattr__(self, "queries", tuple([tuple(query) for query in self.queries]))
 
     @property
     def query_count(self) -> int:
         return len(self.queries)
 
     def to_json(self) -> dict:
+        queries = []
+        for statement, parameters, partitions in self.queries:
+            query: dict = {"statement": statement, "parameters": _jsonable(parameters)}
+            if partitions is not None:
+                query["partitions"] = list(partitions)
+            queries.append(query)
         payload = {
             "txn_id": self.txn_id,
             "procedure": self.procedure,
             "parameters": _jsonable(self.parameters),
-            "queries": [q.to_json() for q in self.queries],
+            "queries": queries,
             "aborted": self.aborted,
         }
         if self.at_ms is not None:
@@ -83,11 +92,19 @@ class TransactionTraceRecord:
 
     @staticmethod
     def from_json(payload: dict) -> "TransactionTraceRecord":
+        queries = []
+        for query in payload["queries"]:
+            partitions = query.get("partitions")
+            queries.append((
+                query["statement"],
+                _detuple(query["parameters"]),
+                tuple(partitions) if partitions is not None else None,
+            ))
         return TransactionTraceRecord(
             txn_id=payload["txn_id"],
             procedure=payload["procedure"],
             parameters=_detuple(payload["parameters"]),
-            queries=tuple(QueryTraceRecord.from_json(q) for q in payload["queries"]),
+            queries=queries,
             aborted=payload.get("aborted", False),
             at_ms=payload.get("at_ms"),
         )

@@ -102,14 +102,14 @@ class PairwiseMappingBuilder:
         array_pairs,
     ) -> None:
         counters: dict[str, int] = defaultdict(int)
-        for query in record.queries:
-            counter = counters[query.statement]
-            counters[query.statement] += 1
-            for query_index, query_value in enumerate(query.parameters):
+        for statement, query_parameters, _ in record.queries:
+            counter = counters[statement]
+            counters[statement] += 1
+            for query_index, query_value in enumerate(query_parameters):
                 if isinstance(query_value, (list, tuple)):
                     continue
                 for proc_index, proc_value in enumerate(record.parameters):
-                    key = (query.statement, query_index, proc_index)
+                    key = (statement, query_index, proc_index)
                     if isinstance(proc_value, (list, tuple)):
                         # Array procedure parameter: compare this invocation's
                         # value against the element aligned with its counter.

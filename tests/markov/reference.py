@@ -127,7 +127,7 @@ class StepListModelBuilder:
         """Compute the path steps (with partition estimates) for one record."""
         procedure = self.catalog.procedure(record.procedure)
         base_partition = self._default_base_chooser(record)
-        queries = [(q.statement, q.parameters) for q in record.queries]
+        queries = [(statement, parameters) for statement, parameters, _ in record.queries]
         return steps_from_queries(self.catalog, procedure, queries, base_partition)
 
     def _default_base_chooser(self, record: TransactionTraceRecord) -> PartitionId:

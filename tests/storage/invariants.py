@@ -9,7 +9,7 @@ def heap_state(heap) -> tuple:
         heap._next_row_id,
         dict(heap._rows),
         [
-            (index.columns, {key: list(bucket) for key, bucket in index._entries.items()})
+            (index.columns, {key: list(row_ids) for key, row_ids in index.items()})
             for index in heap._indexes
         ],
     )

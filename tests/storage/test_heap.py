@@ -94,6 +94,20 @@ class TestUniqueIndexViolationIsAllOrNothing:
             heap.update(row_id, {"S_ID": 1, "SUB_NBR": "fresh"})
         self.assert_untouched(heap, before)
 
+    def test_rejected_raw_reinsert_changes_nothing(self):
+        heap = make_subscriber_heap()
+        (row_id,) = heap.find({"S_ID": 2})
+        image = heap.delete(row_id)
+        heap.insert({"S_ID": 7, "SUB_NBR": "nbr-2", "VLR_LOCATION": 0})
+        before = heap_state(heap)
+        # The secondary key was taken again; the primary key is free.
+        with pytest.raises(StorageError, match="unique index violation"):
+            heap.insert_raw(image, row_id)
+        assert heap_state(heap) == before
+        assert len(heap) == 3
+        assert heap.pk_rows((2,)) == []
+        assert_indexes_match_scan(heap)
+
     def test_update_keeping_its_own_unique_key_is_not_a_violation(self):
         heap = make_subscriber_heap()
         (row_id,) = heap.find({"S_ID": 2})

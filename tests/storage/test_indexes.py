@@ -1,9 +1,9 @@
-"""Tests for hash and ordered indexes."""
+"""Tests for unique and non-unique hash indexes."""
 
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import HashIndex, OrderedIndex
+from repro.storage import HashIndex, UniqueIndex
 
 
 class TestHashIndex:
@@ -14,12 +14,6 @@ class TestHashIndex:
         assert sorted(index.lookup((1,))) == [10, 11]
         assert index.lookup((2,)) == []
         assert len(index) == 2
-
-    def test_unique_violation(self):
-        index = HashIndex(("a",), unique=True)
-        index.insert((1,), 10)
-        with pytest.raises(StorageError):
-            index.insert((1,), 11)
 
     def test_remove(self):
         index = HashIndex(("a",))
@@ -38,31 +32,35 @@ class TestHashIndex:
             HashIndex(())
 
 
-class TestOrderedIndex:
-    def test_range_scan_inclusive(self):
-        index = OrderedIndex(("k",))
-        for key, row_id in [((5,), 50), ((1,), 10), ((3,), 30)]:
-            index.insert(key, row_id)
-        assert list(index.range((1,), (3,))) == [10, 30]
-        assert list(index.range()) == [10, 30, 50]
-        assert list(index.range(reverse=True)) == [50, 30, 10]
-
-    def test_remove_cleans_up_keys(self):
-        index = OrderedIndex(("k",))
+class TestUniqueIndex:
+    def test_unique_violation(self):
+        index = UniqueIndex(("a",))
         index.insert((1,), 10)
-        index.insert((1,), 11)
+        with pytest.raises(StorageError, match="unique index violation"):
+            index.insert((1,), 11)
+        with pytest.raises(StorageError, match="unique index violation"):
+            index.check_unique((1,))
+        assert index.get((1,)) == 10
+
+    def test_lookups(self):
+        index = UniqueIndex(("a",))
+        index.insert((1,), 10)
+        assert index.get((1,)) == 10 and index.get((2,)) is None
+        assert index.lookup((1,)) == [10] and index.lookup((2,)) == []
+        assert index.lookup_readonly((1,)) == (10,) and index.lookup_readonly((2,)) == ()
+        assert list(index.items()) == [((1,), (10,))]
+        assert len(index) == 1
+
+    def test_remove_checks_the_row_id(self):
+        index = UniqueIndex(("a",))
+        index.insert((1,), 10)
+        with pytest.raises(StorageError, match="row 11 not present"):
+            index.remove((1,), 11)
         index.remove((1,), 10)
-        assert index.lookup((1,)) == [11]
-        index.remove((1,), 11)
-        assert list(index.range()) == []
-
-    def test_remove_missing_raises(self):
-        index = OrderedIndex(("k",))
+        assert not index.contains((1,))
         with pytest.raises(StorageError):
-            index.remove((1,), 1)
+            index.remove((1,), 10)
 
-    def test_len_counts_entries(self):
-        index = OrderedIndex(("k",))
-        index.insert((1,), 1)
-        index.insert((2,), 2)
-        assert len(index) == 2
+    def test_requires_columns(self):
+        with pytest.raises(StorageError):
+            UniqueIndex(())

@@ -9,7 +9,7 @@ class TestTraceRecorder:
         recorder = TraceRecorder(account_catalog, account_database)
         record = recorder.record_one(ProcedureRequest.of("transfer", (4, 5, 10)))
         assert record.procedure == "transfer"
-        assert [q.statement for q in record.queries] == ["GetFrom", "GetTo", "Debit", "Credit"]
+        assert [q[0] for q in record.queries] == ["GetFrom", "GetTo", "Debit", "Credit"]
         assert not record.aborted
 
     def test_records_user_abort(self, account_catalog, account_database):
@@ -20,8 +20,8 @@ class TestTraceRecorder:
     def test_embed_partitions_option(self, account_catalog, account_database):
         recorder = TraceRecorder(account_catalog, account_database, embed_partitions=True)
         record = recorder.record_one(ProcedureRequest.of("transfer", (4, 5, 10)))
-        assert record.queries[0].partitions == (0,)
-        assert record.queries[1].partitions == (1,)
+        assert record.queries[0] == ("GetFrom", (4,), (0,))
+        assert record.queries[1] == ("GetTo", (5,), (1,))
 
     def test_txn_ids_increment_across_requests(self, account_catalog, account_database):
         recorder = TraceRecorder(account_catalog, account_database)

@@ -55,8 +55,16 @@ class TestSerialization:
         loaded = WorkloadTrace.load(path)
         assert len(loaded) == 2
         assert loaded[0].parameters == (1, "x", (2, 3))
-        assert loaded[0].queries[1].partitions == (0, 1)
+        assert loaded[0].queries[1] == ("Q2", (1, "x"), (0, 1))
         assert loaded[1].aborted
+        assert loaded.records == trace.records
+
+    def test_queries_are_plain_tuples_however_built(self):
+        record = make_record()
+        assert all(type(query) is tuple for query in record.queries)
+        assert record.queries[0] == ("Q1", (1,), None)
+        listed = TransactionTraceRecord(1, "p", (), [["Q1", (1,), None]])
+        assert listed.queries == (("Q1", (1,), None),)
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
