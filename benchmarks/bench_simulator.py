@@ -143,102 +143,6 @@ def test_simulator_throughput_tracking(scale, save_result):
 
 
 # ----------------------------------------------------------------------
-# Sharded execution backend: inline vs worker-process dispatch
-# ----------------------------------------------------------------------
-SHARDED_TXNS = {"tatp": 5000, "tpcc": 1500}
-SHARDED_WORKERS = 2
-
-
-def _backend_round(benchmark_name: str, backend: str):
-    """One fresh-artifacts run; returns (wall rate, result dict, stats)."""
-    session = Cluster.open(ClusterSpec(
-        benchmark=benchmark_name,
-        num_partitions=PARTITIONS,
-        trace_transactions=1500,
-        learning=False,
-        execution_backend=backend,
-        num_workers=SHARDED_WORKERS,
-    ))
-    txns = SHARDED_TXNS[benchmark_name]
-    gc.collect()
-    gc.disable()
-    started = time.perf_counter()
-    result = session.run_for(txns=txns)
-    elapsed = time.perf_counter() - started
-    gc.enable()
-    backend_obj = session.simulator._backend
-    stats = dict(backend_obj.stats) if backend_obj is not None else {}
-    session.close()
-    return txns / elapsed, result.to_dict(), stats
-
-
-def test_sharded_backend_comparison(save_result):
-    """Interleaved inline-vs-sharded comparison, plus the byte-equality
-    contract asserted on every round.
-
-    Wall time here is ``perf_counter`` — ``process_time`` would exclude
-    the worker processes' CPU entirely and flatter the sharded side.  The
-    backends alternate within one session so machine-state drift cancels.
-
-    The sharded backend is a determinism and fault-handling harness: every
-    dispatched attempt is a synchronous round trip to a worker, so its wall
-    rate is below inline *by design* and no ratio is asserted.  What is
-    enforced is byte-identical simulated results and that workers ran.
-    """
-    rows, lines = {}, []
-    for benchmark_name in SHARDED_TXNS:
-        rates = {"inline": 0.0, "sharded": 0.0}
-        reports: dict = {}
-        stats: dict = {}
-        for _ in range(ROUNDS):
-            for backend in rates:
-                rate, report, round_stats = _backend_round(benchmark_name, backend)
-                rates[backend] = max(rates[backend], rate)
-                if backend in reports:
-                    assert report == reports[backend], "non-deterministic round"
-                reports[backend] = report
-                if backend == "sharded":
-                    stats = round_stats
-        assert reports["sharded"] == reports["inline"], (
-            "sharded backend diverged from inline simulated results"
-        )
-        assert stats.get("dispatched", 0) > 0, "dispatch path never engaged"
-        ratio = rates["sharded"] / rates["inline"]
-        rows[benchmark_name] = {
-            "transactions": SHARDED_TXNS[benchmark_name],
-            "inline_wall_txns_per_sec": round(rates["inline"], 1),
-            "sharded_wall_txns_per_sec": round(rates["sharded"], 1),
-            "sharded_over_inline": round(ratio, 2),
-            **{key: stats[key] for key in ("dispatched", "accepted", "rejected", "local")},
-        }
-        lines.append(
-            f"  {benchmark_name}: inline {rates['inline']:,.0f}, sharded "
-            f"{rates['sharded']:,.0f} txns/s wall ({ratio:.2f}x); attempts dispatched "
-            f"{stats['dispatched']}, rejected {stats['rejected']}, local {stats['local']}"
-        )
-    cores = os.cpu_count() or 1
-    _merge_sections(sharded_backend={
-        "protocol": f"TATP and TPC-C at {PARTITIONS} partitions, {SHARDED_WORKERS} "
-        "workers, fresh artifacts per round (trace 1500, seed 0, "
-        "learning=False), interleaved inline/sharded rounds, best of "
-        f"{ROUNDS} per side, wall time (perf_counter; worker CPU lives in other "
-        "processes), GC paused; SimulationResult.to_dict() equality asserted "
-        "every round",
-        "host_cpu_cores": cores,
-        **rows,
-        "note": "The ratio is below 1 by design: the backend is a determinism "
-        "and fault-handling harness (inline == sharded bytes, named errors "
-        "on worker death), and every dispatched attempt is a synchronous "
-        "pipe round trip. Counters are attempts, not transactions.",
-    })
-    save_result(
-        "sharded_backend",
-        f"Sharded execution backend ({PARTITIONS} partitions, {SHARDED_WORKERS} "
-        f"workers, {cores}-core host); simulated results byte-equal\n" + "\n".join(lines),
-    )
-
-
-# ----------------------------------------------------------------------
 # Scale mode: vectorized arrivals, chunked consumption, 1M-user overload
 # ----------------------------------------------------------------------
 def test_arrival_generation_micro(save_result):

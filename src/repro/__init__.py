@@ -26,19 +26,11 @@ off-line stage (Fig. 6) is :func:`repro.session.train`; ``Cluster.open``
 runs it for you unless pre-trained ``artifacts=`` are passed.
 """
 
-from .advisor import AdvisorReport, AdvisorThresholds, Recommendation, RecommendationKind, WorkloadAdvisor
 from .artifacts import ArtifactBundle, ArtifactError
 from .benchmarks import available_benchmarks, get_benchmark
 from .catalog import Catalog, PartitionScheme, Schema, StoredProcedure
 from .errors import ReproError
-from .houdini import (
-    EstimateCache,
-    GlobalModelProvider,
-    Houdini,
-    HoudiniConfig,
-    PrefetchAdvisor,
-    PrefetchPlan,
-)
+from .houdini import EstimateCache, GlobalModelProvider, Houdini, HoudiniConfig
 from .mapping import ParameterMappingSet, build_parameter_mappings
 from .markov import MarkovModel, MarkovModelBuilder, build_models_from_trace
 from .modelpart import ModelPartitioner, PartitionedModelProvider, PartitionerConfig
@@ -80,14 +72,7 @@ __all__ = [
     "TrainedArtifacts",
     "ArtifactBundle",
     "ArtifactError",
-    "WorkloadAdvisor",
-    "AdvisorThresholds",
-    "AdvisorReport",
-    "Recommendation",
-    "RecommendationKind",
     "EstimateCache",
-    "PrefetchAdvisor",
-    "PrefetchPlan",
     "TransactionScheduler",
     "AdmissionController",
     "AdmissionLimits",

@@ -16,9 +16,6 @@ contracts that previously lived only in docstrings and reviewers' heads:
   entry by the identity of what its walk read);
 * the cache-invalidation contract (derived caches are cleared through
   their named contract methods, never by reaching into private dicts);
-* the cross-process contract (worker processes of the sharded backend are
-  pure executors — no clock, no RNG, no scheduler — and the pipe protocol
-  speaks named tags from one shared module);
 * the serialization contract (``to_dict`` output round-trips through
   ``from_dict``).
 """
@@ -145,54 +142,6 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # heaps of its own engine's database (which live exactly as long as the
     # engine), so an entry, once built, can never go stale.
 }
-
-# ----------------------------------------------------------------------
-# process-hygiene
-# ----------------------------------------------------------------------
-#: Module path suffixes (posix, relative) of worker-side code.  Workers
-#: are pure executors: importing coordinator-only subsystems — or any
-#: clock/entropy module — from one of these is a violation.
-WORKER_MODULE_SUFFIXES: tuple[str, ...] = ("sim/backend/worker.py",)
-
-#: Import prefixes only the coordinator may use (scheduler, admission,
-#: workload/RNG, metrics, the event loop and strategy state).
-COORDINATOR_ONLY_IMPORTS: tuple[str, ...] = (
-    "repro.scheduling",
-    "repro.tenancy",
-    "repro.workload",
-    "repro.houdini",
-    "repro.strategies",
-    "repro.sim.events",
-    "repro.sim.simulator",
-    "repro.sim.metrics",
-    "repro.sim.sketch",
-)
-
-#: Absolute modules banned outright in worker-side code (clocks, entropy).
-WORKER_BANNED_MODULES: tuple[str, ...] = (
-    "time",
-    "random",
-    "uuid",
-    "secrets",
-    "datetime",
-)
-
-#: Modules that speak the sharded backend's pipe protocol.  Inside them,
-#: short string literals (the message/report tags) must be named constants
-#: imported from the protocol module — an inline ``"d"`` in one peer can
-#: silently disagree with the other's.
-PROTOCOL_SPEAKER_SUFFIXES: tuple[str, ...] = (
-    "sim/backend/sharded.py",
-    "sim/backend/worker.py",
-)
-
-#: The single module allowed to *define* protocol tags.  Its module-level
-#: constants must be pairwise distinct within each direction of the pipe.
-PROTOCOL_DEF_SUFFIX = "sim/backend/protocol.py"
-
-#: Maximum length of a string literal treated as a protocol tag inside a
-#: speaker module (tags are 1-3 chars; real prose is longer).
-PROTOCOL_TAG_MAX_LEN = 3
 
 # ----------------------------------------------------------------------
 # serialization

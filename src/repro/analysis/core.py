@@ -89,7 +89,7 @@ class ModuleInfo:
 
     path: Path
     #: Path shown in findings and used by baselines/suppressions: posix,
-    #: relative to the scan root (``sim/backend/worker.py`` style).
+    #: relative to the scan root (``sim/simulator.py`` style).
     display_path: str
     source: str
     tree: ast.Module
@@ -97,7 +97,7 @@ class ModuleInfo:
     suppressions: dict[int, set[str]] = field(default_factory=dict)
     #: child AST node -> parent (filled once, shared by every rule).
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-    #: Dotted module name best-effort (``repro.sim.backend.worker``) used
+    #: Dotted module name best-effort (``repro.sim.simulator``) used
     #: to resolve relative imports; empty for loose fixture files.
     dotted: str = ""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..core import AnalysisError, Rule
 from .determinism import DeterminismRule
 from .invalidation import CachePokeRule
-from .process_hygiene import ProcessHygieneRule
 from .serialization import SerializationRule
 from .stale_contract import StaleContractRule
 from .versioning import VersionBumpRule
@@ -20,7 +19,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     DeterminismRule,
     VersionBumpRule,
     CachePokeRule,
-    ProcessHygieneRule,
     SerializationRule,
     StaleContractRule,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "DeterminismRule",
     "VersionBumpRule",
     "CachePokeRule",
-    "ProcessHygieneRule",
     "SerializationRule",
     "StaleContractRule",
 ]

@@ -19,11 +19,10 @@ from .column import (
 from .partitioning import PartitionEstimator, PartitionScheme, stable_hash
 from .procedure import (
     ExecutionContext,
-    ProcedureCallResult,
     ProcedureParameter,
     StoredProcedure,
 )
-from .schema import Catalog, Schema, statements_by_name
+from .schema import Catalog, Schema
 from .statement import (
     ColumnDelta,
     Operation,
@@ -47,7 +46,6 @@ __all__ = [
     "SecondaryIndex",
     "Schema",
     "Catalog",
-    "statements_by_name",
     "Statement",
     "Operation",
     "ParameterRef",
@@ -56,7 +54,6 @@ __all__ = [
     "delta",
     "StoredProcedure",
     "ProcedureParameter",
-    "ProcedureCallResult",
     "ExecutionContext",
     "PartitionScheme",
     "PartitionEstimator",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Protocol, Sequence
 
 from ..errors import CatalogError, UnknownStatementError
-from ..types import PartitionSet
 from .statement import Statement
 
 
@@ -117,14 +116,3 @@ class StoredProcedure(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<StoredProcedure {self.name} ({len(self.statements)} statements)>"
-
-
-@dataclass
-class ProcedureCallResult:
-    """Value returned by the engine after running a procedure."""
-
-    procedure: str
-    committed: bool
-    result: Any
-    touched_partitions: PartitionSet
-    aborted_reason: str | None = None

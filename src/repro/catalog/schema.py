@@ -8,7 +8,7 @@ Markov-model builder and Houdini.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from ..errors import CatalogError, UnknownProcedureError, UnknownTableError
 from .partitioning import PartitionEstimator, PartitionScheme
@@ -135,16 +135,3 @@ class Catalog:
             f"<Catalog tables={len(self.schema)} procedures={len(self._procedures)} "
             f"partitions={self.scheme.num_partitions}>"
         )
-
-
-def statements_by_name(procedures: Mapping[str, StoredProcedure]) -> dict[str, Statement]:
-    """Flatten the statements of several procedures into one dict.
-
-    Statement names are prefixed with the owning procedure name to keep them
-    unique (``"neworder.GetWarehouse"``).
-    """
-    flattened: dict[str, Statement] = {}
-    for procedure in procedures.values():
-        for statement in procedure.statements.values():
-            flattened[f"{procedure.name}.{statement.name}"] = statement
-    return flattened

@@ -128,16 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay time rescale for --workload (2.0 = twice as fast)",
     )
     simulate.add_argument(
-        "--backend", choices=("inline", "sharded"), default="inline",
-        help="execution backend: 'sharded' runs partition workers over OS "
-        "processes (same simulated results; a determinism and fault-handling "
-        "harness)",
-    )
-    simulate.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for --backend sharded",
-    )
-    simulate.add_argument(
         "--json", action="store_true",
         help="print the full SimulationResult as a stable JSON document",
     )
@@ -167,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--partitions", type=int, default=8)
     serve.add_argument("--trace", type=int, default=2000)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--backend", choices=("inline", "sharded"), default="inline",
-                       help="execution backend (see 'simulate --backend')")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes for --backend sharded")
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate one of the paper's tables or figures"
@@ -290,8 +276,6 @@ def _build_spec(args: argparse.Namespace) -> ClusterSpec:
         strategy=args.strategy,
         houdini=houdini_config,
         workload=workload,
-        execution_backend=getattr(args, "backend", "inline"),
-        num_workers=getattr(args, "workers", 2),
     )
 
 

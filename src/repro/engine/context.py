@@ -65,8 +65,8 @@ class TransactionContext:
         self._allowed = (
             locked_partitions.as_frozenset() if locked_partitions is not None else None
         )
-        # An injected log (the sharded backend's effect-capturing one) must
-        # agree with undo_enabled; callers construct it that way.
+        # An injected log (an effect-capturing one) must agree with
+        # undo_enabled; callers construct it that way.
         self.undo_log = undo_log if undo_log is not None else UndoLog(enabled=undo_enabled)
         steps = executor.tables.get(procedure)
         if steps is None:

@@ -36,7 +36,6 @@ from .estimator import PathEstimator
 from .houdini import Houdini, HoudiniPlan
 from .maintenance import MaintenanceRegistry, MaintenanceStats, ModelMaintenance
 from .optimizations import OptimizationDecision, OptimizationSelector
-from .prefetch import BatchGroup, PrefetchAdvisor, PrefetchCandidate, PrefetchPlan
 from .providers import GlobalModelProvider, ModelProvider
 from .runtime import HoudiniRuntime, RuntimeStats
 from .stats import HoudiniStats, ProcedureStats
@@ -55,10 +54,6 @@ __all__ = [
     "PathEstimator",
     "OptimizationDecision",
     "OptimizationSelector",
-    "PrefetchAdvisor",
-    "PrefetchPlan",
-    "PrefetchCandidate",
-    "BatchGroup",
     "ModelProvider",
     "GlobalModelProvider",
     "HoudiniRuntime",

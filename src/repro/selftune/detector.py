@@ -16,8 +16,7 @@ unusual transactions cannot trip the detector.
 
 Everything here is a deterministic function of the observed transition
 sequence: no wall clock, no randomness, and ``max`` over floats is
-iteration-order independent — verdicts are byte-identical across runs and
-execution backends.
+iteration-order independent — verdicts are byte-identical across runs.
 """
 
 from __future__ import annotations

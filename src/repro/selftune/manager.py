@@ -15,8 +15,7 @@ after maintenance has seen the same path); the manager
 All decisions are driven by observation counts and the simulator's
 transaction clock, never the wall clock, so an enabled self-tuner preserves
 byte-determinism: the same seed and workload schedule produce the same
-drift verdicts, the same swap points, and the same bytes — inline or
-sharded.
+drift verdicts, the same swap points, and the same bytes.
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ procedure's state:
 Nothing else is rekeyed: other procedures' memoized walks stay
 exactly where they are (the swap-isolation tests pin this down).
 
-Sessions plan and complete transactions one at a time on the coordinator —
-the sharded backend only moves where a single attempt's statements execute,
-and the coordinator waits for it — so a swap performed between two
-transactions (inside ``after_attempt``) is atomic by construction.
+Sessions plan and complete transactions one at a time on the coordinator,
+so a swap performed between two transactions (inside ``after_attempt``) is
+atomic by construction.
 """
 
 from __future__ import annotations

@@ -250,17 +250,12 @@ class ClusterSpec:
     #: scale mode (counters stay exact; percentiles carry the sketch's
     #: documented error bound).
     metrics_mode: str = spec("exact", choices=("exact", "streaming"))
-    #: Where an attempt's statements execute: ``"inline"`` (default) on the
-    #: coordinator; ``"sharded"`` shards the partition stores across
-    #: ``num_workers`` OS worker processes and sends each attempt that locks
-    #: only its base partition to the owning worker
-    #: (:mod:`repro.sim.backend`).  Simulated metrics are byte-identical
-    #: either way under the same seed: the sharded backend is a determinism
-    #: and fault-handling harness, and slower than inline by design.
-    execution_backend: str = spec("inline", choices=("inline", "sharded"))
-    #: Worker processes for the sharded backend (clamped to the partition
-    #: count; ignored by the inline backend).
-    num_workers: int = spec(2, kind="int", ge=1)
+    #: Every attempt executes on the coordinator's one engine, so
+    #: ``"inline"`` is the only value.  The field outlives the sharded
+    #: worker pool it used to select because ``benchmarks/e2e/workloads.py``
+    #: still passes ``execution_backend="inline"``; it goes when that
+    #: keyword does.
+    execution_backend: str = spec("inline", choices=("inline",))
     # --- workload ------------------------------------------------------
     #: How traffic enters the session: a :class:`WorkloadSource` (or its
     #: dict form).  ``None`` — the default — is the legacy closed loop
@@ -1019,17 +1014,13 @@ class ClusterSession:
             self.reconfigure(**changes)
 
     def close(self) -> SimulationResult:
-        """Drain the session and seal it; returns the final metrics.
-
-        Also stops the sharded backend's worker processes, if any.
-        """
+        """Drain the session and seal it; returns the final metrics."""
         if self._closed:
             raise SessionError("session is already closed")
         try:
             result = self.drain()
         finally:
             self._closed = True
-            self.simulator.close()
         return result
 
     # ------------------------------------------------------------------
@@ -1043,9 +1034,7 @@ class ClusterSession:
             # The body failed: seal the session without draining.  Running
             # the event loop on the very state that just raised could both
             # mask the original exception and silently execute queued work.
-            # Worker processes are still released.
             self._closed = True
-            self.simulator.close()
             return
         self.close()
 

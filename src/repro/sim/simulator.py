@@ -127,15 +127,6 @@ class SimulatorConfig:
     #: O(1)-memory sketches (:mod:`repro.sim.sketch`) so unbounded runs
     #: never grow per-transaction state — the million-user scale mode.
     metrics_mode: str = spec("exact", choices=("exact", "streaming"))
-    #: ``"inline"`` executes every attempt on the coordinator (default);
-    #: ``"sharded"`` shards the partition stores across OS worker processes
-    #: and sends each attempt that locks only its base partition to the
-    #: owning worker (:mod:`repro.sim.backend`).  Simulated results are
-    #: byte-identical either way: a determinism and fault-handling harness.
-    execution_backend: str = spec("inline", choices=("inline", "sharded"))
-    #: Worker-process count for the sharded backend (clamped to the
-    #: partition count; ignored by the inline backend).
-    num_workers: int = spec(2, kind="int", ge=1)
     #: Multi-tenant policy (``repro.tenancy``): per-tenant weighted fair
     #: queuing, admission quotas, latency SLOs and predicted-work shedding.
     #: ``None`` keeps the single shared scheduler.
@@ -215,10 +206,6 @@ class ClusterSimulator:
         #: Populated by :meth:`begin` (scheduler + admission introspection).
         self.scheduler: TransactionScheduler | None = None
         self.admission: AdmissionController | None = None
-        #: Execution backend (created at the first :meth:`begin` of a
-        #: sharded run; survives :meth:`reset` so worker processes persist
-        #: across episodes exactly like the database does).
-        self._backend = None
         self._execute = self.coordinator.execute_transaction
         self._began = False
         #: Optional self-tuning manager (``repro.selftune``); installed by the
@@ -319,16 +306,6 @@ class ClusterSimulator:
         #: ``_now`` it is set right before every call of ``_execute``, in
         #: both event loops.
         self._txn_clock = 0.0
-        if config.execution_backend == "sharded":
-            if self._backend is None:
-                from .backend import ShardedBackend
-
-                self._backend = ShardedBackend(self, config.num_workers)
-            # The one execute site: the same coordinator call, with the
-            # backend as the attempt executor.
-            self._execute = self._backend.execute
-        else:
-            self._execute = self.coordinator.execute_transaction
         self._began = True
 
     @property
@@ -341,9 +318,8 @@ class ClusterSimulator:
         """Simulated dispatch time of the currently executing transaction.
 
         This is the clock the self-tuning subsystem schedules retrain jobs
-        against.  Both event loops set it where they call ``_execute``, and
-        the execution backend sits behind that call, so time-driven
-        decisions are byte-deterministic across backends.
+        against.  Both event loops set it where they call ``_execute``, so
+        time-driven decisions are byte-deterministic.
         """
         return self._txn_clock if self._began else 0.0
 
@@ -521,16 +497,8 @@ class ClusterSimulator:
     def reset(self) -> None:
         """Discard all incremental state; the next drive starts a fresh
         episode (the database and strategy keep their accumulated state,
-        exactly as repeated legacy ``run()`` calls did — and so does the
-        sharded backend's worker pool, whose database copies track the
-        coordinator's)."""
+        exactly as repeated legacy ``run()`` calls did)."""
         self._began = False
-
-    def close(self) -> None:
-        """Release backend resources (sharded worker processes).  Idempotent;
-        the inline backend holds none."""
-        if self._backend is not None:
-            self._backend.shutdown()
 
     def run(self) -> SimulationResult:
         """One-shot batch entry point (``config.total_transactions`` txns).

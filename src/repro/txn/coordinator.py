@@ -51,21 +51,12 @@ class TransactionCoordinator:
         self,
         request: ProcedureRequest,
         txn_id: TransactionId | None = None,
-        *,
-        engine: ExecutionEngine | None = None,
     ) -> TransactionRecord:
-        """Execute one logical transaction, restarting after mispredictions.
-
-        ``engine`` substitutes the attempt executor for this one transaction
-        — the sharded backend passes itself, so an attempt may run on a
-        worker process while planning, retries and strategy callbacks are
-        this very code.
-        """
+        """Execute one logical transaction, restarting after mispredictions."""
         if txn_id is None:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
-        if engine is None:
-            engine = self.engine
+        engine = self.engine
         record = TransactionRecord(txn_id=txn_id, request=request)
         plan = self.strategy.plan_initial(request)
         for attempt_number in range(self.max_restarts + 1):

@@ -9,7 +9,7 @@ that travel across subsystem boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, NamedTuple, Sequence
 
@@ -188,22 +188,3 @@ class QueryInvocation:
     partitions: PartitionSet
     counter: int
     query_type: QueryType = QueryType.READ
-
-
-@dataclass
-class TransactionSummary:
-    """Outcome of one executed transaction, used for metrics and traces."""
-
-    txn_id: TransactionId
-    procedure: str
-    parameters: tuple[ParameterValue, ...]
-    base_partition: PartitionId
-    touched_partitions: PartitionSet
-    committed: bool
-    restarts: int = 0
-    queries: list[QueryInvocation] = field(default_factory=list)
-    latency_ms: float = 0.0
-
-    @property
-    def single_partitioned(self) -> bool:
-        return len(self.touched_partitions) <= 1

@@ -18,7 +18,7 @@ def check(tmp_path):
 
         findings = check({"mod.py": "..."}, rule="determinism")
 
-    File names may contain directories (``sim/backend/worker.py``) so the
+    File names may contain directories (``analysis/contracts.py``) so the
     path-suffix-scoped rules can be exercised.  The snippet is dedented,
     written under ``tmp_path`` and scanned with ``tmp_path`` as the root,
     so finding paths match the given names.

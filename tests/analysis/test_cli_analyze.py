@@ -83,7 +83,7 @@ class TestJsonMode:
         assert finding["path"] == "mod.py"
         assert set(document["rules"]) == {
             "determinism", "version-bump", "cache-poke",
-            "process-hygiene", "serialization", "stale-contract",
+            "serialization", "stale-contract",
         }
 
 

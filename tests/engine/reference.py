@@ -27,6 +27,15 @@ from repro.storage import UndoLog
 from repro.types import PartitionSet, QueryInvocation
 
 
+class CapturingUndoLog(UndoLog):
+    """An undo log whose :attr:`effects` sink records one op per physical
+    write, so the engine's write stream can be compared with this module's."""
+
+    def __init__(self, enabled: bool = True) -> None:
+        super().__init__(enabled=enabled)
+        self.effects: list[tuple] = []
+
+
 def bind(bindings: dict[str, Any], parameters: Sequence[Any]) -> dict[str, Any]:
     """Column -> value for a WHERE / VALUES map; deltas stay wrapped."""
     needed = max(

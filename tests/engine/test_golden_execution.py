@@ -8,10 +8,9 @@ how many undo records it writes or skips, and every row the run leaves in the
 database may not.  The file holds digests only: per benchmark, a sha256 over
 the ordered :class:`AttemptResult` stream (restarted attempts included) and
 one over the final database (rows by partition / table / row id plus each
-heap's ``_next_row_id``).  The sharded backend (2 workers) must reproduce the
-same two digests; on a run this short and still learning it dispatches
-nothing, so what that cell adds is the effect-capturing undo log on every
-attempt (dispatch itself is ``tests/sim/test_sharded_backend.py``'s job).
+heap's ``_next_row_id``).  Each benchmark runs twice in one process, and
+the second run must reproduce the same two digests: state that leaks from
+one session into the next, such as a process-global counter, shows there.
 
 Re-record (only in a change that means to alter what execution computes)::
 
@@ -68,17 +67,16 @@ def database_digest(database) -> str:
     return digest.hexdigest()
 
 
-def run_execution(benchmark: str, backend: str = "inline") -> dict:
+def run_execution(benchmark: str) -> dict:
     spec = ClusterSpec(
         benchmark=benchmark, num_partitions=16, strategy="houdini",
         trace_transactions=300, seed=0, learning=True,
-        execution_backend=backend, num_workers=2,
     )
     session = Cluster.open(spec, artifacts=trained(benchmark, 16, 300, 0))
     stream = hashlib.sha256()
     counts = {"transactions": 0, "attempts": 0}
-    # Every logical transaction — executed inline or folded from a worker —
-    # reaches the strategy's completion callback with its full attempt list.
+    # Every logical transaction reaches the strategy's completion callback
+    # with its full attempt list.
     strategy = session.strategy
     notify = strategy.on_transaction_complete
 
@@ -106,10 +104,10 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("backend", ("inline", "sharded"))
+@pytest.mark.parametrize("run", ("first", "same-seed rerun"))
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_execution_matches_parent(name, backend, golden):
-    assert run_execution(name, backend) == golden[name]
+def test_execution_matches_parent(name, run, golden):
+    assert run_execution(name) == golden[name]
 
 
 def test_golden_exercises_restarts(golden):
@@ -122,6 +120,6 @@ def test_golden_exercises_restarts(golden):
 if __name__ == "__main__":
     recorded = {name: run_execution(name) for name in BENCHMARKS}
     for name in BENCHMARKS:
-        assert run_execution(name, "sharded") == recorded[name], name
+        assert run_execution(name) == recorded[name], name
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {GOLDEN}")

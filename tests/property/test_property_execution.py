@@ -42,10 +42,9 @@ from repro.catalog import ColumnDelta, ColumnType, ParameterRef
 from repro.engine import ExecutionEngine
 from repro.engine import executor as executor_module
 from repro.engine.context import TransactionContext
-from repro.sim.backend.effects import CapturingUndoLog
 from repro.storage import UndoLog
 from repro.types import PartitionSet, ProcedureRequest
-from tests.engine.reference import ReferenceContext, reference_attempt
+from tests.engine.reference import CapturingUndoLog, ReferenceContext, reference_attempt
 from tests.storage.invariants import assert_indexes_match_scan, heap_state
 
 BENCHMARKS = ("tatp", "tpcc", "smallbank", "auctionmark")

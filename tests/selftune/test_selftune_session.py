@@ -5,7 +5,6 @@ The acceptance contracts of the subsystem:
 * a mid-run hot model swap preserves byte-determinism — two same-seed runs
   of a workload-shift scenario (detect → retrain → swap happening inside)
   produce identical ``SimulationResult.to_dict()`` bytes;
-* the sharded backend produces the identical bytes, swaps and all;
 * ``ClusterSpec(selftune=...)`` round-trips through ``to_dict`` /
   ``from_kwargs`` and validates its prerequisites (Houdini strategy, global
   provider, learning on);
@@ -67,7 +66,7 @@ _SELFTUNE = SelfTuneConfig(
 )
 
 
-def _shift_scenario(backend: str = "inline") -> dict:
+def _shift_scenario() -> dict:
     """Train on small orders, shift to large mid-run, let the loop act."""
     artifacts = trained("tpcc", 4, 400, 21)
     instance = artifacts.benchmark
@@ -80,7 +79,7 @@ def _shift_scenario(backend: str = "inline") -> dict:
     session = Cluster.open(
         ClusterSpec(
             benchmark="tpcc", num_partitions=4, strategy="houdini", seed=21,
-            execution_backend=backend, num_workers=2, selftune=_SELFTUNE,
+            selftune=_SELFTUNE,
         ),
         artifacts=artifacts,
     )
@@ -92,14 +91,14 @@ def _shift_scenario(backend: str = "inline") -> dict:
     return session.close().to_dict()
 
 
-#: The inline reference, computed once and shared by the determinism and
-#: backend-equivalence tests (every run trains from scratch).
+#: The reference run, computed once and shared by the swap and determinism
+#: tests (every run trains from scratch).
 _REFERENCE: list = []
 
 
 def _reference() -> dict:
     if not _REFERENCE:
-        _REFERENCE.append(_shift_scenario("inline"))
+        _REFERENCE.append(_shift_scenario())
     return _REFERENCE[0]
 
 
@@ -115,10 +114,7 @@ class TestHotSwapDeterminism:
         assert neworder["last_swap_at_ms"] is not None
 
     def test_same_seed_runs_are_byte_identical(self):
-        assert _shift_scenario("inline") == _reference()
-
-    def test_sharded_backend_matches_inline_swaps_and_all(self):
-        assert _shift_scenario("sharded") == _reference()
+        assert _shift_scenario() == _reference()
 
 
 class TestSpecValidation:

@@ -5,7 +5,7 @@ the scheduler's ready set.  Two things must not depend on where a queued
 transaction happens to sit: what the introspection surface reports, and
 whether a live reconfiguration carries it along.  Every reconfiguration here
 lands on a parked backlog and must end with every submission committed,
-aborted or rejected — same seed, same bytes, inline and sharded.
+aborted or rejected — same seed, same bytes.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ def tenancy(**overrides) -> TenancyConfig:
     return TenancyConfig(**fields)
 
 
-def open_mid_burst(backend: str = "inline", **spec_fields):
+def open_mid_burst(**spec_fields):
     """A session paused 20 simulated ms in: the first burst is still arriving."""
     artifacts = trained("tatp", PARTITIONS, 600, 11)
     spec = ClusterSpec(
         benchmark="tatp", num_partitions=PARTITIONS, learning=False,
-        execution_backend=backend,
         workload=TenantSource({
             "gold": OpenLoopSource(300.0, "poisson", seed=1),
             "free": OpenLoopSource(1500.0, "bursty", seed=2, burst_size=128),
@@ -93,9 +92,9 @@ RECONFIGURATIONS = {
 }
 
 
-def reconfigured_run(name: str, backend: str) -> str:
+def reconfigured_run(name: str) -> str:
     spec_fields, change = RECONFIGURATIONS[name]
-    session = open_mid_burst(backend, **spec_fields)
+    session = open_mid_burst(**spec_fields)
     simulator = session.simulator
     backlog = len(simulator.scheduler)
     session.reconfigure(**change)
@@ -119,6 +118,4 @@ def reconfigured_run(name: str, backend: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(RECONFIGURATIONS))
 def test_reconfigure_over_a_parked_backlog(name):
-    inline = reconfigured_run(name, "inline")
-    assert inline == reconfigured_run(name, "inline")
-    assert inline == reconfigured_run(name, "sharded")
+    assert reconfigured_run(name) == reconfigured_run(name)

@@ -6,7 +6,10 @@ four ``benchmarks/e2e`` specs at seeds 0 and 7, and three hand-built specs
 that between them carry every nested config and every source kind.  The
 digests were recorded on the commit *before* the dict forms became derived
 from the field table (run this file as a script to re-record), so an equal
-digest means the derived form emits the hand-written form's bytes.
+digest means the derived form emits the hand-written form's bytes.  They
+were re-pinned once, when the worker-count field was deleted: the new
+digests equal the parent's ``to_dict()`` with that one key popped (key order
+kept), ``nested_configs`` built with the one execution backend left.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _nested_configs() -> ClusterSpec:
             per_partition_queues=True,
         ),
         clients_per_partition=2, warmup_fraction=0.25, client_think_time_ms=1.5,
-        metrics_mode="streaming", execution_backend="sharded", num_workers=3,
+        metrics_mode="streaming",
         workload=ClosedLoopSource(3, 0.25),
         policy=ShortestPredictedFirstPolicy(),
         admission=AdmissionLimits(

@@ -252,7 +252,7 @@ class TestFastLoopEqualsGeneralLoop:
             monkeypatch.setattr(ClusterSimulator, name, spy)
         return entered
 
-    def drive(self, entered, bench_name, think, txns, route, rekey_after=None, **config):
+    def drive(self, entered, bench_name, think, txns, route, rekey_after=None):
         """Snapshot (and the simulator) after ``route``'s legs; the policy is
         re-keyed to a fresh FCFS after leg ``rekey_after``."""
         del entered[:]
@@ -260,18 +260,15 @@ class TestFastLoopEqualsGeneralLoop:
         simulator = ClusterSimulator(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, build_strategy("houdini", artifacts),
-            config=SimulatorConfig(client_think_time_ms=think, **config),
+            config=SimulatorConfig(client_think_time_ms=think),
             benchmark_name=bench_name,
         )
-        try:
-            for leg, loop in enumerate(route):
-                simulator.extend_budget(txns)
-                simulator.run_until(deadline_ms=self.DEADLINE[loop])
-                if leg == rekey_after:
-                    simulator.set_policy("fcfs")
-            result = simulator.snapshot()
-        finally:
-            simulator.close()
+        for leg, loop in enumerate(route):
+            simulator.extend_budget(txns)
+            simulator.run_until(deadline_ms=self.DEADLINE[loop])
+            if leg == rekey_after:
+                simulator.set_policy("fcfs")
+        result = simulator.snapshot()
         assert entered == route
         assert result.total_transactions == txns * len(route)
         return result, simulator
@@ -385,17 +382,6 @@ class TestFastLoopEqualsGeneralLoop:
         assert loops == ["_run_general", "_run_general", "_run_fast"]
         forced, _ = run(self.DEADLINE["_run_general"])
         assert chosen == forced
-
-    def test_same_legs_under_the_sharded_backend(self, entered):
-        """The execution backend sits behind the one execute site both loops
-        share, so the equivalence holds there too — with workers executing."""
-        inline = self.drive(entered, "tpcc", 0.5, 150, ["_run_fast", "_run_fast"])[0]
-        for route in (["_run_fast", "_run_general"], ["_run_general", "_run_fast"]):
-            sharded, simulator = self.drive(
-                entered, "tpcc", 0.5, 150, route, execution_backend="sharded"
-            )
-            assert simulator._backend.stats["dispatched"] > 0
-            assert sharded.to_dict() == inline.to_dict()
 
 
 def run_smallbank(**spec_fields):

@@ -5,7 +5,6 @@ from repro.types import (
     PartitionSet,
     ProcedureRequest,
     QueryType,
-    TransactionSummary,
 )
 
 
@@ -60,14 +59,3 @@ class TestQueryType:
     def test_write_flag(self):
         assert QueryType.WRITE.is_write
         assert not QueryType.READ.is_write
-
-
-class TestTransactionSummary:
-    def test_single_partitioned_property(self):
-        summary = TransactionSummary(
-            txn_id=1, procedure="p", parameters=(), base_partition=0,
-            touched_partitions=PartitionSet.of([0]), committed=True,
-        )
-        assert summary.single_partitioned
-        summary.touched_partitions = PartitionSet.of([0, 1])
-        assert not summary.single_partitioned
