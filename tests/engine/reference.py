@@ -36,6 +36,19 @@ class CapturingUndoLog(UndoLog):
         self.effects: list[tuple] = []
 
 
+def replay_effects(database, effects) -> None:
+    """Apply a captured effect stream through the heaps' own write paths."""
+    for kind, table, partition_id, row_id, *payload in effects:
+        heap = database.partition(partition_id).heap(table)
+        if kind == "i":
+            heap.insert_raw(payload[0], row_id)
+        elif kind == "u":
+            heap.update(row_id, payload[0])
+        else:
+            assert kind == "d", kind
+            heap.delete(row_id)
+
+
 def bind(bindings: dict[str, Any], parameters: Sequence[Any]) -> dict[str, Any]:
     """Column -> value for a WHERE / VALUES map; deltas stay wrapped."""
     needed = max(

@@ -17,6 +17,8 @@ driver is held by ``tests/sim/test_event_runtime.py``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SessionError
@@ -146,6 +148,19 @@ class TestClusterSpec:
     def test_open_rejects_spec_plus_kwargs(self):
         with pytest.raises(SessionError, match="not both"):
             Cluster.open(ClusterSpec(), benchmark="tatp")
+
+    @pytest.mark.parametrize("backend", ["processes", "threads"])
+    def test_inline_is_the_only_execution_backend(self, backend):
+        with pytest.raises(SessionError, match="execution_backend"):
+            ClusterSpec(execution_backend=backend)
+
+    def test_execution_backend_round_trips(self):
+        spec = ClusterSpec(benchmark="tatp", execution_backend="inline")
+        assert spec.to_dict()["execution_backend"] == "inline"
+        assert ClusterSpec.from_kwargs(**spec.to_dict()) == spec
+
+    def test_no_field_sets_a_worker_count(self):
+        assert [f.name for f in dataclasses.fields(ClusterSpec) if "worker" in f.name] == []
 
 
 # ----------------------------------------------------------------------
@@ -595,6 +610,34 @@ class TestSessionLifecycle:
         assert session.houdini.config.confidence_threshold == 0.9
         assert session.run_for(txns=20).total_transactions == 20
         session.close()
+
+
+#: Spec fields routing ``run_for(txns=...)`` through each event loop.
+LOOPS = {"fast": {}, "gated-general": {"policy": "shortest-predicted"}}
+
+
+class TestErrorsInsideAnAttempt:
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_an_error_raised_by_a_procedure_propagates_unchanged(self, loop):
+        """Attempts run on the coordinator: a procedure that raises surfaces
+        its own exception from ``run_for``, at the call that raised it."""
+        artifacts = trained("tatp", 4, 150, 3)
+        calls, boom = [], RuntimeError("boom inside a procedure")
+        for procedure in artifacts.benchmark.catalog.procedures():
+            def run(context, *parameters, _run=procedure.run):
+                calls.append(procedure)
+                if len(calls) == 200:
+                    raise boom
+                return _run(context, *parameters)
+            procedure.run = run
+        session = Cluster.open(
+            ClusterSpec(benchmark="tatp", num_partitions=4, **LOOPS[loop]),
+            artifacts=artifacts,
+        )
+        with pytest.raises(RuntimeError) as raised:
+            session.run_for(txns=1000)
+        assert raised.value is boom
+        assert len(calls) == 200
 
 
 class TestBuildHoudini:

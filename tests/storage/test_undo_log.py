@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.catalog import Schema, SecondaryIndex, Table, integer, string
 from repro.errors import StorageError, UnrecoverableError
 from repro.storage import Database, UndoLog
-from tests.storage.invariants import assert_indexes_match_scan
+from tests.engine.reference import CapturingUndoLog, replay_effects
+from tests.storage.invariants import assert_indexes_match_scan, heap_state
 
 
 def make_database():
@@ -161,3 +162,55 @@ class TestCounters:
         log.record_insert("T", 0, 2)
         assert log.records_written == 1
         assert log.records_skipped == 1
+
+
+class TestWriteEffects:
+    """The optional ``effects`` sink: a rollback appends the inverse op of
+    every record it undoes, so an aborted attempt's stream replays to no
+    net change."""
+
+    def test_a_plain_log_has_no_sink(self):
+        log = UndoLog()
+        assert log.effects is None
+        log.record_insert("T", 0, 1)
+        assert log.effects is None
+
+    def test_rollback_appends_the_inverse_of_each_record_newest_first(self):
+        database = make_database()
+        heap = database.partition(0).heap("T")
+        original_id = heap.insert({"ID": 1, "NAME": "original"})
+        pristine = {row_id: dict(row) for row_id, row in heap._rows.items()}
+
+        log = CapturingUndoLog()
+        new_id = heap.insert({"ID": 2, "NAME": "new"})
+        log.record_insert("T", 0, new_id)
+        log.effects.append(("i", "T", 0, new_id, heap.get(new_id)))
+        before = heap.update(original_id, {"NAME": "changed"})
+        log.record_update("T", 0, original_id, before)
+        log.effects.append(("u", "T", 0, original_id, {"NAME": "changed"}))
+        forward = list(log.effects)
+
+        assert log.rollback(database.partition) == 2
+        assert log.effects[len(forward):] == [
+            ("u", "T", 0, original_id, {"ID": 1, "NAME": "original"}),
+            ("d", "T", 0, new_id),
+        ]
+        assert heap._rows == pristine
+
+        replayed = make_database()
+        target = replayed.partition(0).heap("T")
+        target.insert({"ID": 1, "NAME": "original"})
+        replay_effects(replayed, log.effects)
+        assert heap_state(target) == heap_state(heap)
+
+    def test_a_refused_rollback_emits_nothing(self):
+        database = make_database()
+        heap = database.partition(0).heap("T")
+        log = CapturingUndoLog()
+        log.record_insert("T", 0, heap.insert({"ID": 1, "NAME": "x"}))
+        log.disable()
+        log.record_insert("T", 0, heap.insert({"ID": 2, "NAME": "y"}))
+        with pytest.raises(UnrecoverableError):
+            log.rollback(database.partition)
+        assert log.effects == []
+        assert len(heap) == 2

@@ -38,6 +38,15 @@ class TestParser:
             args = parser.parse_args(["experiment", identifier])
             assert args.id == identifier
 
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    @pytest.mark.parametrize("flag", [["--backend", "inline"], ["--workers", "2"]])
+    def test_there_is_no_backend_or_worker_flag(self, command, flag):
+        """Attempts run on the coordinator alone; no flag picks another way."""
+        parser = build_parser()
+        parser.parse_args([command, "tpcc"])
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "tpcc", *flag])
+
     def test_strategies_cover_the_papers_comparisons(self):
         assert "assume-single-partition" in STRATEGIES
         assert "houdini-partitioned" in STRATEGIES
