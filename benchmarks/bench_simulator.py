@@ -26,9 +26,9 @@ between two sides run interleaved in one session.
 Scale mode adds three more tracked sections:
 
 * ``arrival_generation`` — the 1M-arrival micro-benchmark: the vectorized
-  kernel against the scalar one-gap-at-a-time fallback, interleaved in the
-  same session (the acceptance floor is 5x with ``REPRO_BENCH_STRICT=1``,
-  2x anywhere numpy runs);
+  kernel against the scalar one-gap-at-a-time reference stream
+  (``tests/workload/reference.py``), interleaved in the same session (the
+  acceptance floor is 5x with ``REPRO_BENCH_STRICT=1``, 2x otherwise);
 * ``chunked_consumption`` — batched ``CompiledSource.take_until`` against
   the per-element peek/pop loop it replaced;
 * ``scale_mode`` — the >= 1,000,000-user overload knee study under
@@ -47,6 +47,7 @@ from pathlib import Path
 
 from repro.session import Cluster, ClusterSpec
 from repro.workload import ClientCohortSource, Cohort, arrival_times
+from tests.workload.reference import scalar_arrival_times
 
 PARTITIONS = 16
 TRANSACTIONS = 2000
@@ -146,7 +147,8 @@ def test_simulator_throughput_tracking(scale, save_result):
 # Scale mode: vectorized arrivals, chunked consumption, 1M-user overload
 # ----------------------------------------------------------------------
 def test_arrival_generation_micro(save_result):
-    """1M-arrival micro-benchmark: vectorized kernel vs scalar fallback.
+    """1M-arrival micro-benchmark: vectorized kernel vs the pure-Python
+    reference stream (``tests/workload/reference.py``).
 
     Interleaved in the same session (scalar round, vectorized round, three
     times) so machine-state drift cancels.
@@ -157,9 +159,8 @@ def test_arrival_generation_micro(save_result):
             gc.collect()
             gc.disable()
             started = time.process_time()
-            times = arrival_times(
-                "poisson", ARRIVAL_RATE, ARRIVALS, seed=0, vectorized=vectorized,
-            )
+            generate = arrival_times if vectorized else scalar_arrival_times
+            times = generate("poisson", ARRIVAL_RATE, ARRIVALS, seed=0)
             elapsed = time.process_time() - started
             gc.enable()
             assert len(times) == ARRIVALS

@@ -57,11 +57,11 @@ clock advances.  ``reconfigure(workload=...)`` swaps the live source, and
 scripted reconfiguration schedules replay deterministically through
 :meth:`ClusterSpec.diff` + :meth:`ClusterSession.apply_schedule`.
 
-Batch equivalence: a fresh session driven with ``run_for(txns=N)`` produces
-a :class:`SimulationResult` byte-identical to the one-shot
-``ClusterSimulator.run()`` with ``total_transactions=N`` — same latencies,
-counters, windows and per-procedure breakdowns (held by
-``tests/session/test_session.py`` and ``tests/sim/test_event_runtime.py``).
+The session is the one way in: nothing else drives the simulator's event
+core.  Its metrics are cumulative across calls, and a fresh session's
+``run_for(txns=N)`` reproduces the paper's greedy closed-loop driver byte
+for byte — same latencies, counters, windows and per-procedure breakdowns
+(held by ``tests/sim/test_event_runtime.py``).
 
 Training is the off-line stage (Fig. 6): :func:`train` derives the models
 and mappings a spec describes; ``Cluster.open(spec, artifacts=...)`` adopts
@@ -71,9 +71,13 @@ pieces for callers that need one without a session.
 
 Reconfigure semantics
 ---------------------
-:meth:`ClusterSession.reconfigure` applies live changes between (or during)
-runs, routing every change through the existing invalidation contracts so
-no stale derived state survives:
+Which spec fields a running session may change is declared on the field:
+``spec(..., live="<keyword>")`` marks the ``ClusterSpec`` and
+``HoudiniConfig`` fields that may change and names the
+:meth:`ClusterSession.reconfigure` keyword each goes through
+(:func:`repro.schema.live_fields` reads the marks).  ``reconfigure`` routes
+every change through the existing invalidation contracts so no stale
+derived state survives:
 
 * ``policy=`` swaps the scheduling policy;
   :meth:`~repro.scheduling.scheduler.TransactionScheduler.rekey` rebuilds
@@ -103,12 +107,14 @@ Configuration is declared once
 Every ``ClusterSpec`` field declares its range on the dataclass field
 (:func:`repro.schema.spec`), and so do the nested configs.  Validation,
 ``to_dict`` / ``from_dict`` (unknown keys get a did-you-mean), ``diff`` and
-:meth:`ClusterSession.apply_schedule` are derived from that table.  A nested
-config (``houdini``, ``selftune``, ``tenancy``, ``admission``, ``cost_model``,
+:meth:`ClusterSession.apply_schedule` are derived from that table; the
+fields the spec shares with :class:`~repro.sim.SimulatorConfig` reuse its
+declarations (:func:`repro.schema.declared`).  A nested config
+(``houdini``, ``selftune``, ``tenancy``, ``admission``, ``cost_model``,
 ``workload``) may be given as an instance or in dict form anywhere one is
 accepted — the spec and ``reconfigure`` coerce both through the class the
-field declares (``_nested``) — and a spec-diff key maps to its ``reconfigure``
-keyword through one table (``_LIVE_FIELDS`` / ``_LIVE_HOUDINI_FIELDS``).
+field declares (:func:`repro.schema.coerce`) — and a spec-diff key maps to
+its ``reconfigure`` keyword through the field's ``live`` mark.
 """
 
 from __future__ import annotations
@@ -118,16 +124,16 @@ from typing import Any, Iterable, Mapping
 
 from . import schema
 from .benchmarks import BenchmarkInstance, available_benchmarks, get_benchmark
-from .errors import ReproError, SessionError, WorkloadError
+from .errors import SessionError, WorkloadError
 from .houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from .houdini.providers import ModelProvider
 from .mapping import ParameterMappingSet, build_parameter_mappings
 from .markov import MarkovModel, build_models_from_trace
 from .modelpart import ModelPartitioner, PartitionedModelProvider, PartitionerConfig
 from .scheduling.admission import AdmissionLimits
-from .scheduling.policies import SchedulingPolicy, available_policies
+from .scheduling.policies import SchedulingPolicy
 from .selftune import SelfTuneConfig, SelfTuneManager
-from .schema import spec
+from .schema import declared, spec
 from .sim import ClusterSimulator, CostModel, SimulationResult, SimulatorConfig
 from .tenancy import TenancyConfig
 from .strategies import (
@@ -163,19 +169,6 @@ MODEL_PROVIDERS = ("global", "partitioned")
 
 _UNSET = object()
 
-#: Spec-diff key -> ``ClusterSession.reconfigure`` keyword: everything a
-#: schedule may change on a live session (a ``houdini`` diff goes field by
-#: field through the second table).
-_LIVE_FIELDS = {
-    "policy": "policy", "admission": "admission", "workload": "workload",
-    "selftune": "selftune", "tenancy": "tenancy", "cost_model": "cost",
-}
-_LIVE_HOUDINI_FIELDS = {
-    "enable_estimate_caching": "estimate_caching",
-    "confidence_threshold": "confidence_threshold",
-    "maintenance_window": "maintenance_window",
-}
-
 
 # ----------------------------------------------------------------------
 # Off-line artifacts
@@ -206,9 +199,10 @@ class ClusterSpec:
     — and round-trips through plain dicts: ``ClusterSpec.from_dict(
     spec.to_dict())`` reproduces the spec (policies are normalized to
     their registry names, nested configs to their dict forms).  Each field
-    declares its range where it is defined; unknown fields and out-of-range
-    values raise :class:`~repro.errors.SessionError` naming the field
-    instead of being silently ignored.
+    declares its range where it is defined, and ``live=`` if a running
+    session may change it; unknown fields and out-of-range values raise
+    :class:`~repro.errors.SessionError` naming the field instead of being
+    silently ignored.
     """
 
     # --- benchmark -----------------------------------------------------
@@ -229,27 +223,32 @@ class ClusterSpec:
     #: swaps; ``None`` (default) leaves the loop off.  Requires a learning
     #: Houdini strategy with the global model provider.
     selftune: SelfTuneConfig | Mapping | None = spec(
-        None, nested=SelfTuneConfig, optional=True
+        None, nested=SelfTuneConfig, optional=True, live="selftune"
     )
     #: Multi-tenant policy (:mod:`repro.tenancy`): a
     #: :class:`~repro.tenancy.TenancyConfig` (or its dict form) layers
     #: per-tenant weighted fair queuing, admission quotas, latency SLOs and
     #: predicted-work shedding over the node scheduler; ``None`` (default)
     #: keeps the single shared scheduler.
-    tenancy: TenancyConfig | Mapping | None = spec(
-        None, nested=TenancyConfig, optional=True
+    tenancy: TenancyConfig | Mapping | None = declared(
+        SimulatorConfig, "tenancy", live="tenancy"
     )
-    # --- simulator -----------------------------------------------------
-    clients_per_partition: int = spec(4, kind="int", ge=1)
-    warmup_fraction: float = spec(0.1, kind="float", ge=0, lt=1)
-    client_think_time_ms: float = spec(0.0, kind="float", ge=0)
+    # --- simulator (the ranges are SimulatorConfig's) ------------------
+    #: Closed-loop clients per partition (the paper uses four).
+    clients_per_partition: int = declared(SimulatorConfig, "clients_per_partition")
+    #: Fraction of the earliest-completing transactions treated as warm-up
+    #: and excluded from the throughput window (the paper warms up for 60s).
+    warmup_fraction: float = declared(SimulatorConfig, "warmup_fraction")
+    #: Think time between a client's transactions (0 = saturated, as in the
+    #: paper).
+    client_think_time_ms: float = declared(SimulatorConfig, "client_think_time_ms")
     #: Latency accounting: ``"exact"`` (default) keeps every observation —
     #: byte-identical to specs that predate this field — while
     #: ``"streaming"`` replaces the unbounded per-latency lists with the
     #: O(1)-memory sketches of :mod:`repro.sim.sketch`, the million-user
     #: scale mode (counters stay exact; percentiles carry the sketch's
     #: documented error bound).
-    metrics_mode: str = spec("exact", choices=("exact", "streaming"))
+    metrics_mode: str = declared(SimulatorConfig, "metrics_mode")
     #: Every attempt executes on the coordinator's one engine, so
     #: ``"inline"`` is the only value.  The field outlives the sharded
     #: worker pool it used to select because ``benchmarks/e2e/workloads.py``
@@ -265,20 +264,24 @@ class ClusterSpec:
     #: source (open-loop arrivals, trace replay, phased mixes, tenant
     #: streams) runs the simulator in open-loop mode.
     workload: WorkloadSource | Mapping | None = spec(
-        None, nested=WorkloadSource, optional=True, noun="workload source"
+        None, nested=WorkloadSource, optional=True, noun="workload source",
+        live="workload",
     )
     # --- scheduling / admission / cost --------------------------------
-    policy: SchedulingPolicy | str | None = spec(
-        None, nested=SchedulingPolicy, choices=available_policies,
-        noun="scheduling policy", optional=True,
+    #: Queue policy for the node scheduler: a registry name, a policy
+    #: instance, or ``None`` for first-come first-served.
+    policy: SchedulingPolicy | str | None = declared(SimulatorConfig, "policy", live="policy")
+    #: Admission-control limits; ``None`` disables admission control.
+    admission: AdmissionLimits | None = declared(
+        SimulatorConfig, "admission", live="admission"
     )
-    admission: AdmissionLimits | None = spec(None, nested=AdmissionLimits, optional=True)
-    cost_model: CostModel | None = spec(None, nested=CostModel, optional=True)
+    cost_model: CostModel | None = spec(None, nested=CostModel, optional=True, live="cost")
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        for name in _NESTED:
-            setattr(self, name, _nested(name, getattr(self, name)))
+        for f in fields(self):
+            setattr(self, f.name, schema.coerce(
+                ClusterSpec, f.name, getattr(self, f.name), SessionError))
         self.validate()
 
     def validate(self) -> None:
@@ -338,10 +341,9 @@ class ClusterSpec:
         theirs = other.to_dict()
         return {key: theirs[key] for key in theirs if mine[key] != theirs[key]}
 
-    def simulator_config(self, total_transactions: int = 0) -> SimulatorConfig:
-        """The :class:`SimulatorConfig` this spec describes."""
-        # Every field the two classes share by name is copied; the three
-        # that are renamed or derived are spelled out.
+    def simulator_config(self) -> SimulatorConfig:
+        """The :class:`SimulatorConfig` this spec describes: every field the
+        two classes share, copied by name; ``open_loop`` from the workload."""
         values = {
             f.name: getattr(self, f.name)
             for f in fields(SimulatorConfig) if hasattr(self, f.name)
@@ -352,34 +354,24 @@ class ClusterSpec:
         if self.tenancy is not None:
             # Copied so live reconfigure never mutates the (reusable) spec.
             values["tenancy"] = self.tenancy.copy()
-        return SimulatorConfig(
-            **values,
-            total_transactions=total_transactions,
-            admission_limits=self.admission,
-            open_loop=not (self.workload is None or isinstance(self.workload, ClosedLoopSource)),
-        )
-
-
-#: The nested configs of a spec — the fields that declare ``nested=`` with a
-#: class that has a dict form.  ``ClusterSpec.__post_init__`` and
-#: ``ClusterSession.reconfigure`` coerce through this one table.
-_NESTED = tuple(
-    f.name for f in fields(ClusterSpec)
-    if hasattr((schema.rule_of(ClusterSpec, f.name) or {}).get("nested"), "from_dict")
-)
+        return SimulatorConfig(**values, open_loop=not (
+            self.workload is None or isinstance(self.workload, ClosedLoopSource)))
 
 
 def _nested(name: str, value):
     """A nested config in either form, as an instance of its declared class."""
-    rule = schema.rule_of(ClusterSpec, name)
-    if isinstance(value, Mapping):
-        try:
-            value = rule["nested"].from_dict(value)
-        except (TypeError, ValueError, ReproError) as error:
-            noun = rule["noun"] or f"{name} configuration"
-            raise SessionError(f"invalid {noun}: {error}") from error
+    value = schema.coerce(ClusterSpec, name, value, SessionError)
     schema.check_field(ClusterSpec, name, value, SessionError)
     return value
+
+
+def _not_live(name: str) -> SessionError:
+    """The error for a schedule that changes a field not marked ``live=``."""
+    return SessionError(
+        f"{name} is not live-reconfigurable; a schedule may change "
+        f"{', '.join(schema.live_fields(ClusterSpec))} and the houdini fields "
+        f"{', '.join(schema.live_fields(HoudiniConfig))}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -736,18 +728,14 @@ class ClusterSession:
             raise SessionError("run_for needs exactly one of txns= or sim_seconds=")
         simulator = self.simulator
         if txns is not None:
-            if txns < 0:
-                raise SessionError(f"txns must be non-negative, got {txns!r}")
+            schema.check_value("txns", txns, SessionError, kind="int", ge=0)
             if self._arrivals is None:
                 simulator.extend_budget(txns)
             else:
                 self._inject(self._arrivals.take(txns))
             simulator.run_until()
         else:
-            if sim_seconds < 0:
-                raise SessionError(
-                    f"sim_seconds must be non-negative, got {sim_seconds!r}"
-                )
+            schema.check_value("sim_seconds", sim_seconds, SessionError, kind="float", ge=0)
             self._run_to(simulator.now_ms + 1000.0 * sim_seconds)
         return simulator.snapshot()
 
@@ -947,24 +935,25 @@ class ClusterSession:
         produced by :meth:`ClusterSpec.diff` (to-dict forms).  The session
         runs its live workload up to each ``at_ms`` in order and applies the
         diff there, so the same seed and schedule always reproduce the same
-        result, byte for byte.  Only live-reconfigurable fields may appear
-        in a diff: ``policy``, ``admission``, ``cost_model``, ``workload``,
-        ``selftune``, ``tenancy`` and the Houdini runtime knobs
-        (``enable_estimate_caching``, ``confidence_threshold``); anything
-        else raises :class:`SessionError`.
+        result, byte for byte.  A diff may change only the fields their
+        declarations mark ``live=`` (``ClusterSpec``'s, and ``HoudiniConfig``'s
+        inside a ``houdini`` diff); anything else, or an ``at_ms`` that is not
+        a finite number >= 0, raises :class:`SessionError`.
         """
         self._check_open()
-        entries = sorted(schedule, key=lambda entry: entry[0])
-        for at_ms, diff in entries:
-            if at_ms < 0:
-                raise SessionError(f"schedule times must be non-negative, got {at_ms!r}")
+        entries = list(schedule)
+        for at_ms, _ in entries:
+            schema.check_value("at_ms", at_ms, SessionError, kind="float", ge=0)
+        for at_ms, diff in sorted(entries, key=lambda entry: entry[0]):
             if at_ms > self.simulator.now_ms:
                 self._run_to(at_ms)
             self._apply_diff(diff)
         return self
 
     def _apply_diff(self, diff: Mapping[str, Any]) -> None:
-        """Apply one :meth:`ClusterSpec.diff` entry through ``reconfigure``."""
+        """Apply one :meth:`ClusterSpec.diff` entry through ``reconfigure``,
+        each key under the keyword its ``live`` mark names."""
+        live_fields = schema.live_fields(ClusterSpec)
         changes: dict[str, Any] = {}
         for key, value in diff.items():
             if key == "houdini":
@@ -975,23 +964,16 @@ class ClusterSession:
                         f"strategy (this session runs {self.strategy.name!r})"
                     )
                 live = houdini.config.to_dict()
+                houdini_fields = schema.live_fields(HoudiniConfig)
                 for name, new in (value or HoudiniConfig().to_dict()).items():
                     if live[name] == new:
                         continue
-                    if name not in _LIVE_HOUDINI_FIELDS:
-                        raise SessionError(
-                            f"houdini field {name!r} is not live-reconfigurable; "
-                            "only enable_estimate_caching, confidence_threshold "
-                            "and maintenance_window can change in a schedule"
-                        )
-                    changes[_LIVE_HOUDINI_FIELDS[name]] = new
+                    if name not in houdini_fields:
+                        raise _not_live(f"houdini field {name!r}")
+                    changes[houdini_fields[name]] = new
                 continue
-            if key not in _LIVE_FIELDS:
-                raise SessionError(
-                    f"spec field {key!r} is not live-reconfigurable; schedules "
-                    "may change policy, admission, cost_model, workload, "
-                    "selftune, tenancy and the Houdini runtime knobs"
-                )
+            if key not in live_fields:
+                raise _not_live(f"spec field {key!r}")
             if key == "workload" and value is None:
                 value = ClosedLoopSource(
                     self.spec.clients_per_partition, self.spec.client_think_time_ms
@@ -1009,7 +991,7 @@ class ClusterSession:
                 }
                 if not value:
                     continue
-            changes[_LIVE_FIELDS[key]] = value
+            changes[live_fields[key]] = value
         if changes:
             self.reconfigure(**changes)
 

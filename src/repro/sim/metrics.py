@@ -3,7 +3,9 @@
 The event-driven simulator accumulates these figures in flat per-procedure
 arrays while it runs and materializes one :class:`SimulationResult` (plus
 its :class:`ProcedureBreakdown` entries) when the run finishes; the classes
-here are the stable, introspectable surface the experiments consume.
+here are the stable, introspectable surface the experiments consume.  Their
+dict forms come from the field table (:mod:`repro.schema`): the fields in
+declaration order, then a ``derived`` block that is recomputed on load.
 """
 
 from __future__ import annotations
@@ -11,13 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import TYPE_CHECKING
+from typing import Mapping
 
+from .. import schema
+from ..errors import SimulationError
+from ..scheduling.admission import AdmissionStats
+from ..scheduling.scheduler import SchedulerStats
+from ..schema import spec
 from .sketch import LatencySketch
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..scheduling.admission import AdmissionStats
-    from ..scheduling.scheduler import SchedulerStats
+
+def _load(cls, data, label: str):
+    """``cls`` from its dict form; the ``derived`` block is not read back."""
+    if isinstance(data, Mapping):
+        data = {key: value for key, value in data.items() if key != "derived"}
+    return schema.from_dict(cls, data, SimulationError, label)
 
 
 @dataclass
@@ -32,21 +42,11 @@ class ProcedureBreakdown:
     coordination_ms: float = 0.0
     other_ms: float = 0.0
 
-    def to_dict(self) -> dict:
-        """Stable plain-dict form (see :meth:`SimulationResult.to_dict`)."""
-        return {
-            "procedure": self.procedure,
-            "transactions": self.transactions,
-            "estimation_ms": self.estimation_ms,
-            "planning_ms": self.planning_ms,
-            "execution_ms": self.execution_ms,
-            "coordination_ms": self.coordination_ms,
-            "other_ms": self.other_ms,
-        }
+    to_dict = schema.to_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcedureBreakdown":
-        return cls(**data)
+        return schema.from_dict(cls, data, SimulationError, "procedure breakdown")
 
     @property
     def total_ms(self) -> float:
@@ -97,7 +97,9 @@ class TenantBreakdown:
     duration_ms: float = 0.0
     #: Streaming-mode latency summary (``metrics_mode="streaming"``); when
     #: set, ``latencies_ms`` stays empty and latency queries go through it.
-    latency_sketch: LatencySketch | None = None
+    latency_sketch: LatencySketch | None = spec(
+        None, nested=LatencySketch, optional=True, key="latency_summary"
+    )
 
     @property
     def total_transactions(self) -> int:
@@ -118,32 +120,14 @@ class TenantBreakdown:
         return mean(self.latencies_ms)
 
     def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "user_aborted": self.user_aborted,
-            "restarts": self.restarts,
-            "rejected": self.rejected,
-            "latencies_ms": list(self.latencies_ms),
-            "duration_ms": self.duration_ms,
-            "latency_summary": self.latency_sketch.to_dict()
-            if self.latency_sketch is not None else None,
-            "derived": {
-                "throughput_txn_per_sec": self.throughput_txn_per_sec,
-                "average_latency_ms": self.average_latency_ms,
-            },
-        }
+        return {**schema.to_dict(self), "derived": {
+            "throughput_txn_per_sec": self.throughput_txn_per_sec,
+            "average_latency_ms": self.average_latency_ms,
+        }}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantBreakdown":
-        fields_ = {
-            k: v for k, v in data.items() if k not in ("derived", "latency_summary")
-        }
-        breakdown = cls(**fields_)
-        if data.get("latency_summary") is not None:
-            breakdown.latency_sketch = LatencySketch.from_dict(data["latency_summary"])
-        return breakdown
+        return _load(cls, data, "tenant breakdown")
 
 
 @dataclass
@@ -153,7 +137,11 @@ class SimulationResult:
     strategy: str
     benchmark: str
     num_partitions: int
-    simulated_duration_ms: float
+    #: How latency/window metrics were accumulated: ``"exact"`` stores
+    #: every latency in :attr:`latencies_ms`; ``"streaming"`` keeps an
+    #: O(1)-memory :attr:`latency_sketch` instead (scale mode).
+    metrics_mode: str = "exact"
+    simulated_duration_ms: float = 0.0
     committed: int = 0
     user_aborted: int = 0
     restarts: int = 0
@@ -162,26 +150,33 @@ class SimulationResult:
     early_prepared: int = 0
     single_partition: int = 0
     distributed: int = 0
-    latencies_ms: list[float] = field(default_factory=list)
-    #: How latency/window metrics were accumulated: ``"exact"`` stores
-    #: every latency in :attr:`latencies_ms`; ``"streaming"`` keeps an
-    #: O(1)-memory :attr:`latency_sketch` instead (scale mode).
-    metrics_mode: str = "exact"
-    #: Streaming-mode latency summary; ``None`` in exact mode.
-    latency_sketch: LatencySketch | None = None
-    breakdowns: dict[str, ProcedureBreakdown] = field(default_factory=dict)
-    #: Post-warm-up measurement window used for throughput.
-    window_committed: int = 0
-    window_duration_ms: float = 0.0
     #: Transactions rejected outright by admission control (0 when admission
     #: control is disabled, the default).
     rejected: int = 0
+    #: Post-warm-up measurement window used for throughput.
+    window_committed: int = 0
+    window_duration_ms: float = 0.0
+    latencies_ms: list[float] = field(default_factory=list)
+    #: Streaming-mode latency summary; ``None`` in exact mode.
+    latency_sketch: LatencySketch | None = spec(
+        None, nested=LatencySketch, optional=True, key="latency_summary"
+    )
+    #: Per-procedure breakdowns (the dict form lists them by name).
+    breakdowns: dict[str, ProcedureBreakdown] = spec(
+        default_factory=dict, nested=ProcedureBreakdown, each=True
+    )
     #: Scheduler / admission activity for the run (filled by the simulator).
-    scheduler_stats: "SchedulerStats | None" = None
-    admission_stats: "AdmissionStats | None" = None
+    scheduler_stats: SchedulerStats | None = spec(
+        None, nested=SchedulerStats, optional=True
+    )
+    admission_stats: AdmissionStats | None = spec(
+        None, nested=AdmissionStats, optional=True
+    )
     #: Per-tenant breakdowns for tenant-labeled traffic (``TenantSource``);
     #: empty for unlabeled workloads.
-    tenants: dict[str, TenantBreakdown] = field(default_factory=dict)
+    tenants: dict[str, TenantBreakdown] = spec(
+        default_factory=dict, nested=TenantBreakdown, each=True
+    )
     #: Per-procedure §4.5 maintenance counters (transitions_observed,
     #: accuracy_checks, recomputations, last_accuracy); empty for
     #: non-Houdini strategies.
@@ -256,12 +251,12 @@ class SimulationResult:
     def to_dict(self) -> dict:
         """Stable, JSON-friendly dict form of the full result.
 
-        Contains every accumulated field (latencies, counters, warm-up
-        window, per-procedure breakdowns, scheduler/admission stats) plus a
-        ``derived`` block of convenience metrics.  :meth:`from_dict` inverts
-        it exactly (``derived`` is recomputed, never read back), which is
-        what the CLI's ``simulate --json`` output and the benchmark
-        baselines rely on instead of ad-hoc field plucking.
+        Every field in declaration order (the streaming sketch under
+        ``latency_summary``; the three per-name maps by name) plus a
+        ``derived`` block of convenience metrics.  :meth:`from_dict` inverts it exactly (``derived`` is
+        recomputed, never read back), which is what the CLI's ``simulate
+        --json`` output and the benchmark baselines rely on instead of
+        ad-hoc field plucking.
 
         Payload size is bounded by the metrics mode: in exact mode
         ``latencies_ms`` carries every accumulated latency and
@@ -275,96 +270,21 @@ class SimulationResult:
         (p50/p95/p99) survive, raw samples do not (see
         :meth:`~repro.sim.sketch.LatencySketch.from_dict`).
         """
-        from dataclasses import asdict
-
-        return {
-            "strategy": self.strategy,
-            "benchmark": self.benchmark,
-            "num_partitions": self.num_partitions,
-            "metrics_mode": self.metrics_mode,
-            "simulated_duration_ms": self.simulated_duration_ms,
-            "committed": self.committed,
-            "user_aborted": self.user_aborted,
-            "restarts": self.restarts,
-            "escalations": self.escalations,
-            "undo_disabled": self.undo_disabled,
-            "early_prepared": self.early_prepared,
-            "single_partition": self.single_partition,
-            "distributed": self.distributed,
-            "rejected": self.rejected,
-            "window_committed": self.window_committed,
-            "window_duration_ms": self.window_duration_ms,
-            "latencies_ms": list(self.latencies_ms),
-            "latency_summary": self.latency_sketch.to_dict()
-            if self.latency_sketch is not None else None,
-            "breakdowns": {
-                name: breakdown.to_dict()
-                for name, breakdown in sorted(self.breakdowns.items())
-            },
-            "scheduler_stats": asdict(self.scheduler_stats)
-            if self.scheduler_stats is not None else None,
-            "admission_stats": asdict(self.admission_stats)
-            if self.admission_stats is not None else None,
-            "tenants": {
-                name: breakdown.to_dict()
-                for name, breakdown in sorted(self.tenants.items())
-            },
-            "maintenance": {
-                name: dict(entry)
-                for name, entry in sorted(self.maintenance.items())
-            },
-            "selftune": self.selftune,
-            "tenancy": self.tenancy,
-            "derived": {
-                "throughput_txn_per_sec": self.throughput_txn_per_sec,
-                "average_latency_ms": self.average_latency_ms,
-                "restart_rate": self.restart_rate,
-                "estimation_share_pct": self.overall_estimation_share(),
-            },
+        out = schema.to_dict(self)
+        for name in ("breakdowns", "tenants", "maintenance"):
+            out[name] = dict(sorted(out[name].items()))
+        out["derived"] = {
+            "throughput_txn_per_sec": self.throughput_txn_per_sec,
+            "average_latency_ms": self.average_latency_ms,
+            "restart_rate": self.restart_rate,
+            "estimation_share_pct": self.overall_estimation_share(),
         }
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationResult":
         """Rebuild a result from :meth:`to_dict` output (baseline replay)."""
-        from ..scheduling.admission import AdmissionStats
-        from ..scheduling.scheduler import SchedulerStats
-
-        result = cls(
-            strategy=data["strategy"],
-            benchmark=data["benchmark"],
-            num_partitions=data["num_partitions"],
-            simulated_duration_ms=data["simulated_duration_ms"],
-            # Documents predating the scale mode are always exact.
-            metrics_mode=data.get("metrics_mode", "exact"),
-        )
-        for name in (
-            "committed", "user_aborted", "restarts", "escalations",
-            "undo_disabled", "early_prepared", "single_partition",
-            "distributed", "rejected", "window_committed", "window_duration_ms",
-        ):
-            setattr(result, name, data[name])
-        result.latencies_ms = list(data["latencies_ms"])
-        if data.get("latency_summary") is not None:
-            result.latency_sketch = LatencySketch.from_dict(data["latency_summary"])
-        result.breakdowns = {
-            name: ProcedureBreakdown.from_dict(entry)
-            for name, entry in data["breakdowns"].items()
-        }
-        if data.get("scheduler_stats") is not None:
-            result.scheduler_stats = SchedulerStats(**data["scheduler_stats"])
-        if data.get("admission_stats") is not None:
-            result.admission_stats = AdmissionStats(**data["admission_stats"])
-        result.tenants = {
-            name: TenantBreakdown.from_dict(entry)
-            for name, entry in data.get("tenants", {}).items()
-        }
-        result.maintenance = {
-            name: dict(entry)
-            for name, entry in data.get("maintenance", {}).items()
-        }
-        result.selftune = data.get("selftune")
-        result.tenancy = data.get("tenancy")
-        return result
+        return _load(cls, data, "simulation result")
 
     def summary_row(self) -> dict:
         row = {

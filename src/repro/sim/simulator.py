@@ -8,9 +8,8 @@ through the cost model onto a set of single-threaded partition resources.
 
 The runtime is a single binary event heap (see :mod:`repro.sim.events`)
 processing client-ready, transaction-complete, partition-release and
-external-submit events in timestamp order.  Unlike the original closed
-``run()`` loop, the heap and every accumulator live on the simulator
-instance, so the core can be driven incrementally:
+external-submit events in timestamp order.  The heap and every accumulator
+live on the simulator instance, so the core is driven incrementally:
 
 * :meth:`ClusterSimulator.begin` initializes the event state (idempotent);
 * :meth:`ClusterSimulator.inject` pushes a raw event,
@@ -22,11 +21,12 @@ instance, so the core can be driven incrementally:
   more submissions, and :meth:`ClusterSimulator.snapshot` materializes the
   windowed metrics on demand (repeatedly, without disturbing the run).
 
-:meth:`ClusterSimulator.run` remains as the one-shot batch entry point —
-``begin(); extend_budget(total); run_until()`` — and produces results
-byte-identical to the pre-steppable loop (held by
-``tests/sim/test_event_runtime.py``).  :class:`repro.session.ClusterSession`
-is the long-lived façade over this core.
+There is no one-shot batch entry point: :class:`repro.session.ClusterSession`
+is the one way in, a long-lived façade that drives this core through the
+calls above (``run_for(txns=N)`` on a fresh session is ``extend_budget(N);
+run_until(); snapshot()``).  :class:`SimulatorConfig` holds the knobs the
+core reads; its fields are :class:`~repro.session.ClusterSpec`'s, filled by
+name.
 
 The workload driver is closed-loop, matching the paper's setup of "four
 client threads per partition to ensure that the workload queues at each node
@@ -86,7 +86,8 @@ from .events import CLIENT_READY, EXTERNAL_SUBMIT, PARTITION_RELEASE, TXN_COMPLE
 from .metrics import ProcedureBreakdown, SimulationResult, TenantBreakdown
 from .sketch import CompletionLog, CompletionWindow, LatencySketch
 
-#: Accumulator slots per procedure (see ``_replay_timing``).
+#: Accumulator slots per procedure (see ``_replay_timing``), in the order of
+#: :class:`ProcedureBreakdown`'s fields.
 _TXNS, _EST, _PLAN, _EXEC, _COORD, _OTHER = range(6)
 
 _INF = float("inf")
@@ -94,42 +95,28 @@ _INF = float("inf")
 
 @dataclass
 class SimulatorConfig:
-    """Knobs for one simulator run."""
+    """Knobs for one simulator core.
 
-    #: Closed-loop clients per partition (the paper uses four).
+    Every field but ``open_loop`` is the :class:`~repro.session.ClusterSpec`
+    field of the same name, documented there and declared here once (the
+    spec reuses these declarations); ``ClusterSpec.simulator_config`` fills
+    this config by field name.
+    """
+
     clients_per_partition: int = spec(4, kind="int", ge=1)
-    #: Total transactions to execute (split across clients) when driven by
-    #: the one-shot :meth:`ClusterSimulator.run`; session-driven runs grant
-    #: budget through :meth:`ClusterSimulator.extend_budget` instead.
-    total_transactions: int = spec(2000, kind="int", ge=0)
-    #: Fraction of the earliest-completing transactions treated as warm-up
-    #: and excluded from the throughput window (the paper warms up for 60s).
     warmup_fraction: float = spec(0.1, kind="float", ge=0, lt=1)
-    #: Think time between a client's transactions (0 = saturated, as in the paper).
     client_think_time_ms: float = spec(0.0, kind="float", ge=0)
-    #: Queue policy for the node scheduler: a registry name, a policy
-    #: instance, or ``None`` for first-come first-served.
     policy: SchedulingPolicy | str | None = spec(
         None, nested=SchedulingPolicy, choices=available_policies,
         noun="scheduling policy", optional=True,
     )
-    #: Admission-control limits; ``None`` disables admission control.
-    admission_limits: AdmissionLimits | None = spec(
-        None, nested=AdmissionLimits, optional=True
-    )
+    admission: AdmissionLimits | None = spec(None, nested=AdmissionLimits, optional=True)
     #: Open-loop mode: no closed-loop clients are created at :meth:`begin`
     #: (work arrives only through ``EXTERNAL_SUBMIT`` injections — arrival
     #: processes, trace replay, tenant streams).  The closed loop can still
     #: be started later via :meth:`ClusterSimulator.activate_clients`.
     open_loop: bool = spec(False, kind="bool")
-    #: ``"exact"`` stores every latency/completion (default, byte-identical
-    #: to the pre-scale-mode behavior); ``"streaming"`` accumulates into
-    #: O(1)-memory sketches (:mod:`repro.sim.sketch`) so unbounded runs
-    #: never grow per-transaction state — the million-user scale mode.
     metrics_mode: str = spec("exact", choices=("exact", "streaming"))
-    #: Multi-tenant policy (``repro.tenancy``): per-tenant weighted fair
-    #: queuing, admission quotas, latency SLOs and predicted-work shedding.
-    #: ``None`` keeps the single shared scheduler.
     tenancy: TenancyConfig | None = spec(None, nested=TenancyConfig, optional=True)
 
 
@@ -155,30 +142,12 @@ class InFlightTransaction:
     submitted_at_ms: float
     predicted_remaining_ms: float
 
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "procedure": self.procedure,
-            "tenant": self.tenant,
-            "txn_id": self.txn_id,
-            "attempt": self.attempt,
-            "partitions": list(self.partitions),
-            "submitted_at_ms": self.submitted_at_ms,
-            "predicted_remaining_ms": self.predicted_remaining_ms,
-        }
+    to_dict = schema.to_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "InFlightTransaction":
-        return cls(
-            state=data["state"],
-            procedure=data["procedure"],
-            tenant=data.get("tenant"),
-            txn_id=data.get("txn_id"),
-            attempt=int(data["attempt"]),
-            partitions=tuple(data["partitions"]),
-            submitted_at_ms=float(data["submitted_at_ms"]),
-            predicted_remaining_ms=float(data["predicted_remaining_ms"]),
-        )
+        entry = schema.from_dict(cls, data, SimulationError, "in-flight transaction")
+        return dataclasses.replace(entry, partitions=tuple(entry.partitions))
 
 
 class ClusterSimulator:
@@ -256,7 +225,7 @@ class ClusterSimulator:
                 streaming_waits=streaming,
             )
             self.tenancy = None
-        limits = config.admission_limits
+        limits = config.admission
         self.admission = AdmissionController(limits) if limits is not None else None
 
         self._partition_free = [0.0] * self._num_partitions
@@ -270,6 +239,7 @@ class ClusterSimulator:
             CompletionWindow() if streaming else CompletionLog()
         )
         self._breakdown_acc: dict[str, list] = {}
+        # Named after SimulationResult's fields: a snapshot passes them by name.
         self._counters = {
             "committed": 0, "user_aborted": 0, "restarts": 0, "escalations": 0,
             "undo_disabled": 0, "early_prepared": 0, "single_partition": 0,
@@ -413,7 +383,7 @@ class ClusterSimulator:
         so installing a controller mid-run never underflows.
         """
         self.begin()
-        self.config.admission_limits = limits
+        self.config.admission = limits
         if limits is None:
             self.admission = None
         elif self.admission is None:
@@ -493,28 +463,6 @@ class ClusterSimulator:
         ``deadline_ms`` (simulated time)."""
         self.begin()
         self._run_events(deadline_ms)
-
-    def reset(self) -> None:
-        """Discard all incremental state; the next drive starts a fresh
-        episode (the database and strategy keep their accumulated state,
-        exactly as repeated legacy ``run()`` calls did)."""
-        self._began = False
-
-    def run(self) -> SimulationResult:
-        """One-shot batch entry point (``config.total_transactions`` txns).
-
-        Each call is an independent episode: like the legacy closed loop it
-        builds a fresh scheduler and fresh accumulators, so calling ``run()``
-        twice yields two separate results (over the evolving database).
-        Incremental driving uses :meth:`extend_budget`/:meth:`run_until`
-        (see :class:`repro.session.ClusterSession`) instead.
-        """
-        if self._began and (self._submitted or self._budget or self._completions):
-            self.reset()
-        self.begin()
-        self.extend_budget(self.config.total_transactions)
-        self._run_events(_INF)
-        return self._build_result(copy=False)
 
     # ------------------------------------------------------------------
     def _run_events(self, deadline_ms: float, limit: float = _INF) -> None:
@@ -885,52 +833,29 @@ class ClusterSimulator:
         now; driving the core further and snapshotting again recomputes it.
         """
         self.begin()
-        return self._build_result(copy=True)
+        return self._build_result()
 
-    def _build_result(self, *, copy: bool) -> SimulationResult:
+    def _build_result(self) -> SimulationResult:
         result = SimulationResult(
             strategy=self.strategy.name,
             benchmark=self.benchmark_name,
             num_partitions=self._num_partitions,
-            simulated_duration_ms=0.0,
             metrics_mode=self.config.metrics_mode,
+            **self._counters,
         )
         if self._streaming:
-            result.latency_sketch = (
-                self._latencies.copy() if copy else self._latencies
-            )
+            result.latency_sketch = self._latencies.copy()
         else:
-            result.latencies_ms = list(self._latencies) if copy else self._latencies
-        counters = self._counters
-        result.committed = counters["committed"]
-        result.user_aborted = counters["user_aborted"]
-        result.restarts = counters["restarts"]
-        result.escalations = counters["escalations"]
-        result.undo_disabled = counters["undo_disabled"]
-        result.early_prepared = counters["early_prepared"]
-        result.single_partition = counters["single_partition"]
-        result.distributed = counters["distributed"]
-        result.rejected = counters["rejected"]
+            result.latencies_ms = list(self._latencies)
         for procedure, acc in self._breakdown_acc.items():
-            result.breakdowns[procedure] = ProcedureBreakdown(
-                procedure=procedure,
-                transactions=acc[_TXNS],
-                estimation_ms=acc[_EST],
-                planning_ms=acc[_PLAN],
-                execution_ms=acc[_EXEC],
-                coordination_ms=acc[_COORD],
-                other_ms=acc[_OTHER],
-            )
+            result.breakdowns[procedure] = ProcedureBreakdown(procedure, *acc)
         # Snapshots own their stats: a copy freezes the counters at this
         # point, so phase-over-phase comparisons of saved snapshots stay
-        # valid while the session keeps running.  The one-shot run() hands
-        # over the live objects, as the legacy loop did.
-        scheduler_stats = self.scheduler.stats
-        admission_stats = self.admission.stats if self.admission is not None else None
-        if copy:
-            scheduler_stats = dataclasses.replace(scheduler_stats)
-            if admission_stats is not None:
-                admission_stats = dataclasses.replace(admission_stats)
+        # valid while the session keeps running.
+        scheduler_stats = dataclasses.replace(self.scheduler.stats)
+        admission_stats = (
+            dataclasses.replace(self.admission.stats) if self.admission is not None else None
+        )
         # The wait summary is rebuilt fresh for every snapshot, so assigning
         # it never shares state between a frozen copy and the live stats.
         scheduler_stats.queue_wait_by_class = self.scheduler.wait_summary()
@@ -949,17 +874,11 @@ class ClusterSimulator:
                 duration_ms=result.simulated_duration_ms,
             )
             if self._streaming:
-                breakdown.latency_sketch = (
-                    acc["latencies"].copy() if copy else acc["latencies"]
-                )
+                breakdown.latency_sketch = acc["latencies"].copy()
             else:
-                breakdown.latencies_ms = (
-                    list(acc["latencies"]) if copy else acc["latencies"]
-                )
+                breakdown.latencies_ms = list(acc["latencies"])
             result.tenants[tenant] = breakdown
         # Maintenance (§4.5) and self-tuning activity, surfaced per snapshot.
-        # Built here — shared by run() and snapshot() — so session and batch
-        # results stay byte-identical.
         houdini = getattr(self.strategy, "houdini", None)
         if houdini is not None:
             result.maintenance = houdini.maintenance.stats_by_procedure()

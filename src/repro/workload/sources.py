@@ -47,7 +47,6 @@ cursor.
 from __future__ import annotations
 
 import heapq
-import math
 import operator
 import zlib
 from abc import ABC, abstractmethod
@@ -343,50 +342,27 @@ class OpenLoopSource(WorkloadSource):
     def compile(self, ctx: CompileContext, *, _tenant: str | None = None) -> CompiledSource:
         generator = ctx.make_generator(self.seed)
         gap_seed = ctx.seed * 31 + self.seed
-        if _vectorized.HAVE_NUMPY:
-            # Vectorized path: timestamps arrive in pre-built batches; each
-            # batch pairs time i with the generator's request i, exactly as
-            # the scalar loop below would (the streams are independent, so
-            # the pairing — and therefore the arrival stream — is identical).
-            time_chunks = _vectorized.arrival_time_chunks(
-                self.arrival, self.rate_per_sec,
-                seed=gap_seed, burst_size=self.burst_size,
-                chunk_size=_ARRIVAL_CHUNK, limit=self.limit,
-            )
-
-            def chunk_stream() -> Iterator[list[Arrival]]:
-                next_request = generator.next_request
-                for times in time_chunks:
-                    chunk = []
-                    append = chunk.append
-                    for at in times:
-                        raw = next_request()
-                        append(Arrival(
-                            at, ProcedureRequest(raw.procedure, raw.parameters), _tenant
-                        ))
-                    yield chunk
-
-            return CompiledSource(chunks=chunk_stream())
-
-        gaps = arrival_gaps(
+        # Timestamps arrive in pre-built batches; each batch pairs time i
+        # with the generator's request i (the two streams are independent).
+        time_chunks = _vectorized.arrival_time_chunks(
             self.arrival, self.rate_per_sec,
             seed=gap_seed, burst_size=self.burst_size,
+            chunk_size=_ARRIVAL_CHUNK, limit=self.limit,
         )
 
-        def stream() -> Iterator[Arrival]:
-            clock = 0.0
-            emitted = 0
-            for gap in gaps:
-                clock += gap
-                raw = generator.next_request()
-                yield Arrival(
-                    clock, ProcedureRequest(raw.procedure, raw.parameters), _tenant
-                )
-                emitted += 1
-                if self.limit is not None and emitted >= self.limit:
-                    return
+        def chunk_stream() -> Iterator[list[Arrival]]:
+            next_request = generator.next_request
+            for times in time_chunks:
+                chunk = []
+                append = chunk.append
+                for at in times:
+                    raw = next_request()
+                    append(Arrival(
+                        at, ProcedureRequest(raw.procedure, raw.parameters), _tenant
+                    ))
+                yield chunk
 
-        return CompiledSource(stream())
+        return CompiledSource(chunks=chunk_stream())
 
 
 @dataclass(eq=False)
@@ -791,7 +767,6 @@ def arrival_gaps(
     *,
     seed: int = 0,
     burst_size: int = 8,
-    vectorized: bool | None = None,
 ) -> Iterator[float]:
     """Infinite inter-arrival gaps (ms) for one arrival process.
 
@@ -799,13 +774,9 @@ def arrival_gaps(
     fully determined by ``seed`` — the property every replay/determinism
     contract in this package leans on.
 
-    With numpy installed, Poisson gaps are drawn in batches through the
-    vectorized kernel (the canonical stream; see
-    :mod:`repro.workload.vectorized`), so iterator consumers and chunked
-    consumers observe byte-identical gaps.  ``vectorized`` forces the
-    choice for testing: ``False`` selects the pure-Python ``math.log``
-    fallback, which consumes the identical uniform draws and matches the
-    kernel's gaps to within one ulp of the log.
+    Poisson gaps are drawn in batches through the vectorized kernel (the
+    canonical stream; see :mod:`repro.workload.vectorized`), so iterator
+    consumers and chunked consumers observe byte-identical gaps.
     """
     if rate_per_sec <= 0:
         raise WorkloadError(f"rate_per_sec must be positive, got {rate_per_sec!r}")
@@ -816,20 +787,12 @@ def arrival_gaps(
                 yield mean_ms
         return uniform()
     if process == "poisson":
-        rng = WorkloadRandom(seed)
-        use_kernel = _vectorized.HAVE_NUMPY if vectorized is None else vectorized
-        if use_kernel:
-            def poisson_batched() -> Iterator[float]:
-                core = rng.core
-                while True:
-                    yield from _vectorized.exponential_gap_batch(
-                        core, mean_ms, _GAP_BATCH
-                    ).tolist()
-            return poisson_batched()
+        core = WorkloadRandom(seed).core
         def poisson() -> Iterator[float]:
             while True:
-                # floating() draws from [0, 1); log(1-u) is always finite.
-                yield -mean_ms * math.log(1.0 - rng.floating(0.0, 1.0))
+                yield from _vectorized.exponential_gap_batch(
+                    core, mean_ms, _GAP_BATCH
+                ).tolist()
         return poisson()
     if process == "bursty":
         # burst_size arrivals packed at 4x the rate, then an idle gap that
@@ -856,30 +819,13 @@ def arrival_times(
     *,
     seed: int = 0,
     burst_size: int = 8,
-    vectorized: bool | None = None,
 ) -> list[float]:
-    """The first ``count`` absolute arrival times (ms) of a process.
-
-    Uses the vectorized kernel in one shot when numpy is available (byte-
-    identical to accumulating :func:`arrival_gaps`); ``vectorized=False``
-    forces the scalar accumulation for testing and numpy-less hosts.
-    """
-    if count < 0:
-        raise WorkloadError("count must be non-negative")
-    use_kernel = _vectorized.HAVE_NUMPY if vectorized is None else vectorized
-    if use_kernel:
-        return _vectorized.vectorized_arrival_times(
-            process, rate_per_sec, count, seed=seed, burst_size=burst_size
-        )
-    times: list[float] = []
-    clock = 0.0
-    gaps = arrival_gaps(
-        process, rate_per_sec, seed=seed, burst_size=burst_size, vectorized=False
+    """The first ``count`` absolute arrival times (ms) of a process: the
+    vectorized kernel in one shot (byte-identical to accumulating
+    :func:`arrival_gaps`)."""
+    return _vectorized.vectorized_arrival_times(
+        process, rate_per_sec, count, seed=seed, burst_size=burst_size
     )
-    for _ in range(count):
-        clock += next(gaps)
-        times.append(clock)
-    return times
 
 
 __all__ = [

@@ -1,10 +1,9 @@
 """Vectorized arrival-time generation: the million-user scale mode's hot path.
 
-The scalar arrival processes in :func:`repro.workload.sources.arrival_gaps`
-draw one inter-arrival gap per event through a Python iterator — fine for
-hundreds of clients, hopeless for production rates where a single overload
-probe wants millions of arrivals.  This module generates the *same* arrival
-streams in numpy batches:
+Drawing one inter-arrival gap per event in Python is fine for hundreds of
+clients and hopeless for production rates, where a single overload probe
+wants millions of arrivals.  This module generates the arrival streams in
+numpy batches, equal to the one-gap-at-a-time scalar streams:
 
 * :func:`exponential_gap_batch` draws a block of Poisson-process gaps by
   transplanting the Mersenne-Twister state of the stream's
@@ -24,17 +23,14 @@ streams in numpy batches:
 
 Stream-equivalence contract
 ---------------------------
-With numpy installed, the vectorized kernel is the *canonical* gap stream:
-``arrival_gaps`` batches through it internally, so iterator-driven and
-chunk-driven consumers observe byte-identical arrivals for the same seed
-(held by ``tests/workload/test_vectorized.py`` across all three processes).
-Without numpy, the pure-Python fallback in :mod:`repro.workload.sources`
-consumes the identical uniform sequence and differs from the kernel only in
-the last ulp of ``log`` for a ~0.3% minority of Poisson gaps (``math.log``
-vs numpy's vectorized log); uniform and bursty gaps are exact constants and
-identical under both paths.  The fallback therefore remains a valid
-deterministic stream on numpy-less hosts, and every cross-implementation
-test pins the shared uniform draws exactly and the gaps to one ulp.
+numpy is a declared dependency, and the vectorized kernel is the *canonical*
+gap stream: ``arrival_gaps`` batches through it internally, so
+iterator-driven and chunk-driven consumers observe byte-identical arrivals
+for the same seed (held by ``tests/workload/test_vectorized.py`` across all
+three processes).  The pure-Python Poisson loop kept as a reference in
+``tests/workload/reference.py`` consumes the identical uniform sequence and
+differs from the kernel only in the last ulp of ``log`` for a ~0.3%
+minority of gaps (``math.log`` vs numpy's vectorized log).
 """
 
 from __future__ import annotations
@@ -42,28 +38,14 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+import numpy as _np
+
 from ..errors import WorkloadError
-
-try:  # pragma: no cover - exercised implicitly by every numpy-present run
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less hosts
-    _np = None
-
-#: Whether the vectorized kernel is available on this host.
-HAVE_NUMPY = _np is not None
 
 #: Default arrivals per generated batch.  Large enough to amortize the
 #: state-transplant and vector-op overhead (~10 µs per batch), small enough
 #: that lazily compiled sources never run far ahead of what a session pulls.
 DEFAULT_CHUNK = 4096
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY or _np is None:
-        raise WorkloadError(
-            "vectorized arrival generation requires numpy; install it or use "
-            "the scalar arrival_gaps/arrival_times fallback"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -101,9 +83,8 @@ def exponential_gap_batch(
 
     Consumes exactly ``count`` uniforms from ``rng`` (its state advances as
     if ``rng.random()`` had been called ``count`` times) and applies the
-    same inverse CDF as the scalar path: ``-mean_ms * log(1 - u)``.
+    inverse CDF as the scalar reference: ``-mean_ms * log(1 - u)``.
     """
-    _require_numpy()
     if count < 0:
         raise WorkloadError("count must be non-negative")
     state = _transplant(rng)
@@ -147,7 +128,6 @@ def arrival_time_chunks(
     one gap at a time: each batch seeds its prefix sum with the running
     clock so the float64 additions happen in the exact scalar order.
     """
-    _require_numpy()
     if rate_per_sec <= 0:
         raise WorkloadError(f"rate_per_sec must be positive, got {rate_per_sec!r}")
     if chunk_size < 1:
@@ -220,7 +200,6 @@ def vectorized_arrival_times(
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "DEFAULT_CHUNK",
     "exponential_gap_batch",
     "arrival_time_chunks",

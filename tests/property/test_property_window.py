@@ -16,14 +16,13 @@ completion folded at ``end + think`` leaves when the general loop records
 an earlier one first.
 
 A simulator-level check drives real episodes (fast path, a live policy
-swap with think time, ``reset()``) and compares every snapshot with the
-reference over the simulator's own log.
+swap with think time) and compares every snapshot with the reference over
+the simulator's own log.
 
 The properties are proven by seeded mutations they must catch
 (``TestMutationsAreCaught``): a tie at the warm-up time counted inside the
-window (``>=`` for ``>`` at the cursor); a recount after the in-place sort
-that leaves the cursor standing; and a log reused across ``reset()`` / ``begin()``
-with its counters left standing.
+window (``>=`` for ``>`` at the cursor); and a recount after the in-place
+sort that leaves the cursor standing.
 """
 
 from __future__ import annotations
@@ -137,28 +136,28 @@ class TestWindowEqualsReference:
 
 
 # ----------------------------------------------------------------------
-# The simulator's own log, across a mode switch and reset()
+# The simulator's own log, across a mode switch
 # ----------------------------------------------------------------------
 WARMUP_FRACTION = 0.25
 
 
 def drive_episodes(episodes: int = 2) -> tuple[int, int]:
-    """Episodes of a TATP core with think time: part of the budget on the
-    fast path (folded completions left in the heap), then a live swap to a
-    predictive policy; every few steps a snapshot must equal the reference
-    over the simulator's log.  Returns the snapshots compared and how many
-    of them found the log out of end-time order."""
+    """Episodes of a TATP core with think time, each a fresh core over the
+    evolving database: part of the budget on the fast path (folded
+    completions left in the heap), then a live swap to a predictive policy;
+    every few steps a snapshot must equal the reference over the simulator's
+    log.  Returns the snapshots compared and how many of them found the log
+    out of end-time order."""
     artifacts = trained("tatp", 4, 200, 3)
-    simulator = ClusterSimulator(
-        artifacts.benchmark.catalog, artifacts.benchmark.database,
-        artifacts.benchmark.generator, build_strategy("houdini", artifacts),
-        config=SimulatorConfig(client_think_time_ms=1.5, warmup_fraction=WARMUP_FRACTION),
-        benchmark_name="tatp",
-    )
+    strategy = build_strategy("houdini", artifacts)
     compared = disordered = 0
     for _ in range(episodes):
-        simulator.reset()
-        simulator.config.policy = None
+        simulator = ClusterSimulator(
+            artifacts.benchmark.catalog, artifacts.benchmark.database,
+            artifacts.benchmark.generator, strategy,
+            config=SimulatorConfig(client_think_time_ms=1.5, warmup_fraction=WARMUP_FRACTION),
+            benchmark_name="tatp",
+        )
         simulator.extend_budget(60)
         for _ in range(40):
             simulator.step()
@@ -181,7 +180,7 @@ def drive_episodes(episodes: int = 2) -> tuple[int, int]:
 
 
 class TestSimulatorWindow:
-    def test_snapshots_across_a_mode_switch_and_reset(self):
+    def test_snapshots_across_a_mode_switch(self):
         compared, disordered = drive_episodes()
         assert compared > 10 and disordered > 0
 
@@ -197,18 +196,6 @@ def _recount_keeping_the_cursor(self):
     cursor = getattr(self, "_cursor", 0), getattr(self, "_cursor_committed", 0)
     _real_recount(self)
     self._cursor, self._cursor_committed = cursor
-
-
-_real_begin = ClusterSimulator.begin
-
-
-def _begin_reusing_the_log(self):
-    """A new episode that empties the old log instead of building one."""
-    stale = None if self._began else getattr(self, "_completions", None)
-    _real_begin(self)
-    if stale is not None:
-        stale.clear()
-        self._completions = stale
 
 
 def _generated_only():
@@ -237,9 +224,3 @@ class TestMutationsAreCaught:
             check(*LATE_BEFORE_CURSOR)
         with pytest.raises(AssertionError, match="differs"):
             _generated_only()()
-
-    def test_a_log_reused_across_reset(self, monkeypatch):
-        drive_episodes()
-        monkeypatch.setattr(ClusterSimulator, "begin", _begin_reusing_the_log)
-        with pytest.raises(AssertionError, match="reference"):
-            drive_episodes()

@@ -18,6 +18,7 @@ driver is held by ``tests/sim/test_event_runtime.py``.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -475,25 +476,6 @@ class TestSessionLifecycle:
         # drain never ran: only the 10 driven transactions completed.
         assert len(session.simulator._completions) == 10
 
-    def test_repeat_run_gives_independent_episodes(self):
-        """Legacy contract: each ClusterSimulator.run() is a fresh episode
-        (fresh scheduler and accumulators over the evolving database)."""
-        from repro.sim import ClusterSimulator, SimulatorConfig
-
-        artifacts = trained("tatp", 4, 200, 3)
-        simulator = ClusterSimulator(
-            artifacts.benchmark.catalog, artifacts.benchmark.database,
-            artifacts.benchmark.generator,
-            build_strategy("oracle", artifacts),
-            config=SimulatorConfig(total_transactions=50), benchmark_name="tatp",
-        )
-        first = simulator.run()
-        second = simulator.run()
-        assert first.total_transactions == 50
-        assert second.total_transactions == 50
-        assert len(first.latencies_ms) == 50  # not aliased by the rerun
-        assert second.scheduler_stats.submitted == 50
-
     def test_step_revives_parked_clients_after_budget_extension(self):
         artifacts = trained("tatp", 4, 200, 3)
         session = Cluster.open(
@@ -610,6 +592,41 @@ class TestSessionLifecycle:
         assert session.houdini.config.confidence_threshold == 0.9
         assert session.run_for(txns=20).total_transactions == 20
         session.close()
+
+
+class TestRunLengths:
+    """A run length is checked like a declared field before the session
+    moves: ``txns`` is an integer >= 0, ``sim_seconds`` and a schedule's
+    ``at_ms`` are finite numbers >= 0.  Each of these hung (infinite or NaN
+    lengths) or ran the wrong amount (``2.5`` transactions ran 3, a NaN
+    schedule time applied its diff at 0) before the check."""
+
+    @pytest.fixture()
+    def session(self):
+        session = Cluster.open(
+            ClusterSpec(benchmark="tatp", num_partitions=2, trace_transactions=100,
+                        strategy="oracle"),
+            artifacts=trained("tatp", 2, 100, 0),
+        )
+        yield session
+        assert session.now_ms == 0.0 and session.simulator.submitted == 0
+        session.close()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_sim_seconds_must_be_finite(self, session, value):
+        with pytest.raises(SessionError, match=r"sim_seconds must be a finite number >= 0"):
+            session.run_for(sim_seconds=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 2.5])
+    def test_txns_must_be_an_integer(self, session, value):
+        with pytest.raises(SessionError, match=r"txns must be an integer >= 0"):
+            session.run_for(txns=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_schedule_times_must_be_finite(self, session, value):
+        with pytest.raises(SessionError, match=r"at_ms must be a finite number >= 0"):
+            session.apply_schedule([(value, {"policy": "shortest-predicted"})])
+        assert session.simulator.config.policy is None
 
 
 #: Spec fields routing ``run_for(txns=...)`` through each event loop.

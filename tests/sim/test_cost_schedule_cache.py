@@ -8,8 +8,8 @@ import dataclasses
 import pytest
 
 from repro.engine.engine import AttemptOutcome, AttemptResult
-from repro.session import build_strategy
-from repro.sim import ClusterSimulator, CostModel, SimulatorConfig
+from repro.session import Cluster, ClusterSpec, build_strategy
+from repro.sim import CostModel
 from repro.txn.plan import ExecutionPlan
 from repro.types import PartitionSet, ProcedureRequest, QueryInvocation, QueryType
 from tests.conftest import trained
@@ -43,12 +43,11 @@ def _plan(base=0, locked=(0,), estimation_ms=0.0):
     )
 
 
-def _simulator(bench_name, transactions):
+def _session(bench_name):
     artifacts = trained(bench_name, 4, 300, 17)
-    return ClusterSimulator(
-        artifacts.benchmark.catalog, artifacts.benchmark.database,
-        artifacts.benchmark.generator, build_strategy("houdini", artifacts),
-        config=SimulatorConfig(total_transactions=transactions), benchmark_name=bench_name,
+    return Cluster.open(
+        ClusterSpec(benchmark=bench_name, num_partitions=4),
+        artifacts=artifacts, strategy=build_strategy("houdini", artifacts),
     )
 
 
@@ -154,8 +153,8 @@ class TestScheduleCache:
     @pytest.mark.parametrize("bench_name", ["tatp", "tpcc"])
     def test_simulated_result_identical_bypassed_or_not(self, bench_name, monkeypatch):
         def run():
-            simulator = _simulator(bench_name, 300)
-            return simulator.run().to_dict(), simulator.cost_model
+            session = _session(bench_name)
+            return session.run_for(txns=300).to_dict(), session.simulator.cost_model
 
         cached, model = run()
         assert not model._cache_bypassed and model._cache_counts[1] > 0
@@ -216,7 +215,7 @@ class TestSharedTiming:
         """The simulator's replay reads a shared timing once per attempt of
         its shape: a run must leave every cached timing equal to a fresh
         derivation from the same constants."""
-        simulator = _simulator("tpcc", 200)
+        session = _session("tpcc")
         seen = {}
         attempt_timing = CostModel.attempt_timing
 
@@ -227,7 +226,7 @@ class TestSharedTiming:
 
         CostModel.attempt_timing = recording
         try:
-            simulator.run()
+            session.run_for(txns=200)
         finally:
             CostModel.attempt_timing = attempt_timing
         assert len(seen) > 10

@@ -21,7 +21,8 @@ from repro.types import ProcedureRequest
 from tests.conftest import trained
 
 
-def legacy_run(catalog, database, generator, strategy, cost_model, config, benchmark_name):
+def legacy_run(catalog, database, generator, strategy, cost_model, config, benchmark_name,
+               transactions):
     """The pre-event-loop greedy driver (verbatim reference port)."""
     num_partitions = catalog.num_partitions
     num_clients = max(1, config.clients_per_partition * num_partitions)
@@ -33,7 +34,7 @@ def legacy_run(catalog, database, generator, strategy, cost_model, config, bench
         strategy=strategy.name, benchmark=benchmark_name,
         num_partitions=num_partitions, simulated_duration_ms=0.0,
     )
-    for _ in range(config.total_transactions):
+    for _ in range(transactions):
         client_id = min(range(num_clients), key=lambda c: client_ready[c])
         submit_time = client_ready[client_id]
         request = generator.next_request()
@@ -98,6 +99,17 @@ def legacy_run(catalog, database, generator, strategy, cost_model, config, bench
     return result
 
 
+def session_run(bench_name, artifacts, strategy, txns, think=0.0):
+    """``run_for(txns=txns)`` on a fresh session over ``artifacts``."""
+    session = Cluster.open(
+        ClusterSpec(benchmark=bench_name, num_partitions=4, client_think_time_ms=think),
+        artifacts=artifacts, strategy=strategy,
+    )
+    result = session.run_for(txns=txns)
+    session.close()
+    return result
+
+
 def _assert_identical(new, old):
     assert new.latencies_ms == old.latencies_ms
     assert new.committed == old.committed
@@ -132,35 +144,25 @@ class TestLegacyEquivalence:
         ],
     )
     def test_fcfs_metrics_identical_to_legacy_driver(self, bench_name, strategy_name, think):
-        config = SimulatorConfig(total_transactions=250, client_think_time_ms=think)
+        config = SimulatorConfig(client_think_time_ms=think)
 
         artifacts = trained(bench_name, 4, 300, 17)
         strategy = build_strategy(strategy_name, artifacts)
-        new = ClusterSimulator(
-            artifacts.benchmark.catalog, artifacts.benchmark.database,
-            artifacts.benchmark.generator, strategy,
-            config=config, benchmark_name=bench_name,
-        ).run()
+        new = session_run(bench_name, artifacts, strategy, 250, think)
 
         artifacts = trained(bench_name, 4, 300, 17)
         strategy = build_strategy(strategy_name, artifacts)
         old = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
-            CostModel(), config, bench_name,
+            CostModel(), config, bench_name, 250,
         )
         _assert_identical(new, old)
 
     def test_completions_arrive_in_end_time_order(self):
         """The linear warm-up pass relies on event-ordered completions."""
         artifacts = trained("tpcc", 4, 300, 9)
-        strategy = build_strategy("oracle", artifacts)
-        simulator = ClusterSimulator(
-            artifacts.benchmark.catalog, artifacts.benchmark.database,
-            artifacts.benchmark.generator, strategy,
-            config=SimulatorConfig(total_transactions=200), benchmark_name="tpcc",
-        )
-        result = simulator.run()
+        result = session_run("tpcc", artifacts, build_strategy("oracle", artifacts), 200)
         # The window derived by the linear pass must match a sort-based one.
         assert result.window_duration_ms > 0
         assert 0 < result.window_committed <= result.committed
@@ -168,8 +170,7 @@ class TestLegacyEquivalence:
 
 class TestSessionLegacyEquivalence:
     """The session API's bar: ``ClusterSession.run_for`` must reproduce the
-    pre-steppable ``ClusterSimulator.run()`` byte for byte, which transitively
-    means reproducing the original greedy driver (``legacy_run`` above)."""
+    original greedy driver (``legacy_run`` above) byte for byte."""
 
     @pytest.mark.parametrize(
         "bench_name,strategy_name,think",
@@ -179,9 +180,7 @@ class TestSessionLegacyEquivalence:
         ],
     )
     def test_run_for_metrics_identical_to_legacy_driver(self, bench_name, strategy_name, think):
-        from repro.session import Cluster, ClusterSpec
-
-        config = SimulatorConfig(total_transactions=250, client_think_time_ms=think)
+        config = SimulatorConfig(client_think_time_ms=think)
 
         artifacts = trained(bench_name, 4, 300, 17)
         strategy = build_strategy(strategy_name, artifacts)
@@ -198,26 +197,24 @@ class TestSessionLegacyEquivalence:
         old = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
-            CostModel(), config, bench_name,
+            CostModel(), config, bench_name, 250,
         )
         _assert_identical(new, old)
 
-    def test_split_run_for_calls_match_one_batch_run(self):
+    def test_whole_budget_matches_legacy_driver_and_later_calls_add_to_it(self):
         """Driving the core in slices quiesces between slices, so only an
-        uninterrupted budget reproduces the batch run; a fresh session given
-        the full budget at once must match run() exactly."""
+        uninterrupted budget reproduces the greedy driver; a fresh session
+        given the full budget at once must match it exactly."""
         def train():
             artifacts = trained("tatp", 4, 250, 11)
             return artifacts, build_strategy("oracle", artifacts)
 
-        from repro.session import Cluster, ClusterSpec
-
         artifacts, strategy = train()
-        batch = ClusterSimulator(
+        batch = legacy_run(
             artifacts.benchmark.catalog, artifacts.benchmark.database,
             artifacts.benchmark.generator, strategy,
-            config=SimulatorConfig(total_transactions=200), benchmark_name="tatp",
-        ).run()
+            CostModel(), SimulatorConfig(), "tatp", 200,
+        )
 
         artifacts, strategy = train()
         session = Cluster.open(

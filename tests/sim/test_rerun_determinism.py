@@ -14,6 +14,15 @@ byte-identical ``SimulationResult.to_dict()``:
 
 Each case also shows that it exercises what its name says; otherwise the
 comparisons above could pass on a session that never took that path.
+
+The same results pin the dict form, whose keys and key order come from
+the result classes' field tables: every case's digest equals the one in
+``rerun_digests.json`` (recorded before those tables replaced the
+hand-written ``to_dict``; re-record only for a change that is meant to move
+result bytes, by running ``tests.sim.rerun_cases`` as above into that
+file), and ``to_dict`` → JSON → ``from_dict`` → ``to_dict`` gives the same
+bytes for every case (exact metrics, tenants, and the maintenance,
+selftune and tenancy blocks among them).
 """
 
 from __future__ import annotations
@@ -27,10 +36,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim import SimulationResult
 from tests.sim.rerun_cases import CASES, SHAPES, digest
 
 ROOT = Path(__file__).resolve().parents[2]
 HASH_SEEDS = ("1", "2")
+RECORDED = json.loads((Path(__file__).parent / "rerun_digests.json").read_text())
 
 
 @functools.cache
@@ -102,3 +113,29 @@ class TestEachCaseTakesItsPath:
     def test_out_of_loop_submits_are_executed(self):
         result = _first_run("out_of_loop_submit")
         assert result["committed"] + result["user_aborted"] == 150 + 3 + 100
+
+
+class TestDictForm:
+    def test_every_case_is_recorded(self):
+        assert list(RECORDED) == list(CASES)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_the_digest_equals_the_recorded_one(self, name):
+        assert digest(_first_run(name)) == RECORDED[name]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_the_dict_form_round_trips_through_json(self, name):
+        """Every byte but the recomputed ``derived`` block, which sums the
+        breakdowns in map order: the simulator fills the map as procedures
+        first complete and the dict form lists it by name, so that one sum
+        may differ in its last bits.  Rebuilt once, the form is a fixed
+        point, ``derived`` included."""
+        document = json.dumps(_first_run(name))
+        rebuilt = SimulationResult.from_dict(json.loads(document)).to_dict()
+        original = json.loads(document)
+        derived, rederived = original.pop("derived"), rebuilt.pop("derived")
+        assert json.dumps(rebuilt) == json.dumps(original)
+        assert rederived == pytest.approx(derived, rel=1e-12)
+        again = json.dumps(SimulationResult.from_dict(
+            json.loads(json.dumps({**rebuilt, "derived": rederived}))).to_dict())
+        assert again == json.dumps({**rebuilt, "derived": rederived})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.session import Cluster, ClusterSpec, build_strategy
-from repro.sim import ClusterSimulator, CostModel, SimulationResult, SimulatorConfig
+from repro.sim import CostModel, SimulationResult
 from repro.sim.metrics import ProcedureBreakdown
 from tests.conftest import trained
 
@@ -80,15 +80,10 @@ class TestSimulator:
         assert slow.throughput_txn_per_sec < baseline.throughput_txn_per_sec
 
     def test_houdini_overhead_tracked(self, tpcc_artifacts):
-        strategy = build_strategy("houdini", tpcc_artifacts)
-        simulator = ClusterSimulator(
-            tpcc_artifacts.benchmark.catalog,
-            tpcc_artifacts.benchmark.database,
-            tpcc_artifacts.benchmark.generator,
-            strategy,
-            config=SimulatorConfig(total_transactions=150),
-            benchmark_name="tpcc",
+        session = Cluster.open(
+            ClusterSpec(benchmark="tpcc"), artifacts=tpcc_artifacts,
+            strategy=build_strategy("houdini", tpcc_artifacts),
         )
-        result = simulator.run()
+        result = session.run_for(txns=150)
         assert result.overall_estimation_share() > 0
         assert result.undo_disabled >= 0

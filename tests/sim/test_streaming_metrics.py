@@ -10,6 +10,8 @@ is untouched.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import SessionError, SimulationError
@@ -204,9 +206,12 @@ class TestStreamingTenants:
             assert breakdown.average_latency_ms > 0.0
             total += breakdown.total_transactions
         assert total == result.total_transactions
-        # Tenant breakdowns round-trip their sketch summaries too.
+        # Tenant breakdowns round-trip their sketch summaries too, and the
+        # frozen summaries serialize to the same bytes.
         data = result.to_dict()
-        restored = SimulationResult.from_dict(data)
+        restored = SimulationResult.from_dict(json.loads(json.dumps(data)))
+        again = restored.to_dict()
+        assert json.dumps({**again, "derived": None}) == json.dumps({**data, "derived": None})
         for name in result.tenants:
             assert restored.tenants[name].average_latency_ms == pytest.approx(
                 result.tenants[name].average_latency_ms

@@ -3,10 +3,10 @@
 Holds the contracts the million-user scale mode leans on:
 
 * **stream equivalence** — the vectorized arrival kernel, the chunked
-  iterator and the one-gap-at-a-time scalar accumulation produce
-  byte-identical timestamps for every arrival process and seed (with numpy
-  installed the kernel *is* the canonical Poisson stream);
-* the forced pure-Python fallback (``vectorized=False``) consumes the
+  iterator and the one-gap-at-a-time accumulation of ``arrival_gaps``
+  produce byte-identical timestamps for every arrival process and seed (the
+  kernel *is* the canonical Poisson stream);
+* the pure-Python reference (``tests/workload/reference.py``) consumes the
   identical uniform draws and matches the kernel to within one ulp of the
   log (bitwise for the deterministic uniform/bursty processes);
 * :class:`~repro.workload.sources.CompiledSource` batch consumption
@@ -36,8 +36,7 @@ from repro.workload import (
 )
 from repro.workload import vectorized as vz
 from repro.workload.sources import CompileContext, CompiledSource, Arrival
-
-HAVE_NUMPY = vz.HAVE_NUMPY
+from tests.workload.reference import scalar_arrival_times, scalar_gaps
 
 PROCESSES = ("poisson", "uniform", "bursty")
 SEEDS = (0, 7, 12345)
@@ -71,13 +70,10 @@ class _StubBenchmark:
 
 CTX = CompileContext(_StubBenchmark(), seed=0)
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 
 # ----------------------------------------------------------------------
 # Stream equivalence: kernel == chunked == scalar accumulation
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestStreamEquivalence:
     @pytest.mark.parametrize("process", PROCESSES)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -117,26 +113,26 @@ class TestStreamEquivalence:
 
     def test_zero_count(self):
         assert vz.vectorized_arrival_times("poisson", 100.0, 0) == []
-        assert arrival_times("poisson", 100.0, 0, vectorized=False) == []
+        assert arrival_times("poisson", 100.0, 0) == []
+        assert scalar_arrival_times("poisson", 100.0, 0) == []
 
 
 # ----------------------------------------------------------------------
-# Scalar fallback: same uniforms, gaps within one ulp
+# The scalar reference: same uniforms, gaps within one ulp
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestScalarFallback:
     @pytest.mark.parametrize("process", ("uniform", "bursty"))
     def test_deterministic_processes_bitwise_identical(self, process):
         kernel = arrival_times(process, 700.0, 2000, seed=2)
-        scalar = arrival_times(process, 700.0, 2000, seed=2, vectorized=False)
+        scalar = scalar_arrival_times(process, 700.0, 2000, seed=2)
         assert kernel == scalar
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_poisson_fallback_within_one_ulp_per_gap(self, seed):
         import numpy
 
-        kernel = arrival_gaps("poisson", 1000.0, seed=seed, vectorized=True)
-        scalar = arrival_gaps("poisson", 1000.0, seed=seed, vectorized=False)
+        kernel = arrival_gaps("poisson", 1000.0, seed=seed)
+        scalar = scalar_gaps("poisson", 1000.0, seed=seed)
         a = numpy.array([next(kernel) for _ in range(20_000)])
         b = numpy.array([next(scalar) for _ in range(20_000)])
         # Same underlying uniform draws; np.log vs math.log may differ by
@@ -148,21 +144,6 @@ class TestScalarFallback:
             times = arrival_times(process, 1000.0, 8000, seed=1)
             rate = 8000 / (times[-1] / 1000.0)
             assert rate == pytest.approx(1000.0, rel=0.05)
-
-
-class TestWithoutNumpy:
-    def test_scalar_paths_do_not_touch_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(vz, "HAVE_NUMPY", False)
-        times = arrival_times("poisson", 500.0, 100, seed=9)
-        assert len(times) == 100 and times == sorted(times)
-        source = OpenLoopSource(500.0, "poisson", seed=9, limit=50)
-        compiled = source.compile(CTX)
-        assert len(compiled.take(100)) == 50
-
-    def test_kernel_entry_points_raise_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vz, "HAVE_NUMPY", False)
-        with pytest.raises(WorkloadError, match="numpy"):
-            list(vz.arrival_time_chunks("poisson", 100.0, limit=10))
 
 
 # ----------------------------------------------------------------------
