@@ -392,15 +392,16 @@ def test_tenancy_overhead(save_result):
 def test_learning_overhead(save_result):
     """Track the learning tax: the same TPC-C closed loop, learning on vs off.
 
-    With learning on, every attempt's transitions are counted into the model
-    the planner is reading, maintenance checks drift every 200 transactions
-    and recomputes drifting models incrementally.  Counting a visit to an
-    existing edge leaves the planner's successor views alone (only a new edge
-    or a recompute replaces them) and a memoized walk is evicted only when
-    something it read was replaced, so what is left of the tax is the
-    recomputes themselves, the per-statement runtime monitor buffering
-    transitions, the maintenance counters, and the walks re-run after a
-    recompute or a new edge on their own path.
+    With learning on, every attempt's transitions are logged once into the
+    model the planner is reading, maintenance folds the log and checks drift
+    every 200 transactions, and drifting models are recomputed
+    incrementally, republishing only the views and tables that changed.  A
+    logged visit to an existing edge leaves the planner's successor views
+    alone (only a new edge or a recompute replaces them) and a memoized walk
+    is evicted only when something it read was replaced, so what is left of
+    the tax is the recomputes' table work, the per-statement runtime
+    monitor, and the walks re-run after a recompute or a new edge on their
+    own path.
 
     Off and on rounds alternate, so host drift hits both sides alike;
     ``on_over_off`` is the host-independent reading.  Reported, not asserted.
@@ -419,19 +420,20 @@ def test_learning_overhead(save_result):
         "learning_on": {"wall_txns_per_sec": round(on, 1)},
         "on_over_off": round(on / off, 3),
         "on_over_off_before": LEARNING_ON_OVER_OFF_BEFORE,
-        "note": "on_over_off_before was measured with this protocol on the "
-        "commit before count-only edge visits stopped dropping the successor "
-        "arrays and probability tables became flat columns. The commit "
-        "that made vertex keys hash-consed and validates a memoized walk by "
-        "what it read speeds up both sides (keys are hashed with learning "
-        "off too), so the ratio moves little: on that commit's host, runs "
-        "of this protocol alternating with its parent read 0.63 / 0.69 / "
-        "0.70 / 0.74 against the parent's 0.61 / 0.65 / 0.66 / 0.68 (the "
-        "parent's recorded 0.781 came from another host). What is left of the "
-        "tax: the incremental recomputes (about one per 170 transactions "
-        "here), the per-statement runtime monitor, maintenance bookkeeping, "
-        "and the walks re-run after a recompute or a new edge on their own "
-        "path.",
+        "note": (
+            "Measured on the commit that gave each model one transition log, in six "
+            "runs alternating with its parent on one 2-core host: 0.712 / 0.772 / 0.676 / 0.790 / 0.775 / 0.757 "
+            "against the parent's 0.737 / 0.664 / 0.660 / 0.644 / 0.718 / 0.636 (medians 0.76 vs 0.66; the recorded "
+            "run is the last; the host ran at about half the speed of the earlier "
+            "recordings). Learning now writes each attempt once (one log append, "
+            "folded at the maintenance check) and a recompute republishes only the "
+            "views and tables that changed. What is left of the tax: the recomputes' "
+            "table work, the per-statement runtime monitor, and the walks re-run "
+            "after a recompute or a new edge on their own path. on_over_off_before "
+            "was measured with this protocol on the commit before count-only edge "
+            "visits stopped dropping the successor arrays and probability tables "
+            "became flat columns."
+        ),
     }
     _merge_sections(learning_overhead=section)
     save_result(

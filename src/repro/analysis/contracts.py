@@ -125,12 +125,18 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     "_slo_counts": ("SLOTracker", "record()/set_config()/snapshot()"),
     "_work_ends": ("TenancyManager", "note_dispatch()/seed_inflight()/inflight_remaining_ms()"),
     # One SuccessorView per vertex, a function of the vertex's edge set and
-    # edge probabilities: a new edge pops it (_add_edge_visit, the one drop
-    # site), process() replaces it for the dirty set, and a hit count on an
-    # existing edge only marks the source dirty.  A published view is
-    # replaced, never mutated — its identity is what the plan memo compares
+    # edge probabilities: a new edge pops it (_new_edge, the one drop site),
+    # process() replaces it for a dirty vertex whose probabilities moved, and
+    # a hit count on an existing edge is logged and folded at the check
+    # (it only marks the source dirty).  A published view is replaced, never
+    # mutated — its identity is what the plan memo compares
     # (still_publishes()), so nothing outside the model may hold the dict.
-    "_successor_views": ("MarkovModel", "successor_view()/successors()/still_publishes()/process(); a new edge drops, a count dirties"),
+    "_successor_views": ("MarkovModel", "successor_view()/successors()/still_publishes()/process(); a new edge drops, a count is logged, folded at check"),
+    # The run-time transition log: appended once per learning attempt, its
+    # edge hits folded before any reader of edge counts, and handed whole to
+    # model maintenance at each check — a pair folded twice or never is a
+    # wrong count no probability shows until the next recompute.
+    "_transition_log": ("MarkovModel", "log_transitions()/drain_log()/logged_transitions(); edge-count readers fold it first"),
     # The exact-mode completion log's warm-up cursor: derived from the log's
     # contents, moved only by window() and reset by its recount after an
     # in-place sort; a new episode builds a fresh log instead of clearing one.

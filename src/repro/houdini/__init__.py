@@ -16,12 +16,13 @@ walk**:
   suite compares against (``tests/houdini/reference.py``).
 * :class:`~repro.markov.model.MarkovModel` precomputes probability-sorted
   successor arrays during ``process()``.  **Cache-invalidation contract:**
-  any change to a vertex's outgoing edges (``add_path``,
-  ``record_transition``, ``merge_counts``) drops that vertex's precomputed
-  array immediately — stale orderings are never served — and marks the
-  vertex dirty; the next ``recompute_probabilities()`` re-derives
-  probabilities, successor arrays and probability tables only for the dirty
-  vertices and their ancestors.
+  a new outgoing edge (``add_path``, ``log_transitions``, ``merge_counts``)
+  drops that vertex's precomputed array immediately — stale orderings are
+  never served; a count on an existing edge only marks the vertex dirty (run-time
+  counts are logged and folded at the next check).  The next
+  ``recompute_probabilities()`` re-derives probabilities for the dirty
+  vertices and republishes only the arrays and probability tables that
+  changed.
 * :class:`~repro.types.PartitionSet` and
   :class:`~repro.markov.vertex.VertexKey` precompute their hashes, and
   small partition sets are interned, because those hashes and unions

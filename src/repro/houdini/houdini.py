@@ -16,6 +16,7 @@ from .. import schema
 from ..catalog.schema import Catalog
 from ..engine.engine import AttemptResult
 from ..mapping.parameter_mapping import ParameterMappingSet
+from ..markov.model import MarkovModel
 from ..txn.plan import ExecutionPlan
 from ..types import ProcedureRequest
 from .cache import EstimateCache
@@ -41,6 +42,9 @@ class HoudiniPlan:
     runtime: HoudiniRuntime
     estimate: PathEstimate
     decision: OptimizationDecision
+    #: The model the attempt was planned on (the runtime monitors it unless
+    #: the estimate is degenerate); what the attempt learned belongs to it.
+    model: MarkovModel | None = None
 
 
 class Houdini:
@@ -191,7 +195,9 @@ class Houdini:
             footprint=footprint,
         )
         self._record_plan_stats(request, decision)
-        return HoudiniPlan(plan=plan, runtime=runtime, estimate=estimate, decision=decision)
+        return HoudiniPlan(
+            plan=plan, runtime=runtime, estimate=estimate, decision=decision, model=model
+        )
 
     def plan_restart(
         self,
@@ -245,7 +251,9 @@ class Houdini:
             abort_probability=estimate.abort_probability,
             confidence=estimate.confidence,
         )
-        return HoudiniPlan(plan=plan, runtime=runtime, estimate=estimate, decision=decision)
+        return HoudiniPlan(
+            plan=plan, runtime=runtime, estimate=estimate, decision=decision, model=model
+        )
 
     # ------------------------------------------------------------------
     def after_attempt(
@@ -254,13 +262,26 @@ class Houdini:
         houdini_plan: HoudiniPlan,
         attempt: AttemptResult,
     ) -> None:
-        """Feed the attempt's outcome back into maintenance and statistics."""
+        """Feed the attempt's outcome back into maintenance and statistics.
+
+        What the attempt learned belongs to the model it ran on, which the
+        runtime logs it into.  When that model was retired by a hot swap
+        earlier in the same ``on_transaction_complete`` (a restarted
+        transaction's later attempts), the attempt is dropped from
+        maintenance and self-tuning: its transitions are not the new
+        model's, and the retired model is not tracked again.
+        """
         runtime = houdini_plan.runtime
-        runtime.finish(attempt.committed)
-        model = self.provider.model_for(request)
+        model = houdini_plan.model
+        maintenance = None
         if model is not None and self.learning:
-            maintenance = self.maintenance.for_model(model)
-            maintenance.record_transitions(runtime.stats.transitions)
+            maintenance = self.maintenance.tracking(model)
+            if maintenance is None and self.provider.model_for(request) is model:
+                # First attempt on this model (before the runtime logs, so
+                # tracking starts with this attempt).
+                maintenance = self.maintenance.for_model(model)
+        runtime.finish(attempt.committed)
+        if maintenance is not None:
             self._since_maintenance += 1
             if self._since_maintenance >= self._maintenance_interval:
                 self._since_maintenance = 0

@@ -7,11 +7,20 @@ accuracy below a threshold (75% in the paper) — the model's edge and vertex
 probabilities are recomputed from the accumulated counters.  This happens
 on-line and is cheap (the paper quotes ≤ 5 ms); full model regeneration is
 only needed when the partitioning scheme or the procedure code changes.
+
+The observed path is written once: the run-time monitor appends each
+attempt's transitions to the model's transition log
+(:meth:`~repro.markov.model.MarkovModel.log_transitions`), and
+:meth:`ModelMaintenance.fold` takes the whole log at each check — one
+aggregated pass counts it into the model's edge hits and into the observed
+counters here.  Everything that reads the counters folds first, so a fold
+at any moment gives the same counters (and dict order) as counting each
+transition as it happened.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .. import schema
@@ -29,7 +38,12 @@ TAIL_LIMIT = 2048
 
 @dataclass
 class MaintenanceStats:
-    """Counters describing maintenance activity for one model."""
+    """Counters describing maintenance activity for one model.
+
+    ``transitions_observed`` counts the folded transitions;
+    :meth:`MaintenanceRegistry.stats_by_procedure` adds what the model's log
+    still holds, so the rollup is exact after every attempt.
+    """
 
     transitions_observed: int = 0
     accuracy_checks: int = 0
@@ -38,15 +52,21 @@ class MaintenanceStats:
 
 
 class ModelMaintenance:
-    """Tracks observed transitions and recomputes drifting models."""
+    """Tracks observed transitions and recomputes drifting models.
+
+    Tracking starts with an empty log: what the model logged before (a
+    previous session learning on the same model object) is counted into its
+    edges but is not this maintenance's observation.
+    """
 
     def __init__(self, model: MarkovModel, config: HoudiniConfig | None = None) -> None:
         self.model = model
         self.config = config or HoudiniConfig()
         self.stats = MaintenanceStats()
-        self._observed: dict[VertexKey, dict[VertexKey, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
+        model.drain_log()
+        #: Observed transition counts since the last recompute, per source
+        #: in first-seen order (the check's overlap sums follow it).
+        self._observed: dict[VertexKey, dict[VertexKey, int]] = {}
         #: Recent transitions, oldest first, when a sliding window is
         #: configured (§4.5 future work: "a sliding window that only
         #: includes recent transactions for fast changing workloads").
@@ -58,20 +78,36 @@ class ModelMaintenance:
         self._tail: deque[tuple[VertexKey, VertexKey]] = deque(maxlen=TAIL_LIMIT)
 
     # ------------------------------------------------------------------
-    def record_transitions(self, transitions) -> None:
-        """Record the (source, target) pairs one transaction visited."""
+    def fold(self) -> None:
+        """Take the model's transition log and count it in: one aggregated
+        pass in first-seen order folds it into the edge hits (the model does
+        that) and into the observed counters.
+
+        With a sliding window, appends and evictions are replayed in log
+        order instead, so the observed dict's order — and every overlap sum
+        the check adds up in that order — is what counting each transition
+        as it happened would give.
+        """
+        log, counts = self.model.drain_log()
+        if not log:
+            return
+        self.stats.transitions_observed += len(log)
+        self._tail.extend(log)
         observed = self._observed
-        tail = self._tail
         window = self._window
-        for pair in transitions:
+        if window is None:
+            for (source, target), count in counts.items():
+                targets = observed.setdefault(source, {})
+                targets[target] = targets.get(target, 0) + count
+            return
+        limit = self.config.maintenance_window
+        for pair in log:
             source, target = pair
-            observed[source][target] += 1
-            tail.append(pair)
-            if window is not None:
-                window.append(pair)
-                if len(window) > self.config.maintenance_window:
-                    self._evict(*window.popleft())
-        self.stats.transitions_observed += len(transitions)
+            targets = observed.setdefault(source, {})
+            targets[target] = targets.get(target, 0) + 1
+            window.append(pair)
+            if len(window) > limit:
+                self._evict(*window.popleft())
 
     def set_window(self, window: int | None) -> None:
         """Resize (or disable) the sliding window mid-run.
@@ -81,16 +117,19 @@ class ModelMaintenance:
         ``window`` transitions — the all-time history is discarded rather than
         silently kept until new traffic pushes it out.  ``None`` disables the
         window: the current counters are kept and accumulate from here on.
+        What was logged before the call is folded under the old window.
         """
         schema.check_field(HoudiniConfig, "maintenance_window", window, ValueError)
+        self.fold()
         self.config.maintenance_window = window
         if window is None:
             self._window = None
             return
         tail = list(self._tail)[-window:]
-        self._observed = defaultdict(lambda: defaultdict(int))
+        observed = self._observed = {}
         for source, target in tail:
-            self._observed[source][target] += 1
+            targets = observed.setdefault(source, {})
+            targets[target] = targets.get(target, 0) + 1
         self._window = deque(tail)
 
     def _evict(self, source: VertexKey, target: VertexKey) -> None:
@@ -112,6 +151,7 @@ class ModelMaintenance:
         (``sum(min(p_model, p_observed))``): 1.0 when they agree exactly and
         0.0 when they are disjoint.
         """
+        self.fold()
         observed = self._observed.get(source)
         total = sum(observed.values()) if observed else 0
         return self._overlap(source, observed, total) if total else 1.0
@@ -128,6 +168,7 @@ class ModelMaintenance:
 
         Returns True when a recomputation happened.
         """
+        self.fold()
         self.stats.accuracy_checks += 1
         worst = 1.0
         min_observations = self.config.maintenance_min_observations
@@ -143,6 +184,7 @@ class ModelMaintenance:
 
     def recompute(self) -> None:
         """Recompute the model's probabilities from its visit counters."""
+        self.fold()
         self.model.recompute_probabilities(
             precompute_tables=self.config.precompute_tables
         )
@@ -159,6 +201,11 @@ class MaintenanceRegistry:
     def __init__(self, config: HoudiniConfig | None = None) -> None:
         self.config = config or HoudiniConfig()
         self._by_model: dict[int, ModelMaintenance] = {}
+
+    def tracking(self, model: MarkovModel) -> ModelMaintenance | None:
+        """The maintenance of ``model`` if it is tracked, else ``None``
+        (never tracked, or released by :meth:`forget`)."""
+        return self._by_model.get(id(model))
 
     def for_model(self, model: MarkovModel) -> ModelMaintenance:
         key = id(model)
@@ -190,6 +237,9 @@ class MaintenanceRegistry:
         tail (see :meth:`ModelMaintenance.set_window`).
         """
         schema.check_field(HoudiniConfig, "maintenance_window", window, ValueError)
+        # The config is shared: fold every log under the old window first.
+        for maintenance in self._by_model.values():
+            maintenance.fold()
         self.config.maintenance_window = window
         for maintenance in self._by_model.values():
             maintenance.set_window(window)
@@ -224,7 +274,9 @@ class MaintenanceRegistry:
                     "last_accuracy": 1.0,
                 }
             stats = maintenance.stats
-            entry["transitions_observed"] += stats.transitions_observed
+            entry["transitions_observed"] += (
+                stats.transitions_observed + maintenance.model.logged_transitions()
+            )
             entry["accuracy_checks"] += stats.accuracy_checks
             entry["recomputations"] += stats.recomputations
             entry["last_accuracy"] = min(entry["last_accuracy"], stats.last_accuracy)

@@ -10,7 +10,8 @@ query listener.  After every query it:
   the paper describes — disabling undo logging once the transaction can no
   longer abort (OP3) and declaring partitions finished so the DBMS can send
   early-prepare messages and start speculative execution (OP4),
-* records the transition counts that model maintenance (§4.5) uses.
+* logs the attempt's transitions into the model (§4.5): once, when the
+  attempt is sealed (:meth:`HoudiniRuntime.finish`).
 
 Accessing a partition that was previously declared finished raises
 :class:`~repro.errors.MispredictionAbort`, forcing the coordinator to restart
@@ -85,6 +86,9 @@ class HoudiniRuntime:
         # shared, not copied.  Query ``i`` is expected at index ``i + 1``.
         self._expected = estimate.vertices
         self._expected_vertices = estimate.path_vertices
+        #: How many transitions followed the estimate before the first
+        #: deviation (set when the attempt deviates).
+        self._followed = 0
         #: OP4 state fixed per attempt, built by the first query that may
         #: finish a partition: the floored confidence threshold and the
         #: unfinished candidates as ``(partition, first releasable query)``.
@@ -127,8 +131,10 @@ class HoudiniRuntime:
                         vertex = self._expected_vertices[index]
                 else:
                     stats.deviated_from_estimate = True
+                    self._followed = observed
             else:
                 stats.deviated_from_estimate = True
+                self._followed = observed
         if key is None:
             key = VertexKey.query(
                 invocation.statement, invocation.counter, partitions, accumulated
@@ -136,7 +142,9 @@ class HoudiniRuntime:
         if vertex is None:
             vertex = model.find_vertex(key)
             if vertex is None:
-                stats.deviated_from_estimate = True
+                if not stats.deviated_from_estimate:
+                    stats.deviated_from_estimate = True
+                    self._followed = observed
                 if self.learn:
                     # Only a learning attempt writes the model: a placeholder
                     # moves ``model.version``, and its first edge drops the
@@ -144,8 +152,8 @@ class HoudiniRuntime:
                     vertex = model.add_placeholder(key, invocation.query_type)
                     stats.placeholders_added += 1
         if self._current is not None:
-            # Transitions are buffered per attempt and flushed into the
-            # model in one batch by :meth:`finish`.
+            # Transitions are buffered per attempt and logged into the
+            # model in one call by :meth:`finish`.
             stats.transitions.append((self._current, key))
         self._current = key
         if partitions is not accumulated:
@@ -270,12 +278,21 @@ class HoudiniRuntime:
     # ------------------------------------------------------------------
     def finish(self, committed: bool) -> None:
         """Seal the attempt: append the terminal transition and, when
-        learning, flush the whole per-attempt transition buffer into the
-        model in a single batch (one bulk call instead of one
-        ``record_transition`` per monitored query)."""
+        learning, log the whole per-attempt transition buffer into the model
+        in one call.
+
+        The transitions that followed the estimate run along edges the walk
+        read, into vertices it fetched: they are handed over as known, so
+        only the suffix after the first deviation and the terminal pair are
+        probed in the model.
+        """
         if self.model is None or self._current is None:
             return
-        terminal = COMMIT_KEY if committed else ABORT_KEY
-        self.stats.transitions.append((self._current, terminal))
+        stats = self.stats
+        transitions = stats.transitions
+        followed = self._followed if stats.deviated_from_estimate else len(transitions)
+        transitions.append((self._current, COMMIT_KEY if committed else ABORT_KEY))
         if self.learn:
-            self.model.record_transitions(self.stats.transitions)
+            self.model.log_transitions(
+                transitions, self._expected_vertices[1:followed + 1]
+            )

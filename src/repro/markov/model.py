@@ -11,21 +11,28 @@ procedure.  It is built in two phases:
   graph from the terminal states backwards.
 
 Models can keep learning at run time: unknown states become placeholder
-vertices, visit counters keep accumulating, and
-:meth:`MarkovModel.recompute_probabilities` refreshes the probabilities from
-the counters without rebuilding the graph (Section 4.5).
+vertices, each attempt's transitions are appended to the model's transition
+log (:meth:`MarkovModel.log_transitions`) and folded into the visit counters
+in one aggregated pass, and :meth:`MarkovModel.recompute_probabilities`
+refreshes the probabilities from the counters without rebuilding the graph
+(Section 4.5), republishing only the views and tables that changed.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import ModelError
 from ..types import PartitionSet, QueryType
 from .probability_table import ProbabilityTable
 from .vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, Edge, Vertex, VertexKey, VertexKind
+
+
+_hits = attrgetter("hits")
 
 
 @dataclass(frozen=True)
@@ -146,8 +153,9 @@ class MarkovModel:
         #: Monotonic counter of *prediction-relevant* changes: it advances
         #: when a vertex or edge is created and when :meth:`process`
         #: recomputes probabilities/tables, but NOT on count-only edge visits
-        #: (those leave every probability — and therefore every walk — intact
-        #: until the next processing pass).  For the plan memo
+        #: (those are logged and folded later, and leave every probability —
+        #: and therefore every walk — intact until the next processing
+        #: pass).  For the plan memo
         #: (:mod:`repro.houdini.cache`) it is the O(1) fast path only: an
         #: unmoved version proves a memoized walk valid, a moved one proves
         #: nothing — the walk is then asked what it read
@@ -161,6 +169,25 @@ class MarkovModel:
         self._dirty: set[VertexKey] | None = None
         #: Whether the last processing pass computed probability tables.
         self._tables_ready = False
+        #: Vertices whose probability table must be recomputed by the next
+        #: incremental pass that reaches them although their probabilities may
+        #: not move: a new outgoing edge, or a query type given to a
+        #: placeholder.
+        self._reshaped: set[VertexKey] = set()
+        #: Whether the last pass that computed tables found the graph
+        #: acyclic.  Edges are never removed, so a cycle is permanent, and one
+        #: closed since that pass runs through a dirty vertex: an incremental
+        #: pass then orders only the dirty vertices and their ancestors.
+        self._acyclic = False
+        #: The run-time transition log: every learning attempt's ``(source,
+        #: target)`` pairs, appended once by :meth:`log_transitions`.  Edge
+        #: hit counts are folded from it in one aggregated pass before
+        #: anything reads them (:meth:`_fold_log`), and model maintenance
+        #: takes the whole log at each check (:meth:`drain_log`), which
+        #: bounds it by one maintenance interval.
+        self._transition_log: list[tuple[VertexKey, VertexKey]] = []
+        #: How many leading log entries are already in the edge hit counts.
+        self._log_folded = 0
         for key in (BEGIN_KEY, COMMIT_KEY, ABORT_KEY):
             self._add_vertex(key, None)
 
@@ -219,6 +246,7 @@ class MarkovModel:
         return (v for v in self._vertices.values() if v.is_query)
 
     def edges_from(self, key: VertexKey) -> list[Edge]:
+        self._fold_log()
         return list(self._edges.get(key, {}).values())
 
     def successor_view(self, key: VertexKey) -> SuccessorView:
@@ -271,10 +299,13 @@ class MarkovModel:
         return True
 
     def edge(self, source: VertexKey, target: VertexKey) -> Edge | None:
+        self._fold_log()
         return self._edges.get(source, {}).get(target)
 
     def edge_probability(self, source: VertexKey, target: VertexKey) -> float:
-        edge = self.edge(source, target)
+        # A probability moves only in process(): no need to fold the log.
+        targets = self._edges.get(source)
+        edge = targets.get(target) if targets else None
         return edge.probability if edge else 0.0
 
     def probability_table(self, key: VertexKey) -> ProbabilityTable:
@@ -300,29 +331,40 @@ class MarkovModel:
                 self._dirty.add(key)
         elif query_type is not None and vertex.query_type is None:
             vertex.query_type = query_type
+            self._reshaped.add(key)
         return vertex
 
-    def _add_edge_visit(self, source: VertexKey, target: VertexKey, count: int = 1) -> Edge:
-        """The one edge mutation: every path that counts a transition
-        (construction, run-time learning, merging, deserialization) lands here.
+    def _new_edge(self, source: VertexKey, target: VertexKey) -> Edge:
+        """The one edge creation, shared by :meth:`_add_edge_visit` and
+        :meth:`log_transitions`.
 
-        A *new* edge changes the successor structure (its probability stays
+        A new edge changes the successor structure (its probability stays
         0.0 until the next processing pass, but it already participates in
         candidate pools), so the source's successor view is dropped and
-        memoized walks must go.  A visit to an existing edge changes neither
-        the edge set nor any ``edge.probability``: it only marks the source
-        dirty, and the next :meth:`process` refreshes exactly the dirty set.
+        memoized walks must go.
+        """
+        edge = Edge(source=source, target=target)
+        self._edges.setdefault(source, {})[target] = edge
+        self._reverse.setdefault(target, set()).add(source)
+        self.version += 1
+        self._successor_views.pop(source, None)
+        if self._dirty is not None:  # else the next pass is a full one
+            self._reshaped.add(source)
+        return edge
+
+    def _add_edge_visit(self, source: VertexKey, target: VertexKey, count: int = 1) -> Edge:
+        """Count ``count`` visits to an edge at once (construction, merging,
+        deserialization); run-time learning logs its visits instead
+        (:meth:`log_transitions`).
+
+        A visit to an existing edge changes neither the edge set nor any
+        ``edge.probability``: it only marks the source dirty, and the next
+        :meth:`process` refreshes exactly the dirty set.
         """
         targets = self._edges.get(source)
-        if targets is None:
-            targets = self._edges[source] = {}
-        edge = targets.get(target)
+        edge = targets.get(target) if targets is not None else None
         if edge is None:
-            edge = Edge(source=source, target=target)
-            targets[target] = edge
-            self._reverse.setdefault(target, set()).add(source)
-            self.version += 1
-            self._successor_views.pop(source, None)
+            edge = self._new_edge(source, target)
         edge.hits += count
         if self._dirty is not None:
             self._dirty.add(source)
@@ -367,23 +409,88 @@ class MarkovModel:
         self._stale = True
         return vertex
 
-    def record_transition(self, source: VertexKey, target: VertexKey, count: int = 1) -> None:
-        """Record a run-time transition (used by model maintenance)."""
-        if source not in self._vertices:
-            self.add_placeholder(source)
-        if target not in self._vertices:
-            self.add_placeholder(target)
-        self._vertices[target].hits += count
-        self._add_edge_visit(source, target, count)
+    # ------------------------------------------------------------------
+    # Run-time learning: the transition log
+    # ------------------------------------------------------------------
+    def log_transitions(
+        self,
+        transitions: Sequence[tuple[VertexKey, VertexKey]],
+        known: Sequence[Vertex] = (),
+    ) -> None:
+        """Log one attempt's ``(source, target)`` pairs (§4.4): the one
+        run-time learning write.
+
+        What planning reads between two processing passes is written now:
+        each target's hit count (the OP3 support gate reads it), a
+        placeholder for an unknown state, and a new edge (which drops its
+        source's view and moves :attr:`version`).  Edge hit counts, which
+        only processing and the edge accessors read, are appended to the log
+        and folded later in one aggregated pass.
+
+        ``known`` lists the target :class:`Vertex` objects of a leading run
+        of ``transitions`` whose edges the caller knows exist (the run-time
+        monitor's followed estimate: the walk fetched every one); only the
+        pairs after it are probed.
+        """
+        if not transitions:
+            return
+        for vertex in known:
+            vertex.hits += 1
+        vertices = self._vertices
+        edges = self._edges
+        for source, target in islice(transitions, len(known), None):
+            if source not in vertices:
+                self.add_placeholder(source)
+            vertex = vertices.get(target)
+            if vertex is None:
+                vertex = self.add_placeholder(target)
+            vertex.hits += 1
+            if target not in edges[source]:
+                self._new_edge(source, target)
+        self._transition_log.extend(transitions)
         self._stale = True
 
-    def record_transitions(
-        self, transitions: Sequence[tuple[VertexKey, VertexKey]]
-    ) -> None:
-        """Record one attempt's (source, target) pairs (the run-time
-        monitor flushes its whole per-attempt buffer through here)."""
-        for source, target in transitions:
-            self.record_transition(source, target)
+    def logged_transitions(self) -> int:
+        """How many transitions the log holds (logged since the last
+        :meth:`drain_log`)."""
+        return len(self._transition_log)
+
+    def _fold_log(self) -> None:
+        """Fold the log entries not yet counted into the edge hits (every
+        reader of edge counts calls this first)."""
+        log = self._transition_log
+        folded = self._log_folded
+        if folded < len(log):
+            self._count_visits(Counter(islice(log, folded, None)))
+            self._log_folded = len(log)
+
+    def drain_log(self) -> tuple[list[tuple[VertexKey, VertexKey]], Counter]:
+        """Hand the whole log over and start an empty one (model
+        maintenance, at each check).
+
+        Every entry is in the edge hit counts when this returns.  Returns the
+        entries in log order and their count per pair, pairs in first-seen
+        order.
+        """
+        log = self._transition_log
+        counts = Counter(log)
+        folded = self._log_folded
+        if folded == 0:
+            self._count_visits(counts)
+        elif folded < len(log):
+            self._count_visits(Counter(islice(log, folded, None)))
+        self._transition_log = []
+        self._log_folded = 0
+        return log, counts
+
+    def _count_visits(self, counts: Counter) -> None:
+        """Add aggregated logged visits to existing edges (one pass,
+        first-seen order) and mark their sources dirty."""
+        edges = self._edges
+        for (source, target), count in counts.items():
+            edges[source][target].hits += count
+        if self._dirty is not None:
+            self._dirty.update(map(itemgetter(0), counts))
 
     # ------------------------------------------------------------------
     # Processing phase
@@ -397,7 +504,17 @@ class MarkovModel:
         changed since the last pass — plus their ancestors, whose tables
         depend on them — are re-derived.  Run-time model maintenance (§4.5)
         therefore pays for the drifted part of the graph, not the whole model.
+
+        An incremental pass republishes only what changed: a dirty vertex
+        whose recomputed probabilities are bit-equal keeps its published
+        :class:`SuccessorView`, and a table is recomputed only when an input
+        moved and replaced only when the result differs (:meth:`_refresh`).
+        A kept object is never mutated, so the replaced-never-mutated rule
+        the plan memo relies on still holds.  The pass orders only the dirty
+        vertices and their ancestors (:meth:`_order_within`), not the whole
+        graph.
         """
+        self._fold_log()
         dirty = self._dirty
         incremental = (
             self._processed
@@ -409,26 +526,37 @@ class MarkovModel:
             # views and tables are all still valid.
             self._stale = False
             return
-        sources = dirty if incremental else None
-        self._compute_edge_probabilities(sources)
-        for key in self._vertices if sources is None else sources:
-            if key in self._vertices:
-                self._successor_views[key] = SuccessorView(self._edges[key].values())
+        vertices = self._vertices
+        edges = self._edges
+        views = self._successor_views
+        if incremental:
+            changed = self._compute_edge_probabilities(dirty)
+            for key in dirty:
+                if key in vertices and (key in changed or key not in views):
+                    views[key] = SuccessorView(edges[key].values())
+        else:
+            self._compute_edge_probabilities(None)
+            for key in vertices:
+                views[key] = SuccessorView(edges[key].values())
         if precompute_tables:
-            order, complete = self._topological_order()
+            complete = False
+            if incremental and self._acyclic:
+                order, complete = self._order_within(self._affected_closure(dirty))
+                if complete:
+                    self._refresh(order, changed)
             if not complete:
-                # Run-time placeholder edges introduced a cycle: fall back to
-                # the bounded fixed-point pass over the whole graph.
-                self._compute_probability_tables_fixed_point(order)
-                self._compute_remaining_queries(order, reset=True)
-            elif incremental:
-                affected = self._affected_closure(dirty)
-                restricted = [key for key in order if key in affected]
-                self._compute_probability_tables_ordered(restricted)
-                self._compute_remaining_queries(restricted)
-            else:
-                self._compute_probability_tables_ordered(order)
-                self._compute_remaining_queries(order)
+                order, complete = self._topological_order()
+                if complete:
+                    self._compute_probability_tables_ordered(order)
+                    self._compute_remaining_queries(order)
+                else:
+                    # Run-time placeholder edges introduced a cycle: fall
+                    # back to the bounded fixed-point pass over the whole
+                    # graph.
+                    self._compute_probability_tables_fixed_point(order)
+                    self._compute_remaining_queries(order, reset=True)
+                self._reshaped.clear()
+            self._acyclic = complete
         self._tables_ready = precompute_tables
         self._dirty = set()
         self._processed = True
@@ -439,16 +567,22 @@ class MarkovModel:
     # Alias matching the paper's terminology.
     recompute_probabilities = process
 
-    def _compute_edge_probabilities(self, sources: set[VertexKey] | None) -> None:
-        """Recompute outgoing probabilities (for ``sources``, or everywhere)."""
-        if sources is None:
-            items = self._edges.items()
-        else:
-            items = ((key, self._edges.get(key, {})) for key in sources)
-        for _, targets in items:
-            total = sum(edge.hits for edge in targets.values())
+    def _compute_edge_probabilities(self, sources: set[VertexKey] | None) -> set[VertexKey]:
+        """Recompute outgoing probabilities (for ``sources``, or everywhere);
+        returns the sources where any probability moved."""
+        edges = self._edges
+        changed: set[VertexKey] = set()
+        for key in edges if sources is None else sources:
+            targets = edges.get(key)
+            if not targets:
+                continue
+            total = sum(map(_hits, targets.values()))
             for edge in targets.values():
-                edge.probability = edge.hits / total if total > 0 else 0.0
+                probability = edge.hits / total if total > 0 else 0.0
+                if probability != edge.probability:
+                    edge.probability = probability
+                    changed.add(key)
+        return changed
 
     def _affected_closure(self, dirty: set[VertexKey]) -> set[VertexKey]:
         """Dirty vertices plus every vertex that can reach one of them.
@@ -468,6 +602,26 @@ class MarkovModel:
                 if parent not in affected:
                     stack.append(parent)
         return affected
+
+    def _order_within(self, affected: set[VertexKey]) -> tuple[list[VertexKey], bool]:
+        """The affected vertices ordered so every child precedes its parents
+        (Kahn's algorithm over the region only: ``affected`` holds every
+        parent of its members), plus whether the order covers them all —
+        ``False`` means a new edge closed a cycle."""
+        edges = self._edges
+        reverse = self._reverse
+        pending = {key: len(affected.intersection(edges[key])) for key in affected}
+        ready = [key for key, count in pending.items() if not count]
+        order: list[VertexKey] = []
+        while ready:
+            key = ready.pop()
+            order.append(key)
+            for parent in reverse[key]:
+                count = pending[parent] - 1
+                pending[parent] = count
+                if not count:
+                    ready.append(parent)
+        return order, len(order) == len(affected)
 
     def _topological_order(self) -> tuple[list[VertexKey], bool]:
         """Vertices ordered so every child precedes its parents.
@@ -511,6 +665,48 @@ class MarkovModel:
         for key in order:
             vertices[key].table = self._table_for(key)
 
+    def _refresh(self, order: Sequence[VertexKey], changed: set[VertexKey]) -> None:
+        """The incremental form of :meth:`_compute_probability_tables_ordered`
+        and :meth:`_compute_remaining_queries`: republish only what changed.
+
+        A table is a function of the vertex's edges and their probabilities,
+        its query type and its children's tables; the expected remaining
+        queries, of the edges, probabilities and the children's expectations.
+        Each is recomputed only when one of its inputs moved — a probability
+        (``changed``), the shape (``_reshaped``), or a child's value replaced
+        earlier in this pass — and a recomputed table bit-equal to the
+        published one keeps the published object, so the vertex's parents can
+        skip in turn.  (``==`` is bit-equality here: every value is a
+        non-negative sum of products of probabilities, so neither ``-0.0``
+        nor NaN occurs.)
+        """
+        vertices = self._vertices
+        edges = self._edges
+        reshaped = self._reshaped
+        replaced: set[VertexKey] = set()
+        moved: set[VertexKey] = set()
+        for key in order:
+            vertex = vertices[key]
+            targets = edges[key]
+            own = key in changed or key in reshaped
+            published = vertex.table
+            if published is None or own or not replaced.isdisjoint(targets):
+                reshaped.discard(key)
+                table = self._table_for(key)
+                if table != published:
+                    vertex.table = table
+                    replaced.add(key)
+            if (own or not moved.isdisjoint(targets)) and not key.is_terminal:
+                expectation = 0.0
+                for target, edge in targets.items():
+                    expectation += edge.probability * (
+                        (1.0 if target.is_query else 0.0)
+                        + vertices[target].expected_remaining_queries
+                    )
+                if expectation != vertex.expected_remaining_queries:
+                    vertex.expected_remaining_queries = expectation
+                    moved.add(key)
+
     # Cycles only appear via run-time placeholder edges; the iteration exits
     # as soon as a round leaves every table unchanged, so the bound is only
     # reached while a cycle's probabilities are still converging (a self-loop
@@ -534,23 +730,24 @@ class MarkovModel:
             return ProbabilityTable.for_commit(self.num_partitions)
         if key == ABORT_KEY:
             return ProbabilityTable.for_abort(self.num_partitions)
+        vertices = self._vertices
         children: list[tuple[float, ProbabilityTable]] = []
-        for edge in self._edges.get(key, {}).values():
-            child = self._vertices[edge.target]
-            child_table = child.table
+        for target, edge in self._edges.get(key, {}).items():
+            child_table = vertices[target].table
             if child_table is None:
                 child_table = ProbabilityTable(self.num_partitions)
             children.append((edge.probability, child_table))
         table = ProbabilityTable.weighted_sum(self.num_partitions, children)
-        vertex = self._vertices[key]
         if key.is_query:
-            accessed = key.accessed_partitions()
-            if len(accessed) > 1:
+            partitions = key.partitions.partitions
+            if len({*key.previous.partitions, *partitions}) > 1:
+                # The transaction has touched more than one partition.
                 table.single_partition = 0.0
-            column = table.write if vertex.query_type is QueryType.WRITE else table.read
-            for partition_id in key.partitions:
+            column = table.write if vertices[key].query_type is QueryType.WRITE else table.read
+            finish = table.finish
+            for partition_id in partitions:
                 column[partition_id] = 1.0
-                table.finish[partition_id] = 0.0
+                finish[partition_id] = 0.0
         return table
 
     def _compute_remaining_queries(
@@ -598,6 +795,7 @@ class MarkovModel:
             raise ModelError("cannot merge models of different procedures")
         if other.num_partitions != self.num_partitions:
             raise ModelError("cannot merge models with different partition counts")
+        other._fold_log()
         for vertex in other.vertices():
             mine = self._add_vertex(vertex.key, vertex.query_type)
             mine.hits += vertex.hits

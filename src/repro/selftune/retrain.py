@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..markov.model import MarkovModel
+from ..markov.vertex import ABORT_KEY
 from .config import SelfTuneConfig
 
 
@@ -41,29 +42,25 @@ def retrain_model(
 ) -> MarkovModel:
     """Rebuild a procedure's model from recorded transition paths.
 
-    Vertex query types are backfilled from ``old_model``: the run-time
-    monitor created every vertex it visited there (with the invocation's
-    query type), so the old model is a complete type oracle for the tail.
-    Begin hits and ``transactions_observed`` are counted per path — the OP3
-    selector's support accounting (``sampling_risk``) reads both.
+    Each path is a begin -> ... -> terminal chain of ``(source, target)``
+    pairs, folded the way off-line construction folds a trace record
+    (:meth:`~repro.markov.model.MarkovModel.fold_path`).  Vertex query types
+    are backfilled from ``old_model``: the run-time monitor created every
+    vertex it visited there (with the invocation's query type), so the old
+    model is a complete type oracle for the tail.  Begin hits and
+    ``transactions_observed`` are counted per path — the OP3 selector's
+    support accounting (``sampling_risk``) reads both.
     """
     model = MarkovModel(old_model.procedure, old_model.num_partitions)
-    for path in paths:
-        for pair in path:
-            for key in pair:
-                if model.find_vertex(key) is None:
-                    previous = old_model.find_vertex(key)
-                    model.add_placeholder(
-                        key,
-                        previous.query_type if previous is not None else None,
-                    )
-    begin = model.begin
+    find = old_model.find_vertex
     for path in paths:
         if not path:
             continue
-        model.vertex(begin).hits += 1
-        model.record_transitions(path)
-        model.transactions_observed += 1
+        states = []
+        for _, key in path[:-1]:
+            previous = find(key)
+            states.append((key, previous.query_type if previous is not None else None))
+        model.fold_path(states, aborted=path[-1][1] is ABORT_KEY)
     model.process(precompute_tables=precompute_tables)
     return model
 

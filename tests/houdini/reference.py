@@ -1,4 +1,7 @@
-"""The paper-literal path estimator: the reference the compiled one must equal.
+"""Naive references for Houdini: the paper-literal path estimator, and
+run-time learning as it was before the transition log.
+
+The paper-literal path estimator is the reference the compiled one must equal.
 
 Until the plan memo became the only planning cache this code lived in
 ``repro.houdini.estimator`` behind ``HoudiniConfig.compiled_estimation=False``.
@@ -16,6 +19,9 @@ from __future__ import annotations
 from repro.catalog.statement import Operation
 from repro.houdini import PathEstimator
 from repro.houdini.estimator import _pool_rank
+from repro.houdini.maintenance import ModelMaintenance
+from repro.markov.model import MarkovModel, SuccessorView
+from repro.markov.vertex import Edge
 from repro.types import PartitionSet
 
 
@@ -115,3 +121,116 @@ class ReferenceEstimator(PathEstimator):
         if total <= 0:
             return best[0], 0.0
         return best[0], best[1] / total
+
+
+# ----------------------------------------------------------------------
+# Run-time learning as it was before the transition log: every transition
+# counted twice as it happens (once into the model, once into maintenance),
+# and every processing pass republishing the whole dirty region.
+# ----------------------------------------------------------------------
+
+class ReferenceModel(MarkovModel):
+    """:class:`MarkovModel` with the per-transition writer and the
+    full-republish ``process`` the transition log replaced — the oracle of
+    ``tests/property/test_property_transition_log.py``.  It never logs:
+    ``record_transitions`` is its run-time learning write."""
+
+    def _add_edge_visit(self, source, target, count=1):
+        targets = self._edges.get(source)
+        if targets is None:
+            targets = self._edges[source] = {}
+        edge = targets.get(target)
+        if edge is None:
+            edge = Edge(source=source, target=target)
+            targets[target] = edge
+            self._reverse.setdefault(target, set()).add(source)
+            self.version += 1
+            self._successor_views.pop(source, None)
+        edge.hits += count
+        if self._dirty is not None:
+            self._dirty.add(source)
+        return edge
+
+    def record_transition(self, source, target, count=1):
+        if source not in self._vertices:
+            self.add_placeholder(source)
+        if target not in self._vertices:
+            self.add_placeholder(target)
+        self._vertices[target].hits += count
+        self._add_edge_visit(source, target, count)
+        self._stale = True
+
+    def record_transitions(self, transitions):
+        for source, target in transitions:
+            self.record_transition(source, target)
+
+    def process(self, *, precompute_tables=True):
+        dirty = self._dirty
+        incremental = (
+            self._processed
+            and dirty is not None
+            and (not precompute_tables or self._tables_ready)
+        )
+        if incremental and not dirty:
+            self._stale = False
+            return
+        sources = dirty if incremental else None
+        self._reference_edge_probabilities(sources)
+        for key in self._vertices if sources is None else sources:
+            if key in self._vertices:
+                self._successor_views[key] = SuccessorView(self._edges[key].values())
+        if precompute_tables:
+            order, complete = self._topological_order()
+            if not complete:
+                self._compute_probability_tables_fixed_point(order)
+                self._compute_remaining_queries(order, reset=True)
+            elif incremental:
+                affected = self._affected_closure(dirty)
+                restricted = [key for key in order if key in affected]
+                self._compute_probability_tables_ordered(restricted)
+                self._compute_remaining_queries(restricted)
+            else:
+                self._compute_probability_tables_ordered(order)
+                self._compute_remaining_queries(order)
+        self._tables_ready = precompute_tables
+        self._dirty = set()
+        self._processed = True
+        self._stale = False
+        self.version += 1
+
+    recompute_probabilities = process
+
+    def _reference_edge_probabilities(self, sources):
+        if sources is None:
+            items = self._edges.items()
+        else:
+            items = ((key, self._edges.get(key, {})) for key in sources)
+        for _, targets in items:
+            total = sum(edge.hits for edge in targets.values())
+            for edge in targets.values():
+                edge.probability = edge.hits / total if total > 0 else 0.0
+
+
+class ReferenceMaintenance(ModelMaintenance):
+    """:class:`ModelMaintenance` fed one transition at a time, as it was
+    before it folded the model's log: ``record_transitions`` is its writer,
+    and there is never a log to fold."""
+
+    def record_transitions(self, transitions):
+        observed = self._observed
+        tail = self._tail
+        window = self._window
+        for pair in transitions:
+            source, target = pair
+            counts = observed.setdefault(source, {})
+            counts[target] = counts.get(target, 0) + 1
+            tail.append(pair)
+            if window is not None:
+                window.append(pair)
+                if len(window) > self.config.maintenance_window:
+                    self._evict(*window.popleft())
+        self.stats.transitions_observed += len(transitions)
+
+    def fold(self):
+        pass
+

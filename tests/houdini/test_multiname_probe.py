@@ -139,7 +139,7 @@ class TestSuccessorGroups:
         begin = model.begin
         cached = model.successor_view(begin).groups()
         target = model.successors(begin)[0][0]
-        model.record_transition(begin, target)
+        model.log_transitions([(begin, target)])
         # A counted visit changes no probability: the view and its groups are
         # kept until reprocessing replaces them to reflect the new counts.
         assert model.successor_view(begin).groups() is cached
@@ -150,7 +150,7 @@ class TestSuccessorGroups:
         # A new outgoing edge changes the structure: the view goes at once,
         # and the rebuilt one groups the new terminal successor.
         replaced = model.successor_view(begin)
-        model.record_transition(begin, model.abort)
+        model.log_transitions([(begin, model.abort)])
         assert model.successor_view(begin) is not replaced
         assert model.successor_view(begin).groups()[2] == ((16, model.abort, 0.0),)
 

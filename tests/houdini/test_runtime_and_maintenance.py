@@ -107,7 +107,7 @@ class TestMaintenance:
     def test_accuracy_perfect_when_distribution_matches(self):
         model, key_a, key_b = self.make_model()
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_min_observations=5))
-        maintenance.record_transitions([(model.begin, key_a), (key_a, key_b)] * 10)
+        model.log_transitions([(model.begin, key_a), (key_a, key_b)] * 10)
         assert maintenance.vertex_accuracy(key_a) == pytest.approx(1.0)
         assert not maintenance.check()
         assert maintenance.stats.recomputations == 0
@@ -117,8 +117,7 @@ class TestMaintenance:
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_min_observations=5))
         # The workload shifted: transactions now abort right after A.
         for _ in range(30):
-            maintenance.record_transitions([(key_a, model.abort)])
-            model.record_transition(key_a, model.abort)
+            model.log_transitions([(key_a, model.abort)])
         assert maintenance.vertex_accuracy(key_a) < 0.75
         assert maintenance.check()
         assert maintenance.stats.recomputations == 1

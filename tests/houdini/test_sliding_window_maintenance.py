@@ -8,6 +8,13 @@ from repro.markov.vertex import COMMIT_KEY, VertexKey
 from repro.types import PartitionSet, QueryType
 
 
+def _observe(maintenance: ModelMaintenance, transitions) -> None:
+    """One attempt: the model logs its transitions, the maintenance folds
+    them in."""
+    maintenance.model.log_transitions(transitions)
+    maintenance.fold()
+
+
 def _branching_model() -> tuple[MarkovModel, VertexKey, VertexKey, VertexKey]:
     """A model whose first query goes to partition 0 (90%) or 1 (10%)."""
     model = MarkovModel("Proc", 2)
@@ -26,7 +33,7 @@ class TestUnwindowedMaintenance:
         model, begin, local_key, _ = _branching_model()
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_window=None))
         for _ in range(50):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         assert maintenance.stats.transitions_observed == 50
         # All 50 transitions still count toward the observed distribution.
         assert maintenance.vertex_accuracy(begin) < 1.0 or True
@@ -39,7 +46,7 @@ class TestWindowedMaintenance:
         config = HoudiniConfig(maintenance_window=20)
         maintenance = ModelMaintenance(model, config)
         for _ in range(100):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         assert sum(maintenance._observed[begin].values()) == 20
         assert maintenance.stats.transitions_observed == 100
 
@@ -53,11 +60,11 @@ class TestWindowedMaintenance:
         maintenance = ModelMaintenance(model, config)
         # Burst: 30 remote transitions (strongly contradicts the 90/10 model).
         for _ in range(30):
-            maintenance.record_transitions([(begin, remote_key)])
+            _observe(maintenance, [(begin, remote_key)])
         drifted_accuracy = maintenance.vertex_accuracy(begin)
         # Recovery: 30 local transitions push the burst out of the window.
         for _ in range(30):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         recovered_accuracy = maintenance.vertex_accuracy(begin)
         assert recovered_accuracy > drifted_accuracy
         # Only the window's worth of transitions is considered.
@@ -67,9 +74,9 @@ class TestWindowedMaintenance:
         model, begin, local_key, remote_key = _branching_model()
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_window=None))
         for _ in range(30):
-            maintenance.record_transitions([(begin, remote_key)])
+            _observe(maintenance, [(begin, remote_key)])
         for _ in range(30):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         # Without a window the remote burst still weighs half the distribution.
         assert maintenance._observed[begin][remote_key] == 30
 
@@ -78,7 +85,7 @@ class TestWindowedMaintenance:
         config = HoudiniConfig(maintenance_window=10)
         maintenance = ModelMaintenance(model, config)
         for _ in range(10):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         maintenance.recompute()
         assert sum(
             sum(counts.values()) for counts in maintenance._observed.values()
@@ -93,9 +100,9 @@ class TestWindowReconfiguration:
         model, begin, local_key, remote_key = _branching_model()
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_window=None))
         for _ in range(80):
-            maintenance.record_transitions([(begin, remote_key)])
+            _observe(maintenance, [(begin, remote_key)])
         for _ in range(20):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         # Unwindowed: all 100 transitions counted.
         assert sum(maintenance._observed[begin].values()) == 100
 
@@ -112,9 +119,9 @@ class TestWindowReconfiguration:
         model, begin, local_key, remote_key = _branching_model()
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_window=50))
         for _ in range(30):
-            maintenance.record_transitions([(begin, remote_key)])
+            _observe(maintenance, [(begin, remote_key)])
         for _ in range(10):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         maintenance.set_window(10)
         assert maintenance._observed[begin].get(remote_key, 0) == 0
         assert maintenance._observed[begin][local_key] == 10
@@ -123,13 +130,13 @@ class TestWindowReconfiguration:
         model, begin, local_key, _ = _branching_model()
         maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_window=10))
         for _ in range(30):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         assert sum(maintenance._observed[begin].values()) == 10
         maintenance.set_window(None)
         assert maintenance._window is None
         # Counters keep accumulating unbounded from here on.
         for _ in range(30):
-            maintenance.record_transitions([(begin, local_key)])
+            _observe(maintenance, [(begin, local_key)])
         assert sum(maintenance._observed[begin].values()) == 40
 
     def test_invalid_window_values_rejected(self):
@@ -154,7 +161,7 @@ class TestWindowReconfiguration:
                                   (model_b, begin_b, local_b)):
             maintenance = registry.for_model(model)
             for _ in range(50):
-                maintenance.record_transitions([(begin, key)])
+                _observe(maintenance, [(begin, key)])
         registry.set_window(15)
         assert registry.config.maintenance_window == 15
         for maintenance in registry.maintenances():
@@ -173,7 +180,7 @@ class TestWindowedCheck:
         )
         maintenance = ModelMaintenance(model, config)
         for _ in range(40):
-            maintenance.record_transitions([(begin, remote_key)])
+            _observe(maintenance, [(begin, remote_key)])
         assert maintenance.check() is True
         assert maintenance.stats.recomputations == 1
         # The recomputation consumed (cleared) the windowed observations.

@@ -122,11 +122,11 @@ class TestRuntimeLearning:
         assert model.processed  # existing tables stay usable
         assert model.has_vertex(new_key)
 
-    def test_record_transition_accumulates_counts(self):
+    def test_logged_transitions_accumulate_counts(self):
         model = build_simple_model()
         key_a = VertexKey.query("A", 0, PartitionSet.of([0]), PartitionSet.of([]))
         before = model.edge(model.begin, key_a).hits
-        model.record_transition(model.begin, key_a)
+        model.log_transitions([(model.begin, key_a)])
         assert model.edge(model.begin, key_a).hits == before + 1
         model.recompute_probabilities()
         assert not model.stale
@@ -150,7 +150,7 @@ class TestModelVersion:
         # Re-recording a known path only increments counters: every edge and
         # vertex already exists and no probability changes until process().
         key = step("Q", [0], []).key()
-        model.record_transitions([(model.begin, key), (key, model.commit)])
+        model.log_transitions([(model.begin, key), (key, model.commit)])
         assert model.version == version
 
     def test_new_edges_placeholders_and_process_move_the_version(self):
@@ -159,15 +159,15 @@ class TestModelVersion:
         model.process()
         version = model.version
         other = step("Q", [1], []).key()
-        model.record_transitions([(model.begin, other), (other, model.commit)])
+        model.log_transitions([(model.begin, other), (other, model.commit)])
         assert model.version > version
         version = model.version
         model.process()
         assert model.version > version
 
-    def test_bulk_record_matches_singles(self):
-        """record_transitions is behaviourally identical to a loop of
-        record_transition calls."""
+    def test_bulk_log_matches_singles(self):
+        """Logging an attempt's transitions in one call is behaviourally
+        identical to logging them one at a time."""
         a = MarkovModel("p", 4)
         b = MarkovModel("p", 4)
         for model in (a, b):
@@ -181,9 +181,9 @@ class TestModelVersion:
             (a.begin, first), (first, second), (second, a.commit),
             (a.begin, first), (first, a.abort),
         ]
-        a.record_transitions(transitions)
+        a.log_transitions(transitions)
         for source, target in transitions:
-            b.record_transition(source, target)
+            b.log_transitions([(source, target)])
         assert a.vertex_count() == b.vertex_count()
         assert a.edge_count() == b.edge_count()
         for vertex in a.vertices():

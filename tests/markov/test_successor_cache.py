@@ -2,7 +2,7 @@
 
 Guards the cache-invalidation contract.  A vertex's ``SuccessorView`` is a
 function of its edge *set* and each ``edge.probability``: a run-time
-mutation that adds an edge (``record_transition(s)``, ``add_path``,
+mutation that adds an edge (``log_transitions``, ``add_path``,
 ``merge_counts``) must drop it immediately and bump ``version``; one that
 only counts a visit to an existing edge must leave it (and ``version``)
 alone and mark the vertex dirty, so that the next
@@ -54,11 +54,11 @@ class TestSuccessorCache:
         # Served from the precomputed table: identical list object per call.
         assert model.successors(model.begin) is successors
 
-    def test_refreshed_after_record_transition_and_recompute(self):
+    def test_refreshed_after_logged_transitions_and_recompute(self):
         model = build_branching_model()
         before = model.successors(model.begin)
         # Run-time learning flips the distribution towards A@1.
-        model.record_transition(model.begin, key_of("A", 1, []), count=90)
+        model.log_transitions([(model.begin, key_of("A", 1, []))] * 90)
         # Counts moved, probabilities did not: the array still describes the
         # model until the recompute, which must then replace it.
         assert model.successors(model.begin) is before
@@ -82,7 +82,7 @@ class TestSuccessorCache:
     def test_new_edge_visible_before_recompute(self):
         model = build_branching_model()
         target = key_of("C", 3, [])
-        model.record_transition(model.begin, target)
+        model.log_transitions([(model.begin, target)])
         targets = [k for k, _ in model.successors(model.begin)]
         assert target in targets  # present immediately, probability still 0.0
         assert model.edge_probability(model.begin, target) == 0.0
@@ -103,7 +103,7 @@ class TestSuccessorCache:
         assert a0.single_name is None and a0.has_terminal
         assert a0.groups() == ({}, (), ((0, model.commit, 1.0),))
         # After a mutation + recompute the probe sees the new distribution.
-        model.record_transition(model.begin, key_of("A", 1, []), count=90)
+        model.log_transitions([(model.begin, key_of("A", 1, []))] * 90)
         model.recompute_probabilities()
         hit = model.successor_view(model.begin).probe(
             "A", 0, PartitionSet.of([]), PartitionSet.of([1])
@@ -115,18 +115,16 @@ class TestIncrementalRecompute:
     def test_incremental_recompute_matches_full_rebuild(self):
         """Dirty-set recompute must equal processing a fresh model."""
         incremental = build_branching_model()
-        incremental.record_transition(incremental.begin, key_of("A", 1, []), count=5)
-        incremental.record_transition(
-            key_of("A", 1, []), incremental.commit, count=5
-        )
+        incremental.log_transitions([(incremental.begin, key_of("A", 1, []))] * 5)
+        incremental.log_transitions([(key_of("A", 1, []), incremental.commit)] * 5)
         incremental.recompute_probabilities()
 
         fresh = MarkovModel("proc", 4)
         for _ in range(9):
             fresh.add_path([step("A", 0, [])], aborted=False)
         fresh.add_path([step("A", 1, [])], aborted=False)
-        fresh.record_transition(fresh.begin, key_of("A", 1, []), count=5)
-        fresh.record_transition(key_of("A", 1, []), fresh.commit, count=5)
+        fresh.log_transitions([(fresh.begin, key_of("A", 1, []))] * 5)
+        fresh.log_transitions([(key_of("A", 1, []), fresh.commit)] * 5)
         fresh.process()
 
         for vertex in fresh.vertices():
@@ -155,7 +153,7 @@ class TestCountChangeVersusStructureChange:
         views = (model.successor_view(model.begin), model.successor_view(a0))
         groups = views[1].groups()  # built on first use, then kept with the view
         version = model.version
-        model.record_transitions([(model.begin, a0), (a0, model.commit)] * 3)
+        model.log_transitions([(model.begin, a0), (a0, model.commit)] * 3)
         assert model.version == version
         assert model.stale and model.edge(model.begin, a0).hits == 12
         assert model.successor_view(model.begin) is views[0]
@@ -173,7 +171,7 @@ class TestCountChangeVersusStructureChange:
         assert view.probe("A", 0, empty, PartitionSet.of([0])) is not None
         untouched = model.successor_view(key_of("A", 0, []))
         version = model.version
-        model.record_transitions([(model.begin, model.abort)])
+        model.log_transitions([(model.begin, model.abort)])
         assert model.version == version + 1
         fresh = model.successor_view(model.begin)
         assert fresh is not view and len(fresh.records) == len(view.records) + 1
@@ -200,7 +198,7 @@ class TestCountChangeVersusStructureChange:
         model = MarkovModel("proc", 16)
         for partition in (2, 10, 1):
             model.add_path([step("A", partition, [])], aborted=False)
-        model.record_transition(model.begin, model.abort)
+        model.log_transitions([(model.begin, model.abort)])
         model.process()
         assert [k.sort_token for k, _ in model.successors(model.begin)] == [
             "A#0@{10}|prev={}", "A#0@{1}|prev={}", "A#0@{2}|prev={}", "abort",
@@ -240,12 +238,12 @@ class TestReadThroughCaching:
         """A new edge pops the view; the next read must re-cache so the
         vertex doesn't stay uncached until the next processing pass."""
         model = build_branching_model()
-        model.record_transition(model.begin, key_of("C", 3, []))
+        model.log_transitions([(model.begin, key_of("C", 3, []))])
         first = model.successor_view(model.begin)
         assert model.successor_view(model.begin) is first
         assert model.successors(model.begin) is first.pairs
         # A further structure change invalidates the re-cached view again.
-        model.record_transition(model.begin, key_of("D", 3, []))
+        model.log_transitions([(model.begin, key_of("D", 3, []))])
         assert model.successor_view(model.begin) is not first
 
     def test_unknown_vertex_is_not_cached(self):

@@ -195,7 +195,8 @@ class TestTheTableHoldsItsKeysWeakly:
             estimate_cache=EstimateCache(HoudiniConfig()),
             maintenance=MaintenanceRegistry(HoudiniConfig()),
         )
-        houdini.maintenance.for_model(old).record_transitions(tail[0])
+        houdini.maintenance.for_model(old)
+        old.log_transitions(tail[0])
         new = retrain_model(old, tail)
         assert ModelSwapController(houdini).swap("Proc", new) is old
         kept, gone = weakref.ref(kept), weakref.ref(gone)

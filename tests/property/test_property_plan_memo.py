@@ -144,6 +144,10 @@ def complete(houdini, request, houdini_plan, cut, committed) -> None:
             followed.append(VertexKey.query(
                 path[1].name, 7, PartitionSet.of([cut % PARTITIONS]), accumulated
             ))
+            # Left the estimate after ``cut`` transitions (what the monitor
+            # notes when a query does not match the expected state).
+            runtime.stats.deviated_from_estimate = True
+            runtime._followed = cut
         runtime.stats.transitions = list(zip(followed, followed[1:]))
         runtime._current = followed[-1]
     base = houdini_plan.decision.base_partition
@@ -173,7 +177,7 @@ def learn(houdini, request, choice, discover, times, recompute) -> None:
             source.name, 9, PartitionSet.of([choice % PARTITIONS]),
             source.accessed_partitions(),
         )
-    model.record_transition(source, target, times)
+    model.log_transitions([(source, target)] * times)
     if recompute:
         houdini.maintenance.for_model(model).recompute()
 

@@ -1,8 +1,8 @@
 """Property: a vertex's successor view never disagrees with the model.
 
 Random interleavings of every mutation a model accepts — ``add_path``,
-``record_transition``, ``record_transitions``, ``add_placeholder``,
-``merge_counts`` — and ``process()``.  After every step every vertex's
+``log_transitions`` (one pair many times, or an attempt's batch),
+``add_placeholder``, ``merge_counts`` — and ``process()``.  After every step every vertex's
 ``SuccessorView`` — pairs, records, name/terminal summary and, touched here
 on every step, its probe index and per-name groups — must equal a fresh
 rebuild from the edges (a count change keeps the view, a structure change
@@ -61,9 +61,9 @@ transitions = st.tuples(sources, targets)
 
 operations = st.one_of(
     st.tuples(st.just("add_path"), paths),
-    st.tuples(st.just("record_transition"),
+    st.tuples(st.just("log_repeated"),
               st.tuples(transitions, st.integers(min_value=1, max_value=40))),
-    st.tuples(st.just("record_transitions"), st.lists(transitions, max_size=5)),
+    st.tuples(st.just("log_transitions"), st.lists(transitions, max_size=5)),
     st.tuples(st.just("add_placeholder"), query_keys),
     st.tuples(st.just("merge_counts"), st.lists(paths, min_size=1, max_size=3)),
     st.tuples(st.just("process"), st.none()),
@@ -74,11 +74,11 @@ def apply(model: MarkovModel, operation: str, argument) -> None:
     if operation == "add_path":
         raw_path, aborted = argument
         model.add_path(to_steps(raw_path), aborted=aborted)
-    elif operation == "record_transition":
+    elif operation == "log_repeated":
         (source, target), count = argument
-        model.record_transition(source, target, count)
-    elif operation == "record_transitions":
-        model.record_transitions(argument)
+        model.log_transitions([(source, target)] * count)
+    elif operation == "log_transitions":
+        model.log_transitions(argument)
     elif operation == "add_placeholder":
         model.add_placeholder(argument, QueryType.READ)
     elif operation == "merge_counts":
@@ -202,9 +202,9 @@ def check(steps) -> None:
 
 @given(st.lists(operations, min_size=1, max_size=25))
 @example([  # run-time edges close a cycle A <-> B (rare under random draws)
-    ("record_transitions", [(BEGIN_KEY, _A), (_A, _B), (_B, _A), (_B, COMMIT_KEY)]),
+    ("log_transitions", [(BEGIN_KEY, _A), (_A, _B), (_B, _A), (_B, COMMIT_KEY)]),
     ("process", None),
-    ("record_transition", ((_B, _A), 7)),
+    ("log_repeated", ((_B, _A), 7)),
     ("process", None),
 ])
 @settings(deadline=None)
@@ -214,10 +214,11 @@ def test_successor_views_equal_a_fresh_rebuild_after_every_step(steps):
 
 # ----------------------------------------------------------------------
 # The property is only worth its budget if it catches the bugs it is for:
-# two seeded mutations of ``_add_edge_visit``, the one edge mutation, and one
-# of ``_table_for`` that refreshes a published table in place.
+# a seeded mutation of ``_new_edge``, the one edge creation, one of
+# ``_count_visits``, which folds logged hits into the edges, and one of
+# ``_table_for`` that refreshes a published table in place.
 # ----------------------------------------------------------------------
-_add_edge_visit = MarkovModel._add_edge_visit
+_new_edge = MarkovModel._new_edge
 _table_for = MarkovModel._table_for
 
 
@@ -231,21 +232,18 @@ def _table_refreshed_in_place(self, key):
     return published_table
 
 
-def _new_edge_keeps_the_view(self, source, target, count=1):
+def _new_edge_keeps_the_view(self, source, target):
     view = self._successor_views.get(source)
-    edge = _add_edge_visit(self, source, target, count)
+    edge = _new_edge(self, source, target)
     if view is not None:
         self._successor_views[source] = view
     return edge
 
 
-def _hit_does_not_dirty_the_source(self, source, target, count=1):
-    dirty = None if self._dirty is None else set(self._dirty)
-    known = self.edge(source, target) is not None
-    edge = _add_edge_visit(self, source, target, count)
-    if known:
-        self._dirty = dirty
-    return edge
+def _hit_does_not_dirty_the_source(self, counts):
+    edges = self._edges
+    for (source, target), count in counts.items():
+        edges[source][target].hits += count
 
 
 class TestMutationsAreCaught:
@@ -256,23 +254,23 @@ class TestMutationsAreCaught:
     ]
 
     def test_a_new_edge_that_keeps_the_view(self, monkeypatch):
-        script = self.fork + [("record_transition", ((BEGIN_KEY, ABORT_KEY), 1))]
+        script = self.fork + [("log_repeated", ((BEGIN_KEY, ABORT_KEY), 1))]
         check(script)
-        monkeypatch.setattr(MarkovModel, "_add_edge_visit", _new_edge_keeps_the_view)
+        monkeypatch.setattr(MarkovModel, "_new_edge", _new_edge_keeps_the_view)
         with pytest.raises(AssertionError):
             check(script)
 
     def test_a_hit_that_does_not_dirty_its_source(self, monkeypatch):
-        script = self.fork + [("record_transition", ((BEGIN_KEY, _A), 7)), ("process", None)]
+        script = self.fork + [("log_repeated", ((BEGIN_KEY, _A), 7)), ("process", None)]
         check(script)
-        monkeypatch.setattr(MarkovModel, "_add_edge_visit", _hit_does_not_dirty_the_source)
+        monkeypatch.setattr(MarkovModel, "_count_visits", _hit_does_not_dirty_the_source)
         with pytest.raises(AssertionError):
             check(script)
 
     def test_a_recompute_that_refreshes_a_table_in_place(self, monkeypatch):
         """Every value is right — only the plan memo, which trusts identity,
         would be fooled."""
-        script = self.fork + [("record_transition", ((BEGIN_KEY, _A), 7)), ("process", None)]
+        script = self.fork + [("log_repeated", ((BEGIN_KEY, _A), 7)), ("process", None)]
         monkeypatch.setattr(MarkovModel, "_table_for", _table_refreshed_in_place)
         with pytest.raises(AssertionError, match="ProbabilityTable was mutated in place"):
             check(script)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.engine import AttemptOutcome, AttemptResult
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import MarkovModel
 from repro.selftune import ModelSwapController
 from repro.session import ClusterSpec, train
+from repro.types import PartitionSet
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +139,59 @@ class TestSwapIsolation:
         controller.swap(protected, _fresh_replacement(cached_old))
         assert not any(key[0] == protected for key in cache._entries)
         controller.swap(protected, cached_old)
+
+
+class TestSwapBetweenAttemptsOfOneTransaction:
+    """A swap completing inside ``on_transaction_complete`` retires the model
+    the transaction's later attempts ran on: what those attempts learned
+    belongs to the retired model, never to its replacement's counters, and
+    the retired model is not tracked again."""
+
+    def test_a_retired_models_attempt_is_dropped(self):
+        artifacts = train(ClusterSpec(
+            benchmark="tatp", num_partitions=4, trace_transactions=200, seed=13
+        ))
+        houdini = Houdini(
+            artifacts.benchmark.catalog,
+            GlobalModelProvider(artifacts.models),
+            artifacts.mappings,
+            HoudiniConfig(),
+            learning=True,
+        )
+        request = next(iter(artifacts.benchmark.generator.generate(1)))
+        old = houdini.provider.model_for(request)
+        new = _fresh_replacement(old)
+        observed = []
+
+        class SwapOnFirstAttempt:
+            def observe(self, procedure, model, transitions):
+                observed.append((model, tuple(transitions)))
+                if len(observed) == 1:
+                    ModelSwapController(houdini).swap(procedure, new)
+
+        houdini.set_selftune(SwapOnFirstAttempt())
+        first = houdini.plan(request)
+        restart = houdini.plan_restart(request, first.decision.base_partition)
+        new_hits = [(e.target, e.hits) for e in new.edges_from(new.begin)]
+        for houdini_plan, outcome in (
+            (first, AttemptOutcome.MISPREDICTION), (restart, AttemptOutcome.COMMITTED)
+        ):
+            houdini.after_attempt(request, houdini_plan, AttemptResult(
+                outcome=outcome,
+                procedure=request.procedure,
+                parameters=request.parameters,
+                base_partition=0,
+                touched_partitions=PartitionSet.of([0]),
+            ))
+
+        # Only the first attempt reached self-tuning, with its own model.
+        assert [model for model, _ in observed] == [old]
+        # The restart ran on the retired model: it logged there, and neither
+        # re-registered that model nor wrote the replacement's counters.
+        assert houdini.provider.model_for(request) is new
+        assert houdini.maintenance.tracking(old) is None
+        assert houdini.maintenance.tracking(new) is None
+        assert houdini.maintenance.stats_by_procedure() == {}
+        assert [(e.target, e.hits) for e in new.edges_from(new.begin)] == new_hits
+        assert houdini._since_maintenance == 1
+        assert old.edge(old.begin, old.commit) is not None
