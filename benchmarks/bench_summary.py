@@ -10,9 +10,11 @@ The summary is deterministic (simulated throughput, modelled estimation
 cost), so at ``REPRO_SCALE=small`` every number is pinned to the printed
 digit, for both partition sweeps: the full one (4, 8, 16 partitions) and the
 trimmed one this benchmark reports (8, 16).  The headline improvement is
-the mean of the per-benchmark rows under it, so those are pinned too.  CI's
-``headline-fidelity`` job runs this file; a change that moves a value
-re-pins it here and says why.
+the mean of the per-benchmark rows under it, so those are pinned too.  At a
+scale without pins the trimmed summary keeps the loose bounds (accuracy above
+50%, overhead below 25%, improvement above -10%) and the full sweep is
+skipped.  CI's ``headline-fidelity`` job runs this file; a change that moves
+a value re-pins it here and says why.
 """
 
 import pytest
@@ -50,15 +52,24 @@ def _summary(benchmark, scale, save_result, sweep: str):
         rounds=1, iterations=1,
     )
     save_result("summary" if sweep == "trimmed" else f"summary_{sweep}", result.format())
-    pinned = PINNED.get(scale.name, {}).get(sweep)
-    if pinned is None:
-        pytest.skip(f"no headline pins at scale {scale.name!r}")
-    assert _printed(result) == pinned
+    return result
 
 
 def test_headline_summary(benchmark, scale, save_result):
-    _summary(benchmark, scale, save_result, "trimmed")
+    result = _summary(benchmark, scale, save_result, "trimmed")
+    pinned = PINNED.get(scale.name, {}).get("trimmed")
+    if pinned is not None:
+        assert _printed(result) == pinned
+    else:
+        # No pins at this scale: the loose bounds every scale has held.
+        assert result.accuracy_pct > 50.0
+        assert result.estimation_overhead_pct < 25.0
+        assert result.throughput_improvement_pct > -10.0
 
 
 def test_headline_summary_full_sweep(benchmark, scale, save_result):
-    _summary(benchmark, scale, save_result, "full")
+    # The full sweep only exists to be pinned; without pins it is not run.
+    pinned = PINNED.get(scale.name, {}).get("full")
+    if pinned is None:
+        pytest.skip(f"no full-sweep headline pins at scale {scale.name!r}")
+    assert _printed(_summary(benchmark, scale, save_result, "full")) == pinned

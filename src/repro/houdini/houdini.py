@@ -42,9 +42,10 @@ class HoudiniPlan:
     runtime: HoudiniRuntime
     estimate: PathEstimate
     decision: OptimizationDecision
-    #: The model the attempt was planned on (the runtime monitors it unless
-    #: the estimate is degenerate); what the attempt learned belongs to it.
-    model: MarkovModel | None = None
+    #: The model the attempt was planned on (``None`` when the procedure has
+    #: none; the runtime monitors it unless the estimate is degenerate); what
+    #: the attempt learned belongs to it.
+    model: MarkovModel | None
 
 
 class Houdini:

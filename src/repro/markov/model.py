@@ -357,17 +357,16 @@ class MarkovModel:
         deserialization); run-time learning logs its visits instead
         (:meth:`log_transitions`).
 
-        A visit to an existing edge changes neither the edge set nor any
-        ``edge.probability``: it only marks the source dirty, and the next
-        :meth:`process` refreshes exactly the dirty set.
+        No source is marked dirty: every caller leaves the model
+        unprocessed (:meth:`fold_path` and :meth:`merge_counts` reset
+        ``_processed``, deserialization fills a new model), so the next
+        :meth:`process` is a full pass.
         """
         targets = self._edges.get(source)
         edge = targets.get(target) if targets is not None else None
         if edge is None:
             edge = self._new_edge(source, target)
         edge.hits += count
-        if self._dirty is not None:
-            self._dirty.add(source)
         return edge
 
     def fold_path(self, path: Iterable[tuple[VertexKey, QueryType]], aborted: bool) -> None:
@@ -511,8 +510,8 @@ class MarkovModel:
         moved and replaced only when the result differs (:meth:`_refresh`).
         A kept object is never mutated, so the replaced-never-mutated rule
         the plan memo relies on still holds.  The pass orders only the dirty
-        vertices and their ancestors (:meth:`_order_within`), not the whole
-        graph.
+        vertices and their ancestors (:meth:`_affected_closure`), not the
+        whole graph.
         """
         self._fold_log()
         dirty = self._dirty
@@ -541,7 +540,7 @@ class MarkovModel:
         if precompute_tables:
             complete = False
             if incremental and self._acyclic:
-                order, complete = self._order_within(self._affected_closure(dirty))
+                order, complete = self._topological_order(self._affected_closure(dirty))
                 if complete:
                     self._refresh(order, changed)
             if not complete:
@@ -603,27 +602,9 @@ class MarkovModel:
                     stack.append(parent)
         return affected
 
-    def _order_within(self, affected: set[VertexKey]) -> tuple[list[VertexKey], bool]:
-        """The affected vertices ordered so every child precedes its parents
-        (Kahn's algorithm over the region only: ``affected`` holds every
-        parent of its members), plus whether the order covers them all —
-        ``False`` means a new edge closed a cycle."""
-        edges = self._edges
-        reverse = self._reverse
-        pending = {key: len(affected.intersection(edges[key])) for key in affected}
-        ready = [key for key, count in pending.items() if not count]
-        order: list[VertexKey] = []
-        while ready:
-            key = ready.pop()
-            order.append(key)
-            for parent in reverse[key]:
-                count = pending[parent] - 1
-                pending[parent] = count
-                if not count:
-                    ready.append(parent)
-        return order, len(order) == len(affected)
-
-    def _topological_order(self) -> tuple[list[VertexKey], bool]:
+    def _topological_order(
+        self, region: set[VertexKey] | None = None
+    ) -> tuple[list[VertexKey], bool]:
         """Vertices ordered so every child precedes its parents.
 
         The paper's models are acyclic, so a reverse topological order exists
@@ -633,8 +614,16 @@ class MarkovModel:
         introduced a cycle, the affected vertices are appended at the end,
         the flag is False, and the caller falls back to a bounded fixed-point
         pass.
+
+        With ``region`` (a set holding every parent of its members, e.g. an
+        :meth:`_affected_closure`) only the region is ordered, counting only
+        children inside it, and nothing is appended when the order falls
+        short.
         """
-        out_degree = {key: len(self._edges.get(key, {})) for key in self._vertices}
+        if region is None:
+            out_degree = {key: len(self._edges.get(key, {})) for key in self._vertices}
+        else:
+            out_degree = {key: len(region.intersection(self._edges[key])) for key in region}
         ready = deque(key for key, degree in out_degree.items() if degree == 0)
         order: list[VertexKey] = []
         seen: set[VertexKey] = set()
@@ -648,9 +637,9 @@ class MarkovModel:
                 out_degree[parent] -= 1
                 if out_degree[parent] == 0:
                     ready.append(parent)
-        complete = len(order) == len(self._vertices)
-        if complete:
-            return order, True
+        complete = len(order) == len(out_degree)
+        if complete or region is not None:
+            return order, complete
         leftovers = [key for key in self._vertices if key not in seen]
         return order + leftovers, False
 
@@ -739,15 +728,12 @@ class MarkovModel:
             children.append((edge.probability, child_table))
         table = ProbabilityTable.weighted_sum(self.num_partitions, children)
         if key.is_query:
-            partitions = key.partitions.partitions
-            if len({*key.previous.partitions, *partitions}) > 1:
-                # The transaction has touched more than one partition.
+            if len(key.accessed_partitions()) > 1:
                 table.single_partition = 0.0
             column = table.write if vertices[key].query_type is QueryType.WRITE else table.read
-            finish = table.finish
-            for partition_id in partitions:
+            for partition_id in key.partitions:
                 column[partition_id] = 1.0
-                finish[partition_id] = 0.0
+                table.finish[partition_id] = 0.0
         return table
 
     def _compute_remaining_queries(
@@ -758,10 +744,8 @@ class MarkovModel:
         This is the "expected remaining run time" extension sketched in the
         paper's future-work section; the cost model converts query counts to
         time when it is used for scheduling.  ``order`` must list children
-        before parents (possibly restricted to the affected vertices of an
-        incremental pass — unaffected children keep their stored values);
-        ``reset`` zeroes the annotations first, which the cyclic fallback
-        uses to reproduce the old single-sweep semantics.
+        before parents; ``reset`` zeroes the annotations first, which the
+        cyclic fallback uses to reproduce the old single-sweep semantics.
         """
         vertices = self._vertices
         if reset:

@@ -124,28 +124,20 @@ class ProbabilityTable:
         children: list[tuple[float, "ProbabilityTable"]],
     ) -> "ProbabilityTable":
         """Combine children tables weighted by their edge probabilities."""
-        weights = [weight for weight, _ in children]
-        total_weight = sum(weights)
+        total_weight = sum(weight for weight, _ in children)
         if total_weight <= 0:
             return ProbabilityTable(num_partitions)
         if len(children) == 1 and total_weight == 1.0:
             # A lone certain edge (most query states): x * 1.0 / 1.0 == x.
             return children[0][1].copy()
+        weights = [weight for weight, _ in children]
 
-        if len(children) == 2:
-            first, second = weights
-
-            def mix(columns: list) -> list[float]:
-                # The general form's operations, in one pass (most mixes
-                # have two children).
-                return [(first * x + second * y) / total_weight for x, y in zip(*columns)]
-        else:
-            def mix(columns: list) -> list[float]:
-                # ((w0*x0 + w1*x1) + ...) / total per cell, left to right.
-                mixed = [weights[0] * value for value in columns[0]]
-                for weight, column in zip(weights[1:], columns[1:]):
-                    mixed = [acc + weight * value for acc, value in zip(mixed, column)]
-                return [value / total_weight for value in mixed]
+        def mix(columns: list) -> list[float]:
+            # ((w0*x0 + w1*x1) + ...) / total per cell, left to right.
+            mixed = [weights[0] * value for value in columns[0]]
+            for weight, column in zip(weights[1:], columns[1:]):
+                mixed = [acc + weight * value for acc, value in zip(mixed, column)]
+            return [value / total_weight for value in mixed]
 
         single_partition, abort = mix([(t.single_partition, t.abort) for _, t in children])
         return ProbabilityTable(

@@ -214,9 +214,11 @@ def test_successor_views_equal_a_fresh_rebuild_after_every_step(steps):
 
 # ----------------------------------------------------------------------
 # The property is only worth its budget if it catches the bugs it is for:
-# a seeded mutation of ``_new_edge``, the one edge creation, one of
-# ``_count_visits``, which folds logged hits into the edges, and one of
-# ``_table_for`` that refreshes a published table in place.
+# a seeded mutation of ``_new_edge``, the one edge creation; one of
+# ``_count_visits``, which folds logged hits into the edges and marks their
+# sources dirty; one each of ``fold_path`` and ``merge_counts``, whose counted
+# hits mark nothing dirty but force a full pass; and one of ``_table_for``
+# that refreshes a published table in place.
 # ----------------------------------------------------------------------
 _new_edge = MarkovModel._new_edge
 _table_for = MarkovModel._table_for
@@ -246,6 +248,15 @@ def _hit_does_not_dirty_the_source(self, counts):
         edges[source][target].hits += count
 
 
+def _leaves_the_model_processed(method):
+    def mutated(self, *args, **kwargs):
+        processed = self._processed
+        method(self, *args, **kwargs)
+        self._processed = processed
+
+    return mutated
+
+
 class TestMutationsAreCaught:
     fork = [
         ("add_path", ([("A", 0, False)], False)),
@@ -264,6 +275,19 @@ class TestMutationsAreCaught:
         script = self.fork + [("log_repeated", ((BEGIN_KEY, _A), 7)), ("process", None)]
         check(script)
         monkeypatch.setattr(MarkovModel, "_count_visits", _hit_does_not_dirty_the_source)
+        with pytest.raises(AssertionError):
+            check(script)
+
+    @pytest.mark.parametrize("method, step", [
+        ("fold_path", ("add_path", ([("A", 0, False)], False))),
+        ("merge_counts", ("merge_counts", [([("A", 0, False)], False)] * 3)),
+    ], ids=["fold_path", "merge_counts"])
+    def test_a_counted_hit_that_leaves_the_model_processed(self, monkeypatch, method, step):
+        script = self.fork + [step, ("process", None)]
+        check(script)
+        monkeypatch.setattr(
+            MarkovModel, method, _leaves_the_model_processed(getattr(MarkovModel, method))
+        )
         with pytest.raises(AssertionError):
             check(script)
 
