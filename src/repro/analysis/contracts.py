@@ -97,11 +97,11 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     "_entries": ("EstimateCache", "lookup()/store()/invalidate()/invalidate_procedure()"),
     "_schedule_cache": ("CostModel", "assign the *_ms field or call clear_schedule_cache()"),
     # Self-tuning (hot model swap) contract surfaces: the provider's model
-    # table only changes through install_model() — the atomic swap point —
-    # and the detector/manager state only moves through their observe loop.
+    # table only changes through install_model() — the atomic swap point,
+    # reached through Houdini.swap_model() — and the manager's per-procedure
+    # records (ring of attempt paths) only move through its observe loop.
     "_models": ("GlobalModelProvider", "model_for()/models()/model_for_procedure()/install_model()"),
-    "_windows": ("DriftDetector", "observe()/score()/check()/reset()"),
-    "_states": ("SelfTuneManager", "observe()/snapshot()"),
+    "_states": ("SelfTuneManager", "observe()/snapshot(); a record moves through record()/tail()/window()"),
     # Scheduler queues: the ready set and the per-partition wait lists move
     # only through submit/pop, park (requeue(partition)), wake, and the
     # rekey/adopt transplant; TenantScheduler reaches them as ``self``.  A

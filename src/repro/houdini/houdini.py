@@ -294,13 +294,11 @@ class Houdini:
                     for procedure in recomputed:
                         self.estimate_cache.invalidate_procedure(procedure)
             if self._selftune is not None:
-                # After the maintenance block so the detector sees the
+                # After the maintenance block so the drift check sees the
                 # freshest accuracy signal.  The observer may swap the
                 # procedure's model here — between transactions, which is
                 # what makes the swap atomic.
-                self._selftune.observe(
-                    request.procedure, model, runtime.stats.transitions
-                )
+                self._selftune.observe(request.procedure, runtime.stats.transitions)
         self._record_outcome_stats(request, houdini_plan, attempt)
 
     # ------------------------------------------------------------------
@@ -382,6 +380,25 @@ class Houdini:
             elif not estimate_caching and self.estimate_cache is not None:
                 self.estimate_cache.invalidate()
                 self.estimate_cache = None
+
+    def swap_model(self, procedure: str, model: MarkovModel) -> MarkovModel | None:
+        """Serve ``model`` for ``procedure`` from now on; return the retired
+        model (the self-tuner's hot swap).
+
+        The provider's table changes in one dict store
+        (:meth:`~repro.houdini.providers.GlobalModelProvider.install_model`),
+        the plan memo drops exactly this procedure's entries (which releases
+        the retired model they pin), and maintenance stops tracking the
+        retired model.  Nothing else is rekeyed: other procedures' memoized
+        walks stay where they are.  Sessions call it between two
+        transactions, which makes the swap atomic.
+        """
+        old_model = self.provider.install_model(procedure, model)
+        if self.estimate_cache is not None:
+            self.estimate_cache.invalidate_procedure(procedure)
+        if old_model is not None:
+            self.maintenance.forget(old_model)
+        return old_model
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -36,6 +36,34 @@ from .config import HoudiniConfig
 TAIL_LIMIT = 2048
 
 
+def overlap(
+    model: MarkovModel, source: VertexKey, observed: dict[VertexKey, int], total: int
+) -> float:
+    """How well ``model``'s distribution at ``source`` matches the observed
+    target counts (``total`` of them): ``sum(min(p_observed, p_model))`` in
+    the counts' order, 1.0 when the two agree exactly and 0.0 when they are
+    disjoint."""
+    edge_probability = model.edge_probability
+    result = 0.0
+    for target, count in observed.items():
+        result += min(count / total, edge_probability(source, target))
+    return result
+
+
+def worst_overlap(
+    model: MarkovModel, observed: dict[VertexKey, dict[VertexKey, int]], min_observations: int
+) -> float:
+    """The lowest :func:`overlap` over the sources observed at least
+    ``min_observations`` times (1.0 when none is): maintenance's accuracy,
+    and one minus self-tuning's drift score."""
+    worst = 1.0
+    for source, targets in observed.items():
+        total = sum(targets.values())
+        if total and total >= min_observations:
+            worst = min(worst, overlap(model, source, targets, total))
+    return worst
+
+
 @dataclass
 class MaintenanceStats:
     """Counters describing maintenance activity for one model.
@@ -145,23 +173,12 @@ class ModelMaintenance:
 
     # ------------------------------------------------------------------
     def vertex_accuracy(self, source: VertexKey) -> float:
-        """How well the model's distribution matches the observed one.
-
-        Accuracy is the overlap of the two distributions
-        (``sum(min(p_model, p_observed))``): 1.0 when they agree exactly and
-        0.0 when they are disjoint.
-        """
+        """The :func:`overlap` of the model's distribution at ``source`` with
+        the observed one (1.0 when nothing was observed there)."""
         self.fold()
         observed = self._observed.get(source)
         total = sum(observed.values()) if observed else 0
-        return self._overlap(source, observed, total) if total else 1.0
-
-    def _overlap(self, source: VertexKey, observed: dict[VertexKey, int], total: int) -> float:
-        edge_probability = self.model.edge_probability
-        overlap = 0.0
-        for target, count in observed.items():
-            overlap += min(count / total, edge_probability(source, target))
-        return overlap
+        return overlap(self.model, source, observed, total) if total else 1.0
 
     def check(self) -> bool:
         """Evaluate drift; recompute probabilities if accuracy is too low.
@@ -170,12 +187,9 @@ class ModelMaintenance:
         """
         self.fold()
         self.stats.accuracy_checks += 1
-        worst = 1.0
-        min_observations = self.config.maintenance_min_observations
-        for source, observed in self._observed.items():
-            total = sum(observed.values())
-            if total and total >= min_observations:
-                worst = min(worst, self._overlap(source, observed, total))
+        worst = worst_overlap(
+            self.model, self._observed, self.config.maintenance_min_observations
+        )
         self.stats.last_accuracy = worst
         if worst < self.config.maintenance_accuracy_threshold:
             self.recompute()

@@ -59,7 +59,8 @@ class GlobalModelProvider(ModelProvider):
         This is the hot-swap entry point: the assignment is a single dict
         store, so every ``model_for`` call either sees the old model or the
         new one, never a mix.  Callers own the invalidation side — dropping
-        the retired model's plan-memo entries and maintenance state (see ``repro.selftune.swap``).
+        the retired model's plan-memo entries and maintenance state (see
+        :meth:`~repro.houdini.houdini.Houdini.swap_model`).
         """
         if model.procedure != procedure:
             raise ValueError(

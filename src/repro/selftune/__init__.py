@@ -5,14 +5,17 @@ probabilities from run-time counters, but nothing in the paper closes the
 loop — drift is only acted on when an operator intervenes, and a retrained
 model never reaches a running system.  This package closes it:
 
-* :class:`DriftDetector` — online windowed divergence scoring between the
-  observed transition paths and the live model's expectations;
-* :class:`Retrainer` — background rebuild of the drifted procedure's Markov
-  model from the recorded tail, timed in simulated milliseconds;
-* :class:`ModelSwapController` — atomic hot swap of the rebuilt model into
-  the running session through the existing invalidation contracts;
 * :class:`SelfTuneManager` — the loop: observe -> detect -> retrain -> swap,
-  fed by Houdini after every transaction attempt.
+  fed by Houdini after every transaction attempt.  It records each
+  attempt's path once, in a per-procedure ring of paths; the drift score is
+  one minus §4.5 maintenance's overlap
+  (:func:`~repro.houdini.maintenance.worst_overlap`) over the ring's
+  trailing transitions since the last swap;
+* :func:`retrain_model` — the rebuild of a drifted procedure's Markov model
+  from the ring's tail, started as a :class:`RetrainJob` and timed in
+  simulated milliseconds; the rebuilt model lands through
+  :meth:`Houdini.swap_model <repro.houdini.houdini.Houdini.swap_model>`,
+  the atomic hot swap through the existing invalidation contracts.
 
 Enable it with ``ClusterSpec(selftune=SelfTuneConfig(...))`` (or a plain
 field dict), toggle it live with ``session.reconfigure(selftune=...)``, and
@@ -22,18 +25,13 @@ byte-determinism: same seed + same workload schedule -> same bytes.
 """
 
 from .config import SelfTuneConfig
-from .detector import DriftDetector
 from .manager import SelfTuneManager, SelfTuneStats
-from .retrain import Retrainer, RetrainJob, retrain_model
-from .swap import ModelSwapController
+from .retrain import RetrainJob, retrain_model
 
 __all__ = [
     "SelfTuneConfig",
-    "DriftDetector",
-    "Retrainer",
     "RetrainJob",
     "retrain_model",
-    "ModelSwapController",
     "SelfTuneManager",
     "SelfTuneStats",
 ]

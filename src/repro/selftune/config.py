@@ -21,8 +21,8 @@ class SelfTuneConfig:
 
     #: Run a drift check every N observed transactions of a procedure.
     check_interval_txns: int = spec(50, kind="int", ge=1)
-    #: Sliding window of recent (source, target) transitions the detector
-    #: scores divergence over, per procedure.
+    #: Sliding window of recent (source, target) transitions the drift
+    #: check scores divergence over, per procedure.
     window_transitions: int = spec(400, kind="int", ge=1)
     #: Drift verdict when the worst per-vertex divergence (1 - distribution
     #: overlap with the model's expectations) exceeds this.

@@ -4,13 +4,24 @@
 Houdini feeds it every attempt's transition path (from ``after_attempt``,
 after maintenance has seen the same path); the manager
 
-1. records the path into the procedure's bounded retraining tail and the
-   drift detector's window,
+1. records the path in the procedure's ring of attempt paths — the one
+   copy self-tuning keeps,
 2. completes any due retrain job — rebuilding the model from the frozen
-   tail and swapping it in through the invalidation contracts — and
+   tail (:func:`~repro.selftune.retrain.retrain_model`) and swapping it in
+   with :meth:`~repro.houdini.houdini.Houdini.swap_model` — and
 3. every ``check_interval_txns`` observations runs a drift check, starting
    a background retrain when the verdict says the model no longer matches
    the traffic.
+
+The ring serves both readers.  The retraining tail is its last
+``retrain_tail_txns`` paths.  The drift window is the trailing
+``window_transitions`` pairs of the paths observed since the last swap (the
+retired model's traffic does not judge its replacement), and the drift
+score is one minus maintenance's accuracy measure over it
+(:func:`~repro.houdini.maintenance.worst_overlap`): 0.0 when the window
+matches the model, 1.0 when every observed target is one the model
+considers impossible.  Only vertices with ``min_observations`` pairs in the
+window take part, so a handful of unusual transactions cannot trip it.
 
 All decisions are driven by observation counts and the simulator's
 transaction clock, never the wall clock, so an enabled self-tuner preserves
@@ -22,12 +33,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
+from ..houdini.maintenance import worst_overlap
 from ..markov.model import MarkovModel
 from .config import SelfTuneConfig
-from .detector import DriftDetector
-from .retrain import Retrainer, RetrainJob
-from .swap import ModelSwapController
+from .retrain import RetrainJob, retrain_model
+
+
+def divergence(model: MarkovModel, pairs, min_observations: int) -> float:
+    """The drift score of ``(source, target)`` pairs against ``model``: one
+    minus maintenance's worst overlap, counted in the pairs' order."""
+    observed: dict = {}
+    for source, target in pairs:
+        targets = observed.setdefault(source, {})
+        targets[target] = targets.get(target, 0) + 1
+    return 1.0 - worst_overlap(model, observed, min_observations)
 
 
 @dataclass
@@ -43,18 +64,49 @@ class SelfTuneStats:
 class _ProcedureState:
     """Per-procedure bookkeeping of the manager."""
 
-    __slots__ = ("observations", "tail", "job", "last_swap_obs", "swaps",
-                 "last_swap_at_ms", "verdict")
+    __slots__ = ("observations", "paths", "pairs", "job", "last_swap_obs",
+                 "swaps", "last_swap_at_ms", "verdict")
 
-    def __init__(self, tail_limit: int) -> None:
+    def __init__(self) -> None:
         self.observations = 0
-        #: Recent complete transition paths (the retraining corpus).
-        self.tail: deque = deque(maxlen=tail_limit)
+        #: Attempt paths, oldest first (each a tuple of (source, target)
+        #: pairs), and the number of pairs they hold.
+        self.paths: deque = deque()
+        self.pairs = 0
         self.job: RetrainJob | None = None
         self.last_swap_obs = 0
         self.swaps = 0
         self.last_swap_at_ms: float | None = None
         self.verdict: dict | None = None
+
+    def record(self, path: tuple, config: SelfTuneConfig) -> None:
+        """Append one attempt's path; drop the oldest only while neither
+        reader needs it: more than the tail remains, and the newer paths
+        still fill the window."""
+        paths = self.paths
+        paths.append(path)
+        self.pairs += len(path)
+        self.observations += 1
+        while (len(paths) > config.retrain_tail_txns
+               and self.pairs - len(paths[0]) >= config.window_transitions):
+            self.pairs -= len(paths.popleft())
+
+    def tail(self, limit: int) -> tuple:
+        """The last ``limit`` paths, oldest first (the retraining corpus)."""
+        return tuple(islice(self.paths, max(0, len(self.paths) - limit), None))
+
+    def window(self, limit: int) -> list:
+        """The trailing ``limit`` pairs of the paths since the last swap,
+        oldest first."""
+        chunks = []
+        since = self.observations - self.last_swap_obs
+        for path in reversed(self.paths):
+            if not since or not limit:
+                break
+            chunks.append(path[-limit:])
+            limit -= len(chunks[-1])
+            since -= 1
+        return [pair for chunk in reversed(chunks) for pair in chunk]
 
 
 class SelfTuneManager:
@@ -75,22 +127,11 @@ class SelfTuneManager:
         #: transaction clock in.  Defaults to a frozen clock so unit tests
         #: can drive the manager without a simulator.
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self.detector = DriftDetector(self.config)
-        self.retrainer = Retrainer(self.config)
-        self.swapper = ModelSwapController(houdini)
         self.stats = SelfTuneStats()
         self._states: dict[str, _ProcedureState] = {}
 
     # ------------------------------------------------------------------
-    def _state(self, procedure: str) -> _ProcedureState:
-        state = self._states.get(procedure)
-        if state is None:
-            state = self._states[procedure] = _ProcedureState(
-                self.config.retrain_tail_txns
-            )
-        return state
-
-    def observe(self, procedure: str, model: MarkovModel, transitions) -> None:
+    def observe(self, procedure: str, transitions) -> None:
         """Feed one attempt's transition path; run the loop's due actions.
 
         Called by Houdini between transactions (``after_attempt``), which is
@@ -98,11 +139,10 @@ class SelfTuneManager:
         while the provider's table changes.
         """
         now = self._clock()
-        state = self._state(procedure)
-        path = tuple(transitions)
-        state.tail.append(path)
-        self.detector.observe(procedure, path)
-        state.observations += 1
+        state = self._states.get(procedure)
+        if state is None:
+            state = self._states[procedure] = _ProcedureState()
+        state.record(tuple(transitions), self.config)
 
         swapped = self._complete_due_retrain(procedure, state, now)
         if swapped:
@@ -117,49 +157,61 @@ class SelfTuneManager:
         """Finish the procedure's retrain job if its simulated latency has
         elapsed; returns True when a swap happened."""
         job = state.job
-        if job is None or not self.retrainer.ready(job, now):
+        if job is None or now < job.ready_at_ms:
             return False
         state.job = None
         old_model = self.houdini.provider.model_for_procedure(procedure)
         if old_model is None:
             return False
-        new_model = self.retrainer.build(
-            job, old_model,
+        new_model = retrain_model(
+            old_model, job.paths,
             precompute_tables=self.houdini.config.precompute_tables,
         )
         self.stats.retrains_completed += 1
-        self.swapper.swap(procedure, new_model)
+        self.houdini.swap_model(procedure, new_model)
         self.stats.swaps += 1
         state.swaps += 1
         state.last_swap_obs = state.observations
         state.last_swap_at_ms = now
-        # The window measured the retired model's traffic; start clean so
-        # the fresh model is judged only on what it actually serves.
-        self.detector.reset(procedure)
         return True
 
     def _run_check(self, procedure: str, state: _ProcedureState, now: float) -> None:
         model = self.houdini.provider.model_for_procedure(procedure)
         if model is None or not model.processed:
             return
-        maintenance = self.houdini.maintenance.for_model(model)
-        verdict = self.detector.check(
-            procedure,
-            model,
-            accuracy=maintenance.stats.last_accuracy,
-            accuracy_threshold=self.houdini.config.maintenance_accuracy_threshold,
+        config = self.config
+        accuracy = self.houdini.maintenance.for_model(model).stats.last_accuracy
+        window = state.window(config.window_transitions)
+        score = divergence(model, window, config.min_observations)
+        # Maintenance measuring a bad accuracy declares drift even before
+        # the window has filled up.
+        degraded = config.use_accuracy_signal and (
+            accuracy < self.houdini.config.maintenance_accuracy_threshold
         )
-        state.verdict = verdict
-        if not verdict["drifted"]:
+        state.verdict = {
+            "procedure": procedure,
+            "divergence": score,
+            "accuracy": accuracy,
+            "window": len(window),
+            "drifted": bool(score > config.divergence_threshold or degraded),
+        }
+        if not state.verdict["drifted"]:
             return
         self.stats.drifts_detected += 1
         if state.job is not None:
             return
-        if state.observations - state.last_swap_obs < self.config.cooldown_txns and state.swaps:
+        if state.observations - state.last_swap_obs < config.cooldown_txns and state.swaps:
             return
-        if len(state.tail) < self.config.retrain_min_tail_txns:
+        # retrain_min_tail_txns <= retrain_tail_txns, so the ring's length
+        # decides this as well as the tail's would.
+        if len(state.paths) < config.retrain_min_tail_txns:
             return
-        state.job = self.retrainer.start(procedure, tuple(state.tail), now)
+        state.job = RetrainJob(
+            procedure=procedure,
+            started_at_ms=now,
+            ready_at_ms=now + config.retrain_latency_ms,
+            paths=state.tail(config.retrain_tail_txns),
+        )
         self.stats.retrains_started += 1
 
     # ------------------------------------------------------------------
@@ -170,7 +222,7 @@ class SelfTuneManager:
             state = self._states[procedure]
             procedures[procedure] = {
                 "observations": state.observations,
-                "tail": len(state.tail),
+                "tail": min(len(state.paths), self.config.retrain_tail_txns),
                 "retrain_pending": state.job is not None,
                 "swaps": state.swaps,
                 "last_swap_at_ms": state.last_swap_at_ms,

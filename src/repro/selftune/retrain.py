@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..markov.model import MarkovModel
 from ..markov.vertex import ABORT_KEY
-from .config import SelfTuneConfig
 
 
 @dataclass(frozen=True)
@@ -63,33 +62,3 @@ def retrain_model(
         model.fold_path(states, aborted=path[-1][1] is ABORT_KEY)
     model.process(precompute_tables=precompute_tables)
     return model
-
-
-class Retrainer:
-    """Schedules and builds background retrains, driven by simulated time."""
-
-    def __init__(self, config: SelfTuneConfig | None = None) -> None:
-        self.config = config or SelfTuneConfig()
-
-    def start(self, procedure: str, paths, now_ms: float) -> RetrainJob:
-        """Freeze the tail and schedule the rebuild's completion time."""
-        return RetrainJob(
-            procedure=procedure,
-            started_at_ms=now_ms,
-            ready_at_ms=now_ms + self.config.retrain_latency_ms,
-            paths=tuple(paths),
-        )
-
-    def ready(self, job: RetrainJob, now_ms: float) -> bool:
-        return now_ms >= job.ready_at_ms
-
-    def build(
-        self,
-        job: RetrainJob,
-        old_model: MarkovModel,
-        *,
-        precompute_tables: bool = True,
-    ) -> MarkovModel:
-        return retrain_model(
-            old_model, job.paths, precompute_tables=precompute_tables
-        )

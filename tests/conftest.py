@@ -27,7 +27,13 @@ from repro.catalog import (
     param,
     string,
 )
-from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
+from repro.houdini import (
+    EstimateCache,
+    GlobalModelProvider,
+    Houdini,
+    HoudiniConfig,
+    MaintenanceRegistry,
+)
 from repro.markov import PathStep
 from repro.session import ClusterSpec, train
 from repro.storage import Database
@@ -53,6 +59,20 @@ def to_steps(raw_path) -> list[PathStep]:
         counters[name] = counters.get(name, 0) + 1
         previous = previous.union(partitions)
     return steps
+
+
+class SelfTuneHost:
+    """What a self-tuning manager drives of a Houdini: the global provider,
+    the maintenance registry, the config and the real ``swap_model`` —
+    without a catalog or mappings."""
+
+    swap_model = Houdini.swap_model
+
+    def __init__(self, models, estimate_caching: bool = False) -> None:
+        self.config = HoudiniConfig()
+        self.provider = GlobalModelProvider(models)
+        self.maintenance = MaintenanceRegistry(self.config)
+        self.estimate_cache = EstimateCache(self.config) if estimate_caching else None
 
 
 # ----------------------------------------------------------------------

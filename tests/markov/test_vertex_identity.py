@@ -22,13 +22,11 @@ import hashlib
 import json
 import pickle
 import sys
-import types
 import weakref
 
 import pytest
 
-from repro.houdini import EstimateCache, GlobalModelProvider, HoudiniConfig, PathEstimate
-from repro.houdini.maintenance import MaintenanceRegistry
+from repro.houdini import PathEstimate
 from repro.markov import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, MarkovModel, VertexKey, VertexKind
 from repro.markov import vertex as vertex_module
 from repro.markov.serialization import (
@@ -37,12 +35,11 @@ from repro.markov.serialization import (
     vertex_key_from_dict,
     vertex_key_to_dict,
 )
-from repro.selftune import ModelSwapController
 from repro.selftune.retrain import retrain_model
 from repro.session import Cluster, ClusterSpec, train
 from repro.types import PartitionSet
 
-from tests.conftest import to_steps
+from tests.conftest import SelfTuneHost, to_steps
 
 SPECIALS = (BEGIN_KEY, COMMIT_KEY, ABORT_KEY)
 
@@ -190,15 +187,11 @@ class TestTheTableHoldsItsKeysWeakly:
         tail = [tuple(zip(path, path[1:])) for path in [
             [BEGIN_KEY, next(k for k in _keys(old) if k.name == "Retired1"), kept, COMMIT_KEY]
         ] * 5]
-        houdini = types.SimpleNamespace(
-            provider=GlobalModelProvider({"Proc": old}),
-            estimate_cache=EstimateCache(HoudiniConfig()),
-            maintenance=MaintenanceRegistry(HoudiniConfig()),
-        )
+        houdini = SelfTuneHost({"Proc": old}, estimate_caching=True)
         houdini.maintenance.for_model(old)
         old.log_transitions(tail[0])
         new = retrain_model(old, tail)
-        assert ModelSwapController(houdini).swap("Proc", new) is old
+        assert houdini.swap_model("Proc", new) is old
         kept, gone = weakref.ref(kept), weakref.ref(gone)
         del old
         gc.collect()

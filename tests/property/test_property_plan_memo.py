@@ -41,7 +41,6 @@ from repro.engine.engine import AttemptOutcome, AttemptResult
 from repro.houdini import EstimateCache, GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import MarkovModel
 from repro.markov.vertex import ABORT_KEY, VertexKey
-from repro.selftune import ModelSwapController
 from repro.session import ClusterSpec, train
 from repro.types import EMPTY_PARTITION_SET, PartitionSet
 
@@ -208,9 +207,7 @@ def check(benchmark: str, learning: bool, script, tally=None, warm=False) -> Non
         elif operation == "swap":
             procedure = requests[argument].procedure
             for houdini in pair:
-                ModelSwapController(houdini).swap(
-                    procedure, pickle.loads(pristine)[procedure]
-                )
+                houdini.swap_model(procedure, pickle.loads(pristine)[procedure])
         elif operation == "threshold":
             for houdini in pair:
                 houdini.reconfigure(confidence_threshold=argument)

@@ -1,4 +1,5 @@
-"""Unit tests for background retraining (:mod:`repro.selftune.retrain`)."""
+"""Unit tests for background retraining (:mod:`repro.selftune.retrain` and
+the manager's retrain jobs)."""
 
 from __future__ import annotations
 
@@ -6,9 +7,10 @@ import pytest
 
 from repro.markov import MarkovModel, PathStep
 from repro.markov.vertex import COMMIT_KEY, VertexKey
-from repro.selftune import Retrainer, SelfTuneConfig
+from repro.selftune import SelfTuneConfig, SelfTuneManager
 from repro.selftune.retrain import retrain_model
 from repro.types import PartitionSet, QueryType
+from tests.conftest import SelfTuneHost
 
 
 def _trained_model() -> tuple[MarkovModel, VertexKey, VertexKey, VertexKey]:
@@ -69,29 +71,57 @@ class TestRetrainModel:
 
 
 class TestRetrainer:
+    """A retrain as the manager runs it: a drift verdict starts a job over
+    the frozen tail, and the rebuilt model lands once the simulated latency
+    has elapsed."""
+
+    @staticmethod
+    def _drifting_manager(clock, check_interval_txns=3):
+        old, begin, _, remote = _trained_model()
+        manager = SelfTuneManager(
+            SelfTuneHost({"Proc": old}),
+            # The model says 10% remote; every observed transaction is remote.
+            SelfTuneConfig(check_interval_txns=check_interval_txns, min_observations=1,
+                           retrain_min_tail_txns=1, retrain_latency_ms=10.0),
+            clock=lambda: clock[0],
+        )
+        return manager, old, _path(begin, remote)
+
     def test_job_freezes_the_tail_and_schedules_completion(self):
-        old, begin, local, _ = _trained_model()
-        retrainer = Retrainer(SelfTuneConfig(retrain_latency_ms=10.0))
-        tail = [_path(begin, local)] * 3
-        job = retrainer.start("Proc", tail, now_ms=100.0)
+        clock = [100.0]
+        manager, _, path = self._drifting_manager(clock)
+        for _ in range(3):
+            manager.observe("Proc", path)
+        job = manager._states["Proc"].job
         assert job.procedure == "Proc"
         assert job.started_at_ms == 100.0
         assert job.ready_at_ms == 110.0
         assert isinstance(job.paths, tuple) and len(job.paths) == 3
-        # The frozen copy does not alias the caller's list.
-        tail.append(_path(begin, local))
+        # The frozen copy does not alias the recorded paths.
+        manager.observe("Proc", path)
         assert len(job.paths) == 3
 
     def test_ready_obeys_simulated_latency(self):
-        retrainer = Retrainer(SelfTuneConfig(retrain_latency_ms=10.0))
-        job = retrainer.start("Proc", [], now_ms=100.0)
-        assert not retrainer.ready(job, 105.0)
-        assert retrainer.ready(job, 110.0)
+        clock = [100.0]
+        manager, old, path = self._drifting_manager(clock)
+        for _ in range(3):
+            manager.observe("Proc", path)
+        clock[0] = 105.0
+        manager.observe("Proc", path)
+        assert manager.houdini.provider.model_for_procedure("Proc") is old
+        clock[0] = 110.0
+        manager.observe("Proc", path)
+        assert manager.stats.retrains_completed == 1
+        assert manager.houdini.provider.model_for_procedure("Proc") is not old
 
     def test_build_returns_a_processed_replacement(self):
-        old, begin, local, _ = _trained_model()
-        retrainer = Retrainer(SelfTuneConfig(retrain_latency_ms=0.0))
-        job = retrainer.start("Proc", [_path(begin, local)] * 8, now_ms=0.0)
-        new = retrainer.build(job, old)
+        clock = [0.0]
+        manager, old, path = self._drifting_manager(clock, check_interval_txns=8)
+        for _ in range(8):
+            manager.observe("Proc", path)
+        clock[0] = 10.0
+        manager.observe("Proc", path)
+        new = manager.houdini.provider.model_for_procedure("Proc")
+        assert new is not old
         assert new.processed
         assert new.transactions_observed == 8

@@ -1,4 +1,4 @@
-"""Hot-swap contract tests (:mod:`repro.selftune.swap`).
+"""Hot-swap contract tests (:meth:`repro.houdini.houdini.Houdini.swap_model`).
 
 The swap must route every invalidation through the named contract methods
 and touch **only** the swapped procedure's derived state: the other
@@ -15,7 +15,6 @@ import pytest
 from repro.engine.engine import AttemptOutcome, AttemptResult
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.markov import MarkovModel
-from repro.selftune import ModelSwapController
 from repro.session import ClusterSpec, train
 from repro.types import PartitionSet
 
@@ -67,15 +66,13 @@ class TestSwapContract:
         procedure, _ = _two_cached_procedures(warm_houdini)
         old = warm_houdini.provider.model_for_procedure(procedure)
         new = _fresh_replacement(old)
-        controller = ModelSwapController(warm_houdini)
 
-        returned = controller.swap(procedure, new)
+        returned = warm_houdini.swap_model(procedure, new)
 
         assert returned is old
         assert warm_houdini.provider.model_for_procedure(procedure) is new
-        assert controller.swaps_performed == 1
         # Swap back so the module fixture stays warm for the other tests.
-        controller.swap(procedure, old)
+        warm_houdini.swap_model(procedure, old)
 
     def test_swap_leaves_no_memo_entry_of_the_retired_model(self, warm_houdini):
         """Nothing memoized against the retired model can be served again:
@@ -86,10 +83,9 @@ class TestSwapContract:
         cache = warm_houdini.estimate_cache
         old = warm_houdini.provider.model_for_procedure(procedure)
         assert any(entry.model is old for entry in cache._entries.values())
-        controller = ModelSwapController(warm_houdini)
-        controller.swap(procedure, _fresh_replacement(old))
+        warm_houdini.swap_model(procedure, _fresh_replacement(old))
         assert not any(entry.model is old for entry in cache._entries.values())
-        controller.swap(procedure, old)
+        warm_houdini.swap_model(procedure, old)
         # Swapped back in, the model starts from an empty slate too.
         assert not any(key[0] == procedure for key in cache._entries)
 
@@ -100,12 +96,11 @@ class TestSwapContract:
         assert any(
             m.model is old for m in warm_houdini.maintenance.maintenances()
         )
-        controller = ModelSwapController(warm_houdini)
-        controller.swap(procedure, _fresh_replacement(old))
+        warm_houdini.swap_model(procedure, _fresh_replacement(old))
         assert not any(
             m.model is old for m in warm_houdini.maintenance.maintenances()
         )
-        controller.swap(procedure, old)
+        warm_houdini.swap_model(procedure, old)
 
     def test_provider_rejects_procedure_mismatch(self, warm_houdini):
         first, second = _two_cached_procedures(warm_houdini)
@@ -125,20 +120,19 @@ class TestSwapIsolation:
         assert protected_entries, "no warmed entries to protect"
 
         old = warm_houdini.provider.model_for_procedure(swapped)
-        controller = ModelSwapController(warm_houdini)
-        controller.swap(swapped, _fresh_replacement(old))
+        warm_houdini.swap_model(swapped, _fresh_replacement(old))
 
         # Swapping an unrelated procedure leaves the protected procedure's
         # entries as the identical objects.
         for key, value in protected_entries.items():
             assert cache._entries[key] is value
-        controller.swap(swapped, old)
+        warm_houdini.swap_model(swapped, old)
 
         # Swapping the cached procedure itself drops exactly its entries.
         cached_old = warm_houdini.provider.model_for_procedure(protected)
-        controller.swap(protected, _fresh_replacement(cached_old))
+        warm_houdini.swap_model(protected, _fresh_replacement(cached_old))
         assert not any(key[0] == protected for key in cache._entries)
-        controller.swap(protected, cached_old)
+        warm_houdini.swap_model(protected, cached_old)
 
 
 class TestSwapBetweenAttemptsOfOneTransaction:
@@ -164,10 +158,11 @@ class TestSwapBetweenAttemptsOfOneTransaction:
         observed = []
 
         class SwapOnFirstAttempt:
-            def observe(self, procedure, model, transitions):
-                observed.append((model, tuple(transitions)))
+            def observe(self, procedure, transitions):
+                live = houdini.provider.model_for_procedure(procedure)
+                observed.append((live, tuple(transitions)))
                 if len(observed) == 1:
-                    ModelSwapController(houdini).swap(procedure, new)
+                    houdini.swap_model(procedure, new)
 
         houdini.set_selftune(SwapOnFirstAttempt())
         first = houdini.plan(request)
