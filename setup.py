@@ -20,7 +20,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.analysis": ["baseline.json"]},
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

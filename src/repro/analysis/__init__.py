@@ -1,12 +1,10 @@
 """AST-based invariant analyzer for the repro codebase.
 
-``repro analyze`` enforces the contracts the byte-equivalence suites only
-catch after the fact: determinism (no hidden clocks or entropy), the
-Markov-model version-bump contract, cache-invalidation pairing, and
-``to_dict``/``from_dict`` serialization parity.  See
-:mod:`repro.analysis.contracts` for the registries the rules are
-parameterized by and :mod:`repro.analysis.rules` for the rule
-implementations.
+``repro analyze`` enforces two contracts that the byte-equivalence suites
+only see in code they run: determinism (no hidden clocks or entropy, no
+set order leaking into ordered output) and the Markov-model version-bump
+contract.  See :mod:`repro.analysis.contracts` for the registries the
+rules read and :mod:`repro.analysis.rules` for the rules.
 """
 
 from .core import (
@@ -14,27 +12,20 @@ from .core import (
     AnalysisReport,
     Finding,
     ModuleInfo,
-    ProjectIndex,
     Rule,
     collect_files,
-    load_baseline,
     run_analysis,
-    save_baseline,
 )
-from .rules import RULE_CLASSES, all_rules, rules_by_id
+from .rules import RULE_CLASSES, all_rules
 
 __all__ = [
     "AnalysisError",
     "AnalysisReport",
     "Finding",
     "ModuleInfo",
-    "ProjectIndex",
     "Rule",
     "RULE_CLASSES",
     "all_rules",
     "collect_files",
-    "load_baseline",
-    "rules_by_id",
     "run_analysis",
-    "save_baseline",
 ]

@@ -15,6 +15,12 @@ iterating a ``set``/``frozenset`` expression straight into ordered output
 (``PYTHONHASHSEED``), so such sites must sort first.  Only syntactically
 certain set expressions are flagged; no type inference, no false alarms on
 attributes that happen to hold sets.
+
+The rule is the one detector of such a leak in code no byte-equality test
+runs.  In the planted-bug verdict (CHANGES.md, row D2), an
+``ArtifactBundle.metadata`` that wrote ``list(set(self.models))`` — a saved
+bundle whose bytes follow the hash seed — was caught by this rule alone:
+tier-1 and the hash-seed CI job both passed.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import ast
 from typing import Iterator
 
 from .. import contracts
-from ..core import Finding, ModuleInfo, ProjectIndex, Rule
+from ..core import Finding, ModuleInfo, Rule
 
 #: Call receivers that consume an iterable in order.
 _ORDERED_CONSUMERS = frozenset({"list", "tuple", "enumerate"})
@@ -31,12 +37,8 @@ _ORDERED_CONSUMERS = frozenset({"list", "tuple", "enumerate"})
 
 class DeterminismRule(Rule):
     id = "determinism"
-    summary = (
-        "forbid wall clocks, OS entropy and module-level random; "
-        "forbid set iteration feeding ordered output"
-    )
 
-    def check(self, module: ModuleInfo, project: ProjectIndex) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         imports = module.import_map()
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):

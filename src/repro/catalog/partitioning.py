@@ -82,11 +82,6 @@ class PartitionScheme:
         """Home partition of a row given its partitioning-column value."""
         return stable_hash(value) % self.num_partitions
 
-    def node_for_partition(self, partition_id: PartitionId) -> int:
-        if not 0 <= partition_id < self.num_partitions:
-            raise CatalogError(f"partition {partition_id} out of range")
-        return partition_id // self.partitions_per_node
-
     def partitions_for_node(self, node_id: int) -> PartitionSet:
         start = node_id * self.partitions_per_node
         stop = min(start + self.partitions_per_node, self.num_partitions)

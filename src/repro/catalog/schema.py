@@ -103,17 +103,6 @@ class Catalog:
         return self.scheme.num_partitions
 
     # ------------------------------------------------------------------
-    def with_partitions(self, num_partitions: int, partitions_per_node: int | None = None) -> "Catalog":
-        """Return a copy of this catalog re-targeted at a new cluster size.
-
-        The paper regenerates Markov models whenever the partitioning scheme
-        changes; this helper makes that explicit and cheap.
-        """
-        per_node = partitions_per_node or self.scheme.partitions_per_node
-        new_scheme = PartitionScheme(num_partitions, per_node)
-        return Catalog(self.schema, new_scheme, list(self._procedures.values()))
-
-    # ------------------------------------------------------------------
     def _validate(self) -> None:
         if len(self.schema) == 0:
             raise CatalogError("catalog requires at least one table")

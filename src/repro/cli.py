@@ -14,7 +14,6 @@ exercised without writing Python:
     $ python -m repro serve tatp --partitions 4
     $ python -m repro experiment figure03 --scale small
     $ python -m repro knee tatp --users 1000000
-    $ python -m repro analyze --strict
 
 ``simulate`` runs one configuration through a
 :class:`~repro.session.ClusterSession` and prints its summary (or, with
@@ -187,33 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subparsers.add_parser(
         "analyze",
-        help="run the AST-based invariant analyzer (determinism, version-"
-        "bump, cache-invalidation, cross-process, serialization, stale-"
-        "contract rules)",
+        help="run the AST-based invariant analyzer (determinism and "
+        "version-bump rules)",
     )
     analyze.add_argument(
         "paths", nargs="*",
         help="files or directories to scan (default: the installed repro package)",
-    )
-    analyze.add_argument(
-        "--strict", action="store_true",
-        help="also fail on stale baseline entries",
-    )
-    analyze.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-    analyze.add_argument(
-        "--rule", action="append", default=None, metavar="ID",
-        help="run only this rule (repeatable; default: all rules)",
-    )
-    analyze.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: src/repro/analysis/baseline.json)",
-    )
-    analyze.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather the current findings",
     )
 
     return parser
@@ -597,53 +575,21 @@ def _cmd_knee(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .analysis import (
-        AnalysisError,
-        load_baseline,
-        run_analysis,
-        rules_by_id,
-        save_baseline,
-    )
+    from .analysis import AnalysisError, all_rules, run_analysis
 
-    package_root = Path(__file__).resolve().parent
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else package_root / "analysis" / "baseline.json"
-    )
+    paths = [Path(p) for p in args.paths] or [Path(__file__).resolve().parent]
     try:
-        rules = rules_by_id(args.rule)
-        baseline = load_baseline(baseline_path)
-        paths = [Path(p) for p in args.paths] or [package_root]
-        report = run_analysis(paths, rules, baseline=baseline)
+        report = run_analysis(paths, all_rules())
     except AnalysisError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        save_baseline(baseline_path, report.findings + report.baselined)
-        print(
-            f"baseline updated: {baseline_path} now grandfathers "
-            f"{len(report.findings) + len(report.baselined)} finding(s)"
-        )
-        return 0
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        for finding in report.findings:
-            print(finding.format())
-        for entry in report.stale_baseline:
-            print(
-                f"stale baseline entry: {entry.path}: [{entry.rule}] "
-                f"{entry.symbol}: {entry.message}"
-            )
-        summary = (
-            f"{report.files_scanned} file(s), {len(report.rules_run)} rule(s): "
-            f"{len(report.findings)} finding(s), "
-            f"{len(report.suppressed)} suppressed, "
-            f"{len(report.baselined)} baselined, "
-            f"{len(report.stale_baseline)} stale baseline entr(ies)"
-        )
-        print(summary)
-    return 0 if report.clean(strict=args.strict) else 1
+    for finding in report.findings:
+        print(finding.format())
+    print(
+        f"{report.files_scanned} file(s), {len(report.rules_run)} rule(s): "
+        f"{len(report.findings)} finding(s)"
+    )
+    return 1 if report.findings else 0
 
 
 _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {

@@ -17,7 +17,9 @@ allowed) is the transaction context's and coordinator's job.
 
 A step table has no invalidation rule because nothing it captures can
 change: the catalog is immutable and the heaps live exactly as long as the
-engine that owns this executor.
+engine that owns this executor.  That holds only while each executor keeps
+its own tables; tables shared between executors fail
+``tests/engine/test_step_table.py::TestTableLifetime``.
 """
 
 from __future__ import annotations

@@ -112,7 +112,10 @@ class Houdini:
         walk is not memoized) and ``hit`` says it was served from it.  The
         wall-clock span goes to the procedure's measured estimation time
         (Table 4) — on the statistics only: estimates are shared between
-        requests and stay deterministic.
+        requests and stay deterministic.  ``time.perf_counter`` is the one
+        host clock the code reads, because it measures the planner's own
+        cost and never feeds a simulated decision; charging it as simulated
+        cost fails ``tests/sim/test_rerun_determinism.py``.
         """
         started = time.perf_counter()
         footprint, signature = self.estimator.footprint_and_signature(request)

@@ -87,20 +87,3 @@ class HoudiniStats:
             return 0.0
         total = sum(stats.estimation_wall_ms_total for stats in self.procedures.values())
         return total / estimates
-
-    # ------------------------------------------------------------------
-    def render_table(self) -> str:
-        """Human-readable rendering in the shape of the paper's Table 4."""
-        header = (
-            f"{'Procedure':28s} {'OP1':>7s} {'OP2':>7s} {'OP3':>7s} {'OP4':>7s} "
-            f"{'Estimate':>10s}"
-        )
-        lines = [header, "-" * len(header)]
-        for name in sorted(self.procedures):
-            stats = self.procedures[name]
-            lines.append(
-                f"{name:28s} {stats.op1_rate:6.1f}% {stats.op2_rate:6.1f}% "
-                f"{stats.op3_rate:6.1f}% {stats.op4_rate:6.1f}% "
-                f"{stats.average_estimation_ms:8.3f}ms"
-            )
-        return "\n".join(lines)

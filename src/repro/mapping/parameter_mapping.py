@@ -116,19 +116,6 @@ class ParameterMapping:
             return value[invocation_counter]
         return value
 
-    def resolve_all(
-        self,
-        statement: str,
-        parameter_count: int,
-        invocation_counter: int,
-        procedure_parameters: Sequence[Any],
-    ) -> list[Any | None]:
-        """Resolve every parameter slot of a statement (``None`` when unknown)."""
-        return [
-            self.resolve(statement, index, invocation_counter, procedure_parameters)
-            for index in range(parameter_count)
-        ]
-
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """Human-readable rendering similar to the paper's Fig. 7."""

@@ -455,8 +455,13 @@ class MarkovModel:
         return len(self._transition_log)
 
     def _fold_log(self) -> None:
-        """Fold the log entries not yet counted into the edge hits (every
-        reader of edge counts calls this first)."""
+        """Fold the log entries not yet counted into the edge hits.
+
+        Every reader of edge counts calls this first: a pair folded twice or
+        never is a wrong count that no probability shows until the next
+        recompute (a reader that skips the fold fails
+        ``tests/property/test_property_transition_log.py``).
+        """
         log = self._transition_log
         folded = self._log_folded
         if folded < len(log):

@@ -93,9 +93,6 @@ class DecisionTreeClassifier:
             raise ValueError("classifier has not been fitted")
         return self._root.predict(list(features))
 
-    def predict_many(self, rows: Sequence[Sequence[float | None]]) -> list[int]:
-        return [self.predict(row) for row in rows]
-
     # ------------------------------------------------------------------
     def _build(self, rows, labels, depth: int):
         majority = Counter(labels).most_common(1)[0][0]

@@ -208,7 +208,10 @@ class TransactionScheduler:
         self._ready: dict = {}
         #: Wait lists: partition -> lane -> predicted partition set -> heap
         #: of parked entries in the ready set's order.  Waiters with one set
-        #: share one gate verdict, so a release judges each set once.
+        #: share one gate verdict, so a release judges each set once and
+        #: moves a blocked set's waiters as one group (:meth:`wake`).  A wake
+        #: that judges only a lane's head group fails
+        #: ``tests/scheduling/test_wait_lists.py::TestGroupedWake``.
         self._wait_lists: dict[PartitionId, dict] = {}
         #: Queued transactions, ready and parked.
         self._queued = 0

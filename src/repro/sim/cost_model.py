@@ -274,12 +274,3 @@ class AttemptTiming:
     setup_ms: float
     total_ms: float
     release_offsets: dict[PartitionId, float] = field(default_factory=dict)
-
-    def as_breakdown(self) -> dict[str, float]:
-        return {
-            "estimation": self.estimation_ms,
-            "planning": self.planning_ms,
-            "execution": self.execution_ms,
-            "coordination": self.coordination_ms,
-            "other": self.setup_ms,
-        }

@@ -232,13 +232,6 @@ class SimulationResult:
         return self.restarts / self.total_transactions
 
     # ------------------------------------------------------------------
-    def breakdown_for(self, procedure: str) -> ProcedureBreakdown:
-        breakdown = self.breakdowns.get(procedure)
-        if breakdown is None:
-            breakdown = ProcedureBreakdown(procedure)
-            self.breakdowns[procedure] = breakdown
-        return breakdown
-
     def overall_estimation_share(self) -> float:
         """Average share of transaction time spent estimating (Fig. 11 claim)."""
         total = sum(b.total_ms for b in self.breakdowns.values())

@@ -472,6 +472,10 @@ class CompletionLog(list):
         self._last_end = -math.inf
         self._committed = 0  # commits in the ordered prefix
         #: Entries at or before the last warm-up time, and their commits.
+        #: Moved only by :meth:`window` and reset here after its in-place
+        #: re-sort; a new episode builds a fresh log instead of clearing one.
+        #: A re-sort that keeps the cursor fails
+        #: ``tests/property/test_property_window.py::TestMutationsAreCaught``.
         self._cursor = 0
         self._cursor_committed = 0
 

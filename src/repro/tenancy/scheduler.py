@@ -92,6 +92,10 @@ class TenantScheduler(TransactionScheduler):
         #: label -> queued predicted work (ready and parked) in units of
         #: 2**-1074 ms: exact, so removals cancel additions to the bit.
         #: ``predicted_cost_ms`` must not change while a transaction is queued.
+        #: It moves only with the queue (:meth:`_push`, :meth:`pop`,
+        #: :meth:`requeue`, :meth:`_drain_queued`); the shed predictor reads
+        #: it on every arrival.  A requeue that skips it fails
+        #: ``tests/property/test_property_backlog.py``.
         self._backlog: dict[str | None, int] = {}
         #: label -> virtual time in weighted predicted milliseconds.
         self._tenant_vtime: dict[str | None, float] = {}

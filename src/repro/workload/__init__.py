@@ -7,7 +7,7 @@ holds every piece of that loop that is about *traffic* rather than about
 models:
 
 * :class:`WorkloadRandom` — a seeded random source with the OLTP benchmark
-  distributions (NURand, Zipf, weighted mixes); every stream in this
+  distributions (NURand, weighted mixes); every stream in this
   package is deterministic under its seed.
 * :class:`WorkloadGenerator` — per-benchmark request factories (transaction
   mix + parameter distributions).

@@ -2,7 +2,7 @@
 
 All benchmark generators draw from a :class:`WorkloadRandom`, a thin wrapper
 around :class:`random.Random` that adds the distributions OLTP benchmarks
-need (TPC-C's NURand, Zipfian skew, weighted choices) while guaranteeing that
+need (TPC-C's NURand, weighted choices) while guaranteeing that
 the same seed always produces the same workload — a requirement for
 reproducible traces and experiments.
 """
@@ -32,8 +32,6 @@ class WorkloadRandom:
         #: The mix tuple :meth:`weighted_choice` last summed, and its total.
         self._mix: tuple | None = None
         self._mix_total = 0.0
-        #: Harmonic sums :meth:`zipf` has computed, per ``(n, skew)``.
-        self._harmonics: dict[tuple[int, float], float] = {}
 
     @property
     def core(self) -> random.Random:
@@ -108,26 +106,6 @@ class WorkloadRandom:
             (self.integer(0, a) | self.integer(low, high)) + self._c_value
         ) % (high - low + 1) + low
         return value
-
-    def zipf(self, n: int, skew: float = 1.0) -> int:
-        """Zipfian value in ``[1, n]`` (1 is the most popular)."""
-        if n < 1:
-            raise WorkloadError("zipf needs n >= 1")
-        if skew <= 0:
-            return self.integer(1, n)
-        # Rejection-free inverse-CDF over a small support; adequate for the
-        # benchmark catalog sizes used here.
-        harmonic = self._harmonics.get((n, skew))
-        if harmonic is None:
-            harmonic = sum(1.0 / (i ** skew) for i in range(1, n + 1))
-            self._harmonics[(n, skew)] = harmonic
-        threshold = self._random.random() * harmonic
-        accumulated = 0.0
-        for i in range(1, n + 1):
-            accumulated += 1.0 / (i ** skew)
-            if threshold <= accumulated:
-                return i
-        return n
 
     # ------------------------------------------------------------------
     # Strings

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_analysis, rules_by_id
+from repro.analysis import RULE_CLASSES, run_analysis
 
 
 @pytest.fixture
@@ -18,10 +18,8 @@ def check(tmp_path):
 
         findings = check({"mod.py": "..."}, rule="determinism")
 
-    File names may contain directories (``analysis/contracts.py``) so the
-    path-suffix-scoped rules can be exercised.  The snippet is dedented,
-    written under ``tmp_path`` and scanned with ``tmp_path`` as the root,
-    so finding paths match the given names.
+    The snippet is dedented, written under ``tmp_path`` and scanned with
+    ``tmp_path`` as the root, so finding paths match the given names.
     """
 
     def _check(sources: dict[str, str], rule: str | None = None):
@@ -29,7 +27,7 @@ def check(tmp_path):
             target = tmp_path / name
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(textwrap.dedent(body), encoding="utf-8")
-        rules = rules_by_id([rule] if rule else None)
+        rules = [cls() for cls in RULE_CLASSES if rule in (None, cls.id)]
         report = run_analysis([Path(tmp_path)], rules)
         return report.findings
 

@@ -1,21 +1,12 @@
-"""Suppression pragmas, baselines, fingerprints and the report document."""
+"""The analyzer driver: bad paths and where a finding points."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    AnalysisError,
-    AnalysisReport,
-    Finding,
-    load_baseline,
-    run_analysis,
-    rules_by_id,
-    save_baseline,
-)
+from repro.analysis import AnalysisError, all_rules, run_analysis
 
 SNIPPET = """import time
 
@@ -25,122 +16,14 @@ def stamp():
 """
 
 
-def _run(tmp_path, source, **kwargs):
-    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
-    return run_analysis([tmp_path], rules_by_id(["determinism"]), **kwargs)
-
-
-class TestSuppression:
-    def test_same_line_pragma_silences(self, tmp_path):
-        report = _run(
-            tmp_path,
-            SNIPPET.replace(
-                "return time.time()",
-                "return time.time()  # repro: allow(determinism)",
-            ),
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-    def test_comment_line_above_silences(self, tmp_path):
-        report = _run(
-            tmp_path,
-            SNIPPET.replace(
-                "    return time.time()",
-                "    # repro: allow(determinism)\n    return time.time()",
-            ),
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-    def test_pragma_for_other_rule_does_not_silence(self, tmp_path):
-        report = _run(
-            tmp_path,
-            SNIPPET.replace(
-                "return time.time()",
-                "return time.time()  # repro: allow(cache-poke)",
-            ),
-        )
-        assert len(report.findings) == 1
-
-    def test_multi_rule_pragma(self, tmp_path):
-        report = _run(
-            tmp_path,
-            SNIPPET.replace(
-                "return time.time()",
-                "return time.time()  # repro: allow(cache-poke, determinism)",
-            ),
-        )
-        assert report.findings == []
-
-
-class TestBaseline:
-    def test_baselined_finding_not_live(self, tmp_path):
-        first = _run(tmp_path, SNIPPET)
-        assert len(first.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, first.findings)
-        second = _run(tmp_path, SNIPPET, baseline=load_baseline(baseline_path))
-        assert second.findings == []
-        assert len(second.baselined) == 1
-        assert second.stale_baseline == []
-        assert second.clean()
-        assert second.clean(strict=True)
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        first = _run(tmp_path, SNIPPET)
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, first.findings)
-        shifted = "\n\n\n" + SNIPPET
-        second = _run(tmp_path, shifted, baseline=load_baseline(baseline_path))
-        assert second.findings == []
-        assert len(second.baselined) == 1
-
-    def test_stale_entry_fails_strict_only(self, tmp_path):
-        baseline = [
-            Finding(
-                rule="determinism", path="mod.py", line=1, col=0,
-                message="gone", symbol="stamp",
-            )
-        ]
-        clean_source = "def stamp():\n    return 0\n"
-        report = _run(tmp_path, clean_source, baseline=baseline)
-        assert report.findings == []
-        assert len(report.stale_baseline) == 1
-        assert report.clean()
-        assert not report.clean(strict=True)
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-    def test_corrupt_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("[]", encoding="utf-8")
-        with pytest.raises(AnalysisError):
-            load_baseline(path)
-
-
 class TestDriver:
     def test_unknown_path_raises(self):
         with pytest.raises(AnalysisError):
-            run_analysis([Path("/no/such/path")], rules_by_id(None))
-
-    def test_unknown_rule_raises(self):
-        with pytest.raises(AnalysisError):
-            rules_by_id(["frobnicate"])
-
-    def test_report_round_trips_through_json(self, tmp_path):
-        report = _run(tmp_path, SNIPPET)
-        document = json.loads(json.dumps(report.to_dict()))
-        restored = AnalysisReport.from_dict(document)
-        assert [f.fingerprint() for f in restored.findings] == [
-            f.fingerprint() for f in report.findings
-        ]
-        assert restored.files_scanned == report.files_scanned
-        assert restored.rules_run == report.rules_run
+            run_analysis([Path("/no/such/path")], all_rules())
 
     def test_findings_sorted_and_located(self, tmp_path):
-        report = _run(tmp_path, SNIPPET)
+        (tmp_path / "mod.py").write_text(SNIPPET, encoding="utf-8")
+        report = run_analysis([tmp_path], all_rules())
         finding = report.findings[0]
         assert finding.path == "mod.py"
         assert finding.line == 5

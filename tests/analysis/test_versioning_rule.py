@@ -103,42 +103,3 @@ class TestVersionedMutations:
                     self._vertices[key] = value
         """}, rule="version-bump")
         assert findings == []
-
-
-class TestSetattrBypass:
-    def test_object_setattr_on_ms_field_flagged(self, check):
-        findings = check({"mod.py": """
-            def poke(model):
-                object.__setattr__(model, "disk_access_ms", 5.0)
-        """}, rule="version-bump")
-        assert len(findings) == 1
-        assert "bypasses" in findings[0].message
-
-    def test_dict_write_on_ms_field_flagged(self, check):
-        findings = check({"mod.py": """
-            def poke(model):
-                model.__dict__["disk_access_ms"] = 5.0
-        """}, rule="version-bump")
-        assert len(findings) == 1
-
-    def test_inside_setattr_definition_allowed(self, check):
-        findings = check({"mod.py": """
-            class CostModel:
-                def __setattr__(self, name, value):
-                    object.__setattr__(self, name, value)
-        """}, rule="version-bump")
-        assert findings == []
-
-    def test_object_setattr_on_other_field_allowed(self, check):
-        findings = check({"mod.py": """
-            def init_frozen(obj):
-                object.__setattr__(obj, "payload", 5.0)
-        """}, rule="version-bump")
-        assert findings == []
-
-    def test_normal_assignment_allowed(self, check):
-        findings = check({"mod.py": """
-            def tune(model):
-                model.disk_access_ms = 5.0
-        """}, rule="version-bump")
-        assert findings == []

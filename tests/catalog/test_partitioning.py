@@ -51,7 +51,6 @@ class TestPartitionScheme:
     def test_node_mapping(self):
         scheme = PartitionScheme(8, partitions_per_node=2)
         assert scheme.num_nodes == 4
-        assert scheme.node_for_partition(5) == 2
         assert scheme.partitions_for_node(3).partitions == (6, 7)
 
     def test_all_partitions(self):
@@ -60,8 +59,6 @@ class TestPartitionScheme:
     def test_invalid_configuration(self):
         with pytest.raises(CatalogError):
             PartitionScheme(0)
-        with pytest.raises(CatalogError):
-            PartitionScheme(4).node_for_partition(9)
 
 
 class TestPartitionEstimator:

@@ -51,14 +51,6 @@ class TestCatalog:
         with pytest.raises(UnknownTableError):
             Catalog(schema, PartitionScheme(2), [BadProcedure()])
 
-    def test_with_partitions_retargets_cluster(self):
-        catalog = Catalog(make_account_schema(), PartitionScheme(2), [TransferProcedure()])
-        resized = catalog.with_partitions(8)
-        assert resized.num_partitions == 8
-        assert resized.has_procedure("transfer")
-        # The original is unchanged.
-        assert catalog.num_partitions == 2
-
     def test_requires_at_least_one_table(self):
         with pytest.raises(CatalogError):
             Catalog(Schema(), PartitionScheme(2))

@@ -60,11 +60,6 @@ class TestHoudiniStats:
         assert stats.op3_rate == pytest.approx(50.0)
         assert ProcedureStats("empty").op1_rate == 0.0
 
-    def test_render_table(self):
-        stats = HoudiniStats()
-        stats.for_procedure("a").transactions = 4
-        text = stats.render_table()
-        assert "Procedure" in text and "a" in text
 
 
 class TestHoudiniStrategyIntegration:

@@ -52,11 +52,6 @@ class TestParameterMapping:
         assert mapping.resolve("Q", 3, 0, ("a", "b", ())) is None
         assert mapping.resolve("Other", 0, 0, ("a",)) is None
 
-    def test_resolve_all(self):
-        mapping = self.make_mapping()
-        values = mapping.resolve_all("Q", 3, 0, ("a", "b", (7,)))
-        assert values == ["b", 7, None]
-
     def test_best_entry_wins(self):
         mapping = ParameterMapping("proc")
         mapping.add(MappingEntry("Q", 0, 1, False, 0.91))

@@ -50,9 +50,3 @@ class TestDecisionTree:
         labels = [0 if i < 10 else 1 for i in range(20)]
         tree = DecisionTreeClassifier(min_samples_leaf=2).fit(rows, labels, ["ARRAYLENGTH(ids)"])
         assert "ARRAYLENGTH(ids)" in tree.describe()
-
-    def test_predict_many(self):
-        rows = [[float(i)] for i in range(20)]
-        labels = [0 if i < 10 else 1 for i in range(20)]
-        tree = DecisionTreeClassifier(min_samples_leaf=2).fit(rows, labels)
-        assert tree.predict_many([[0.0], [19.0]]) == [0, 1]

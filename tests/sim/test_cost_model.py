@@ -83,7 +83,7 @@ class TestAttemptTiming:
         plan = ExecutionPlan(0, PartitionSet.of([0]), estimation_ms=1.5)
         timing = model.attempt_timing(plan, make_attempt([[0]]), 4)
         assert timing.total_ms >= 1.5
-        assert timing.as_breakdown()["estimation"] == 1.5
+        assert timing.estimation_ms == 1.5
 
     def test_aborted_attempt_charges_abort_cost(self):
         model = CostModel()

@@ -15,7 +15,7 @@ import pytest
 from repro.scheduling import AdmissionLimits
 from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.sim import ClusterSimulator, CostModel, SimulatorConfig
-from repro.sim.metrics import SimulationResult
+from repro.sim.metrics import ProcedureBreakdown, SimulationResult
 from repro.txn.coordinator import TransactionCoordinator
 from repro.types import ProcedureRequest
 from tests.conftest import trained
@@ -44,7 +44,11 @@ def legacy_run(catalog, database, generator, strategy, cost_model, config, bench
         )
         record = coordinator.execute_transaction(request)
         clock = submit_time
-        breakdown = result.breakdown_for(record.procedure)
+        breakdown = result.breakdowns.get(record.procedure)
+        if breakdown is None:
+            breakdown = result.breakdowns[record.procedure] = ProcedureBreakdown(
+                record.procedure
+            )
         for attempt_index, (plan, attempt) in enumerate(zip(record.plans, record.attempts)):
             timing = cost_model.attempt_timing(plan, attempt, num_partitions)
             lock_set = list(plan.lock_set(num_partitions))

@@ -14,8 +14,17 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        """Unknown commands, and analyzer options that no longer exist."""
+        for argv in (
+            ["frobnicate"],
+            ["analyze", "--strict"],
+            ["analyze", "--json"],
+            ["analyze", "--rule", "determinism"],
+            ["analyze", "--baseline", "baseline.json"],
+            ["analyze", "--update-baseline"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_every_benchmark_is_a_valid_train_target(self):
         parser = build_parser()
