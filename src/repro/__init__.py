@@ -53,7 +53,6 @@ from .types import ProcedureRequest
 from .workload import (
     ClosedLoopSource,
     OpenLoopSource,
-    PhasedSource,
     TenantSource,
     TraceRecorder,
     TraceReplaySource,
@@ -90,7 +89,6 @@ __all__ = [
     "ClosedLoopSource",
     "OpenLoopSource",
     "TraceReplaySource",
-    "PhasedSource",
     "TenantSource",
     "MarkovModel",
     "MarkovModelBuilder",

@@ -1,10 +1,10 @@
 """AST-based invariant analyzer for the repro codebase.
 
-``repro analyze`` enforces two contracts that the byte-equivalence suites
-only see in code they run: determinism (no hidden clocks or entropy, no
-set order leaking into ordered output) and the Markov-model version-bump
-contract.  See :mod:`repro.analysis.contracts` for the registries the
-rules read and :mod:`repro.analysis.rules` for the rules.
+``repro analyze`` enforces a contract that the byte-equivalence suites only
+see in code they run: determinism (no hidden clocks or entropy, no set
+order leaking into ordered output).  See :mod:`repro.analysis.contracts`
+for the registries the rule reads and :mod:`repro.analysis.rules` for the
+rule.
 """
 
 from .core import (

@@ -1,20 +1,11 @@
-"""The registries the two analyzer rules read, as data.
-
-* the determinism contract (all randomness and clocks route through
-  :class:`~repro.workload.rng.WorkloadRandom` / seeded generators; the
-  byte-equivalence suites rely on it);
-* the prediction-version contract (mutating a Markov model's structure
-  must advance :attr:`~repro.markov.model.MarkovModel.version`, the plan
-  memo's fast-path token, and the views and tables a model publishes are
-  replaced, never mutated: under a moved version the memo validates an
-  entry by the identity of what its walk read).
+"""The registries the analyzer's determinism rule reads, as data: all
+randomness and clocks route through
+:class:`~repro.workload.rng.WorkloadRandom` / seeded generators, which the
+byte-equivalence suites rely on.
 """
 
 from __future__ import annotations
 
-# ----------------------------------------------------------------------
-# determinism
-# ----------------------------------------------------------------------
 #: Fully-resolved call targets that introduce nondeterminism.  Calls are
 #: resolved through import aliases (``from time import time`` is caught).
 #: ``time.perf_counter`` is deliberately absent: see ``Houdini._resolve``.
@@ -42,27 +33,4 @@ BANNED_MODULE_RANDOM: dict[str, frozenset[str]] = {
     "random": frozenset({"Random"}),
     "numpy.random": frozenset({"default_rng", "Generator", "RandomState", "MT19937"}),
     "secrets": frozenset(),
-}
-
-# ----------------------------------------------------------------------
-# version-bump
-# ----------------------------------------------------------------------
-#: Classes whose structural mutations must advance a version counter.
-#: ``tracked`` names the attributes holding prediction-relevant structure;
-#: any method that mutates one of them (directly, through a local alias,
-#: or via a mutating dict/set method call) must — itself or through
-#: another method it calls — assign/augment the ``version`` attribute.
-#: An unmoved version proves every memoized walk valid; under a moved one
-#: the plan memo relies on the companion rule — *a published
-#: ``SuccessorView`` / ``ProbabilityTable`` is replaced, never mutated*
-#: (``MarkovModel.still_publishes`` tests identity; asserted by
-#: ``tests/property/test_property_successor_cache.py``).  The lazily filled
-#: caches (``positive_access``, a view's probe index and groups) are the one
-#: benign exception: pure functions of the immutable content.
-VERSIONED_CLASSES: dict[str, dict] = {
-    "MarkovModel": {
-        "tracked": frozenset({"_vertices", "_edges", "_reverse"}),
-        "version": "version",
-        "hint": "bump self.version (or delegate to _add_vertex/_add_edge_visit)",
-    },
 }

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 from ..core import Rule
 from .determinism import DeterminismRule
-from .versioning import VersionBumpRule
 
-RULE_CLASSES: tuple[type[Rule], ...] = (DeterminismRule, VersionBumpRule)
+RULE_CLASSES: tuple[type[Rule], ...] = (DeterminismRule,)
 
 
 def all_rules() -> list[Rule]:
     return [cls() for cls in RULE_CLASSES]
 
 
-__all__ = ["RULE_CLASSES", "all_rules", "DeterminismRule", "VersionBumpRule"]
+__all__ = ["RULE_CLASSES", "all_rules", "DeterminismRule"]

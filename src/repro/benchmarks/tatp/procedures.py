@@ -92,33 +92,6 @@ class GetNewDestination(StoredProcedure):
         ]
 
 
-class UpdateSubscriberData(StoredProcedure):
-    """Update subscriber and special-facility rows (single-partitioned)."""
-
-    name = "UpdateSubscriberData"
-    parameters = (
-        ProcedureParameter("s_id"),
-        ProcedureParameter("bit_1"),
-        ProcedureParameter("sf_type"),
-        ProcedureParameter("data_a"),
-    )
-    statements = {
-        "UpdateSubscriberBit": Statement(
-            name="UpdateSubscriberBit", table="SUBSCRIBER", operation=Operation.UPDATE,
-            where={"S_ID": param(0)}, set_values={"BIT_1": param(1)},
-        ),
-        "UpdateSpecialFacility": Statement(
-            name="UpdateSpecialFacility", table="SPECIAL_FACILITY", operation=Operation.UPDATE,
-            where={"SF_S_ID": param(0), "SF_TYPE": param(1)}, set_values={"DATA_A": param(2)},
-        ),
-    }
-
-    def run(self, ctx: ExecutionContext, s_id, bit_1, sf_type, data_a) -> Any:
-        ctx.execute("UpdateSubscriberBit", [s_id, bit_1])
-        ctx.execute("UpdateSpecialFacility", [s_id, sf_type, data_a])
-        return True
-
-
 class UpdateLocation(StoredProcedure):
     """Update a subscriber's location, addressed by SUB_NBR.
 

@@ -9,12 +9,9 @@ procedures combining statements with Python control code.
 from .column import (
     Column,
     ColumnType,
-    bigint,
-    boolean,
     floating,
     integer,
     string,
-    timestamp,
 )
 from .partitioning import PartitionEstimator, PartitionScheme, stable_hash
 from .procedure import (
@@ -37,11 +34,8 @@ __all__ = [
     "Column",
     "ColumnType",
     "integer",
-    "bigint",
     "floating",
     "string",
-    "timestamp",
-    "boolean",
     "Table",
     "SecondaryIndex",
     "Schema",

@@ -101,11 +101,6 @@ def integer(name: str, *, nullable: bool = False, default: Any = None) -> Column
     return Column(name, ColumnType.INTEGER, nullable=nullable, default=default)
 
 
-def bigint(name: str, *, nullable: bool = False, default: Any = None) -> Column:
-    """Convenience constructor for a BIGINT column."""
-    return Column(name, ColumnType.BIGINT, nullable=nullable, default=default)
-
-
 def floating(name: str, *, nullable: bool = False, default: Any = None) -> Column:
     """Convenience constructor for a FLOAT column."""
     return Column(name, ColumnType.FLOAT, nullable=nullable, default=default)
@@ -114,13 +109,3 @@ def floating(name: str, *, nullable: bool = False, default: Any = None) -> Colum
 def string(name: str, *, nullable: bool = False, default: Any = None) -> Column:
     """Convenience constructor for a STRING column."""
     return Column(name, ColumnType.STRING, nullable=nullable, default=default)
-
-
-def timestamp(name: str, *, nullable: bool = False, default: Any = None) -> Column:
-    """Convenience constructor for a TIMESTAMP column."""
-    return Column(name, ColumnType.TIMESTAMP, nullable=nullable, default=default)
-
-
-def boolean(name: str, *, nullable: bool = False, default: Any = None) -> Column:
-    """Convenience constructor for a BOOLEAN column."""
-    return Column(name, ColumnType.BOOLEAN, nullable=nullable, default=default)

@@ -87,14 +87,6 @@ class StoredProcedure(ABC):
         except KeyError:
             raise UnknownStatementError(self.name, name) from None
 
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parameters)
-
-    @property
-    def array_parameter_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parameters if p.is_array)
-
     def parameter_index(self, name: str) -> int:
         for i, parameter in enumerate(self.parameters):
             if parameter.name == name:

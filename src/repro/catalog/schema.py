@@ -39,10 +39,6 @@ class Schema:
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    @property
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(self._tables)
-
     def tables(self) -> Iterator[Table]:
         return iter(self._tables.values())
 
@@ -90,10 +86,6 @@ class Catalog:
 
     def has_procedure(self, name: str) -> bool:
         return name in self._procedures
-
-    @property
-    def procedure_names(self) -> tuple[str, ...]:
-        return tuple(self._procedures)
 
     def procedures(self) -> Iterator[StoredProcedure]:
         return iter(self._procedures.values())

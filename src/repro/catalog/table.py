@@ -10,7 +10,7 @@ partition estimates computed by the Markov-model builder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import CatalogError, UnknownColumnError
 from .column import Column
@@ -123,10 +123,6 @@ class Table:
             row[column.name] = value
         return row
 
-    def primary_key_of(self, row: Mapping[str, Any]) -> tuple[Any, ...]:
-        """Extract the primary-key tuple from a row dict."""
-        return tuple(row[col] for col in self.primary_key)
-
     def validate_update(self, assignments: Mapping[str, Any]) -> None:
         """Validate an UPDATE's column assignments against this table."""
         columns = self._columns_by_name
@@ -136,10 +132,3 @@ class Table:
                 raise UnknownColumnError(self.name, name)
             if type(value) not in column._exact_types:
                 column.validate_value(value)
-
-    def indexed_column_sets(self) -> Iterable[tuple[str, ...]]:
-        """Yield the column tuples that have an index (primary key first)."""
-        if self.primary_key:
-            yield tuple(self.primary_key)
-        for index in self.secondary_indexes:
-            yield tuple(index.columns)

@@ -186,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subparsers.add_parser(
         "analyze",
-        help="run the AST-based invariant analyzer (determinism and "
-        "version-bump rules)",
+        help="run the AST-based invariant analyzer (determinism rule)",
     )
     analyze.add_argument(
         "paths", nargs="*",
@@ -295,7 +294,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-_CONVERT = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
+_CONVERT = {"int": int, "float": float}
 
 
 def _parse_fields(tokens: Sequence[str], cls, aliases: dict | None = None) -> dict:

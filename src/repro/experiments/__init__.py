@@ -7,7 +7,6 @@ from .figure12 import Figure12Result, run_figure12
 from .figure13 import Figure13Result, run_figure13
 from .model_figures import ModelFigureResult, run_model_figures
 from .overload_knee import OverloadKneeResult, run_overload_knee
-from .scheduling_policies import SchedulingPoliciesResult, run_scheduling_policies
 from .summary import SummaryResult, run_summary
 from .table03 import Table3Result, run_table03
 from .table04 import Table4Result, run_table04
@@ -32,8 +31,6 @@ __all__ = [
     "ModelFigureResult",
     "run_overload_knee",
     "OverloadKneeResult",
-    "run_scheduling_policies",
-    "SchedulingPoliciesResult",
     "run_summary",
     "SummaryResult",
 ]

@@ -16,10 +16,10 @@ walk**:
   suite compares against (``tests/houdini/reference.py``).
 * :class:`~repro.markov.model.MarkovModel` precomputes probability-sorted
   successor arrays during ``process()``.  **Cache-invalidation contract:**
-  a new outgoing edge (``add_path``, ``log_transitions``, ``merge_counts``)
-  drops that vertex's precomputed array immediately — stale orderings are
-  never served; a count on an existing edge only marks the vertex dirty (run-time
-  counts are logged and folded at the next check).  The next
+  a new outgoing edge (``fold_path``, ``log_transitions``) drops that
+  vertex's precomputed array immediately — stale orderings are never
+  served; a count on an existing edge only marks the vertex dirty
+  (run-time counts are logged and folded at the next check).  The next
   ``recompute_probabilities()`` re-derives probabilities for the dirty
   vertices and republishes only the arrays and probability tables that
   changed.

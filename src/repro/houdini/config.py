@@ -7,7 +7,7 @@ plus the handful of engineering constants the reproduction needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .. import schema
 from ..schema import spec
@@ -66,27 +66,6 @@ class HoudiniConfig:
     #: vertex's distribution at all.
     maintenance_min_observations: int = spec(20, kind="int", ge=0)
 
-    #: Optional sliding window (number of recent transitions) considered by
-    #: model maintenance.  ``None`` keeps every observation since the last
-    #: recomputation (the paper's behaviour); a window makes drift detection
-    #: react faster to fast-changing workloads, the extension §4.5 defers to
-    #: future work.
-    maintenance_window: int | None = spec(
-        None, kind="int", ge=1, optional=True, live="maintenance_window"
-    )
-
-    #: Whether restarted attempts become progressively more conservative.
-    #: Restarts always run with undo logging enabled and lock every
-    #: partition; with this flag set (the default) the early-prepare
-    #: optimization (OP4) is additionally disabled from the second restart
-    #: onward, and a partition whose early release caused a misprediction is
-    #: never released again within the same transaction — which guarantees
-    #: that the coordinator's retry loop converges.  Setting it to False
-    #: keeps full OP4 behaviour on every restart (paper-literal, but a
-    #: procedure the models chronically mispredict can then restart until the
-    #: coordinator gives up).
-    conservative_restarts: bool = spec(True, kind="bool")
-
     #: The one planning switch: whether finished walks (and the decisions
     #: derived from them) are memoized per binding signature and reused
     #: (:mod:`repro.houdini.cache`, the §6.3 remedy for short transactions
@@ -131,10 +110,6 @@ class HoudiniConfig:
     @classmethod
     def from_dict(cls, data) -> "HoudiniConfig":
         return schema.from_dict(cls, data, ValueError, "houdini")
-
-    def with_threshold(self, threshold: float) -> "HoudiniConfig":
-        """Copy of this config with a different confidence threshold."""
-        return replace(self, confidence_threshold=threshold)
 
     def estimation_cost_ms(self, work_units: int, path_states: int) -> float:
         """Simulated cost of computing one estimate (charged by the simulator)."""

@@ -29,10 +29,6 @@ from .providers import ModelProvider
 from .runtime import HoudiniRuntime
 from .stats import HoudiniStats
 
-#: Distinguishes "parameter not passed" from an explicit ``None`` (which is a
-#: meaningful value for ``maintenance_window``: it disables the window).
-_UNSET = object()
-
 
 @dataclass(slots=True)
 class HoudiniPlan:
@@ -221,9 +217,8 @@ class Houdini:
         progressively more conservative so the retry loop always converges:
         partitions in ``never_finish`` (they caused an early-prepare
         misprediction earlier in this transaction) are never released again,
-        and when :attr:`HoudiniConfig.conservative_restarts` is set the
-        early-prepare optimization is switched off entirely from the second
-        restart onward.
+        and the early-prepare optimization is switched off entirely from the
+        second restart onward.
         """
         estimate, _, _, model, footprint = self._resolve(request)
         plan = ExecutionPlan(
@@ -233,9 +228,6 @@ class Houdini:
             estimation_ms=self._charged_ms(estimate),
             source="houdini:restart",
         )
-        allow_early_prepare = True
-        if self.config.conservative_restarts and attempt_number >= 2:
-            allow_early_prepare = False
         runtime = HoudiniRuntime(
             None if estimate.degenerate else model,
             estimate,
@@ -244,7 +236,7 @@ class Houdini:
             undo_initially_disabled=False,
             learn=self.learning,
             footprint=footprint,
-            allow_early_prepare=allow_early_prepare,
+            allow_early_prepare=attempt_number < 2,
             never_finish=never_finish,
         )
         decision = OptimizationDecision(
@@ -350,7 +342,6 @@ class Houdini:
         *,
         estimate_caching: bool | None = None,
         confidence_threshold: float | None = None,
-        maintenance_window: int | None | object = _UNSET,
     ) -> None:
         """Apply live configuration changes, routing through the invalidation
         contracts.
@@ -358,21 +349,14 @@ class Houdini:
         ``confidence_threshold`` changes flush the plan memo — its entries
         store decisions that baked the old threshold in.  ``estimate_caching``
         toggles the memo: enabling installs a fresh (empty) one, disabling
-        invalidates and removes it.  ``maintenance_window`` resizes
-        the §4.5 sliding window; every tracked maintenance rebuilds its
-        counters from the recent tail (``None`` disables the window).  Either
-        way the next :meth:`plan` call operates entirely under the new
-        configuration.
+        invalidates and removes it.  Either way the next :meth:`plan` call
+        operates entirely under the new configuration.
         """
         config = self.config
-        # Both ranges are checked before anything is applied.
         if confidence_threshold is not None:
             schema.check_field(
                 HoudiniConfig, "confidence_threshold", confidence_threshold, ValueError
             )
-        if maintenance_window is not _UNSET:
-            self.maintenance.set_window(maintenance_window)
-        if confidence_threshold is not None:
             config.confidence_threshold = confidence_threshold
             if self.estimate_cache is not None:
                 self.estimate_cache.invalidate()

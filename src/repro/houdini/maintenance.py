@@ -20,21 +20,11 @@ transition as it happened.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .. import schema
 from ..markov.model import MarkovModel
 from ..markov.vertex import VertexKey
 from .config import HoudiniConfig
-
-#: How many recent transitions every maintenance keeps regardless of the
-#: configured window.  This tail is what ``set_window`` rebuilds the sliding
-#: window from when a window is enabled (or shrunk) mid-run — without it,
-#: enabling a window via ``reconfigure`` would silently keep the unbounded
-#: all-time counters until enough new traffic arrived to fill the window.
-TAIL_LIMIT = 2048
-
 
 def overlap(
     model: MarkovModel, source: VertexKey, observed: dict[VertexKey, int], total: int
@@ -95,81 +85,21 @@ class ModelMaintenance:
         #: Observed transition counts since the last recompute, per source
         #: in first-seen order (the check's overlap sums follow it).
         self._observed: dict[VertexKey, dict[VertexKey, int]] = {}
-        #: Recent transitions, oldest first, when a sliding window is
-        #: configured (§4.5 future work: "a sliding window that only
-        #: includes recent transactions for fast changing workloads").
-        self._window: deque[tuple[VertexKey, VertexKey]] | None = (
-            deque() if self.config.maintenance_window else None
-        )
-        #: Bounded always-on record of the most recent transitions so the
-        #: sliding window can be (re)built when it is resized mid-run.
-        self._tail: deque[tuple[VertexKey, VertexKey]] = deque(maxlen=TAIL_LIMIT)
 
     # ------------------------------------------------------------------
     def fold(self) -> None:
         """Take the model's transition log and count it in: one aggregated
         pass in first-seen order folds it into the edge hits (the model does
         that) and into the observed counters.
-
-        With a sliding window, appends and evictions are replayed in log
-        order instead, so the observed dict's order — and every overlap sum
-        the check adds up in that order — is what counting each transition
-        as it happened would give.
         """
         log, counts = self.model.drain_log()
         if not log:
             return
         self.stats.transitions_observed += len(log)
-        self._tail.extend(log)
         observed = self._observed
-        window = self._window
-        if window is None:
-            for (source, target), count in counts.items():
-                targets = observed.setdefault(source, {})
-                targets[target] = targets.get(target, 0) + count
-            return
-        limit = self.config.maintenance_window
-        for pair in log:
-            source, target = pair
+        for (source, target), count in counts.items():
             targets = observed.setdefault(source, {})
-            targets[target] = targets.get(target, 0) + 1
-            window.append(pair)
-            if len(window) > limit:
-                self._evict(*window.popleft())
-
-    def set_window(self, window: int | None) -> None:
-        """Resize (or disable) the sliding window mid-run.
-
-        Enabling or shrinking the window rebuilds the observed counters from
-        the recent tail so drift checks immediately reflect only the last
-        ``window`` transitions — the all-time history is discarded rather than
-        silently kept until new traffic pushes it out.  ``None`` disables the
-        window: the current counters are kept and accumulate from here on.
-        What was logged before the call is folded under the old window.
-        """
-        schema.check_field(HoudiniConfig, "maintenance_window", window, ValueError)
-        self.fold()
-        self.config.maintenance_window = window
-        if window is None:
-            self._window = None
-            return
-        tail = list(self._tail)[-window:]
-        observed = self._observed = {}
-        for source, target in tail:
-            targets = observed.setdefault(source, {})
-            targets[target] = targets.get(target, 0) + 1
-        self._window = deque(tail)
-
-    def _evict(self, source: VertexKey, target: VertexKey) -> None:
-        """Forget one windowed-out transition."""
-        counts = self._observed.get(source)
-        if counts is None:
-            return
-        counts[target] -= 1
-        if counts[target] <= 0:
-            del counts[target]
-        if not counts:
-            del self._observed[source]
+            targets[target] = targets.get(target, 0) + count
 
     # ------------------------------------------------------------------
     def vertex_accuracy(self, source: VertexKey) -> float:
@@ -204,9 +134,6 @@ class ModelMaintenance:
         )
         self.stats.recomputations += 1
         self._observed.clear()
-        self._tail.clear()
-        if self._window is not None:
-            self._window.clear()
 
 
 class MaintenanceRegistry:
@@ -242,21 +169,6 @@ class MaintenanceRegistry:
             for maintenance in self._by_model.values()
             if maintenance.check()
         ]
-
-    def set_window(self, window: int | None) -> None:
-        """Resize the sliding window of every tracked maintenance.
-
-        New maintenances created afterwards pick the window up from the
-        shared config; existing ones rebuild their counters from the recent
-        tail (see :meth:`ModelMaintenance.set_window`).
-        """
-        schema.check_field(HoudiniConfig, "maintenance_window", window, ValueError)
-        # The config is shared: fold every log under the old window first.
-        for maintenance in self._by_model.values():
-            maintenance.fold()
-        self.config.maintenance_window = window
-        for maintenance in self._by_model.values():
-            maintenance.set_window(window)
 
     def forget(self, model: MarkovModel) -> None:
         """Stop tracking ``model`` (hot swap retired it).

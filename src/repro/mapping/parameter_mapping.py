@@ -78,9 +78,6 @@ class ParameterMapping:
         """Best mapping entry for one query-parameter slot, if any."""
         return self._by_slot.get((statement, query_param_index))
 
-    def is_mapped(self, statement: str, query_param_index: int) -> bool:
-        return (statement, query_param_index) in self._by_slot
-
     def statements(self) -> tuple[str, ...]:
         return tuple(sorted({entry.statement for entry in self.entries}))
 

@@ -6,9 +6,7 @@ from .model import MarkovModel, PathStep
 from .serialization import (
     load_models,
     model_from_dict,
-    model_from_json,
     model_to_dict,
-    model_to_json,
     models_from_dict,
     models_to_dict,
     save_models,
@@ -20,8 +18,6 @@ __all__ = [
     "MarkovModel",
     "model_to_dict",
     "model_from_dict",
-    "model_to_json",
-    "model_from_json",
     "models_to_dict",
     "models_from_dict",
     "save_models",

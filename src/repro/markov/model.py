@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 from ..errors import ModelError
 from ..types import PartitionSet, QueryType
 from .probability_table import ProbabilityTable
-from .vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, Edge, Vertex, VertexKey, VertexKind
+from .vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, Edge, Vertex, VertexKey
 
 
 _hits = attrgetter("hits")
@@ -222,9 +222,6 @@ class MarkovModel:
     def edge_count(self) -> int:
         return sum(len(targets) for targets in self._edges.values())
 
-    def has_vertex(self, key: VertexKey) -> bool:
-        return key in self._vertices
-
     def vertex(self, key: VertexKey) -> Vertex:
         try:
             return self._vertices[key]
@@ -232,11 +229,8 @@ class MarkovModel:
             raise ModelError(f"unknown vertex {key}") from None
 
     def find_vertex(self, key: VertexKey) -> Vertex | None:
-        """Like :meth:`vertex`, but returns ``None`` for unknown keys.
-
-        Hot-path accessor: one dict probe instead of the
-        ``has_vertex`` + ``vertex`` pair (which hashes the key twice).
-        """
+        """Like :meth:`vertex`, but returns ``None`` for unknown keys (one
+        dict probe on the hot path)."""
         return self._vertices.get(key)
 
     def vertices(self) -> Iterator[Vertex]:
@@ -353,14 +347,14 @@ class MarkovModel:
         return edge
 
     def _add_edge_visit(self, source: VertexKey, target: VertexKey, count: int = 1) -> Edge:
-        """Count ``count`` visits to an edge at once (construction, merging,
+        """Count ``count`` visits to an edge at once (construction,
         deserialization); run-time learning logs its visits instead
         (:meth:`log_transitions`).
 
         No source is marked dirty: every caller leaves the model
-        unprocessed (:meth:`fold_path` and :meth:`merge_counts` reset
-        ``_processed``, deserialization fills a new model), so the next
-        :meth:`process` is a full pass.
+        unprocessed (:meth:`fold_path` resets ``_processed``,
+        deserialization fills a new model), so the next :meth:`process` is
+        a full pass.
         """
         targets = self._edges.get(source)
         edge = targets.get(target) if targets is not None else None
@@ -385,16 +379,6 @@ class MarkovModel:
         add_edge_visit(current, terminal)
         self.transactions_observed += 1
         self._processed = False
-
-    def add_path(self, steps: Sequence[PathStep], aborted: bool) -> list[VertexKey]:
-        """:meth:`fold_path` over :class:`PathStep` objects.
-
-        Returns the list of vertex keys visited (begin ... terminal), which
-        callers can reuse for accuracy bookkeeping.
-        """
-        path = [(step.key(), step.query_type) for step in steps]
-        self.fold_path(path, aborted)
-        return [BEGIN_KEY, *(key for key, _ in path), ABORT_KEY if aborted else COMMIT_KEY]
 
     def add_placeholder(self, key: VertexKey, query_type: QueryType | None = None) -> Vertex:
         """Add a vertex for a state seen at run time but absent from the model.
@@ -768,31 +752,6 @@ class MarkovModel:
                     child_cost + vertices[edge.target].expected_remaining_queries
                 )
             vertex.expected_remaining_queries = expectation
-
-    # ------------------------------------------------------------------
-    # Maintenance support
-    # ------------------------------------------------------------------
-    def edge_distribution(self, source: VertexKey) -> dict[VertexKey, float]:
-        """Current probability distribution of a vertex's outgoing edges."""
-        return {
-            edge.target: edge.probability for edge in self._edges.get(source, {}).values()
-        }
-
-    def merge_counts(self, other: "MarkovModel") -> None:
-        """Fold another model's visit counts into this one (same procedure)."""
-        if other.procedure != self.procedure:
-            raise ModelError("cannot merge models of different procedures")
-        if other.num_partitions != self.num_partitions:
-            raise ModelError("cannot merge models with different partition counts")
-        other._fold_log()
-        for vertex in other.vertices():
-            mine = self._add_vertex(vertex.key, vertex.query_type)
-            mine.hits += vertex.hits
-        for source, targets in other._edges.items():
-            for edge in targets.values():
-                self._add_edge_visit(source, edge.target, edge.hits)
-        self.transactions_observed += other.transactions_observed
-        self._processed = False
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

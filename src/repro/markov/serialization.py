@@ -130,16 +130,6 @@ def model_from_dict(
     return model
 
 
-def model_to_json(model: MarkovModel, *, indent: int | None = None) -> str:
-    """Serialize one model to a JSON string."""
-    return json.dumps(model_to_dict(model), indent=indent, sort_keys=True)
-
-
-def model_from_json(text: str, *, process: bool = True) -> MarkovModel:
-    """Deserialize one model from a JSON string."""
-    return model_from_dict(json.loads(text), process=process)
-
-
 # ----------------------------------------------------------------------
 # Model collections (one file per application, keyed by procedure)
 # ----------------------------------------------------------------------

@@ -66,10 +66,6 @@ class AdmissionStats:
     deferred: int = 0
     rejected: int = 0
 
-    @property
-    def decisions(self) -> int:
-        return self.admitted + self.deferred + self.rejected
-
 
 class AdmissionController:
     """Admits, defers or rejects transactions based on predicted load."""
@@ -85,10 +81,6 @@ class AdmissionController:
     @property
     def in_flight(self) -> int:
         return len(self._in_flight)
-
-    @property
-    def in_flight_ms(self) -> float:
-        return self._in_flight_ms
 
     @property
     def distributed_in_flight(self) -> int:
@@ -140,14 +132,6 @@ class AdmissionController:
         the new limits apply from the next :meth:`decide` call on.
         """
         self.limits = limits or AdmissionLimits()
-
-    def release(self, pending: PendingTransaction) -> None:
-        """Mark an admitted transaction as finished, freeing its capacity."""
-        if not self.release_if_admitted(pending):
-            raise SimulationError(
-                f"transaction {pending.procedure!r} (arrival {pending.arrival_index}) "
-                f"was never admitted"
-            )
 
     def release_if_admitted(self, pending: PendingTransaction) -> bool:
         """Release ``pending`` if this controller admitted it.

@@ -30,10 +30,6 @@ class SelfTuneConfig:
     #: A vertex's observed transitions must reach this count inside the
     #: window before its divergence is trusted.
     min_observations: int = spec(20, kind="int", ge=1)
-    #: Also declare drift when maintenance's last measured prediction
-    #: accuracy for the procedure sits below the Houdini maintenance
-    #: threshold (the paper's 75%).
-    use_accuracy_signal: bool = spec(True, kind="bool")
     #: How many recent transactions (complete transition paths) are recorded
     #: per procedure as the retraining corpus.
     retrain_tail_txns: int = spec(512, kind="int", ge=1)

@@ -185,9 +185,7 @@ class SelfTuneManager:
         score = divergence(model, window, config.min_observations)
         # Maintenance measuring a bad accuracy declares drift even before
         # the window has filled up.
-        degraded = config.use_accuracy_signal and (
-            accuracy < self.houdini.config.maintenance_accuracy_threshold
-        )
+        degraded = accuracy < self.houdini.config.maintenance_accuracy_threshold
         state.verdict = {
             "procedure": procedure,
             "divergence": score,

@@ -49,8 +49,7 @@ Workload sources
 What traffic the session serves is declared by ``ClusterSpec.workload`` — a
 :class:`~repro.workload.sources.WorkloadSource`.  The default (``None``) is
 the paper's closed loop; :class:`~repro.workload.sources.OpenLoopSource`,
-:class:`~repro.workload.sources.TraceReplaySource`,
-:class:`~repro.workload.sources.PhasedSource` and
+:class:`~repro.workload.sources.TraceReplaySource` and
 :class:`~repro.workload.sources.TenantSource` compile into deterministic
 ``EXTERNAL_SUBMIT`` arrival streams instead, injected by ``run_for`` as the
 clock advances.  ``reconfigure(workload=...)`` swaps the live source, and
@@ -261,8 +260,8 @@ class ClusterSpec:
     #: driven by ``clients_per_partition``/``client_think_time_ms``, byte-
     #: identical to specs that predate this section.  An explicit
     #: :class:`ClosedLoopSource` overrides those two fields; any other
-    #: source (open-loop arrivals, trace replay, phased mixes, tenant
-    #: streams) runs the simulator in open-loop mode.
+    #: source (open-loop arrivals, trace replay, tenant streams) runs the
+    #: simulator in open-loop mode.
     workload: WorkloadSource | Mapping | None = spec(
         None, nested=WorkloadSource, optional=True, noun="workload source",
         live="workload",
@@ -773,7 +772,6 @@ class ClusterSession:
         generator: WorkloadGenerator | None = None,
         cost: Mapping[str, float] | None = None,
         workload: WorkloadSource | Mapping | None = None,
-        maintenance_window: Any = _UNSET,
         selftune: Any = _UNSET,
         tenancy: Any = _UNSET,
     ) -> "ClusterSession":
@@ -785,11 +783,9 @@ class ClusterSession:
         current simulated time on — the cluster, models and learned state
         all survive, only the traffic changes.
 
-        ``maintenance_window=`` resizes the §4.5 sliding window live: every
-        tracked maintenance rebuilds its counters from the recent tail
-        (``None`` disables the window).  ``selftune=`` enables the
-        self-tuning loop mid-session (a :class:`SelfTuneConfig` or field
-        dict) or, with ``None``, detaches it.
+        ``selftune=`` enables the self-tuning loop mid-session (a
+        :class:`SelfTuneConfig` or field dict) or, with ``None``, detaches
+        it.
 
         ``tenancy=`` installs, swaps, or (with ``None``) removes the
         multi-tenant policy live: the node queue is transplanted between the
@@ -857,8 +853,6 @@ class ClusterSession:
             knobs["estimate_caching"] = estimate_caching
         if confidence_threshold is not None:
             knobs["confidence_threshold"] = confidence_threshold
-        if maintenance_window is not _UNSET:
-            knobs["maintenance_window"] = maintenance_window
         if knobs:
             houdini = self.houdini
             if houdini is None:

@@ -298,10 +298,6 @@ class ClusterSimulator:
         """Closed-loop submissions so far (including admission rejections)."""
         return self._submitted if self._began else 0
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._events) if self._began else 0
-
     # ------------------------------------------------------------------
     # Budget and clock control
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ insert/update/delete operations the statement executor builds on.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..errors import DuplicateKeyError, StorageError
 from ..catalog.table import Table
@@ -322,8 +322,3 @@ class RowHeap:
         if output_columns:
             return [{c: row[c] for c in output_columns} for row in found]
         return [dict(row) for row in found]
-
-    def aggregate(self, predicate: dict[str, Any], column: str, func: Callable[[list[Any]], Any]) -> Any:
-        """Apply ``func`` to the values of ``column`` across matching rows."""
-        values = [self._rows[row_id][column] for row_id in self.find(predicate)]
-        return func(values)

@@ -42,9 +42,6 @@ class PartitionStore:
             return len(self.heap(table_name))
         return sum(len(heap) for heap in self._heaps.values())
 
-    def insert_row(self, table_name: str, values: dict[str, Any]) -> int:
-        return self.heap(table_name).insert(values)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<PartitionStore partition={self.partition_id} rows={self.row_count()}>"
 

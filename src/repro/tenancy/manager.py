@@ -114,9 +114,6 @@ class TenancyManager:
     def record_shed(self, label: str) -> None:
         self._shed_counts[label] = self._shed_counts.get(label, 0) + 1
 
-    def total_shed(self) -> int:
-        return sum(self._shed_counts.values())
-
     # ------------------------------------------------------------------
     def snapshot(self, scheduler: "TransactionScheduler | None" = None) -> dict:
         """JSON-shaped per-tenant picture for ``SimulationResult.tenancy``."""

@@ -100,10 +100,6 @@ class TenantQuotaController:
         return True
 
     # ------------------------------------------------------------------
-    @property
-    def in_use(self) -> int:
-        return len(self._quota_held)
-
     def snapshot(self) -> dict:
         return {
             "held": {label: count for label, count in sorted(self._held.items())},

@@ -46,17 +46,8 @@ class ExecutionPlan:
     #: Predicted probability that the transaction aborts (OP3 input).
     predicted_abort_probability: float = 0.0
 
-    def is_distributed(self, num_partitions: int) -> bool:
-        """Whether this plan makes the transaction distributed."""
-        if self.locked_partitions is None:
-            return num_partitions > 1
-        return len(self.locked_partitions) > 1
-
     def lock_set(self, num_partitions: int) -> PartitionSet:
         """The concrete set of partitions this plan locks."""
         if self.locked_partitions is None:
             return PartitionSet.of(range(num_partitions))
         return self.locked_partitions
-
-    def locks_partition(self, partition_id: PartitionId, num_partitions: int) -> bool:
-        return partition_id in self.lock_set(num_partitions).as_frozenset()

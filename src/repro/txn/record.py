@@ -72,20 +72,6 @@ class TransactionRecord:
     def touched_partitions(self) -> PartitionSet:
         return self.final_attempt.touched_partitions
 
-    @property
-    def single_partitioned(self) -> bool:
-        return self.final_attempt.single_partitioned
-
-    @property
-    def total_queries(self) -> int:
-        """Queries executed across every attempt (wasted work included)."""
-        return sum(len(attempt.invocations) for attempt in self.attempts)
-
-    @property
-    def wasted_queries(self) -> int:
-        """Queries executed by attempts that had to be thrown away."""
-        return sum(len(attempt.invocations) for attempt in self.attempts[:-1])
-
     # ------------------------------------------------------------------
     # Attempt-pair API
     # ------------------------------------------------------------------
@@ -109,7 +95,3 @@ class TransactionRecord:
     @property
     def attempt_count(self) -> int:
         return len(self.attempts)
-
-    @property
-    def total_estimation_ms(self) -> float:
-        return sum(plan.estimation_ms for plan in self.plans)

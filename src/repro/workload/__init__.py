@@ -28,7 +28,6 @@ models:
     the regime where queues grow and admission control matters;
   - :class:`TraceReplaySource` — replay a recorded trace at original or
     rescaled timestamps, closing the record → train → replay loop;
-  - :class:`PhasedSource` — time-phased workload shifts as data;
   - :class:`TenantSource` — labeled multi-tenant streams sharing one
     cluster, with per-tenant metric breakdowns;
   - :class:`ClientCohortSource` — a population of :class:`Cohort` groups
@@ -58,11 +57,9 @@ from .sources import (
     CompileContext,
     CompiledSource,
     OpenLoopSource,
-    PhasedSource,
     TenantSource,
     TraceReplaySource,
     WorkloadSource,
-    arrival_gaps,
     arrival_times,
 )
 from .trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
@@ -78,7 +75,6 @@ __all__ = [
     "ClosedLoopSource",
     "OpenLoopSource",
     "TraceReplaySource",
-    "PhasedSource",
     "TenantSource",
     "Cohort",
     "ClientCohortSource",
@@ -86,6 +82,5 @@ __all__ = [
     "CompileContext",
     "CompiledSource",
     "ARRIVAL_PROCESSES",
-    "arrival_gaps",
     "arrival_times",
 ]

@@ -33,16 +33,6 @@ class WorkloadRandom:
         self._mix: tuple | None = None
         self._mix_total = 0.0
 
-    @property
-    def core(self) -> random.Random:
-        """The underlying :class:`random.Random`.
-
-        Exposed for the vectorized arrival kernel, which transplants this
-        generator's Mersenne-Twister state into numpy to draw gap batches
-        from the *same* stream (see :mod:`repro.workload.vectorized`).
-        """
-        return self._random
-
     # ------------------------------------------------------------------
     # Plain delegation
     # ------------------------------------------------------------------
@@ -69,11 +59,6 @@ class WorkloadRandom:
 
     def sample(self, items: Sequence[T], count: int) -> list[T]:
         return self._random.sample(list(items), count)
-
-    def shuffle(self, items: list[T]) -> list[T]:
-        shuffled = list(items)
-        self._random.shuffle(shuffled)
-        return shuffled
 
     # ------------------------------------------------------------------
     # Distributions
@@ -117,9 +102,3 @@ class WorkloadRandom:
 
     def numeric_string(self, length: int) -> str:
         return "".join(self._random.choice(string.digits) for _ in range(length))
-
-    # ------------------------------------------------------------------
-    def fork(self, label: str) -> "WorkloadRandom":
-        """Create an independent, deterministic child generator."""
-        child_seed = (self.seed * 1_000_003 + sum(ord(c) for c in label)) & 0x7FFFFFFF
-        return WorkloadRandom(child_seed)

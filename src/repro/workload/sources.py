@@ -5,7 +5,7 @@ live production traffic; this module decouples that traffic shape from the
 cluster that runs it.  A :class:`WorkloadSource` declares how transaction
 requests enter the system, and the session layer compiles it into the event
 streams (``EXTERNAL_SUBMIT`` / ``CLIENT_READY``) that drive the steppable
-simulator core.  Five shapes exist:
+simulator core.  Four shapes exist:
 
 * :class:`ClosedLoopSource` — the paper's setup: N think-time clients per
   partition, each submitting its next request the moment the previous one
@@ -21,9 +21,6 @@ simulator core.  Five shapes exist:
 * :class:`TraceReplaySource` — replays a recorded
   :class:`~repro.workload.trace.WorkloadTrace` with its original (or
   rescaled) timestamps: the record → train → replay loop of §3.1, closed.
-* :class:`PhasedSource` — a time-phased mixture: each phase contributes its
-  own arrival source for a fixed duration (workload shifts as data, not
-  code).
 * :class:`TenantSource` — a labeled composition of sources sharing one
   cluster; per-tenant metrics are broken out in
   :class:`~repro.sim.metrics.SimulationResult`.
@@ -35,9 +32,9 @@ raises :class:`~repro.errors.WorkloadError` naming the field, and
 ``kind`` key over the subclasses) are derived from the same table, so they
 round-trip through plain JSON-friendly dicts exactly like the rest of
 :class:`~repro.session.ClusterSpec` and an unknown key is an error with a
-did-you-mean, never ignored.  Nested sources (a phase, a tenant, a cohort)
-may be given in dict form wherever an instance is accepted.  Only structure
-is hand-written: exactly-one-of pairs, phase / tenant / cohort shape.
+did-you-mean, never ignored.  Nested sources (a tenant, a cohort) may be
+given in dict form wherever an instance is accepted.  Only structure is
+hand-written: exactly-one-of pairs, tenant / cohort shape.
 ``compile(ctx)`` turns a source into a :class:`CompiledSource` — a
 deterministic, resumable stream of :class:`Arrival` records — so the same
 source object can open any number of sessions, each with an independent
@@ -73,11 +70,6 @@ ARRIVAL_PROCESSES = ("poisson", "uniform", "bursty")
 #: how far request generation runs ahead of what a session actually pulls
 #: while still amortizing the per-batch vector-kernel overhead to nothing.
 _ARRIVAL_CHUNK = 512
-
-#: Gaps drawn per batch when the iterator-form ``arrival_gaps`` stream
-#: internally routes through the vectorized kernel.
-_GAP_BATCH = _vectorized.DEFAULT_CHUNK
-
 
 class Arrival(NamedTuple):
     """One compiled arrival: when, what, and for which tenant."""
@@ -158,11 +150,6 @@ class CompiledSource:
         """Arrivals handed out so far (the stream cursor)."""
         return self._emitted
 
-    @property
-    def exhausted(self) -> bool:
-        """True once the stream has no further arrivals (open loops never are)."""
-        return not self._refill()
-
     def _refill(self) -> bool:
         """Ensure the buffer has an unconsumed arrival; False at stream end."""
         while self._pos >= len(self._buffer):
@@ -229,7 +216,7 @@ def _source(value):
 
 
 def _items(name: str, value) -> list:
-    """The elements of a structural field (``phases``, ``cohorts``)."""
+    """The elements of a structural field (``cohorts``)."""
     if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
         raise WorkloadError(f"{name} must be a list, got {type(value).__name__}")
     return list(value)
@@ -460,7 +447,7 @@ class TraceReplaySource(WorkloadSource):
 
 
 def _arrival_source(owner: str, source) -> None:
-    """Phases and tenants must be arrival sources (structure, not a range)."""
+    """Tenants must be arrival sources (structure, not a range)."""
     if not isinstance(source, WorkloadSource):
         raise WorkloadError(
             f"{owner} source must be a WorkloadSource, got {type(source).__name__}"
@@ -471,83 +458,6 @@ def _arrival_source(owner: str, source) -> None:
             "OpenLoopSource or TraceReplaySource streams"
         )
     source.validate()
-
-
-@dataclass(eq=False)
-class PhasedSource(WorkloadSource):
-    """Time-phased mixture: each phase contributes one arrival source.
-
-    ``phases`` is a sequence of ``(duration_ms, source)`` pairs; phase
-    *i+1* starts when phase *i*'s duration elapses, and each phase's source
-    emits only the arrivals that fall inside its window.  The final phase
-    may use ``None`` as its duration to run unbounded.  Phases must be
-    arrival sources (closed loops have no arrival clock to phase).
-    """
-
-    kind = "phased"
-
-    phases: list
-
-    def __post_init__(self) -> None:
-        self.phases = [
-            (entry.get("duration_ms"), _source(entry.get("source")))
-            if isinstance(entry, Mapping) and set(entry) <= {"duration_ms", "source"}
-            else entry
-            for entry in _items("phases", self.phases)
-        ]
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.phases:
-            raise WorkloadError("PhasedSource needs at least one phase")
-        last = len(self.phases) - 1
-        for index, entry in enumerate(self.phases):
-            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
-                raise WorkloadError(
-                    f"phase {index} must be a (duration_ms, source) pair (or a "
-                    f"dict with exactly those keys), got {entry!r}"
-                )
-            duration, source = entry
-            _arrival_source(f"phase {index}", source)
-            if duration is None:
-                if index != last:
-                    raise WorkloadError(
-                        f"phase {index}: only the final phase may be unbounded "
-                        "(duration None)"
-                    )
-            elif not isinstance(duration, (int, float)) or duration <= 0:
-                raise WorkloadError(
-                    f"phase {index} duration_ms must be positive (or None for "
-                    f"the final phase), got {duration!r}"
-                )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "phases": [
-                {"duration_ms": duration, "source": source.to_dict()}
-                for duration, source in self.phases
-            ],
-        }
-
-    def compile(self, ctx: CompileContext) -> CompiledSource:
-        def stream() -> Iterator[Arrival]:
-            offset = 0.0
-            for duration, source in self.phases:
-                compiled = source.compile(ctx)
-                while True:
-                    arrival = compiled.peek()
-                    if arrival is None:
-                        break
-                    if duration is not None and arrival.at_ms >= duration:
-                        break
-                    compiled.pop()
-                    yield arrival._replace(at_ms=offset + arrival.at_ms)
-                if duration is None:
-                    return
-                offset += duration
-
-        return CompiledSource(stream())
 
 
 @dataclass(eq=False)
@@ -731,10 +641,6 @@ class ClientCohortSource(WorkloadSource):
                 raise WorkloadError(f"duplicate cohort name {cohort.name!r}")
             seen.add(cohort.name)
 
-    def total_users(self) -> int:
-        """The declared population size across all cohorts."""
-        return sum(cohort.users for cohort in self.cohorts)
-
     def compile(self, ctx: CompileContext) -> CompiledSource:
         compiled = []
         for order, cohort in enumerate(self.cohorts):
@@ -759,59 +665,8 @@ class ClientCohortSource(WorkloadSource):
 
 
 # ----------------------------------------------------------------------
-# Deterministic arrival-gap processes (shared with the trace recorder)
+# Deterministic arrival processes (shared with the trace recorder)
 # ----------------------------------------------------------------------
-def arrival_gaps(
-    process: str,
-    rate_per_sec: float,
-    *,
-    seed: int = 0,
-    burst_size: int = 8,
-) -> Iterator[float]:
-    """Infinite inter-arrival gaps (ms) for one arrival process.
-
-    All three processes preserve the long-run rate ``rate_per_sec`` and are
-    fully determined by ``seed`` — the property every replay/determinism
-    contract in this package leans on.
-
-    Poisson gaps are drawn in batches through the vectorized kernel (the
-    canonical stream; see :mod:`repro.workload.vectorized`), so iterator
-    consumers and chunked consumers observe byte-identical gaps.
-    """
-    if rate_per_sec <= 0:
-        raise WorkloadError(f"rate_per_sec must be positive, got {rate_per_sec!r}")
-    mean_ms = 1000.0 / rate_per_sec
-    if process == "uniform":
-        def uniform() -> Iterator[float]:
-            while True:
-                yield mean_ms
-        return uniform()
-    if process == "poisson":
-        core = WorkloadRandom(seed).core
-        def poisson() -> Iterator[float]:
-            while True:
-                yield from _vectorized.exponential_gap_batch(
-                    core, mean_ms, _GAP_BATCH
-                ).tolist()
-        return poisson()
-    if process == "bursty":
-        # burst_size arrivals packed at 4x the rate, then an idle gap that
-        # restores the long-run rate: one cycle spans burst_size * mean_ms.
-        intra = mean_ms / 4.0
-        pause = burst_size * mean_ms - (burst_size - 1) * intra
-        def bursty() -> Iterator[float]:
-            first = True
-            while True:
-                yield pause if not first else intra
-                first = False
-                for _ in range(burst_size - 1):
-                    yield intra
-        return bursty()
-    raise WorkloadError(
-        f"unknown arrival process {process!r}; available: {', '.join(ARRIVAL_PROCESSES)}"
-    )
-
-
 def arrival_times(
     process: str,
     rate_per_sec: float,
@@ -820,9 +675,8 @@ def arrival_times(
     seed: int = 0,
     burst_size: int = 8,
 ) -> list[float]:
-    """The first ``count`` absolute arrival times (ms) of a process: the
-    vectorized kernel in one shot (byte-identical to accumulating
-    :func:`arrival_gaps`)."""
+    """The first ``count`` absolute arrival times (ms) of a process, drawn
+    by the vectorized kernel in one shot."""
     return _vectorized.vectorized_arrival_times(
         process, rate_per_sec, count, seed=seed, burst_size=burst_size
     )
@@ -837,10 +691,8 @@ __all__ = [
     "ClosedLoopSource",
     "OpenLoopSource",
     "TraceReplaySource",
-    "PhasedSource",
     "TenantSource",
     "Cohort",
     "ClientCohortSource",
-    "arrival_gaps",
     "arrival_times",
 ]

@@ -24,10 +24,10 @@ numpy batches, equal to the one-gap-at-a-time scalar streams:
 Stream-equivalence contract
 ---------------------------
 numpy is a declared dependency, and the vectorized kernel is the *canonical*
-gap stream: ``arrival_gaps`` batches through it internally, so
-iterator-driven and chunk-driven consumers observe byte-identical arrivals
-for the same seed (held by ``tests/workload/test_vectorized.py`` across all
-three processes).  The pure-Python Poisson loop kept as a reference in
+gap stream: iterator-driven and chunk-driven consumers observe
+byte-identical arrivals for the same seed (held by
+``tests/workload/test_vectorized.py`` across all three processes).  The
+pure-Python Poisson loop kept as a reference in
 ``tests/workload/reference.py`` consumes the identical uniform sequence and
 differs from the kernel only in the last ulp of ``log`` for a ~0.3%
 minority of gaps (``math.log`` vs numpy's vectorized log).
@@ -124,9 +124,9 @@ def arrival_time_chunks(
     Yields lists of ``chunk_size`` monotonically increasing timestamps
     (the final batch may be shorter when ``limit`` bounds the stream;
     without a limit the iterator is infinite).  Timestamps are bitwise
-    identical to accumulating :func:`repro.workload.sources.arrival_gaps`
-    one gap at a time: each batch seeds its prefix sum with the running
-    clock so the float64 additions happen in the exact scalar order.
+    identical to accumulating the gap stream one gap at a time: each batch
+    seeds its prefix sum with the running clock so the float64 additions
+    happen in the exact scalar order.
     """
     if rate_per_sec <= 0:
         raise WorkloadError(f"rate_per_sec must be positive, got {rate_per_sec!r}")

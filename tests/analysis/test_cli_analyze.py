@@ -47,4 +47,4 @@ class TestIntegration:
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         files = int(summary.split(" file(s)")[0])
         assert files > 100
-        assert summary.endswith("2 rule(s): 0 finding(s)")
+        assert summary.endswith("1 rule(s): 0 finding(s)")

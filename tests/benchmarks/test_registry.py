@@ -22,7 +22,7 @@ class TestRegistry:
     def test_procedure_counts_match_paper(self, name, procedures):
         bundle = get_benchmark(name)
         catalog = bundle.make_catalog(num_partitions=2)
-        assert len(catalog.procedure_names) == procedures
+        assert len(list(catalog.procedures())) == procedures
 
     def test_build_populates_database(self):
         instance = get_benchmark("tpcc").build(2, seed=1)

@@ -20,7 +20,7 @@ def _total_money(database) -> float:
     total = 0.0
     for store in database.partitions():
         for table in ("SAVINGS", "CHECKING"):
-            total += store.heap(table).aggregate({}, "BAL", sum)
+            total += sum(row["BAL"] for row in store.heap(table).rows())
     return total
 
 

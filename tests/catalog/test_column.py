@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog import Column, ColumnType, boolean, floating, integer, string
+from repro.catalog import Column, ColumnType, floating, integer, string
 from repro.errors import CatalogError
 
 
@@ -19,7 +19,6 @@ class TestColumnConstruction:
         assert integer("a").col_type is ColumnType.INTEGER
         assert floating("a").col_type is ColumnType.FLOAT
         assert string("a").col_type is ColumnType.STRING
-        assert boolean("a").col_type is ColumnType.BOOLEAN
 
 
 class TestValidation:

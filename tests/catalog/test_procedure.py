@@ -50,9 +50,8 @@ class TestProcedureIntrospection:
         with pytest.raises(UnknownStatementError):
             procedure.statement("Nope")
 
-    def test_parameter_names_and_index(self):
+    def test_parameter_index(self):
         procedure = TransferProcedure()
-        assert procedure.parameter_names == ("from_id", "to_id", "amount")
         assert procedure.parameter_index("to_id") == 1
         with pytest.raises(CatalogError):
             procedure.parameter_index("nope")
@@ -76,17 +75,3 @@ class TestProcedureIntrospection:
         procedure.validate_parameters(((1, 2),))
         with pytest.raises(CatalogError):
             procedure.validate_parameters((5,))
-
-    def test_array_parameter_names(self):
-        class WithArray(StoredProcedure):
-            name = "w"
-            parameters = (
-                ProcedureParameter("a"),
-                ProcedureParameter("ids", is_array=True),
-            )
-            statements = TransferProcedure.statements
-
-            def run(self, ctx, a, ids):  # pragma: no cover - never called
-                return None
-
-        assert WithArray().array_parameter_names == ("ids",)

@@ -30,7 +30,7 @@ class TestCatalog:
         catalog = Catalog(make_account_schema(), PartitionScheme(2), [TransferProcedure()])
         assert catalog.has_procedure("transfer")
         assert catalog.procedure("transfer").name == "transfer"
-        assert catalog.procedure_names == ("transfer",)
+        assert [p.name for p in catalog.procedures()] == ["transfer"]
 
     def test_unknown_procedure_raises(self):
         catalog = Catalog(make_account_schema(), PartitionScheme(2))

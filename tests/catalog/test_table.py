@@ -45,10 +45,6 @@ class TestTableDefinition:
         with pytest.raises(UnknownColumnError):
             table.column("NOPE")
 
-    def test_indexed_column_sets_include_primary_and_secondary(self):
-        table = make_table(secondary_indexes=[SecondaryIndex("IDX", ("NAME",))])
-        assert list(table.indexed_column_sets()) == [("ID",), ("NAME",)]
-
 
 class TestRowConstruction:
     def test_new_row_fills_nullable_defaults(self):
@@ -67,11 +63,6 @@ class TestRowConstruction:
     def test_new_row_uses_declared_default(self):
         table = make_table(columns=[integer("ID"), integer("N", default=7)])
         assert table.new_row({"ID": 1}) == {"ID": 1, "N": 7}
-
-    def test_primary_key_extraction(self):
-        table = make_table()
-        row = table.new_row({"ID": 9, "NAME": "x"})
-        assert table.primary_key_of(row) == (9,)
 
     def test_validate_update_type_checks(self):
         table = make_table()

@@ -34,7 +34,7 @@ from repro.houdini import (
     HoudiniConfig,
     MaintenanceRegistry,
 )
-from repro.markov import PathStep
+from repro.markov import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, MarkovModel, PathStep, VertexKey
 from repro.session import ClusterSpec, train
 from repro.storage import Database
 from repro.types import PartitionSet, QueryType
@@ -59,6 +59,20 @@ def to_steps(raw_path) -> list[PathStep]:
         counters[name] = counters.get(name, 0) + 1
         previous = previous.union(partitions)
     return steps
+
+
+def add_path(model: MarkovModel, steps, aborted: bool) -> list[VertexKey]:
+    """``model.fold_path`` over :class:`PathStep` objects; returns the vertex
+    keys visited (begin ... terminal)."""
+    path = [(step.key(), step.query_type) for step in steps]
+    model.fold_path(path, aborted)
+    return [BEGIN_KEY, *(key for key, _ in path), ABORT_KEY if aborted else COMMIT_KEY]
+
+
+def edge_distribution(model: MarkovModel, source: VertexKey) -> dict[VertexKey, float]:
+    """The probability of each outgoing edge of ``source`` (probabilities
+    only, so the transition log is left unfolded)."""
+    return {edge.target: edge.probability for edge in model._edges.get(source, {}).values()}
 
 
 class SelfTuneHost:

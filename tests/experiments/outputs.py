@@ -26,7 +26,6 @@ from repro.experiments import (
     run_figure13,
     run_model_figures,
     run_overload_knee,
-    run_scheduling_policies,
     run_table03,
     run_table04,
 )
@@ -53,7 +52,6 @@ RUNS = {
     "table03": lambda: run_table03(TINY.override(accuracy_test_transactions=80)),
     "table04": lambda: run_table04(TINY.override(simulated_transactions=120)),
     "model_figures": lambda: run_model_figures(TINY),
-    "scheduling_policies": lambda: run_scheduling_policies(TINY),
     "overload_knee": lambda: run_overload_knee(
         TINY, "tatp", users=50_000, probe_seconds=0.5
     ),

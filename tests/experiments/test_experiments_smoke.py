@@ -93,9 +93,7 @@ class TestTable4AndModelFigures:
         assert normalized("model_figures", result) == expected("model_figures")
 
 
-@pytest.mark.parametrize(
-    "name", ["figure11", "figure12", "figure13", "scheduling_policies"]
-)
+@pytest.mark.parametrize("name", ["figure11", "figure12", "figure13"])
 def test_output_matches_parent(name):
     """The experiments no other smoke test runs, pinned by their output."""
     assert normalized(name, RUNS[name]()) == expected(name)

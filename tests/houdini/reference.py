@@ -218,19 +218,10 @@ class ReferenceMaintenance(ModelMaintenance):
 
     def record_transitions(self, transitions):
         observed = self._observed
-        tail = self._tail
-        window = self._window
-        for pair in transitions:
-            source, target = pair
+        for source, target in transitions:
             counts = observed.setdefault(source, {})
             counts[target] = counts.get(target, 0) + 1
-            tail.append(pair)
-            if window is not None:
-                window.append(pair)
-                if len(window) > self.config.maintenance_window:
-                    self._evict(*window.popleft())
         self.stats.transitions_observed += len(transitions)
 
     def fold(self):
         pass
-

@@ -27,6 +27,7 @@ from repro.houdini import estimator as estimator_module
 from repro.mapping import MappingEntry, ParameterMapping, ParameterMappingSet
 from repro.markov.model import MarkovModel, PathStep
 from repro.types import PartitionSet, ProcedureRequest, QueryType
+from tests.conftest import add_path
 from tests.houdini.reference import ReferenceEstimator
 
 NUM_PARTITIONS = 4
@@ -85,7 +86,7 @@ def make_model() -> MarkovModel:
                 partitions=PartitionSet.of([partition]), previous=empty, counter=0,
             )
             for _ in range(weight):
-                model.add_path([step], aborted=False)
+                add_path(model, [step], aborted=False)
     model.process()
     return model
 

@@ -20,17 +20,6 @@ class TestHoudiniConfig:
         with pytest.raises(ValueError):
             HoudiniConfig(max_path_length=0)
 
-    def test_with_threshold_copies_other_fields(self):
-        config = HoudiniConfig(
-            confidence_threshold=0.5,
-            disabled_procedures=frozenset({"x"}),
-            op3_min_observations=42,
-        )
-        copy = config.with_threshold(0.9)
-        assert copy.confidence_threshold == 0.9
-        assert copy.disabled_procedures == frozenset({"x"})
-        assert copy.op3_min_observations == 42
-
     def test_estimation_cost_model(self):
         config = HoudiniConfig()
         base_only = config.estimation_cost_ms(0, 0)

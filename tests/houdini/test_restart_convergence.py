@@ -19,6 +19,7 @@ from repro.houdini.houdini import HoudiniPlan
 from repro.markov import MarkovModel, PathStep
 from repro.strategies import HoudiniStrategy
 from repro.types import PartitionSet, ProcedureRequest, QueryType
+from tests.conftest import add_path
 
 
 def _make_model(num_partitions: int = 2) -> MarkovModel:
@@ -29,7 +30,7 @@ def _make_model(num_partitions: int = 2) -> MarkovModel:
         PathStep("QueryB", QueryType.READ, PartitionSet.of([1]), PartitionSet.of([0]), 0),
     ]
     for _ in range(20):
-        model.add_path(steps, aborted=False)
+        add_path(model, steps, aborted=False)
     model.process()
     return model
 
@@ -80,24 +81,13 @@ class TestPlanRestartConservatism:
             tpcc_artifacts.benchmark.catalog,
             tpcc_artifacts.global_provider(),
             tpcc_artifacts.mappings,
-            HoudiniConfig(conservative_restarts=True),
+            HoudiniConfig(),
         )
         request = tpcc_artifacts.benchmark.generator.next_request()
         first = houdini.plan_restart(request, 0, attempt_number=1)
         second = houdini.plan_restart(request, 0, attempt_number=2)
         assert first.runtime.allow_early_prepare is True
         assert second.runtime.allow_early_prepare is False
-
-    def test_paper_literal_mode_keeps_early_prepare(self, tpcc_artifacts):
-        houdini = Houdini(
-            tpcc_artifacts.benchmark.catalog,
-            tpcc_artifacts.global_provider(),
-            tpcc_artifacts.mappings,
-            HoudiniConfig(conservative_restarts=False),
-        )
-        request = tpcc_artifacts.benchmark.generator.next_request()
-        third = houdini.plan_restart(request, 0, attempt_number=3)
-        assert third.runtime.allow_early_prepare is True
 
     def test_never_finish_is_propagated_to_restart_runtime(self, tpcc_artifacts):
         houdini = Houdini(

@@ -13,6 +13,7 @@ from repro.houdini import (
 from repro.markov import MarkovModel, PathStep
 from repro.markov.vertex import VertexKey
 from repro.types import PartitionSet, ProcedureRequest, QueryType
+from tests.conftest import add_path
 
 
 @pytest.fixture
@@ -100,7 +101,7 @@ class TestMaintenance:
         step_a = PathStep("A", QueryType.READ, PartitionSet.of([0]), PartitionSet.of([]), 0)
         step_b = PathStep("B", QueryType.READ, PartitionSet.of([0]), PartitionSet.of([0]), 0)
         for _ in range(10):
-            model.add_path([step_a, step_b], aborted=False)
+            add_path(model, [step_a, step_b], aborted=False)
         model.process()
         return model, step_a.key(), step_b.key()
 

@@ -96,7 +96,7 @@ class TestMappingSetRoundTrip:
         original = _sample_set()
         restored = mapping_set_from_dict(mapping_set_to_dict(original))
         assert set(restored) == set(original)
-        assert restored["NewOrder"].is_mapped("CheckStock", 0)
+        assert restored["NewOrder"].entry_for("CheckStock", 0) is not None
 
     def test_version_check(self):
         payload = mapping_set_to_dict(_sample_set())

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ModelError
 from repro.markov import MarkovModel, PathStep, VertexKey
 from repro.types import PartitionSet, QueryType
+from tests.conftest import add_path, edge_distribution
 
 
 def step(name, partitions, previous, counter=0, write=False):
@@ -21,12 +22,12 @@ def build_simple_model(aborts=0, commits=9):
     """A two-query procedure: Read A (partition 0) then Write B (partition 0)."""
     model = MarkovModel("proc", 2)
     for _ in range(commits):
-        model.add_path([
+        add_path(model, [
             step("A", [0], []),
             step("B", [0], [0], write=True),
         ], aborted=False)
     for _ in range(aborts):
-        model.add_path([step("A", [0], [])], aborted=True)
+        add_path(model, [step("A", [0], [])], aborted=True)
     model.process()
     return model
 
@@ -41,7 +42,7 @@ class TestConstruction:
 
     def test_counter_distinguishes_repeated_queries(self):
         model = MarkovModel("loop", 2)
-        model.add_path([
+        add_path(model, [
             step("Q", [0], [], counter=0),
             step("Q", [0], [0], counter=1),
         ], aborted=False)
@@ -54,14 +55,6 @@ class TestConstruction:
             VertexKey.query("A", 0, PartitionSet.of([0]), PartitionSet.of([]))
         )
         assert sum(p for _, p in outgoing) == pytest.approx(1.0)
-
-    def test_merge_counts(self):
-        a = build_simple_model(commits=5)
-        b = build_simple_model(commits=3)
-        a.merge_counts(b)
-        assert a.transactions_observed == 8
-        with pytest.raises(ModelError):
-            a.merge_counts(MarkovModel("other", 2))
 
 
 class TestProcessing:
@@ -86,9 +79,9 @@ class TestProcessing:
         model = MarkovModel("mixed", 2)
         # Half the transactions stay on partition 0, half go to partition 1.
         for _ in range(5):
-            model.add_path([step("A", [0], []), step("B", [0], [0])], aborted=False)
+            add_path(model, [step("A", [0], []), step("B", [0], [0])], aborted=False)
         for _ in range(5):
-            model.add_path([step("A", [0], []), step("B", [1], [0])], aborted=False)
+            add_path(model, [step("A", [0], []), step("B", [1], [0])], aborted=False)
         model.process()
         table = model.probability_table(model.begin)
         assert table.single_partition == pytest.approx(0.5)
@@ -99,13 +92,13 @@ class TestProcessing:
 
     def test_tables_require_processing(self):
         model = MarkovModel("p", 2)
-        model.add_path([step("A", [0], [])], aborted=False)
+        add_path(model, [step("A", [0], [])], aborted=False)
         with pytest.raises(ModelError):
             model.probability_table(model.begin)
 
     def test_process_without_precompute_skips_tables(self):
         model = MarkovModel("p", 2)
-        model.add_path([step("A", [0], [])], aborted=False)
+        add_path(model, [step("A", [0], [])], aborted=False)
         model.process(precompute_tables=False)
         assert model.processed
         with pytest.raises(ModelError):
@@ -120,7 +113,7 @@ class TestRuntimeLearning:
         model.add_placeholder(new_key, QueryType.READ)
         assert model.stale
         assert model.processed  # existing tables stay usable
-        assert model.has_vertex(new_key)
+        assert model.find_vertex(new_key) is not None
 
     def test_logged_transitions_accumulate_counts(self):
         model = build_simple_model()
@@ -134,7 +127,7 @@ class TestRuntimeLearning:
     def test_edge_distribution(self):
         model = build_simple_model(aborts=1, commits=3)
         key_a = VertexKey.query("A", 0, PartitionSet.of([0]), PartitionSet.of([]))
-        distribution = model.edge_distribution(key_a)
+        distribution = edge_distribution(model, key_a)
         # From A, transactions either executed B next or aborted directly.
         assert len(distribution) == 2
         assert model.abort in distribution
@@ -144,7 +137,7 @@ class TestRuntimeLearning:
 class TestModelVersion:
     def test_count_only_visits_do_not_move_the_version(self):
         model = MarkovModel("p", 4)
-        model.add_path([step("Q", [0], [])], aborted=False)
+        add_path(model, [step("Q", [0], [])], aborted=False)
         model.process()
         version = model.version
         # Re-recording a known path only increments counters: every edge and
@@ -155,7 +148,7 @@ class TestModelVersion:
 
     def test_new_edges_placeholders_and_process_move_the_version(self):
         model = MarkovModel("p", 4)
-        model.add_path([step("Q", [0], [])], aborted=False)
+        add_path(model, [step("Q", [0], [])], aborted=False)
         model.process()
         version = model.version
         other = step("Q", [1], []).key()
@@ -171,7 +164,8 @@ class TestModelVersion:
         a = MarkovModel("p", 4)
         b = MarkovModel("p", 4)
         for model in (a, b):
-            model.add_path(
+            add_path(
+                model,
                 [step("A", [0], []), step("B", [0], [0])], aborted=False
             )
             model.process()

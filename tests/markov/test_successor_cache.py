@@ -2,8 +2,8 @@
 
 Guards the cache-invalidation contract.  A vertex's ``SuccessorView`` is a
 function of its edge *set* and each ``edge.probability``: a run-time
-mutation that adds an edge (``log_transitions``, ``add_path``,
-``merge_counts``) must drop it immediately and bump ``version``; one that
+mutation that adds an edge (``log_transitions``, ``fold_path``) must drop
+it immediately and bump ``version``; one that
 only counts a visit to an existing edge must leave it (and ``version``)
 alone and mark the vertex dirty, so that the next
 ``recompute_probabilities()`` replaces it — an ordering that disagrees with
@@ -16,7 +16,7 @@ from repro.markov import MarkovModel, PathStep
 from repro.markov.model import SuccessorView
 from repro.markov.vertex import VertexKey
 from repro.types import PartitionSet, QueryType
-from tests.conftest import trained
+from tests.conftest import add_path, trained
 
 
 def step(name: str, partition: int, previous: list[int], counter: int = 0) -> PathStep:
@@ -39,8 +39,8 @@ def build_branching_model() -> MarkovModel:
     """Begin forks to A@0 (frequent) and A@1 (rare)."""
     model = MarkovModel("proc", 4)
     for _ in range(9):
-        model.add_path([step("A", 0, [])], aborted=False)
-    model.add_path([step("A", 1, [])], aborted=False)
+        add_path(model, [step("A", 0, [])], aborted=False)
+    add_path(model, [step("A", 1, [])], aborted=False)
     model.process()
     return model
 
@@ -73,7 +73,7 @@ class TestSuccessorCache:
     def test_refreshed_after_add_path_and_recompute(self):
         model = build_branching_model()
         for _ in range(90):
-            model.add_path([step("B", 2, [])], aborted=False)
+            add_path(model, [step("B", 2, [])], aborted=False)
         model.recompute_probabilities()
         successors = model.successors(model.begin)
         assert successors[0][0] == key_of("B", 2, [])
@@ -121,8 +121,8 @@ class TestIncrementalRecompute:
 
         fresh = MarkovModel("proc", 4)
         for _ in range(9):
-            fresh.add_path([step("A", 0, [])], aborted=False)
-        fresh.add_path([step("A", 1, [])], aborted=False)
+            add_path(fresh, [step("A", 0, [])], aborted=False)
+        add_path(fresh, [step("A", 1, [])], aborted=False)
         fresh.log_transitions([(fresh.begin, key_of("A", 1, []))] * 5)
         fresh.log_transitions([(key_of("A", 1, []), fresh.commit)] * 5)
         fresh.process()
@@ -180,24 +180,13 @@ class TestCountChangeVersusStructureChange:
         assert fresh.probe("A", 0, empty, PartitionSet.of([0])) == view.pairs[0]
         assert model.successor_view(key_of("A", 0, [])) is untouched
 
-    def test_merge_counts_follows_the_same_rule(self):
-        model = build_branching_model()
-        other = MarkovModel("proc", 4)
-        other.add_path([step("A", 0, [])], aborted=False)
-        before = model.successors(model.begin)
-        model.merge_counts(other)
-        assert model.successors(model.begin) is before
-        other.add_path([step("B", 2, [])], aborted=False)
-        model.merge_counts(other)
-        assert key_of("B", 2, []) in [k for k, _ in model.successors(model.begin)]
-
     def test_equal_probability_successors_order_by_sort_token(self):
         """Pins the tie-break: plain text order of the token (``{10}`` before
         ``{1}`` before ``{2}``; upper-case statement names before ``abort``)
         — whatever ``__str__`` prints."""
         model = MarkovModel("proc", 16)
         for partition in (2, 10, 1):
-            model.add_path([step("A", partition, [])], aborted=False)
+            add_path(model, [step("A", partition, [])], aborted=False)
         model.log_transitions([(model.begin, model.abort)])
         model.process()
         assert [k.sort_token for k, _ in model.successors(model.begin)] == [

@@ -39,7 +39,7 @@ from repro.selftune.retrain import retrain_model
 from repro.session import Cluster, ClusterSpec, train
 from repro.types import PartitionSet
 
-from tests.conftest import SelfTuneHost, to_steps
+from tests.conftest import SelfTuneHost, add_path, to_steps
 
 SPECIALS = (BEGIN_KEY, COMMIT_KEY, ABORT_KEY)
 
@@ -52,8 +52,8 @@ def _query_key() -> VertexKey:
 def _model(prefix: str = "Q") -> MarkovModel:
     model = MarkovModel("Proc", 4)
     for _ in range(3):
-        model.add_path(to_steps([(f"{prefix}1", 0, False), (f"{prefix}2", 0, True)]), False)
-    model.add_path(to_steps([(f"{prefix}1", 0, False), (f"{prefix}2", 1, True)]), True)
+        add_path(model, to_steps([(f"{prefix}1", 0, False), (f"{prefix}2", 0, True)]), False)
+    add_path(model, to_steps([(f"{prefix}1", 0, False), (f"{prefix}2", 1, True)]), True)
     model.process()
     return model
 

@@ -43,7 +43,9 @@ from repro.catalog import (
 from repro.errors import ReproError
 from repro.markov import MarkovModel, MarkovModelBuilder
 from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
-from tests.markov.reference import StepListModelBuilder, add_path, model_state
+from tests.conftest import add_path
+from tests.markov import reference
+from tests.markov.reference import StepListModelBuilder, model_state
 
 PARTITIONS = 4
 GET_ITEM = Statement(
@@ -188,8 +190,8 @@ def test_add_path_adapter_equals_reference(trace):
     folded = {name: MarkovModel(name, PARTITIONS) for name in trace.procedures}
     for record in trace:
         path = steps(record)
-        assert adapted[record.procedure].add_path(path, record.aborted) == add_path(
-            folded[record.procedure], path, record.aborted
+        assert add_path(adapted[record.procedure], path, record.aborted) == (
+            reference.add_path(folded[record.procedure], path, record.aborted)
         )
     assert model_state(adapted) == model_state(folded)
 

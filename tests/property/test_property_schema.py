@@ -47,7 +47,6 @@ from repro.workload import (
     ClosedLoopSource,
     Cohort,
     OpenLoopSource,
-    PhasedSource,
     TenantSource,
     TraceReplaySource,
     WorkloadSource,
@@ -64,8 +63,8 @@ ERRORS = {
     AdmissionLimits: SimulationError, CostModel: SimulationError,
     SimulatorConfig: SimulationError,
     ClosedLoopSource: WorkloadError, OpenLoopSource: WorkloadError,
-    TraceReplaySource: WorkloadError, PhasedSource: WorkloadError,
-    TenantSource: WorkloadError, ClientCohortSource: WorkloadError,
+    TraceReplaySource: WorkloadError, TenantSource: WorkloadError,
+    ClientCohortSource: WorkloadError,
     Cohort: WorkloadError,
 }
 #: The classes with a dict form (the others are validated, never serialized).
@@ -111,7 +110,7 @@ def _declared(rule: dict):
 
 
 def _arrival_sources():
-    """Sources a phase or a tenant may hold (no closed loop, shallow)."""
+    """Sources a tenant may hold (no closed loop, shallow)."""
     return strategy_for(OpenLoopSource) | strategy_for(TraceReplaySource)
 
 
@@ -124,12 +123,6 @@ def _trace():
     return st.lists(record, max_size=3).map(WorkloadTrace)
 
 
-def _phases():
-    bounded = st.tuples(st.floats(1, 1000), _arrival_sources())
-    last = st.tuples(st.none() | st.floats(1, 1000), _arrival_sources())
-    return st.tuples(st.lists(bounded, max_size=2), last).map(lambda p: [*p[0], p[1]])
-
-
 #: What a table cannot say — the undeclared (structural) fields, per class.
 STRUCTURE = {
     (ClusterSpec, "benchmark_config"): lambda: st.none() | st.dictionaries(
@@ -138,7 +131,6 @@ STRUCTURE = {
     (TenancyConfig, "tenants"): lambda: st.dictionaries(
         _NAMES, strategy_for(TenantPolicy), max_size=3),
     (TraceReplaySource, "trace"): lambda: st.none() | _trace(),
-    (PhasedSource, "phases"): _phases,
     (TenantSource, "tenants"): lambda: st.dictionaries(
         _NAMES, _arrival_sources(), min_size=1, max_size=2),
     (ClientCohortSource, "cohorts"): lambda: st.lists(
@@ -293,7 +285,6 @@ _EXAMPLES = {
     SelfTuneConfig: SelfTuneConfig(retrain_min_tail_txns=1),
     OpenLoopSource: OpenLoopSource(50.0),
     TraceReplaySource: TraceReplaySource(path="trace.jsonl"),
-    PhasedSource: PhasedSource([(None, OpenLoopSource(50.0))]),
     TenantSource: TenantSource({"gold": OpenLoopSource(50.0)}),
     Cohort: Cohort("casual", 10, think_time_ms=5.0),
     ClientCohortSource: ClientCohortSource([Cohort("casual", 10, think_time_ms=5.0)]),
@@ -366,11 +357,11 @@ def test_every_config_field_is_declared_or_structural():
     assert undeclared == set(STRUCTURE) - {
         (TraceReplaySource, "trace"), (ClusterSpec, "workload")}
     assert {cls.__name__: len([f for f in fields(cls) if f.init]) for cls in ERRORS} == {
-        "ClusterSpec": 21, "HoudiniConfig": 18, "SimulatorConfig": 8, "CostModel": 11,
-        "PartitionerConfig": 11, "SelfTuneConfig": 9, "ExperimentScale": 9,
+        "ClusterSpec": 21, "HoudiniConfig": 16, "SimulatorConfig": 8, "CostModel": 11,
+        "PartitionerConfig": 11, "SelfTuneConfig": 8, "ExperimentScale": 9,
         "TenancyConfig": 6, "TenantPolicy": 4, "AdmissionLimits": 4,
         "ClosedLoopSource": 2, "OpenLoopSource": 5, "TraceReplaySource": 5,
-        "PhasedSource": 1, "TenantSource": 1, "ClientCohortSource": 3, "Cohort": 6,
+        "TenantSource": 1, "ClientCohortSource": 3, "Cohort": 6,
     }
 
 

@@ -34,7 +34,7 @@ from repro.markov.vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, VertexKey
 from repro.selftune import SelfTuneConfig, SelfTuneManager
 from repro.selftune.manager import _ProcedureState
 from repro.types import PartitionSet
-from tests.conftest import SelfTuneHost, to_steps
+from tests.conftest import SelfTuneHost, add_path, to_steps
 from tests.property.test_property_schema import strategy_for
 from tests.selftune.reference import ReferenceManager
 
@@ -92,7 +92,7 @@ configs = strategy_for(SelfTuneConfig).map(within_reach)
 def trained_model() -> MarkovModel:
     model = MarkovModel(PROCEDURE, 3)
     for raw_path, aborted in CORPUS:
-        model.add_path(to_steps(raw_path), aborted=aborted)
+        add_path(model, to_steps(raw_path), aborted=aborted)
     model.process()
     return model
 

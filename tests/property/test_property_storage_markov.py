@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.catalog import Schema, Table, integer
 from repro.markov import MarkovModel
 from repro.storage import Database, UndoLog
-from tests.conftest import to_steps
+from tests.conftest import add_path, to_steps
 
 # ----------------------------------------------------------------------
 # Storage: applying a random batch of operations and rolling back always
@@ -84,7 +84,7 @@ class TestMarkovProperties:
     def test_probabilities_and_tables_stay_valid(self, transactions):
         model = MarkovModel("prop", 4)
         for raw_path, aborted in transactions:
-            model.add_path(to_steps(raw_path), aborted=aborted)
+            add_path(model, to_steps(raw_path), aborted=aborted)
         model.process()
 
         assert model.transactions_observed == len(transactions)
@@ -110,7 +110,7 @@ class TestMarkovProperties:
         model = MarkovModel("prop", 4)
         aborted_count = 0
         for raw_path, aborted in transactions:
-            model.add_path(to_steps(raw_path), aborted=aborted)
+            add_path(model, to_steps(raw_path), aborted=aborted)
             aborted_count += aborted
         model.process()
         observed_rate = aborted_count / len(transactions)

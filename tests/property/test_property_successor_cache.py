@@ -1,8 +1,8 @@
 """Property: a vertex's successor view never disagrees with the model.
 
-Random interleavings of every mutation a model accepts — ``add_path``,
-``log_transitions`` (one pair many times, or an attempt's batch),
-``add_placeholder``, ``merge_counts`` — and ``process()``.  After every step every vertex's
+Random interleavings of every mutation a model accepts — ``fold_path``
+(through ``add_path``), ``log_transitions`` (one pair many times, or an
+attempt's batch), ``add_placeholder`` — and ``process()``.  After every step every vertex's
 ``SuccessorView`` — pairs, records, name/terminal summary and, touched here
 on every step, its probe index and per-name groups — must equal a fresh
 rebuild from the edges (a count change keeps the view, a structure change
@@ -30,7 +30,7 @@ from repro.markov import MarkovModel
 from repro.markov.serialization import model_from_dict, model_to_dict
 from repro.markov.vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, VertexKey
 from repro.types import PartitionSet, QueryType
-from tests.conftest import to_steps
+from tests.conftest import add_path, to_steps
 
 PARTITIONS = 3
 
@@ -65,7 +65,6 @@ operations = st.one_of(
               st.tuples(transitions, st.integers(min_value=1, max_value=40))),
     st.tuples(st.just("log_transitions"), st.lists(transitions, max_size=5)),
     st.tuples(st.just("add_placeholder"), query_keys),
-    st.tuples(st.just("merge_counts"), st.lists(paths, min_size=1, max_size=3)),
     st.tuples(st.just("process"), st.none()),
 )
 
@@ -73,7 +72,7 @@ operations = st.one_of(
 def apply(model: MarkovModel, operation: str, argument) -> None:
     if operation == "add_path":
         raw_path, aborted = argument
-        model.add_path(to_steps(raw_path), aborted=aborted)
+        add_path(model, to_steps(raw_path), aborted=aborted)
     elif operation == "log_repeated":
         (source, target), count = argument
         model.log_transitions([(source, target)] * count)
@@ -81,11 +80,6 @@ def apply(model: MarkovModel, operation: str, argument) -> None:
         model.log_transitions(argument)
     elif operation == "add_placeholder":
         model.add_placeholder(argument, QueryType.READ)
-    elif operation == "merge_counts":
-        other = MarkovModel(model.procedure, model.num_partitions)
-        for raw_path, aborted in argument:
-            other.add_path(to_steps(raw_path), aborted=aborted)
-        model.merge_counts(other)
     else:
         model.process()
 
@@ -216,12 +210,13 @@ def test_successor_views_equal_a_fresh_rebuild_after_every_step(steps):
 # The property is only worth its budget if it catches the bugs it is for:
 # a seeded mutation of ``_new_edge``, the one edge creation; one of
 # ``_count_visits``, which folds logged hits into the edges and marks their
-# sources dirty; one each of ``fold_path`` and ``merge_counts``, whose counted
-# hits mark nothing dirty but force a full pass; and one of ``_table_for``
-# that refreshes a published table in place.
+# sources dirty; one of ``fold_path``, whose counted hits mark nothing dirty
+# but force a full pass; and one of ``_table_for`` that refreshes a
+# published table in place.
 # ----------------------------------------------------------------------
 _new_edge = MarkovModel._new_edge
 _table_for = MarkovModel._table_for
+_fold_path = MarkovModel.fold_path
 
 
 def _table_refreshed_in_place(self, key):
@@ -248,13 +243,10 @@ def _hit_does_not_dirty_the_source(self, counts):
         edges[source][target].hits += count
 
 
-def _leaves_the_model_processed(method):
-    def mutated(self, *args, **kwargs):
-        processed = self._processed
-        method(self, *args, **kwargs)
-        self._processed = processed
-
-    return mutated
+def _fold_path_leaves_the_model_processed(self, path, aborted):
+    processed = self._processed
+    _fold_path(self, path, aborted)
+    self._processed = processed
 
 
 class TestMutationsAreCaught:
@@ -278,16 +270,10 @@ class TestMutationsAreCaught:
         with pytest.raises(AssertionError):
             check(script)
 
-    @pytest.mark.parametrize("method, step", [
-        ("fold_path", ("add_path", ([("A", 0, False)], False))),
-        ("merge_counts", ("merge_counts", [([("A", 0, False)], False)] * 3)),
-    ], ids=["fold_path", "merge_counts"])
-    def test_a_counted_hit_that_leaves_the_model_processed(self, monkeypatch, method, step):
-        script = self.fork + [step, ("process", None)]
+    def test_a_counted_hit_that_leaves_the_model_processed(self, monkeypatch):
+        script = self.fork + [("add_path", ([("A", 0, False)], False)), ("process", None)]
         check(script)
-        monkeypatch.setattr(
-            MarkovModel, method, _leaves_the_model_processed(getattr(MarkovModel, method))
-        )
+        monkeypatch.setattr(MarkovModel, "fold_path", _fold_path_leaves_the_model_processed)
         with pytest.raises(AssertionError):
             check(script)
 

@@ -15,11 +15,10 @@ Both sides are driven by the same Hypothesis-drawn attempt stream: prefixes
 that follow the model's own edges (handed over as known), deviations into
 known and unknown states (placeholders typed by the monitor or created by
 the log), new terminal edges, drift checks, recomputes, direct processing
-passes, edge-count reads between checks, and ``set_window`` switched on,
-off and resized mid-stream.  At every comparison point they must agree bit
-for bit: the model's whole state (``model_state``: structure, hits, every
-probability and table cell, successor order), ``version``, the observed
-counters' key order and counts, the tail and window, the maintenance
+passes and edge-count reads between checks.  At every comparison point they
+must agree bit for bit: the model's whole state (``model_state``:
+structure, hits, every probability and table cell, successor order),
+``version``, the observed counters' key order and counts, the maintenance
 counters (``last_accuracy`` included) and every check verdict.
 
 Tier-1 runs a fixed-seed budget; CI's ``planning-smoke`` job runs
@@ -38,7 +37,7 @@ from repro.houdini import HoudiniConfig, ModelMaintenance
 from repro.markov import MarkovModel
 from repro.markov.vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, VertexKey
 from repro.types import PartitionSet, QueryType
-from tests.conftest import to_steps
+from tests.conftest import add_path, to_steps
 from tests.houdini.reference import ReferenceMaintenance, ReferenceModel
 from tests.sim.test_golden_learning import model_state
 
@@ -80,7 +79,6 @@ operations = st.one_of(
     st.tuples(st.just("process"), st.none()),
     st.tuples(st.just("read"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("accuracy"), st.integers(min_value=0, max_value=7)),
-    st.tuples(st.just("window"), st.sampled_from([None, 1, 3, 8, 40])),
     st.tuples(st.just("compare"), st.none()),
 )
 
@@ -91,7 +89,7 @@ class Side:
     def __init__(self, model_class, maintenance_class, corpus, config) -> None:
         self.model = model_class("prop", PARTITIONS)
         for raw_path, aborted in corpus:
-            self.model.add_path(to_steps(raw_path), aborted=aborted)
+            add_path(self.model, to_steps(raw_path), aborted=aborted)
         self.model.process()
         self.maintenance = maintenance_class(self.model, config)
 
@@ -133,20 +131,15 @@ def fingerprint(side: Side) -> dict:
             (str(source), [(str(target), count) for target, count in targets.items()])
             for source, targets in maintenance._observed.items()
         ],
-        "tail": [(str(s), str(t)) for s, t in maintenance._tail],
-        "window": None if maintenance._window is None else [
-            (str(s), str(t)) for s, t in maintenance._window
-        ],
         "stats": (stats.transitions_observed, stats.accuracy_checks,
                   stats.recomputations, stats.last_accuracy.hex()),
     }
 
 
 def run(corpus, config_args, script) -> None:
-    window, min_observations, threshold = config_args
+    min_observations, threshold = config_args
     new, old = (
         Side(model_class, maintenance_class, corpus, HoudiniConfig(
-            maintenance_window=window,
             maintenance_min_observations=min_observations,
             maintenance_accuracy_threshold=threshold,
         ))
@@ -160,7 +153,7 @@ def run(corpus, config_args, script) -> None:
             for side in (new, old):
                 if argument[2]:  # the monitor met the unknown states first
                     for _, target in transitions:
-                        if target.is_query and not side.model.has_vertex(target):
+                        if target.is_query and side.model.find_vertex(target) is None:
                             side.model.add_placeholder(target, QueryType.WRITE)
                 side.learn(transitions, [side.model.vertex(v.key) for v in known])
             assert new.model.version == old.model.version
@@ -193,16 +186,12 @@ def run(corpus, config_args, script) -> None:
             assert new.maintenance.vertex_accuracy(key).hex() == (
                 old.maintenance.vertex_accuracy(key).hex()
             )
-        elif operation == "window":
-            for side in (new, old):
-                side.maintenance.set_window(argument)
         else:
             assert fingerprint(new) == fingerprint(old)
 
 
 scripts = st.lists(operations, min_size=1, max_size=30)
 config_args = st.tuples(
-    st.sampled_from([None, None, 2, 6, 30]),
     st.integers(min_value=1, max_value=6),
     st.sampled_from([0.5, 0.75, 0.95, 1.0]),
 )
@@ -249,15 +238,12 @@ def _keeps_a_table_whose_child_was_replaced(self, order, changed):
             vertex.table = table
 
 
-def _fold_ignores_the_window(self):
+def _fold_counts_a_repeated_pair_once(self):
     log, counts = self.model.drain_log()
     self.stats.transitions_observed += len(log)
-    self._tail.extend(log)
-    for (source, target), count in counts.items():
+    for source, target in counts:
         targets = self._observed.setdefault(source, {})
-        targets[target] = targets.get(target, 0) + count
-    if self._window is not None:
-        self._window.extend(log)
+        targets[target] = targets.get(target, 0) + 1
 
 
 class TestMutationsAreCaught:
@@ -277,19 +263,18 @@ class TestMutationsAreCaught:
         ("_refresh", _keeps_a_table_whose_child_was_replaced),
     ])
     def test_model_mutation(self, monkeypatch, attribute, mutation):
-        run(_CORPUS, (None, 1, 0.75), self.drift)
+        run(_CORPUS, (1, 0.75), self.drift)
         monkeypatch.setattr(MarkovModel, attribute, mutation)
         with pytest.raises(AssertionError):
-            run(_CORPUS, (None, 1, 0.75), self.drift)
+            run(_CORPUS, (1, 0.75), self.drift)
 
-    def test_a_windowed_fold_that_does_not_replay_evictions(self, monkeypatch):
+    def test_a_fold_that_counts_a_repeated_pair_once(self, monkeypatch):
         script = [
             ("attempt", ([0], [], False, False)),
-            ("attempt", ([1], [], False, True)),
             ("attempt", ([0], [], False, False)),
             ("compare", None),
         ]
-        run(_CORPUS, (3, 1, 0.75), script)
-        monkeypatch.setattr(ModelMaintenance, "fold", _fold_ignores_the_window)
+        run(_CORPUS, (1, 0.75), script)
+        monkeypatch.setattr(ModelMaintenance, "fold", _fold_counts_a_repeated_pair_once)
         with pytest.raises(AssertionError):
-            run(_CORPUS, (3, 1, 0.75), script)
+            run(_CORPUS, (1, 0.75), script)

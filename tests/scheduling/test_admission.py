@@ -56,7 +56,7 @@ class TestAdmissionDecisions:
         first = _pending(0)
         assert controller.decide(first) is AdmissionDecision.ADMIT
         assert controller.decide(_pending(1)) is AdmissionDecision.DEFER
-        controller.release(first)
+        assert controller.release_if_admitted(first)
         assert controller.decide(_pending(2)) is AdmissionDecision.ADMIT
 
     def test_distributed_ceiling_only_affects_distributed(self):
@@ -97,15 +97,14 @@ class TestAdmissionBookkeeping:
         controller.decide(b)
         assert controller.in_flight == 2
         assert controller.distributed_in_flight == 1
-        assert controller.in_flight_ms == pytest.approx(5.0)
-        controller.release(b)
+        assert controller._in_flight_ms == pytest.approx(5.0)
+        assert controller.release_if_admitted(b)
         assert controller.distributed_in_flight == 0
-        assert controller.in_flight_ms == pytest.approx(2.0)
+        assert controller._in_flight_ms == pytest.approx(2.0)
 
-    def test_releasing_unknown_transaction_raises(self):
+    def test_releasing_an_unknown_transaction_is_refused(self):
         controller = AdmissionController()
-        with pytest.raises(SimulationError):
-            controller.release(_pending(0))
+        assert not controller.release_if_admitted(_pending(0))
 
     def test_describe_reports_load(self):
         controller = AdmissionController()

@@ -17,6 +17,7 @@ from collections import deque
 
 from repro.markov.model import MarkovModel
 from repro.selftune import RetrainJob, SelfTuneConfig, SelfTuneStats, retrain_model
+from tests.conftest import edge_distribution
 
 
 class DriftDetector:
@@ -61,7 +62,7 @@ class DriftDetector:
             total = sum(counts.values())
             if total < min_observations:
                 continue
-            expected = model.edge_distribution(source)
+            expected = edge_distribution(model, source)
             overlap = 0.0
             for target, count in counts.items():
                 overlap += min(count / total, expected.get(target, 0.0))
@@ -72,7 +73,7 @@ class DriftDetector:
               accuracy_threshold: float = 0.0) -> dict:
         divergence = self.score(procedure, model)
         diverged = divergence > self.config.divergence_threshold
-        degraded = self.config.use_accuracy_signal and accuracy < accuracy_threshold
+        degraded = accuracy < accuracy_threshold
         return {
             "procedure": procedure,
             "divergence": divergence,

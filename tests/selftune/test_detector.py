@@ -9,7 +9,7 @@ from repro.markov.vertex import COMMIT_KEY, VertexKey
 from repro.selftune import SelfTuneConfig, SelfTuneManager
 from repro.selftune.manager import divergence
 from repro.types import PartitionSet, QueryType
-from tests.conftest import SelfTuneHost
+from tests.conftest import SelfTuneHost, add_path
 
 
 def _branching_model() -> tuple[MarkovModel, VertexKey, VertexKey, VertexKey]:
@@ -18,9 +18,9 @@ def _branching_model() -> tuple[MarkovModel, VertexKey, VertexKey, VertexKey]:
     local = PathStep("Q", QueryType.READ, PartitionSet.of([0]), PartitionSet.of([]), 0)
     remote = PathStep("Q", QueryType.READ, PartitionSet.of([1]), PartitionSet.of([]), 0)
     for _ in range(90):
-        model.add_path([local], aborted=False)
+        add_path(model, [local], aborted=False)
     for _ in range(10):
-        model.add_path([remote], aborted=False)
+        add_path(model, [remote], aborted=False)
     model.process()
     return model, model.begin, local.key(), remote.key()
 
@@ -123,16 +123,9 @@ class TestVerdict:
         threshold) trips the verdict even when the divergence window has not
         filled up yet."""
         model, begin, local, _ = _branching_model()
-        manager = _manager(model, use_accuracy_signal=True, check_interval_txns=1)
+        manager = _manager(model, check_interval_txns=1)
         manager.houdini.maintenance.for_model(model).stats.last_accuracy = 0.4
         _feed(manager, begin, local, 1)
         verdict = _verdict(manager)
         assert verdict["drifted"] is True
         assert verdict["divergence"] == 0.0
-
-    def test_accuracy_signal_can_be_disabled(self):
-        model, begin, local, _ = _branching_model()
-        manager = _manager(model, use_accuracy_signal=False, check_interval_txns=1)
-        manager.houdini.maintenance.for_model(model).stats.last_accuracy = 0.4
-        _feed(manager, begin, local, 1)
-        assert _verdict(manager)["drifted"] is False

@@ -10,7 +10,7 @@ from repro.markov.vertex import COMMIT_KEY, VertexKey
 from repro.selftune import SelfTuneConfig, SelfTuneManager
 from repro.selftune.retrain import retrain_model
 from repro.types import PartitionSet, QueryType
-from tests.conftest import SelfTuneHost
+from tests.conftest import SelfTuneHost, add_path, edge_distribution
 
 
 def _trained_model() -> tuple[MarkovModel, VertexKey, VertexKey, VertexKey]:
@@ -18,9 +18,9 @@ def _trained_model() -> tuple[MarkovModel, VertexKey, VertexKey, VertexKey]:
     local = PathStep("Q", QueryType.READ, PartitionSet.of([0]), PartitionSet.of([]), 0)
     remote = PathStep("Q", QueryType.WRITE, PartitionSet.of([1]), PartitionSet.of([]), 0)
     for _ in range(90):
-        model.add_path([local], aborted=False)
+        add_path(model, [local], aborted=False)
     for _ in range(10):
-        model.add_path([remote], aborted=False)
+        add_path(model, [remote], aborted=False)
     model.process()
     return model, model.begin, local.key(), remote.key()
 
@@ -38,7 +38,7 @@ class TestRetrainModel:
         assert new is not old
         assert new.procedure == old.procedure
         assert new.processed
-        distribution = new.edge_distribution(new.begin)
+        distribution = edge_distribution(new, new.begin)
         assert distribution[local] == pytest.approx(0.3)
         assert distribution[remote] == pytest.approx(0.7)
 

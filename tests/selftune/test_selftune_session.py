@@ -9,9 +9,7 @@ The acceptance contracts of the subsystem:
   ``from_kwargs`` and validates its prerequisites (Houdini strategy, global
   provider, learning on);
 * ``reconfigure(selftune=...)`` enables the loop mid-session and
-  ``reconfigure(selftune=None)`` detaches it;
-* ``reconfigure(maintenance_window=...)`` rebuilds the §4.5 sliding window
-  from the recent tail instead of silently keeping unbounded history.
+  ``reconfigure(selftune=None)`` detaches it.
 """
 
 from __future__ import annotations
@@ -192,39 +190,4 @@ class TestLiveReconfigure:
         session = self._session()
         with pytest.raises(SessionError, match="SelfTuneConfig"):
             session.reconfigure(selftune=7)
-        session.close()
-
-    def test_maintenance_window_rebuilds_from_recent_tail(self):
-        session = self._session()
-        session.run_for(txns=300)
-        maintenances = session.houdini.maintenance.maintenances()
-        assert any(m.stats.transitions_observed > 30 for m in maintenances)
-
-        session.reconfigure(maintenance_window=30)
-        for maintenance in session.houdini.maintenance.maintenances():
-            observed = sum(
-                sum(counts.values()) for counts in maintenance._observed.values()
-            )
-            # The counters now hold at most the window's worth of history,
-            # rebuilt from the recent tail — not the unbounded totals.
-            assert observed <= 30
-        assert session.houdini.config.maintenance_window == 30
-
-        # Disabling the window keeps counting from here on.
-        session.reconfigure(maintenance_window=None)
-        assert session.houdini.config.maintenance_window is None
-        session.close()
-
-    def test_maintenance_window_rejects_invalid_values(self):
-        session = self._session()
-        with pytest.raises(SessionError, match="window"):
-            session.reconfigure(maintenance_window=0)
-        with pytest.raises(SessionError, match="window"):
-            session.reconfigure(maintenance_window=True)
-        session.close()
-
-    def test_maintenance_window_requires_houdini(self):
-        session = self._session(strategy="oracle")
-        with pytest.raises(SessionError, match="Houdini"):
-            session.reconfigure(maintenance_window=10)
         session.close()

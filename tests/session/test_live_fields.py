@@ -90,7 +90,6 @@ def test_the_marks_are_the_documented_knobs():
     assert schema.live_fields(HoudiniConfig) == {
         "enable_estimate_caching": "estimate_caching",
         "confidence_threshold": "confidence_threshold",
-        "maintenance_window": "maintenance_window",
     }
 
 

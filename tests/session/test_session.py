@@ -483,7 +483,7 @@ class TestSessionLifecycle:
             artifacts=artifacts,
         )
         session.run_for(txns=20)  # quiesces: heap empty, clients parked
-        assert not session.simulator.pending_events
+        assert not session.simulator._events
         session.simulator.extend_budget(5)
         steps = 0
         while session.step():

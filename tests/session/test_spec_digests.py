@@ -9,7 +9,12 @@ from the field table (run this file as a script to re-record), so an equal
 digest means the derived form emits the hand-written form's bytes.  They
 were re-pinned once, when the worker-count field was deleted: the new
 digests equal the parent's ``to_dict()`` with that one key popped (key order
-kept), ``nested_configs`` built with the one execution backend left.
+kept), ``nested_configs`` built with the one execution backend left.  They
+were re-pinned a second time when the sliding maintenance window, the
+restart toggle, the accuracy-signal toggle and the phased source were
+deleted: ``nested_configs`` is the parent's ``to_dict()`` with those three
+keys popped (key order kept), and ``arrival_sources`` composes its sources
+as tenants of one ``TenantSource``, recorded on the parent.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from repro.workload import (
     ClosedLoopSource,
     Cohort,
     OpenLoopSource,
-    PhasedSource,
     TenantSource,
     TraceReplaySource,
     WorkloadTrace,
@@ -63,7 +67,7 @@ def _nested_configs() -> ClusterSpec:
         trace_transactions=300, benchmark_config={"districts_per_warehouse": 4},
         strategy="houdini-global", learning=True,
         houdini=HoudiniConfig(
-            confidence_threshold=0.3, maintenance_window=128,
+            confidence_threshold=0.3,
             disabled_procedures=frozenset({"slev", "delivery"}),
         ),
         selftune=SelfTuneConfig(check_interval_txns=25, retrain_latency_ms=2.5),
@@ -92,14 +96,14 @@ def _arrival_sources() -> ClusterSpec:
     return ClusterSpec(
         benchmark="tatp", strategy="oracle", model_provider="partitioned",
         learning=False, policy="shortest-predicted",
-        workload=PhasedSource([
-            (250.0, OpenLoopSource(120.0, "uniform", seed=4, limit=50)),
-            (100, TraceReplaySource(_trace(), speedup=2.0, default_gap_ms=0.5)),
-            (None, TenantSource({
+        workload=TenantSource({
+            "open": OpenLoopSource(120.0, "uniform", seed=4, limit=50),
+            "inline": TraceReplaySource(_trace(), speedup=2.0, default_gap_ms=0.5),
+            "nested": TenantSource({
                 "gold": OpenLoopSource(50.0, "bursty", seed=1, burst_size=16),
                 "replay": TraceReplaySource(path="trace.jsonl", limit=10),
-            })),
-        ]),
+            }),
+        }),
     )
 
 

@@ -30,7 +30,6 @@ from repro.sim import SimulationResult
 from repro.workload import (
     ClosedLoopSource,
     OpenLoopSource,
-    PhasedSource,
     TenantSource,
     TraceRecorder,
     TraceReplaySource,
@@ -279,27 +278,6 @@ class TestTenants:
         b = second.run_for(txns=300)
         second.close()
         assert _result_bytes(a) == _result_bytes(b)
-
-
-# ----------------------------------------------------------------------
-# Phased mixtures
-# ----------------------------------------------------------------------
-class TestPhased:
-    def test_phase_boundaries_shift_the_mix(self):
-        artifacts = trained("tatp", 4, 200, 3)
-        spec = ClusterSpec(
-            benchmark="tatp", num_partitions=4, strategy="oracle",
-            workload=PhasedSource([
-                (50.0, OpenLoopSource(200.0, "uniform", seed=1)),
-                (None, OpenLoopSource(2000.0, "uniform", seed=2)),
-            ]),
-        )
-        session = Cluster.open(spec, artifacts=artifacts)
-        quiet = session.run_for(sim_seconds=0.05)
-        assert quiet.total_transactions == 9  # 200/s for 50ms, first beat at 5ms
-        busy = session.run_for(sim_seconds=0.05)
-        assert busy.total_transactions > quiet.total_transactions + 50
-        session.close()
 
 
 # ----------------------------------------------------------------------

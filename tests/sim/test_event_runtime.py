@@ -85,7 +85,7 @@ def legacy_run(catalog, database, generator, strategy, cost_model, config, bench
             result.undo_disabled += 1
         if record.early_prepared_partitions:
             result.early_prepared += 1
-        if record.single_partitioned:
+        if record.final_attempt.single_partitioned:
             result.single_partition += 1
         else:
             result.distributed += 1

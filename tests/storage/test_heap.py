@@ -149,12 +149,6 @@ class TestFindAndSelect:
             heap.insert({"ID": i, "NAME": "x", "GROUP_ID": 0})
         assert len(heap.find({})) == 3
 
-    def test_aggregate(self):
-        heap = make_heap()
-        for i in range(4):
-            heap.insert({"ID": i, "NAME": "x", "GROUP_ID": 0, "V": i})
-        assert heap.aggregate({"GROUP_ID": 0}, "V", sum) == 6
-
 
 class TestUpdateDelete:
     def test_update_returns_before_image(self):

@@ -33,8 +33,8 @@ class TestPartitionStore:
 
     def test_row_count(self):
         store = PartitionStore(0, make_schema())
-        store.insert_row("DATA", {"ID": 1, "NAME": "a"})
-        store.insert_row("LOOKUP", {"CODE": 1, "LABEL": "x"})
+        store.heap("DATA").insert({"ID": 1, "NAME": "a"})
+        store.heap("LOOKUP").insert({"CODE": 1, "LABEL": "x"})
         assert store.row_count("DATA") == 1
         assert store.row_count() == 2
 

@@ -102,7 +102,7 @@ class TestQuotas:
         assert snapshot["blocked"].get("gold", 0) > 0
         result = session.close()
         # ...every admitted slot was released by its completion...
-        assert quota.in_use == 0
+        assert not quota._quota_held
         assert quota.snapshot()["held"] == {}
         assert quota.snapshot()["shared_used"] == 0
         # ...and nothing was lost or double-counted on the way.
@@ -127,7 +127,7 @@ class TestQuotas:
         session.run_for(txns=300)
         quota = session.simulator.tenancy.quota
         session.close()
-        assert quota.in_use == 0
+        assert not quota._quota_held
         assert quota.snapshot()["held"] == {}
         assert quota.snapshot()["shared_used"] == 0
 

@@ -268,7 +268,7 @@ class TestCommands:
 
         script = "\n".join([
             "admission max_in_flight_ms=2e1,max_in_flight=4",
-            "selftune on divergence_threshold=5e-1,use_accuracy_signal=false",
+            "selftune on divergence_threshold=5e-1,check_interval_txns=25",
             "tenancy set gold weight=2,quota=3,slo=2.5e1,quantile=0.9",
             "tenancy set gold quota=none",
             "admission max_flights=3",
@@ -282,7 +282,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "admission -> {'max_in_flight_ms': 20.0, 'max_in_flight': 4}" in out
         assert ("selftune -> on {'divergence_threshold': 0.5, "
-                "'use_accuracy_signal': False}") in out
+                "'check_interval_txns': 25}") in out
         assert ("tenancy[gold] -> {'weight': 2.0, 'quota': 3, "
                 "'slo_latency_ms': 25.0, 'slo_quantile': 0.9}") in out
         assert "'quota': None" in out

@@ -24,14 +24,11 @@ class TestExecutionPlan:
     def test_lock_set_none_means_everything(self):
         plan = ExecutionPlan(base_partition=0, locked_partitions=None)
         assert plan.lock_set(4).partitions == (0, 1, 2, 3)
-        assert plan.is_distributed(4)
-        assert not plan.is_distributed(1)
+        assert plan.lock_set(1).partitions == (0,)
 
     def test_explicit_lock_set(self):
         plan = ExecutionPlan(base_partition=1, locked_partitions=PartitionSet.of([1]))
-        assert not plan.is_distributed(8)
-        assert plan.locks_partition(1, 8)
-        assert not plan.locks_partition(2, 8)
+        assert plan.lock_set(8).partitions == (1,)
 
 
 class TestTransactionRecord:
@@ -43,9 +40,7 @@ class TestTransactionRecord:
         record.attempts.append(make_attempt(AttemptOutcome.COMMITTED, partitions=(0, 1)))
         assert record.committed
         assert record.restarts == 1
-        assert record.total_queries == 4
-        assert record.wasted_queries == 2
-        assert not record.single_partitioned
+        assert not record.final_attempt.single_partitioned
         assert record.final_plan.locked_partitions is None
 
     def test_user_abort_flag(self):
@@ -54,11 +49,3 @@ class TestTransactionRecord:
         record.attempts.append(make_attempt(AttemptOutcome.USER_ABORT))
         assert record.user_aborted
         assert not record.committed
-
-    def test_estimation_time_totals(self):
-        record = TransactionRecord(txn_id=3, request=ProcedureRequest.of("p", (1,)))
-        record.plans.append(ExecutionPlan(0, None, estimation_ms=0.5))
-        record.plans.append(ExecutionPlan(0, None, estimation_ms=0.25))
-        record.attempts.append(make_attempt())
-        record.attempts.append(make_attempt())
-        assert record.total_estimation_ms == 0.75

@@ -4,8 +4,8 @@ Covers the contracts the session layer builds on:
 
 * strict validation (:class:`~repro.errors.WorkloadError` on the first bad
   parameter) for every source kind;
-* ``to_dict`` / ``from_dict`` round-tripping, including nested phased and
-  tenant compositions and inline trace records;
+* ``to_dict`` / ``from_dict`` round-tripping, including nested tenant
+  compositions and inline trace records;
 * deterministic compilation — the same source compiles to the same arrival
   stream every time, and the three arrival processes preserve their
   long-run rate;
@@ -25,16 +25,15 @@ from repro.types import ProcedureRequest
 from repro.workload import (
     ClosedLoopSource,
     OpenLoopSource,
-    PhasedSource,
     TenantSource,
     TraceReplaySource,
     TransactionTraceRecord,
     WorkloadSource,
     WorkloadTrace,
-    arrival_gaps,
     arrival_times,
 )
 from repro.workload.sources import CompileContext
+from tests.workload.reference import arrival_gaps
 
 
 # ----------------------------------------------------------------------
@@ -114,19 +113,6 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="speedup"):
             TraceReplaySource(_trace(), speedup=0.0)
 
-    def test_phased_rejects_closed_loops_and_bad_durations(self):
-        open_source = OpenLoopSource(100.0)
-        with pytest.raises(WorkloadError, match="at least one phase"):
-            PhasedSource([])
-        with pytest.raises(WorkloadError, match="closed-loop"):
-            PhasedSource([(100.0, ClosedLoopSource())])
-        with pytest.raises(WorkloadError, match="duration_ms must be positive"):
-            PhasedSource([(-5.0, open_source)])
-        with pytest.raises(WorkloadError, match="final phase"):
-            PhasedSource([(None, open_source), (100.0, open_source)])
-        # Unbounded final phase is allowed.
-        PhasedSource([(100.0, open_source), (None, open_source)])
-
     def test_tenants_reject_closed_loops_and_empty_names(self):
         with pytest.raises(WorkloadError, match="at least one tenant"):
             TenantSource({})
@@ -150,10 +136,10 @@ class TestRoundTrip:
         ClosedLoopSource(clients_per_partition=2, think_time_ms=1.5),
         OpenLoopSource(250.0, "uniform", seed=9, burst_size=4, limit=100),
         TraceReplaySource(path="/tmp/t.jsonl", speedup=2.0, default_gap_ms=0.5),
-        PhasedSource([
-            (100.0, OpenLoopSource(50.0, "poisson", seed=1)),
-            (None, OpenLoopSource(200.0, "bursty", seed=2)),
-        ]),
+        TenantSource({
+            "replay": TraceReplaySource(path="/tmp/t.jsonl", speedup=2.0),
+            "bursts": OpenLoopSource(200.0, "bursty", seed=2),
+        }),
         TenantSource({
             "gold": OpenLoopSource(100.0, seed=1),
             "free": OpenLoopSource(10.0, seed=2),
@@ -181,7 +167,7 @@ class TestRoundTrip:
 class TestCompile:
     def test_closed_loop_compiles_to_an_empty_stream(self):
         compiled = ClosedLoopSource(2, 1.0).compile(CTX)
-        assert compiled.exhausted
+        assert compiled.peek() is None
         assert compiled.take(5) == []
 
     def test_open_loop_compilation_is_deterministic(self):
@@ -224,7 +210,7 @@ class TestCompile:
     def test_open_loop_limit_exhausts_the_stream(self):
         compiled = OpenLoopSource(100.0, limit=3).compile(CTX)
         assert len(compiled.take(10)) == 3
-        assert compiled.exhausted
+        assert compiled.peek() is None
 
 
 class TestTraceReplayCompile:
@@ -258,19 +244,6 @@ class TestTraceReplayCompile:
         source = TraceReplaySource(path=str(tmp_path / "nowhere.jsonl"))
         with pytest.raises(WorkloadError, match="cannot read workload trace"):
             source.compile(CTX)
-
-
-class TestPhasedCompile:
-    def test_phases_shift_and_cut_their_sources(self):
-        source = PhasedSource([
-            (25.0, OpenLoopSource(100.0, "uniform")),
-            (None, OpenLoopSource(1000.0, "uniform")),
-        ])
-        arrivals = source.compile(CTX).take(8)
-        # Phase 1: metronome at 10ms gaps, cut at 25ms -> 10, 20.
-        assert [a.at_ms for a in arrivals[:2]] == pytest.approx([10.0, 20.0])
-        # Phase 2: 1ms gaps offset by the 25ms phase boundary.
-        assert [a.at_ms for a in arrivals[2:6]] == pytest.approx([26.0, 27.0, 28.0, 29.0])
 
 
 class TestTenantCompile:

@@ -31,12 +31,11 @@ from repro.workload import (
     Cohort,
     OpenLoopSource,
     WorkloadSource,
-    arrival_gaps,
     arrival_times,
 )
 from repro.workload import vectorized as vz
 from repro.workload.sources import CompileContext, CompiledSource, Arrival
-from tests.workload.reference import scalar_arrival_times, scalar_gaps
+from tests.workload.reference import arrival_gaps, scalar_arrival_times, scalar_gaps
 
 PROCESSES = ("poisson", "uniform", "bursty")
 SEEDS = (0, 7, 12345)
@@ -244,9 +243,6 @@ class TestClientCohortSource:
                 Cohort("same", 2, think_time_ms=1.0),
             ])
 
-    def test_total_users(self):
-        assert self._population().total_users() == 1000
-
     def test_dict_round_trip_via_registry(self):
         source = self._population()
         restored = WorkloadSource.from_dict(source.to_dict())
@@ -284,7 +280,7 @@ class TestClientCohortSource:
                 Cohort("buyers", 50_000, rate_per_user_per_sec=0.01),
             ]
         )
-        assert source.total_users() == 1_000_000
+        assert sum(cohort.users for cohort in source.cohorts) == 1_000_000
         compiled = source.compile(CTX)
         batch = compiled.take(100)  # arrivals stream lazily; no per-user state
         assert len(batch) == 100
