@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..errors import CatalogError
 from ..types import QueryType
@@ -199,19 +199,6 @@ class Statement:
         yield from self.where.values()
         yield from self.insert_values.values()
         yield from self.set_values.values()
-
-    # ------------------------------------------------------------------
-    # Parameter binding
-    # ------------------------------------------------------------------
-    def bind_where(self, parameters: Sequence[Any]) -> dict[str, Any]:
-        """Resolve the WHERE predicates against concrete parameter values."""
-        plan, max_param = self.where_plan
-        if max_param >= len(parameters):
-            raise missing_parameter(max_param, len(parameters))
-        return {
-            column: parameters[payload] if kind else payload
-            for column, kind, payload in plan
-        }
 
     def partitioning_parameter_index(self, partition_column: str) -> int | None:
         """Return the parameter index bound to ``partition_column`` if any.

@@ -5,8 +5,8 @@ can issue, the table it hits and the parameter that routes it are known
 before the first request arrives.  The executor therefore compiles each
 procedure once, on its first attempt, into a table ``statement name ->``
 :class:`Step` holding everything the catalog and this engine's heaps fix
-about the statement — routing kind, target heap per partition, a primary-key
-getter when the WHERE clause is an exact key match (the dominant OLTP access,
+about the statement — routing kind, target heap per partition, the WHERE
+clause's access path with its key binder (the dominant OLTP access,
 "transactions touch a small subset of data using index look-ups"), the SET
 plan of an UPDATE, the full defaulted row plan of an INSERT.  Executing a
 statement reads the step; nothing is re-derived per call.
@@ -24,7 +24,7 @@ its own tables; tables shared between executors fail
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Sequence
@@ -33,7 +33,7 @@ from ..catalog.procedure import StoredProcedure
 from ..catalog.schema import Catalog
 from ..catalog.statement import BIND_DELTA, Operation, Statement, missing_parameter
 from ..errors import CatalogError, ExecutionError, UnknownColumnError
-from ..storage.heap import RowHeap
+from ..storage.heap import AccessPath, RowHeap
 from ..storage.partition_store import Database
 from ..storage.undo_log import UndoLog
 from ..types import PartitionId, PartitionSet, QueryType
@@ -52,13 +52,21 @@ class Step:
     route_payload: Any
     #: Target heap, by partition id.
     heaps: tuple[RowHeap, ...]
-    #: ``parameters -> primary-key values`` when the WHERE clause is an exact
-    #: primary-key match, else ``None``; usable once ``key_arity`` parameters
-    #: were supplied.  A one-column ``itemgetter`` yields the bare value
-    #: (``key_is_scalar``).
+    #: The WHERE clause's ``RowHeap.access_path``, ``parameters -> key`` in
+    #: index-column order (a one-column ``itemgetter`` yields the bare value,
+    #: ``key_is_scalar``), the ``(column, kind, payload)`` predicates the key
+    #: leaves to check per row, and the parameters the clause needs.
+    path: AccessPath | None = None
     key_of: Callable[[Sequence[Any]], Any] | None = None
     key_is_scalar: bool = False
-    key_arity: int = 0
+    residual: tuple[tuple[str, int, Any], ...] = ()
+    where_arity: int = 0
+    #: Per partition: the path's ``RowHeap.prober`` (resolved on first use,
+    #: so a prefix index is built where needed) and the live row dict.
+    probes: list = field(default_factory=list)
+    rows: tuple[dict[int, dict[str, Any]], ...] = ()
+    #: A unique, exact path: one dict lookup per partition (``execute``).
+    point: bool = False
     #: The write body (``None`` for SELECT): this module's ``_insert`` /
     #: ``_update`` / ``_delete``.
     write: Callable[..., int] | None = None
@@ -116,24 +124,13 @@ class StatementExecutor:
         # Direct partition-store list: partition ids were bounded by routing.
         heaps = tuple(store._heaps[statement.table] for store in self.database._partitions)
         step = Step(statement, index, statement.query_type, route, route_payload, heaps)
-        where_plan, where_max_param = statement.where_plan
-        primary_key = tuple(table.primary_key)
-        by_column = {column: (kind, payload) for column, kind, payload in where_plan}
-        if primary_key and set(by_column) == set(primary_key):
-            bindings = [by_column[column] for column in primary_key]
-            if all(kind for kind, _ in bindings):
-                step.key_of = itemgetter(*(payload for _, payload in bindings))
-                step.key_is_scalar = len(bindings) == 1
-            else:
-                step.key_of = lambda parameters: tuple(
-                    parameters[payload] if kind else payload for kind, payload in bindings
-                )
-            step.key_arity = where_max_param + 1
         operation = statement.operation
         if operation is Operation.INSERT:
             step.write = _insert
             self._compile_row_plan(step, table)
-        elif operation is Operation.UPDATE:
+            return step
+        self._compile_access(step)
+        if operation is Operation.UPDATE:
             step.write = _update
             step.set_plan, set_max_param = statement.set_plan
             step.set_arity = set_max_param + 1
@@ -141,6 +138,26 @@ class StatementExecutor:
         elif operation is Operation.DELETE:
             step.write = _delete
         return step
+
+    @staticmethod
+    def _compile_access(step: Step) -> None:
+        where_plan, where_max_param = step.statement.where_plan
+        by_column = {column: (kind, payload) for column, kind, payload in where_plan}
+        step.path = path = step.heaps[0].access_path(by_column.keys())
+        step.where_arity = where_max_param + 1
+        bindings = [by_column[column] for column in path.key_columns]
+        if bindings and all(kind for kind, _ in bindings):
+            step.key_of = itemgetter(*(payload for _, payload in bindings))
+            step.key_is_scalar = len(bindings) == 1
+        elif bindings:
+            step.key_of = lambda parameters: tuple(
+                parameters[payload] if kind else payload for kind, payload in bindings
+            )
+        if not path.exact:
+            step.residual = tuple(e for e in where_plan if e[0] not in path.key_columns)
+        step.point = path.unique and path.exact
+        step.probes = [None] * len(step.heaps)
+        step.rows = tuple(heap._rows for heap in step.heaps)
 
     @staticmethod
     def _compile_row_plan(step: Step, table) -> None:
@@ -185,45 +202,51 @@ class StatementExecutor:
         partition_ids = partitions.partitions
         if not partition_ids:
             raise ExecutionError(f"statement {step.statement.name!r} targeted no partitions")
-        write = step.write
-        if write is not None:
-            return [{"modified": write(step, parameters, partition_ids, undo_log)}]
+        if step.write is not None:
+            return [{"modified": step.write(step, parameters, partition_ids, undo_log)}]
         statement = step.statement
-        output_columns = statement.output_columns
-        heaps = step.heaps
-        rows: list[dict[str, Any]] = []
-        key_of = step.key_of
-        if key_of is not None and step.key_arity <= len(parameters):
-            # Exact primary-key read: bind the key tuple straight from the
-            # parameters and probe the unique index.  A unique key yields at
-            # most one row per partition, so per-partition ordering/limit are
-            # no-ops; only the multi-partition merge below can need them.
-            key = key_of(parameters)
+        order_by, limit = statement.order_by, statement.limit
+        probes, heap_rows = step.probes, step.rows
+        found: list[dict[str, Any]] = []
+        if step.point:
+            # Primary-key reads, broadcasts through a unique index: at most one
+            # row per partition, so ordering and a positive limit are no-ops.
+            if step.where_arity > len(parameters):
+                raise missing_parameter(step.where_arity - 1, len(parameters))
+            key = step.key_of(parameters)
             if step.key_is_scalar:
                 key = (key,)
             for partition_id in partition_ids:
-                for row in heaps[partition_id].pk_rows(key):
-                    if output_columns:
-                        projected = {}
-                        for column in output_columns:
-                            projected[column] = row[column]
-                        rows.append(projected)
-                    else:
-                        rows.append(dict(row))
+                row_id = (probes[partition_id] or _resolve_probe(step, partition_id))(key)
+                if row_id is not None:
+                    found.append(heap_rows[partition_id][row_id])
         else:
-            # One predicate serves every partition of a broadcast.
-            predicate = statement.bind_where(parameters)
-            order_by, limit = statement.order_by, statement.limit
+            key, residual = _bind_where(step, parameters)
             for partition_id in partition_ids:
-                rows.extend(heaps[partition_id].select(
-                    predicate, output_columns=output_columns, order_by=order_by, limit=limit
-                ))
-        if statement.order_by is not None and len(partition_ids) > 1:
-            column, descending = statement.order_by
-            rows.sort(key=lambda r: r[column], reverse=descending)
-            if statement.limit is not None:
-                rows = rows[: statement.limit]
-        return rows
+                probe = probes[partition_id] or _resolve_probe(step, partition_id)
+                rows = heap_rows[partition_id]
+                row_ids = step.heaps[partition_id].match(probe, key, residual, step.path.unique)
+                matched = [rows[row_id] for row_id in row_ids]
+                if order_by is not None:
+                    matched.sort(key=itemgetter(order_by[0]), reverse=order_by[1])
+                if limit is not None:
+                    del matched[limit:]
+                found.extend(matched)
+        if order_by is not None and len(partition_ids) > 1:
+            # Merged on full rows: the ORDER BY column need not be projected.
+            found.sort(key=itemgetter(order_by[0]), reverse=order_by[1])
+            if limit is not None:
+                del found[limit:]
+        output_columns = statement.output_columns
+        if not output_columns:
+            return [dict(row) for row in found]
+        rows_out = []
+        for row in found:
+            projected = {}
+            for column in output_columns:
+                projected[column] = row[column]
+            rows_out.append(projected)
+        return rows_out
 
 
 # ----------------------------------------------------------------------
@@ -232,16 +255,22 @@ class StatementExecutor:
 # reference cycle, and a dropped engine's database would wait for the cycle
 # collector instead of being freed at once.
 # ----------------------------------------------------------------------
-def _matching_row_ids(step: Step, parameters: Sequence[Any], heap: RowHeap) -> Sequence[int]:
-    """Row ids an UPDATE/DELETE applies to on one partition."""
-    key_of = step.key_of
-    if key_of is not None and step.key_arity <= len(parameters):
-        key = key_of(parameters)
-        if step.key_is_scalar:
-            key = (key,)
-        # Immutable: the write may re-key or remove the row it iterates.
-        return heap.pk_row_ids(key)
-    return heap.find(step.statement.bind_where(parameters))
+def _bind_where(step: Step, parameters: Sequence[Any]) -> tuple[Any, tuple]:
+    """The probe key and the bound ``(column, value)`` residual of one call."""
+    if step.where_arity > len(parameters):
+        raise missing_parameter(step.where_arity - 1, len(parameters))
+    key = step.key_of(parameters) if step.key_of is not None else None
+    if step.key_is_scalar:
+        key = (key,)
+    return key, step.residual and tuple(
+        (column, parameters[payload] if kind else payload)
+        for column, kind, payload in step.residual
+    )
+
+
+def _resolve_probe(step: Step, partition_id: PartitionId):
+    probe = step.probes[partition_id] = step.heaps[partition_id].prober(step.path)
+    return probe
 
 
 def _insert(
@@ -278,9 +307,12 @@ def _update(
     has_deltas = step.set_has_deltas
     effects = undo_log.effects
     modified = 0
+    key, residual = _bind_where(step, parameters)
     for partition_id in partition_ids:
         heap = step.heaps[partition_id]
-        row_ids = _matching_row_ids(step, parameters, heap)
+        probe = step.probes[partition_id] or _resolve_probe(step, partition_id)
+        # A new list: the write may re-key or remove the rows it iterates.
+        row_ids = heap.match(probe, key, residual, step.path.unique)
         if step.set_arity > len(parameters):
             raise missing_parameter(step.set_arity - 1, len(parameters))
         assignments: dict[str, Any] = {}
@@ -296,7 +328,7 @@ def _update(
             if has_deltas:
                 # ``col = col + parameter`` straight from the SET plan;
                 # the sum depends on the row, so each is validated.
-                current = heap.row(row_id)
+                current = step.rows[partition_id][row_id]
                 assignments = {}
                 for column, kind, payload in set_plan:
                     if kind == BIND_DELTA:
@@ -324,9 +356,11 @@ def _delete(
     table_name = step.statement.table
     effects = undo_log.effects
     modified = 0
+    key, residual = _bind_where(step, parameters)
     for partition_id in partition_ids:
         heap = step.heaps[partition_id]
-        for row_id in _matching_row_ids(step, parameters, heap):
+        probe = step.probes[partition_id] or _resolve_probe(step, partition_id)
+        for row_id in heap.match(probe, key, residual, step.path.unique):
             before = heap.delete(row_id)
             undo_log.record_delete(table_name, partition_id, row_id, before)
             if effects is not None:

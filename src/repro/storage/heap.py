@@ -8,17 +8,26 @@ insert/update/delete operations the statement executor builds on.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from operator import itemgetter
+from typing import AbstractSet, Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..errors import DuplicateKeyError, StorageError
 from ..catalog.table import Table
 from .indexes import HashIndex, UniqueIndex
 
-#: Shared empty row list for primary-key misses.
-_NO_ROWS: list = []
-
-#: Either index kind; both offer the same maintenance and lookup methods.
+#: Either index kind; both offer the same maintenance and probe methods.
 Index = HashIndex | UniqueIndex
+
+
+class AccessPath(NamedTuple):
+    """How an equality predicate finds its rows (:meth:`RowHeap.access_path`)."""
+
+    #: The probed index's columns, in index order; ``()`` scans every row.
+    key_columns: tuple[str, ...]
+    #: The key binds every predicate column: no residual check is needed.
+    exact: bool
+    #: A probe yields one row id (or ``None``), not a bucket.
+    unique: bool
 
 
 class RowHeap:
@@ -41,7 +50,7 @@ class RowHeap:
         #: rows up by a PK prefix, which would otherwise be a full scan).
         #: Keyed by prefix length; maintained by every mutation thereafter.
         self._prefix: dict[int, HashIndex] = {}
-        #: Precomputed column sets consulted on every ``find``.
+        #: Precomputed column sets the planner (:meth:`access_path`) consults.
         self._pk_columns: tuple[str, ...] = tuple(table.primary_key or ())
         self._pk_set: frozenset[str] = frozenset(self._pk_columns)
         self._secondary_sets: tuple[tuple[Index, frozenset[str]], ...] = tuple(
@@ -77,32 +86,6 @@ class RowHeap:
             return dict(self._rows[row_id])
         except KeyError:
             raise StorageError(f"no row with id {row_id} in table {self.table.name!r}") from None
-
-    def row(self, row_id: int) -> dict[str, Any]:
-        """The *live* row dict — read-only, executor fast path only."""
-        try:
-            return self._rows[row_id]
-        except KeyError:
-            raise StorageError(f"no row with id {row_id} in table {self.table.name!r}") from None
-
-    # ------------------------------------------------------------------
-    # Primary-key fast path (the executor's compiled steps)
-    # ------------------------------------------------------------------
-    def pk_row_ids(self, key: tuple[Any, ...]) -> tuple[int, ...]:
-        """Row ids carrying an exact primary-key tuple: ``(row_id,)`` or ``()``.
-
-        Immutable, so callers may update or delete the rows while iterating.
-        """
-        if self._primary is None:
-            raise StorageError(f"table {self.table.name!r} has no primary key")
-        return self._primary.lookup_readonly(key)
-
-    def pk_rows(self, key: tuple[Any, ...]) -> list[dict[str, Any]]:
-        """Live row dicts for an exact primary-key tuple (read-only)."""
-        if self._primary is None:
-            raise StorageError(f"table {self.table.name!r} has no primary key")
-        row_id = self._primary.get(key)
-        return _NO_ROWS if row_id is None else [self._rows[row_id]]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -213,54 +196,66 @@ class RowHeap:
     # ------------------------------------------------------------------
     # Access paths
     # ------------------------------------------------------------------
-    def find(self, predicate: dict[str, Any]) -> list[int]:
-        """Return the row ids matching conjunctive equality predicates.
-
-        Uses the primary-key index when the predicate covers it, a secondary
-        index when one matches a subset of the predicate columns, a lazily
-        built primary-key *prefix* index when the predicate covers a proper
-        prefix of the primary key, and falls back to a sequential scan
-        otherwise.
-        """
-        if not predicate:
-            return list(self._rows.keys())
-        candidates, exact = self._candidate_ids(predicate)
-        if exact:
-            # The index key covers every predicate column, so the candidates
-            # already satisfy the predicate — no per-row verification needed.
-            return candidates
-        rows = self._rows
-        matching = []
-        for row_id in candidates:
-            row = rows.get(row_id)
-            if row is None:
-                continue
-            if all(row.get(column) == value for column, value in predicate.items()):
-                matching.append(row_id)
-        return matching
-
-    def _candidate_ids(self, predicate: dict[str, Any]) -> tuple[list[int], bool]:
-        """Candidate row ids plus whether they need no further verification."""
-        predicate_columns = predicate.keys()
+    def access_path(self, columns: AbstractSet[str]) -> AccessPath:
+        """Plan how a conjunctive equality predicate over ``columns`` finds
+        its rows — the one planner: the executor compiles it into each step,
+        :meth:`find` runs it per call.  In order of preference: the primary
+        key, the first secondary index the predicate covers, a lazily built
+        primary-key *prefix* index, a scan.  The plan depends on the table
+        alone, so it holds on every partition."""
         primary_key = self._pk_columns
-        if self._primary is not None and self._pk_set <= predicate_columns:
-            key = tuple(predicate[c] for c in primary_key)
-            return self._primary.lookup(key), len(predicate) == len(primary_key)
+        if self._primary is not None and self._pk_set <= columns:
+            return AccessPath(primary_key, len(columns) == len(primary_key), True)
         for index, column_set in self._secondary_sets:
-            if column_set <= predicate_columns:
-                key = tuple(predicate[c] for c in index.columns)
-                return index.lookup(key), len(predicate) == len(index.columns)
-        if primary_key:
-            length = 0
-            for column in primary_key:
-                if column not in predicate_columns:
-                    break
-                length += 1
-            if length > 0:
-                index = self._prefix_index(length)
-                key = tuple(predicate[c] for c in primary_key[:length])
-                return index.lookup(key), len(predicate) == length
-        return list(self._rows.keys()), False
+            if column_set <= columns:
+                exact = len(columns) == len(index.columns)
+                return AccessPath(index.columns, exact, isinstance(index, UniqueIndex))
+        length = 0
+        while length < len(primary_key) and primary_key[length] in columns:
+            length += 1
+        if length:
+            return AccessPath(primary_key[:length], len(columns) == length, False)
+        return AccessPath((), not columns, False)
+
+    def prober(self, path: AccessPath) -> Callable[[tuple[Any, ...] | None], Any]:
+        """``key -> entry`` for ``path`` on this heap: a row id (unique paths)
+        or a live bucket, ``None`` on a miss; a scan's returns every row id.
+        Builds the prefix index ``path`` names if this heap has none yet."""
+        columns = path.key_columns
+        if not columns:
+            rows = self._rows
+            return lambda _key: rows.keys()
+        if columns == self._pk_columns:
+            return self._primary.prober()
+        for index in self._secondary.values():
+            if index.columns == columns:
+                return index.prober()
+        return self._prefix_index(len(columns)).prober()
+
+    def match(self, probe, key, residual: Sequence[tuple[str, Any]], unique: bool) -> list[int]:
+        """Row ids ``probe(key)`` finds whose rows also equal every ``(column,
+        value)`` of ``residual``: a new list (callers may write the rows while
+        iterating it), in index order — storage order for a scan."""
+        entry = probe(key)
+        if entry is None:
+            return []
+        if unique:
+            entry = (entry,)
+        if not residual:
+            return list(entry)
+        rows = self._rows
+        return [
+            row_id for row_id in entry
+            if all(rows[row_id].get(column) == value for column, value in residual)
+        ]
+
+    def find(self, predicate: dict[str, Any]) -> list[int]:
+        """Row ids matching conjunctive equality predicates (ad hoc; the
+        executor compiles the same plan into its steps)."""
+        path = self.access_path(predicate.keys())
+        key = tuple(predicate[column] for column in path.key_columns)
+        residual = () if path.exact else tuple(predicate.items())
+        return self.match(self.prober(path), key, residual, path.unique)
 
     def _prefix_index(self, length: int) -> HashIndex:
         """Get (or lazily build) the index over the first ``length`` PK columns.
@@ -277,27 +272,10 @@ class RowHeap:
             self._indexes.append(index)
         return index
 
-    def _find_readonly(self, predicate: dict[str, Any]) -> list[int]:
-        """Like :meth:`find` but may return a live index bucket.
-
-        Only safe for callers that do not mutate the heap while holding the
-        result (SELECT / aggregate paths); :meth:`find` itself always copies
-        because the write paths delete/update rows while iterating.
-        """
-        if not predicate:
-            return list(self._rows.keys())
-        predicate_columns = predicate.keys()
-        primary_key = self._pk_columns
-        if self._primary is not None and self._pk_set <= predicate_columns:
-            if len(predicate) == len(primary_key):
-                key = tuple(predicate[c] for c in primary_key)
-                return self._primary.lookup_readonly(key)
-        else:
-            for index, column_set in self._secondary_sets:
-                if column_set <= predicate_columns and len(predicate) == len(index.columns):
-                    key = tuple(predicate[c] for c in index.columns)
-                    return index.lookup_readonly(key)
-        return self.find(predicate)
+    def pk_rows(self, key: tuple[Any, ...]) -> list[dict[str, Any]]:
+        """Live row dicts for an exact primary-key tuple (ad hoc, read-only)."""
+        rows = self._rows
+        return [rows[row_id] for row_id in self.match(self._primary.prober(), key, (), True)]
 
     def select(
         self,
@@ -307,18 +285,19 @@ class RowHeap:
         order_by: tuple[str, bool] | None = None,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
-        """Run a SELECT against this heap and return projected row copies."""
-        row_ids = self._find_readonly(predicate)
-        if not row_ids:
-            # Most partitions of a broadcast hold no match.
-            return []
+        """Run an ad-hoc SELECT against this heap and return projected row copies."""
         rows = self._rows
-        found = [rows[row_id] for row_id in row_ids]
+        found = [rows[row_id] for row_id in self.find(predicate)]
         if order_by is not None:
-            column, descending = order_by
-            found = sorted(found, key=lambda r: r[column], reverse=descending)
+            found.sort(key=itemgetter(order_by[0]), reverse=order_by[1])
         if limit is not None:
-            found = found[:limit]
-        if output_columns:
-            return [{c: row[c] for c in output_columns} for row in found]
-        return [dict(row) for row in found]
+            del found[limit:]
+        if not output_columns:
+            return [dict(row) for row in found]
+        projected_rows = []
+        for row in found:
+            projected = {}
+            for column in output_columns:
+                projected[column] = row[column]
+            projected_rows.append(projected)
+        return projected_rows

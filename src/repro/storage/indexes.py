@@ -16,7 +16,7 @@ matched rows.  Two kinds are provided:
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from ..errors import StorageError
 
@@ -39,6 +39,13 @@ class _Index:
 
     def contains(self, key: tuple[Any, ...]) -> bool:
         return key in self._entries
+
+    def prober(self) -> Callable[[tuple[Any, ...]], Any]:
+        """The raw ``key -> entry`` lookup compiled read paths call once per
+        partition: a row id (:class:`UniqueIndex`) or a live bucket
+        (:class:`HashIndex`), ``None`` on a miss.  A bucket must not be held
+        across a write to this index."""
+        return self._entries.get
 
     def keys(self) -> Iterator[tuple[Any, ...]]:
         return iter(self._entries)
@@ -72,19 +79,6 @@ class UniqueIndex(_Index):
             raise self._missing(key, row_id)
         del self._entries[key]
 
-    def get(self, key: tuple[Any, ...]) -> int | None:
-        """The row id stored under ``key``, or ``None``."""
-        return self._entries.get(key)
-
-    def lookup(self, key: tuple[Any, ...]) -> list[int]:
-        row_id = self._entries.get(key)
-        return [] if row_id is None else [row_id]
-
-    def lookup_readonly(self, key: tuple[Any, ...]) -> tuple[int, ...]:
-        """``(row_id,)`` or ``()``: immutable, so safe to hold across writes."""
-        row_id = self._entries.get(key)
-        return () if row_id is None else (row_id,)
-
     def items(self) -> Iterator[tuple[tuple[Any, ...], tuple[int, ...]]]:
         """``(key, row ids)`` per key, in insertion order."""
         for key, row_id in self._entries.items():
@@ -110,17 +104,6 @@ class HashIndex(_Index):
         bucket.remove(row_id)
         if not bucket:
             del self._entries[key]
-
-    def lookup(self, key: tuple[Any, ...]) -> list[int]:
-        return list(self._entries.get(key, ()))
-
-    def lookup_readonly(self, key: tuple[Any, ...]) -> Sequence[int]:
-        """Bucket for ``key`` without the defensive copy.
-
-        The returned sequence is live index state — callers must not mutate
-        it or the heap while holding it (the read-only SELECT path).
-        """
-        return self._entries.get(key, ())
 
     def items(self) -> Iterator[tuple[tuple[Any, ...], list[int]]]:
         """``(key, live bucket)`` per key, in insertion order."""

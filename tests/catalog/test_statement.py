@@ -42,13 +42,10 @@ class TestConstruction:
 
 
 class TestBinding:
-    def test_bind_where_resolves_parameters_and_literals(self):
-        bound = select_statement().bind_where([42])
-        assert bound == {"ID": 42, "KIND": "fixed"}
-
-    def test_bind_where_missing_parameter_raises(self):
-        with pytest.raises(CatalogError):
-            select_statement().bind_where([])
+    def test_where_plan_classifies_parameters_and_literals(self):
+        assert select_statement().where_plan == (
+            (("ID", BIND_PARAM, 0), ("KIND", BIND_LITERAL, "fixed")), 0
+        )
 
     def test_insert_plan_classifies_parameters_and_literals(self):
         statement = Statement(

@@ -3,17 +3,20 @@
 One layer per line, nothing cached, nothing compiled: resolve the statement
 by name, ask a *fresh* partition estimator where it goes, test the lock set,
 bind the WHERE / VALUES / SET maps straight from the statement's declarative
-form (this module owns its binder — production has none left for INSERT and
-SET), find the rows through the heap's generic access path, apply the
-change row by row with per-row validation, write the undo record, append the
-effect.  It is the differential oracle for ``repro.engine``
+form (this module owns its binder — production has none left), find the rows
+by a full scan with an ``==`` test per predicate column (production's
+access-path planner is what it checks), apply the change row by row with
+per-row validation, write the undo record, append the effect.  It is the
+differential oracle for ``repro.engine``
 (``tests/property/test_property_execution.py``): same rows returned, same
 exception type and message, same ``QueryInvocation`` stream, same undo
-written/skipped counts, same captured effects, same final heaps and indexes.
+written/skipped counts, same captured effects, same final heaps and declared
+indexes.
 
 It shares with production only what sits *below* the statement path — the
-row heap, the undo log, the catalog's declarative objects and
-``PartitionEstimator.partitions_for`` (the off-line internal API).
+row heap's rows and write methods, the undo log, the catalog's declarative
+objects and ``PartitionEstimator.partitions_for`` (the off-line internal
+API).
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ def bind(bindings: dict[str, Any], parameters: Sequence[Any]) -> dict[str, Any]:
         else:
             bound[column] = value
     return bound
+
+
+def scan(heap, predicate: dict[str, Any]) -> list[int]:
+    """Row ids whose rows equal every predicate value: a full scan in
+    storage order, with no index and no access-path planner."""
+    return [
+        row_id for row_id in heap.row_ids()
+        if all(heap._rows[row_id].get(column) == value for column, value in predicate.items())
+    ]
 
 
 class ReferenceContext:
@@ -155,20 +167,25 @@ class ReferenceContext:
         if not partitions.partitions:
             raise ExecutionError(f"statement {statement.name!r} targeted no partitions")
         if statement.operation is Operation.SELECT:
+            predicate = bind(statement.where, parameters)
             rows = []
             for partition_id in partitions.partitions:
                 heap = self.database.partition(partition_id).heap(statement.table)
-                rows.extend(heap.select(
-                    bind(statement.where, parameters),
-                    output_columns=statement.output_columns,
-                    order_by=statement.order_by,
-                    limit=statement.limit,
-                ))
+                found = [heap.get(row_id) for row_id in scan(heap, predicate)]
+                if statement.order_by is not None:
+                    column, descending = statement.order_by
+                    found.sort(key=lambda r: r[column], reverse=descending)
+                if statement.limit is not None:
+                    found = found[: statement.limit]
+                rows.extend(found)
             if statement.order_by is not None and len(partitions.partitions) > 1:
+                # Merged on full rows: the ORDER BY column need not be projected.
                 column, descending = statement.order_by
                 rows.sort(key=lambda r: r[column], reverse=descending)
                 if statement.limit is not None:
                     rows = rows[: statement.limit]
+            if statement.output_columns:
+                rows = [{c: row[c] for c in statement.output_columns} for row in rows]
             return rows
         modified = 0
         for partition_id in partitions.partitions:
@@ -184,7 +201,7 @@ class ReferenceContext:
             if effects is not None:
                 effects.append(("i", name, partition_id, row_id, heap.get(row_id)))
             return 1
-        row_ids = heap.find(bind(statement.where, parameters))
+        row_ids = scan(heap, bind(statement.where, parameters))
         if statement.operation is Operation.DELETE:
             for row_id in row_ids:
                 log.record_delete(name, partition_id, row_id, heap.delete(row_id))

@@ -6,10 +6,12 @@ divided by ``StatementExecutor.execute`` calls, over a fixed run.  The same
 function read, at the parent commit, 35.73 on the TPC-C run and 86.10 on the
 TATP run (the layered path: context → procedure → estimator → lock check →
 executor → binders → heap → monitor); with the step tables it reads 16.97 and
-45.90.  The count is a function of the code and the seed, not of the host; a
-fresh interpreter repeats it exactly, and inside a longer pytest session it
-can only read *lower* (vertex keys another live model already holds are
-found, not constructed).  The gates sit just above what the step tables reach.
+45.90, and with each statement's access path compiled into its step 13.03
+and 29.23 (TATP's broadcast by subscriber number probes one dict per
+partition).  The count is a function of the code and the seed, not of the
+host; a fresh interpreter repeats it exactly, and inside a longer pytest
+session it can only read *lower* (vertex keys another live model already
+holds are found, not constructed).  The gates sit just above the last pair.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import pytest
 from repro.catalog import (
     Catalog, Operation, PartitionScheme, Schema, Statement, Table, integer, param, string,
 )
-from repro.catalog.statement import Statement as StatementClass
 from repro.engine import ExecutionEngine, StatementExecutor
+from repro.engine import executor as executor_module
 from repro.errors import CatalogError, UnknownColumnError
 from repro.session import Cluster, ClusterSpec
 from repro.storage import Database, UndoLog
@@ -66,8 +68,8 @@ def calls_per_statement(benchmark: str, transactions: int) -> float:
 
 class TestCountedGate:
     @pytest.mark.parametrize("benchmark_name, transactions, parent, gate", [
-        ("tpcc", 300, 35.73, 17.5),
-        ("tatp", 2000, 86.10, 46.5),
+        ("tpcc", 300, 35.73, 13.5),
+        ("tatp", 2000, 86.10, 29.5),
     ])
     def test_python_calls_per_statement(self, benchmark_name, transactions, parent, gate):
         measured = calls_per_statement(benchmark_name, transactions)
@@ -81,13 +83,13 @@ class TestBroadcastSelect:
         """A non-key SELECT sent to every partition binds its WHERE clause
         once per statement, not once per partition."""
         binds = []
-        bind_where = StatementClass.bind_where
+        bind_where = executor_module._bind_where
 
-        def counting(self, parameters):
-            binds.append(self.name)
-            return bind_where(self, parameters)
+        def counting(step, parameters):
+            binds.append(step.statement.name)
+            return bind_where(step, parameters)
 
-        monkeypatch.setattr(StatementClass, "bind_where", counting)
+        monkeypatch.setattr(executor_module, "_bind_where", counting)
         executor = StatementExecutor(account_catalog, account_database)
         scan = Statement(
             name="ScanOwner", table="ACCOUNT", operation=Operation.SELECT,
@@ -98,6 +100,43 @@ class TestBroadcastSelect:
         )
         assert [row["A_ID"] for row in rows] == [6]
         assert binds == ["ScanOwner"]
+
+    @pytest.mark.parametrize("output_columns", [("A_ID",), ("A_ID", "A_BALANCE"), ()])
+    def test_a_broadcast_orders_by_a_column_it_need_not_project(
+        self, account_catalog, account_database, output_columns
+    ):
+        """Single partition ≡ broadcast for ORDER BY + LIMIT + projection:
+        the merge sorts full rows, so the ORDER BY column need not be among
+        the projected ones (it raised ``KeyError`` when the merge sorted
+        projected rows)."""
+        for store in account_database.partitions():
+            heap = store.heap("ACCOUNT")
+            for row_id in list(heap.row_ids()):
+                account = heap.get(row_id)["A_ID"]
+                if account < 8:
+                    heap.update(row_id, {"A_OWNER": "shared", "A_BALANCE": 10 * account})
+        executor = StatementExecutor(account_catalog, account_database)
+        step = executor.compile(Statement(
+            name="Richest", table="ACCOUNT", operation=Operation.SELECT,
+            where={"A_OWNER": param(0)}, output_columns=output_columns,
+            order_by=("A_BALANCE", True), limit=2,
+        ))
+        full_rows = executor.compile(Statement(
+            name="Richest", table="ACCOUNT", operation=Operation.SELECT,
+            where={"A_OWNER": param(0)}, order_by=("A_BALANCE", True), limit=2,
+        ))
+        merged = [
+            row for partition in range(4)
+            for row in executor.execute(
+                full_rows, ["shared"], PartitionSet.of([partition]), UndoLog()
+            )
+        ]
+        merged.sort(key=lambda row: row["A_BALANCE"], reverse=True)
+        expected = [
+            {column: row[column] for column in output_columns or row} for row in merged[:2]
+        ]
+        assert [row["A_ID"] for row in expected] == [7, 6]
+        assert executor.execute(step, ["shared"], PartitionSet.of(range(4)), UndoLog()) == expected
 
 
 class TestTableLifetime:
@@ -219,6 +258,14 @@ class TestCompiledPlansKeepTheirErrors:
         with pytest.raises(CatalogError, match="missing required column 'NAME'"):
             self.run(executor, insert, [1])
         assert len(executor.database.partition(0).heap("T")) == 0
+
+    def test_a_short_parameter_list_raises_before_any_probe(self, executor):
+        select = Statement(
+            name="S", table="T", operation=Operation.SELECT,
+            where={"ID": param(0), "NAME": "fixed"},
+        )
+        with pytest.raises(CatalogError, match="parameter index 0 but only 0"):
+            self.run(executor, select, [])
 
     def test_literal_in_the_key_still_uses_the_key_path(self, executor):
         heap = executor.database.partition(0).heap("T")

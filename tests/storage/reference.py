@@ -5,9 +5,11 @@ one list of row ids per key, ``unique=True`` for primary keys and unique
 secondary indexes — plus the public ``items()`` reader the heap invariants
 use.  :class:`ReferenceHeap` is a :class:`~repro.storage.heap.RowHeap` whose
 primary and secondary indexes are this class, with the ``pk_rows`` that read
-a live bucket.  ``tests/property/test_property_indexes.py`` drives both
+a live bucket, and whose ad-hoc ``find`` / ``select`` run the access-path
+planner the executor's compiled steps replaced: it re-plans per call from the
+bound predicate.  ``tests/property/test_property_indexes.py`` drives both
 against the shipped :class:`~repro.storage.UniqueIndex` /
-:class:`~repro.storage.HashIndex` pair.
+:class:`~repro.storage.HashIndex` pair and the shipped planner.
 """
 
 from __future__ import annotations
@@ -99,3 +101,50 @@ class ReferenceHeap(RowHeap):
     def pk_rows(self, key: tuple[Any, ...]) -> list[dict[str, Any]]:
         bucket = self._primary.lookup_readonly(key)
         return [self._rows[bucket[0]]] if bucket else []
+
+    # -- the per-call planner ---------------------------------------------
+    def find(self, predicate: dict[str, Any]) -> list[int]:
+        if not predicate:
+            return list(self._rows.keys())
+        candidates, exact = self._candidate_ids(predicate)
+        if exact:
+            return candidates
+        rows = self._rows
+        return [
+            row_id for row_id in candidates
+            if all(rows[row_id].get(column) == value for column, value in predicate.items())
+        ]
+
+    def _candidate_ids(self, predicate: dict[str, Any]) -> tuple[list[int], bool]:
+        """Candidate row ids (a copy of one bucket) plus whether they need no
+        further verification: primary key, then the first covering
+        secondary index, then a primary-key prefix, then a scan."""
+        predicate_columns = predicate.keys()
+        primary_key = self._pk_columns
+        if self._pk_set <= predicate_columns:
+            index, length = self._primary, len(primary_key)
+        else:
+            index = next(
+                (index for index, columns in self._secondary_sets if columns <= predicate_columns),
+                None,
+            )
+            length = 0 if index is None else len(index.columns)
+            if index is None:
+                while length < len(primary_key) and primary_key[length] in predicate_columns:
+                    length += 1
+                if length == 0:
+                    return list(self._rows.keys()), False
+                index = self._prefix_index(length)
+        key = tuple(predicate[column] for column in index.columns)
+        return list(index._entries.get(key, ())), len(predicate) == length
+
+    def select(self, predicate, *, output_columns=(), order_by=None, limit=None):
+        found = [self._rows[row_id] for row_id in self.find(predicate)]
+        if order_by is not None:
+            column, descending = order_by
+            found = sorted(found, key=lambda r: r[column], reverse=descending)
+        if limit is not None:
+            found = found[:limit]
+        if output_columns:
+            return [{c: row[c] for c in output_columns} for row in found]
+        return [dict(row) for row in found]

@@ -11,8 +11,9 @@ class TestHashIndex:
         index = HashIndex(("a",))
         index.insert((1,), 10)
         index.insert((1,), 11)
-        assert sorted(index.lookup((1,))) == [10, 11]
-        assert index.lookup((2,)) == []
+        probe = index.prober()
+        assert sorted(probe((1,))) == [10, 11]
+        assert probe((2,)) is None
         assert len(index) == 2
 
     def test_remove(self):
@@ -40,14 +41,12 @@ class TestUniqueIndex:
             index.insert((1,), 11)
         with pytest.raises(StorageError, match="unique index violation"):
             index.check_unique((1,))
-        assert index.get((1,)) == 10
+        assert index.prober()((1,)) == 10
 
     def test_lookups(self):
         index = UniqueIndex(("a",))
         index.insert((1,), 10)
-        assert index.get((1,)) == 10 and index.get((2,)) is None
-        assert index.lookup((1,)) == [10] and index.lookup((2,)) == []
-        assert index.lookup_readonly((1,)) == (10,) and index.lookup_readonly((2,)) == ()
+        assert index.prober()((1,)) == 10 and index.prober()((2,)) is None
         assert list(index.items()) == [((1,), (10,))]
         assert len(index) == 1
 

@@ -133,14 +133,14 @@ class TestRollbackKeepsIndexesConsistent:
         """Restoring a before-image leaves the entries of untouched keys in
         place: the row keeps its position in a shared bucket."""
         database, heap = make_indexed_heap()
-        group_bucket = list(heap._secondary["IDX_GROUP"].lookup((0,)))
-        prefix_bucket = list(heap._prefix[1].lookup((0,)))
+        group_bucket = list(heap._secondary["IDX_GROUP"].prober()((0,)))
+        prefix_bucket = list(heap._prefix[1].prober()((0,)))
         row_id = group_bucket[0]
         log = UndoLog()
         log.record_update("T", 0, row_id, heap.update(row_id, {"TAG": "moved"}))
         log.rollback(database.partition)
-        assert heap._secondary["IDX_GROUP"].lookup((0,)) == group_bucket
-        assert heap._prefix[1].lookup((0,)) == prefix_bucket
+        assert list(heap._secondary["IDX_GROUP"].prober()((0,))) == group_bucket
+        assert list(heap._prefix[1].prober()((0,))) == prefix_bucket
         assert heap.find({"TAG": "t0"}) == [row_id] and heap.find({"TAG": "moved"}) == []
 
 

@@ -57,6 +57,12 @@ KEPT = {
                    "engine oracle enumerate a store's tables through it",
     "QueryTraceRecord": "the named form of a traced query, for traces built by "
                         "hand (TransactionTraceRecord stores plain tuples)",
+    "select": "RowHeap.select: the ad-hoc SELECT over the planner the executor "
+              "compiles; benchmarks/e2e/spans.py wraps it by name and raises "
+              "AttributeError when it is missing",
+    "pk_rows": "RowHeap.pk_rows: the ad-hoc primary-key read; "
+               "benchmarks/e2e/spans.py wraps it by name and raises "
+               "AttributeError when it is missing",
 }
 
 
