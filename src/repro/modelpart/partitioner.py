@@ -144,16 +144,8 @@ class ModelPartitioner:
         records: WorkloadTrace,
         procedure_name: str,
         fallback_model: MarkovModel | None,
-        *,
-        preselected: Sequence[FeatureDefinition] | None = None,
     ) -> ClusteredModels | None:
-        """Cluster one procedure's transactions and build per-cluster models.
-
-        ``preselected`` bypasses feature selection entirely — used when the
-        feature set was already chosen at a different cluster size (the
-        selection depends only on the procedure's parameters, not on the
-        partition count).
-        """
+        """Cluster one procedure's transactions and build per-cluster models."""
         procedure = self.catalog.procedure(procedure_name)
         extractor = FeatureExtractor(procedure, self.catalog.scheme)
         sample = [record.parameters for record in records[: max(200, self.config.min_records)]]
@@ -161,9 +153,7 @@ class ModelPartitioner:
         if not candidates:
             return None
         candidates = candidates[: self.config.max_candidate_features]
-        if preselected is not None:
-            selected = tuple(preselected)
-        elif self.config.feature_selection == "heuristic":
+        if self.config.feature_selection == "heuristic":
             selected = tuple(
                 self._heuristic_features(procedure_name, candidates, sample)
             )

@@ -82,11 +82,6 @@ class TenancyConfig:
     #: ``slo_latency_ms * shed_headroom`` is rejected at the door.  Values
     #: below 1.0 shed earlier (more protective), above 1.0 later.
     shed_headroom: float = spec(1.0, kind="float", gt=0)
-    #: Maintain one queue per (tenant, home partition) instead of one per
-    #: tenant — the cluster-shaped queue structure.  Dispatch order is
-    #: unchanged (the scheduler always pops the globally smallest head),
-    #: only the queue topology and its introspection differ.
-    per_partition_queues: bool = spec(False, kind="bool")
 
     def __post_init__(self) -> None:
         if not isinstance(self.tenants, Mapping):

@@ -31,7 +31,6 @@ the order they arrived or left in.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
 from ..scheduling.policies import SchedulingPolicy
@@ -115,8 +114,7 @@ class TenantScheduler(TransactionScheduler):
         """Adopt a new tenancy config mid-stream.
 
         Weights apply from the next dispatch (virtual clocks carry over —
-        a reconfigure is not an amnesty).  ``per_partition_queues`` only
-        changes how :meth:`queue_depths` groups the backlog.
+        a reconfigure is not an amnesty).
         """
         self._config = config
 
@@ -235,17 +233,12 @@ class TenantScheduler(TransactionScheduler):
         )
 
     def queue_depths(self) -> dict[str, dict[str, int]]:
-        """Per-tenant backlog depth (JSON-shaped), parked work included,
-        grouped by home partition under ``per_partition_queues``."""
-        split = self._config.per_partition_queues
-        depths: dict[str, dict[str, int]] = {}
-        for label in self.backlogged_tenants():
-            homes = (entry[2].predicted_partitions for entry in self._entries_of(label))
-            counts = Counter(home[0] if split and home else 0 for home in homes)
-            depths[label if label is not None else ""] = {
-                str(subkey): counts[subkey] for subkey in sorted(counts)
-            }
-        return depths
+        """Per-tenant backlog depth (JSON-shaped), parked work included; a
+        tenant is one queue, listed under the key ``"0"``."""
+        return {
+            label if label is not None else "": {"0": self._tenant_counts[label]}
+            for label in self.backlogged_tenants()
+        }
 
     def fairness_snapshot(self) -> dict[str, float]:
         """Virtual time per tenant (unlabeled traffic under the ``""`` key)."""

@@ -1,22 +1,18 @@
-"""Experiment outputs pinned at a tiny scale: the byte-identity oracle.
+"""The experiments at a tiny scale, each run once per process.
 
-``golden_outputs.json`` holds every experiment's ``format()`` text at
-:data:`TINY`, recorded before the experiments moved from the removed
-one-shot helpers onto ``session.train`` / ``Cluster.open``.  Two fields are
-measured on the host, not simulated, and are blanked before comparing:
-Table 4's estimation-time column and the knee's peak RSS.  Everything else
-is a function of the code and the seed.
-
-Re-record (only in a change that means to alter an experiment's output)::
-
-    PYTHONPATH=src:. python tests/experiments/outputs.py
+The ``golden_outputs`` golden of :mod:`tests.oracles` pins every
+experiment's ``format()`` text at :data:`TINY`, recorded before the
+experiments moved from the removed one-shot helpers onto ``session.train`` /
+``Cluster.open``.  Two fields are measured on the host, not simulated, and
+are blanked first: Table 4's estimation-time column and the knee's peak RSS.
+Everything else is a function of the code and the seed.  The smoke tests
+read the same runs.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import re
-from pathlib import Path
 
 from repro.experiments import (
     ExperimentScale,
@@ -29,8 +25,6 @@ from repro.experiments import (
     run_table03,
     run_table04,
 )
-
-GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 TINY = ExperimentScale(
     name="tiny",
@@ -70,12 +64,11 @@ def normalized(name: str, result) -> str:
     return text
 
 
-def expected(name: str) -> str:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+@functools.cache
+def run(name: str):
+    """The experiment's result; tests only read it."""
+    return RUNS[name]()
 
 
-if __name__ == "__main__":
-    recorded = {name: normalized(name, run()) for name, run in RUNS.items()}
-    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"recorded {GOLDEN}")
+def normalized_output(name: str) -> str:
+    return normalized(name, run(name))

@@ -10,13 +10,13 @@ import pytest
 
 from repro.experiments import ExperimentScale
 from repro.experiments.overload_knee import default_users
-from tests.experiments.outputs import RUNS, expected, normalized
+from tests.experiments.outputs import run
 
 
 class TestOverloadKnee:
     @pytest.fixture(scope="class")
     def result(self):
-        return RUNS["overload_knee"]()
+        return run("overload_knee")
 
     def test_search_converges(self, result):
         assert result.service_rate > 0
@@ -47,9 +47,6 @@ class TestOverloadKnee:
         text = result.format()
         assert "knee" in text and "50,000" in text
         assert "offered txn/s" in text
-
-    def test_output_matches_parent(self, result):
-        assert normalized("overload_knee", result) == expected("overload_knee")
 
     def test_default_users_scale_mapping(self):
         assert default_users(ExperimentScale.small()) == 100_000

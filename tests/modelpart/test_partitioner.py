@@ -61,22 +61,6 @@ class TestHeuristicPartitioning:
         assert "neworder" in text
         assert provider.total_vertices() > 0
 
-    def test_preselected_features_bypass_search(self, partitioner, tpcc_artifacts):
-        instance = tpcc_artifacts.benchmark
-        extractor = FeatureExtractor(
-            instance.catalog.procedure("neworder"), instance.catalog.scheme
-        )
-        selected = tuple(
-            definition for definition in extractor.definitions
-            if definition.name == "ARRAYALLSAMEHASH(i_w_ids)"
-        )
-        records = tpcc_artifacts.trace.for_procedure("neworder")
-        bundle = partitioner.partition_procedure(
-            records, "neworder", tpcc_artifacts.models["neworder"], preselected=selected
-        )
-        assert bundle is not None
-        assert bundle.selected_features == selected
-
 
 class TestFeedForwardSelection:
     def test_search_runs_and_reports_history(self, tpcc_artifacts):

@@ -359,7 +359,7 @@ def test_every_config_field_is_declared_or_structural():
     assert {cls.__name__: len([f for f in fields(cls) if f.init]) for cls in ERRORS} == {
         "ClusterSpec": 21, "HoudiniConfig": 16, "SimulatorConfig": 8, "CostModel": 11,
         "PartitionerConfig": 11, "SelfTuneConfig": 8, "ExperimentScale": 9,
-        "TenancyConfig": 6, "TenantPolicy": 4, "AdmissionLimits": 4,
+        "TenancyConfig": 5, "TenantPolicy": 4, "AdmissionLimits": 4,
         "ClosedLoopSource": 2, "OpenLoopSource": 5, "TraceReplaySource": 5,
         "TenantSource": 1, "ClientCohortSource": 3, "Cohort": 6,
     }

@@ -39,7 +39,7 @@ from repro.markov.vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, VertexKey
 from repro.types import PartitionSet, QueryType
 from tests.conftest import add_path, to_steps
 from tests.houdini.reference import ReferenceMaintenance, ReferenceModel
-from tests.sim.test_golden_learning import model_state
+from tests.oracles import model_state
 
 PARTITIONS = 3
 

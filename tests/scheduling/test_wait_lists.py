@@ -83,7 +83,7 @@ class TestParkedWorkIsQueuedWork:
 
     def test_every_view_of_the_tenant_scheduler_includes_parked(self):
         scheduler = TenantScheduler(TenancyConfig(
-            tenants={"gold": TenantPolicy(weight=4.0)}, per_partition_queues=True,
+            tenants={"gold": TenantPolicy(weight=4.0)},
         ))
         pendings = [
             make_pending(i, partitions=(i % 3,), tenant=("gold", "free")[i % 2], cost=2.0)
@@ -98,9 +98,7 @@ class TestParkedWorkIsQueuedWork:
         assert scheduler.predicted_backlog_ms() == pytest.approx(24.0)
         assert scheduler.predicted_backlog_ms_for("free") == pytest.approx(12.0)
         assert scheduler.predicted_backlog_ms_for("gold") == pytest.approx(12.0)
-        assert scheduler.queue_depths() == {
-            "free": {"0": 2, "1": 2, "2": 2}, "gold": {"0": 2, "1": 2, "2": 2},
-        }
+        assert scheduler.queue_depths() == {"free": {"0": 6}, "gold": {"0": 6}}
         assert "pending=12" in scheduler.describe() and "tenants=2" in scheduler.describe()
         # Equal clocks: unlabeled-first/lexicographic tenant order, FIFO inside.
         order = [(p.tenant, p.arrival_index) for p in scheduler.pending_transactions()]

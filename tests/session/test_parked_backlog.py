@@ -52,7 +52,7 @@ def open_mid_burst(**spec_fields):
 
 class TestParkedWorkIsReported:
     def test_introspection_counts_parked_transactions(self):
-        session = open_mid_burst(tenancy=tenancy(per_partition_queues=True))
+        session = open_mid_burst(tenancy=tenancy())
         scheduler = session.simulator.scheduler
         backlog = len(scheduler)
         snapshot = session.snapshot_metrics()
@@ -84,8 +84,6 @@ RECONFIGURATIONS = {
     "rekey": (dict(policy="shortest-predicted"), dict(policy="single-partition-first")),
     "tenancy-detach": (dict(tenancy=tenancy()), dict(tenancy=None)),
     "tenancy-attach": (dict(policy="shortest-predicted"), dict(tenancy=tenancy())),
-    "per-partition-reshape": (
-        dict(tenancy=tenancy()), dict(tenancy=tenancy(per_partition_queues=True))),
     "admission": (
         dict(tenancy=tenancy()),
         dict(admission=AdmissionLimits(max_in_flight=2, max_deferrals=1_000_000))),

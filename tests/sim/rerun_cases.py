@@ -7,14 +7,13 @@ the fast loop with learning on, tenancy with shedding, the gated open loop,
 a self-tuning hot swap, and out-of-loop submits.
 
 ``tests/sim/test_rerun_determinism.py`` runs them twice in one process and
-once more under two fixed hash seeds.  Run this module directly to print the
-digest of every case, one JSON object on stdout::
-
-    PYTHONHASHSEED=1 PYTHONPATH=src python -m tests.sim.rerun_cases
+once more under two fixed hash seeds; the ``rerun_digests`` golden of
+:mod:`tests.oracles` pins each first run's digest.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -165,9 +164,11 @@ def digest(result: dict) -> str:
     return hashlib.sha256(json.dumps(result).encode()).hexdigest()
 
 
-def main() -> None:
-    print(json.dumps({name: digest(case()) for name, case in CASES.items()}))
+@functools.cache
+def first_run(name: str) -> dict:
+    """The case's first run in this process, shared by every check of it."""
+    return CASES[name]()
 
 
-if __name__ == "__main__":
-    main()
+def first_digest(name: str) -> str:
+    return digest(first_run(name))

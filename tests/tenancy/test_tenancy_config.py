@@ -77,7 +77,6 @@ class TestRoundTrip:
             shared_quota=2,
             shed=False,
             shed_headroom=1.5,
-            per_partition_queues=True,
         )
         through_json = json.loads(json.dumps(config.to_dict()))
         restored = TenancyConfig.from_dict(through_json)

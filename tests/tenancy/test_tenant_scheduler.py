@@ -138,35 +138,6 @@ class TestVirtualClockHygiene:
 
 
 class TestTopology:
-    def test_per_partition_queues_same_dispatch_order(self):
-        flat = make_scheduler(tenants={"a": TenantPolicy(weight=2.0)})
-        split = make_scheduler(
-            tenants={"a": TenantPolicy(weight=2.0)}, per_partition_queues=True
-        )
-        for i in range(24):
-            for scheduler in (flat, split):
-                scheduler._push(make_pending(i, ("a", "b")[i % 2], partition=i % 4))
-        flat_order, split_order = [], []
-        while flat:
-            pending = flat.pop()
-            flat.note_dispatched(pending)
-            flat_order.append(pending.arrival_index)
-        while split:
-            pending = split.pop()
-            split.note_dispatched(pending)
-            split_order.append(pending.arrival_index)
-        assert flat_order == split_order
-        assert len(split.queue_depths()) == 0
-
-    def test_set_tenancy_reshapes_queues(self):
-        scheduler = make_scheduler()
-        for i in range(8):
-            scheduler._push(make_pending(i, "t", partition=i % 4))
-        assert set(scheduler.queue_depths()["t"]) == {"0"}
-        scheduler.set_tenancy(TenancyConfig(per_partition_queues=True))
-        assert set(scheduler.queue_depths()["t"]) == {"0", "1", "2", "3"}
-        assert len(scheduler) == 8
-
     def test_adopt_from_flat_scheduler(self):
         flat = TransactionScheduler(None)
         for i in range(6):
