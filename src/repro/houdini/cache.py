@@ -58,6 +58,33 @@ while a fresh walk would read exactly what the memoized one read:
 
 ``stats.invalidations`` counts *entries evicted* on every invalidation path
 (full flush, per-procedure, replaced read) so the counter means one thing.
+
+What an entry compiles
+----------------------
+
+A hit serves what would otherwise be re-derived from the memoized walk and
+decision; each lives and dies with the entry:
+
+* ``plan`` — the :class:`~repro.txn.plan.ExecutionPlan` of every hit on a
+  memoized decision, built once from it and ``eligible`` (hence the
+  ``houdini:cached`` label and, under ``estimate_cache_simulated_savings``,
+  the hit charge) and shared read-only.  The plan of the call that *derives*
+  the decision predates ``eligible`` and is never kept;
+* ``finish_candidates`` — the OP4 ``(threshold, candidates)`` pair the first
+  initial-plan monitor on the entry compiled;
+* ``schedule`` — per query of the estimated path, ``None`` or ``(undo
+  disabled here, partitions released here)``: what the OP3/OP4 rules did on
+  the first attempt that followed the estimate to ``commit`` and committed.
+  Later attempts replay it while they follow the path, and run the rules
+  from the same state once they leave it.
+
+Only non-learning monitors of initial plans use the last two: a restart bars
+partitions and OP4 per attempt, and under learning a path vertex's hit count
+grows while the entry stays valid, so the ``op3_min_observations`` gate could
+flip under a stored schedule.  All else a schedule reads is fixed per entry:
+the path's vertices and tables, the decision's lock set and base partition,
+the signature's footprint, ``estimate.finish_points()`` and configuration
+that is not live.
 """
 
 from __future__ import annotations
@@ -66,6 +93,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..markov.model import MarkovModel
+from ..txn.plan import ExecutionPlan
 from ..types import PartitionId
 from .config import HoudiniConfig
 from .estimate import PathEstimate
@@ -114,6 +142,10 @@ class CachedEstimate:
     version: int
     decision: OptimizationDecision | None = None
     eligible: bool = False
+    #: What a hit serves without re-deriving it ("What an entry compiles").
+    plan: ExecutionPlan | None = None
+    finish_candidates: tuple[float, list[tuple[PartitionId, int]]] | None = None
+    schedule: tuple[tuple[bool, tuple[PartitionId, ...]] | None, ...] | None = None
 
 
 class EstimateCache:

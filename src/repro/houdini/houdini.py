@@ -27,7 +27,7 @@ from .maintenance import MaintenanceRegistry
 from .optimizations import OptimizationDecision, OptimizationSelector
 from .providers import ModelProvider
 from .runtime import HoudiniRuntime
-from .stats import HoudiniStats
+from .stats import HoudiniStats, ProcedureStats
 
 
 @dataclass(slots=True)
@@ -42,6 +42,8 @@ class HoudiniPlan:
     #: none; the runtime monitors it unless the estimate is degenerate); what
     #: the attempt learned belongs to it.
     model: MarkovModel | None
+    #: The procedure's Table 4 counters, probed once per planned attempt.
+    stats: ProcedureStats
 
 
 class Houdini:
@@ -100,15 +102,15 @@ class Houdini:
             return None
         return (request.procedure, id(model), signature)
 
-    def _resolve(self, request: ProcedureRequest):
+    def _resolve(self, request: ProcedureRequest, stats: ProcedureStats):
         """One memo probe, then at most one model walk.
 
-        Returns ``(estimate, entry, hit, model, footprint)``; ``entry`` is
-        the memo entry that served or now holds the walk (``None`` when the
-        walk is not memoized) and ``hit`` says it was served from it.  The
-        wall-clock span goes to the procedure's measured estimation time
-        (Table 4) — on the statistics only: estimates are shared between
-        requests and stay deterministic.  ``time.perf_counter`` is the one
+        Returns ``(estimate, entry, model, footprint)``; ``entry`` is the
+        memo entry that served or now holds the walk (``None`` when the walk
+        is not memoized).  The wall-clock span goes to the procedure's
+        measured estimation time (Table 4, ``stats``) — on the statistics
+        only: estimates are shared between requests and stay
+        deterministic.  ``time.perf_counter`` is the one
         host clock the code reads, because it measures the planner's own
         cost and never feeds a simulated decision; charging it as simulated
         cost fails ``tests/sim/test_rerun_determinism.py``.
@@ -121,17 +123,14 @@ class Houdini:
         if memo is not None:
             key = self._memo_key(request, model, signature)
             entry = memo.lookup(key, model)
-        hit = entry is not None
-        if hit:
+        if entry is not None:
             estimate = entry.estimate
         else:
             estimate = self.estimator.estimate(request, model)
             if key is not None:
                 entry = memo.store(key, model, estimate)
-        self.stats.for_procedure(request.procedure).estimation_wall_ms_total += (
-            time.perf_counter() - started
-        ) * 1000.0
-        return estimate, entry, hit, model, footprint
+        stats.estimation_wall_ms_total += (time.perf_counter() - started) * 1000.0
+        return estimate, entry, model, footprint
 
     def _decide(self, request, estimate, model, footprint, entry) -> OptimizationDecision:
         """Select the optimizations and memoize the decision with the walk.
@@ -161,7 +160,7 @@ class Houdini:
 
     def estimate(self, request: ProcedureRequest) -> PathEstimate:
         """Produce (only) the initial path estimate for a request."""
-        return self._resolve(request)[0]
+        return self._resolve(request, self.stats.for_procedure(request.procedure))[0]
 
     def plan(self, request: ProcedureRequest) -> HoudiniPlan:
         """Produce the execution plan and run-time monitor for a request.
@@ -174,17 +173,24 @@ class Houdini:
         for a model walk plus optimization selection.  Both produce
         identical decisions and charge the identical modelled estimation
         cost, so simulated metrics do not depend on which one served a
-        request.
+        request.  A hit on a memoized decision serves the entry's plan
+        (``repro.houdini.cache``, "What an entry compiles").
         """
-        estimate, entry, hit, model, footprint = self._resolve(request)
+        stats = self.stats.for_procedure(request.procedure)
+        estimate, entry, model, footprint = self._resolve(request, stats)
         decision = entry.decision if entry is not None else None
-        eligible_hit = hit and entry.eligible
         if decision is None:
+            # Derived now: ``entry.eligible`` did not exist for this call.
             decision = self._decide(request, estimate, model, footprint, entry)
-        plan = decision.as_plan(
-            self._charged_ms(estimate, eligible_hit),
-            source="houdini:cached" if eligible_hit else "houdini",
-        )
+            plan = decision.as_plan(self._charged_ms(estimate), source="houdini")
+        else:
+            plan = entry.plan
+            if plan is None:
+                eligible = entry.eligible
+                plan = entry.plan = decision.as_plan(
+                    self._charged_ms(estimate, eligible),
+                    source="houdini:cached" if eligible else "houdini",
+                )
         runtime = HoudiniRuntime(
             None if estimate.degenerate else model,
             estimate,
@@ -193,10 +199,12 @@ class Houdini:
             undo_initially_disabled=decision.disable_undo,
             learn=self.learning,
             footprint=footprint,
+            entry=entry,
         )
-        self._record_plan_stats(request, decision)
+        self._record_plan_stats(stats, decision)
         return HoudiniPlan(
-            plan=plan, runtime=runtime, estimate=estimate, decision=decision, model=model
+            plan=plan, runtime=runtime, estimate=estimate, decision=decision, model=model,
+            stats=stats,
         )
 
     def plan_restart(
@@ -220,7 +228,8 @@ class Houdini:
         and the early-prepare optimization is switched off entirely from the
         second restart onward.
         """
-        estimate, _, _, model, footprint = self._resolve(request)
+        stats = self.stats.for_procedure(request.procedure)
+        estimate, _, model, footprint = self._resolve(request, stats)
         plan = ExecutionPlan(
             base_partition=base_partition,
             locked_partitions=None,
@@ -248,7 +257,8 @@ class Houdini:
             confidence=estimate.confidence,
         )
         return HoudiniPlan(
-            plan=plan, runtime=runtime, estimate=estimate, decision=decision, model=model
+            plan=plan, runtime=runtime, estimate=estimate, decision=decision, model=model,
+            stats=stats,
         )
 
     # ------------------------------------------------------------------
@@ -276,7 +286,8 @@ class Houdini:
                 # First attempt on this model (before the runtime logs, so
                 # tracking starts with this attempt).
                 maintenance = self.maintenance.for_model(model)
-        runtime.finish(attempt.committed)
+        committed = attempt.committed
+        runtime.finish(committed)
         if maintenance is not None:
             self._since_maintenance += 1
             if self._since_maintenance >= self._maintenance_interval:
@@ -294,15 +305,12 @@ class Houdini:
                 # procedure's model here — between transactions, which is
                 # what makes the swap atomic.
                 self._selftune.observe(request.procedure, runtime.stats.transitions)
-        self._record_outcome_stats(request, houdini_plan, attempt)
+        self._record_outcome_stats(houdini_plan, attempt, committed)
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def _record_plan_stats(
-        self, request: ProcedureRequest, decision: OptimizationDecision
-    ) -> None:
-        stats = self.stats.for_procedure(request.procedure)
+    def _record_plan_stats(self, stats: ProcedureStats, decision: OptimizationDecision) -> None:
         stats.transactions += 1
         stats.estimates += 1
         if decision.op1_selected:
@@ -313,12 +321,9 @@ class Houdini:
             stats.op3_enabled += 1
 
     def _record_outcome_stats(
-        self,
-        request: ProcedureRequest,
-        houdini_plan: HoudiniPlan,
-        attempt: AttemptResult,
+        self, houdini_plan: HoudiniPlan, attempt: AttemptResult, committed: bool
     ) -> None:
-        stats = self.stats.for_procedure(request.procedure)
+        stats = houdini_plan.stats
         runtime_stats = houdini_plan.runtime.stats
         decision = houdini_plan.decision
         mispredicted = attempt.mispredicted_partition is not None
@@ -326,11 +331,11 @@ class Houdini:
             stats.mispredicted_restarts += 1
         if decision.op1_selected and not mispredicted:
             touched = attempt.touched_partitions.as_frozenset()
-            if not touched or decision.base_partition in touched or attempt.committed:
+            if not touched or decision.base_partition in touched or committed:
                 stats.op1_correct += 1
         if decision.op2_selected and not mispredicted:
             stats.op2_correct += 1
-        if runtime_stats.undo_disabled_at_query is not None and attempt.committed:
+        if runtime_stats.undo_disabled_at_query is not None and committed:
             # Undo logging was switched off at run time (§4.4 OP3 update).
             stats.op3_enabled += 0 if decision.disable_undo else 1
         if runtime_stats.finished_partitions and not runtime_stats.finish_mispredicted:

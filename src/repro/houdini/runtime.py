@@ -13,6 +13,10 @@ query listener.  After every query it:
 * logs the attempt's transitions into the model (§4.5): once, when the
   attempt is sealed (:meth:`HoudiniRuntime.finish`).
 
+A non-learning monitor of an initial plan replays its memo entry's OP3/OP4
+schedule while the attempt follows the estimate, and records it while the
+entry has none (``repro.houdini.cache``, "What an entry compiles").
+
 Accessing a partition that was previously declared finished raises
 :class:`~repro.errors.MispredictionAbort`, forcing the coordinator to restart
 the transaction — the cost of a wrong OP4 call, exactly as in the paper.
@@ -27,6 +31,7 @@ from ..errors import MispredictionAbort
 from ..markov.model import MarkovModel
 from ..markov.vertex import ABORT_KEY, COMMIT_KEY, VertexKey
 from ..types import EMPTY_PARTITION_SET, PartitionId, QueryInvocation
+from .cache import CachedEstimate
 from .config import HoudiniConfig
 from .estimate import PathEstimate
 
@@ -59,6 +64,7 @@ class HoudiniRuntime:
         footprint: frozenset[PartitionId] | None = None,
         allow_early_prepare: bool = True,
         never_finish: frozenset[PartitionId] = frozenset(),
+        entry: CachedEstimate | None = None,
     ) -> None:
         self.model = model
         self.estimate = estimate
@@ -94,6 +100,17 @@ class HoudiniRuntime:
         #: unfinished candidates as ``(partition, first releasable query)``.
         self._finish_threshold = 0.0
         self._finish_candidates: list[tuple[PartitionId, int]] | None = None
+        #: The plan-memo entry of an initial plan (unless learning), its
+        #: recorded OP3/OP4 schedule (replayed while the attempt follows the
+        #: estimate) or, while it has none, this attempt's steps so far.
+        self._entry = entry = None if learn else entry
+        self._schedule = self._recording = None
+        if entry is not None:
+            if entry.finish_candidates is not None:
+                self._finish_threshold, self._finish_candidates = entry.finish_candidates
+            self._schedule = entry.schedule
+            if self._schedule is None:
+                self._recording = []
 
     # ------------------------------------------------------------------
     # QueryListener interface
@@ -158,7 +175,14 @@ class HoudiniRuntime:
         self._current = key
         if partitions is not accumulated:
             self._accumulated = accumulated.union(partitions)
-        self._issue_updates(context, observed, vertex)
+        if self._schedule is not None and not stats.deviated_from_estimate:
+            step = self._schedule[observed]
+            if step is not None:
+                self._replay(context, observed, step)
+        elif self._recording is not None:
+            self._record_updates(context, observed, vertex)
+        else:
+            self._issue_updates(context, observed, vertex)
 
     # ------------------------------------------------------------------
     def _check_finished_partitions(self, partitions) -> None:
@@ -226,6 +250,37 @@ class HoudiniRuntime:
         if released:
             self._finish_candidates = [c for c in candidates if c[0] not in finished]
 
+    def _record_updates(self, context: TransactionContext, observed: int, vertex) -> None:
+        """Issue the updates and note what they did, for :meth:`finish` to
+        keep as the entry's schedule."""
+        undo_disabled = self._undo_disabled
+        finished = self.stats.finished_partitions
+        count, candidates = len(finished), self._finish_candidates
+        self._issue_updates(context, observed, vertex)
+        step = None
+        if self._undo_disabled is not undo_disabled:  # then OP4 released nothing
+            step = (True, ())
+        elif len(finished) != count:
+            # Released in candidate order; none was finished before.
+            candidates = candidates or self._entry.finish_candidates[1]
+            step = (False, tuple(p for p, _ in candidates if p in finished))
+        self._recording.append(step)
+
+    def _replay(self, context: TransactionContext, observed: int, step) -> None:
+        """Apply one recorded schedule step: what :meth:`_issue_updates` did
+        at this query of the estimated path."""
+        undo_disabled, released = step
+        if undo_disabled:
+            context.disable_undo_logging()
+            self._undo_disabled = True
+            self.stats.undo_disabled_at_query = observed + 1
+        finished = self.stats.finished_partitions
+        for partition_id in released:
+            context.mark_partition_finished(partition_id)
+            finished.add(partition_id)
+        if released:
+            self._finish_candidates = [c for c in self._finish_candidates if c[0] not in finished]
+
     def _compile_finish_candidates(
         self, context: TransactionContext, num_partitions: int
     ) -> list[tuple[PartitionId, int]]:
@@ -253,6 +308,8 @@ class HoudiniRuntime:
                 candidates.append((partition_id, 0))
             elif partition_id in last_access:
                 candidates.append((partition_id, last_access[partition_id]))
+        if self._entry is not None:
+            self._entry.finish_candidates = (self._finish_threshold, candidates)
         return candidates
 
     def _may_need_unlocked_partition(self, context: TransactionContext, table) -> bool:
@@ -277,9 +334,10 @@ class HoudiniRuntime:
 
     # ------------------------------------------------------------------
     def finish(self, committed: bool) -> None:
-        """Seal the attempt: append the terminal transition and, when
-        learning, log the whole per-attempt transition buffer into the model
-        in one call.
+        """Seal the attempt: append the terminal transition, keep the
+        recorded schedule when the attempt followed the estimate to its
+        ``commit`` terminal and committed, and, when learning, log the whole
+        per-attempt transition buffer into the model in one call.
 
         The transitions that followed the estimate run along edges the walk
         read, into vertices it fetched: they are handed over as known, so
@@ -292,6 +350,10 @@ class HoudiniRuntime:
         transitions = stats.transitions
         followed = self._followed if stats.deviated_from_estimate else len(transitions)
         transitions.append((self._current, COMMIT_KEY if committed else ABORT_KEY))
+        recording = self._recording
+        if recording is not None and committed and not stats.deviated_from_estimate:
+            if len(recording) + 2 == len(self._expected) and self._expected[-1] == COMMIT_KEY:
+                self._entry.schedule = tuple(recording)
         if self.learn:
             self.model.log_transitions(
                 transitions, self._expected_vertices[1:followed + 1]

@@ -18,8 +18,9 @@ from repro.houdini import (
 )
 from repro.markov import MarkovModel
 from repro.markov.vertex import COMMIT_KEY, VertexKey
-from repro.session import ClusterSpec, train
+from repro.session import Cluster, ClusterSpec, train
 from repro.types import PartitionSet, ProcedureRequest
+from tests.conftest import trained
 
 
 def _estimate(partition: int = 0) -> PathEstimate:
@@ -433,3 +434,54 @@ class TestSupportLimitedDecisions:
         houdini = _houdini(thin_artifacts, learning=False)
         request = self._support_limited_request(houdini, thin_artifacts)
         assert houdini.plan(request).decision is houdini.plan(request).decision
+
+
+class TestHitPlansAreShared:
+    def test_one_read_only_plan_per_entry_over_a_tatp_run(self):
+        """Every hit on an entry whose decision was memoized before the call
+        returns the entry's one ``ExecutionPlan``; after 2,000 transactions
+        each such plan still equals one freshly built from the entry's
+        decision and eligibility, so nothing downstream wrote it."""
+        spec = ClusterSpec(
+            benchmark="tatp", num_partitions=16, strategy="houdini",
+            model_provider="global", clients_per_partition=4, trace_transactions=600,
+            seed=0, learning=False, metrics_mode="streaming",
+        )
+        session = Cluster.open(spec, artifacts=trained("tatp", 16, 600, 0))
+        houdini = session.houdini
+        memo = houdini.estimate_cache
+        real_plan = houdini.plan
+        served: dict[int, list] = {}  # plans served per entry
+        entries = {}
+
+        def entry_of(request):
+            _, signature = houdini.estimator.footprint_and_signature(request)
+            key = houdini._memo_key(request, houdini.provider.model_for(request), signature)
+            return memo._entries.get(key)
+
+        def plan(request):
+            before = entry_of(request)
+            decided = before is not None and before.decision is not None
+            houdini_plan = real_plan(request)
+            entry = entry_of(request)
+            if decided and entry is before:
+                entries[id(entry)] = entry
+                served.setdefault(id(entry), []).append(houdini_plan.plan)
+            return houdini_plan
+
+        houdini.plan = plan
+        try:
+            session.run_for(txns=2000)
+        finally:
+            session.close()
+        hits = sum(map(len, served.values()))
+        assert hits > 1800 and len(served) > 50, (hits, len(served))
+        for key, plans in served.items():
+            entry = entries[key]
+            assert all(plan is entry.plan for plan in plans)
+            fresh = entry.decision.as_plan(
+                houdini._charged_ms(entry.estimate, entry.eligible),
+                source="houdini:cached" if entry.eligible else "houdini",
+            )
+            assert entry.plan == fresh
+            assert entry.plan.finish_after_query is entry.decision.finish_after_query

@@ -18,12 +18,15 @@ Same function, same specs:
   partitions, learning off, streaming metrics, seed 0): **169.053** calls per
   transaction at the parent of the commit that added the gate, **118.656**
   at the parent of the commit that compiled each statement's access path
-  into its step, and **100.947** with it.  The gate is that last count.
+  into its step, **100.947** with it, and **89.832** once a plan-memo hit
+  served its entry's plan and its monitor replayed the entry's OP3/OP4
+  schedule.  The gate is that last count.
 * ``smallbank`` on the general loop (``shortest-predicted`` under admission
   limits, exact metrics): **629.332** at the parent of the commit that
-  added the gate (593.343 and 587.310 around the access-path commit).  The
-  gate is that first count: a cut that only moves frames out of
-  ``_run_fast`` and into ``_drain`` shows here.
+  added the gate (593.343 and 587.310 around the access-path commit,
+  577.261 with the plan-memo replay).  The gate is that first count: a cut
+  that only moves frames out of ``_run_fast`` and into ``_drain`` shows
+  here.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def fresh_count(benchmark: str) -> float:
 
 class TestCountedGate:
     @pytest.mark.parametrize("benchmark_name, gate", [
-        ("tatp", 100.947),
+        ("tatp", 89.832),
         ("smallbank", 629.332),
     ])
     def test_python_calls_per_transaction(self, benchmark_name, gate):
