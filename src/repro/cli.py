@@ -344,6 +344,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not parts:
             continue
         command, rest = parts[0].lower(), parts[1:]
+        # A change verb sets ``change`` (live ClusterSpec fields) and
+        # ``report`` (what to print once it applied).
+        change = report = None
         try:
             if command in ("quit", "exit"):
                 break
@@ -354,26 +357,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"throughput={result.throughput_txn_per_sec:.1f} txn/s")
             elif command == "policy":
                 name = rest[0] if rest else "none"
-                session.reconfigure(policy=None if name == "none" else name)
-                print(f"policy -> {session.simulator.scheduler.policy.name}")
+                change = {"policy": None if name == "none" else name}
+                report = lambda: f"policy -> {session.simulator.scheduler.policy.name}"
             elif command == "admission":
-                if rest and rest[0] == "off":
-                    session.reconfigure(admission=None)
-                    print("admission -> off")
-                else:
-                    fields = _parse_fields(rest, AdmissionLimits)
-                    session.reconfigure(admission=fields)
-                    print(f"admission -> {fields}")
+                fields = None if rest[:1] == ["off"] else _parse_fields(rest, AdmissionLimits)
+                change = {"admission": fields}
+                report = lambda: f"admission -> {'off' if fields is None else fields}"
             elif command == "caching":
                 token = rest[0].lower() if rest else ""
                 if token not in ("on", "off"):
-                    print("error: caching takes 'on' or 'off'")
-                    continue
-                session.reconfigure(estimate_caching=token == "on")
-                print(f"estimate caching -> {token}")
+                    raise ValueError("caching takes 'on' or 'off'")
+                change = {"houdini": {"enable_estimate_caching": token == "on"}}
+                report = lambda: f"estimate caching -> {token}"
             elif command == "threshold":
-                session.reconfigure(confidence_threshold=float(rest[0]))
-                print(f"confidence threshold -> {float(rest[0])}")
+                change = {"houdini": {"confidence_threshold": float(rest[0])}}
+                report = lambda: f"confidence threshold -> {float(rest[0])}"
             elif command == "runfor":
                 seconds = float(rest[0]) if rest else 1.0
                 result = session.run_for(sim_seconds=seconds)
@@ -384,30 +382,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
                 shape = rest[0].lower() if rest else ""
                 if shape == "closed":
-                    session.reconfigure(workload=ClosedLoopSource(
-                        spec.clients_per_partition, spec.client_think_time_ms))
+                    source = ClosedLoopSource(
+                        spec.clients_per_partition, spec.client_think_time_ms)
                 elif shape == "open":
-                    rate = float(rest[1])
-                    arrival = rest[2] if len(rest) > 2 else "poisson"
-                    session.reconfigure(workload=OpenLoopSource(rate, arrival))
+                    source = OpenLoopSource(
+                        float(rest[1]), rest[2] if len(rest) > 2 else "poisson")
                 elif shape == "trace":
-                    speedup = float(rest[2]) if len(rest) > 2 else 1.0
-                    session.reconfigure(
-                        workload=TraceReplaySource(path=rest[1], speedup=speedup))
+                    source = TraceReplaySource(
+                        path=rest[1], speedup=float(rest[2]) if len(rest) > 2 else 1.0)
                 else:
-                    print("error: workload takes 'closed', 'open RATE [KIND]' "
-                          "or 'trace PATH [SPEEDUP]'")
-                    continue
-                print(f"workload -> {session.workload.to_dict()['kind']}")
+                    raise ValueError("workload takes 'closed', 'open RATE [KIND]' "
+                                     "or 'trace PATH [SPEEDUP]'")
+                change, report = {"workload": source}, lambda: f"workload -> {source.kind}"
             elif command == "selftune":
                 token = rest[0].lower() if rest else "status"
                 if token == "off":
-                    session.reconfigure(selftune=None)
-                    print("selftune -> off")
+                    change, report = {"selftune": None}, lambda: "selftune -> off"
                 elif token == "on":
                     fields = _parse_fields(rest[1:], SelfTuneConfig)
-                    session.reconfigure(selftune=fields)
-                    print(f"selftune -> on {fields or '(defaults)'}")
+                    change = {"selftune": fields}
+                    report = lambda: f"selftune -> on {fields or '(defaults)'}"
                 elif token == "status":
                     if session.selftune is None:
                         print("selftune: off")
@@ -417,7 +411,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                               f"retrains={stats.retrains_completed}/"
                               f"{stats.retrains_started} swaps={stats.swaps}")
                 else:
-                    print("error: selftune takes 'on [k=v,...]', 'off' or 'status'")
+                    raise ValueError("selftune takes 'on [k=v,...]', 'off' or 'status'")
             elif command == "drift":
                 if session.selftune is None:
                     print("selftune: off (enable with 'selftune on')")
@@ -445,8 +439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     if manager is not None else TenancyConfig().to_dict()
                 )
                 if token == "off":
-                    session.reconfigure(tenancy=None)
-                    print("tenancy -> off")
+                    change, report = {"tenancy": None}, lambda: "tenancy -> off"
                 elif token == "status":
                     if manager is None:
                         print("tenancy: off (enable with 'tenancy set LABEL k=v')")
@@ -462,29 +455,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                         {"slo": "slo_latency_ms", "quantile": "slo_quantile"}),
                     }
                     base["tenants"][label] = policy
-                    session.reconfigure(tenancy=base)
-                    print(f"tenancy[{label}] -> {policy}")
+                    change, report = {"tenancy": base}, lambda: f"tenancy[{label}] -> {policy}"
                 elif token == "drop" and len(rest) >= 2:
                     if base["tenants"].pop(rest[1], None) is None:
-                        print(f"error: unknown tenant {rest[1]!r}")
-                        continue
-                    session.reconfigure(tenancy=base)
-                    print(f"tenancy[{rest[1]}] dropped")
+                        raise ValueError(f"unknown tenant {rest[1]!r}")
+                    change, report = {"tenancy": base}, lambda: f"tenancy[{rest[1]}] dropped"
                 elif token == "shared" and len(rest) >= 2:
                     base["shared_quota"] = int(rest[1])
-                    session.reconfigure(tenancy=base)
-                    print(f"tenancy shared_quota -> {base['shared_quota']}")
+                    change = {"tenancy": base}
+                    report = lambda: f"tenancy shared_quota -> {base['shared_quota']}"
                 elif token == "shed" and len(rest) >= 2:
                     base["shed"] = rest[1].lower() == "on"
                     if len(rest) > 2:
                         base["shed_headroom"] = float(rest[2])
-                    session.reconfigure(tenancy=base)
-                    print(f"tenancy shed -> {'on' if base['shed'] else 'off'} "
-                          f"(headroom {base['shed_headroom']:g})")
+                    change = {"tenancy": base}
+                    report = lambda: (f"tenancy shed -> {'on' if base['shed'] else 'off'} "
+                                      f"(headroom {base['shed_headroom']:g})")
                 else:
-                    print("error: tenancy takes 'set LABEL k=v[,k=v]' "
-                          "(weight/quota/slo/quantile), 'drop LABEL', "
-                          "'shared N', 'shed on|off [HEADROOM]', 'status' or 'off'")
+                    raise ValueError("tenancy takes 'set LABEL k=v[,k=v]' "
+                                     "(weight/quota/slo/quantile), 'drop LABEL', "
+                                     "'shared N', 'shed on|off [HEADROOM]', 'status' or 'off'")
             elif command == "slo":
                 manager = session.simulator.tenancy
                 if manager is None:
@@ -536,6 +526,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"unknown command {command!r}; commands: run, runfor, policy, "
                       f"admission, caching, threshold, workload, selftune, drift, "
                       f"tenancy, slo, inflight, metrics, spec, drain, quit")
+            if change is not None:
+                session.reconfigure(**change)
+                print(report())
         except (ReproError, ValueError, IndexError) as error:
             print(f"error: {error}")
     final = session.close()

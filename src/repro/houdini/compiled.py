@@ -20,7 +20,8 @@ at model-load time, down to one of four resolver kinds:
 * ``UNKNOWN`` — the partitioning parameter is unmapped, so no prediction can
   be made before execution;
 * ``MAPPED`` — the partitioning parameter is mapped: the only per-request
-  work left is one ``mapping.resolve`` call plus a hash of the value.
+  work left is one read of the mapped procedure parameter plus a hash of
+  the value.
 
 The procedure's mapping-only partition footprint (used by the run-time
 monitor's early-prepare guard) is compiled the same way: its static part is

@@ -19,9 +19,7 @@ class HoudiniConfig:
 
     #: Confidence-coefficient threshold used to prune estimations (§4.3).
     #: The Fig. 13 experiment sweeps this between 0 and 1.
-    confidence_threshold: float = spec(
-        0.5, kind="float", ge=0, le=1, live="confidence_threshold"
-    )
+    confidence_threshold: float = spec(0.5, kind="float", ge=0, le=1, live=True)
 
     #: Maximum predicted abort probability for which undo logging may still
     #: be disabled (OP3).  The paper is "more cautious" about this
@@ -74,7 +72,7 @@ class HoudiniConfig:
     #: metrics are identical either way — an entry is dropped whenever the
     #: model it was derived from changes, and a decision that could still
     #: flip as observation counts grow is never reused.
-    enable_estimate_caching: bool = spec(True, kind="bool", live="estimate_caching")
+    enable_estimate_caching: bool = spec(True, kind="bool", live=True)
 
     #: Maximum number of entries kept by the plan memo (LRU eviction).
     estimate_cache_max_entries: int = spec(4096, kind="int", ge=1)

@@ -345,17 +345,17 @@ class Houdini:
     def reconfigure(
         self,
         *,
-        estimate_caching: bool | None = None,
         confidence_threshold: float | None = None,
+        enable_estimate_caching: bool | None = None,
     ) -> None:
         """Apply live configuration changes, routing through the invalidation
         contracts.
 
         ``confidence_threshold`` changes flush the plan memo — its entries
-        store decisions that baked the old threshold in.  ``estimate_caching``
-        toggles the memo: enabling installs a fresh (empty) one, disabling
-        invalidates and removes it.  Either way the next :meth:`plan` call
-        operates entirely under the new configuration.
+        store decisions that baked the old threshold in.
+        ``enable_estimate_caching`` toggles the memo: on installs a fresh
+        (empty) one, off invalidates and removes it.  Either way the next
+        :meth:`plan` call operates entirely under the new configuration.
         """
         config = self.config
         if confidence_threshold is not None:
@@ -365,11 +365,11 @@ class Houdini:
             config.confidence_threshold = confidence_threshold
             if self.estimate_cache is not None:
                 self.estimate_cache.invalidate()
-        if estimate_caching is not None:
-            config.enable_estimate_caching = estimate_caching
-            if estimate_caching and self.estimate_cache is None:
+        if enable_estimate_caching is not None:
+            config.enable_estimate_caching = enable_estimate_caching
+            if enable_estimate_caching and self.estimate_cache is None:
                 self.estimate_cache = EstimateCache(config)
-            elif not estimate_caching and self.estimate_cache is not None:
+            elif not enable_estimate_caching and self.estimate_cache is not None:
                 self.estimate_cache.invalidate()
                 self.estimate_cache = None
 

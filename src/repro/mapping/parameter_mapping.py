@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..errors import EstimationError
 
 #: Default pruning threshold; the paper found coefficients > 0.9 reliable.
 DEFAULT_COEFFICIENT_THRESHOLD = 0.9
@@ -80,38 +79,6 @@ class ParameterMapping:
 
     def statements(self) -> tuple[str, ...]:
         return tuple(sorted({entry.statement for entry in self.entries}))
-
-    # ------------------------------------------------------------------
-    def resolve(
-        self,
-        statement: str,
-        query_param_index: int,
-        invocation_counter: int,
-        procedure_parameters: Sequence[Any],
-    ) -> Any | None:
-        """Predict the value of one query parameter from procedure inputs.
-
-        Returns ``None`` when the slot is unmapped or the mapped array is too
-        short for this invocation counter — the "cannot determine all the
-        query parameters" condition of §4.2.
-        """
-        entry = self.entry_for(statement, query_param_index)
-        if entry is None:
-            return None
-        if entry.procedure_param_index >= len(procedure_parameters):
-            raise EstimationError(
-                f"mapping for {self.procedure!r} references parameter "
-                f"{entry.procedure_param_index} but only "
-                f"{len(procedure_parameters)} were supplied"
-            )
-        value = procedure_parameters[entry.procedure_param_index]
-        if entry.array_aligned:
-            if not isinstance(value, (list, tuple)):
-                return None
-            if invocation_counter >= len(value):
-                return None
-            return value[invocation_counter]
-        return value
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

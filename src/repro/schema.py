@@ -39,7 +39,7 @@ _BOUNDS = (("ge", operator.ge, ">="), ("gt", operator.gt, ">"),
 def spec(default: Any = MISSING, *, kind: str | None = None, ge=None, gt=None,
          le=None, lt=None, choices=None, noun: str | None = None,
          optional: bool = False, nested: type | None = None, each: bool = False,
-         omit_none: bool = False, key: str | None = None, live: str | None = None,
+         omit_none: bool = False, key: str | None = None, live: bool = False,
          **field_kwargs):
     """A dataclass field that declares its own range.
 
@@ -50,8 +50,8 @@ def spec(default: Any = MISSING, *, kind: str | None = None, ge=None, gt=None,
     rebuilds its dict form); ``optional`` admits ``None``; ``each`` applies the
     rule to every element of a tuple (to every value of a mapping, for
     ``nested``); ``omit_none`` keeps ``None`` out of the dict form and ``key``
-    names the field there.  ``live`` is the ``ClusterSession.reconfigure``
-    keyword through which a running session changes the field.
+    names the field there.  ``live`` marks a field a running session may
+    change (``ClusterSession.reconfigure`` takes it by its name).
     """
     rule = dict(kind=kind, ge=ge, gt=gt, le=le, lt=lt, choices=choices, noun=noun,
                 optional=optional, nested=nested, each=each, omit_none=omit_none,
@@ -77,9 +77,9 @@ def _rule(f) -> dict:
     return f.metadata.get("schema") or {}
 
 
-def live_fields(cls) -> dict[str, str]:
-    """``{field: reconfigure keyword}`` for every field ``cls`` marks ``live=``."""
-    return {f.name: _rule(f)["live"] for f in fields(cls) if _rule(f).get("live")}
+def live_fields(cls) -> tuple[str, ...]:
+    """The names of the fields ``cls`` marks ``live=True``, in field order."""
+    return tuple(f.name for f in fields(cls) if _rule(f).get("live"))
 
 
 def _accepts(rule: dict, value, choices) -> bool:

@@ -18,7 +18,9 @@ model never reaches a running system.  This package closes it:
   the atomic hot swap through the existing invalidation contracts.
 
 Enable it with ``ClusterSpec(selftune=SelfTuneConfig(...))`` (or a plain
-field dict), toggle it live with ``session.reconfigure(selftune=...)``, and
+field dict), toggle it live through the ``selftune`` field —
+``session.reconfigure(selftune=...)``, a spec diff or ``repro serve``'s
+``selftune on|off`` — and
 read its verdicts from ``session.snapshot_metrics().selftune`` or the
 ``repro serve`` ``drift`` command.  An enabled self-tuner preserves
 byte-determinism: same seed + same workload schedule -> same bytes.

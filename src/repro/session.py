@@ -70,33 +70,45 @@ pieces for callers that need one without a session.
 
 Reconfigure semantics
 ---------------------
-Which spec fields a running session may change is declared on the field:
-``spec(..., live="<keyword>")`` marks the ``ClusterSpec`` and
-``HoudiniConfig`` fields that may change and names the
-:meth:`ClusterSession.reconfigure` keyword each goes through
-(:func:`repro.schema.live_fields` reads the marks).  ``reconfigure`` routes
-every change through the existing invalidation contracts so no stale
-derived state survives:
+:meth:`ClusterSession.reconfigure` is the one code that changes a running
+session.  Its keys are the ``ClusterSpec`` fields declared ``live=True``
+(:func:`repro.schema.live_fields`), each value an instance or its
+``to_dict`` form, so ``reconfigure(**spec.diff(other))`` applies a diff
+(:meth:`ClusterSession.apply_schedule` is a loop of it); any other field
+raises :class:`~repro.errors.SessionError` naming it and the live ones.
+Each change routes through the existing invalidation contracts, so no stale
+derived state survives; they apply in this order, whatever the keywords':
 
-* ``policy=`` swaps the scheduling policy;
+* ``workload`` swaps the traffic source.  ``None`` (the spec's closed loop)
+  or a :class:`ClosedLoopSource` (re)activates the closed-loop clients,
+  whose population is fixed at open; any other source freezes them and
+  streams its arrivals from the current simulated time on.
+* ``policy`` swaps the scheduling policy;
   :meth:`~repro.scheduling.scheduler.TransactionScheduler.rekey` rebuilds
   the pending heap under the new policy's keys and drops the per-class key
   cache.  Transactions queued before the swap keep the prediction
   annotations they were submitted with.
-* ``admission=`` installs/updates/removes admission limits.  In-flight
+* ``admission`` installs/updates/removes admission limits.  In-flight
   transactions admitted under the old limits release their capacity through
   ``release_if_admitted`` — installing a controller mid-run never
   underflows, and the new limits apply from the next dispatch on.
-* ``estimate_caching=`` / ``confidence_threshold=`` route through
-  :meth:`~repro.houdini.houdini.Houdini.reconfigure`, which invalidates the
-  plan memo (:class:`~repro.houdini.cache.EstimateCache` memoizes decisions
-  that baked the old configuration in).  Requires a Houdini-backed strategy.
-* ``generator=`` swaps the workload generator — the workload-shift scenario:
-  the cluster, models and learned state survive, only the traffic changes.
-* ``cost=`` assigns cost-model constants by name;
-  :meth:`~repro.sim.cost_model.CostModel.__setattr__` clears the cost-
-  schedule cache automatically and the scheduler's predicted-cost cache is
-  dropped alongside it.
+* ``generator=``, the one keyword that is not a spec field, swaps the
+  workload generator — the workload-shift scenario: the cluster, models and
+  learned state survive, only the traffic changes.
+* ``cost_model`` takes a :class:`~repro.sim.CostModel` or a partial dict of
+  its ``*_ms`` constants and assigns them, which clears the cost-schedule
+  and the scheduler's predicted-cost caches.  ``None`` raises.
+* ``houdini`` takes a full or partial :class:`HoudiniConfig` (either form);
+  the fields that differ from the live config go to
+  :meth:`~repro.houdini.houdini.Houdini.reconfigure`, and one not marked
+  live raises.  ``confidence_threshold`` invalidates the plan memo,
+  ``enable_estimate_caching`` installs a fresh one or removes it.
+* ``selftune`` enables the self-tuning loop or, with ``None``, detaches it.
+* ``tenancy`` installs, swaps or (with ``None``) removes the multi-tenant
+  policy: the node queue is transplanted between the shared and the
+  per-tenant scheduler in dispatch order, quota slots held by in-flight
+  transactions release exactly what they charged, and SLO counters reset
+  only for tenants whose objective changed.
 
 Reconfiguration changes the *live* session only; the spec the session was
 opened from is never mutated, so it can be reused to open further sessions.
@@ -112,8 +124,7 @@ declarations (:func:`repro.schema.declared`).  A nested config
 (``houdini``, ``selftune``, ``tenancy``, ``admission``, ``cost_model``,
 ``workload``) may be given as an instance or in dict form anywhere one is
 accepted — the spec and ``reconfigure`` coerce both through the class the
-field declares (:func:`repro.schema.coerce`) — and a spec-diff key maps to
-its ``reconfigure`` keyword through the field's ``live`` mark.
+field declares (:func:`repro.schema.coerce`).
 """
 
 from __future__ import annotations
@@ -166,9 +177,6 @@ STRATEGY_NAMES = (
 #: Model-provider choices for Houdini-backed strategies.
 MODEL_PROVIDERS = ("global", "partitioned")
 
-_UNSET = object()
-
-
 # ----------------------------------------------------------------------
 # Off-line artifacts
 # ----------------------------------------------------------------------
@@ -215,14 +223,18 @@ class ClusterSpec:
     strategy: str = spec("houdini", choices=STRATEGY_NAMES, noun="strategy")
     learning: bool = spec(True, kind="bool")
     model_provider: str = spec("global", choices=MODEL_PROVIDERS, noun="model_provider")
-    houdini: HoudiniConfig | None = spec(None, nested=HoudiniConfig, optional=True)
+    #: Live in the fields ``HoudiniConfig`` marks ``live=True``; a change to
+    #: any other of its fields is refused.
+    houdini: HoudiniConfig | None = spec(
+        None, nested=HoudiniConfig, optional=True, live=True
+    )
     #: Self-tuning loop (:mod:`repro.selftune`): a
     #: :class:`~repro.selftune.SelfTuneConfig` (or its field dict) enables
     #: online drift detection, background retraining and atomic hot model
     #: swaps; ``None`` (default) leaves the loop off.  Requires a learning
     #: Houdini strategy with the global model provider.
     selftune: SelfTuneConfig | Mapping | None = spec(
-        None, nested=SelfTuneConfig, optional=True, live="selftune"
+        None, nested=SelfTuneConfig, optional=True, live=True
     )
     #: Multi-tenant policy (:mod:`repro.tenancy`): a
     #: :class:`~repro.tenancy.TenancyConfig` (or its dict form) layers
@@ -230,7 +242,7 @@ class ClusterSpec:
     #: predicted-work shedding over the node scheduler; ``None`` (default)
     #: keeps the single shared scheduler.
     tenancy: TenancyConfig | Mapping | None = declared(
-        SimulatorConfig, "tenancy", live="tenancy"
+        SimulatorConfig, "tenancy", live=True
     )
     # --- simulator (the ranges are SimulatorConfig's) ------------------
     #: Closed-loop clients per partition (the paper uses four).
@@ -263,18 +275,15 @@ class ClusterSpec:
     #: source (open-loop arrivals, trace replay, tenant streams) runs the
     #: simulator in open-loop mode.
     workload: WorkloadSource | Mapping | None = spec(
-        None, nested=WorkloadSource, optional=True, noun="workload source",
-        live="workload",
+        None, nested=WorkloadSource, optional=True, noun="workload source", live=True
     )
     # --- scheduling / admission / cost --------------------------------
     #: Queue policy for the node scheduler: a registry name, a policy
     #: instance, or ``None`` for first-come first-served.
-    policy: SchedulingPolicy | str | None = declared(SimulatorConfig, "policy", live="policy")
+    policy: SchedulingPolicy | str | None = declared(SimulatorConfig, "policy", live=True)
     #: Admission-control limits; ``None`` disables admission control.
-    admission: AdmissionLimits | None = declared(
-        SimulatorConfig, "admission", live="admission"
-    )
-    cost_model: CostModel | None = spec(None, nested=CostModel, optional=True, live="cost")
+    admission: AdmissionLimits | None = declared(SimulatorConfig, "admission", live=True)
+    cost_model: CostModel | None = spec(None, nested=CostModel, optional=True, live=True)
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -365,12 +374,20 @@ def _nested(name: str, value):
 
 
 def _not_live(name: str) -> SessionError:
-    """The error for a schedule that changes a field not marked ``live=``."""
+    """The error for a change to a field not marked ``live=True``."""
     return SessionError(
-        f"{name} is not live-reconfigurable; a schedule may change "
-        f"{', '.join(schema.live_fields(ClusterSpec))} and the houdini fields "
-        f"{', '.join(schema.live_fields(HoudiniConfig))}"
+        f"{name} is not live-reconfigurable; a running session may change "
+        f"{', '.join(schema.live_fields(ClusterSpec))} (of houdini: "
+        f"{', '.join(schema.live_fields(HoudiniConfig))})"
     )
+
+
+def _check_live(changes: Iterable[str]) -> None:
+    """Refuse any key that is not a live ``ClusterSpec`` field."""
+    live = schema.live_fields(ClusterSpec)
+    for name in changes:
+        if name not in live:
+            raise _not_live(f"spec field {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -763,122 +780,134 @@ class ClusterSession:
 
     # ------------------------------------------------------------------
     def reconfigure(
-        self,
-        *,
-        policy: Any = _UNSET,
-        admission: Any = _UNSET,
-        estimate_caching: bool | None = None,
-        confidence_threshold: float | None = None,
-        generator: WorkloadGenerator | None = None,
-        cost: Mapping[str, float] | None = None,
-        workload: WorkloadSource | Mapping | None = None,
-        selftune: Any = _UNSET,
-        tenancy: Any = _UNSET,
+        self, *, generator: WorkloadGenerator | None = None, **changes: Any
     ) -> "ClusterSession":
-        """Apply live configuration changes (see the module docstring).
+        """Change the running session; keys are live ``ClusterSpec`` fields.
 
-        ``workload=`` swaps the traffic source mid-session: a
-        :class:`ClosedLoopSource` (re)activates the closed-loop clients,
-        any other source freezes them and streams its arrivals from the
-        current simulated time on — the cluster, models and learned state
-        all survive, only the traffic changes.
-
-        ``selftune=`` enables the self-tuning loop mid-session (a
-        :class:`SelfTuneConfig` or field dict) or, with ``None``, detaches
-        it.
-
-        ``tenancy=`` installs, swaps, or (with ``None``) removes the
-        multi-tenant policy live: the node queue is transplanted between the
-        shared and the per-tenant scheduler in dispatch order, quota slots
-        held by in-flight transactions release exactly what they charged,
-        and SLO counters reset only for tenants whose objective changed.
-
-        Returns ``self`` so calls chain:
+        Values are instances or ``to_dict`` forms, so
+        ``reconfigure(**spec.diff(other))`` applies a spec diff; what each
+        change does, and the order they apply in, is in the module
+        docstring.  ``generator=`` swaps the workload generator.  Returns
+        ``self`` so calls chain:
         ``session.reconfigure(policy="shortest-predicted").run_for(txns=500)``.
         """
         self._check_open()
-        simulator = self.simulator
-        if workload is not None:
-            source = _nested("workload", workload)
+        _check_live(changes)
+        if generator is not None:
+            changes["generator"] = generator
+        for name, apply in (
+            ("workload", self._apply_workload),
+            ("policy", self._apply_policy),
+            ("admission", self._apply_admission),
+            ("generator", self.simulator.set_generator),
+            ("cost_model", self._apply_cost_model),
+            ("houdini", self._apply_houdini),
+            ("selftune", self._apply_selftune),
+            ("tenancy", self._apply_tenancy),
+        ):
+            if name in changes:
+                apply(changes[name])
+        return self
+
+    def _apply_workload(self, value) -> None:
+        source = _nested("workload", value)
+        if source is not None:
             try:
                 source.validate()
             except WorkloadError as error:
                 raise SessionError(f"invalid workload source: {error}") from error
-            if isinstance(source, ClosedLoopSource):
-                # Arrival streams stop; the closed-loop clients take over
-                # (started now if the session opened open-loop).  The client
-                # population is fixed at open time, so a different count
-                # cannot be honored and must not be silently ignored.
-                if source.clients_per_partition != simulator.config.clients_per_partition:
-                    raise SessionError(
-                        f"cannot change clients_per_partition on a live session "
-                        f"(open with {simulator.config.clients_per_partition}, "
-                        f"asked for {source.clients_per_partition}); open a new "
-                        f"session for a different client population"
-                    )
-                self._arrivals = None
-                simulator.config.client_think_time_ms = source.think_time_ms
-                simulator.activate_clients()
-            else:
-                # The closed loop stops submitting (in-flight work still
-                # finishes); the new stream's clock starts at the current
-                # simulated time.
-                compiled = self._compile_source(source)
-                simulator.freeze_budget()
-                self._arrivals = compiled
-                self._arrival_offset = simulator.now_ms
-            self.workload = source
-        if policy is not _UNSET:
-            schema.check_field(ClusterSpec, "policy", policy, SessionError)
-            simulator.set_policy(policy)
-        if admission is not _UNSET:
-            simulator.set_admission(_nested("admission", admission))
-        if generator is not None:
-            simulator.set_generator(generator)
-        if cost is not None:
-            model = simulator.cost_model
-            for name, value in cost.items():
-                if not name.endswith("_ms") or not hasattr(model, name):
-                    raise SessionError(
-                        f"unknown cost-model constant {name!r}; constants are "
-                        f"the *_ms fields of repro.sim.CostModel"
-                    )
-                schema.check_field(CostModel, name, value, SessionError)
-                # CostModel.__setattr__ clears the cost-schedule cache.
-                setattr(model, name, value)
-            # Predicted per-class costs baked the old constants in.
-            simulator.scheduler.clear_cost_cache()
-        knobs: dict[str, Any] = {}
-        if estimate_caching is not None:
-            knobs["estimate_caching"] = estimate_caching
-        if confidence_threshold is not None:
-            knobs["confidence_threshold"] = confidence_threshold
-        if knobs:
-            houdini = self.houdini
-            if houdini is None:
+        simulator = self.simulator
+        if source is None or isinstance(source, ClosedLoopSource):
+            closed = source or ClosedLoopSource(
+                self.spec.clients_per_partition, self.spec.client_think_time_ms
+            )
+            # Arrival streams stop; the closed-loop clients take over
+            # (started now if the session opened open-loop).  The client
+            # population is fixed at open time, so a different count
+            # cannot be honored and must not be silently ignored.
+            if closed.clients_per_partition != simulator.config.clients_per_partition:
                 raise SessionError(
-                    f"{' / '.join(knobs)} reconfiguration requires a Houdini-backed "
-                    f"strategy (this session runs {self.strategy.name!r})"
+                    f"cannot change clients_per_partition on a live session "
+                    f"(open with {simulator.config.clients_per_partition}, "
+                    f"asked for {closed.clients_per_partition}); open a new "
+                    f"session for a different client population"
                 )
-            try:
-                houdini.reconfigure(**knobs)
-            except ValueError as error:
-                raise SessionError(str(error)) from error
-        if selftune is not _UNSET:
-            selftune = _nested("selftune", selftune)
-            if selftune is None:
-                houdini = self.houdini
-                if houdini is not None:
-                    houdini.set_selftune(None)
-                simulator.set_selftune(None)
-                self.selftune = None
-            else:
-                # Copied so the caller's config object stays reusable.
-                self._install_selftune(replace(selftune))
-        if tenancy is not _UNSET:
-            tenancy = _nested("tenancy", tenancy)
-            simulator.set_tenancy(tenancy.copy() if tenancy is not None else None)
-        return self
+            self._arrivals = None
+            simulator.config.client_think_time_ms = closed.think_time_ms
+            simulator.activate_clients()
+        else:
+            # The closed loop stops submitting (in-flight work still
+            # finishes); the new stream's clock starts at the current
+            # simulated time.
+            compiled = self._compile_source(source)
+            simulator.freeze_budget()
+            self._arrivals = compiled
+            self._arrival_offset = simulator.now_ms
+        self.workload = source
+
+    def _apply_policy(self, policy) -> None:
+        schema.check_field(ClusterSpec, "policy", policy, SessionError)
+        self.simulator.set_policy(policy)
+
+    def _apply_admission(self, value) -> None:
+        self.simulator.set_admission(_nested("admission", value))
+
+    def _apply_cost_model(self, value) -> None:
+        if isinstance(value, CostModel):
+            value = value.to_dict()
+        if not isinstance(value, Mapping):
+            schema.check_field(ClusterSpec, "cost_model", value, SessionError)
+            raise SessionError(
+                "cost_model cannot be cleared live; diff against a spec "
+                "that keeps a cost model"
+            )
+        model = self.simulator.cost_model
+        for name, new in value.items():
+            if not name.endswith("_ms") or not hasattr(model, name):
+                raise SessionError(
+                    f"unknown cost-model constant {name!r}; constants are "
+                    f"the *_ms fields of repro.sim.CostModel"
+                )
+            schema.check_field(CostModel, name, new, SessionError)
+            # CostModel.__setattr__ clears the cost-schedule cache.
+            setattr(model, name, new)
+        # Predicted per-class costs baked the old constants in.
+        self.simulator.scheduler.clear_cost_cache()
+
+    def _apply_houdini(self, value) -> None:
+        houdini = self.houdini
+        if houdini is None:
+            raise SessionError(
+                "houdini reconfiguration requires a Houdini-backed "
+                f"strategy (this session runs {self.strategy.name!r})"
+            )
+        if not isinstance(value, Mapping):
+            value = (_nested("houdini", value) or HoudiniConfig()).to_dict()
+        live = houdini.config.to_dict()
+        changed = {}
+        for name, new in value.items():
+            if name in live and live[name] == new:
+                continue
+            if name not in schema.live_fields(HoudiniConfig):
+                raise _not_live(f"houdini field {name!r}")
+            schema.check_field(HoudiniConfig, name, new, SessionError)
+            changed[name] = new
+        houdini.reconfigure(**changed)
+
+    def _apply_selftune(self, value) -> None:
+        config = _nested("selftune", value)
+        if config is None:
+            if self.houdini is not None:
+                self.houdini.set_selftune(None)
+            self.simulator.set_selftune(None)
+            self.selftune = None
+        else:
+            # Copied so the caller's config object stays reusable.
+            self._install_selftune(replace(config))
+
+    def _apply_tenancy(self, value) -> None:
+        tenancy = _nested("tenancy", value)
+        self.simulator.set_tenancy(tenancy.copy() if tenancy is not None else None)
 
     # ------------------------------------------------------------------
     def snapshot_metrics(self, *, tenant: str | None = None):
@@ -928,66 +957,21 @@ class ClusterSession:
         ``schedule`` is a sequence of ``(at_ms, diff)`` pairs — ``diff`` as
         produced by :meth:`ClusterSpec.diff` (to-dict forms).  The session
         runs its live workload up to each ``at_ms`` in order and applies the
-        diff there, so the same seed and schedule always reproduce the same
-        result, byte for byte.  A diff may change only the fields their
-        declarations mark ``live=`` (``ClusterSpec``'s, and ``HoudiniConfig``'s
-        inside a ``houdini`` diff); anything else, or an ``at_ms`` that is not
-        a finite number >= 0, raises :class:`SessionError`.
+        diff there through :meth:`reconfigure`, so the same seed and
+        schedule always reproduce the same result, byte for byte.  A diff
+        key that is not a live field, or an ``at_ms`` that is not a finite
+        number >= 0, raises :class:`SessionError` before anything runs.
         """
         self._check_open()
         entries = list(schedule)
-        for at_ms, _ in entries:
+        for at_ms, diff in entries:
             schema.check_value("at_ms", at_ms, SessionError, kind="float", ge=0)
+            _check_live(diff)
         for at_ms, diff in sorted(entries, key=lambda entry: entry[0]):
             if at_ms > self.simulator.now_ms:
                 self._run_to(at_ms)
-            self._apply_diff(diff)
+            self.reconfigure(**diff)
         return self
-
-    def _apply_diff(self, diff: Mapping[str, Any]) -> None:
-        """Apply one :meth:`ClusterSpec.diff` entry through ``reconfigure``,
-        each key under the keyword its ``live`` mark names."""
-        live_fields = schema.live_fields(ClusterSpec)
-        changes: dict[str, Any] = {}
-        for key, value in diff.items():
-            if key == "houdini":
-                houdini = self.houdini
-                if houdini is None:
-                    raise SessionError(
-                        "houdini reconfiguration requires a Houdini-backed "
-                        f"strategy (this session runs {self.strategy.name!r})"
-                    )
-                live = houdini.config.to_dict()
-                houdini_fields = schema.live_fields(HoudiniConfig)
-                for name, new in (value or HoudiniConfig().to_dict()).items():
-                    if live[name] == new:
-                        continue
-                    if name not in houdini_fields:
-                        raise _not_live(f"houdini field {name!r}")
-                    changes[houdini_fields[name]] = new
-                continue
-            if key not in live_fields:
-                raise _not_live(f"spec field {key!r}")
-            if key == "workload" and value is None:
-                value = ClosedLoopSource(
-                    self.spec.clients_per_partition, self.spec.client_think_time_ms
-                )
-            elif key == "cost_model":
-                if value is None:
-                    raise SessionError(
-                        "cost_model cannot be cleared live; diff against a spec "
-                        "that keeps a cost model"
-                    )
-                live = self.simulator.cost_model
-                value = {
-                    name: new for name, new in value.items()
-                    if name.endswith("_ms") and getattr(live, name, new) != new
-                }
-                if not value:
-                    continue
-            changes[live_fields[key]] = value
-        if changes:
-            self.reconfigure(**changes)
 
     def close(self) -> SimulationResult:
         """Drain the session and seal it; returns the final metrics."""

@@ -12,9 +12,11 @@ Turns the tenant labels of ``TenantSource`` streams into enforced policy:
 * :class:`TenancyManager` — the runtime: predicted-remaining-work shedding
   under overload, in-flight signal maintenance, result snapshots.
 
-Enabled with ``ClusterSpec(tenancy=...)``, reconfigured live with
-``ClusterSession.reconfigure(tenancy=...)``, inspected via the ``tenancy``
-and ``slo`` commands of ``repro serve``.
+Enabled with ``ClusterSpec(tenancy=...)``; ``tenancy`` is a live field, so
+``ClusterSession.reconfigure(tenancy=...)`` (also what a spec diff replayed
+by ``apply_schedule`` and ``repro serve``'s ``tenancy`` verbs call) swaps or
+removes it on a running session.  Inspected via the ``tenancy`` and ``slo``
+commands of ``repro serve``.
 """
 
 from .config import TenancyConfig, TenantPolicy

@@ -2,6 +2,8 @@
 run-time learning as it was before the transition log.
 
 The paper-literal path estimator is the reference the compiled one must equal.
+Its one mapping lookup is :func:`resolve`, the per-slot resolver that
+``repro.houdini.compiled`` replaced (the mapping tests pin it too).
 
 Until the plan memo became the only planning cache this code lived in
 ``repro.houdini.estimator`` behind ``HoudiniConfig.compiled_estimation=False``.
@@ -17,12 +19,41 @@ production estimator.
 from __future__ import annotations
 
 from repro.catalog.statement import Operation
+from repro.errors import EstimationError
 from repro.houdini import PathEstimator
 from repro.houdini.estimator import _pool_rank
 from repro.houdini.maintenance import ModelMaintenance
+from repro.mapping import ParameterMapping
 from repro.markov.model import MarkovModel, SuccessorView
 from repro.markov.vertex import Edge
 from repro.types import PartitionSet
+
+
+def resolve(mapping: ParameterMapping, statement: str, query_param_index: int,
+            invocation_counter: int, procedure_parameters):
+    """Predict the value of one query parameter from procedure inputs.
+
+    Returns ``None`` when the slot is unmapped or the mapped array is too
+    short for this invocation counter — the "cannot determine all the
+    query parameters" condition of §4.2.
+    """
+    entry = mapping.entry_for(statement, query_param_index)
+    if entry is None:
+        return None
+    if entry.procedure_param_index >= len(procedure_parameters):
+        raise EstimationError(
+            f"mapping for {mapping.procedure!r} references parameter "
+            f"{entry.procedure_param_index} but only "
+            f"{len(procedure_parameters)} were supplied"
+        )
+    value = procedure_parameters[entry.procedure_param_index]
+    if entry.array_aligned:
+        if not isinstance(value, (list, tuple)):
+            return None
+        if invocation_counter >= len(value):
+            return None
+        return value[invocation_counter]
+    return value
 
 
 class ReferenceEstimator(PathEstimator):
@@ -54,7 +85,7 @@ class ReferenceEstimator(PathEstimator):
             return scheme.all_partitions()
         if mapping is None:
             return None
-        value = mapping.resolve(statement_name, index, counter, parameters)
+        value = resolve(mapping, statement_name, index, counter, parameters)
         if value is None:
             return None
         return PartitionSet.of([scheme.partition_for_value(value)])
@@ -91,7 +122,7 @@ class ReferenceEstimator(PathEstimator):
             if index is None or mapping.entry_for(statement.name, index) is None:
                 return everything
             for counter in range(max_counter):
-                value = mapping.resolve(statement.name, index, counter, request.parameters)
+                value = resolve(mapping, statement.name, index, counter, request.parameters)
                 if value is not None:
                     footprint.add(scheme.partition_for_value(value))
         return frozenset(footprint)

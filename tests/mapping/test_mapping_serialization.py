@@ -18,6 +18,7 @@ from repro.mapping import (
     save_mappings,
 )
 from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
+from tests.houdini.reference import resolve
 
 
 def _sample_mapping() -> ParameterMapping:
@@ -60,10 +61,10 @@ class TestMappingRoundTrip:
         restored = mapping_from_dict(mapping_to_dict(original))
         parameters = (7, [101, 102, 103])
         for counter in range(3):
-            assert restored.resolve("CheckStock", 0, counter, parameters) == original.resolve(
-                "CheckStock", 0, counter, parameters
+            assert resolve(restored, "CheckStock", 0, counter, parameters) == resolve(
+                original, "CheckStock", 0, counter, parameters
             )
-        assert restored.resolve("GetWarehouse", 0, 0, parameters) == 7
+        assert resolve(restored, "GetWarehouse", 0, 0, parameters) == 7
 
     def test_a_tied_slot_resolves_the_same_after_a_round_trip(self, account_catalog):
         """``x`` is both parameter 1 and the only element of array parameter
@@ -83,8 +84,8 @@ class TestMappingRoundTrip:
         assert fresh.entry_for("GetFrom", 0) == restored.entry_for("GetFrom", 0)
         assert fresh.entry_for("GetFrom", 0).procedure_param_index == 0
         parameters = ((7,), 9, 1)
-        assert fresh.resolve("GetFrom", 0, 0, parameters) == 7
-        assert restored.resolve("GetFrom", 0, 0, parameters) == 7
+        assert resolve(fresh, "GetFrom", 0, 0, parameters) == 7
+        assert resolve(restored, "GetFrom", 0, 0, parameters) == 7
 
     def test_missing_fields_raise_estimation_error(self):
         with pytest.raises(EstimationError):

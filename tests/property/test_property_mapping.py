@@ -13,6 +13,7 @@ from repro.catalog import Catalog, PartitionScheme
 from repro.mapping import ParameterMappingBuilder
 from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
 from tests.conftest import TransferProcedure, make_account_schema
+from tests.houdini.reference import resolve
 
 
 def make_catalog() -> Catalog:
@@ -59,6 +60,6 @@ class TestMappingRecovery:
 
         # Resolution round-trips for arbitrary new parameters.
         parameters = (123, 987, 5)
-        assert mapping.resolve("GetFrom", 0, 0, parameters) == 123
-        assert mapping.resolve("GetTo", 0, 0, parameters) == 987
-        assert mapping.resolve("Debit", 0, 0, parameters) == 123
+        assert resolve(mapping, "GetFrom", 0, 0, parameters) == 123
+        assert resolve(mapping, "GetTo", 0, 0, parameters) == 987
+        assert resolve(mapping, "Debit", 0, 0, parameters) == 123

@@ -1,17 +1,20 @@
 """Which fields a running session may change, read off the field table.
 
-A field a running session may change carries ``live="<reconfigure keyword>"``
-in its ``spec(...)`` declaration (:func:`repro.schema.live_fields`).  One
-parametrized test walks every ``ClusterSpec`` and ``HoudiniConfig`` field:
-a field marked live, changed through ``ClusterSpec.diff``, applies through
+A field a running session may change carries ``live=True`` in its
+``spec(...)`` declaration (:func:`repro.schema.live_fields`), and
+``ClusterSession.reconfigure`` takes it by its name.  One parametrized test
+walks every ``ClusterSpec`` and ``HoudiniConfig`` field: a field marked
+live, changed through ``ClusterSpec.diff``, applies through
 ``ClusterSession.apply_schedule`` and the running session shows the new
-value; any other field raises :class:`SessionError` naming it.  The changed
-value is derived from the field's declared rule where it has one, so a new
-field is covered without editing this module.
+value; any other field raises :class:`SessionError` naming it, through
+``apply_schedule`` and ``reconfigure`` alike.  The changed value is derived
+from the field's declared rule where it has one, so a new field is covered
+without editing this module.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import fields, replace
 
@@ -22,7 +25,7 @@ from repro.errors import SessionError
 from repro.houdini import HoudiniConfig
 from repro.scheduling import AdmissionLimits
 from repro.selftune import SelfTuneConfig
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSession, ClusterSpec
 from repro.sim import CostModel
 from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.workload import OpenLoopSource
@@ -49,7 +52,7 @@ SHOWN = {
     "admission": lambda session: session.simulator.config.admission,
     "tenancy": lambda session: session.simulator.config.tenancy,
     "workload": lambda session: session.workload,
-    "selftune": lambda session: session.selftune.config,
+    "selftune": lambda session: session.selftune and session.selftune.config,
     "cost_model": lambda session: session.simulator.cost_model.to_dict(),
     "houdini": lambda session: session.houdini.config,
 }
@@ -74,23 +77,13 @@ def changed(cls, name: str, current):
     return current / 2 if current else 1.0
 
 
-def applies(cls, name: str) -> bool:
-    """Marked live, or a nested config whose class marks fields live (a
-    ``houdini`` diff goes field by field)."""
-    nested = (schema.rule_of(cls, name) or {}).get("nested")
-    return name in schema.live_fields(cls) or (
-        nested is not None and bool(schema.live_fields(nested)))
-
-
 def test_the_marks_are_the_documented_knobs():
-    assert schema.live_fields(ClusterSpec) == {
-        "policy": "policy", "admission": "admission", "workload": "workload",
-        "selftune": "selftune", "tenancy": "tenancy", "cost_model": "cost",
-    }
-    assert schema.live_fields(HoudiniConfig) == {
-        "enable_estimate_caching": "estimate_caching",
-        "confidence_threshold": "confidence_threshold",
-    }
+    assert schema.live_fields(ClusterSpec) == (
+        "houdini", "selftune", "tenancy", "workload", "policy", "admission", "cost_model",
+    )
+    assert schema.live_fields(HoudiniConfig) == (
+        "confidence_threshold", "enable_estimate_caching",
+    )
 
 
 @pytest.mark.parametrize(
@@ -108,12 +101,16 @@ def test_a_field_changes_live_if_and_only_if_it_is_marked(cls, name):
         value = changed(cls, name, getattr(BASE, name))
         # A spec field is refused by its key; the value need not be valid.
         diff = {name: value}
-        if applies(cls, name):
+        if name in schema.live_fields(cls):
             diff = BASE.diff(replace(BASE, **{name: value}))
             assert list(diff) == [name]
-    if not applies(cls, name):
-        with pytest.raises(SessionError, match=re.escape(f"{name!r} is not live")):
-            session.apply_schedule([(session.now_ms, diff)])
+    if name not in schema.live_fields(cls):
+        refused = re.escape(f"{name!r} is not live")
+        for apply in (lambda: session.apply_schedule([(session.now_ms, diff)]),
+                      lambda: session.reconfigure(**diff)):
+            with pytest.raises(SessionError, match=refused) as error:
+                apply()
+            assert ", ".join(schema.live_fields(ClusterSpec)) in str(error.value)
         return
     session.apply_schedule([(session.now_ms + 1.0, diff)])
     if cls is HoudiniConfig:
@@ -123,3 +120,38 @@ def test_a_field_changes_live_if_and_only_if_it_is_marked(cls, name):
         assert SHOWN[name](session) == expected
     session.run_for(txns=10)  # and the session runs on under it
     session.close()
+
+
+def test_workload_none_is_the_spec_closed_loop_on_both_paths():
+    """``reconfigure(workload=None)`` resumes the spec's closed loop on an
+    open-loop session, exactly as the ``{"workload": None}`` diff does."""
+    open_loop = replace(BASE, workload=CHANGED["workload"])
+    results = []
+    for apply in ("reconfigure", "apply_schedule"):
+        session = Cluster.open(open_loop, artifacts=trained("tatp", 2, 100, 0))
+        session.run_for(txns=20)
+        if apply == "reconfigure":
+            session.reconfigure(workload=None)
+        else:
+            session.apply_schedule([(session.now_ms, open_loop.diff(BASE))])
+        assert session.workload is None, apply
+        assert session.run_for(txns=30).total_transactions == 50, apply
+        results.append(json.dumps(session.close().to_dict(), sort_keys=True))
+    assert results[0] == results[1]
+
+
+def test_changes_apply_in_a_fixed_order_whatever_the_keyword_order(monkeypatch):
+    """workload, policy, admission, generator, cost_model, houdini,
+    selftune, tenancy — however the keywords are ordered."""
+    order = ["workload", "policy", "admission", "generator", "cost_model", "houdini",
+             "selftune", "tenancy"]
+    session = Cluster.open(BASE, artifacts=trained("tatp", 2, 100, 0))
+    applied = []
+    for name in order:
+        target = session.simulator if name == "generator" else ClusterSession
+        method = "set_generator" if name == "generator" else f"_apply_{name}"
+        monkeypatch.setattr(target, method, lambda *args, name=name: applied.append(name))
+    # ``generator=None`` is "no change"; every live field takes ``None``.
+    session.reconfigure(**{
+        name: object() if name == "generator" else None for name in reversed(order)})
+    assert applied == order

@@ -179,10 +179,11 @@ def _scripted_session(seed: int) -> SimulationResult:
     session.reconfigure(
         policy="shortest-predicted",
         admission={"max_in_flight": 8, "max_deferrals": 256},
-        estimate_caching=False,
+        houdini={"enable_estimate_caching": False},
     )
     session.run_for(txns=100)
-    session.reconfigure(confidence_threshold=0.8, estimate_caching=True)
+    session.reconfigure(
+        houdini={"confidence_threshold": 0.8, "enable_estimate_caching": True})
     session.run_for(txns=50)
     return session.close()
 
@@ -276,7 +277,7 @@ class TestReconfigure:
         session.run_for(txns=50)
         model = session.simulator.cost_model
         assert model._schedule_cache  # populated by the run
-        session.reconfigure(cost={"redirect_ms": 3.0})
+        session.reconfigure(cost_model={"redirect_ms": 3.0})
         assert model.redirect_ms == 3.0
         assert not model._schedule_cache
         assert not session.simulator.scheduler._cost_cache
@@ -294,7 +295,8 @@ class TestReconfigure:
             houdini=HoudiniConfig(confidence_threshold=0.5),
         )
         session = Cluster.open(spec, artifacts=artifacts)
-        session.reconfigure(cost={"redirect_ms": 9.0}, confidence_threshold=0.9)
+        session.reconfigure(
+            cost_model={"redirect_ms": 9.0}, houdini={"confidence_threshold": 0.9})
         assert session.simulator.cost_model.redirect_ms == 9.0
         assert spec.cost_model.redirect_ms == 1.0
         assert spec.houdini.confidence_threshold == 0.5
@@ -306,9 +308,9 @@ class TestReconfigure:
                         strategy="oracle"),
         )
         with pytest.raises(SessionError, match="cost-model constant"):
-            session.reconfigure(cost={"warp_factor_ms": 9.0})
+            session.reconfigure(cost_model={"warp_factor_ms": 9.0})
         with pytest.raises(SessionError, match="cost-model constant"):
-            session.reconfigure(cost={"redirect": 9.0})
+            session.reconfigure(cost_model={"redirect": 9.0})
         session.close()
 
     def test_houdini_reconfigure_requires_houdini_strategy(self):
@@ -317,7 +319,7 @@ class TestReconfigure:
                         strategy="oracle"),
         )
         with pytest.raises(SessionError, match="Houdini-backed"):
-            session.reconfigure(estimate_caching=False)
+            session.reconfigure(houdini={"enable_estimate_caching": False})
         session.close()
 
     def test_estimate_caching_toggle_routes_through_invalidation(self):
@@ -329,10 +331,10 @@ class TestReconfigure:
         houdini = session.houdini
         assert houdini.estimate_cache is not None  # default on
         session.run_for(txns=50)
-        session.reconfigure(estimate_caching=False)
+        session.reconfigure(houdini={"enable_estimate_caching": False})
         assert houdini.estimate_cache is None
         assert houdini.config.enable_estimate_caching is False
-        session.reconfigure(estimate_caching=True)
+        session.reconfigure(houdini={"enable_estimate_caching": True})
         assert houdini.estimate_cache is not None
         assert len(houdini.estimate_cache) == 0  # fresh, not resurrected
         session.run_for(txns=50)
@@ -348,11 +350,11 @@ class TestReconfigure:
         session.run_for(txns=100)
         memo = houdini.estimate_cache
         assert len(memo) > 0  # walks and decisions memoized
-        session.reconfigure(confidence_threshold=0.9)
+        session.reconfigure(houdini={"confidence_threshold": 0.9})
         assert houdini.config.confidence_threshold == 0.9
         assert len(memo) == 0 and houdini.estimate_cache is memo
         with pytest.raises(SessionError, match="confidence_threshold"):
-            session.reconfigure(confidence_threshold=1.5)
+            session.reconfigure(houdini={"confidence_threshold": 1.5})
         session.close()
 
 

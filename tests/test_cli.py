@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import io
+import re
+from pathlib import Path
+
 import pytest
 
+from repro import schema
 from repro.benchmarks import available_benchmarks
 from repro.cli import EXPERIMENTS, STRATEGIES, build_parser, main
+from repro.session import ClusterSession, ClusterSpec
 
 
 class TestParser:
@@ -325,3 +331,61 @@ class TestCommands:
         assert code == 1
         assert "invalid workload source" in captured.err
         assert "committed" not in captured.out
+
+
+#: The ``serve`` verbs that change the session, and the live field each sets.
+CHANGE_VERBS = {
+    "policy": "policy", "admission": "admission", "caching": "houdini",
+    "threshold": "houdini", "workload": "workload", "selftune": "selftune",
+    "tenancy": "tenancy",
+}
+
+
+class _CountedLines(io.StringIO):
+    """Stdin that counts the lines the REPL has read."""
+
+    read = 0
+
+    def readline(self, *args):
+        line = super().readline(*args)
+        self.read += bool(line)
+        return line
+
+
+def ci_serve_script(trace_path: Path) -> list[str]:
+    """The stdin script of CI's ``Every serve set command once`` step, with
+    its trace path replaced."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+    script = re.search(r"<<'SERVE'\n(.*?)\n\s*SERVE\n", workflow.read_text(), re.S)
+    return [line.strip().replace("/tmp/tatp_trace.jsonl", str(trace_path))
+            for line in script.group(1).splitlines()]
+
+
+def test_every_serve_change_verb_is_one_reconfigure_call(capsys, monkeypatch, tmp_path):
+    """Each change verb of CI's serve script reaches the session through
+    exactly one ``ClusterSession.reconfigure`` call keyed by the live field
+    it changes; no other line calls it."""
+    trace_path = tmp_path / "tatp.jsonl"
+    assert main(["record", "tatp", "--partitions", "2", "--transactions", "60",
+                 "--rate", "800", "--output", str(trace_path)]) == 0
+    script = ci_serve_script(trace_path)
+    assert {line.split()[0] for line in script} >= set(CHANGE_VERBS)
+    stdin = _CountedLines("\n".join(script) + "\n")
+    calls: dict[int, list[tuple[str, ...]]] = {}
+    reconfigure = ClusterSession.reconfigure
+
+    def recording(session, **changes):
+        calls.setdefault(stdin.read, []).append(tuple(changes))
+        return reconfigure(session, **changes)
+
+    monkeypatch.setattr(ClusterSession, "reconfigure", recording)
+    monkeypatch.setattr("sys.stdin", stdin)
+    capsys.readouterr()
+    assert main(["serve", "tatp", "--partitions", "2", "--trace", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "error:" not in out and "session closed after" in out
+    for number, line in enumerate(script, start=1):
+        verb = line.split()[0]
+        expected = [(CHANGE_VERBS[verb],)] if verb in CHANGE_VERBS else []
+        assert calls.get(number, []) == expected, line
+    assert set(CHANGE_VERBS.values()) <= set(schema.live_fields(ClusterSpec))

@@ -39,9 +39,10 @@ SEARCHED = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
 #: Test-driven APIs kept on purpose, each with why it stays.
 KEPT = {
-    "apply_schedule": "ClusterSession.apply_schedule (and the _apply_diff it "
-                      "runs) replays ClusterSpec.diff schedules; the "
-                      "scenario fuzzer of ROADMAP item 5 will drive it",
+    "apply_schedule": "ClusterSession.apply_schedule replays ClusterSpec.diff "
+                      "schedules as a loop of reconfigure calls at simulated "
+                      "times; the scenario fuzzer of ROADMAP item 5 will "
+                      "drive it",
     "single_partitioned": "AttemptResult.single_partitioned: the benchmark "
                           "tests assert which procedures stay on one partition",
     "vertex_accuracy": "ModelMaintenance.vertex_accuracy: the per-vertex §4.5 "
