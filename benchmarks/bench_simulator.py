@@ -251,7 +251,7 @@ def _metrics_footprint(result) -> int:
     """Approximate bytes held by the latency accumulator of a result."""
     if result.latency_sketch is not None:
         sketch = result.latency_sketch
-        return sys.getsizeof(sketch._reservoir) + 24 * len(sketch._reservoir) + 400
+        return sys.getsizeof(sketch._buckets) + 56 * len(sketch._buckets) + 400
     return sys.getsizeof(result.latencies_ms) + 24 * len(result.latencies_ms)
 
 

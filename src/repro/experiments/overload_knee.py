@@ -19,7 +19,7 @@ O(1) workload state — and probing arrival rates in three phases:
 
 Every probe is a fresh session over the same trained artifacts (so probes
 are independent and deterministic) running with ``metrics_mode="streaming"``
-— the O(1)-memory sketches of :mod:`repro.sim.sketch` — and is *abandoned*
+— the bounded-memory sketches of :mod:`repro.sim.sketch` — and is *abandoned*
 rather than drained: draining an overloaded probe would execute the entire
 backlog, which is precisely the work the knee is meant to avoid.  Peak RSS
 is recorded so the scale-mode benchmark can assert bounded memory at

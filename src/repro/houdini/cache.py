@@ -50,11 +50,12 @@ while a fresh walk would read exactly what the memoized one read:
   tables it reads only observation counts, and only through the
   support-limited gate above;
 * :meth:`EstimateCache.invalidate_procedure` drops one procedure's entries
-  (model maintenance recomputed it, or a retrained model was hot-swapped
-  in; partitioned providers routing a procedure to a different cluster
-  model land on a different key) and :meth:`EstimateCache.invalidate` drops
-  everything (a live configuration change: decisions bake the confidence
-  threshold in).
+  when a retrained model is hot-swapped in (a maintenance recompute needs
+  no call: the revalidation above evicts the entries whose views or tables
+  it replaced; partitioned providers routing a procedure to a different
+  cluster model land on a different key), and
+  :meth:`EstimateCache.invalidate` drops everything (a live configuration
+  change: decisions bake the confidence threshold in).
 
 ``stats.invalidations`` counts *entries evicted* on every invalidation path
 (full flush, per-procedure, replaced read) so the counter means one thing.

@@ -292,13 +292,10 @@ class Houdini:
             self._since_maintenance += 1
             if self._since_maintenance >= self._maintenance_interval:
                 self._since_maintenance = 0
-                recomputed = self.maintenance.check_all()
-                if recomputed and self.estimate_cache is not None:
-                    # Recomputed probabilities can change decisions, but only
-                    # for the recomputed models: evict exactly those
-                    # procedures' entries instead of flushing the cache.
-                    for procedure in recomputed:
-                        self.estimate_cache.invalidate_procedure(procedure)
+                # A recompute replaces the views and tables it changed; the
+                # plan memo's per-entry revalidation evicts every entry that
+                # read one of them.
+                self.maintenance.check_all()
             if self._selftune is not None:
                 # After the maintenance block so the drift check sees the
                 # freshest accuracy signal.  The observer may swap the

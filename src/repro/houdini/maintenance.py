@@ -156,19 +156,10 @@ class MaintenanceRegistry:
             self._by_model[key] = maintenance
         return maintenance
 
-    def check_all(self) -> list[str]:
-        """Run drift checks on every tracked model.
-
-        Returns the procedure names whose models were recomputed (possibly
-        with duplicates when a partitioned provider recomputes several
-        cluster models of one procedure) so callers can invalidate exactly
-        the affected per-procedure state instead of flushing everything.
-        """
-        return [
-            maintenance.model.procedure
-            for maintenance in self._by_model.values()
-            if maintenance.check()
-        ]
+    def check_all(self) -> int:
+        """Run drift checks on every tracked model; returns how many models
+        were recomputed."""
+        return sum(maintenance.check() for maintenance in self._by_model.values())
 
     def forget(self, model: MarkovModel) -> None:
         """Stop tracking ``model`` (hot swap retired it).

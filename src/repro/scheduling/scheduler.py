@@ -197,7 +197,7 @@ class TransactionScheduler:
     ) -> None:
         self.policy = policy or ArrivalOrderPolicy()
         self.cost_model = cost_model or _default_cost_model()
-        #: Streaming mode: per-class waits accumulate into O(1)-memory
+        #: Streaming mode: per-class waits accumulate into bounded-memory
         #: sketches instead of unbounded lists (``metrics_mode="streaming"``).
         self._streaming_waits = streaming_waits
         self.stats = SchedulerStats()
@@ -614,7 +614,7 @@ class TransactionScheduler:
         Under streaming mode the non-zero waits live in a
         :class:`~repro.sim.sketch.LatencySketch` per class: count, mean and
         max stay exact, percentiles come from the sketch (within its
-        documented error bound) at the zero-adjusted rank.
+        relative accuracy α) at the zero-adjusted rank.
         """
         summary: dict[str, dict] = {}
         for procedure in sorted(set(self._waits) | set(self._zero_waits)):

@@ -163,10 +163,7 @@ class SelfTuneManager:
         old_model = self.houdini.provider.model_for_procedure(procedure)
         if old_model is None:
             return False
-        new_model = retrain_model(
-            old_model, job.paths,
-            precompute_tables=self.houdini.config.precompute_tables,
-        )
+        new_model = retrain_model(old_model, job.paths)
         self.stats.retrains_completed += 1
         self.houdini.swap_model(procedure, new_model)
         self.stats.swaps += 1

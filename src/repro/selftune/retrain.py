@@ -33,12 +33,7 @@ class RetrainJob:
     paths: tuple
 
 
-def retrain_model(
-    old_model: MarkovModel,
-    paths,
-    *,
-    precompute_tables: bool = True,
-) -> MarkovModel:
+def retrain_model(old_model: MarkovModel, paths) -> MarkovModel:
     """Rebuild a procedure's model from recorded transition paths.
 
     Each path is a begin -> ... -> terminal chain of ``(source, target)``
@@ -48,7 +43,10 @@ def retrain_model(
     vertex it visited there (with the invocation's query type), so the old
     model is a complete type oracle for the tail.  Begin hits and
     ``transactions_observed`` are counted per path — the OP3 selector's
-    support accounting (``sampling_risk``) reads both.
+    support accounting (``sampling_risk``) reads both.  The model always
+    gets its probability tables, as off-line training gives every model,
+    whatever ``HoudiniConfig.precompute_tables`` says: the optimization
+    selector reads the begin vertex's table.
     """
     model = MarkovModel(old_model.procedure, old_model.num_partitions)
     find = old_model.find_vertex
@@ -60,5 +58,5 @@ def retrain_model(
             previous = find(key)
             states.append((key, previous.query_type if previous is not None else None))
         model.fold_path(states, aborted=path[-1][1] is ABORT_KEY)
-    model.process(precompute_tables=precompute_tables)
+    model.process()
     return model

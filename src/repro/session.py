@@ -99,9 +99,9 @@ derived state survives; they apply in this order, whatever the keywords':
   its ``*_ms`` constants and assigns them, which clears the cost-schedule
   and the scheduler's predicted-cost caches.  ``None`` raises.
 * ``houdini`` takes a full or partial :class:`HoudiniConfig` (either form);
-  the fields that differ from the live config go to
-  :meth:`~repro.houdini.houdini.Houdini.reconfigure`, and one not marked
-  live raises.  ``confidence_threshold`` invalidates the plan memo,
+  the live fields that differ from the live config go to
+  :meth:`~repro.houdini.houdini.Houdini.reconfigure`, and a field not
+  marked live that differs from the spec's value raises.  ``confidence_threshold`` invalidates the plan memo,
   ``enable_estimate_caching`` installs a fresh one or removes it.
 * ``selftune`` enables the self-tuning loop or, with ``None``, detaches it.
 * ``tenancy`` installs, swaps or (with ``None``) removes the multi-tenant
@@ -256,9 +256,9 @@ class ClusterSpec:
     #: Latency accounting: ``"exact"`` (default) keeps every observation —
     #: byte-identical to specs that predate this field — while
     #: ``"streaming"`` replaces the unbounded per-latency lists with the
-    #: O(1)-memory sketches of :mod:`repro.sim.sketch`, the million-user
-    #: scale mode (counters stay exact; percentiles carry the sketch's
-    #: documented error bound).
+    #: bounded-memory sketches of :mod:`repro.sim.sketch`, the million-user
+    #: scale mode (counters stay exact; percentiles are within the sketch's
+    #: relative accuracy α of exact).
     metrics_mode: str = declared(SimulatorConfig, "metrics_mode")
     #: Every attempt executes on the coordinator's one engine, so
     #: ``"inline"`` is the only value.  The field outlives the sharded
@@ -884,14 +884,19 @@ class ClusterSession:
         if not isinstance(value, Mapping):
             value = (_nested("houdini", value) or HoudiniConfig()).to_dict()
         live = houdini.config.to_dict()
+        # Non-live fields are checked against what the spec declared: the
+        # live config also carries the benchmark's built-in disabled
+        # procedures, which no spec lists.
+        declared = (self.spec.houdini or HoudiniConfig()).to_dict()
         changed = {}
         for name, new in value.items():
-            if name in live and live[name] == new:
-                continue
             if name not in schema.live_fields(HoudiniConfig):
+                if name in declared and declared[name] == new:
+                    continue
                 raise _not_live(f"houdini field {name!r}")
-            schema.check_field(HoudiniConfig, name, new, SessionError)
-            changed[name] = new
+            if live[name] != new:
+                schema.check_field(HoudiniConfig, name, new, SessionError)
+                changed[name] = new
         houdini.reconfigure(**changed)
 
     def _apply_selftune(self, value) -> None:

@@ -36,8 +36,9 @@ The package has four pieces:
 * :class:`~repro.sim.metrics.SimulationResult` — metrics, accumulated in
   flat arrays during the run and materialized once at the end.  Under
   ``metrics_mode="streaming"`` the unbounded accumulators are replaced by
-  the O(1)-memory sketches in :mod:`~repro.sim.sketch`
-  (:class:`~repro.sim.sketch.LatencySketch`,
+  the bounded-memory sketches in :mod:`~repro.sim.sketch`
+  (:class:`~repro.sim.sketch.LatencySketch`, a log-bucketed histogram whose
+  every quantile is within ``RELATIVE_ACCURACY`` of exact, and
   :class:`~repro.sim.sketch.CompletionWindow`) — the million-user scale
   mode; exact mode stays the default and byte-identical.
 """

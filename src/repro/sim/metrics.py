@@ -139,7 +139,7 @@ class SimulationResult:
     num_partitions: int
     #: How latency/window metrics were accumulated: ``"exact"`` stores
     #: every latency in :attr:`latencies_ms`; ``"streaming"`` keeps an
-    #: O(1)-memory :attr:`latency_sketch` instead (scale mode).
+    #: bounded-memory :attr:`latency_sketch` instead (scale mode).
     metrics_mode: str = "exact"
     simulated_duration_ms: float = 0.0
     committed: int = 0
@@ -214,7 +214,7 @@ class SimulationResult:
         """Nearest-rank latency quantile for ``q`` in ``[0, 1]``.
 
         Exact over the stored latencies in exact mode; in streaming mode the
-        sketch answers (within its documented error bound, see
+        sketch answers (within its relative accuracy α, see
         :mod:`repro.sim.sketch`).
         """
         if self.latency_sketch is not None:
@@ -254,14 +254,13 @@ class SimulationResult:
         Payload size is bounded by the metrics mode: in exact mode
         ``latencies_ms`` carries every accumulated latency and
         ``latency_summary`` is ``None``; in streaming mode ``latencies_ms``
-        is empty and ``latency_summary`` carries the constant-size sketch
-        summary instead, so a million-transaction result serializes in a
-        few hundred bytes.  Round-trip contract: every counter, window
-        field, breakdown and stats block restores exactly in both modes;
-        in streaming mode the restored :attr:`latency_sketch` is a frozen
-        summary — count/total/min/max and the tracked percentiles
-        (p50/p95/p99) survive, raw samples do not (see
-        :meth:`~repro.sim.sketch.LatencySketch.from_dict`).
+        is empty and ``latency_summary`` carries the sketch's buckets
+        instead, so a million-transaction result serializes in a few KiB.
+        Round-trip contract: every counter, window field, breakdown and
+        stats block restores exactly in both modes; in streaming mode the
+        restored :attr:`latency_sketch` equals the original and keeps
+        accepting observations (see
+        :meth:`~repro.sim.sketch.LatencySketch.to_dict`).
         """
         out = schema.to_dict(self)
         for name in ("breakdowns", "tenants", "maintenance"):

@@ -230,7 +230,7 @@ class ClusterSimulator:
 
         self._partition_free = [0.0] * self._num_partitions
         # Batched accumulators, folded into a SimulationResult on demand.
-        # Streaming mode swaps the unbounded lists for O(1)-memory sketches
+        # Streaming mode swaps the unbounded lists for bounded-memory sketches
         # that answer to the same ``append`` call sites.
         self._latencies: list[float] | LatencySketch = (
             LatencySketch() if streaming else []

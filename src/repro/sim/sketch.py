@@ -3,16 +3,17 @@
 Exact mode stores every completed latency in a Python list — perfect for
 thousands of transactions, fatal for overload studies where a single probe
 completes millions.  ``metrics_mode="streaming"`` swaps those lists for the
-two accumulators here, both O(1) in memory no matter how many observations
-arrive:
+two accumulators here, whose memory grows at most with the logarithm of the
+observed range, never with the number of observations:
 
-* :class:`LatencySketch` — count / sum / min / max exactly, plus quantile
-  estimates from a P² (piecewise-parabolic) estimator per tracked quantile
-  (p50/p95/p99) backed by a deterministic reservoir sample for every other
-  quantile.  While the population still fits in the reservoir the sketch is
-  *exact*; past that, the documented accuracy contract is
-  :data:`QUANTILE_RTOL` (relative error on TATP/TPC-C-shaped latency
-  populations, held by ``tests/property/test_property_sketch.py``).
+* :class:`LatencySketch` — count / sum / min / max exactly, plus a
+  DDSketch-style relative-error histogram: each positive value adds one to
+  the bucket ``ceil(log(x) / log(γ))`` with ``γ = (1+α)/(1−α)``.  Every
+  quantile is the nearest-rank bucket's midpoint, so it is within
+  :data:`RELATIVE_ACCURACY` (α) of the exact nearest-rank value by
+  construction, whatever the stream's shape.  Two sketches merge by adding
+  bucket counts, and the dict form carries the buckets, so a round trip
+  restores an equal, live sketch.
 * :class:`CompletionWindow` — a doubling-width histogram of completion
   times (committed and total counts per bucket) that reproduces the
   simulator's post-warm-up measurement window to within one bucket
@@ -28,200 +29,55 @@ by what arrived since the last snapshot instead of recomputed from the log.
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from itertools import chain
+from math import ceil, log
 from operator import itemgetter, le
 from typing import Iterable, Mapping
 
 from ..errors import SimulationError
 
-#: Quantiles maintained by dedicated P² estimators.
-TRACKED_QUANTILES = (0.5, 0.95, 0.99)
+#: Relative accuracy α of every streaming quantile: the estimate lies within
+#: ``α × exact`` of the exact nearest-rank value.
+RELATIVE_ACCURACY = 0.005
 
-#: Documented relative-error bound for streaming quantiles once the
-#: population has outgrown the exact reservoir (see module docstring).
-QUANTILE_RTOL = 0.10
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = log(_GAMMA)
+#: Bucket ``i`` holds ``(γ^(i-1), γ^i]``; its midpoint is ``γ^i × _MIDPOINT``.
+_MIDPOINT = 2.0 / (_GAMMA + 1.0)
 
-#: Reservoir capacity: below this many observations quantiles are exact.
+#: Rank grid over which the e2e harness (``benchmarks/e2e/run.py``) searches
+#: a sketch's quantiles for the share of completions under a latency limit.
 RESERVOIR_SIZE = 2048
 
 #: Bucket count of the completion-time histogram.
 WINDOW_BUCKETS = 4096
 
-#: Fixed seed for the deterministic reservoir (results must be replayable).
-_RESERVOIR_SEED = 0x5EED
-
-
-class _P2Quantile:
-    """Jain & Chlamtac's P² streaming quantile estimator (one quantile).
-
-    Five markers track the running quantile without storing observations;
-    marker heights are adjusted with a piecewise-parabolic fit as counts
-    grow.  Exact until five observations have arrived.
-    """
-
-    __slots__ = ("q", "heights", "positions", "desired", "increments", "count")
-
-    def __init__(self, q: float) -> None:
-        self.q = q
-        self.heights: list[float] = []
-        self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self.increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def add(self, x: float) -> None:
-        """One P² update, written out over the five markers.
-
-        The same float operations in the same order as the textbook loops
-        (kept as the oracle in ``tests/sim/reference_sketch.py``): locate the
-        cell of ``x`` and clamp the extreme markers, shift the positions
-        above the cell, advance the desired positions, then move markers 1,
-        2, 3 — in that order, each seeing its neighbour's new height — by a
-        parabolic step, or a linear one when the parabola would leave the
-        bracket.  Marker 0's desired position never moves (its increment is
-        0.0).
-        """
-        count = self.count + 1
-        self.count = count
-        heights = self.heights
-        if count <= 5:
-            insort(heights, x)
-            return
-        positions = self.positions
-        desired = self.desired
-        h0, h1, h2, h3, h4 = heights
-        n0, n1, n2, n3, n4 = positions
-        if x < h0:
-            heights[0] = h0 = x
-            n1 += 1.0
-            n2 += 1.0
-            n3 += 1.0
-        elif x >= h4:
-            heights[4] = h4 = x
-        elif x < h1:
-            n1 += 1.0
-            n2 += 1.0
-            n3 += 1.0
-        elif x < h2:
-            n2 += 1.0
-            n3 += 1.0
-        elif x < h3:
-            n3 += 1.0
-        n4 += 1.0
-        _, i1, i2, i3, i4 = self.increments
-        desired[4] += i4
-
-        desired[1] = d = desired[1] + i1
-        delta = d - n1
-        if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and n0 - n1 < -1.0):
-            step = 1.0 if delta >= 1.0 else -1.0
-            candidate = h1 + step / (n2 - n0) * (
-                (n1 - n0 + step) * (h2 - h1) / (n2 - n1)
-                + (n2 - n1 - step) * (h1 - h0) / (n1 - n0)
-            )
-            if h0 < candidate < h2:
-                h1 = candidate
-            elif step > 0.0:
-                h1 = h1 + step * (h2 - h1) / (n2 - n1)
-            else:
-                h1 = h1 + step * (h0 - h1) / (n0 - n1)
-            heights[1] = h1
-            n1 += step
-
-        desired[2] = d = desired[2] + i2
-        delta = d - n2
-        if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
-            step = 1.0 if delta >= 1.0 else -1.0
-            candidate = h2 + step / (n3 - n1) * (
-                (n2 - n1 + step) * (h3 - h2) / (n3 - n2)
-                + (n3 - n2 - step) * (h2 - h1) / (n2 - n1)
-            )
-            if h1 < candidate < h3:
-                h2 = candidate
-            elif step > 0.0:
-                h2 = h2 + step * (h3 - h2) / (n3 - n2)
-            else:
-                h2 = h2 + step * (h1 - h2) / (n1 - n2)
-            heights[2] = h2
-            n2 += step
-
-        desired[3] = d = desired[3] + i3
-        delta = d - n3
-        if (delta >= 1.0 and n4 - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
-            step = 1.0 if delta >= 1.0 else -1.0
-            candidate = h3 + step / (n4 - n2) * (
-                (n3 - n2 + step) * (h4 - h3) / (n4 - n3)
-                + (n4 - n3 - step) * (h3 - h2) / (n3 - n2)
-            )
-            if h2 < candidate < h4:
-                h3 = candidate
-            elif step > 0.0:
-                h3 = h3 + step * (h4 - h3) / (n4 - n3)
-            else:
-                h3 = h3 + step * (h2 - h3) / (n2 - n3)
-            heights[3] = h3
-            n3 += step
-
-        positions[1] = n1
-        positions[2] = n2
-        positions[3] = n3
-        positions[4] = n4
-
-    def copy(self) -> "_P2Quantile":
-        clone = _P2Quantile(self.q)
-        clone.heights = list(self.heights)
-        clone.positions = list(self.positions)
-        clone.desired = list(self.desired)
-        clone.increments = list(self.increments)
-        clone.count = self.count
-        return clone
-
-    def value(self) -> float:
-        heights = self.heights
-        if not heights:
-            return 0.0
-        if self.count <= 5:
-            rank = max(0, -(-self.count * int(self.q * 100) // 100) - 1)
-            return heights[min(rank, len(heights) - 1)]
-        return heights[2]
-
 
 class LatencySketch:
-    """O(1)-memory latency summary: exact moments, estimated quantiles.
+    """Latency summary with exact moments and α-accurate quantiles.
 
-    ``count``/``total``/``min``/``max`` are exact.  Quantiles are exact
-    while ``count <= RESERVOIR_SIZE``; beyond that, tracked quantiles
-    (p50/p95/p99) come from P² estimators and arbitrary quantiles from a
-    deterministic reservoir sample, within :data:`QUANTILE_RTOL` relative
-    error on the latency shapes this simulator produces.
+    ``count``/``total``/``min``/``max`` are exact.  Positive values are
+    counted in log-spaced buckets (values ≤ 0 in one zero bucket, read as
+    0), and :meth:`quantile` returns the nearest-rank bucket's midpoint
+    clamped to ``[min, max]`` — within :data:`RELATIVE_ACCURACY` of exact.
 
     ``append`` aliases ``observe`` so list-shaped accumulator call sites
-    work unchanged.  A sketch restored by :meth:`from_dict` is a frozen
-    summary (count, total, min, max, and the tracked quantiles survive the
-    round-trip; raw samples do not) and refuses further observations.
+    work unchanged.
     """
 
-    __slots__ = ("count", "total", "_min", "_max", "_p2", "_reservoir", "_rng", "_frozen")
+    __slots__ = ("count", "total", "_min", "_max", "_zeros", "_buckets")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self._min = 0.0
         self._max = 0.0
-        self._p2 = tuple(_P2Quantile(q) for q in TRACKED_QUANTILES)
-        self._reservoir: list[float] = []
-        self._rng = random.Random(_RESERVOIR_SEED)
-        self._frozen: dict[float, float] | None = None
+        self._zeros = 0
+        self._buckets: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def observe(self, value_ms: float) -> None:
-        if self._frozen is not None:
-            raise SimulationError(
-                "cannot observe into a LatencySketch restored from a summary "
-                "dict (it carries no sample state); build a fresh sketch"
-            )
         if self.count == 0:
             self._min = self._max = value_ms
         elif value_ms < self._min:
@@ -230,15 +86,12 @@ class LatencySketch:
             self._max = value_ms
         self.count += 1
         self.total += value_ms
-        for estimator in self._p2:
-            estimator.add(value_ms)
-        reservoir = self._reservoir
-        if len(reservoir) < RESERVOIR_SIZE:
-            reservoir.append(value_ms)
+        if value_ms > 0.0:
+            key = ceil(log(value_ms) / _LOG_GAMMA)
+            buckets = self._buckets
+            buckets[key] = buckets.get(key, 0) + 1
         else:
-            slot = self._rng.randrange(self.count)
-            if slot < RESERVOIR_SIZE:
-                reservoir[slot] = value_ms
+            self._zeros += 1
 
     #: List-compatible alias: the simulator's hot loops call ``.append``.
     append = observe
@@ -268,21 +121,16 @@ class LatencySketch:
             raise SimulationError(f"quantile must be in [0, 1], got {q!r}")
         if self.count == 0:
             return 0.0
-        if self._frozen is not None:
-            # Restored summary: snap to the nearest preserved quantile.
-            nearest = min(self._frozen, key=lambda tracked: abs(tracked - q))
-            return self._frozen[nearest]
-        if self.count <= len(self._reservoir):
-            return self._rank_of(sorted(self._reservoir), q)  # still exact
-        for estimator in self._p2:
-            if abs(q - estimator.q) < 1e-9:
-                return estimator.value()
-        return self._rank_of(sorted(self._reservoir), q)
-
-    @staticmethod
-    def _rank_of(ordered: list[float], q: float) -> float:
-        rank = max(0, math.ceil(len(ordered) * q) - 1)
-        return ordered[min(rank, len(ordered) - 1)]
+        rank = max(0, ceil(self.count * q) - 1)
+        seen = self._zeros
+        estimate = 0.0
+        if rank >= seen:
+            for key in sorted(self._buckets):
+                seen += self._buckets[key]
+                if rank < seen:
+                    estimate = _GAMMA ** key * _MIDPOINT
+                    break
+        return min(max(estimate, self._min), self._max)
 
     # ------------------------------------------------------------------
     def copy(self) -> "LatencySketch":
@@ -292,45 +140,37 @@ class LatencySketch:
         twin.total = self.total
         twin._min = self._min
         twin._max = self._max
-        twin._frozen = dict(self._frozen) if self._frozen is not None else None
-        twin._reservoir = list(self._reservoir)
-        twin._rng = random.Random(_RESERVOIR_SEED)
-        twin._rng.setstate(self._rng.getstate())
-        twin._p2 = tuple(estimator.copy() for estimator in self._p2)
+        twin._zeros = self._zeros
+        twin._buckets = dict(self._buckets)
         return twin
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Compact summary (constant size regardless of observation count).
-
-        Round-trip contract: :meth:`from_dict` restores ``count``,
-        ``total_ms``, ``min_ms``, ``max_ms`` and the tracked quantiles
-        exactly; sample state (reservoir, P² markers) is *not* serialized,
-        so a restored sketch is frozen — it answers summary queries but
-        cannot absorb new observations.
-        """
+        """Exact dict form: the moments, the zero bucket, and every bucket
+        as ``[index, count]`` in index order.  :meth:`from_dict` restores an
+        equal sketch that keeps accepting observations."""
         return {
             "count": self.count,
             "total_ms": self.total,
             "min_ms": self._min,
             "max_ms": self._max,
-            "quantiles": {
-                f"p{round(q * 100)}": self.quantile(q) for q in TRACKED_QUANTILES
-            },
+            "relative_accuracy": RELATIVE_ACCURACY,
+            "zeros": self._zeros,
+            "buckets": [[key, self._buckets[key]] for key in sorted(self._buckets)],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LatencySketch":
         sketch = cls()
         try:
+            if float(data["relative_accuracy"]) != RELATIVE_ACCURACY:
+                raise ValueError("recorded at another relative accuracy")
             sketch.count = int(data["count"])
             sketch.total = float(data["total_ms"])
             sketch._min = float(data["min_ms"])
             sketch._max = float(data["max_ms"])
-            quantiles = data["quantiles"]
-            sketch._frozen = {
-                q: float(quantiles[f"p{round(q * 100)}"]) for q in TRACKED_QUANTILES
-            }
+            sketch._zeros = int(data["zeros"])
+            sketch._buckets = {int(key): int(n) for key, n in data["buckets"]}
         except (KeyError, TypeError, ValueError) as error:
             raise SimulationError(f"malformed latency summary: {data!r}") from error
         return sketch
@@ -515,8 +355,7 @@ class CompletionLog(list):
 
 
 __all__ = [
-    "TRACKED_QUANTILES",
-    "QUANTILE_RTOL",
+    "RELATIVE_ACCURACY",
     "RESERVOIR_SIZE",
     "WINDOW_BUCKETS",
     "LatencySketch",

@@ -192,9 +192,11 @@ class TestMaintenanceInvalidation:
         assert recomputations_after > recomputations_before, (
             "drift never triggered a recompute; the test premise is broken"
         )
-        # The drifted procedure's stale entries are gone (at most the one
-        # re-walked after the recompute remains, at the new version); the
-        # other procedure's entries survived as the identical objects.
+        # Nothing flushes on a recompute: the drifted procedure's next
+        # lookup evicts its entry if the recompute replaced what it read, or
+        # re-stamps it, so what it serves is at the new version; the other
+        # procedure's entries survived as the identical objects.
+        houdini.plan(drifted)
         drifted_model = houdini.provider.model_for(drifted)
         assert all(
             entry.version == drifted_model.version

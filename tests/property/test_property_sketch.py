@@ -1,13 +1,19 @@
-"""Property-based tests for the O(1)-memory streaming-metrics sketches.
+"""Property-based tests for the bounded-memory streaming-metrics sketches.
 
 The scale-mode contract (``metrics_mode="streaming"``) rests on
 :class:`repro.sim.sketch.LatencySketch` and
 :class:`repro.sim.sketch.CompletionWindow`: counts, totals and extrema are
-exact; the tracked quantiles (p50/p95/p99) stay within
-``QUANTILE_RTOL`` relative error of the exact nearest-rank values; and the
-serialized summary round-trips losslessly for the preserved statistics.
+exact; every quantile is within ``RELATIVE_ACCURACY`` (α) of the exact
+nearest-rank value, whatever the stream's shape; and the dict form
+round-trips to an equal sketch that keeps accepting observations.
+
+``TestMutationsAreCaught`` rebuilds the sketch class with one planted bug
+(``floor`` for ``ceil`` in the bucket index; the bucket's lower edge read
+instead of its midpoint) and shows the bound property fails on each.
 """
 
+import inspect
+import json
 import math
 import random
 
@@ -16,15 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.sketch import (
-    QUANTILE_RTOL,
-    RESERVOIR_SIZE,
-    TRACKED_QUANTILES,
-    CompletionWindow,
-    LatencySketch,
-    _P2Quantile,
-)
-from tests.sim.reference_sketch import LoopP2Quantile
+from repro.sim import sketch as sketch_module
+from repro.sim.sketch import RELATIVE_ACCURACY, CompletionWindow, LatencySketch
+
+#: Quantiles every bound check reads, the three the simulator reports and
+#: the extremes included.
+QUANTILES = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0)
 
 latency_lists = st.lists(
     st.floats(min_value=0.001, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -36,15 +39,116 @@ latency_lists = st.lists(
 def exact_quantile(values, q):
     ordered = sorted(values)
     rank = max(0, math.ceil(len(ordered) * q) - 1)
-    return ordered[rank]
+    return ordered[min(rank, len(ordered) - 1)]
+
+
+def fill(values, cls=LatencySketch):
+    sketch = cls()
+    for value in values:
+        sketch.observe(value)
+    return sketch
+
+
+def assert_within_bound(sketch, values, quantiles=QUANTILES):
+    """Every quantile within α of exact nearest-rank (a hair of float slack:
+    a value on a bucket edge sits exactly α from the midpoint)."""
+    for q in quantiles:
+        exact = exact_quantile(values, q)
+        estimate = sketch.quantile(q)
+        assert abs(estimate - exact) <= RELATIVE_ACCURACY * abs(exact) * (1 + 1e-9), (
+            q, exact, estimate)
+
+
+# ----------------------------------------------------------------------
+# Adversarial streams
+# ----------------------------------------------------------------------
+_short = st.integers(min_value=1, max_value=300)
+_seed = st.integers(min_value=0, max_value=2**16)
+
+#: One stream segment: ``(kind, *arguments)``; see ``_segment_values``.
+_segments = st.one_of(
+    st.tuples(st.just("values"), st.lists(
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=1, max_size=60)),
+    st.tuples(st.just("bimodal"), _seed, _short),
+    st.tuples(st.just("burst"), _seed, st.integers(min_value=1, max_value=600)),
+    st.tuples(st.just("heavy_tail"), _seed, _short,
+              st.floats(min_value=0.3, max_value=3.0)),
+    st.tuples(st.just("duplicates"), st.floats(min_value=1e-6, max_value=1e6), _short),
+    st.tuples(st.just("near_zero"), _seed, _short),
+    st.tuples(st.just("zeros"), _short),
+)
+
+
+def _segment_values(segment):
+    kind, *arguments = segment
+    if kind == "values":
+        return list(arguments[0])
+    if kind == "zeros":
+        return [0.0] * arguments[0]
+    if kind == "duplicates":
+        return [arguments[0]] * arguments[1]
+    rng = random.Random(arguments[0])
+    count = arguments[1]
+    if kind == "bimodal":
+        return [abs(rng.gauss(5.0, 0.5)) if rng.random() < 0.9 else abs(rng.gauss(60.0, 5.0))
+                for _ in range(count)]
+    if kind == "burst":  # a queue drains: latencies climb in lockstep, then reset
+        base = rng.uniform(0.5, 50.0)
+        return [base + 0.25 * (index % 64) for index in range(count)]
+    if kind == "heavy_tail":
+        return [rng.paretovariate(arguments[2]) for _ in range(count)]
+    return [rng.uniform(0.0, 1e-6) * 10.0 ** -rng.randrange(300) for _ in range(count)]
+
+
+_streams = st.lists(_segments, min_size=1, max_size=6).map(
+    lambda segments: [value for segment in segments for value in _segment_values(segment)])
+
+
+class TestBoundOverAdversarialStreams:
+    @given(_streams, st.floats(min_value=0.0, max_value=1.0))
+    def test_every_quantile_within_alpha_of_exact(self, values, q):
+        assert_within_bound(fill(values), values, QUANTILES + (q,))
+
+    @given(st.floats(min_value=1e-300, max_value=1e300))
+    def test_a_single_value_reads_back_exactly(self, value):
+        sketch = fill([value])
+        assert all(sketch.quantile(q) == value for q in QUANTILES)
+
+    @given(_streams, _streams)
+    def test_dict_form_restores_an_equal_live_sketch(self, values, more):
+        sketch = fill(values)
+        restored = LatencySketch.from_dict(json.loads(json.dumps(sketch.to_dict())))
+        assert restored.to_dict() == sketch.to_dict()
+        for value in more:
+            sketch.observe(value)
+            restored.observe(value)
+        assert restored.to_dict() == sketch.to_dict()
+        assert_within_bound(restored, values + more)
+
+    @given(_streams, _streams)
+    def test_copy_is_independent(self, values, more):
+        sketch = fill(values)
+        clone = sketch.copy()
+        before = sketch.to_dict()
+        for value in more:
+            clone.observe(value)
+        assert sketch.to_dict() == before
+        assert_within_bound(clone, values + more)
+
+    @given(_streams, _streams)
+    def test_bucket_counts_merge_by_addition(self, left, right):
+        merged = {}
+        for part in (fill(left), fill(right)):
+            for key, count in part.to_dict()["buckets"]:
+                merged[key] = merged.get(key, 0) + count
+        whole = fill(left + right).to_dict()
+        assert [[key, merged[key]] for key in sorted(merged)] == whole["buckets"]
 
 
 class TestLatencySketchExactStatistics:
     @given(latency_lists)
     def test_count_total_and_extrema_are_exact(self, values):
-        sketch = LatencySketch()
-        for value in values:
-            sketch.observe(value)
+        sketch = fill(values)
         assert sketch.count == len(values)
         assert sketch.total == pytest.approx(sum(values), rel=1e-12)
         assert sketch.min == min(values)
@@ -52,23 +156,28 @@ class TestLatencySketchExactStatistics:
         assert sketch.mean == pytest.approx(sum(values) / len(values), rel=1e-12)
 
     @given(latency_lists)
-    def test_quantiles_exact_below_reservoir_capacity(self, values):
-        # Everything fits in the reservoir, so any quantile is exact.
-        assert len(values) <= RESERVOIR_SIZE
-        sketch = LatencySketch()
-        for value in values:
-            sketch.observe(value)
-        for q in (0.1, 0.5, 0.75, 0.95, 0.99):
-            assert sketch.quantile(q) == exact_quantile(values, q)
-
-    @given(latency_lists)
     def test_append_is_observe(self, values):
         a, b = LatencySketch(), LatencySketch()
         for value in values:
             a.observe(value)
             b.append(value)
-        assert a.count == b.count and a.total == b.total
-        assert a.quantile(0.95) == b.quantile(0.95)
+        assert a.to_dict() == b.to_dict()
+
+    def test_empty_sketch(self):
+        sketch = LatencySketch()
+        assert not sketch and len(sketch) == 0
+        assert sketch.mean == 0.0 and sketch.quantile(0.95) == 0.0
+        assert LatencySketch.from_dict(sketch.to_dict()).to_dict() == sketch.to_dict()
+
+    def test_quantile_outside_the_unit_interval_is_refused(self):
+        with pytest.raises(SimulationError, match="quantile"):
+            fill([1.0]).quantile(1.5)
+
+    def test_a_summary_of_another_accuracy_is_refused(self):
+        document = fill([1.0, 2.0]).to_dict()
+        document["relative_accuracy"] = 0.01
+        with pytest.raises(SimulationError, match="malformed latency summary"):
+            LatencySketch.from_dict(document)
 
 
 DISTRIBUTIONS = {
@@ -84,156 +193,39 @@ DISTRIBUTIONS = {
 class TestLatencySketchAccuracyBound:
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     @pytest.mark.parametrize("seed", [0, 17])
-    def test_tracked_quantiles_within_documented_bound(self, name, seed):
-        """p50/p95/p99 stay within QUANTILE_RTOL of exact at 50k samples."""
+    def test_quantiles_within_alpha_at_50k_samples(self, name, seed):
         rng = random.Random(seed)
         draw = DISTRIBUTIONS[name]
         values = [abs(draw(rng)) + 1e-6 for _ in range(50_000)]
-        sketch = LatencySketch()
-        for value in values:
-            sketch.observe(value)
-        for q in TRACKED_QUANTILES:
-            exact = exact_quantile(values, q)
-            approx = sketch.quantile(q)
-            assert abs(approx - exact) <= QUANTILE_RTOL * exact, (
-                name, seed, q, exact, approx,
-            )
-
-    def test_untracked_quantile_uses_reservoir(self):
-        rng = random.Random(3)
-        values = [rng.expovariate(1 / 10.0) for _ in range(20_000)]
-        sketch = LatencySketch()
-        for value in values:
-            sketch.observe(value)
-        exact = exact_quantile(values, 0.75)
-        # Reservoir sampling carries a looser (statistical) bound.
-        assert abs(sketch.quantile(0.75) - exact) <= 0.25 * exact
+        assert_within_bound(fill(values), values)
 
 
 # ----------------------------------------------------------------------
-# Straight-line P² == loop-form P², bit for bit
+# Seeded mutations the bound property must catch
 # ----------------------------------------------------------------------
-_value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-_step = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
-_short = st.integers(min_value=1, max_value=40)
-
-#: One stream segment: ``(kind, *arguments)``; see ``_segment_values``.
-_segments = st.one_of(
-    st.tuples(st.just("values"), st.lists(_value, min_size=1, max_size=60)),
-    st.tuples(st.just("constant"), _value, _short),
-    st.tuples(st.just("increasing"), _value, _step, _short),
-    st.tuples(st.just("decreasing"), _value, _step, _short),
-    st.tuples(st.just("bimodal"), st.integers(min_value=0, max_value=2**16), _short),
-    st.tuples(st.just("burst"), _value),
-    # Relative to the estimator's markers at that point of the stream.
-    st.tuples(st.just("marker"), st.integers(min_value=0, max_value=4), _short),
-    st.tuples(st.just("below"), _step, _short),
-    st.tuples(st.just("above"), st.one_of(st.just(0.0), _step), _short),
-)
+def mutant(old: str, new: str) -> type:
+    """``LatencySketch`` rebuilt from its source with one edit applied."""
+    source = inspect.getsource(LatencySketch)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(sketch_module))
+    exec(compile(source.replace(old, new), sketch_module.__file__, "exec"), namespace)
+    return namespace["LatencySketch"]
 
 
-def _segment_values(segment, reference):
-    """The observations of one segment, drawn lazily: marker-relative
-    segments read the reference estimator's heights as they stand."""
-    kind, *arguments = segment
-    if kind == "values":
-        yield from arguments[0]
-    elif kind == "constant":
-        yield from [arguments[0]] * arguments[1]
-    elif kind in ("increasing", "decreasing"):
-        start, step, count = arguments
-        sign = 1.0 if kind == "increasing" else -1.0
-        yield from (start + sign * step * index for index in range(count))
-    elif kind == "bimodal":
-        rng = random.Random(arguments[0])
-        for _ in range(arguments[1]):
-            yield rng.gauss(5.0, 0.5) if rng.random() < 0.9 else rng.gauss(60.0, 5.0)
-    elif kind == "burst":
-        yield from [arguments[0]] * 512
-    else:
-        for _ in range(arguments[-1]):
-            heights = reference.heights
-            if len(heights) < 5:
-                yield 1.0
-            elif kind == "marker":
-                yield heights[arguments[0]]
-            elif kind == "below":
-                yield heights[0] - arguments[0]
-            else:
-                yield heights[4] + arguments[0]
+#: A smooth latency population whose quantiles fall inside buckets.
+_RNG = random.Random(4)
+_LOGNORMAL = [_RNG.lognormvariate(4.0, 0.3) for _ in range(2000)]
 
 
-class TestStraightLineP2EqualsLoopForm:
-    @pytest.mark.parametrize("q", TRACKED_QUANTILES)
-    @given(st.lists(_segments, min_size=1, max_size=8))
-    def test_markers_equal_after_every_observation(self, q, segments):
-        straight, loop = _P2Quantile(q), LoopP2Quantile(q)
-        for segment in segments:
-            for x in _segment_values(segment, loop):
-                straight.add(x)
-                loop.add(x)
-                assert straight.heights == loop.heights, (segment, x)
-                assert straight.positions == loop.positions, (segment, x)
-                assert straight.desired == loop.desired, (segment, x)
-        assert straight.count == loop.count
-        assert straight.increments == loop.increments
-        assert straight.value() == loop.value()
-
-    def test_latency_sketch_bytes_past_the_reservoir(self):
-        """10,000 observations: the P² markers, the reservoir's ``randrange``
-        draws and the summary are what the loop form produced (the dict was
-        recorded at the parent commit)."""
-        rng = random.Random(20231)
-        sketch, reference = LatencySketch(), LatencySketch()
-        reference._p2 = tuple(LoopP2Quantile(q) for q in TRACKED_QUANTILES)
-        for _ in range(10_000):
-            value = rng.gauss(5.0, 0.5) if rng.random() < 0.9 else rng.gauss(60.0, 5.0)
-            sketch.observe(value)
-            reference.observe(value)
-        assert sketch.count > RESERVOIR_SIZE
-        assert sketch.to_dict() == reference.to_dict() == {
-            "count": 10000, "total_ms": 105344.36338472678,
-            "min_ms": 3.2173635162422345, "max_ms": 79.6195502712748,
-            "quantiles": {"p50": 5.0724287216206765, "p95": 59.73592084446501,
-                          "p99": 66.23395302611085},
-        }
-        # Untracked quantiles read the reservoir: its draws have not moved.
-        assert (sketch.quantile(0.25), sketch.quantile(0.75)) == (
-            4.719268178720901, 5.48403857522506)
-        assert sketch._reservoir == reference._reservoir
-        assert sketch.copy().to_dict() == sketch.to_dict()
-
-
-class TestLatencySketchSerialization:
-    def test_round_trip_preserves_summary(self):
-        rng = random.Random(5)
-        sketch = LatencySketch()
-        for _ in range(10_000):
-            sketch.observe(rng.expovariate(1 / 4.0))
-        data = sketch.to_dict()
-        restored = LatencySketch.from_dict(data)
-        assert restored.count == sketch.count
-        assert restored.total == pytest.approx(sketch.total)
-        assert restored.min == sketch.min and restored.max == sketch.max
-        for q in TRACKED_QUANTILES:
-            assert restored.quantile(q) == pytest.approx(sketch.quantile(q))
-        # Restored sketches are frozen summaries: no further observations.
-        with pytest.raises(SimulationError):
-            restored.observe(1.0)
-
-    def test_copy_is_independent(self):
-        sketch = LatencySketch()
-        for value in (1.0, 2.0, 3.0):
-            sketch.observe(value)
-        clone = sketch.copy()
-        sketch.observe(1000.0)
-        assert clone.count == 3 and clone.max == 3.0
-        assert sketch.count == 4 and sketch.max == 1000.0
-
-    def test_empty_sketch(self):
-        sketch = LatencySketch()
-        assert not sketch and len(sketch) == 0
-        assert sketch.mean == 0.0 and sketch.quantile(0.95) == 0.0
+class TestMutationsAreCaught:
+    @pytest.mark.parametrize("old,new", [
+        ("ceil(log(value_ms)", "math.floor(log(value_ms)"),
+        ("_GAMMA ** key * _MIDPOINT", "_GAMMA ** (key - 1)"),
+    ], ids=["floor-bucket-index", "lower-edge-not-midpoint"])
+    def test_the_bound_fails_on_each(self, old, new):
+        assert_within_bound(fill(_LOGNORMAL, mutant(old, old)), _LOGNORMAL)
+        with pytest.raises(AssertionError):
+            assert_within_bound(fill(_LOGNORMAL, mutant(old, new)), _LOGNORMAL)
 
 
 class TestCompletionWindow:

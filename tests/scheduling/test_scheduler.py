@@ -357,7 +357,7 @@ class TestWaitSummaryRepeated:
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["exact", "streaming"])
     def test_a_long_interleaving_through_every_handover(self, streaming):
-        """Past the streaming sketch's exact reservoir, with every op kind."""
+        """6,000 waits, with every op kind."""
         rng = random.Random(11)
         ops = []
         for index in range(6000):

@@ -63,10 +63,9 @@ class TestRetrainModel:
         assert new.processed
         assert new.transactions_observed == 0
 
-    def test_precompute_tables_flag_is_forwarded(self):
+    def test_a_retrained_model_always_carries_tables(self):
         old, begin, local, _ = _trained_model()
-        with_tables = retrain_model(old, [_path(begin, local)] * 5,
-                                    precompute_tables=True)
+        with_tables = retrain_model(old, [_path(begin, local)] * 5)
         assert with_tables.find_vertex(local).table is not None
 
 

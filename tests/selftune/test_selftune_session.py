@@ -18,6 +18,7 @@ import pytest
 
 from repro.benchmarks.tpcc import TpccGenerator
 from repro.errors import SessionError
+from repro.houdini import HoudiniConfig
 from repro.markov import build_models_from_trace
 from repro.selftune import SelfTuneConfig, SelfTuneManager
 from repro.session import Cluster, ClusterSpec, record_trace
@@ -113,6 +114,23 @@ class TestHotSwapDeterminism:
 
     def test_same_seed_runs_are_byte_identical(self):
         assert _shift_scenario() == _reference()
+
+    def test_a_swap_under_precompute_tables_off_keeps_planning(self):
+        """A retrained model gets probability tables even when the Houdini
+        config turns precomputation off: the first plan after the first swap
+        reads the begin vertex's table."""
+        spec = ClusterSpec(
+            benchmark="tatp", num_partitions=2, trace_transactions=100,
+            houdini=HoudiniConfig(
+                confidence_threshold=0.0, op4_floor=0.0, precompute_tables=False),
+            selftune=SelfTuneConfig(
+                check_interval_txns=1, window_transitions=1, min_observations=1,
+                retrain_tail_txns=1, retrain_min_tail_txns=1, retrain_latency_ms=0.0,
+                cooldown_txns=0),
+        )
+        session = Cluster.open(spec)
+        assert session.run_for(txns=20).total_transactions == 20
+        assert session.close().to_dict()["selftune"]["swaps"] >= 1
 
 
 class TestSpecValidation:

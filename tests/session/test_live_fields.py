@@ -155,3 +155,21 @@ def test_changes_apply_in_a_fixed_order_whatever_the_keyword_order(monkeypatch):
     session.reconfigure(**{
         name: object() if name == "generator" else None for name in reversed(order)})
     assert applied == order
+
+
+def test_a_houdini_diff_applies_where_the_benchmark_disables_procedures():
+    """AuctionMark disables ``CheckWinningBids`` in Houdini whatever the spec
+    lists, so the live config carries a procedure no spec names.  A diff's
+    non-live fields are compared against the spec: the threshold changes
+    and the procedure stays disabled."""
+    base = ClusterSpec(benchmark="auctionmark", num_partitions=2, trace_transactions=100)
+    session = Cluster.open(base, artifacts=trained("auctionmark", 2, 100, 0))
+    session.run_for(txns=20)
+    target = replace(base, houdini=HoudiniConfig(confidence_threshold=0.7))
+    session.apply_schedule([(session.now_ms, base.diff(target))])
+    assert session.houdini.config.confidence_threshold == 0.7
+    assert "CheckWinningBids" in session.houdini.config.disabled_procedures
+    assert session.run_for(txns=20).total_transactions == 40
+    with pytest.raises(SessionError, match="'op4_floor' is not live"):
+        session.reconfigure(houdini={"op4_floor": 0.5})
+    session.close()

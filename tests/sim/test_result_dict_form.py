@@ -39,7 +39,6 @@ from repro.sim import (
     SimulationResult,
     TenantBreakdown,
 )
-from repro.sim.sketch import TRACKED_QUANTILES
 
 
 def _sketch() -> LatencySketch:
@@ -135,7 +134,8 @@ SKETCH_READS = {
     "total": lambda s: s.total,
     "min": lambda s: s.min,
     "max": lambda s: s.max,
-    **{f"p{round(q * 100)}": (lambda s, q=q: s.quantile(q)) for q in TRACKED_QUANTILES},
+    "buckets": lambda s: s.to_dict()["buckets"],
+    **{f"p{round(q * 100)}": (lambda s, q=q: s.quantile(q)) for q in (0.5, 0.95, 0.99)},
 }
 
 

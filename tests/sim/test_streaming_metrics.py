@@ -1,11 +1,11 @@
 """Streaming-metrics mode (``metrics_mode="streaming"``) against exact mode.
 
 The scale-mode contract: streaming mode replaces the unbounded per-latency
-lists with O(1)-memory sketches while keeping every *counter* (committed,
+lists with bounded-memory sketches while keeping every *counter* (committed,
 restarts, distribution classes, window committed count) exactly equal to
-exact mode, the mean latency exact, and the tracked percentiles within the
-sketch's documented relative-error bound.  Exact mode stays the default and
-is untouched.
+exact mode, the mean latency exact, and every percentile within the
+sketch's relative accuracy α.  Exact mode stays the default and is
+untouched.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import json
 import pytest
 
 from repro.errors import SessionError, SimulationError
+from repro.scheduling.admission import AdmissionLimits
 from repro.session import Cluster, ClusterSpec, build_strategy
 from repro.sim import LatencySketch
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import SimulatorConfig
-from repro.sim.sketch import QUANTILE_RTOL, TRACKED_QUANTILES
-from repro.workload import ClientCohortSource, Cohort
+from repro.sim.sketch import RELATIVE_ACCURACY
+from repro.workload import ClientCohortSource, Cohort, OpenLoopSource
 from tests.conftest import trained
 
 EXACT_COUNTERS = (
@@ -34,6 +35,17 @@ EXACT_COUNTERS = (
     "distributed",
     "rejected",
 )
+
+#: The percentiles the simulator reports.
+REPORTED = (0.5, 0.95, 0.99)
+
+
+def assert_within_alpha(exact: SimulationResult, streaming: SimulationResult) -> None:
+    for q in REPORTED:
+        reference = exact.latency_quantile(q)
+        approx = streaming.latency_quantile(q)
+        assert abs(approx - reference) <= RELATIVE_ACCURACY * reference * (1 + 1e-9), (
+            q, reference, approx)
 
 
 def _run(artifacts, benchmark: str, mode: str, *, txns: int = 500,
@@ -120,12 +132,8 @@ class TestStreamingEqualsExact:
             exact.average_latency_ms, rel=1e-12
         )
 
-    def test_percentiles_within_documented_bound(self, runs, bench):
-        exact, streaming = runs
-        for q in TRACKED_QUANTILES:
-            reference = exact.latency_quantile(q)
-            approx = streaming.latency_quantile(q)
-            assert abs(approx - reference) <= QUANTILE_RTOL * reference, (q,)
+    def test_percentiles_within_relative_accuracy(self, runs, bench):
+        assert_within_alpha(*runs)
 
     def test_window_throughput_close(self, runs, bench):
         # The warm-up boundary is interpolated within one histogram bucket,
@@ -159,13 +167,11 @@ class TestStreamingEqualsExact:
         assert data["latency_summary"]["count"] == (
             streaming.committed + streaming.user_aborted
         )
-        restored = SimulationResult.from_dict(data)
-        assert restored.latency_quantile(0.95) == pytest.approx(
-            streaming.latency_quantile(0.95)
-        )
-        assert restored.average_latency_ms == pytest.approx(
-            streaming.average_latency_ms
-        )
+        restored = SimulationResult.from_dict(json.loads(json.dumps(data)))
+        assert restored.latency_sketch.to_dict() == streaming.latency_sketch.to_dict()
+        for q in REPORTED:
+            assert restored.latency_quantile(q) == streaming.latency_quantile(q)
+        assert restored.average_latency_ms == streaming.average_latency_ms
 
     def test_exact_mode_serialization_unchanged(self, runs, bench):
         exact, _ = runs
@@ -187,6 +193,34 @@ class TestStreamingEqualsExact:
             assert b[key]["max_ms"] == pytest.approx(a[key]["max_ms"], abs=1e-9)
 
 
+class TestBurstyOpenLoopTail:
+    """The ``smallbank_open_gated`` benchmark shape (16 partitions, a
+    1500-transaction trace, 650 req/s in bursts of 8, shortest-predicted
+    order, gated distributed admission) for 6 simulated seconds, exact vs
+    streaming.  Its tail is where the earlier P² estimator strayed: it read
+    p50 / p95 / p99 = 10.90 / 83.80 / 512.96 ms against exact 10.19 / 79.88
+    / 198.36 ms.  The histogram stays within α of all three."""
+
+    def test_percentiles_within_relative_accuracy(self):
+        runs = []
+        for mode in ("exact", "streaming"):
+            artifacts = trained("smallbank", 16, 1500, 0)
+            spec = ClusterSpec(
+                benchmark="smallbank", num_partitions=16, trace_transactions=1500,
+                seed=0, learning=False, model_provider="global", metrics_mode=mode,
+                workload=OpenLoopSource(650.0, "bursty", seed=8, burst_size=8),
+                policy="shortest-predicted",
+                admission=AdmissionLimits(max_distributed_in_flight=2, max_deferrals=1024),
+            )
+            session = Cluster.open(
+                spec, artifacts=artifacts, strategy=build_strategy("houdini", artifacts))
+            runs.append(session.run_for(sim_seconds=6.0))
+            session.close()
+        exact, streaming = runs
+        assert streaming.latency_sketch.count == len(exact.latencies_ms) > 3000
+        assert_within_alpha(exact, streaming)
+
+
 class TestStreamingTenants:
     def test_cohort_population_with_streaming_tenants(self, tatp_artifacts):
         workload = ClientCohortSource(
@@ -206,8 +240,15 @@ class TestStreamingTenants:
             assert breakdown.average_latency_ms > 0.0
             total += breakdown.total_transactions
         assert total == result.total_transactions
-        # Tenant breakdowns round-trip their sketch summaries too, and the
-        # frozen summaries serialize to the same bytes.
+        # Every completion lands in one tenant's sketch and in the global
+        # one, so the tenants' bucket counts add up to the global buckets.
+        merged: dict[int, int] = {}
+        for breakdown in result.tenants.values():
+            for key, count in breakdown.latency_sketch.to_dict()["buckets"]:
+                merged[key] = merged.get(key, 0) + count
+        assert sorted(merged.items()) == [
+            tuple(bucket) for bucket in result.latency_sketch.to_dict()["buckets"]]
+        # Tenant breakdowns round-trip their sketches too, to the same bytes.
         data = result.to_dict()
         restored = SimulationResult.from_dict(json.loads(json.dumps(data)))
         again = restored.to_dict()
