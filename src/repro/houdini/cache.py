@@ -49,16 +49,19 @@ while a fresh walk would read exactly what the memoized one read:
   one *on* it evicts it.  The memoized decision rides along: beyond the recorded
   tables it reads only observation counts, and only through the
   support-limited gate above;
+* a maintenance recompute evicts at once the entries that read a view or
+  table it replaced (:meth:`EstimateCache.evict_replaced`): most signatures
+  never come back, and a stale entry pins the retired objects.  Survivors
+  are not re-stamped; their next lookup revalidates them as above;
 * :meth:`EstimateCache.invalidate_procedure` drops one procedure's entries
-  when a retrained model is hot-swapped in (a maintenance recompute needs
-  no call: the revalidation above evicts the entries whose views or tables
-  it replaced; partitioned providers routing a procedure to a different
-  cluster model land on a different key), and
+  when a retrained model is hot-swapped in (partitioned providers routing a
+  procedure to a different cluster model land on a different key), and
   :meth:`EstimateCache.invalidate` drops everything (a live configuration
   change: decisions bake the confidence threshold in).
 
 ``stats.invalidations`` counts *entries evicted* on every invalidation path
-(full flush, per-procedure, replaced read) so the counter means one thing.
+(full flush, per-procedure, replaced read at a lookup or a recompute) so the
+counter means one thing.
 
 What an entry compiles
 ----------------------
@@ -149,6 +152,15 @@ class CachedEstimate:
     schedule: tuple[tuple[bool, tuple[PartitionId, ...]] | None, ...] | None = None
 
 
+def _in_place(entry: CachedEstimate) -> bool:
+    """The validity rule: everything the entry's walk read is still what its
+    model publishes."""
+    estimate = entry.estimate
+    return entry.model.still_publishes(
+        estimate.vertices, estimate.read_views, estimate.read_tables
+    )
+
+
 class EstimateCache:
     """LRU memo of path estimates and decisions, one entry per signature."""
 
@@ -178,10 +190,7 @@ class EstimateCache:
             self.stats.misses += 1
             return None
         if entry.version != model.version:
-            estimate = entry.estimate
-            if not model.still_publishes(
-                estimate.vertices, estimate.read_views, estimate.read_tables
-            ):
+            if not _in_place(entry):
                 del self._entries[key]
                 self.stats.invalidations += 1
                 self.stats.misses += 1
@@ -223,6 +232,20 @@ class EstimateCache:
             and decision.predicted_single_partition
             and estimate.abort_probability <= self.config.abort_tolerance
         )
+
+    def evict_replaced(self, recomputed: list[MarkovModel]) -> int:
+        """Evict the entries of the ``recomputed`` models that :meth:`lookup`
+        would evict: their walk read a view or table no longer in place.
+        Returns how many."""
+        models = {id(model) for model in recomputed}
+        doomed = [
+            key for key, entry in self._entries.items()
+            if key[1] in models and not _in_place(entry)
+        ]
+        for key in doomed:
+            del self._entries[key]
+        self.stats.invalidations += len(doomed)
+        return len(doomed)
 
     # ------------------------------------------------------------------
     def invalidate(self) -> int:

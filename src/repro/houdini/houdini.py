@@ -292,10 +292,12 @@ class Houdini:
             self._since_maintenance += 1
             if self._since_maintenance >= self._maintenance_interval:
                 self._since_maintenance = 0
-                # A recompute replaces the views and tables it changed; the
-                # plan memo's per-entry revalidation evicts every entry that
-                # read one of them.
-                self.maintenance.check_all()
+                # Evict the memo entries that read a view or table a recompute
+                # replaced now, not at a lookup that may never come; a view
+                # dropped by a new edge is still caught at the lookup.
+                recomputed = self.maintenance.check_all()
+                if recomputed and self.estimate_cache is not None:
+                    self.estimate_cache.evict_replaced(recomputed)
             if self._selftune is not None:
                 # After the maintenance block so the drift check sees the
                 # freshest accuracy signal.  The observer may swap the

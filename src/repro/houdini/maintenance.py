@@ -156,10 +156,14 @@ class MaintenanceRegistry:
             self._by_model[key] = maintenance
         return maintenance
 
-    def check_all(self) -> int:
-        """Run drift checks on every tracked model; returns how many models
-        were recomputed."""
-        return sum(maintenance.check() for maintenance in self._by_model.values())
+    def check_all(self) -> list[MarkovModel]:
+        """Run drift checks on every tracked model; returns the models that
+        were recomputed (the plan memo evicts what their recomputes staled)."""
+        return [
+            maintenance.model
+            for maintenance in self._by_model.values()
+            if maintenance.check()
+        ]
 
     def forget(self, model: MarkovModel) -> None:
         """Stop tracking ``model`` (hot swap retired it).

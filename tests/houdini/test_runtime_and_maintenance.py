@@ -132,7 +132,7 @@ class TestMaintenance:
         first = registry.for_model(model)
         second = registry.for_model(model)
         assert first is second
-        assert registry.check_all() == 0
+        assert registry.check_all() == []
 
 
 class TestLearningOffNeverWritesTheModels:

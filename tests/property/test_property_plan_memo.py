@@ -28,11 +28,12 @@ and each workload's run must contain both outcomes (an entry that survived a
 version change, and one evicted by it), or it proves nothing.
 
 The property is proven by seeded mutations of the memo it must catch (the
-``TestMutationsAreCaught`` cases below: re-stamp without checking; skip the
-view check; skip the table check; memoize a support-limited decision while
-learning; keep a schedule recorded by an attempt that left the estimate;
-replay a schedule past a deviation; let learning monitors record and replay;
-keep the plan of the call that derived the decision as the hit plan).
+``TestMutationsAreCaught`` cases below: re-stamp without checking, at a
+lookup or at a maintenance sweep; skip the view check; skip the table check;
+memoize a support-limited decision while learning; keep a schedule recorded
+by an attempt that left the estimate; replay a schedule past a deviation; let
+learning monitors record and replay; keep the plan of the call that derived
+the decision as the hit plan).
 
 Tier-1 runs a fixed-seed quarter of the default budget (every example
 copies the models twice; seconds, not tens of seconds); CI's
@@ -276,6 +277,14 @@ def learn(houdini, request, choice, discover, times, recompute) -> None:
         houdini.maintenance.for_model(model).recompute()
 
 
+def maintain(houdini) -> None:
+    """The maintenance pass of ``Houdini.after_attempt``: drift checks, then
+    the memo sweep of what the recomputes replaced."""
+    recomputed = houdini.maintenance.check_all()
+    if recomputed and houdini.estimate_cache is not None:
+        houdini.estimate_cache.evict_replaced(recomputed)
+
+
 def check(benchmark: str, learning: bool, script, tally=None, warm=False, drawn=False) -> None:
     _, requests, pristine = world(benchmark)
     pair = make_pair(benchmark, learning)
@@ -287,6 +296,8 @@ def check(benchmark: str, learning: bool, script, tally=None, warm=False, drawn=
     if warm:  # every request memoized before the script starts writing
         for request in requests:
             plan_both(pair, request, tally)
+    # Completed attempts and maintenance passes evict only by the sweep.
+    stats = pair[0].estimate_cache.stats
     for operation, argument in script:
         if operation == "plan":
             plan_both(pair, requests[argument], tally, draws=draws)
@@ -296,15 +307,19 @@ def check(benchmark: str, learning: bool, script, tally=None, warm=False, drawn=
             index, cut, committed, repeat = argument
             for _ in range(repeat):
                 plans, refused = plan_both(pair, requests[index], tally, cut, "leave")
+                swept = stats.invalidations
                 for houdini, houdini_plan in zip(pair, plans):
                     complete(houdini, requests[index], houdini_plan, committed and not refused)
+                tally["swept"] += stats.invalidations - swept
         elif operation == "learn":
             index, *how = argument
             for houdini in pair:
                 learn(houdini, requests[index], *how)
         elif operation == "maintenance":
+            swept = stats.invalidations
             for houdini in pair:
-                houdini.maintenance.check_all()
+                maintain(houdini)
+            tally["swept"] += stats.invalidations - swept
         elif operation == "swap":
             procedure = requests[argument].procedure
             for houdini in pair:
@@ -351,9 +366,11 @@ def test_memo_on_equals_memo_off_at_every_step(workload):
 
     run()
     # Not vacuous: entries did survive a version change (each checked against
-    # a fresh walk on the spot), entries were evicted by one, and monitors
-    # replayed a recorded schedule.
-    assert tally["revalidated"] > 0 and tally["evicted"] > 0 and tally["replayed"] > 0, tally
+    # a fresh walk on the spot), entries were evicted by one at a lookup and
+    # by a maintenance sweep, and monitors replayed a recorded schedule.
+    assert all(
+        tally[count] > 0 for count in ("revalidated", "evicted", "swept", "replayed")
+    ), tally
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +385,13 @@ def _lookup_restamping_without_a_check(self, key, model):
 
 _real_lookup = EstimateCache.lookup
 _real_still_publishes = MarkovModel.still_publishes
+
+
+def _sweep_restamping_without_a_check(self, recomputed):
+    for entry in self._entries.values():
+        if entry.model in recomputed:
+            entry.version = entry.model.version
+    return 0
 
 
 def _still_publishes_ignoring_views(self, keys, views, tables):
@@ -451,6 +475,23 @@ class TestMutationsAreCaught:
         script = [("plan", 0), ("attempt", (0, 0, True, 12)), ("maintenance", None)]
         check("tpcc", True, script)
         monkeypatch.setattr(EstimateCache, "lookup", _lookup_restamping_without_a_check)
+        with pytest.raises(AssertionError, match="disagree"):
+            check("tpcc", True, script)
+
+    def test_a_sweep_restamping_without_checking(self, monkeypatch):
+        """After an attempt starts maintenance on the model, its first
+        query state drifts towards abort; the maintenance pass recomputes,
+        and its sweep stamps the entry current instead of judging it: the
+        next plan is served the walk that predicted no abort."""
+        script = [
+            ("attempt", (0, 40, True, 1)),
+            ("learn", (0, 0, False, 5000, False)),
+            ("maintenance", None),
+        ]
+        tally = Counter()
+        check("tpcc", True, script, tally)
+        assert tally["swept"] > 0
+        monkeypatch.setattr(EstimateCache, "evict_replaced", _sweep_restamping_without_a_check)
         with pytest.raises(AssertionError, match="disagree"):
             check("tpcc", True, script)
 

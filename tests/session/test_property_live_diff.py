@@ -1,7 +1,12 @@
 """A spec diff changes a running session the same way through either door.
 
 Draw a base spec and a target that differs from it in one to three live
-fields (values from ``strategy_for``'s field table).  One session applies
+fields (values from ``strategy_for``'s field table).  Both share drawn
+non-live fields too: ``learning`` and every ``houdini`` field not marked
+live (``precompute_tables``, ``estimate_cache_max_entries`` down to 1, the
+maintenance thresholds, ...), and maintenance checks every 10 attempts, so
+live changes meet plan-memo sweeps after recomputes under LRU pressure and
+without tables.  One session applies
 ``base.diff(target)`` through ``apply_schedule``, its twin through
 ``reconfigure(**diff)``, at the same simulated time; then both apply the
 way back, ``target.diff(base)``.  After each step every ``SHOWN`` accessor
@@ -35,34 +40,56 @@ from tests.property.test_property_schema import _declared, strategy_for
 from tests.session.test_live_fields import BASE, SHOWN
 
 LIVE = schema.live_fields(ClusterSpec)
+LIVE_HOUDINI = schema.live_fields(HoudiniConfig)
 
-#: Every live field drawn from its declared range; every other field is
-#: ``BASE``'s, ``houdini``'s fields not marked live included.  The workload
-#: is narrowed to what a short run can serve: the open-time client
-#: population, and open-loop rates that keep arrivals inside a few simulated
-#: seconds.  The cost model is never ``None``, which a running session
-#: cannot go back to.
-LIVE_VALUES = st.fixed_dictionaries({
-    **{name: _declared(schema.rule_of(ClusterSpec, name))
-       for name in LIVE if name not in ("houdini", "workload", "cost_model")},
-    "houdini": st.none() | strategy_for(HoudiniConfig).map(lambda drawn: HoudiniConfig(**{
-        name: getattr(drawn, name) for name in schema.live_fields(HoudiniConfig)})),
-    "workload": st.none()
-    | strategy_for(ClosedLoopSource).map(
-        lambda source: replace(source, clients_per_partition=BASE.clients_per_partition))
-    | st.builds(OpenLoopSource, st.floats(50.0, 5000.0), st.sampled_from(ARRIVAL_PROCESSES),
-                seed=st.integers(0, 9), burst_size=st.integers(1, 64)),
-    "cost_model": strategy_for(CostModel),
-})
+#: ``houdini``'s fields not marked live, drawn once per example (a diff may
+#: not change them); ``None`` keeps their defaults and lets ``houdini`` be
+#: ``None`` too.  Maintenance judges a vertex after at most 40 observations
+#: (the declared range reaches 10**6) against an accuracy threshold of at
+#: least the paper's 75%, so short runs do recompute.
+FIXED_HOUDINI = st.none() | st.builds(
+    lambda drawn, observations, threshold: {
+        **{name: value for name, value in drawn.to_dict().items() if name not in LIVE_HOUDINI},
+        "maintenance_min_observations": observations,
+        "maintenance_accuracy_threshold": threshold,
+    },
+    strategy_for(HoudiniConfig), st.integers(0, 40), st.sampled_from([0.75, 0.95, 1.0]),
+)
+
+
+def live_values(fixed: dict | None):
+    """Every live field drawn from its declared range, ``houdini``'s live
+    fields over the ``fixed`` rest; every other field is ``BASE``'s.  The
+    workload is narrowed to what a short run can serve: the open-time client
+    population, and open-loop rates that keep arrivals inside a few simulated
+    seconds.  The cost model is never ``None``, which a running session
+    cannot go back to."""
+    houdini = strategy_for(HoudiniConfig).map(lambda drawn: HoudiniConfig.from_dict({
+        **(fixed or {}), **{name: getattr(drawn, name) for name in LIVE_HOUDINI}}))
+    return st.fixed_dictionaries({
+        **{name: _declared(schema.rule_of(ClusterSpec, name))
+           for name in LIVE if name not in ("houdini", "workload", "cost_model")},
+        "houdini": houdini if fixed is not None else st.none() | houdini,
+        "workload": st.none()
+        | strategy_for(ClosedLoopSource).map(
+            lambda source: replace(source, clients_per_partition=BASE.clients_per_partition))
+        | st.builds(OpenLoopSource, st.floats(50.0, 5000.0), st.sampled_from(ARRIVAL_PROCESSES),
+                    seed=st.integers(0, 9), burst_size=st.integers(1, 64)),
+        "cost_model": strategy_for(CostModel),
+    })
 
 
 @st.composite
 def base_and_target(draw):
     """``(base, target)``: the target changes one to three live fields."""
-    base = replace(BASE, **draw(LIVE_VALUES))
-    values = draw(LIVE_VALUES)
+    learning = draw(st.booleans())
+    values = live_values(draw(FIXED_HOUDINI))
+    if not learning:  # self-tuning consumes what learning observes
+        values = values.map(lambda drawn: {**drawn, "selftune": None})
+    base = replace(BASE, learning=learning, **draw(values))
+    drawn = draw(values)
     changed = draw(st.sets(st.sampled_from(LIVE), min_size=1, max_size=3))
-    target = replace(base, **{name: values[name] for name in changed})
+    target = replace(base, **{name: drawn[name] for name in changed})
     assume(base.diff(target))
     return base, target
 
@@ -84,6 +111,9 @@ def check_both_doors(base: ClusterSpec, target: ClusterSpec) -> None:
         Cluster.open(base, artifacts=trained("tatp", 2, 100, 0)) for _ in range(2)
     )
     for session in (scheduled, twin):
+        # Maintenance checks every 10 learning attempts instead of 200, so
+        # the short runs below recompute and sweep the plan memo.
+        session.houdini._maintenance_interval = 10
         session.run_for(txns=20)
     for diff, spec in ((base.diff(target), target), (target.diff(base), base)):
         assert scheduled.now_ms == twin.now_ms
