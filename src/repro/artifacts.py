@@ -24,9 +24,10 @@ directory of JSON files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .errors import ReproError
 from .houdini import GlobalModelProvider
@@ -117,7 +118,9 @@ class ArtifactBundle:
 
     @staticmethod
     def load(directory: str | Path, *, process: bool = True) -> "ArtifactBundle":
-        """Read a bundle previously written by :meth:`save`."""
+        """Read a bundle previously written by :meth:`save`.  A file that is
+        missing, or is not what :meth:`save` writes, raises
+        :class:`ArtifactError` naming it."""
         source = Path(directory)
         metadata_path = source / _METADATA_FILE
         models_path = source / _MODELS_FILE
@@ -125,18 +128,26 @@ class ArtifactBundle:
         for path in (metadata_path, models_path, mappings_path):
             if not path.exists():
                 raise ArtifactError(f"artifact bundle is missing {path.name!r} in {source}")
-        metadata = _read_metadata(metadata_path)
-        models = load_models(models_path, process=process)
-        mappings = load_mappings(mappings_path)
-        return ArtifactBundle(
-            models=models,
-            mappings=mappings,
-            benchmark=metadata.get("benchmark", ""),
-            num_partitions=int(metadata.get("num_partitions", 0)),
-            partitions_per_node=int(metadata.get("partitions_per_node", 2)),
-            trace_transactions=int(metadata.get("trace_transactions", 0)),
-            extra=dict(metadata.get("extra", {})),
-        )
+        with _reading(metadata_path):
+            metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+            version = metadata.get("format_version")
+            if version != BUNDLE_FORMAT_VERSION:
+                raise ArtifactError(
+                    f"unsupported artifact bundle version {version!r} "
+                    f"(expected {BUNDLE_FORMAT_VERSION})"
+                )
+            fields = dict(
+                benchmark=metadata.get("benchmark", ""),
+                num_partitions=int(metadata.get("num_partitions", 0)),
+                partitions_per_node=int(metadata.get("partitions_per_node", 2)),
+                trace_transactions=int(metadata.get("trace_transactions", 0)),
+                extra=dict(metadata.get("extra", {})),
+            )
+        with _reading(models_path):
+            models = load_models(models_path, process=process)
+        with _reading(mappings_path):
+            mappings = load_mappings(mappings_path)
+        return ArtifactBundle(models=models, mappings=mappings, **fields)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -151,15 +162,13 @@ class ArtifactBundle:
         )
 
 
-def _read_metadata(path: Path) -> Mapping[str, Any]:
+@contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """Raise what decoding ``path`` trips over as an :class:`ArtifactError`
+    naming the file."""
     try:
-        metadata = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"malformed artifact metadata in {path}: {exc}") from exc
-    version = metadata.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
+        yield
+    except (ReproError, ValueError, TypeError, AttributeError, KeyError) as exc:
         raise ArtifactError(
-            f"unsupported artifact bundle version {version!r} "
-            f"(expected {BUNDLE_FORMAT_VERSION})"
-        )
-    return metadata
+            f"cannot read artifact file {path}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -184,15 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated seconds per rate probe",
     )
 
-    analyze = subparsers.add_parser(
-        "analyze",
-        help="run the AST-based invariant analyzer (determinism rule)",
-    )
-    analyze.add_argument(
-        "paths", nargs="*",
-        help="files or directories to scan (default: the installed repro package)",
-    )
-
     return parser
 
 
@@ -564,26 +555,6 @@ def _cmd_knee(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .analysis import AnalysisError, all_rules, run_analysis
-
-    paths = [Path(p) for p in args.paths] or [Path(__file__).resolve().parent]
-    try:
-        report = run_analysis(paths, all_rules())
-    except AnalysisError as error:
-        print(f"usage error: {error}", file=sys.stderr)
-        return 2
-    for finding in report.findings:
-        print(finding.format())
-    print(
-        f"{report.files_scanned} file(s), {len(report.rules_run)} rule(s): "
-        f"{len(report.findings)} finding(s)"
-    )
-    return 1 if report.findings else 0
-
-
 _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "list-benchmarks": _cmd_list_benchmarks,
     "train": _cmd_train,
@@ -593,7 +564,6 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "serve": _cmd_serve,
     "experiment": _cmd_experiment,
     "knee": _cmd_knee,
-    "analyze": _cmd_analyze,
 }
 
 

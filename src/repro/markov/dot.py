@@ -12,10 +12,6 @@ from .model import MarkovModel
 from .vertex import VertexKind
 
 
-def _node_id(key) -> str:
-    return f"v{abs(hash(key)) % 10**12}"
-
-
 def to_dot(
     model: MarkovModel,
     *,
@@ -33,6 +29,11 @@ def to_dot(
         If true, each query vertex's probability-table summary (abort and
         single-partition probabilities) is appended to its label.
     """
+    # Nodes are numbered in vertex order, so the text depends on the model
+    # alone (a key hashes by identity, i.e. by its address in this process).
+    # Ids are zero-padded to 12 digits: Fig. 10's summary reports each
+    # rendering's length, and its pinned lengths were taken at that width.
+    node_ids = {vertex.key: f"v{index:012d}" for index, vertex in enumerate(model.vertices())}
     lines = [
         f'digraph "{model.procedure}" {{',
         "  rankdir=TB;",
@@ -55,14 +56,14 @@ def to_dot(
                 f"\\nsingle-partition: {vertex.table.single_partition:.2f}"
             )
         lines.append(
-            f'  {_node_id(key)} [label="{label}", shape={shape}, color={color}];'
+            f'  {node_ids[key]} [label="{label}", shape={shape}, color={color}];'
         )
     for vertex in model.vertices():
         for edge in model.edges_from(vertex.key):
             if edge.probability < min_edge_probability:
                 continue
             lines.append(
-                f'  {_node_id(edge.source)} -> {_node_id(edge.target)} '
+                f'  {node_ids[edge.source]} -> {node_ids[edge.target]} '
                 f'[label="{edge.probability:.2f}"];'
             )
     lines.append("}")

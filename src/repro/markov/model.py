@@ -236,9 +236,6 @@ class MarkovModel:
     def vertices(self) -> Iterator[Vertex]:
         return iter(self._vertices.values())
 
-    def query_vertices(self) -> Iterator[Vertex]:
-        return (v for v in self._vertices.values() if v.is_query)
-
     def edges_from(self, key: VertexKey) -> list[Edge]:
         self._fold_log()
         return list(self._edges.get(key, {}).values())

@@ -164,14 +164,6 @@ class Vertex:
     #: work" extension the paper suggests for intelligent scheduling).
     expected_remaining_queries: float = 0.0
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.key.is_terminal
-
-    @property
-    def is_query(self) -> bool:
-        return self.key.is_query
-
 
 @dataclass(slots=True)
 class Edge:

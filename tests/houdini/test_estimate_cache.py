@@ -200,7 +200,7 @@ class TestAMovedVersionAsksWhatTheWalkRead:
         visited = set(estimate.vertices)
         candidates = (
             [target for key in estimate.query_vertices for target, _ in model.successors(key)]
-            if below else [vertex.key for vertex in model.query_vertices()]
+            if below else [vertex.key for vertex in model.vertices() if vertex.key.is_query]
         )
         for key in candidates:
             if key not in visited and key.is_query and model.successors(key):

@@ -20,7 +20,7 @@ Record and compare from the repo root::
     PYTHONPATH=src python -m tests.oracles record [NAME ...] [--rev REV]
     PYTHONPATH=src python -m tests.oracles diff [NAME ...] [--rev REV]
 
-``NAME`` is a golden's file stem (all nine by default).  ``record`` writes each
+``NAME`` is a golden's file stem (all ten by default).  ``record`` writes each
 named golden from the values the code produces.  With ``--rev``, the code is
 revision ``REV``: ``git archive`` exports that revision into a temporary
 directory, and this tree's producers run in a subprocess with the exported
@@ -52,7 +52,9 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import repro
+from repro import cli
 from repro.houdini import HoudiniConfig
+from repro.markov import to_dot
 from repro.markov.serialization import model_to_dict
 from repro.scheduling.admission import AdmissionLimits
 from repro.scheduling.policies import ShortestPredictedFirstPolicy
@@ -534,6 +536,86 @@ def spec_digest(spec: ClusterSpec) -> str:
 
 
 # ----------------------------------------------------------------------
+# Writes: the sha256 of every file the system writes, each written the way
+# a user writes it, through ``repro.cli.main`` in this process.  A set or
+# dict order that reaches a file's bytes moves its digest between hash
+# seeds: ``tests/sim/test_rerun_determinism.py`` produces this golden under
+# ``PYTHONHASHSEED`` 1 and 2 as well.  A writer that no byte-equality test
+# runs is where such a leak hides.  In the planted-bug verdict (CHANGES.md,
+# row D2), an ``ArtifactBundle.metadata`` that wrote
+# ``"procedures": list(set(self.models))`` passed tier-1 and the CI job
+# that compares two hash seeds: nothing wrote a bundle.  These cases write
+# one per benchmark.
+# ----------------------------------------------------------------------
+#: The files ``ArtifactBundle.save`` writes.
+BUNDLE_FILES = ("metadata.json", "models.json", "mappings.json")
+
+
+def _cli_stdout(*argv: str) -> bytes:
+    """What ``repro ARGV`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue().encode("utf-8")
+
+
+@functools.cache
+def bundle_digests(benchmark: str) -> dict[str, str]:
+    """``repro train BENCHMARK --partitions 4 --trace 300 --output DIR``:
+    each file of the bundle."""
+    with tempfile.TemporaryDirectory() as scratch:
+        _cli_stdout("train", benchmark, "--partitions", "4", "--trace", "300",
+                    "--output", scratch)
+        bundle = Path(scratch)
+        assert sorted(path.name for path in bundle.iterdir()) == sorted(BUNDLE_FILES)
+        return {name: _sha256((bundle / name).read_bytes()) for name in BUNDLE_FILES}
+
+
+@functools.cache
+def record_digest() -> str:
+    """``repro record tatp --partitions 4 --transactions 500``: the JSON-lines
+    trace."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.jsonl"
+        _cli_stdout("record", "tatp", "--partitions", "4", "--transactions", "500",
+                    "--output", str(path))
+        return _sha256(path.read_bytes())
+
+
+@functools.cache
+def dot_digest() -> str:
+    """``to_dot``, the writer behind ``save_dot``, of TPC-C's NewOrder model."""
+    model = trained("tpcc", 4, 300, 0).models["neworder"]
+    dot = to_dot(model, min_edge_probability=0.01, include_tables=True)
+    return _sha256(dot.encode("utf-8"))
+
+
+@functools.cache
+def simulate_digest(benchmark: str, transactions: int) -> str:
+    """``repro simulate BENCHMARK --partitions 4 --trace 300 --transactions N
+    --json``: the document it prints."""
+    return _sha256(_cli_stdout(
+        "simulate", benchmark, "--partitions", "4", "--trace", "300",
+        "--transactions", str(transactions), "--json",
+    ))
+
+
+WRITES_CASES: dict[str, Callable[[], str]] = {
+    **{
+        f"bundle-{benchmark}-{name}": (
+            lambda benchmark=benchmark, name=name: bundle_digests(benchmark)[name]
+        )
+        for benchmark in ("tatp", "tpcc", "smallbank", "auctionmark")
+        for name in BUNDLE_FILES
+    },
+    "record-tatp": record_digest,
+    "dot-tpcc-neworder": dot_digest,
+    "simulate-tatp": functools.partial(simulate_digest, "tatp", 1500),
+    "simulate-tpcc": functools.partial(simulate_digest, "tpcc", 600),
+}
+
+
+# ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -603,6 +685,7 @@ ORACLES: dict[str, Oracle] = {oracle.name: oracle for oracle in (
            sort_keys=False),
     Oracle("experiments/golden_outputs.json",
            {name: functools.partial(outputs.normalized_output, name) for name in outputs.RUNS}),
+    Oracle("golden_writes.json", WRITES_CASES),
 )}
 
 

@@ -262,7 +262,7 @@ def learn(houdini, request, choice, discover, times, recompute) -> None:
     ``abort``.  ``recompute`` then re-derives probabilities and tables
     without telling the memo, which must notice by itself."""
     model = houdini.provider.model_for(request)
-    states = [vertex.key for vertex in model.query_vertices()]
+    states = [vertex.key for vertex in model.vertices() if vertex.key.is_query]
     if not states:
         return
     source = states[choice % len(states)]

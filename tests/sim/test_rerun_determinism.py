@@ -21,6 +21,13 @@ the result classes' field tables: the ``rerun_digests`` golden of
 ``from_dict`` → ``to_dict`` gives the same bytes for every case (exact
 metrics, tenants, and the maintenance, selftune and tenancy blocks among
 them).
+
+The two hash-seed interpreters also produce the ``golden_writes`` golden:
+the bytes of every file the system writes (artifact bundles, a recorded
+trace, a DOT model, ``simulate --json``) must be the same under hash seed
+1, hash seed 2, in this process and in the recorded file.  Two in-process
+mutations of a writer show that a change to a file's order moves its
+digest.
 """
 
 from __future__ import annotations
@@ -30,23 +37,33 @@ import json
 
 import pytest
 
+from repro.artifacts import ArtifactBundle
 from repro.sim import SimulationResult
-from tests.oracles import ROOT, produced, spawn_producers
+from repro.workload.trace import TransactionTraceRecord
+from tests.oracles import (
+    ORACLES,
+    ROOT,
+    bundle_digests,
+    produced,
+    record_digest,
+    spawn_producers,
+)
 from tests.sim.rerun_cases import CASES, SHAPES, digest, first_run
 
 HASH_SEEDS = ("1", "2")
+WRITES = ORACLES["golden_writes"]
 
 
 @functools.cache
-def _digests_under_hash_seeds() -> dict[str, dict[str, str]]:
-    """``{hash seed: {case: digest}}``, one fresh interpreter per seed,
-    run side by side."""
+def _digests_under_hash_seeds() -> dict[str, dict[str, dict[str, str]]]:
+    """``{hash seed: {golden: {case: digest}}}`` for ``rerun_digests`` and
+    ``golden_writes``, one fresh interpreter per seed, run side by side."""
     src = ROOT / "src"
     runs = {
-        seed: spawn_producers(["rerun_digests"], src, PYTHONHASHSEED=seed)
+        seed: spawn_producers(["rerun_digests", "golden_writes"], src, PYTHONHASHSEED=seed)
         for seed in HASH_SEEDS
     }
-    return {seed: produced(process, src)["rerun_digests"] for seed, process in runs.items()}
+    return {seed: produced(process, src) for seed, process in runs.items()}
 
 
 class TestSameSeedRerun:
@@ -60,7 +77,32 @@ class TestHashSeed:
     def test_results_do_not_follow_the_hash_seed(self, name):
         expected = digest(first_run(name))
         for seed, digests in _digests_under_hash_seeds().items():
-            assert digests[name] == expected, f"PYTHONHASHSEED={seed}"
+            assert digests["rerun_digests"][name] == expected, f"PYTHONHASHSEED={seed}"
+
+
+class TestWrittenFiles:
+    @pytest.mark.parametrize("case", WRITES.cases)
+    def test_a_written_file_follows_neither_the_hash_seed_nor_the_process(self, case):
+        recorded = WRITES.recorded()[case]
+        assert WRITES.produce(case) == recorded, "in this process"
+        for seed, goldens in _digests_under_hash_seeds().items():
+            assert goldens["golden_writes"][case] == recorded, f"PYTHONHASHSEED={seed}"
+
+    def test_procedures_written_in_reverse_move_the_metadata_digest(self, monkeypatch):
+        metadata = ArtifactBundle.metadata
+        monkeypatch.setattr(ArtifactBundle, "metadata", lambda bundle: {
+            **metadata(bundle), "procedures": metadata(bundle)["procedures"][::-1],
+        })
+        digests = bundle_digests.__wrapped__("tatp")
+        recorded = WRITES.recorded()
+        assert digests["metadata.json"] != recorded["bundle-tatp-metadata.json"]
+        assert digests["models.json"] == recorded["bundle-tatp-models.json"]
+
+    def test_trace_keys_reordered_move_the_trace_digest(self, monkeypatch):
+        to_json = TransactionTraceRecord.to_json
+        monkeypatch.setattr(TransactionTraceRecord, "to_json",
+                            lambda record: dict(reversed(to_json(record).items())))
+        assert record_digest.__wrapped__() != WRITES.recorded()["record-tatp"]
 
 
 class TestEachCaseTakesItsPath:

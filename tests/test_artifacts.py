@@ -3,12 +3,34 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.artifacts import ArtifactBundle, ArtifactError
 from repro.houdini import Houdini, HoudiniConfig
 from repro.types import ProcedureRequest
+
+
+#: case -> (file, what the corrupted file holds, from what ``save`` wrote).
+CORRUPT = {
+    "metadata-not-json": ("metadata.json", lambda text: "{not json"),
+    "metadata-another-version": (
+        "metadata.json", lambda text: json.dumps({**json.loads(text), "format_version": 12345}),
+    ),
+    "metadata-a-list": ("metadata.json", lambda text: "[1]"),
+    "metadata-null": ("metadata.json", lambda text: "null"),
+    "metadata-partitions-not-a-number": (
+        "metadata.json", lambda text: json.dumps({**json.loads(text), "num_partitions": "x"}),
+    ),
+    "models-truncated": ("models.json", lambda text: text[: len(text) // 2]),
+    "models-a-list": ("models.json", lambda text: "[1]"),
+    "models-another-version": (
+        "models.json", lambda text: json.dumps({**json.loads(text), "format_version": 99}),
+    ),
+    "mappings-truncated": ("mappings.json", lambda text: text[: len(text) // 2]),
+    "mappings-a-list": ("mappings.json", lambda text: "[1]"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -63,18 +85,12 @@ class TestBundlePersistence:
         with pytest.raises(ArtifactError):
             ArtifactBundle.load(target)
 
-    def test_bad_metadata_version_raises(self, tpcc_bundle, tmp_path):
+    @pytest.mark.parametrize("name,corrupt", CORRUPT.values(), ids=list(CORRUPT))
+    def test_a_corrupt_file_raises_an_error_naming_it(self, tpcc_bundle, tmp_path, name, corrupt):
         target = tpcc_bundle.save(tmp_path / "artifacts")
-        metadata = json.loads((target / "metadata.json").read_text())
-        metadata["format_version"] = 12345
-        (target / "metadata.json").write_text(json.dumps(metadata))
-        with pytest.raises(ArtifactError):
-            ArtifactBundle.load(target)
-
-    def test_corrupt_metadata_raises(self, tpcc_bundle, tmp_path):
-        target = tpcc_bundle.save(tmp_path / "artifacts")
-        (target / "metadata.json").write_text("{not json")
-        with pytest.raises(ArtifactError):
+        path = target / name
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(ArtifactError, match=re.escape(str(path))):
             ArtifactBundle.load(target)
 
 

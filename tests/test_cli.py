@@ -20,15 +20,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_unknown_command_rejected(self):
-        """Unknown commands, and analyzer options that no longer exist."""
-        for argv in (
-            ["frobnicate"],
-            ["analyze", "--strict"],
-            ["analyze", "--json"],
-            ["analyze", "--rule", "determinism"],
-            ["analyze", "--baseline", "baseline.json"],
-            ["analyze", "--update-baseline"],
-        ):
+        """Unknown commands, the retired ``analyze`` among them."""
+        for argv in (["frobnicate"], ["analyze"], ["analyze", "src/repro"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -98,6 +91,15 @@ class TestCommands:
         code = main(["inspect", str(tmp_path / "nowhere")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_inspect_corrupt_bundle_fails_cleanly(self, tmp_path, capsys):
+        target = tmp_path / "bundle"
+        assert main(["train", "tatp", "--partitions", "2", "--trace", "80",
+                     "--output", str(target)]) == 0
+        (target / "models.json").write_text("[1]")
+        assert main(["inspect", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "models.json" in err
 
     def test_simulate_prints_summary_row(self, capsys):
         code = main(
