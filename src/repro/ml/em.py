@@ -9,13 +9,14 @@ the best Bayesian information criterion is kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kmeans import KMeans
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+_LOG_2PI = math.log(2.0 * math.pi)
 #: Variance floor keeps degenerate (constant) features from blowing up the
 #: likelihood.
 _MIN_VARIANCE = 1e-4

@@ -12,15 +12,15 @@ is running with global or partitioned models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..markov.model import MarkovModel
 from ..ml.decision_tree import DecisionTreeClassifier
-from ..ml.em import GaussianMixtureModel
 from ..types import ProcedureRequest
 from .features import FeatureDefinition, FeatureExtractor, encode_matrix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..ml.em import GaussianMixtureModel
 
 
 @dataclass

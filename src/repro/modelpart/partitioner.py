@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .. import schema
 from ..catalog.schema import Catalog
 from ..evaluation.accuracy import AccuracyEvaluator
@@ -41,7 +39,6 @@ from ..mapping.parameter_mapping import ParameterMappingSet
 from ..markov.builder import MarkovModelBuilder, TraceBaseChooser
 from ..markov.model import MarkovModel
 from ..ml.decision_tree import DecisionTreeClassifier
-from ..ml.em import EMClustering
 from ..schema import spec
 from ..workload.trace import WorkloadTrace
 from .clustered import ClusteredModels, PartitionedModelProvider
@@ -263,16 +260,12 @@ class ModelPartitioner:
     ) -> float:
         if len(training) == 0 or len(validation) == 0 or len(testing) == 0:
             return float("inf")
-        train_matrix = np.array(encode_matrix([
+        clusterer = self._fit_clusterer(encode_matrix([
             extractor.vector(record.parameters, feature_set) for record in training
         ]))
-        clusterer = EMClustering(
-            max_clusters=self.config.max_clusters, seed=self.config.seed
-        ).fit(train_matrix)
-        validation_matrix = np.array(encode_matrix([
+        assignments = clusterer.predict(encode_matrix([
             extractor.vector(record.parameters, feature_set) for record in validation
         ]))
-        assignments = clusterer.predict(validation_matrix)
         models = self._models_per_cluster(procedure_name, validation, assignments)
         bundle = ClusteredModels(
             procedure=procedure_name,
@@ -288,6 +281,15 @@ class ModelPartitioner:
             {procedure_name: fallback_model} if fallback_model else {},
         )
         return self._cost_with_provider(provider, testing)
+
+    def _fit_clusterer(self, matrix: list[list[float]]):
+        """The EM mixture fitted to an encoded feature matrix; numpy loads
+        here, at the first fit, and not when the module is imported."""
+        from ..ml.em import EMClustering
+
+        return EMClustering(
+            max_clusters=self.config.max_clusters, seed=self.config.seed
+        ).fit(matrix)
 
     def _cost_with_provider(self, provider, testing: WorkloadTrace) -> float:
         houdini = Houdini(
@@ -327,10 +329,8 @@ class ModelPartitioner:
         fallback_model: MarkovModel | None,
     ) -> ClusteredModels:
         vectors = [extractor.vector(record.parameters, selected) for record in records]
-        matrix = np.array(encode_matrix(vectors))
-        clusterer = EMClustering(
-            max_clusters=self.config.max_clusters, seed=self.config.seed
-        ).fit(matrix)
+        matrix = encode_matrix(vectors)
+        clusterer = self._fit_clusterer(matrix)
         assignments = clusterer.predict(matrix)
         models = self._models_per_cluster(procedure_name, records, assignments)
         tree: DecisionTreeClassifier | None = None

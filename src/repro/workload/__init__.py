@@ -37,7 +37,11 @@ models:
 
 Open-loop arrival timestamps are generated in vectorized numpy batches
 (:mod:`repro.workload.vectorized`) — the same seed always yields the same
-arrivals, whatever the batch size.
+arrivals, whatever the batch size.  That module, and numpy with it, loads
+when an open-loop source compiles (``OpenLoopSource.compile``, run at
+``Cluster.open``) or :func:`arrival_times` is called, and otherwise not:
+importing this package and serving closed-loop or replayed traffic loads
+no numpy.
 
 Sources validate strictly, round-trip through ``to_dict`` /
 ``from_dict`` like the rest of :class:`~repro.session.ClusterSpec`, and

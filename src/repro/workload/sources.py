@@ -55,7 +55,6 @@ from .. import schema
 from ..errors import WorkloadError
 from ..schema import spec
 from ..types import ProcedureRequest
-from . import vectorized as _vectorized
 from .rng import WorkloadRandom
 from .trace import TransactionTraceRecord, WorkloadTrace
 
@@ -327,11 +326,16 @@ class OpenLoopSource(WorkloadSource):
     limit: int | None = spec(None, kind="int", ge=1, optional=True)
 
     def compile(self, ctx: CompileContext, *, _tenant: str | None = None) -> CompiledSource:
+        # The numpy-backed kernel loads here, when the session opens, and
+        # not in the generator body below: that would put the import inside
+        # the first measured run_for.
+        from .vectorized import arrival_time_chunks
+
         generator = ctx.make_generator(self.seed)
         gap_seed = ctx.seed * 31 + self.seed
         # Timestamps arrive in pre-built batches; each batch pairs time i
         # with the generator's request i (the two streams are independent).
-        time_chunks = _vectorized.arrival_time_chunks(
+        time_chunks = arrival_time_chunks(
             self.arrival, self.rate_per_sec,
             seed=gap_seed, burst_size=self.burst_size,
             chunk_size=_ARRIVAL_CHUNK, limit=self.limit,
@@ -677,7 +681,9 @@ def arrival_times(
 ) -> list[float]:
     """The first ``count`` absolute arrival times (ms) of a process, drawn
     by the vectorized kernel in one shot."""
-    return _vectorized.vectorized_arrival_times(
+    from .vectorized import vectorized_arrival_times
+
+    return vectorized_arrival_times(
         process, rate_per_sec, count, seed=seed, burst_size=burst_size
     )
 

@@ -31,6 +31,13 @@ pure-Python Poisson loop kept as a reference in
 ``tests/workload/reference.py`` consumes the identical uniform sequence and
 differs from the kernel only in the last ulp of ``log`` for a ~0.3%
 minority of gaps (``math.log`` vs numpy's vectorized log).
+
+Declared is not loaded: :mod:`repro.workload.sources` imports this module
+inside ``OpenLoopSource.compile`` and ``arrival_times``, so numpy loads
+when a session opens with an arrival source and never for closed-loop
+traffic.  The import must not move into the generator that
+:func:`arrival_time_chunks` returns: there it would run at the first
+``run_for``, inside a benchmark's measured phase.
 """
 
 from __future__ import annotations
