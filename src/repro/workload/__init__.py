@@ -35,13 +35,14 @@ models:
     million logical users cost O(#cohorts) state — the scale mode's
     workload shape.
 
-Open-loop arrival timestamps are generated in vectorized numpy batches
+Open-loop arrival timestamps are generated in batches
 (:mod:`repro.workload.vectorized`) — the same seed always yields the same
-arrivals, whatever the batch size.  That module, and numpy with it, loads
-when an open-loop source compiles (``OpenLoopSource.compile``, run at
-``Cluster.open``) or :func:`arrival_times` is called, and otherwise not:
-importing this package and serving closed-loop or replayed traffic loads
-no numpy.
+arrivals, whatever the batch size.  That module loads when an open-loop
+source compiles (``OpenLoopSource.compile``, run at ``Cluster.open``) or
+:func:`arrival_times` is called; numpy loads only for a Poisson process,
+whose gaps take numpy's ``log``.  Importing this package and serving
+closed-loop, replayed, uniform or bursty traffic loads no numpy, and no
+arrival source loads ``numpy.random``.
 
 Sources validate strictly, round-trip through ``to_dict`` /
 ``from_dict`` like the rest of :class:`~repro.session.ClusterSpec`, and

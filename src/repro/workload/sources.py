@@ -326,9 +326,9 @@ class OpenLoopSource(WorkloadSource):
     limit: int | None = spec(None, kind="int", ge=1, optional=True)
 
     def compile(self, ctx: CompileContext, *, _tenant: str | None = None) -> CompiledSource:
-        # The numpy-backed kernel loads here, when the session opens, and
-        # not in the generator body below: that would put the import inside
-        # the first measured run_for.
+        # The arrival kernel (and numpy, for a Poisson process) loads here,
+        # when the session opens, and not in the generator body below: that
+        # would put the import inside the first measured run_for.
         from .vectorized import arrival_time_chunks
 
         generator = ctx.make_generator(self.seed)

@@ -1,91 +1,88 @@
-"""Vectorized arrival-time generation: the million-user scale mode's hot path.
+"""Batched arrival-time generation: the million-user scale mode's hot path.
 
-Drawing one inter-arrival gap per event in Python is fine for hundreds of
-clients and hopeless for production rates, where a single overload probe
-wants millions of arrivals.  This module generates the arrival streams in
-numpy batches, equal to the one-gap-at-a-time scalar streams:
+Drawing one inter-arrival gap per event through a generator is fine for
+hundreds of clients and hopeless for production rates, where a single
+overload probe wants millions of arrivals.  This module generates the
+arrival streams in batches, equal to the one-gap-at-a-time scalar streams:
 
-* :func:`exponential_gap_batch` draws a block of Poisson-process gaps by
-  transplanting the Mersenne-Twister state of the stream's
-  :class:`random.Random` into a :class:`numpy.random.RandomState` (both are
-  MT19937 with the identical 53-bit double output path, so the uniform draws
-  are bit-for-bit the ones the scalar path would make), applying the
-  exponential inverse-CDF as one vector operation, and writing the advanced
-  generator state back so scalar and vectorized consumption interleave
-  freely on one stream.
+* :func:`uniform_batch` draws a block of uniforms with one ``getrandbits``
+  call on the stream's own :class:`random.Random`, equal in values and end
+  state to as many ``rng.random()`` calls, so scalar and batched
+  consumption interleave freely on one stream.
+* :func:`exponential_gap_batch` turns those uniforms into Poisson-process
+  gaps with the exponential inverse-CDF, one numpy ``log`` over the block.
 * :func:`arrival_time_chunks` turns any of the three processes (poisson /
-  uniform / bursty) into batches of *absolute* arrival timestamps.  The
-  batch prepends the running clock before ``cumsum``, which makes the
-  prefix-sum bitwise identical to the scalar ``clock += gap`` accumulation
-  (both reduce left to right in float64) across chunk boundaries.
+  uniform / bursty) into batches of *absolute* arrival timestamps.  Uniform
+  and bursty gaps are constants laid out as Python lists; every batch
+  accumulates its gaps from the running clock (``itertools.accumulate``),
+  the scalar ``clock += gap`` order, so the timestamps are bitwise
+  identical to the scalar accumulation across chunk boundaries.
 * :func:`vectorized_arrival_times` is the one-shot convenience used by the
   micro-benchmarks and the trace recorder.
 
 Stream-equivalence contract
 ---------------------------
-numpy is a declared dependency, and the vectorized kernel is the *canonical*
-gap stream: iterator-driven and chunk-driven consumers observe
-byte-identical arrivals for the same seed (held by
-``tests/workload/test_vectorized.py`` across all three processes).  The
-pure-Python Poisson loop kept as a reference in
+The batched kernel is the *canonical* gap stream: iterator-driven and
+chunk-driven consumers observe byte-identical arrivals for the same seed
+(held by ``tests/workload/test_vectorized.py`` across all three
+processes).  The pure-Python Poisson loop kept as a reference in
 ``tests/workload/reference.py`` consumes the identical uniform sequence and
 differs from the kernel only in the last ulp of ``log`` for a ~0.3%
 minority of gaps (``math.log`` vs numpy's vectorized log).
 
-Declared is not loaded: :mod:`repro.workload.sources` imports this module
-inside ``OpenLoopSource.compile`` and ``arrival_times``, so numpy loads
-when a session opens with an arrival source and never for closed-loop
-traffic.  The import must not move into the generator that
-:func:`arrival_time_chunks` returns: there it would run at the first
+Only the Poisson process uses numpy (its ``log`` and the word decode
+around it), and nothing here imports ``numpy.random``.  numpy loads in
+:func:`arrival_time_chunks`' Poisson branch, which ``OpenLoopSource.compile``
+reaches at ``Cluster.open``.  The import must not move into the generator
+that :func:`arrival_time_chunks` returns: there it would run at the first
 ``run_for``, inside a benchmark's measured phase.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator
-
-import numpy as _np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import WorkloadError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy
+
 #: Default arrivals per generated batch.  Large enough to amortize the
-#: state-transplant and vector-op overhead (~10 µs per batch), small enough
-#: that lazily compiled sources never run far ahead of what a session pulls.
+#: per-batch ``getrandbits`` call and array set-up, small enough that lazily
+#: compiled sources never run far ahead of what a session pulls.
 DEFAULT_CHUNK = 4096
 
-
-# ----------------------------------------------------------------------
-# Mersenne-Twister state transplanting
-# ----------------------------------------------------------------------
-def _transplant(rng: random.Random) -> "_np.random.RandomState":
-    """A ``RandomState`` positioned exactly where ``rng``'s MT19937 is.
-
-    CPython's :class:`random.Random` and numpy's legacy
-    :class:`~numpy.random.RandomState` share the MT19937 core *and* the
-    53-bit double construction (``(a << 26 | b) / 2**53``), so a state copy
-    makes ``random_sample`` reproduce ``rng.random()`` bit for bit.
-    """
-    version, internal, _gauss = rng.getstate()
-    if version != 3:  # pragma: no cover - CPython has used version 3 since 2.4
-        raise WorkloadError(f"unsupported random.Random state version {version}")
-    state = _np.random.RandomState()
-    state.set_state(("MT19937", _np.array(internal[:-1], dtype=_np.uint32), internal[-1]))
-    return state
-
-
-def _read_back(rng: random.Random, state: "_np.random.RandomState") -> None:
-    """Advance ``rng`` to where the transplanted ``state`` has moved."""
-    _, keys, pos, _, _ = state.get_state(legacy=True)
-    rng.setstate((3, tuple(int(key) for key in keys) + (int(pos),), None))
+#: ``random()``'s scale: a 53-bit integer times 2**-53 lands in [0, 1).
+_TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
 
 # ----------------------------------------------------------------------
 # Gap batches
 # ----------------------------------------------------------------------
+def uniform_batch(rng: random.Random, count: int) -> "numpy.ndarray":
+    """``count`` uniforms in [0, 1), equal to ``count`` calls of ``rng.random()``.
+
+    CPython's ``random()`` takes two 32-bit Mersenne-Twister words ``a, b``
+    and returns ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.
+    ``getrandbits(64 * count)`` draws the same ``2 * count`` words from the
+    same state and packs them least-significant first, so reading its
+    little-endian bytes as ``<u4`` gives ``a, b, a, b, ...`` in draw order.
+    Every step below is exact in float64, and ``rng`` ends where ``count``
+    ``random()`` calls would leave it.
+    """
+    import numpy as np
+
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+    )
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * _TWO_POW_MINUS_53
+
+
 def exponential_gap_batch(
     rng: random.Random, mean_ms: float, count: int
-) -> "_np.ndarray":
+) -> "numpy.ndarray":
     """``count`` Poisson-process gaps drawn from ``rng``'s own stream.
 
     Consumes exactly ``count`` uniforms from ``rng`` (its state advances as
@@ -94,25 +91,23 @@ def exponential_gap_batch(
     """
     if count < 0:
         raise WorkloadError("count must be non-negative")
-    state = _transplant(rng)
-    uniforms = state.random_sample(count)
-    _read_back(rng, state)
-    return -mean_ms * _np.log(1.0 - uniforms)
+    import numpy as np
+
+    return -mean_ms * np.log(1.0 - uniform_batch(rng, count))
 
 
 def _bursty_gap_batch(
     index: int, count: int, intra: float, pause: float, burst_size: int
-) -> "_np.ndarray":
+) -> list[float]:
     """Gaps ``index .. index+count`` of the bursty cycle (no RNG involved).
 
     The scalar pattern is ``intra`` at index 0 (the stream opens mid-burst)
     and ``pause`` at every later index divisible by ``burst_size``.
     """
-    gaps = _np.full(count, intra)
-    first_cycle = -(-index // burst_size) * burst_size  # first multiple >= index
-    if first_cycle == index and index == 0:
-        first_cycle = burst_size
-    gaps[first_cycle - index::burst_size] = pause
+    gaps = [intra] * count
+    # The first multiple of burst_size that is >= index and > 0.
+    start = max(-(-index // burst_size), 1) * burst_size - index
+    gaps[start::burst_size] = [pause] * len(range(start, count, burst_size))
     return gaps
 
 
@@ -132,7 +127,7 @@ def arrival_time_chunks(
     (the final batch may be shorter when ``limit`` bounds the stream;
     without a limit the iterator is infinite).  Timestamps are bitwise
     identical to accumulating the gap stream one gap at a time: each batch
-    seeds its prefix sum with the running clock so the float64 additions
+    starts its prefix sum at the running clock so the float64 additions
     happen in the exact scalar order.
     """
     if rate_per_sec <= 0:
@@ -143,10 +138,14 @@ def arrival_time_chunks(
         raise WorkloadError(f"limit must be non-negative or None, got {limit!r}")
     mean_ms = 1000.0 / rate_per_sec
     if process == "poisson":
+        # numpy loads here, when the source compiles at Cluster.open, and
+        # not at the stream's first batch: that runs in a measured run_for.
+        import numpy  # noqa: F401
+
         rng = random.Random(seed)
-        make_gaps = lambda index, count: exponential_gap_batch(rng, mean_ms, count)
+        make_gaps = lambda index, count: exponential_gap_batch(rng, mean_ms, count).tolist()
     elif process == "uniform":
-        make_gaps = lambda index, count: _np.full(count, mean_ms)
+        make_gaps = lambda index, count: [mean_ms] * count
     elif process == "bursty":
         if burst_size < 1:
             raise WorkloadError(f"burst_size must be >= 1, got {burst_size!r}")
@@ -163,19 +162,16 @@ def arrival_time_chunks(
     def stream() -> Iterator[list[float]]:
         clock = start_clock_ms
         emitted = 0
-        scratch = _np.empty(chunk_size + 1)
         while limit is None or emitted < limit:
             count = chunk_size if limit is None else min(chunk_size, limit - emitted)
-            buffer = scratch if count == chunk_size else _np.empty(count + 1)
-            # Seeding the prefix sum with the clock keeps every addition in
-            # the scalar `clock += gap` order, so chunk boundaries never
-            # perturb a single bit of the emitted timestamps.
-            buffer[0] = clock
-            buffer[1:] = make_gaps(emitted, count)
-            times = _np.cumsum(buffer)
-            clock = float(times[-1])
+            # Accumulating from the clock keeps every addition in the scalar
+            # `clock += gap` order, so chunk boundaries never perturb a bit
+            # of the emitted timestamps.
+            times = list(accumulate(make_gaps(emitted, count), initial=clock))
+            clock = times[-1]
             emitted += count
-            yield times[1:].tolist()
+            del times[0]
+            yield times
 
     return stream()
 
@@ -208,6 +204,7 @@ def vectorized_arrival_times(
 
 __all__ = [
     "DEFAULT_CHUNK",
+    "uniform_batch",
     "exponential_gap_batch",
     "arrival_time_chunks",
     "vectorized_arrival_times",

@@ -6,6 +6,9 @@ Holds the contracts the million-user scale mode leans on:
   iterator and the one-gap-at-a-time accumulation of ``arrival_gaps``
   produce byte-identical timestamps for every arrival process and seed (the
   kernel *is* the canonical Poisson stream);
+* the kernel's uniforms, decoded from one ``getrandbits`` call, equal
+  ``random.Random.random()`` call for call and leave the generator in the
+  same state (the CPython detail the Poisson stream rests on);
 * the pure-Python reference (``tests/workload/reference.py``) consumes the
   identical uniform draws and matches the kernel to within one ulp of the
   log (bitwise for the deterministic uniform/bursty processes);
@@ -21,6 +24,7 @@ Holds the contracts the million-user scale mode leans on:
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -88,15 +92,22 @@ class TestStreamEquivalence:
         assert got == expected  # bitwise: same floats in the same order
 
     @pytest.mark.parametrize("process", PROCESSES)
-    @pytest.mark.parametrize("chunk_size", (1, 97, 777, 4096))
+    @pytest.mark.parametrize("chunk_size", (1, 7, 97, 777, 4096))
     def test_chunk_size_never_changes_the_stream(self, process, chunk_size):
-        one_shot = vz.vectorized_arrival_times(process, 500.0, 3000, seed=3)
+        # From a non-zero clock, with a limit that is no multiple of the
+        # chunks above 1, and 600-arrival bursts that span several chunks.
+        kwargs = dict(seed=3, burst_size=600, limit=3001, start_clock_ms=1234.5678)
+        (one_shot,) = vz.arrival_time_chunks(process, 500.0, chunk_size=3001, **kwargs)
         chunked = []
-        for chunk in vz.arrival_time_chunks(
-            process, 500.0, seed=3, chunk_size=chunk_size, limit=3000
-        ):
+        for chunk in vz.arrival_time_chunks(process, 500.0, chunk_size=chunk_size, **kwargs):
             chunked.extend(chunk)
         assert chunked == one_shot
+        gaps = arrival_gaps(process, 500.0, seed=3, burst_size=600)
+        clock, expected = 1234.5678, []
+        for _ in range(3001):
+            clock += next(gaps)
+            expected.append(clock)
+        assert one_shot == expected
 
     def test_limit_bounds_the_stream(self):
         chunks = list(vz.arrival_time_chunks(
@@ -114,6 +125,19 @@ class TestStreamEquivalence:
         assert vz.vectorized_arrival_times("poisson", 100.0, 0) == []
         assert arrival_times("poisson", 100.0, 0) == []
         assert scalar_arrival_times("poisson", 100.0, 0) == []
+
+
+# ----------------------------------------------------------------------
+# Uniforms: one getrandbits call == that many random() calls
+# ----------------------------------------------------------------------
+class TestUniformBatch:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", (0, 1, 2, 511, 512, 4096))
+    def test_equals_random_calls_and_end_state(self, seed, count):
+        batched, scalar = random.Random(seed), random.Random(seed)
+        expected = [scalar.random() for _ in range(count)]
+        assert vz.uniform_batch(batched, count).tolist() == expected
+        assert batched.getstate() == scalar.getstate()
 
 
 # ----------------------------------------------------------------------
