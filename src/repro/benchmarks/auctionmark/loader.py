@@ -10,7 +10,6 @@ from .schema import ITEM_STATUS_OPEN, AuctionMarkConfig
 
 def load(catalog: Catalog, database: Database, config: AuctionMarkConfig, rng: WorkloadRandom) -> None:
     """Populate users, items, bids, comments, feedback, watches."""
-    estimator = catalog.estimator
     num_users = config.num_users
     for u_id in range(num_users):
         database.load_row("USERACCT", {
@@ -20,7 +19,7 @@ def load(catalog: Catalog, database: Database, config: AuctionMarkConfig, rng: W
             "U_COMMENTS": 0,
             "U_ITEM_COUNT": config.items_per_user,
             "U_RATING": rng.integer(0, 5),
-        }, estimator)
+        })
         for i_id in range(config.items_per_user):
             database.load_row("ITEM", {
                 "I_U_ID": u_id,
@@ -32,7 +31,7 @@ def load(catalog: Catalog, database: Database, config: AuctionMarkConfig, rng: W
                 "I_END_DATE": rng.integer(10, 1000),
                 "I_BUYER_ID": None,
                 "I_DESCRIPTION": "initial",
-            }, estimator)
+            })
             for b_id in range(config.bids_per_item):
                 database.load_row("BID", {
                     "B_U_ID": u_id,
@@ -40,7 +39,7 @@ def load(catalog: Catalog, database: Database, config: AuctionMarkConfig, rng: W
                     "B_ID": b_id,
                     "B_BUYER_ID": rng.integer(0, num_users - 1),
                     "B_AMOUNT": round(rng.floating(1.0, 150.0), 2),
-                }, estimator)
+                })
         for f_id in range(config.feedback_per_user):
             database.load_row("FEEDBACK", {
                 "F_FROM_ID": u_id,
@@ -48,7 +47,7 @@ def load(catalog: Catalog, database: Database, config: AuctionMarkConfig, rng: W
                 "F_ID": f_id,
                 "F_RATING": rng.integer(-1, 1),
                 "F_TEXT": rng.alphanumeric(8),
-            }, estimator)
+            })
         for _ in range(config.watches_per_user):
             seller_id = rng.integer(0, num_users - 1)
             item_id = rng.integer(0, config.items_per_user - 1)
@@ -57,7 +56,7 @@ def load(catalog: Catalog, database: Database, config: AuctionMarkConfig, rng: W
                     "UW_U_ID": u_id,
                     "UW_SELLER_ID": seller_id,
                     "UW_I_ID": item_id,
-                }, estimator)
+                })
             except Exception:
                 # Duplicate watch entries are simply skipped.
                 continue

@@ -12,18 +12,17 @@ def load(
     catalog: Catalog, database: Database, config: SmallBankConfig, rng: WorkloadRandom
 ) -> None:
     """Populate one account row plus savings/checking balances per customer."""
-    estimator = catalog.estimator
     spread = config.initial_balance_max - config.initial_balance_min
     for custid in range(config.num_accounts):
         database.load_row("ACCOUNTS", {
             "CUSTID": custid,
             "NAME": f"Customer{custid:08d}",
-        }, estimator)
+        })
         database.load_row("SAVINGS", {
             "CUSTID": custid,
             "BAL": config.initial_balance_min + rng.integer(0, int(spread)) * 1.0,
-        }, estimator)
+        })
         database.load_row("CHECKING", {
             "CUSTID": custid,
             "BAL": config.initial_balance_min + rng.integer(0, int(spread)) * 1.0,
-        }, estimator)
+        })

@@ -17,28 +17,27 @@ from .schema import TpccConfig
 
 def load(catalog: Catalog, database: Database, config: TpccConfig, rng: WorkloadRandom) -> None:
     """Populate ``database`` with a deterministic TPC-C data set."""
-    estimator = catalog.estimator
-    _load_items(catalog, database, config, rng, estimator)
+    _load_items(database, config, rng)
     for w_id in range(config.num_warehouses):
-        _load_warehouse(catalog, database, config, rng, estimator, w_id)
+        _load_warehouse(database, config, rng, w_id)
 
 
-def _load_items(catalog, database, config, rng, estimator) -> None:
+def _load_items(database, config, rng) -> None:
     for i_id in range(config.items):
         database.load_row("ITEM", {
             "I_ID": i_id,
             "I_NAME": f"item-{i_id}",
             "I_PRICE": round(rng.floating(1.0, 100.0), 2),
-        }, estimator)
+        })
 
 
-def _load_warehouse(catalog, database, config, rng, estimator, w_id: int) -> None:
+def _load_warehouse(database, config, rng, w_id: int) -> None:
     database.load_row("WAREHOUSE", {
         "W_ID": w_id,
         "W_NAME": f"warehouse-{w_id}",
         "W_TAX": round(rng.floating(0.0, 0.2), 4),
         "W_YTD": 300000.0,
-    }, estimator)
+    })
     for i_id in range(config.items):
         database.load_row("STOCK", {
             "S_W_ID": w_id,
@@ -47,12 +46,12 @@ def _load_warehouse(catalog, database, config, rng, estimator, w_id: int) -> Non
             "S_YTD": 0,
             "S_ORDER_CNT": 0,
             "S_REMOTE_CNT": 0,
-        }, estimator)
+        })
     for d_id in range(config.districts_per_warehouse):
-        _load_district(catalog, database, config, rng, estimator, w_id, d_id)
+        _load_district(database, config, rng, w_id, d_id)
 
 
-def _load_district(catalog, database, config, rng, estimator, w_id: int, d_id: int) -> None:
+def _load_district(database, config, rng, w_id: int, d_id: int) -> None:
     next_order_id = config.initial_orders_per_district
     database.load_row("DISTRICT", {
         "D_W_ID": w_id,
@@ -61,7 +60,7 @@ def _load_district(catalog, database, config, rng, estimator, w_id: int, d_id: i
         "D_TAX": round(rng.floating(0.0, 0.2), 4),
         "D_YTD": 30000.0,
         "D_NEXT_O_ID": next_order_id,
-    }, estimator)
+    })
     for c_id in range(config.customers_per_district):
         database.load_row("CUSTOMER", {
             "C_W_ID": w_id,
@@ -75,12 +74,12 @@ def _load_district(catalog, database, config, rng, estimator, w_id: int, d_id: i
             "C_PAYMENT_CNT": 1,
             "C_DELIVERY_CNT": 0,
             "C_DATA": "initial",
-        }, estimator)
+        })
     for o_id in range(config.initial_orders_per_district):
-        _load_order(catalog, database, config, rng, estimator, w_id, d_id, o_id)
+        _load_order(database, config, rng, w_id, d_id, o_id)
 
 
-def _load_order(catalog, database, config, rng, estimator, w_id: int, d_id: int, o_id: int) -> None:
+def _load_order(database, config, rng, w_id: int, d_id: int, o_id: int) -> None:
     customer_id = rng.integer(0, config.customers_per_district - 1)
     line_count = rng.integer(3, 8)
     # Half of the initial orders are still undelivered so Delivery has work.
@@ -92,13 +91,13 @@ def _load_order(catalog, database, config, rng, estimator, w_id: int, d_id: int,
         "O_C_ID": customer_id,
         "O_CARRIER_ID": rng.integer(1, 10) if delivered else None,
         "O_OL_CNT": line_count,
-    }, estimator)
+    })
     if not delivered:
         database.load_row("NEW_ORDER", {
             "NO_W_ID": w_id,
             "NO_D_ID": d_id,
             "NO_O_ID": o_id,
-        }, estimator)
+        })
     for number in range(1, line_count + 1):
         database.load_row("ORDER_LINE", {
             "OL_W_ID": w_id,
@@ -110,4 +109,4 @@ def _load_order(catalog, database, config, rng, estimator, w_id: int, d_id: int,
             "OL_QUANTITY": rng.integer(1, 10),
             "OL_AMOUNT": round(rng.floating(1.0, 300.0), 2),
             "OL_DELIVERY_D": 1 if delivered else None,
-        }, estimator)
+        })

@@ -184,10 +184,3 @@ class PartitionEstimator:
         if index is None:
             return (self.FIXED, self.all_partitions)
         return (self.PARAM, index)
-
-    # ------------------------------------------------------------------
-    def partition_for_row(self, table: Table, row: dict[str, Any]) -> PartitionId:
-        """Home partition for a fully materialized row (used by loaders)."""
-        if table.replicated or table.partition_column is None:
-            return 0
-        return self.scheme.partition_for_value(row[table.partition_column])

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+from ..catalog.partitioning import stable_hash
 from ..catalog.schema import Schema
+from ..catalog.table import Table
 from ..errors import StorageError, UnknownTableError
 from ..types import PartitionId
 from .heap import RowHeap
@@ -49,7 +51,7 @@ class PartitionStore:
 class Database:
     """The full cluster's data: one :class:`PartitionStore` per partition.
 
-    The database also offers loader helpers that route rows to their home
+    The database also offers the loader helper that routes rows to their home
     partitions (and to every partition for replicated tables).
     """
 
@@ -59,6 +61,9 @@ class Database:
         self.schema = schema
         self.num_partitions = num_partitions
         self._partitions = [PartitionStore(p, schema) for p in range(num_partitions)]
+        #: table name -> ``(table, heaps in partition order, replicated,
+        #: partition column)``, built by the table's first :meth:`load_row`.
+        self._load_plans: dict[str, tuple[Table, tuple[RowHeap, ...], bool, str | None]] = {}
 
     def partition(self, partition_id: PartitionId) -> PartitionStore:
         if not 0 <= partition_id < self.num_partitions:
@@ -71,21 +76,40 @@ class Database:
     # ------------------------------------------------------------------
     # Loader helpers
     # ------------------------------------------------------------------
-    def load_row(self, table_name: str, values: dict[str, Any], estimator) -> None:
+    def load_row(self, table_name: str, values: dict[str, Any]) -> None:
         """Insert one row at its home partition (all partitions if replicated).
 
-        ``estimator`` is a :class:`~repro.catalog.partitioning.PartitionEstimator`
-        for the target cluster configuration.
+        The table's load plan — its :class:`Table`, its heap on every
+        partition, whether it is replicated and its partitioning column — is
+        built on the table's first load and kept.  ``Table.new_row``
+        validates the row once; the home partition is
+        ``stable_hash(value) % num_partitions`` of the partitioning column
+        (partition 0 for a table without one), and the heap stores the row
+        without validating it again.  Each heap still checks every unique
+        index, so a duplicate key raises there; a replicated row is copied
+        into one dict per partition.
         """
-        table = self.schema.table(table_name)
-        # Validated once here; each heap stores its own (pre-validated) copy.
+        plan = self._load_plans.get(table_name)
+        if plan is None:
+            table = self.schema.table(table_name)
+            plan = self._load_plans[table_name] = (
+                table,
+                tuple(store.heap(table_name) for store in self._partitions),
+                table.replicated,
+                table.partition_column,
+            )
+        table, heaps, replicated, column = plan
         row = table.new_row(values)
-        if table.replicated:
-            for store in self._partitions:
-                store.heap(table_name).insert(dict(row), validate=False)
-            return
-        home = estimator.partition_for_row(table, row)
-        self.partition(home).heap(table_name).insert(row, validate=False)
+        if replicated:
+            for heap in heaps:
+                heap.insert(dict(row), validate=False)
+        elif column is None:
+            heaps[0].insert(row, validate=False)
+        else:
+            value = row[column]
+            # stable_hash(int) is the int itself.
+            home = (value if type(value) is int else stable_hash(value)) % self.num_partitions
+            heaps[home].insert(row, validate=False)
 
     def total_rows(self, table_name: str | None = None) -> int:
         return sum(store.row_count(table_name) for store in self._partitions)

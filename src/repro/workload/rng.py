@@ -5,6 +5,14 @@ around :class:`random.Random` that adds the distributions OLTP benchmarks
 need (TPC-C's NURand, weighted choices) while guaranteeing that
 the same seed always produces the same workload — a requirement for
 reproducible traces and experiments.
+
+The uniform draws call ``getrandbits`` directly instead of going through
+``randrange`` / ``choice``: an integer in a range of ``n`` values takes
+``k = n.bit_length()`` bits and is redrawn while it is ``>= n``, a string
+character is such a draw over its alphabet, so every value and the
+generator's end state are what CPython's ``randint`` / ``choice`` give on
+their ``getrandbits`` path (``tests/workload/test_rng.py::TestSameStream``
+pins it).  Only the frames between the caller and the generator are gone.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ class WorkloadRandom:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._random = random.Random(seed)
-        self._randrange = self._random.randrange
+        self._getrandbits = self._random.getrandbits
         # TPC-C's NURand constant; fixed so runs are reproducible.
         self._c_value = 123
         #: The mix tuple :meth:`weighted_choice` last summed, and its total.
@@ -34,14 +42,19 @@ class WorkloadRandom:
         self._mix_total = 0.0
 
     # ------------------------------------------------------------------
-    # Plain delegation
+    # Uniform draws
     # ------------------------------------------------------------------
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high]`` inclusive."""
         if low > high:
             raise WorkloadError(f"invalid range [{low}, {high}]")
-        # randint(low, high) is randrange(low, high + 1): the same draws.
-        return self._randrange(low, high + 1)
+        # randint's draws: n == 1 still takes one bit, as randrange does.
+        n = high - low + 1
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return low + r
 
     def floating(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
@@ -55,7 +68,8 @@ class WorkloadRandom:
     def choice(self, items: Sequence[T]) -> T:
         if not items:
             raise WorkloadError("cannot choose from an empty sequence")
-        return self._random.choice(items)
+        # random.choice draws _randbelow(len(items)): the same bits.
+        return items[self.integer(0, len(items) - 1)]
 
     def sample(self, items: Sequence[T], count: int) -> list[T]:
         return self._random.sample(list(items), count)
@@ -98,7 +112,20 @@ class WorkloadRandom:
     def alphanumeric(self, low: int, high: int | None = None) -> str:
         """Random alphanumeric string with length in ``[low, high]``."""
         length = low if high is None else self.integer(low, high)
-        return "".join(self._random.choice(_ALPHANUMERIC) for _ in range(length))
+        return self._string(_ALPHANUMERIC, length)
 
     def numeric_string(self, length: int) -> str:
-        return "".join(self._random.choice(string.digits) for _ in range(length))
+        return self._string(string.digits, length)
+
+    def _string(self, alphabet: str, length: int) -> str:
+        """``length`` characters, each drawn as ``choice(alphabet)`` draws it."""
+        getrandbits = self._getrandbits
+        n = len(alphabet)
+        k = n.bit_length()
+        chars = []
+        for _ in range(length):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            chars.append(alphabet[r])
+        return "".join(chars)

@@ -110,8 +110,3 @@ class TestPartitionEstimator:
         )
         result = self.estimator.partitions_for(partitioned_table(), statement, [None])
         assert result == self.scheme.all_partitions()
-
-    def test_partition_for_row(self):
-        row = {"W_ID": 7, "V": 1}
-        assert self.estimator.partition_for_row(partitioned_table(), row) == 3
-        assert self.estimator.partition_for_row(replicated_table(), {"ID": 9, "N": "x"}) == 0

@@ -157,7 +157,7 @@ def account_database(account_catalog: Catalog) -> Database:
             "A_ID": account_id,
             "A_OWNER": f"owner-{account_id}",
             "A_BALANCE": 100,
-        }, account_catalog.estimator)
+        })
     return database
 
 

@@ -166,7 +166,7 @@ class TestTableLifetime:
         for account_id in range(16):
             other_database.load_row("ACCOUNT", {
                 "A_ID": account_id, "A_OWNER": "other", "A_BALANCE": 7,
-            }, account_catalog.estimator)
+            })
         first = ExecutionEngine(account_catalog, account_database)
         second = ExecutionEngine(account_catalog, other_database)
         request = ProcedureRequest.of("transfer", (0, 4, 5))
@@ -194,7 +194,7 @@ class TestTableLifetime:
         for account_id in range(16):
             database.load_row("ACCOUNT", {
                 "A_ID": account_id, "A_OWNER": "x", "A_BALANCE": 9,
-            }, account_catalog.estimator)
+            })
         engine = ExecutionEngine(account_catalog, database)
         assert engine.execute_attempt(ProcedureRequest.of("transfer", (0, 4, 5))).committed
         heap = weakref.ref(database.partition(0).heap("ACCOUNT"))

@@ -20,7 +20,7 @@ Record and compare from the repo root::
     PYTHONPATH=src python -m tests.oracles record [NAME ...] [--rev REV]
     PYTHONPATH=src python -m tests.oracles diff [NAME ...] [--rev REV]
 
-``NAME`` is a golden's file stem (all ten by default).  ``record`` writes each
+``NAME`` is a golden's file stem (all eleven by default).  ``record`` writes each
 named golden from the values the code produces.  With ``--rev``, the code is
 revision ``REV``: ``git archive`` exports that revision into a temporary
 directory, and this tree's producers run in a subprocess with the exported
@@ -59,7 +59,7 @@ from repro.markov.serialization import model_to_dict
 from repro.scheduling.admission import AdmissionLimits
 from repro.scheduling.policies import ShortestPredictedFirstPolicy
 from repro.selftune import SelfTuneConfig
-from repro.session import Cluster, ClusterSpec
+from repro.session import Cluster, ClusterSpec, build_benchmark
 from repro.sim import CostModel
 from repro.tenancy import TenancyConfig, TenantPolicy
 from repro.workload import (
@@ -165,6 +165,40 @@ def _every_model_has_vertices_and_edges(golden: dict) -> None:
 
 def _every_mapping_set_has_entries(golden: dict) -> None:
     assert all(entry["entries"] > 0 for entry in golden.values())
+
+
+# ----------------------------------------------------------------------
+# Loading: the database ``build_benchmark`` populates, at seed 0.
+# ----------------------------------------------------------------------
+#: ``(benchmark, partitions)``.
+LOADING = tuple(
+    (benchmark, partitions)
+    for benchmark in ("tatp", "tpcc", "smallbank", "auctionmark")
+    for partitions in (4, 16)
+)
+
+
+def loaded_digest(benchmark: str, partitions: int) -> dict:
+    """Every heap's rows in heap order, each as ``list(row.items())`` (so
+    column order counts), every heap's ``_next_row_id``, and the request
+    generator's ``getstate()`` after the build.  The loader's own generator
+    is local to ``BenchmarkBundle.build``; what it draws shows in the rows."""
+    instance = build_benchmark(benchmark, partitions, seed=0)
+    digest = hashlib.sha256()
+    rows = 0
+    for store in instance.database.partitions():
+        for table in store.table_names():
+            heap = store.heap(table)
+            digest.update(repr((store.partition_id, table, heap._next_row_id)).encode())
+            for row_id in heap.row_ids():
+                digest.update(repr((row_id, list(heap.get(row_id).items()))).encode())
+                rows += 1
+    digest.update(repr(instance.generator.rng._random.getstate()).encode())
+    return {"rows": rows, "digest": digest.hexdigest()}
+
+
+def _every_database_has_rows(golden: dict) -> None:
+    assert all(entry["rows"] > 0 for entry in golden.values())
 
 
 # ----------------------------------------------------------------------
@@ -666,6 +700,10 @@ ORACLES: dict[str, Oracle] = {oracle.name: oracle for oracle in (
            {"every_model_has_vertices_and_edges": _every_model_has_vertices_and_edges}),
     Oracle("mapping/golden_mappings.json", _training_cases(mapping_digest),
            {"every_mapping_set_has_entries": _every_mapping_set_has_entries}),
+    Oracle("storage/golden_databases.json",
+           {f"{benchmark}-{partitions}": functools.partial(loaded_digest, benchmark, partitions)
+            for benchmark, partitions in LOADING},
+           {"every_database_has_rows": _every_database_has_rows}),
     Oracle("sim/golden_dispatch.json", DISPATCH_CASES,
            {"mispredicted_tpcc_restarts": _mispredicted_tpcc_restarts}),
     Oracle("sim/golden_learning.json",

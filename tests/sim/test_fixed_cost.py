@@ -20,13 +20,16 @@ Same function, same specs:
   at the parent of the commit that compiled each statement's access path
   into its step, **100.947** with it, **89.832** once a plan-memo hit
   served its entry's plan and its monitor replayed the entry's OP3/OP4
-  schedule, and **86.373** once a streaming latency observation became one
+  schedule, **86.373** once a streaming latency observation became one
   histogram-bucket increment instead of three P² updates and a reservoir
-  draw.  The gate is that last count.
+  draw, and **81.856** once the request generator's draws called
+  ``getrandbits`` directly instead of going through ``randrange`` /
+  ``choice``.  The gate is that last count.
 * ``smallbank`` on the general loop (``shortest-predicted`` under admission
   limits, exact metrics): **629.332** at the parent of the commit that
   added the gate (593.343 and 587.310 around the access-path commit,
-  577.261 with the plan-memo replay).  The gate is that first count: a cut
+  577.261 with the plan-memo replay, 573.058 with direct ``getrandbits``
+  draws).  The gate is that first count: a cut
   that only moves frames out of ``_run_fast`` and into ``_drain`` shows
   here.
 """
@@ -100,7 +103,7 @@ def fresh_count(benchmark: str) -> float:
 
 class TestCountedGate:
     @pytest.mark.parametrize("benchmark_name, gate", [
-        ("tatp", 86.373),
+        ("tatp", 81.856),
         ("smallbank", 629.332),
     ])
     def test_python_calls_per_transaction(self, benchmark_name, gate):

@@ -1,6 +1,7 @@
 """Tests for the deterministic workload RNG."""
 
 import random
+import string
 
 import pytest
 
@@ -58,14 +59,41 @@ class TestDistributions:
 
 
 class TestSameStream:
-    """The cached sums and the bound ``randrange`` draw what the uncached
-    code drew: the reference is the stdlib generator driven the old way."""
+    """The cached sums and the direct ``getrandbits`` draws draw what the
+    stdlib calls drew: the reference is the stdlib generator driven the old
+    way, and both generators must end in the same state."""
 
     def test_integer_draws_what_randint_draws(self):
         rng, reference = WorkloadRandom(11), random.Random(11)
         for low, high in [(0, 0), (1, 4), (0, 99_999), (-5, 5), (0, 2**40)] * 50:
             assert rng.integer(low, high) == reference.randint(low, high)
         assert rng._random.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_strings_draw_what_choice_draws(self, seed):
+        alphanumeric = string.ascii_uppercase + string.digits
+        rng, reference = WorkloadRandom(seed), random.Random(seed)
+        for length in [0, 1, 3, 5, 15] * 20:
+            assert rng.alphanumeric(length) == "".join(
+                reference.choice(alphanumeric) for _ in range(length)
+            )
+            assert rng.numeric_string(length) == "".join(
+                reference.choice(string.digits) for _ in range(length)
+            )
+        for low, high in [(0, 0), (3, 5), (1, 15)] * 20:
+            length = reference.randint(low, high)
+            assert rng.alphanumeric(low, high) == "".join(
+                reference.choice(alphanumeric) for _ in range(length)
+            )
+        assert rng._random.getstate() == reference.getstate()
+
+    def test_choice_draws_what_choice_draws(self):
+        rng, reference = WorkloadRandom(5), random.Random(5)
+        for items in [[0, 8, 16], "a", (1, 2), list(range(37))] * 50:
+            assert rng.choice(items) == reference.choice(items)
+        assert rng._random.getstate() == reference.getstate()
+        with pytest.raises(WorkloadError):
+            rng.choice([])
 
     def test_weighted_choice_draws_the_same_with_the_total_remembered(self):
         mix = (("a", 0.35), ("b", 0.35), ("c", 0.1), ("d", 0.2))
