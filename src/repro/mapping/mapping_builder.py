@@ -7,31 +7,37 @@ turns those into per-position match ratios and folds the ratios into a single
 coefficient with a geometric mean (paper §4.1).  Pairs below the pruning
 threshold are dropped as coincidences.
 
-Neither count needs a comparison per pair:
+Both counts are taken a column at a time.  One pass groups a procedure's
+records by statement sequence and parameter shape (each parameter a scalar or
+an array of some length).  In a group each query position has one statement
+and one invocation counter, so the position's query parameters transpose
+into a column per slot, and the procedure parameters into a column per
+parameter (an array's column holds its element at the counter).  Rows that
+differ in arity, or in which slots hold arrays, are split into blocks that
+agree.
 
-* **Comparisons follow from the trace's structure.**  A query occurrence
-  compares each of its scalar slots with every scalar procedure parameter and
-  with every array parameter long enough to have an element at the
-  occurrence's invocation counter.  So the builder counts occurrences per
-  structure — statement, counter, scalar slots and the record's parameter
-  shape — and expands the counts when it emits entries.  Expanding the
-  structures in the order they first occurred reaches every pair, and every
-  counter position of a pair, in the order a pairwise scan first reaches
-  them.  The geometric mean therefore adds its logarithms in the same order,
-  and entries are added to the mapping in the same order: the result is
+* **Matches** of two columns are ``sum(map(operator.eq, ...))``.  ``==``
+  needs no hash, so a dict loaded from a JSON trace compares like any value;
+  and unlike ``list ==`` or ``list.count`` it never short-cuts on identity,
+  so one NaN object in both columns is no match.  A boolean never equals an
+  integer: a pair whose columns hold a ``bool`` is compared element by
+  element under that rule.
+* **Comparisons** follow from the blocks.  Each row of a block compares its
+  scalar slots with every scalar parameter and every array long enough to
+  have an element at the counter.  A pairwise scan first reaches a pair at a
+  counter in the first record, and at the position, of the first block that
+  compares them there; so blocks expanded in order of first record, then
+  position, reach every pair, and every counter position of a pair, in the
+  order a pairwise scan does.  The geometric mean therefore adds its
+  logarithms, and the mapping its entries, in the same order: the result is
   bit-identical to comparing every pair.
-* **Matches come from a hashed probe.**  Each record indexes its scalar
-  parameters, and its array elements per position, by value hash.  A query
-  value probes the index, and every hit is re-checked with ``==`` and with
-  the rule that a boolean never equals an integer.  A value that cannot be
-  hashed (a dict loaded from JSON, say) is compared with every parameter.
-
-Records are grouped by procedure in one pass over the trace.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import repeat
+from operator import eq, itemgetter
+from typing import Iterable, Sequence
 
 from ..catalog.schema import Catalog
 from ..workload.trace import TransactionTraceRecord, WorkloadTrace
@@ -48,13 +54,8 @@ _ARRAY = (list, tuple)
 #: entry is its length.
 _SCALAR = -1
 
-#: Value hash -> ``(array_aligned, procedure index)`` of the parameters
-#: (array elements at one position) with that hash.
-_Table = dict[int, list[tuple[bool, int]]]
 #: ``(array_aligned, statement, query index, procedure index, counter)``.
 _Match = tuple[bool, str, int, int, int]
-#: ``(statement, counter, scalar query slots, procedure parameter shape)``.
-_Structure = tuple[str, int, tuple[int, ...], tuple[int, ...]]
 #: ``(statement, query index, procedure index)`` -> comparisons per counter.
 _Comparisons = dict[tuple[str, int, int], dict[int, int]]
 
@@ -97,8 +98,7 @@ class ParameterMappingBuilder:
         self, procedure_name: str, records: Iterable[TransactionTraceRecord]
     ) -> ParameterMapping:
         self.catalog.procedure(procedure_name)  # an unknown procedure raises
-        occurrences, matches = _count(records)
-        scalar, array = _comparisons(occurrences)
+        scalar, array, matches = _count(records)
         mapping = ParameterMapping(procedure_name, threshold=self.threshold)
         self._emit_entries(mapping, scalar, matches, array_aligned=False)
         self._emit_entries(mapping, array, matches, array_aligned=True)
@@ -133,107 +133,94 @@ class ParameterMappingBuilder:
 
 def _count(
     records: Iterable[TransactionTraceRecord],
-) -> tuple[dict[_Structure, int], dict[_Match, int]]:
-    """One pass over a procedure's records: query occurrences per structure
-    (in first-occurrence order) and value matches per pair and counter."""
-    occurrences: dict[_Structure, int] = {}
+) -> tuple[_Comparisons, _Comparisons, dict[_Match, int]]:
+    """Comparisons per counter for each scalar and each array-aligned pair,
+    in the order a pairwise scan first reaches them, and value matches per
+    pair and counter, over one procedure's records."""
+    groups: dict[tuple, list[tuple[int, tuple, tuple]]] = {}
+    for index, record in enumerate(records):
+        shape = tuple([len(v) if isinstance(v, _ARRAY) else _SCALAR for v in record.parameters])
+        key = (tuple([query[0] for query in record.queries]), shape)
+        groups.setdefault(key, []).append((index, record.parameters, record.queries))
+    blocks: list[tuple[int, int, str, int, tuple, tuple, int]] = []
     matches: dict[_Match, int] = {}
-    for record in records:
-        parameters = record.parameters
-        shape = tuple([len(v) if isinstance(v, _ARRAY) else _SCALAR for v in parameters])
-        tables = _index(parameters)
+    for (sequence, shape), members in groups.items():
+        indices, parameters, queries = zip(*members)
         counters: dict[str, int] = {}
-        for statement, query_parameters, _ in record.queries:
-            counter = counters.get(statement, 0)
-            counters[statement] = counter + 1
-            table = tables[counter] if counter < len(tables) else tables[-1]
-            slots = []
-            for query_index, value in enumerate(query_parameters):
-                if isinstance(value, _ARRAY):
-                    continue
-                slots.append(query_index)
-                candidates = None
-                if table is not None:
-                    try:
-                        candidates = table.get(hash(value), ())
-                    except TypeError:
-                        pass
-                if candidates is None:
-                    candidates = _comparable(parameters, counter)
-                for array_aligned, proc_index in candidates:
-                    proc_value = parameters[proc_index]
-                    if array_aligned:
-                        proc_value = proc_value[counter]
-                    # A boolean never equals an integer here.
-                    if (isinstance(proc_value, bool) == isinstance(value, bool)
-                            and proc_value == value):
-                        match = (array_aligned, statement, query_index, proc_index, counter)
-                        matches[match] = matches.get(match, 0) + 1
-            structure = (statement, counter, tuple(slots), shape)
-            occurrences[structure] = occurrences.get(structure, 0) + 1
-    return occurrences, matches
-
-
-def _index(parameters: tuple) -> list[_Table | None]:
-    """One probe table per invocation counter: table ``n`` holds the scalars
-    and every array's ``n``-th element, and the last table (scalars only)
-    serves every counter past the longest array.  A single ``None`` when a
-    value cannot be hashed: every query value is then compared with every
-    parameter."""
-    scalars: _Table = {}
-    arrays = []
-    try:
-        for proc_index, value in enumerate(parameters):
-            if isinstance(value, _ARRAY):
-                arrays.append((proc_index, [hash(element) for element in value]))
-            else:
-                scalars.setdefault(hash(value), []).append((False, proc_index))
-    except TypeError:
-        return [None]
-    if not arrays:
-        return [scalars]
-    longest = max(len(hashes) for _, hashes in arrays)
-    tables = [{key: list(found) for key, found in scalars.items()} for _ in range(longest)]
-    for proc_index, hashes in arrays:
-        for table, key in zip(tables, hashes):
-            table.setdefault(key, []).append((True, proc_index))
-    tables.append(scalars)
-    return tables
-
-
-def _comparable(parameters: tuple, counter: int) -> list[tuple[bool, int]]:
-    """Every ``(array_aligned, procedure index)`` a value at ``counter`` is
-    compared with: the scalars, and the arrays with an element there."""
-    return [
-        (isinstance(value, _ARRAY), proc_index)
-        for proc_index, value in enumerate(parameters)
-        if not isinstance(value, _ARRAY) or counter < len(value)
-    ]
-
-
-def _comparisons(occurrences: dict[_Structure, int]) -> tuple[_Comparisons, _Comparisons]:
-    """Comparisons per counter for each scalar and each array-aligned pair.
-
-    Structures are expanded in first-occurrence order, so pairs and their
-    counter positions appear in the order a pairwise scan first reaches them.
-    """
+        for position, (statement, column) in enumerate(zip(sequence, zip(*queries))):
+            counter = counters[statement] = counters.get(statement, -1) + 1
+            rows = [query[1] for query in column]
+            slots = _slot_columns(rows)
+            if slots is not None:
+                parts = [(indices[0], rows, slots, _parameter_columns(parameters, shape, counter))]
+            else:  # split the rows by which of their slots hold arrays
+                split: dict[tuple[bool, ...], list[int]] = {}
+                for offset, row in enumerate(rows):
+                    arrays = tuple(map(isinstance, row, repeat(_ARRAY)))
+                    split.setdefault(arrays, []).append(offset)
+                parts = []
+                for offsets in split.values():
+                    block = [rows[offset] for offset in offsets]
+                    block_parameters = [parameters[offset] for offset in offsets]
+                    parts.append((indices[offsets[0]], block, _slot_columns(block),
+                                  _parameter_columns(block_parameters, shape, counter)))
+            for first, block, slots, columns in parts:
+                for query_index, values, query_bool in slots:
+                    for array_aligned, proc_index, proc_values, proc_bool in columns:
+                        found = sum(map(_equal if query_bool or proc_bool else eq,
+                                        proc_values, values))
+                        if found:
+                            match = (array_aligned, statement, query_index, proc_index, counter)
+                            matches[match] = matches.get(match, 0) + found
+                blocks.append((first, position, statement, counter,
+                               tuple([slot[0] for slot in slots]),
+                               tuple([column[:2] for column in columns]), len(block)))
+    # First record, then position: the order of a pairwise scan.
+    blocks.sort(key=itemgetter(0, 1))
     scalar: _Comparisons = {}
     array: _Comparisons = {}
-    for (statement, counter, slots, shape), times in occurrences.items():
+    for _, _, statement, counter, slots, compared, times in blocks:
         for query_index in slots:
-            for proc_index, length in enumerate(shape):
-                if length == _SCALAR:
-                    pairs = scalar
-                elif counter < length:
-                    pairs = array
-                else:
-                    continue
-                key = (statement, query_index, proc_index)
-                positions = pairs.get(key)
-                if positions is None:
-                    positions = pairs[key] = {}
+            for array_aligned, proc_index in compared:
+                pairs = array if array_aligned else scalar
+                positions = pairs.setdefault((statement, query_index, proc_index), {})
                 positions[counter] = positions.get(counter, 0) + times
-    return scalar, array
+    return scalar, array, matches
+
+
+def _slot_columns(rows: list[tuple]) -> list[tuple[int, tuple, bool]] | None:
+    """``(slot, values, holds a bool)`` per slot that holds a scalar in every
+    row; ``None`` if the rows differ in arity or in which slots hold arrays."""
+    if len(set(map(len, rows))) > 1:
+        return None
+    columns = []
+    for slot, values in enumerate(zip(*rows)):
+        kinds = set(map(type, values))
+        arrays = sum([issubclass(kind, _ARRAY) for kind in kinds])
+        if not arrays:
+            columns.append((slot, values, bool in kinds))
+        elif arrays < len(kinds):
+            return None
+    return columns
+
+
+def _parameter_columns(parameters: Sequence[tuple], shape: tuple, counter: int) -> list[tuple]:
+    """``(array_aligned, procedure index, values, holds a bool)`` for each
+    procedure parameter a query value at ``counter`` is compared with: each
+    scalar, and each array's element at ``counter``."""
+    columns = []
+    for proc_index, (length, values) in enumerate(zip(shape, zip(*parameters))):
+        if length != _SCALAR:
+            if counter >= length:
+                continue
+            values = tuple(map(itemgetter(counter), values))
+        columns.append((length != _SCALAR, proc_index, values, bool in set(map(type, values))))
+    return columns
+
+
+def _equal(proc_value, value) -> bool:
+    """``==``, except that a boolean never equals an integer."""
+    return isinstance(proc_value, bool) == isinstance(value, bool) and proc_value == value
 
 
 def build_parameter_mappings(

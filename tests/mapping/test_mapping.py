@@ -133,8 +133,9 @@ class TestMappingBuilder:
         assert mapping.entry_for("GetFrom", 0) is None
 
     def test_unhashable_values_from_json_are_compared_pair_by_pair(self, account_catalog):
-        """A JSON trace keeps an object-valued parameter as a dict, which a
-        hashed probe cannot look up; such values must still match by ``==``."""
+        """A JSON trace keeps an object-valued parameter as a dict, which
+        cannot be hashed; the column count must match it by ``==`` like any
+        other value, as a scalar and as an array element."""
         records = []
         for txn_id in range(6):
             owner = {"name": txn_id % 3}

@@ -1,22 +1,34 @@
-"""Property: the structure-counting mapping builder derives exactly what the
-pairwise builder derives (hashed ≡ pairwise, for parameter mappings).
+"""Property: the column-counting mapping builder derives exactly what the
+pairwise builder derives (columns ≡ pairwise, for parameter mappings).
 
 Generated multi-procedure traces are fed to ``ParameterMappingBuilder`` and
 to ``tests/mapping/reference.py``'s ``PairwiseMappingBuilder`` with the same
-``threshold`` and ``min_comparisons``.  The traces interleave procedures and
-repeat statements (so invocation counters advance past array ends), mix
-scalars with arrays of every length from zero, and draw values whose
-equality is easy to get wrong: ``True`` beside ``1``, ``0.0`` beside
-``-0.0``, NaN (one shared object and fresh ones), ``None``, strings, and
-unhashable dicts in scalars, array elements and query parameters.  Query
-parameters are mostly copied from the record's own inputs, so real links
-compete with coincidences; list-valued query parameters are skipped by both.
+``threshold`` and ``min_comparisons``.  Two strategies draw them:
 
-Both must agree on the procedure order of the set, each mapping's entries in
-insertion order with bit-equal coefficients, and the entry every slot
-resolves to (``reference.mapping_state``); ``build(trace, name)`` must agree
-with ``build_all``.  Tier-1 runs the default budget; CI's
-``training-smoke`` job runs ``--hypothesis-profile=long``.
+* ``traces`` draws every statement sequence afresh, so nearly every record
+  is a group of its own.  The traces interleave procedures and repeat
+  statements (so invocation counters advance past array ends), mix scalars
+  with arrays of every length from zero, and draw values whose equality is
+  easy to get wrong: ``True`` beside ``1``, ``0.0`` beside ``-0.0``, NaN
+  (one shared object and fresh ones), ``None``, strings, and dicts (which
+  cannot be hashed) in scalars, array elements and query parameters.
+* ``repeated_traces`` reuses 1-3 statement-sequence templates across
+  records with fresh values, so the builder counts whole columns of
+  multi-record groups.  A template may hold one statement at different
+  arities, and a record may give a position another arity or a list in a
+  slot that is a scalar in the group's other records, so positions split
+  into blocks whose first records interleave with other groups.  Its values
+  come from a pool dense in ``True`` and ``1``, the shared NaN, ``-0.0`` and
+  equal dicts, so they meet inside repeated columns.
+
+Query parameters are mostly copied from the record's own inputs, so real
+links compete with coincidences; list-valued query parameters are skipped by
+both builders.  Both must agree on the procedure order of the set, each
+mapping's entries in insertion order with bit-equal coefficients, and the
+entry every slot resolves to (``reference.mapping_state``);
+``build(trace, name)`` must agree with ``build_all``.  Tier-1 runs the
+default budget; CI's ``training-smoke`` job runs
+``--hypothesis-profile=long``.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ def parameter(draw):
     return draw(VALUES)
 
 
-def query_value(draw, parameters, counter):
+def query_value(draw, parameters, counter, values=VALUES):
     """Mostly a copy of one procedure input (the aligned element of an array),
     else a fresh value or a list the builders must skip."""
     choice = draw(st.integers(0, 5))
@@ -65,8 +77,8 @@ def query_value(draw, parameters, counter):
         if counter < len(source):
             return source[counter]
     if choice == 5:
-        return draw(st.lists(VALUES, max_size=2))
-    return draw(VALUES)
+        return draw(st.lists(values, max_size=2))
+    return draw(values)
 
 
 @st.composite
@@ -85,6 +97,47 @@ def traces(draw):
             values = tuple(
                 query_value(draw, parameters, counter) for _ in range(draw(st.integers(0, 3)))
             )
+            queries.append(QueryTraceRecord(statement, values))
+        records.append(TransactionTraceRecord(txn_id, procedure, parameters, tuple(queries)))
+    return WorkloadTrace(records)
+
+
+#: Values that meet inside repeated columns: ``True`` beside ``1``, the
+#: shared NaN, ``-0.0`` beside ``0``, and equal dicts (one shared object).
+POOL = st.one_of(
+    st.sampled_from([1, True, 0, False, -0.0, SHARED_NAN, OBJECT, "a"]),
+    st.builds(dict, k=st.integers(0, 1)),
+)
+
+
+@st.composite
+def repeated_traces(draw):
+    """Records reusing 1-3 statement-sequence templates with fresh values.
+
+    A template is a list of ``(statement, arity)``; each procedure draws one
+    or two parameter shapes (a ``None`` is a scalar, a number an array of
+    that length).  One query in five is drawn at another arity."""
+    template = st.lists(st.tuples(st.sampled_from(STATEMENTS), st.integers(0, 3)),
+                        min_size=1, max_size=6)
+    templates = draw(st.lists(template, min_size=1, max_size=3))
+    shape = st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=4)
+    shapes = {name: draw(st.lists(shape, min_size=1, max_size=2)) for name in PROCEDURES}
+    records = []
+    for txn_id in range(draw(st.integers(2, 16))):
+        procedure = draw(st.sampled_from(PROCEDURES))
+        parameters = tuple(
+            draw(POOL) if length is None else draw(st.sampled_from((tuple, list)))(
+                draw(POOL) for _ in range(length))
+            for length in draw(st.sampled_from(shapes[procedure]))
+        )
+        counters: dict[str, int] = {}
+        queries = []
+        for statement, arity in draw(st.sampled_from(templates)):
+            counter = counters.get(statement, 0)
+            counters[statement] = counter + 1
+            if draw(st.integers(0, 4)) == 0:
+                arity = draw(st.integers(0, 3))
+            values = tuple(query_value(draw, parameters, counter, POOL) for _ in range(arity))
             queries.append(QueryTraceRecord(statement, values))
         records.append(TransactionTraceRecord(txn_id, procedure, parameters, tuple(queries)))
     return WorkloadTrace(records)
@@ -109,10 +162,7 @@ def counters_out_of_order() -> WorkloadTrace:
     return WorkloadTrace(records)
 
 
-@given(traces(), THRESHOLDS, st.integers(0, 4))
-@example(counters_out_of_order(), 0.0, 0)
-@settings(deadline=None)
-def test_builder_equals_pairwise_reference(trace, threshold, min_comparisons):
+def assert_builders_agree(trace, threshold, min_comparisons):
     options = {"threshold": threshold, "min_comparisons": min_comparisons}
     built = ParameterMappingBuilder(AnyCatalog(), **options)
     expected = mapping_state(PairwiseMappingBuilder(AnyCatalog(), **options).build_all(trace))
@@ -120,3 +170,18 @@ def test_builder_equals_pairwise_reference(trace, threshold, min_comparisons):
     for procedure_state in expected:
         single = built.build(trace, procedure_state[0])
         assert mapping_state({single.procedure: single}) == [procedure_state]
+
+
+@given(traces(), THRESHOLDS, st.integers(0, 4))
+@example(counters_out_of_order(), 0.0, 0)
+@settings(deadline=None)
+def test_builder_equals_pairwise_reference(trace, threshold, min_comparisons):
+    assert_builders_agree(trace, threshold, min_comparisons)
+
+
+@given(repeated_traces(), THRESHOLDS, st.integers(0, 4))
+@settings(deadline=None)
+def test_builder_equals_pairwise_reference_on_repeated_sequences(
+    trace, threshold, min_comparisons
+):
+    assert_builders_agree(trace, threshold, min_comparisons)
