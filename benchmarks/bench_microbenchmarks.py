@@ -62,9 +62,7 @@ def test_transaction_execution_latency(benchmark, artifacts):
 def test_model_construction_throughput(benchmark, artifacts):
     builder = MarkovModelBuilder(artifacts.benchmark.catalog)
     neworder_trace = artifacts.trace.for_procedure("neworder")
-    benchmark.pedantic(
-        builder.build_for_procedure, args=(neworder_trace, "neworder"), rounds=2, iterations=1
-    )
+    benchmark.pedantic(builder.build, args=(neworder_trace,), rounds=2, iterations=1)
 
 
 # ----------------------------------------------------------------------

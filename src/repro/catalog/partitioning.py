@@ -11,6 +11,8 @@ estimator and the baselines all share one implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, mod
 from typing import Any, Sequence
 
 from ..errors import CatalogError
@@ -47,6 +49,23 @@ def stable_hash(value: Any) -> int:
             acc = (acc * 31 + stable_hash(element)) & 0xFFFFFFFF
         return acc
     raise CatalogError(f"cannot hash partitioning value of type {type(value).__name__}")
+
+
+def default_base_partition(scheme: PartitionScheme, parameters: Sequence[Any]) -> PartitionId:
+    """The base partition assumed when no chooser is given: the home
+    partition of the first ``int`` or ``str`` parameter that is not a
+    ``bool``, else partition 0.
+
+    Benchmark generators typically put the anchor entity id (warehouse,
+    subscriber, user) first; hashing it matches what a perfectly routed
+    request would do.  The trace recorder and the Markov-model builder both
+    default to it, so a model built from a trace assumes the base partition
+    the trace was recorded at.
+    """
+    for value in parameters:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return scheme.partition_for_value(value)
+    return 0
 
 
 @dataclass(frozen=True)
@@ -112,7 +131,7 @@ class PartitionEstimator:
         self.singletons = tuple(
             PartitionSet.of([pid]) for pid in range(scheme.num_partitions)
         )
-        #: :meth:`resolve` results for :meth:`partitions_for`.  Keyed by
+        #: :meth:`resolve` results for :meth:`partitions_column`.  Keyed by
         #: statement identity; the statement is pinned in the value so the id
         #: cannot be recycled.
         self._resolvers: dict[int, tuple[Statement, int, Any]] = {}
@@ -134,9 +153,26 @@ class PartitionEstimator:
         value; if the statement has no binding on the partitioning column the
         access is a broadcast to every partition.
 
-        This is the off-line form of the API (model construction from
-        traces).  The execution engine applies the same :meth:`resolve`
-        result inline, from its per-procedure step table.
+        This is the off-line form of the API for one invocation: the
+        one-element case of :meth:`partitions_column`.  The execution engine
+        applies the same :meth:`resolve` result inline, from its
+        per-procedure step table.
+        """
+        return self.partitions_column(table, statement, (parameters,), (base_partition,))[0]
+
+    def partitions_column(
+        self,
+        table: Table,
+        statement: Statement,
+        rows: Sequence[Sequence[Any]],
+        bases: Sequence[PartitionId | None],
+    ) -> list[PartitionSet]:
+        """:meth:`partitions_for` of ``statement`` bound to each parameter
+        tuple of ``rows``, the i-th with base partition ``bases[i]``.
+
+        One :meth:`resolve` decision routes the whole column (model
+        construction from traces routes a column per query position).  Every
+        set returned is the broadcast set or an interned singleton.
         """
         resolver = self._resolvers.get(id(statement))
         if resolver is None:
@@ -144,23 +180,31 @@ class PartitionEstimator:
             self._resolvers[id(statement)] = resolver
         _, kind, payload = resolver
         if kind == self.FIXED:
-            return payload
+            return [payload] * len(rows)
         if kind == self.PARAM:
-            if payload >= len(parameters):
+            try:
+                values = list(map(itemgetter(payload), rows))
+            except IndexError:
                 raise CatalogError(
                     f"statement {statement.name!r} expects at least {payload + 1} parameters"
-                )
-            value = parameters[payload]
-            if type(value) is int:
+                ) from None
+            if set(map(type, values)) == {int}:
                 # stable_hash(int) is the int itself.
-                return self.singletons[value % self.scheme.num_partitions]
-            if value is None:
-                return self.all_partitions
-            return self.singletons[stable_hash(value) % self.scheme.num_partitions]
+                homes = map(mod, values, repeat(self.scheme.num_partitions))
+                return list(map(self.singletons.__getitem__, homes))
+            return list(map(self._partitions_of_value, values))
         # REPLICATED_READ: local to wherever the control code runs.
-        if base_partition is not None:
-            return self.singletons[base_partition]
-        return self.all_partitions
+        if None in bases:
+            return [self.all_partitions if base is None else self.singletons[base]
+                    for base in bases]
+        return list(map(self.singletons.__getitem__, bases))
+
+    def _partitions_of_value(self, value: Any) -> PartitionSet:
+        """The home partition of a partitioning-column value; ``None``
+        broadcasts."""
+        if value is None:
+            return self.all_partitions
+        return self.singletons[stable_hash(value) % self.scheme.num_partitions]
 
     def resolve(self, table: Table, statement: Statement) -> tuple[int, Any]:
         """The catalog-determined part of the routing decision, as

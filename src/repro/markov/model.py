@@ -35,6 +35,19 @@ from .vertex import ABORT_KEY, BEGIN_KEY, COMMIT_KEY, Edge, Vertex, VertexKey
 _hits = attrgetter("hits")
 
 
+def _with_cells(column: list[float], partitions: Sequence[int], value: float) -> list[float]:
+    """``column`` with ``value`` at every index in ``partitions``: the column
+    itself when each of those cells already holds it, else a changed copy.
+    A column may be shared by several tables, so it is never set in place."""
+    for partition_id in partitions:
+        if column[partition_id] != value:
+            column = list(column)
+            for index in partitions:
+                column[index] = value
+            return column
+    return column
+
+
 @dataclass(frozen=True)
 class PathStep:
     """One step of an execution path handed to the construction phase."""
@@ -277,7 +290,8 @@ class MarkovModel:
         probability table.  A ``None`` table means "not read", except at a
         query state: a walk reads every query state's table, and ``None``
         there is a placeholder's missing one.  Identity is the whole test
-        because a published view or table is replaced, never mutated.
+        because a published view or table is replaced, never mutated; nor is
+        a table's column, which tables may share (:meth:`_table_for`).
         """
         current_view = self._successor_views.get
         for key, view in zip(keys, views):
@@ -360,21 +374,25 @@ class MarkovModel:
         edge.hits += count
         return edge
 
-    def fold_path(self, path: Iterable[tuple[VertexKey, QueryType]], aborted: bool) -> None:
-        """Fold one transaction's execution path into the model: ``path``
-        lists the ``(query key, query type)`` states between begin and the
-        commit/abort terminal."""
+    def fold_path(
+        self, path: Iterable[tuple[VertexKey, QueryType]], aborted: bool, count: int = 1
+    ) -> None:
+        """Fold ``count`` transactions that took one execution path into the
+        model: ``path`` lists the ``(query key, query type)`` states between
+        begin and the commit/abort terminal, and every state and edge on it
+        gains ``count`` hits.  A path folded once with its count leaves the
+        model as folding it ``count`` times does."""
         add_vertex, add_edge_visit = self._add_vertex, self._add_edge_visit
         current = BEGIN_KEY
-        self._vertices[current].hits += 1
+        self._vertices[current].hits += count
         for key, query_type in path:
-            add_vertex(key, query_type).hits += 1
-            add_edge_visit(current, key)
+            add_vertex(key, query_type).hits += count
+            add_edge_visit(current, key, count)
             current = key
         terminal = ABORT_KEY if aborted else COMMIT_KEY
-        self._vertices[terminal].hits += 1
-        add_edge_visit(current, terminal)
-        self.transactions_observed += 1
+        self._vertices[terminal].hits += count
+        add_edge_visit(current, terminal, count)
+        self.transactions_observed += count
         self._processed = False
 
     def add_placeholder(self, key: VertexKey, query_type: QueryType | None = None) -> Vertex:
@@ -701,6 +719,15 @@ class MarkovModel:
                 break
 
     def _table_for(self, key: VertexKey) -> ProbabilityTable:
+        """A new table for ``key`` from its edges and its children's tables.
+
+        A lone certain edge (most query states) takes its child's values, so
+        the table shares each of the child's columns whose cells already hold
+        what a query state sets (1.0 where it reads or writes, finish 0.0
+        there), and copies only a column it must change
+        (:func:`_with_cells`).  No column is ever set in place: a published
+        column is replaced with its table, never mutated.
+        """
         if key == COMMIT_KEY:
             return ProbabilityTable.for_commit(self.num_partitions)
         if key == ABORT_KEY:
@@ -716,10 +743,12 @@ class MarkovModel:
         if key.is_query:
             if len(key.accessed_partitions()) > 1:
                 table.single_partition = 0.0
-            column = table.write if vertices[key].query_type is QueryType.WRITE else table.read
-            for partition_id in key.partitions:
-                column[partition_id] = 1.0
-                table.finish[partition_id] = 0.0
+            partitions = key.partitions.partitions
+            if vertices[key].query_type is QueryType.WRITE:
+                table.write = _with_cells(table.write, partitions, 1.0)
+            else:
+                table.read = _with_cells(table.read, partitions, 1.0)
+            table.finish = _with_cells(table.finish, partitions, 0.0)
         return table
 
     def _compute_remaining_queries(

@@ -28,7 +28,10 @@ class ProbabilityTable:
     """The full probability table of one vertex.
 
     The per-partition estimates are three flat columns indexed by partition
-    id; read them through the ``*_probability`` accessors.
+    id; read them through the ``*_probability`` accessors.  A model's tables
+    may share columns (a vertex with one certain edge shares its child's
+    unchanged ones), so the model never sets a column in place: a changed
+    column is a new list.
     """
 
     num_partitions: int
@@ -79,8 +82,8 @@ class ProbabilityTable:
     def positive_access(self) -> tuple[tuple[int, float], ...]:
         """Cached ``(partition, access probability)`` pairs with access > 0.
 
-        Tables are only mutated during the model's processing phase, never
-        once published on a vertex, so the cache cannot go stale for on-line
+        A published table is replaced, never mutated, and its columns are
+        never set in place, so the cache cannot go stale for on-line
         readers.  The optimization selector iterates this instead of probing
         every partition of every table on the estimated path.
         """
@@ -123,13 +126,22 @@ class ProbabilityTable:
         num_partitions: int,
         children: list[tuple[float, "ProbabilityTable"]],
     ) -> "ProbabilityTable":
-        """Combine children tables weighted by their edge probabilities."""
+        """Combine children tables weighted by their edge probabilities.
+
+        A lone certain edge shares its child's columns; any other mix builds
+        new ones.
+        """
         total_weight = sum(weight for weight, _ in children)
         if total_weight <= 0:
             return ProbabilityTable(num_partitions)
         if len(children) == 1 and total_weight == 1.0:
-            # A lone certain edge (most query states): x * 1.0 / 1.0 == x.
-            return children[0][1].copy()
+            # A lone certain edge (most query states): x * 1.0 / 1.0 == x,
+            # so the child's columns are shared, not copied.
+            child = children[0][1]
+            return ProbabilityTable(
+                num_partitions, child.single_partition, child.abort,
+                child.read, child.write, child.finish,
+            )
         weights = [weight for weight, _ in children]
 
         def mix(columns: list) -> list[float]:
@@ -145,12 +157,6 @@ class ProbabilityTable:
             mix([t.read for _, t in children]),
             mix([t.write for _, t in children]),
             mix([t.finish for _, t in children]),
-        )
-
-    def copy(self) -> "ProbabilityTable":
-        return ProbabilityTable(
-            self.num_partitions, self.single_partition, self.abort,
-            list(self.read), list(self.write), list(self.finish),
         )
 
     def approx_equal(self, other: "ProbabilityTable", tolerance: float = 1e-9) -> bool:

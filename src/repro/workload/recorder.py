@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ..catalog.partitioning import default_base_partition
 from ..catalog.schema import Catalog
 from ..engine.engine import AttemptOutcome, ExecutionEngine
 from ..errors import WorkloadError
@@ -112,14 +113,7 @@ class TraceRecorder:
 
     # ------------------------------------------------------------------
     def _default_base_chooser(self, request: ProcedureRequest) -> PartitionId:
-        """Default base partition: home partition of the first scalar parameter.
-
-        Benchmark generators typically put the anchor entity id (warehouse,
-        subscriber, user) first; hashing it matches what a perfectly routed
-        request would do.  Callers with different conventions should supply
-        their own chooser (the benchmark packages do).
-        """
-        for value in request.parameters:
-            if isinstance(value, (int, str)) and not isinstance(value, bool):
-                return self.catalog.scheme.partition_for_value(value)
-        return 0
+        """Default base partition (:func:`default_base_partition`).  Callers
+        with different conventions should supply their own chooser (the
+        benchmark packages do)."""
+        return default_base_partition(self.catalog.scheme, request.parameters)

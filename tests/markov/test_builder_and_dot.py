@@ -85,7 +85,7 @@ class TestBuilder:
         builder = MarkovModelBuilder(
             account_catalog, base_partition_chooser=lambda record: 0
         )
-        model = builder.build_for_procedure(account_trace, "transfer")
+        model = builder.build(account_trace)["transfer"]
         assert model.vertex_count() > 3
 
 

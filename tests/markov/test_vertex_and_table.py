@@ -95,10 +95,10 @@ class TestProbabilityTable:
         with pytest.raises(ModelError):
             ProbabilityTable(2, read=[0.0, 0.0])
 
-    def test_copy_and_approx_equal(self):
+    def test_approx_equal(self):
         table = ProbabilityTable(2, single_partition=0.5, abort=0.1)
         table.write[1] = 0.3
-        clone = table.copy()
+        clone = ProbabilityTable(2, 0.5, 0.1, list(table.read), [0.0, 0.3], list(table.finish))
         assert table.approx_equal(clone)
         clone.write[1] = 0.4
         assert not table.approx_equal(clone)
@@ -138,6 +138,9 @@ class TestProbabilityTable:
             assert mixed.read_probability(p) == cell(lambda t: t.read[p])
             assert mixed.write_probability(p) == cell(lambda t: t.write[p])
             assert mixed.finish_probability(p) == cell(lambda t: t.finish[p])
-        # The result never aliases a child's columns.
-        mixed.read[0] = 2.0
-        assert all(t.read[0] != 2.0 for _, t in children)
+        # A lone certain edge shares its child's columns (a column is never
+        # set in place); a mix builds its own.
+        columns = [(mixed.read, t.read) for _, t in children]
+        columns += [(mixed.write, t.write) for _, t in children]
+        columns += [(mixed.finish, t.finish) for _, t in children]
+        assert all((mine is theirs) == (count == 1) for mine, theirs in columns)

@@ -13,19 +13,30 @@ that routes on different parameters.  Records interleave the procedures,
 repeat statements (so invocation counters advance), abort, and carry inputs
 the default base-partition chooser must skip (``None``, booleans).
 
+The production builder folds each distinct path once with its count, so a
+second strategy (:func:`repeated_traces`) makes paths repeat: each procedure
+reuses 1-3 statement-sequence templates with fresh values that often route
+alike, and a record may be followed by a twin that differs only in
+``aborted``, only in the base partition a replicated read is local to, or
+only in a ``None`` routing value (a broadcast).  Procedures interleave, so a
+procedure's distinct paths come from several groups and must be folded in
+order of first record.  ``--hypothesis-show-statistics`` reports the share
+of drawn traces that repeat a path.
+
 Both builders must agree on ``reference.model_state`` — model order, vertex
 and edge insertion order, hit counts, probability bits, ``version`` and
 ``transactions_observed`` — on ``steps_for_record``, on ``add_path``'s
 return value, and on the exception type when one fault is planted: an
 unknown statement, a parameter tuple too short for its routing index, an
 unknown procedure, or (for ``extend``) a record of another procedure.
+``extend`` must also leave the same model behind when it raises.
 Tier-1 runs the default budget; CI's ``training-smoke`` job runs
 ``--hypothesis-profile=long``.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.catalog import (
     Catalog,
@@ -40,6 +51,7 @@ from repro.catalog import (
     param,
     string,
 )
+from repro.catalog.partitioning import PartitionEstimator, default_base_partition
 from repro.errors import ReproError
 from repro.markov import MarkovModel, MarkovModelBuilder
 from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
@@ -147,6 +159,82 @@ def traces(draw, fault=None):
     return WorkloadTrace(records)
 
 
+#: Values that differ but often route alike (0 and 4, 1 and 5 share a
+#: partition), so that paths repeat.
+ALIKE = st.sampled_from([0, 1, 4, 5, None])
+TWINS = (None, "aborted", "base", "none_value")
+
+
+@st.composite
+def repeated_traces(draw, fault=None):
+    templates = {
+        procedure: draw(st.lists(
+            st.lists(st.sampled_from(statements), max_size=4).map(tuple),
+            min_size=1, max_size=3,
+        ))
+        for procedure, statements in PROCEDURES.items()
+    }
+    records = []
+    count = draw(st.integers(1, 16))
+    while len(records) < count:
+        procedure = draw(st.sampled_from(sorted(PROCEDURES)))
+        queries = tuple(
+            QueryTraceRecord(name, tuple(draw(st.lists(ALIKE, min_size=2, max_size=3))))
+            for name in draw(st.sampled_from(templates[procedure]))
+        )
+        record = TransactionTraceRecord(
+            len(records), procedure, tuple(draw(st.lists(ALIKE, max_size=2))), queries,
+            aborted=draw(st.booleans()),
+        )
+        records.append(record)
+        twin = draw(st.sampled_from(TWINS))
+        if twin is not None:
+            records.append(twin_of(draw, record, twin, len(records)))
+    if fault is not None:
+        at = draw(st.integers(0, len(records) - 1))
+        records[at] = plant(draw, records[at], fault)
+    return WorkloadTrace(records)
+
+
+def twin_of(draw, record: TransactionTraceRecord, twin: str, txn_id: int):
+    """``record`` changed in one respect only."""
+    parameters, queries, aborted = record.parameters, record.queries, record.aborted
+    if twin == "aborted":
+        aborted = not aborted
+    elif twin == "base":
+        # The default chooser homes the first scalar: a new first parameter
+        # moves the base partition, which only a replicated read sees.
+        base = default_base_partition(CATALOG.scheme, parameters)
+        parameters = ((base + 1) % PARTITIONS, *parameters)
+    else:
+        routed = [
+            index for index, (name, _, _) in enumerate(queries)
+            if routing_slot(record.procedure, name) is not None
+        ]
+        if routed:
+            index = draw(st.sampled_from(routed))
+            name, values, partitions = queries[index]
+            values = list(values)
+            values[routing_slot(record.procedure, name)] = None
+            queries = (*queries[:index], (name, tuple(values), partitions), *queries[index + 1:])
+    return TransactionTraceRecord(txn_id, record.procedure, parameters, queries, aborted)
+
+
+def routing_slot(procedure: str, name: str) -> int | None:
+    """The parameter a statement is routed on, if it is routed on one."""
+    statement = CATALOG.procedure(procedure).statement(name)
+    kind, payload = CATALOG.estimator.resolve(CATALOG.schema.table(statement.table), statement)
+    return payload if kind == PartitionEstimator.PARAM else None
+
+
+def repeats_a_path(trace: WorkloadTrace) -> bool:
+    steps = StepListModelBuilder(CATALOG).steps_for_record
+    paths = {
+        (record.procedure, tuple(steps(record)), record.aborted) for record in trace
+    }
+    return len(paths) < len(trace)
+
+
 def plant(draw, record: TransactionTraceRecord, fault: str) -> TransactionTraceRecord:
     if fault == "unknown_procedure":
         return TransactionTraceRecord(record.txn_id, "ghost", record.parameters, record.queries)
@@ -176,10 +264,15 @@ def test_builder_equals_step_list_reference(trace, precompute_tables):
     assert model_state(built.build(trace)) == model_state(expected.build(trace))
     for record in trace:
         assert built.steps_for_record(record) == expected.steps_for_record(record)
-    for name in trace.procedures:
-        assert model_state({name: built.build_for_procedure(trace, name)}) == model_state(
-            {name: expected.build_for_procedure(trace, name)}
-        )
+
+
+@given(repeated_traces(), st.booleans())
+@settings(deadline=None)
+def test_repeated_paths_build_what_the_reference_builds(trace, precompute_tables):
+    event(f"repeats a path: {repeats_a_path(trace)}")
+    built = MarkovModelBuilder(CATALOG, precompute_tables=precompute_tables)
+    expected = StepListModelBuilder(CATALOG, precompute_tables=precompute_tables)
+    assert model_state(built.build(trace)) == model_state(expected.build(trace))
 
 
 @given(traces())
@@ -196,7 +289,9 @@ def test_add_path_adapter_equals_reference(trace):
     assert model_state(adapted) == model_state(folded)
 
 
-@given(st.sampled_from(FAULTS).flatmap(lambda fault: traces(fault)))
+@given(st.sampled_from(FAULTS).flatmap(
+    lambda fault: st.one_of(traces(fault), repeated_traces(fault))
+))
 @settings(deadline=None)
 def test_a_planted_fault_raises_what_the_reference_raises(trace):
     built = outcome(lambda: model_state(MarkovModelBuilder(CATALOG).build(trace)))
@@ -205,10 +300,16 @@ def test_a_planted_fault_raises_what_the_reference_raises(trace):
     assert built[0] == "raised"
 
 
-@given(traces(), st.sampled_from(sorted(PROCEDURES)))
+@given(
+    st.sampled_from((None, *FAULTS)).flatmap(
+        lambda fault: st.one_of(traces(fault), repeated_traces(fault))
+    ),
+    st.sampled_from(sorted(PROCEDURES)),
+)
 @settings(deadline=None)
 def test_extend_with_foreign_records_matches_reference(trace, procedure):
-    """``extend`` folds records up to the first foreign one, then raises."""
+    """``extend`` folds records up to the first foreign or faulty one, then
+    raises."""
     sides = []
     for builder in (MarkovModelBuilder(CATALOG), StepListModelBuilder(CATALOG)):
         model = MarkovModel(procedure, PARTITIONS)
