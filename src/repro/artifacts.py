@@ -117,10 +117,11 @@ class ArtifactBundle:
         return target
 
     @staticmethod
-    def load(directory: str | Path, *, process: bool = True) -> "ArtifactBundle":
-        """Read a bundle previously written by :meth:`save`.  A file that is
-        missing, or is not what :meth:`save` writes, raises
-        :class:`ArtifactError` naming it."""
+    def load(directory: str | Path) -> "ArtifactBundle":
+        """Read a bundle previously written by :meth:`save`; every loaded
+        model is processed and ready for Houdini.  A file that is missing, or
+        is not what :meth:`save` writes, raises :class:`ArtifactError`
+        naming it."""
         source = Path(directory)
         metadata_path = source / _METADATA_FILE
         models_path = source / _MODELS_FILE
@@ -144,7 +145,7 @@ class ArtifactBundle:
                 extra=dict(metadata.get("extra", {})),
             )
         with _reading(models_path):
-            models = load_models(models_path, process=process)
+            models = load_models(models_path)
         with _reading(mappings_path):
             mappings = load_mappings(mappings_path)
         return ArtifactBundle(models=models, mappings=mappings, **fields)

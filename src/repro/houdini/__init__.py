@@ -20,9 +20,11 @@ walk**:
   vertex's precomputed array immediately — stale orderings are never
   served; a count on an existing edge only marks the vertex dirty
   (run-time counts are logged and folded at the next check).  The next
-  ``recompute_probabilities()`` re-derives probabilities for the dirty
-  vertices and republishes only the arrays and probability tables that
-  changed.
+  ``process()`` re-derives probabilities for the dirty vertices and
+  republishes only the arrays and probability tables that changed.  Every
+  decision reads a processed model's probability tables (OP2 the first
+  state's or begin's, OP3/OP4 the current vertex's), so a processed model
+  always has them.
 * :class:`~repro.types.PartitionSet` and
   :class:`~repro.markov.vertex.VertexKey` precompute their hashes, and
   small partition sets are interned, because those hashes and unions

@@ -50,11 +50,6 @@ class HoudiniConfig:
     #: Houdini off for AuctionMark's CheckWinningBids).
     disabled_procedures: frozenset[str] = frozenset()
 
-    #: Whether vertex probability tables are pre-computed during the
-    #: processing phase (the optimization §3.2 credits with a ~24% reduction
-    #: in on-line computation time).
-    precompute_tables: bool = spec(True, kind="bool")
-
     #: Run-time model maintenance: when the observed transition distribution
     #: of a vertex matches the model with less than this accuracy, the edge
     #: and vertex probabilities are recomputed from the counters (§4.5).

@@ -129,9 +129,7 @@ class ModelMaintenance:
     def recompute(self) -> None:
         """Recompute the model's probabilities from its visit counters."""
         self.fold()
-        self.model.recompute_probabilities(
-            precompute_tables=self.config.precompute_tables
-        )
+        self.model.process()
         self.stats.recomputations += 1
         self._observed.clear()
 

@@ -56,10 +56,8 @@ class MarkovModelBuilder:
         catalog: Catalog,
         *,
         base_partition_chooser: TraceBaseChooser | None = None,
-        precompute_tables: bool = True,
     ) -> None:
         self.catalog = catalog
-        self.precompute_tables = precompute_tables
         self._choose_base = base_partition_chooser or self._default_base_chooser
         #: Per procedure name: the procedure and its statement table, statement
         #: name -> ``(statement, table, query type)``.  Both are built on first
@@ -72,7 +70,7 @@ class MarkovModelBuilder:
         models: dict[str, MarkovModel] = {}
         self._fold(models, trace.records)
         for model in models.values():
-            model.process(precompute_tables=self.precompute_tables)
+            model.process()
         return models
 
     def extend(self, model: MarkovModel, records: Iterable[TransactionTraceRecord]) -> int:
@@ -224,15 +222,9 @@ def build_models_from_trace(
     trace: WorkloadTrace,
     *,
     base_partition_chooser: TraceBaseChooser | None = None,
-    precompute_tables: bool = True,
 ) -> dict[str, MarkovModel]:
     """Convenience wrapper: build and process models for a whole trace."""
-    builder = MarkovModelBuilder(
-        catalog,
-        base_partition_chooser=base_partition_chooser,
-        precompute_tables=precompute_tables,
-    )
-    return builder.build(trace)
+    return MarkovModelBuilder(catalog, base_partition_chooser=base_partition_chooser).build(trace)
 
 
 def models_summary(models: Mapping[str, MarkovModel]) -> str:

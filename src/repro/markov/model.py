@@ -13,9 +13,11 @@ procedure.  It is built in two phases:
 Models can keep learning at run time: unknown states become placeholder
 vertices, each attempt's transitions are appended to the model's transition
 log (:meth:`MarkovModel.log_transitions`) and folded into the visit counters
-in one aggregated pass, and :meth:`MarkovModel.recompute_probabilities`
-refreshes the probabilities from the counters without rebuilding the graph
-(Section 4.5), republishing only the views and tables that changed.
+in one aggregated pass, and calling :meth:`MarkovModel.process` again
+refreshes the probabilities and tables from the counters without rebuilding
+the graph (Section 4.5), republishing only the views and tables that changed.
+A processed model always has its edge probabilities, successor views and
+probability tables.
 """
 
 from __future__ import annotations
@@ -180,8 +182,6 @@ class MarkovModel:
         #: since the last processing pass.  ``None`` means "everything" —
         #: the model has never been processed with its current structure.
         self._dirty: set[VertexKey] | None = None
-        #: Whether the last processing pass computed probability tables.
-        self._tables_ready = False
         #: Vertices whose probability table must be recomputed by the next
         #: incremental pass that reaches them although their probabilities may
         #: not move: a new outgoing edge, or a query type given to a
@@ -498,8 +498,8 @@ class MarkovModel:
     # ------------------------------------------------------------------
     # Processing phase
     # ------------------------------------------------------------------
-    def process(self, *, precompute_tables: bool = True) -> None:
-        """Compute edge probabilities and (optionally) probability tables.
+    def process(self) -> None:
+        """Compute edge probabilities, successor views and probability tables.
 
         The first call (and any call on a model whose full structure is new,
         e.g. right after deserialization) processes every vertex.  Subsequent
@@ -519,11 +519,7 @@ class MarkovModel:
         """
         self._fold_log()
         dirty = self._dirty
-        incremental = (
-            self._processed
-            and dirty is not None
-            and (not precompute_tables or self._tables_ready)
-        )
+        incremental = self._processed and dirty is not None
         if incremental and not dirty:
             # Nothing changed since the last pass: probabilities, successor
             # views and tables are all still valid.
@@ -541,34 +537,28 @@ class MarkovModel:
             self._compute_edge_probabilities(None)
             for key in vertices:
                 views[key] = SuccessorView(edges[key].values())
-        if precompute_tables:
-            complete = False
-            if incremental and self._acyclic:
-                order, complete = self._topological_order(self._affected_closure(dirty))
-                if complete:
-                    self._refresh(order, changed)
-            if not complete:
-                order, complete = self._topological_order()
-                if complete:
-                    self._compute_probability_tables_ordered(order)
-                    self._compute_remaining_queries(order)
-                else:
-                    # Run-time placeholder edges introduced a cycle: fall
-                    # back to the bounded fixed-point pass over the whole
-                    # graph.
-                    self._compute_probability_tables_fixed_point(order)
-                    self._compute_remaining_queries(order, reset=True)
-                self._reshaped.clear()
-            self._acyclic = complete
-        self._tables_ready = precompute_tables
+        complete = False
+        if incremental and self._acyclic:
+            order, complete = self._topological_order(self._affected_closure(dirty))
+            if complete:
+                self._refresh(order, changed)
+        if not complete:
+            order, complete = self._topological_order()
+            if complete:
+                self._compute_probability_tables_ordered(order)
+                self._compute_remaining_queries(order)
+            else:
+                # Run-time placeholder edges introduced a cycle: fall back
+                # to the bounded fixed-point pass over the whole graph.
+                self._compute_probability_tables_fixed_point(order)
+                self._compute_remaining_queries(order, reset=True)
+            self._reshaped.clear()
+        self._acyclic = complete
         self._dirty = set()
         self._processed = True
         self._stale = False
         # Probabilities and tables changed: memoized walks are invalid.
         self.version += 1
-
-    # Alias matching the paper's terminology.
-    recompute_probabilities = process
 
     def _compute_edge_probabilities(self, sources: set[VertexKey] | None) -> set[VertexKey]:
         """Recompute outgoing probabilities (for ``sources``, or everywhere);

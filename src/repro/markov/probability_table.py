@@ -12,8 +12,9 @@ transaction reaches that state:
 
 Pre-computing these tables avoids an expensive traversal of the model per
 transaction; the paper measures that optimization as saving ~24% of the
-on-line computation time, and the ablation bench
-``benchmarks/bench_ablation_precompute.py`` reproduces that comparison.
+on-line computation time.  Every processed model has them (every Houdini
+decision reads them); ``benchmarks/bench_ablation_precompute.py`` times the
+on-line estimation they serve.
 """
 
 from __future__ import annotations

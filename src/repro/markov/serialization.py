@@ -95,14 +95,12 @@ def model_to_dict(model: MarkovModel) -> dict[str, Any]:
     }
 
 
-def model_from_dict(
-    data: Mapping[str, Any], *, process: bool = True, precompute_tables: bool = True
-) -> MarkovModel:
+def model_from_dict(data: Mapping[str, Any]) -> MarkovModel:
     """Rebuild a model from :func:`model_to_dict` output.
 
-    ``process=True`` (the default) re-runs the processing phase so the loaded
-    model carries edge probabilities and probability tables and is ready for
-    Houdini; pass ``process=False`` to get the raw counters only.
+    Only the counters are stored, so the processing phase runs on the loaded
+    model: it carries edge probabilities and probability tables and is ready
+    for Houdini.
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -125,8 +123,7 @@ def model_from_dict(
         edge = model._add_edge_visit(source, target, 0)
         edge.hits = hits
     model.transactions_observed = int(data.get("transactions_observed", 0))
-    if process:
-        model.process(precompute_tables=precompute_tables)
+    model.process()
     return model
 
 
@@ -141,9 +138,7 @@ def models_to_dict(models: Mapping[str, MarkovModel]) -> dict[str, Any]:
     }
 
 
-def models_from_dict(
-    data: Mapping[str, Any], *, process: bool = True
-) -> dict[str, MarkovModel]:
+def models_from_dict(data: Mapping[str, Any]) -> dict[str, MarkovModel]:
     """Decode a bundle produced by :func:`models_to_dict`."""
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -152,8 +147,7 @@ def models_from_dict(
             f"(expected {FORMAT_VERSION})"
         )
     return {
-        name: model_from_dict(entry, process=process)
-        for name, entry in data.get("models", {}).items()
+        name: model_from_dict(entry) for name, entry in data.get("models", {}).items()
     }
 
 
@@ -167,7 +161,7 @@ def save_models(models: Mapping[str, MarkovModel], path: str | Path) -> Path:
     return target
 
 
-def load_models(path: str | Path, *, process: bool = True) -> dict[str, MarkovModel]:
+def load_models(path: str | Path) -> dict[str, MarkovModel]:
     """Load a model bundle previously written by :func:`save_models`."""
     text = Path(path).read_text(encoding="utf-8")
-    return models_from_dict(json.loads(text), process=process)
+    return models_from_dict(json.loads(text))

@@ -313,7 +313,7 @@ class ModelPartitioner:
                 continue
             model = MarkovModel(procedure_name, self.catalog.num_partitions)
             self.builder.extend(model, cluster_records)
-            model.process(precompute_tables=self.houdini_config.precompute_tables)
+            model.process()
             models[cluster] = model
         return models
 

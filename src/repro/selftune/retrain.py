@@ -43,10 +43,10 @@ def retrain_model(old_model: MarkovModel, paths) -> MarkovModel:
     vertex it visited there (with the invocation's query type), so the old
     model is a complete type oracle for the tail.  Begin hits and
     ``transactions_observed`` are counted per path — the OP3 selector's
-    support accounting (``sampling_risk``) reads both.  The model always
-    gets its probability tables, as off-line training gives every model,
-    whatever ``HoudiniConfig.precompute_tables`` says: the optimization
-    selector reads the begin vertex's table.
+    support accounting (``sampling_risk``) reads both.  ``process()`` gives
+    the model its probabilities and probability tables, as off-line training
+    gives every model: the optimization selector reads the begin vertex's
+    table.
     """
     model = MarkovModel(old_model.procedure, old_model.num_partitions)
     find = old_model.find_vertex

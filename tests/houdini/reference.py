@@ -195,13 +195,9 @@ class ReferenceModel(MarkovModel):
         for source, target in transitions:
             self.record_transition(source, target)
 
-    def process(self, *, precompute_tables=True):
+    def process(self):
         dirty = self._dirty
-        incremental = (
-            self._processed
-            and dirty is not None
-            and (not precompute_tables or self._tables_ready)
-        )
+        incremental = self._processed and dirty is not None
         if incremental and not dirty:
             self._stale = False
             return
@@ -210,26 +206,22 @@ class ReferenceModel(MarkovModel):
         for key in self._vertices if sources is None else sources:
             if key in self._vertices:
                 self._successor_views[key] = SuccessorView(self._edges[key].values())
-        if precompute_tables:
-            order, complete = self._topological_order()
-            if not complete:
-                self._compute_probability_tables_fixed_point(order)
-                self._compute_remaining_queries(order, reset=True)
-            elif incremental:
-                affected = self._affected_closure(dirty)
-                restricted = [key for key in order if key in affected]
-                self._compute_probability_tables_ordered(restricted)
-                self._compute_remaining_queries(restricted)
-            else:
-                self._compute_probability_tables_ordered(order)
-                self._compute_remaining_queries(order)
-        self._tables_ready = precompute_tables
+        order, complete = self._topological_order()
+        if not complete:
+            self._compute_probability_tables_fixed_point(order)
+            self._compute_remaining_queries(order, reset=True)
+        elif incremental:
+            affected = self._affected_closure(dirty)
+            restricted = [key for key in order if key in affected]
+            self._compute_probability_tables_ordered(restricted)
+            self._compute_remaining_queries(restricted)
+        else:
+            self._compute_probability_tables_ordered(order)
+            self._compute_remaining_queries(order)
         self._dirty = set()
         self._processed = True
         self._stale = False
         self.version += 1
-
-    recompute_probabilities = process
 
     def _reference_edge_probabilities(self, sources):
         if sources is None:

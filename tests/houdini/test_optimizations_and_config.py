@@ -20,6 +20,14 @@ class TestHoudiniConfig:
         with pytest.raises(ValueError):
             HoudiniConfig(max_path_length=0)
 
+    def test_a_dict_naming_the_deleted_precompute_tables_is_refused(self):
+        """A processed model always has its tables, so the old switch is gone;
+        a saved config that still sets it fails loudly, naming the field."""
+        data = HoudiniConfig().to_dict()
+        data["precompute_tables"] = False
+        with pytest.raises(ValueError, match="precompute_tables"):
+            HoudiniConfig.from_dict(data)
+
     def test_estimation_cost_model(self):
         config = HoudiniConfig()
         base_only = config.estimation_cost_ms(0, 0)

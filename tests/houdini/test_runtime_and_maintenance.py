@@ -126,6 +126,17 @@ class TestMaintenance:
         assert model.edge_probability(key_a, model.abort) > 0.5
         assert not model.stale
 
+    def test_recompute_refreshes_every_table(self):
+        model, key_a, _ = self.make_model()
+        maintenance = ModelMaintenance(model, HoudiniConfig(maintenance_min_observations=5))
+        for _ in range(30):
+            model.log_transitions([(model.begin, key_a), (key_a, model.abort)])
+        assert maintenance.check()
+        for vertex in model.vertices():
+            assert vertex.table is not None, vertex.key
+            assert vertex.table.approx_equal(model._table_for(vertex.key)), vertex.key
+        assert model.probability_table(model.begin).abort == pytest.approx(0.75)
+
     def test_registry_reuses_maintenance_per_model(self):
         model, _, _ = self.make_model()
         registry = MaintenanceRegistry(HoudiniConfig())

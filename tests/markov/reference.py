@@ -89,9 +89,8 @@ def add_path(model: MarkovModel, steps: Sequence[PathStep], aborted: bool) -> li
 class StepListModelBuilder:
     """Builds one Markov model per stored procedure from a workload trace."""
 
-    def __init__(self, catalog: Catalog, *, precompute_tables: bool = True) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.precompute_tables = precompute_tables
 
     def build(self, trace: WorkloadTrace) -> dict[str, MarkovModel]:
         """Build models for every procedure present in ``trace``."""
@@ -106,7 +105,7 @@ class StepListModelBuilder:
         """Build (and process) the model for one procedure."""
         model = MarkovModel(procedure_name, self.catalog.num_partitions)
         self.extend(model, (r for r in trace if r.procedure == procedure_name))
-        model.process(precompute_tables=self.precompute_tables)
+        model.process()
         return model
 
     def extend(self, model: MarkovModel, records: Iterable[TransactionTraceRecord]) -> int:

@@ -90,17 +90,15 @@ class TestProcessing:
         model = build_simple_model()
         assert model.vertex(model.begin).expected_remaining_queries == pytest.approx(2.0)
 
+    def test_process_gives_every_vertex_its_table(self):
+        model = build_simple_model(aborts=2, commits=7)
+        for vertex in model.vertices():
+            table = model.probability_table(vertex.key)
+            assert table.approx_equal(model._table_for(vertex.key))
+
     def test_tables_require_processing(self):
         model = MarkovModel("p", 2)
         add_path(model, [step("A", [0], [])], aborted=False)
-        with pytest.raises(ModelError):
-            model.probability_table(model.begin)
-
-    def test_process_without_precompute_skips_tables(self):
-        model = MarkovModel("p", 2)
-        add_path(model, [step("A", [0], [])], aborted=False)
-        model.process(precompute_tables=False)
-        assert model.processed
         with pytest.raises(ModelError):
             model.probability_table(model.begin)
 
@@ -121,8 +119,21 @@ class TestRuntimeLearning:
         before = model.edge(model.begin, key_a).hits
         model.log_transitions([(model.begin, key_a)])
         assert model.edge(model.begin, key_a).hits == before + 1
-        model.recompute_probabilities()
+        model.process()
         assert not model.stale
+
+    def test_recompute_gives_placeholders_tables_and_leaves_none_stale(self):
+        model = build_simple_model()
+        key_a = VertexKey.query("A", 0, PartitionSet.of([0]), PartitionSet.of([]))
+        key_c = VertexKey.query("C", 0, PartitionSet.of([1]), PartitionSet.of([0]))
+        model.log_transitions([(model.begin, key_a), (key_a, key_c), (key_c, model.commit)] * 9)
+        assert model.find_vertex(key_c).table is None
+        model.process()
+        for vertex in model.vertices():
+            assert vertex.table is not None, vertex.key
+            assert vertex.table.approx_equal(model._table_for(vertex.key)), vertex.key
+        # The new branch reaches partition 1 half the time.
+        assert model.probability_table(model.begin).access_probability(1) == pytest.approx(0.5)
 
     def test_edge_distribution(self):
         model = build_simple_model(aborts=1, commits=3)

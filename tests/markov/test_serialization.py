@@ -23,7 +23,7 @@ from repro.types import PartitionSet, QueryType
 from tests.conftest import add_path
 
 
-def _sample_model(aborts: int = 3, commits: int = 17) -> MarkovModel:
+def _sample_model(aborts: int = 3, commits: int = 17, process: bool = True) -> MarkovModel:
     model = MarkovModel("SampleProc", 4)
     happy = [
         PathStep("GetItem", QueryType.READ, PartitionSet.of([0]), PartitionSet.of([]), 0),
@@ -37,7 +37,8 @@ def _sample_model(aborts: int = 3, commits: int = 17) -> MarkovModel:
         add_path(model, happy, aborted=False)
     for _ in range(aborts):
         add_path(model, crossing, aborted=True)
-    model.process()
+    if process:
+        model.process()
     return model
 
 
@@ -84,11 +85,16 @@ class TestModelRoundTrip:
                 original.probability_table(vertex.key), tolerance=1e-9
             )
 
-    def test_unprocessed_load_keeps_raw_counters_only(self):
-        original = _sample_model()
-        restored = model_from_dict(model_to_dict(original), process=False)
-        assert not restored.processed
-        assert restored.vertex_count() == original.vertex_count()
+    def test_loading_an_unprocessed_model_processes_it(self):
+        processed = _sample_model()
+        unprocessed = _sample_model(process=False)
+        assert not unprocessed.processed
+        restored = model_from_dict(model_to_dict(unprocessed))
+        assert restored.processed
+        for vertex in processed.vertices():
+            assert restored.probability_table(vertex.key).approx_equal(
+                processed.probability_table(vertex.key), tolerance=1e-9
+            )
 
     def test_json_round_trip(self):
         original = _sample_model()

@@ -6,7 +6,7 @@ mutation that adds an edge (``log_transitions``, ``fold_path``) must drop
 it immediately and bump ``version``; one that
 only counts a visit to an existing edge must leave it (and ``version``)
 alone and mark the vertex dirty, so that the next
-``recompute_probabilities()`` replaces it — an ordering that disagrees with
+``process()`` replaces it — an ordering that disagrees with
 the current edges and probabilities must never be served.
 """
 
@@ -63,7 +63,7 @@ class TestSuccessorCache:
         # model until the recompute, which must then replace it.
         assert model.successors(model.begin) is before
         assert model.edge_probability(model.begin, key_of("A", 1, [])) == 0.1
-        model.recompute_probabilities()
+        model.process()
         after = model.successors(model.begin)
         assert [k for k, _ in after] == [key_of("A", 1, []), key_of("A", 0, [])]
         assert after[0][1] == 0.91
@@ -74,7 +74,7 @@ class TestSuccessorCache:
         model = build_branching_model()
         for _ in range(90):
             add_path(model, [step("B", 2, [])], aborted=False)
-        model.recompute_probabilities()
+        model.process()
         successors = model.successors(model.begin)
         assert successors[0][0] == key_of("B", 2, [])
         assert successors[0][1] == 0.9
@@ -104,7 +104,7 @@ class TestSuccessorCache:
         assert a0.groups() == ({}, (), ((0, model.commit, 1.0),))
         # After a mutation + recompute the probe sees the new distribution.
         model.log_transitions([(model.begin, key_of("A", 1, []))] * 90)
-        model.recompute_probabilities()
+        model.process()
         hit = model.successor_view(model.begin).probe(
             "A", 0, PartitionSet.of([]), PartitionSet.of([1])
         )
@@ -117,7 +117,7 @@ class TestIncrementalRecompute:
         incremental = build_branching_model()
         incremental.log_transitions([(incremental.begin, key_of("A", 1, []))] * 5)
         incremental.log_transitions([(key_of("A", 1, []), incremental.commit)] * 5)
-        incremental.recompute_probabilities()
+        incremental.process()
 
         fresh = MarkovModel("proc", 4)
         for _ in range(9):
@@ -141,7 +141,7 @@ class TestIncrementalRecompute:
         model = build_branching_model()
         successors = model.successors(model.begin)
         table = model.probability_table(model.begin)
-        model.recompute_probabilities()
+        model.process()
         assert model.successors(model.begin) is successors
         assert model.probability_table(model.begin) is table
 
@@ -160,7 +160,7 @@ class TestCountChangeVersusStructureChange:
         assert model.successor_view(a0) is views[1]
         assert views[1].groups() is groups
         # ... and the recompute still sees the counts (the source is dirty).
-        model.recompute_probabilities()
+        model.process()
         assert model.successor_view(model.begin) is not views[0]
         assert model.successors(model.begin)[0] == (a0, 12 / 13)
 

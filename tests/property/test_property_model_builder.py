@@ -256,22 +256,22 @@ def outcome(action):
         return ("raised", type(error))
 
 
-@given(traces(), st.booleans())
+@given(traces())
 @settings(deadline=None)
-def test_builder_equals_step_list_reference(trace, precompute_tables):
-    built = MarkovModelBuilder(CATALOG, precompute_tables=precompute_tables)
-    expected = StepListModelBuilder(CATALOG, precompute_tables=precompute_tables)
+def test_builder_equals_step_list_reference(trace):
+    built = MarkovModelBuilder(CATALOG)
+    expected = StepListModelBuilder(CATALOG)
     assert model_state(built.build(trace)) == model_state(expected.build(trace))
     for record in trace:
         assert built.steps_for_record(record) == expected.steps_for_record(record)
 
 
-@given(repeated_traces(), st.booleans())
+@given(repeated_traces())
 @settings(deadline=None)
-def test_repeated_paths_build_what_the_reference_builds(trace, precompute_tables):
+def test_repeated_paths_build_what_the_reference_builds(trace):
     event(f"repeats a path: {repeats_a_path(trace)}")
-    built = MarkovModelBuilder(CATALOG, precompute_tables=precompute_tables)
-    expected = StepListModelBuilder(CATALOG, precompute_tables=precompute_tables)
+    built = MarkovModelBuilder(CATALOG)
+    expected = StepListModelBuilder(CATALOG)
     assert model_state(built.build(trace)) == model_state(expected.build(trace))
 
 

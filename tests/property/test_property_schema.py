@@ -357,7 +357,7 @@ def test_every_config_field_is_declared_or_structural():
     assert undeclared == set(STRUCTURE) - {
         (TraceReplaySource, "trace"), (ClusterSpec, "workload")}
     assert {cls.__name__: len([f for f in fields(cls) if f.init]) for cls in ERRORS} == {
-        "ClusterSpec": 21, "HoudiniConfig": 16, "SimulatorConfig": 8, "CostModel": 11,
+        "ClusterSpec": 21, "HoudiniConfig": 15, "SimulatorConfig": 8, "CostModel": 11,
         "PartitionerConfig": 11, "SelfTuneConfig": 8, "ExperimentScale": 9,
         "TenancyConfig": 5, "TenantPolicy": 4, "AdmissionLimits": 4,
         "ClosedLoopSource": 2, "OpenLoopSource": 5, "TraceReplaySource": 5,

@@ -3,10 +3,10 @@
 Draw a base spec and a target that differs from it in one to three live
 fields (values from ``strategy_for``'s field table).  Both share drawn
 non-live fields too: ``learning`` and every ``houdini`` field not marked
-live (``precompute_tables``, ``estimate_cache_max_entries`` down to 1, the
-maintenance thresholds, ...), and maintenance checks every 10 attempts, so
-live changes meet plan-memo sweeps after recomputes under LRU pressure and
-without tables.  One session applies
+live (``estimate_cache_max_entries`` down to 1, the maintenance
+thresholds, ...), and maintenance checks every 10 attempts, so live changes
+meet plan-memo sweeps after recomputes under LRU pressure.  One session
+applies
 ``base.diff(target)`` through ``apply_schedule``, its twin through
 ``reconfigure(**diff)``, at the same simulated time; then both apply the
 way back, ``target.diff(base)``.  After each step every ``SHOWN`` accessor
