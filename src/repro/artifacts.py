@@ -64,7 +64,17 @@ class ArtifactBundle:
     # ------------------------------------------------------------------
     @staticmethod
     def from_trained(trained: "TrainedArtifacts") -> "ArtifactBundle":
-        """Build a bundle from :func:`repro.session.train` output."""
+        """Build a bundle from :func:`repro.session.train` output.
+
+        The bundle records the trace's length, so artifacts without their
+        trace (a session's view) raise :class:`ArtifactError`.
+        """
+        if trained.trace is None:
+            raise ArtifactError(
+                "cannot bundle artifacts without their training trace "
+                "(a session's artifacts hold none); bundle the artifacts "
+                "train() returned"
+            )
         catalog = trained.benchmark.catalog
         return ArtifactBundle(
             models=dict(trained.models),

@@ -182,9 +182,14 @@ MODEL_PROVIDERS = ("global", "partitioned")
 # ----------------------------------------------------------------------
 @dataclass
 class TrainedArtifacts:
-    """Off-line artifacts derived from a sample workload trace."""
+    """Off-line artifacts derived from a sample workload trace.
 
-    trace: WorkloadTrace
+    ``trace`` is the sample the models and mappings were built from.  It is
+    ``None`` on a session's view (:attr:`ClusterSession.artifacts`): at run
+    time Houdini reads the models and mappings, never the trace.
+    """
+
+    trace: WorkloadTrace | None
     models: dict[str, MarkovModel]
     mappings: ParameterMappingSet
     benchmark: BenchmarkInstance
@@ -493,6 +498,11 @@ def build_partitioned_provider(
     uses the Fig. 9-style fixed feature set, which is what the large
     throughput sweeps use to keep their running time reasonable.
     """
+    if artifacts.trace is None:
+        raise SessionError(
+            "the partitioned models are built from the training trace, and "
+            "these artifacts hold none (a session's artifacts do not)"
+        )
     instance = artifacts.benchmark
     config = partitioner_config or PartitionerConfig(feature_selection=feature_selection)
     if partitioner_config is None:
@@ -616,6 +626,11 @@ class ClusterSession:
 
     See the module docstring for the lifecycle and reconfigure semantics.
     Sessions are single-threaded, like the node scheduler they model.
+
+    The session holds no training trace: :attr:`artifacts` is a copy of the
+    adopted artifacts with ``trace=None`` that shares their models,
+    mappings, benchmark and ``extras``.  A caller that keeps its artifacts
+    keeps its trace; when it drops them, the trace is freed at open.
     """
 
     def __init__(
@@ -626,7 +641,7 @@ class ClusterSession:
         simulator: ClusterSimulator,
     ) -> None:
         self.spec = spec
-        self.artifacts = artifacts
+        self.artifacts = replace(artifacts, trace=None)
         self.strategy = strategy
         self.simulator = simulator
         self._closed = False

@@ -9,7 +9,8 @@ in production.
 
 Each executed query is recorded as the plain ``(statement, parameters,
 partitions)`` tuple :class:`~repro.workload.trace.TransactionTraceRecord`
-holds, built directly rather than through a named type: a recorded trace is
+holds, with ``partitions`` left ``None`` (the model builder re-estimates
+them), built directly rather than through a named type: a recorded trace is
 then nothing the cycle collector keeps rescanning.
 """
 
@@ -38,13 +39,11 @@ class TraceRecorder:
         database: Database,
         *,
         base_partition_chooser: BasePartitionChooser | None = None,
-        embed_partitions: bool = False,
     ) -> None:
         self.catalog = catalog
         self.database = database
         self.engine = ExecutionEngine(catalog, database)
         self._choose_base = base_partition_chooser or self._default_base_chooser
-        self.embed_partitions = embed_partitions
         self._next_txn_id = 1
 
     # ------------------------------------------------------------------
@@ -93,13 +92,8 @@ class TraceRecorder:
             locked_partitions=None,
             undo_enabled=True,
         )
-        embed = self.embed_partitions
         queries = tuple([
-            (
-                invocation.statement,
-                invocation.parameters,
-                tuple(invocation.partitions) if embed else None,
-            )
+            (invocation.statement, invocation.parameters, None)
             for invocation in attempt.invocations
         ])
         return TransactionTraceRecord(

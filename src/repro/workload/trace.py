@@ -6,8 +6,9 @@ the procedure's input parameters and the sequence of queries the transaction
 executed with their parameters.  Traces deliberately do **not** store the
 partitions each query accessed — the paper notes that partitions must be
 re-estimated with the DBMS's internal API whenever the partitioning scheme
-changes, and the model builder here does exactly that.  (The recorder can
-optionally embed the observed partitions for debugging.)
+changes, and the model builder here does exactly that.  (The recorder
+leaves each query's ``partitions`` ``None``; a hand-built or loaded query
+may carry them.)
 
 Each query is held as a plain ``(statement, parameters, partitions)`` tuple
 and read by position.  A trace is the bulk of what set-up leaves in memory

@@ -14,9 +14,12 @@ reused.  The traces are recorded before the counted window opens.
   edge.  Folding each distinct path once with its count, routing a column
   per query position, and sharing a child's unchanged columns read
   **28.25** (TATP **38.38**); the gate is that count.
-* ``tracked_objects_added``: objects the cycle collector tracks (after two
-  full collections) that the build adds on a 4,000-record trace.  The parent
-  read **90,760**; shared columns read **76,823**, the gate.
+* ``tracked_objects_added``: objects the cycle collector tracks that the
+  build adds on a 4,000-record trace, each side counted once collecting no
+  longer moves the count (:func:`settled_object_count`).  The parent read
+  **90,760** and shared columns **76,823** after two full collections, a
+  count that also moved by one with what the recorder allocated per
+  transaction; settled, shared columns read **76,832**, the gate.
 
 Both counts are a function of the code and the seed, not of the host or the
 hash seed (CI runs this file under two hash seeds).
@@ -68,15 +71,28 @@ def lines_per_traced_query(benchmark: str = "tpcc", transactions: int = 1500) ->
     return lines / sum(record.query_count for record in trace)
 
 
+def settled_object_count() -> int:
+    """``len(gc.get_objects())`` once a full collection no longer moves it.
+
+    A collection untracks tuples that hold only untracked values, but it can
+    visit a tuple before items of its own that the same pass untracks; that
+    tuple stays tracked until a later pass.  So a fixed number of
+    collections can leave some of a fresh trace's nested query tuples
+    tracked, and the count would move with what the recorder allocates.
+    """
+    count = -1
+    while True:
+        gc.collect()
+        settled, count = count, len(gc.get_objects())
+        if count == settled:
+            return count
+
+
 def tracked_objects_added(transactions: int = 4000) -> int:
     catalog, trace, chooser = _trained("tpcc", transactions)
-    gc.collect()
-    gc.collect()
-    before = len(gc.get_objects())
+    before = settled_object_count()
     models = build_models_from_trace(catalog, trace, base_partition_chooser=chooser)
-    gc.collect()
-    gc.collect()
-    added = len(gc.get_objects()) - before
+    added = settled_object_count() - before
     del models
     return added
 
@@ -112,4 +128,4 @@ class TestCountedGate:
 
     def test_tracked_objects_added_by_the_build(self, counts):
         measured = counts["tracked_objects_added"]
-        assert measured <= 76823, measured
+        assert measured <= 76832, measured

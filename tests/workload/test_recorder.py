@@ -17,12 +17,6 @@ class TestTraceRecorder:
         record = recorder.record_one(ProcedureRequest.of("transfer", (4, 5, 10_000)))
         assert record.aborted
 
-    def test_embed_partitions_option(self, account_catalog, account_database):
-        recorder = TraceRecorder(account_catalog, account_database, embed_partitions=True)
-        record = recorder.record_one(ProcedureRequest.of("transfer", (4, 5, 10)))
-        assert record.queries[0] == ("GetFrom", (4,), (0,))
-        assert record.queries[1] == ("GetTo", (5,), (1,))
-
     def test_txn_ids_increment_across_requests(self, account_catalog, account_database):
         recorder = TraceRecorder(account_catalog, account_database)
         trace = recorder.record([
